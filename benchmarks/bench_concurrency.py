@@ -178,7 +178,7 @@ def measure_point(backend: str, n_shards: int, subscribers: int = 0) -> dict:
         # the single-flight path (N subscribers, one execution) is live.
         for i in range(subscribers):
             if i % 2 == 0:
-                service.subscriptions.subscribe(watch=True)
+                service.subscriptions.subscribe(Q.watch_list())
             else:
                 service.subscriptions.subscribe(Q.observation_deck())
         rng = random.Random(7)

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass
 
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.query.spec import Q
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.generator import DatasetSpec
@@ -114,11 +115,11 @@ def measure_service(
 
         t0 = time.perf_counter()
         for values in sample:
-            router.point(m_coord, values)
+            router.execute(Q.cell(m_coord, values))
         first_pass = time.perf_counter() - t0
         t0 = time.perf_counter()
         for values in sample:
-            router.point(m_coord, values)
+            router.execute(Q.cell(m_coord, values))
         second_pass = time.perf_counter() - t0
 
         distinct = len(set(sample))

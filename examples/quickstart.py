@@ -274,7 +274,9 @@ def step8_concurrent_serving() -> None:
         # hit is served from a lock-free vector comparison.  Identical
         # concurrent misses collapse to one execution (single-flight).
         clients = [
-            threading.Thread(target=router.observation_deck)
+            threading.Thread(
+                target=router.execute, args=(Q.observation_deck(),)
+            )
             for _ in range(8)
         ]
         for client in clients:

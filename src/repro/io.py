@@ -98,16 +98,8 @@ def decoding(codec: str, fn: Callable[[], _T]) -> _T:
         raise CodecError(f"{codec}: malformed payload ({exc})") from None
 
 
-def check_format(
-    codec: str, payload: Any, fmt: str, version: int | tuple[int, ...]
-) -> int:
-    """Validate a document's ``format`` / ``version`` envelope.
-
-    ``version`` may be a single supported version or a tuple of them (a
-    codec that still reads its older shape); the payload's accepted
-    version is returned so callers can dispatch decode paths on it.
-    """
-    versions = (version,) if isinstance(version, int) else tuple(version)
+def check_format(codec: str, payload: Any, fmt: str, version: int) -> None:
+    """Validate a document's ``format`` / ``version`` envelope."""
     if not isinstance(payload, Mapping):
         raise CodecError(
             f"{codec}: expected a JSON object, got {type(payload).__name__}"
@@ -118,17 +110,11 @@ def check_format(
             f"(format tag is {payload.get('format')!r})"
         )
     got = payload.get("version")
-    if got not in versions:
-        readable = (
-            str(versions[0])
-            if len(versions) == 1
-            else " or ".join(str(v) for v in versions)
-        )
+    if got != version:
         raise CodecError(
             f"{codec}: unsupported version {got!r} "
-            f"(this build reads version {readable})"
+            f"(this build reads version {version})"
         )
-    return int(got)
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -275,9 +261,7 @@ def frame_from_dict(
     shared tuple so every restored cell frame keeps the identity-based
     alignment fast path (:meth:`TiltTimeFrame.aligned_with`).
     """
-    # The frame payload's shape did not change between state versions 1
-    # and 2 (only the engine-state cell rows did), so both tags decode.
-    check_format("tilt_frame", payload, "repro-tilt-frame", (1, STATE_VERSION))
+    check_format("tilt_frame", payload, "repro-tilt-frame", STATE_VERSION)
     decoded = tuple(
         tilt_level_from_dict(entry)
         for entry in decoding("tilt_frame", lambda: list(payload["levels"]))

@@ -1,10 +1,10 @@
-"""Query layer: declarative specs, one execution engine, OLAP views, drilling.
+"""Query layer: declarative specs, one execution engine, drilling.
 
 ``repro.query.spec`` defines the frozen :class:`QuerySpec` plan objects and
 the fluent :data:`Q` builder; ``repro.query.exec`` is the single engine that
-turns a spec into a :class:`QueryResult`; ``repro.query.api`` keeps the
-method-per-operation facade as thin delegates; ``repro.query.drill`` holds
-the exception-guided drilling workflow.
+turns a spec into a :class:`QueryResult`; ``repro.query.api`` is the
+execution context a spec runs against; ``repro.query.drill`` holds the
+exception-guided drilling workflow.
 """
 
 from repro.query.api import RegressionCubeView
@@ -13,7 +13,9 @@ from repro.query.exec import BatchItem, QueryResult, execute, execute_batch
 from repro.query.spec import (
     BatchQuery,
     CellSpec,
+    ChangeExceptionsSpec,
     DrillDownSpec,
+    ExceptionsSpec,
     ObservationDeckSpec,
     Q,
     QueryBuilder,
@@ -41,6 +43,8 @@ __all__ = [
     "TopSlopesSpec",
     "ObservationDeckSpec",
     "WatchListSpec",
+    "ExceptionsSpec",
+    "ChangeExceptionsSpec",
     "BatchQuery",
     "QueryBuilder",
     "Q",

@@ -1,151 +1,37 @@
-"""OLAP-style queries over a cubing result.
+"""The execution context of the query engine.
 
-:class:`RegressionCubeView` wraps a :class:`~repro.cubing.result.CubeResult`
-with the operations an analyst at the observation deck performs: point
-queries (with on-the-fly roll-up from the m-layer when the target cell was
-not materialized), slices, roll-ups and drill-downs.  Every method is a thin
-delegate: it builds the corresponding :class:`~repro.query.spec.QuerySpec`
-plan and hands it to the single engine in :mod:`repro.query.exec`, so the
-Python facade, the cached router, and the HTTP service all share one
-validation and execution path.  The exception-guided drilling workflow of
-Section 4.2/4.3 lives in :mod:`repro.query.drill`.
+:class:`RegressionCubeView` holds what :func:`repro.query.exec.execute`
+runs a :class:`~repro.query.spec.QuerySpec` against: one cubing result with
+its layers, schema and lattice, plus — when that result came off a live
+stream — the engine or cube whose two most recent windows the
+``change_exceptions`` op compares.  It has no per-operation methods; every
+query is ``execute(view, Q.<op>(...))``.  The exception-guided drilling
+workflow of Section 4.2/4.3 lives in :mod:`repro.query.drill`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Any
 
 from repro.cubing.result import CubeResult
-from repro.query.exec import execute
-from repro.query.spec import Q
-from repro.regression.isb import ISB
 
 __all__ = ["RegressionCubeView"]
 
-Values = tuple[Hashable, ...]
-Coord = tuple[int, ...]
-
 
 class RegressionCubeView:
-    """Query facade over one cubing result."""
+    """What a query spec is executed against.
 
-    def __init__(self, result: CubeResult) -> None:
+    ``changes`` is the window-over-window change source: a
+    :class:`~repro.stream.engine.StreamCubeEngine` or
+    :class:`~repro.service.sharding.ShardedStreamCube` (anything with
+    ``change_exceptions(quarters_apart)`` and
+    ``o_layer_change_exceptions(quarters_apart)``).  A view over a one-shot
+    cubing result has none, and ``change_exceptions`` raises there.
+    """
+
+    def __init__(self, result: CubeResult, changes: Any = None) -> None:
         self.result = result
         self.layers = result.layers
         self.schema = result.layers.schema
         self.lattice = result.layers.lattice
-
-    # ------------------------------------------------------------------
-    # Point queries
-    # ------------------------------------------------------------------
-    def cell(self, coord: Iterable[int], values: Iterable[Hashable]) -> ISB:
-        """The regression of one cell, computed on the fly if necessary.
-
-        Materialized cells (o-layer, m-layer, retained exceptions, path
-        cuboids) are returned directly; anything else is aggregated from the
-        m-layer with Theorem 3.2 — the "on-the-fly computation" option of
-        Section 4.3.
-        """
-        return execute(self, Q.cell(tuple(coord), tuple(values))).value
-
-    def cell_by_level_names(
-        self, level_names: Iterable[str], values: Iterable[Hashable]
-    ) -> ISB:
-        """Point query addressed by level names, e.g.
-        ``(("*", "city"), ("*", "city2"))``."""
-        return execute(self, Q.cell(tuple(level_names), tuple(values))).value
-
-    # ------------------------------------------------------------------
-    # Slice / dice
-    # ------------------------------------------------------------------
-    def slice(
-        self, coord: Iterable[int], fixed: Mapping[str, Hashable]
-    ) -> dict[Values, ISB]:
-        """Cells of a cuboid matching fixed dimension values.
-
-        ``fixed`` maps dimension names to required values; unspecified
-        dimensions are unrestricted.  Operates on the materialized cuboid
-        when it is complete (m/o layer, popular-path cuboid, full
-        materialization), otherwise on an on-the-fly roll-up of the m-layer.
-        """
-        return execute(self, Q.slice(tuple(coord), dict(fixed))).value
-
-    # ------------------------------------------------------------------
-    # Roll-up / drill-down
-    # ------------------------------------------------------------------
-    def roll_up(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-    ) -> tuple[Coord, Values, ISB]:
-        """One roll-up step of a cell along a named dimension.
-
-        Returns the parent cuboid coordinate, the parent cell values, and
-        its regression.
-        """
-        return execute(self, Q.roll_up(tuple(coord), tuple(values), dim)).value
-
-    def drill_down(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-    ) -> dict[Values, ISB]:
-        """One drill-down step: the children of a cell along ``dim``.
-
-        Children are aggregated exactly (Theorem 3.2); returns a
-        possibly-empty mapping of child cell values to ISBs.
-        """
-        return execute(self, Q.drill_down(tuple(coord), tuple(values), dim)).value
-
-    # ------------------------------------------------------------------
-    # Observation-deck shortcuts
-    # ------------------------------------------------------------------
-    def observation_deck(self) -> dict[Values, ISB]:
-        """All o-layer cells (what the analyst watches)."""
-        return execute(self, Q.observation_deck()).value
-
-    def watch_list(self) -> dict[Values, ISB]:
-        """The o-layer cells currently flagged exceptional."""
-        return execute(self, Q.watch_list()).value
-
-    def top_slopes(self, coord: Iterable[int], k: int = 5) -> list[tuple[Values, ISB]]:
-        """The ``k`` steepest cells (by |slope|) of a cuboid.
-
-        ``k`` must be >= 1 (:class:`~repro.errors.QueryError` otherwise);
-        an empty cuboid yields an empty list.
-        """
-        return execute(self, Q.top_slopes(tuple(coord), k)).value
-
-    def siblings(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-    ) -> dict[Values, ISB]:
-        """The cell's siblings along ``dim`` (Section 2.1's relation).
-
-        Siblings share every dimension value except ``dim``, where they have
-        the *same parent* in the concept hierarchy.  Aggregated exactly; the
-        queried cell itself is excluded.
-        """
-        return execute(self, Q.siblings(tuple(coord), tuple(values), dim)).value
-
-    def sibling_deviation(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-    ) -> float:
-        """How far the cell's slope sits from its siblings' mean slope.
-
-        A complementary exception signal to the absolute-slope threshold: a
-        cell may trend steeply because *everything* under its parent does
-        (uninteresting) or alone among its siblings (interesting).  Returns
-        ``slope(cell) - mean(slope(siblings))``; raises
-        :class:`QueryError` when the cell has no siblings to compare with.
-        """
-        return execute(
-            self, Q.sibling_deviation(tuple(coord), tuple(values), dim)
-        ).value
+        self.changes = changes

@@ -16,6 +16,8 @@ from typing import Hashable, Iterable
 from repro.cube.cell import roll_up_values
 from repro.cubing.result import CubeResult
 from repro.query.api import RegressionCubeView
+from repro.query.exec import execute
+from repro.query.spec import Q
 from repro.regression.isb import ISB
 
 __all__ = ["DrillNode", "ExceptionDriller"]
@@ -114,7 +116,9 @@ class ExceptionDriller:
             for i, (a, b) in enumerate(zip(node.coord, child_coord))
             if a != b
         )
-        return self.view.drill_down(node.coord, node.values, drilled_dim)
+        return execute(
+            self.view, Q.drill_down(node.coord, node.values, drilled_dim)
+        ).value
 
     def supporters(
         self, values: Iterable[Hashable], max_depth: int | None = None
@@ -122,7 +126,7 @@ class ExceptionDriller:
         """Drill one specific o-layer cell (exceptional or not)."""
         o = self.layers.o_coord
         vals = self.schema.validate_values(tuple(values), o)
-        isb = self.view.cell(o, vals)
+        isb = execute(self.view, Q.cell(o, vals)).value
         node = DrillNode(o, vals, isb)
         self._expand(node, depth=0, max_depth=max_depth)
         return node

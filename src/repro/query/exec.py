@@ -1,18 +1,23 @@
 """The single query execution engine: ``execute(view, spec) -> QueryResult``.
 
-Every surface — :class:`~repro.query.api.RegressionCubeView`'s methods, the
-cached :class:`~repro.service.router.QueryRouter`, and the HTTP service —
-funnels through :func:`execute`: the spec is resolved against the view's
-schema, dispatched to the one implementation of its operation, and the
-answer is wrapped in a typed :class:`QueryResult` envelope that knows its
-wire encoding.  :func:`execute_batch` runs many specs against one view and
-reports per-spec results *and* errors, so one bad plan never sinks a batch.
+Every surface — Python callers, the cached
+:class:`~repro.service.router.QueryRouter`, the HTTP service and the
+subscription dispatcher — funnels through :func:`execute`: the spec is
+resolved against the view's schema, dispatched to the one implementation of
+its operation, and the answer is wrapped in a typed :class:`QueryResult`
+envelope that knows its wire encoding.  :func:`execute_batch` runs many
+specs against one view and reports per-spec results *and* errors, so one bad
+plan never sinks a batch.
 
-Operation implementations live here (moved out of the view facade).  Cuboid
-scans go through :func:`_cuboid_cells`, which serves from a *complete*
-materialized cuboid when the cubing result has one (m/o layers, popular-path
-cuboids, full materialization) and falls back to an exact Theorem 3.2
-roll-up of the m-layer otherwise.
+The ``view`` is the execution context
+(:class:`~repro.query.api.RegressionCubeView` or anything with its five
+attributes): operations read the cubing ``result`` — except
+``change_exceptions``, which compares two stream windows through
+``view.changes`` and never touches the result.  Cuboid scans go through
+:func:`_cuboid_cells`, which serves from a *complete* materialized cuboid
+when the cubing result has one (m/o layers, popular-path cuboids, full
+materialization) and falls back to an exact Theorem 3.2 roll-up of the
+m-layer otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ class QueryResult:
     """A typed result envelope: the resolved spec plus its answer.
 
     ``value`` is the operation's native Python answer (an :class:`ISB`, a
-    cell mapping, a ranked list, a roll-up triple, or a float);
+    cell mapping, a per-cuboid mapping of those, a ranked list, a roll-up
+    triple, or a float);
     :meth:`to_dict` is the canonical wire encoding the HTTP layer returns.
     """
 
@@ -204,6 +210,30 @@ def _watch_list(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB
     return view.result.o_layer_exceptions()
 
 
+def _exceptions(
+    view: "RegressionCubeView", spec: QuerySpec
+) -> dict[Coord, dict[Values, ISB]]:
+    out = {
+        coord: dict(cells)
+        for coord, cells in view.result.retained_exceptions.items()
+    }
+    out[view.layers.o_coord] = view.result.o_layer_exceptions()
+    return out
+
+
+def _change_exceptions(
+    view: "RegressionCubeView", spec: QuerySpec
+) -> dict[Values, ISB]:
+    if view.changes is None:
+        raise QueryError(
+            "change_exceptions compares two stream windows; this view has "
+            "no stream engine or cube behind it"
+        )
+    if spec.layer == "m":
+        return view.changes.change_exceptions(spec.quarters_apart)
+    return view.changes.o_layer_change_exceptions(spec.quarters_apart)
+
+
 _IMPLS: dict[str, Callable[["RegressionCubeView", QuerySpec], Any]] = {
     "cell": _cell,
     "slice": _slice,
@@ -214,6 +244,8 @@ _IMPLS: dict[str, Callable[["RegressionCubeView", QuerySpec], Any]] = {
     "top_slopes": _top_slopes,
     "observation_deck": _observation_deck,
     "watch_list": _watch_list,
+    "exceptions": _exceptions,
+    "change_exceptions": _change_exceptions,
 }
 
 
@@ -226,6 +258,15 @@ def _encode_isb(value: ISB) -> dict[str, Any]:
 
 def _encode_cells(value: Mapping[Values, ISB]) -> dict[str, Any]:
     return {"cells": cells_to_payload(value)}
+
+
+def _encode_cuboids(value: Mapping[Coord, Mapping[Values, ISB]]) -> dict[str, Any]:
+    return {
+        "cuboids": [
+            {"coord": list(coord), "cells": cells_to_payload(cells)}
+            for coord, cells in value.items()
+        ]
+    }
 
 
 def _encode_roll_up(value: tuple[Coord, Values, ISB]) -> dict[str, Any]:
@@ -256,6 +297,8 @@ _RESULT_ENCODERS: dict[str, Callable[[Any], dict[str, Any]]] = {
     "top_slopes": _encode_ranked,
     "observation_deck": _encode_cells,
     "watch_list": _encode_cells,
+    "exceptions": _encode_cuboids,
+    "change_exceptions": _encode_cells,
 }
 
 

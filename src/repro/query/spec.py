@@ -1,22 +1,23 @@
 """Declarative query plans: the frozen ``QuerySpec`` family and ``Q`` builder.
 
-Every operation of :class:`~repro.query.api.RegressionCubeView` has exactly
-one plan object here — a frozen dataclass that normalizes its fields at
-construction, resolves dimension/level *names* to coordinates against a
+Every query operation has exactly one plan object here — a frozen dataclass
+that normalizes and validates its fields at construction, resolves
+dimension/level *names* to coordinates against a
 :class:`~repro.cube.schema.CubeSchema`, carries a canonical
 :meth:`~QuerySpec.cache_key`, and round-trips through the JSON wire format
 (``decode(encode(spec)) == spec``).  Specs are *plans*, not answers: the
 single engine in :mod:`repro.query.exec` turns a spec into a
-:class:`~repro.query.exec.QueryResult`, and every surface (the Python view,
-the cached router, the HTTP service) speaks specs instead of per-operation
-argument lists.
+:class:`~repro.query.exec.QueryResult`, and every surface (Python, the
+cached router, the HTTP service, subscriptions) speaks specs — there are no
+per-operation methods anywhere.
 
 Build specs with the fluent :data:`Q` builder::
 
     Q.cell((1, 1), (0, 0)).window(8)
     Q.slice((1, 2)).where(d0=3)
     Q.top_slopes((2, 2), k=10)
-    Q.batch(Q.watch_list(), Q.top_slopes((1, 1)))
+    Q.change_exceptions(layer="o")
+    Q.batch(Q.watch_list(), Q.exceptions(), Q.top_slopes((1, 1)))
 
 ``Q.bind(schema)`` returns a schema-bound builder that validates eagerly and
 resolves level names, so ``q.cell(coord=("city", "day"), ...)`` fails at
@@ -30,7 +31,7 @@ Adding an operation is a one-file change: subclass :class:`QuerySpec` here
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, ClassVar, Hashable, Iterator, Mapping
+from typing import Any, Callable, ClassVar, Hashable, Iterator, Mapping
 
 from repro.cube.schema import CubeSchema
 from repro.errors import QueryError
@@ -46,6 +47,8 @@ __all__ = [
     "TopSlopesSpec",
     "ObservationDeckSpec",
     "WatchListSpec",
+    "ExceptionsSpec",
+    "ChangeExceptionsSpec",
     "BatchQuery",
     "QueryBuilder",
     "Q",
@@ -57,9 +60,6 @@ Coord = tuple[int | str, ...]
 
 #: op-name registry filled by ``QuerySpec.__init_subclass__``.
 _REGISTRY: dict[str, type["QuerySpec"]] = {}
-
-#: Legacy wire op names accepted on decode (the pre-spec HTTP dialect).
-_ALIASES = {"point": "cell"}
 
 #: Dataclass field -> wire key (identity unless listed).
 _WIRE_KEYS = {"window_quarters": "window"}
@@ -139,13 +139,22 @@ def _norm_fixed(value: Any, op: str) -> tuple[tuple[str, Hashable], ...] | None:
     return tuple(sorted(out.items()))
 
 
-def _norm_k(value: Any, op: str) -> int | None:
-    if value is None:
-        return None
-    k = _as_int(value, f"{op} k")
-    if k < 1:
-        raise QueryError(f"{op} needs k >= 1, got {k}")
-    return k
+def _norm_at_least_one(field: str) -> Callable[[Any, str], int | None]:
+    def norm(value: Any, op: str) -> int | None:
+        if value is None:
+            return None
+        n = _as_int(value, f"{op} {field}")
+        if n < 1:
+            raise QueryError(f"{op} needs {field} >= 1, got {n}")
+        return n
+
+    return norm
+
+
+def _norm_layer(value: Any, op: str) -> str:
+    if value not in ("m", "o"):
+        raise QueryError(f"{op} layer must be 'm' or 'o', got {value!r}")
+    return value
 
 
 _NORMALIZERS = {
@@ -154,7 +163,9 @@ _NORMALIZERS = {
     "values": _norm_values,
     "dim": _norm_dim,
     "fixed": _norm_fixed,
-    "k": _norm_k,
+    "k": _norm_at_least_one("k"),
+    "quarters_apart": _norm_at_least_one("quarters_apart"),
+    "layer": _norm_layer,
 }
 
 
@@ -321,7 +332,7 @@ class QuerySpec:
 
 @dataclass(frozen=True)
 class CellSpec(QuerySpec):
-    """Point query: one cell's regression (wire alias: ``point``)."""
+    """Point query: one cell's regression."""
 
     op: ClassVar[str] = "cell"
     _REQUIRED: ClassVar[tuple[str, ...]] = ("coord", "values")
@@ -414,12 +425,36 @@ class WatchListSpec(QuerySpec):
     op: ClassVar[str] = "watch_list"
 
 
+@dataclass(frozen=True)
+class ExceptionsSpec(QuerySpec):
+    """The retained exception cells of every cuboid, o-layer included."""
+
+    op: ClassVar[str] = "exceptions"
+
+
+@dataclass(frozen=True)
+class ChangeExceptionsSpec(QuerySpec):
+    """Cells whose current-vs-previous window regression is exceptional.
+
+    Compares the last ``quarters_apart`` sealed quarters with the
+    ``quarters_apart`` before them, at the m- or the o-layer.  The pair of
+    windows is fixed by ``quarters_apart`` alone; the analysis window the
+    other ops read plays no part.
+    """
+
+    op: ClassVar[str] = "change_exceptions"
+    _REQUIRED: ClassVar[tuple[str, ...]] = ("quarters_apart",)
+
+    quarters_apart: int | None = 1
+    layer: str = "m"
+
+
 def spec_from_dict(payload: Mapping[str, Any]) -> QuerySpec:
     """Decode any spec from its wire form, dispatching on ``op``."""
     if not isinstance(payload, Mapping):
         raise QueryError(f"a query must be a JSON object, got {type(payload).__name__}")
     op = payload.get("op")
-    cls = _REGISTRY.get(_ALIASES.get(op, op))
+    cls = _REGISTRY.get(op)
     if cls is None:
         raise QueryError(
             f"unknown query op {op!r}; known ops: {sorted(_REGISTRY)}"
@@ -547,6 +582,16 @@ class QueryBuilder:
 
     def watch_list(self, window: int | None = None) -> WatchListSpec:
         return self._out(WatchListSpec(window_quarters=window))  # type: ignore[return-value]
+
+    def exceptions(self, window: int | None = None) -> ExceptionsSpec:
+        return self._out(ExceptionsSpec(window_quarters=window))  # type: ignore[return-value]
+
+    def change_exceptions(
+        self, quarters_apart: int = 1, layer: str = "m"
+    ) -> ChangeExceptionsSpec:
+        return self._out(  # type: ignore[return-value]
+            ChangeExceptionsSpec(quarters_apart=quarters_apart, layer=layer)
+        )
 
     def batch(self, *specs: QuerySpec) -> BatchQuery:
         return BatchQuery(tuple(specs))

@@ -28,13 +28,11 @@ Endpoints
                    ``--snapshot-dir`` now; returns the manifest summary
 ``POST /query``    one query spec (``{"op": "cell" | "slice" | "roll_up" |
                    "drill_down" | "siblings" | "sibling_deviation" |
-                   "top_slopes" | "observation_deck" | "watch_list",
-                   ...spec fields}`` — see :mod:`repro.query.spec`), or a
-                   batch ``{"queries": [spec, ...]}`` executed against one
-                   merged view refresh with per-spec results and errors.
-                   ``exceptions`` / ``change_exceptions`` are cube-level
-                   ops served outside the spec engine.  The legacy op name
-                   ``point`` is accepted as an alias for ``cell``.
+                   "top_slopes" | "observation_deck" | "watch_list" |
+                   "exceptions" | "change_exceptions", ...spec fields}`` —
+                   see :mod:`repro.query.spec`), or a batch
+                   ``{"queries": [spec, ...]}`` executed against one merged
+                   view refresh with per-spec results and errors.
 ``POST /subscribe``  register a continuous query: ``{"spec": {...}}`` or
                    ``{"watch": true}`` (o-layer exception alerts), with
                    ``every_seal: true`` / ``every_k_quarters: K`` and an
@@ -83,8 +81,7 @@ from typing import Any, Hashable, Mapping
 from urllib.parse import parse_qsl
 
 from repro.errors import ReproError, ServiceError
-from repro.io import cells_to_payload, spec_from_dict
-from repro.regression.isb import ISB
+from repro.io import spec_from_dict
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
@@ -99,15 +96,6 @@ def _values_of(payload: Any) -> Values:
     if not isinstance(payload, list):
         raise ServiceError(f"'values' must be a list, got {type(payload).__name__}")
     return tuple(payload)
-
-
-def _exceptions_payload(
-    retained: dict[tuple[int, ...], dict[Values, ISB]],
-) -> list[dict[str, Any]]:
-    return [
-        {"coord": list(coord), "cells": cells_to_payload(cells)}
-        for coord, cells in retained.items()
-    ]
 
 
 class StreamCubeService:
@@ -428,29 +416,8 @@ class StreamCubeService:
             items = self.router.execute_batch(entries)
             return {"count": len(items), "results": [it.to_dict() for it in items]}
 
-        # Cube-level ops that are not view operations (no spec class).
-        op = payload.get("op")
-        if op == "exceptions":
-            window = payload.get("window")
-            window = int(window) if window is not None else None
-            return {
-                "op": op,
-                "cuboids": _exceptions_payload(self.router.exceptions(window)),
-            }
-        if op == "change_exceptions":
-            cells = self.router.change_exceptions(
-                int(payload.get("quarters_apart", 1)),
-                str(payload.get("layer", "m")),
-            )
-            return {"op": op, "cells": cells_to_payload(cells)}
-
-        # Everything else is a spec: decode -> execute -> encode.
-        body = self.router.execute(spec_from_dict(payload)).to_dict()
-        if op and op != body["op"]:
-            # A legacy alias (e.g. "point") was requested: echo it back so
-            # pre-spec clients that dispatch on the response op keep working.
-            body["op"] = op
-        return body
+        # Everything else is one spec: decode -> execute -> encode.
+        return self.router.execute(spec_from_dict(payload)).to_dict()
 
     # ------------------------------------------------------------------
     # Continuous queries (subscription push)

@@ -21,12 +21,15 @@ cut, and identical concurrent misses are collapsed to one execution
 (single-flight): followers wait for the leader's entry and re-validate
 instead of stampeding the engines.
 
-The per-operation methods (``point``, ``slice``, ...) remain as one-line
-spec builders for callers that prefer the method style.
+There is one query surface: :meth:`QueryRouter.execute` (with its
+``_versioned`` and ``_batch`` forms) over specs.  ``exceptions`` and
+``change_exceptions`` are specs like any other, so they share the versioned
+cache, the single-flight and the batch/subscription paths.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable, Iterable, Mapping
@@ -62,17 +65,6 @@ class LRUCache:
     def __len__(self) -> int:
         with self._mu:
             return len(self._data)
-
-    def get(self, key: Any) -> Any | None:
-        with self._mu:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
 
     def get_versioned(self, key: Any, version: Any) -> Any | None:
         """The ``(version, value)`` entry under ``key``, iff it was stored
@@ -113,6 +105,28 @@ class _Flight:
 
     def __init__(self) -> None:
         self.done = threading.Event()
+
+
+class _CutView:
+    """The execution context for one spec at the current read cut.
+
+    Layers, schema and the change source come straight off the cube; the
+    merged ``result`` is refreshed (or reused) only when the operation reads
+    it.  ``change_exceptions`` compares two windows on the cube itself and
+    must neither pay for nor wait on a merged-view refresh.
+    """
+
+    def __init__(self, router: "QueryRouter", window: int) -> None:
+        self.layers = router.cube.layers
+        self.schema = self.layers.schema
+        self.lattice = self.layers.lattice
+        self.changes = router.cube
+        self._router = router
+        self._window = window
+
+    @functools.cached_property
+    def result(self) -> CubeResult:
+        return self._router._view_locked(self._window).result
 
 
 class QueryRouter:
@@ -199,7 +213,7 @@ class QueryRouter:
             if leader:
                 try:
                     result = self.cube.refresh(window, self.algorithm)
-                    view = RegressionCubeView(result)
+                    view = RegressionCubeView(result, self.cube)
                     with self._mu:
                         # One line per window: a stale view is simply
                         # overwritten by the refresh that replaced it.
@@ -215,30 +229,12 @@ class QueryRouter:
                 # holds the same (shared) cut and needs no further locks.
                 flight.done.wait()
 
-    def result(self, window_quarters: int | None = None) -> CubeResult:
-        """The merged cube result behind :meth:`view`."""
-        return self.view(window_quarters).result
-
     def _window(self, window_quarters: int | None) -> int:
         return (
             self.window_quarters
             if window_quarters is None
             else window_quarters
         )
-
-    def _cached(self, key: tuple, compute) -> Any:
-        """Single-flight a *hand-built* cache key.
-
-        Hand-built keys share the LRU with ``QuerySpec.cache_key()``
-        tuples shaped ``(op, (field, value), ...)``, so they carry a
-        ``"_router"`` namespace tag no spec op can collide with (spec op
-        names are identifiers; a future op literally named ``exceptions``
-        would otherwise silently alias the hand-built line).
-        """
-        return self._single_flight(("_router",) + key, compute)
-
-    def _single_flight(self, key: Any, compute) -> Any:
-        return self._single_flight_entry(key, compute)[1]
 
     def _single_flight_entry(self, key: Any, compute) -> tuple[Any, Any]:
         """Serve ``key`` from the versioned cache, computing at most once.
@@ -324,7 +320,7 @@ class QueryRouter:
             with self._mu:
                 self.specs_executed += 1
             return execute(
-                self._view_locked(window), resolved, pre_resolved=True
+                _CutView(self, window), resolved, pre_resolved=True
             )
 
         return self._single_flight_entry(key, compute)
@@ -341,140 +337,28 @@ class QueryRouter:
         is recorded there and does not stop the rest.
         """
         entries = batch.specs if isinstance(batch, BatchQuery) else tuple(batch)
-        self.batches += 1
+        with self._mu:
+            self.batches += 1
         return run_batch(entries, self.execute)
 
     # ------------------------------------------------------------------
-    # Method-style wrappers (one-line spec builders)
-    # ------------------------------------------------------------------
-    def point(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        window_quarters: int | None = None,
-    ) -> ISB:
-        """One cell's regression (materialized or rolled up on the fly)."""
-        return self.execute(
-            Q.cell(tuple(coord), tuple(values), window=window_quarters)
-        ).value
-
-    def slice(
-        self,
-        coord: Iterable[int],
-        fixed: Mapping[str, Hashable],
-        window_quarters: int | None = None,
-    ) -> dict[Values, ISB]:
-        """Cells of one cuboid matching fixed dimension values."""
-        return self.execute(
-            Q.slice(tuple(coord), dict(fixed), window=window_quarters)
-        ).value
-
-    def roll_up(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-        window_quarters: int | None = None,
-    ) -> tuple[Coord, Values, ISB]:
-        """One roll-up step of a cell along a named dimension."""
-        return self.execute(
-            Q.roll_up(tuple(coord), tuple(values), dim, window=window_quarters)
-        ).value
-
-    def drill_down(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-        window_quarters: int | None = None,
-    ) -> dict[Values, ISB]:
-        """One drill-down step: the children of a cell along ``dim``."""
-        return self.execute(
-            Q.drill_down(tuple(coord), tuple(values), dim, window=window_quarters)
-        ).value
-
-    def siblings(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-        window_quarters: int | None = None,
-    ) -> dict[Values, ISB]:
-        """The cell's same-parent siblings along ``dim``."""
-        return self.execute(
-            Q.siblings(tuple(coord), tuple(values), dim, window=window_quarters)
-        ).value
-
-    def sibling_deviation(
-        self,
-        coord: Iterable[int],
-        values: Iterable[Hashable],
-        dim: str,
-        window_quarters: int | None = None,
-    ) -> float:
-        """``slope(cell) - mean(slope(siblings))`` along ``dim``."""
-        return self.execute(
-            Q.sibling_deviation(
-                tuple(coord), tuple(values), dim, window=window_quarters
-            )
-        ).value
-
-    def top_slopes(
-        self,
-        coord: Iterable[int],
-        k: int = 5,
-        window_quarters: int | None = None,
-    ) -> list[tuple[Values, ISB]]:
-        """The ``k`` steepest cells of a cuboid."""
-        return self.execute(
-            Q.top_slopes(tuple(coord), k, window=window_quarters)
-        ).value
-
-    def observation_deck(
-        self, window_quarters: int | None = None
-    ) -> dict[Values, ISB]:
-        """All o-layer cells."""
-        return self.execute(Q.observation_deck(window=window_quarters)).value
-
-    def watch_list(
-        self, window_quarters: int | None = None
-    ) -> dict[Values, ISB]:
-        """The o-layer cells currently flagged exceptional."""
-        return self.execute(Q.watch_list(window=window_quarters)).value
-
-    # ------------------------------------------------------------------
-    # Cube-level queries (not view operations; cached by hand-built keys)
+    # Harness seam.  The frozen benchmarks/e2e harness wraps ``exceptions``
+    # and ``change_exceptions`` by name and audits through ``result``;
+    # nothing else calls them, and they go when a benchmark PR re-points it
+    # at ``execute`` / ``view``.
     # ------------------------------------------------------------------
     def exceptions(
         self, window_quarters: int | None = None
     ) -> dict[Coord, dict[Values, ISB]]:
-        """The retained exception cells per cuboid, o-layer included."""
-        window = self._window(window_quarters)
-
-        def compute() -> dict[Coord, dict[Values, ISB]]:
-            result = self.result(window)
-            out = {
-                coord: dict(cells)
-                for coord, cells in result.retained_exceptions.items()
-            }
-            out[result.layers.o_coord] = result.o_layer_exceptions()
-            return out
-
-        return self._cached(("exceptions", window), compute)
+        return self.execute(Q.exceptions(window=window_quarters)).value
 
     def change_exceptions(
         self, quarters_apart: int = 1, layer: str = "m"
     ) -> dict[Values, ISB]:
-        """Window-over-window change exceptions at the m- or o-layer."""
-        if layer not in ("m", "o"):
-            raise ServiceError(f"layer must be 'm' or 'o', got {layer!r}")
+        return self.execute(Q.change_exceptions(quarters_apart, layer)).value
 
-        def compute() -> dict[Values, ISB]:
-            if layer == "m":
-                return self.cube.change_exceptions(quarters_apart)
-            return self.cube.o_layer_change_exceptions(quarters_apart)
-
-        return self._cached(("change", layer, quarters_apart), compute)
+    def result(self, window_quarters: int | None = None) -> CubeResult:
+        return self.view(window_quarters).result
 
     # ------------------------------------------------------------------
     # Accounting

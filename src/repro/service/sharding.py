@@ -1019,10 +1019,7 @@ class ShardedStreamCube:
         if not path.exists():
             raise CodecError(f"snapshot: no {_MANIFEST} in {directory}")
         payload = decoding("snapshot", lambda: json.loads(path.read_text()))
-        # (1, 2): manifests written before tiered storage still restore.
-        check_format(
-            "snapshot", payload, _SNAPSHOT_FORMAT, (1, STATE_VERSION)
-        )
+        check_format("snapshot", payload, _SNAPSHOT_FORMAT, STATE_VERSION)
         # Manifests written before the checksum field are accepted as-is;
         # a present-but-wrong checksum is corruption, not version drift.
         recorded = payload.get("checksum")

@@ -5,9 +5,10 @@ this window / alert me on o-layer exceptions" once and the stream *pushes*
 results as quarters seal (the "trigger once every 15 minutes" reading).
 This module is that surface:
 
-- A client registers any :class:`~repro.query.spec.QuerySpec` (or the
-  o-layer exception watch shorthand) with a delivery policy: ``every_seal``
-  or ``every_k_quarters=K``.
+- A client registers any :class:`~repro.query.spec.QuerySpec` with a
+  delivery policy: ``every_seal`` or ``every_k_quarters=K``.  The wire
+  shorthand ``{"watch": true}`` (o-layer exception alerts) is rewritten to
+  a ``watch_list`` spec in :meth:`SubscriptionRegistry.subscribe_payload`.
 - The sealed cube signals the registry via a listener the cube invokes
   right after a seal commits (outside the shard write locks).  The listener
   is deliberately trivial — record the quarter, set an event — so the seal
@@ -48,7 +49,6 @@ class Subscription:
     every_k: int
     queue_limit: int
     created_quarter: int
-    watch: bool = False
     seq: int = 0
     dropped: int = 0
     delivered: int = 0
@@ -149,25 +149,16 @@ class SubscriptionRegistry:
     # ------------------------------------------------------------------
     def subscribe(
         self,
-        spec: QuerySpec | Mapping[str, Any] | None = None,
+        spec: QuerySpec | Mapping[str, Any],
         *,
         every_k: int = 1,
         queue_limit: int | None = None,
-        watch: bool = False,
-        window_quarters: int | None = None,
     ) -> str:
         """Register one continuous query; returns its subscription id.
 
-        ``watch=True`` is the o-layer exception shorthand: it rides the
-        ``watch_list`` spec so alerts share the cache line (and the single
-        execution per seal) with every other watcher of that window.
+        Subscribers to equal specs share one cache line, hence one
+        execution per seal.
         """
-        if watch:
-            if spec is not None:
-                raise ServiceError("pass either a spec or watch=True, not both")
-            spec = Q.watch_list(window=window_quarters)
-        if spec is None:
-            raise ServiceError("a subscription needs a spec (or watch=True)")
         if isinstance(spec, Mapping):
             spec = spec_from_dict(spec)
         if every_k < 1:
@@ -191,7 +182,6 @@ class SubscriptionRegistry:
                 every_k=every_k,
                 queue_limit=limit,
                 created_quarter=self.router.cube.current_quarter,
-                watch=watch,
             )
             self.created += 1
         return sub_id
@@ -218,22 +208,13 @@ class SubscriptionRegistry:
         if payload.get("watch"):
             if "spec" in payload:
                 raise ServiceError("pass either spec or watch, not both")
-            window = payload.get("window_quarters")
-            if window is not None and (
-                not isinstance(window, int) or isinstance(window, bool)
-            ):
+            spec = Q.watch_list(window=payload.get("window_quarters"))
+        else:
+            spec = payload.get("spec")
+            if spec is None:
                 raise ServiceError(
-                    f"window_quarters must be an int, got {window!r}"
+                    'subscribe body needs "spec" or "watch": true'
                 )
-            return self.subscribe(
-                watch=True,
-                window_quarters=window,
-                every_k=every_k,
-                queue_limit=queue_limit,
-            )
-        spec = payload.get("spec")
-        if spec is None:
-            raise ServiceError('subscribe body needs "spec" or "watch": true')
         return self.subscribe(
             spec, every_k=every_k, queue_limit=queue_limit
         )

@@ -21,12 +21,12 @@ the caller reattaches on restore.
 
 Serialization goes through :mod:`repro.io` (``engine_state_to_dict`` /
 ``engine_state_from_dict``); floats survive the JSON round trip bit for
-bit.  Since format version 2 each cell's sealed history rides as packed
-base64 float64 columns (the cold-page float codec,
-:func:`repro.storage.pages.pack_f64`) instead of per-slot JSON objects —
-slot *intervals* are shared with the zero prototype, whose frame every
-cell's is aligned with, so only ``(base, slope)`` pairs travel per cell.
-Version-1 payloads still decode.
+bit.  Each cell's sealed history rides as packed base64 float64 columns
+(the cold-page float codec, :func:`repro.storage.pages.pack_f64`) — slot
+*intervals* are shared with the zero prototype, whose frame every cell's is
+aligned with, so only ``(base, slope)`` pairs travel per cell.  There is
+one format version; a payload of any other version is refused (re-snapshot
+with this build to migrate).
 """
 
 from __future__ import annotations
@@ -127,10 +127,9 @@ class EngineState:
         Tick accumulators are emitted as packed ``(tick, sum)`` pairs in
         insertion order; the restore path rebuilds the dict in the same
         order, so even dict iteration order — which the sealing path sorts
-        anyway — survives the round trip.  A cell whose frame is (somehow)
-        not aligned with the zero prototype falls back to the full
-        version-1 row shape, so the packed encoding never loses
-        information it cannot represent.
+        anyway — survives the round trip.  A cell whose frame is not
+        aligned with the zero prototype cannot be represented (and could
+        not be loaded back: ``load_state`` rejects it), so it is refused.
         """
         zero = self.zero_frame
         payload: dict[str, Any] = {
@@ -164,16 +163,12 @@ class EngineState:
         current_quarter: int,
     ) -> dict[str, Any]:
         if not cell.frame.aligned_with(zero):
-            row: dict[str, Any] = {
-                "values": list(values),
-                "frame": frame_to_dict(cell.frame),
-                "tick_sums": [[t, z] for t, z in cell.tick_sums.items()],
-                "last_active_quarter": cell.last_active_quarter,
-            }
-            if cell.cold_since:
-                row["cold_since"] = cell.cold_since
-            return row
-        row = {
+            raise CodecError(
+                f"engine_state: cell {values} frame is not aligned with "
+                "the zero prototype; its slots cannot ride the shared "
+                "intervals"
+            )
+        row: dict[str, Any] = {
             "v": list(values),
             # Interleaved (base, slope) float64 pairs, one per retained
             # slot, finest level first — one blob for all levels, since
@@ -204,13 +199,9 @@ class EngineState:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EngineState":
-        """Inverse of :meth:`to_dict` — bit-identical round trip.
-
-        Accepts both the packed version-2 shape and the original
-        version-1 shape (pre-tiered-storage snapshots keep loading).
-        """
+        """Inverse of :meth:`to_dict` — bit-identical round trip."""
         check_format(
-            "engine_state", payload, "repro-engine-state", (1, STATE_VERSION)
+            "engine_state", payload, "repro-engine-state", STATE_VERSION
         )
         levels = tuple(
             tilt_level_from_dict(entry)
@@ -231,21 +222,10 @@ class EngineState:
         )
         cells: dict[Values, CellSnapshot] = {}
         for row in decoding("engine_state", lambda: list(payload["cells"])):
-            def build(row: Mapping[str, Any] = row) -> tuple[Values, CellSnapshot]:
-                if "v" in row:
-                    return cls._packed_cell(
-                        row, levels, zero, intervals, current
-                    )
-                return tuple(row["values"]), CellSnapshot(
-                    frame=frame_from_dict(row["frame"], levels=levels),
-                    tick_sums={
-                        int(t): float(z) for t, z in row["tick_sums"]
-                    },
-                    last_active_quarter=int(row["last_active_quarter"]),
-                    cold_since=int(row.get("cold_since", 0)),
-                )
-
-            values, cell = decoding("engine_state", build)
+            values, cell = decoding(
+                "engine_state",
+                lambda: cls._packed_cell(row, levels, zero, intervals, current),
+            )
             if values in cells:
                 raise CodecError(
                     f"engine_state: duplicate cell {values} in payload"

@@ -1131,10 +1131,10 @@ class ScenarioRunner:
         registrations = (
             # Two watch subscribers share one spec: the dispatcher must
             # collapse them onto a single execution per seal.
-            (self.subscriptions.subscribe(watch=True), "watch", 1),
+            (self.subscriptions.subscribe(Q.watch_list()), "watch", 1),
             (
                 self.subscriptions.subscribe(
-                    watch=True, every_k=event.every_k
+                    Q.watch_list(), every_k=event.every_k
                 ),
                 "watch",
                 event.every_k,

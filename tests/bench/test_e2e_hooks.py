@@ -1,0 +1,68 @@
+"""The e2e ledger's span hooks resolve against the real ``repro`` package.
+
+``benchmarks/e2e/replay.py`` wraps each layer's entry points *by name*
+(``cls.__dict__[attr]`` for methods, ``getattr(module, attr)`` for
+functions).  A renamed or moved hook would otherwise surface as a
+``KeyError`` forty minutes into a benchmark run; here it is a tier-1
+failure naming the missing attribute, in under a second.  The same goes
+for what the harness calls directly on the service's router, cube and
+subscription registry.  Reads ``benchmarks/e2e``, edits nothing there.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.query import exec as query_exec
+from repro.service.router import QueryRouter
+from repro.service.sharding import ShardedStreamCube
+from repro.service.subscriptions import SubscriptionRegistry
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+
+
+def test_every_span_hook_resolves_and_uninstalls():
+    if str(E2E) not in sys.path:
+        sys.path.insert(0, str(E2E))
+    import replay
+    from tracer import Tracer
+
+    methods = {
+        name: QueryRouter.__dict__[name]
+        for name in ("execute", "exceptions", "change_exceptions")
+    }
+    execute = query_exec.execute
+    tracer = Tracer()
+    try:
+        replay.install_spans(tracer)
+        for name, original in methods.items():
+            assert QueryRouter.__dict__[name] is not original, name
+        assert query_exec.execute is not execute
+    finally:
+        tracer.uninstall()
+    for name, original in methods.items():
+        assert QueryRouter.__dict__[name] is original, name
+    assert query_exec.execute is execute
+
+
+@pytest.mark.parametrize(
+    "attr, owner",
+    [
+        ("router", QueryRouter),
+        ("cube", ShardedStreamCube),
+        ("subscriptions", SubscriptionRegistry),
+    ],
+)
+def test_everything_the_harness_calls_on_the_service_exists(attr, owner):
+    called = {
+        name
+        for path in E2E.glob("*.py")
+        for name in re.findall(rf"\.{attr}\.(\w+)", path.read_text())
+    }
+    assert called, f"the harness no longer touches service.{attr}?"
+    missing = sorted(name for name in called if not hasattr(owner, name))
+    assert not missing, f"{owner.__name__} lost {missing}; benchmarks/e2e calls them"

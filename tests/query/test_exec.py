@@ -1,14 +1,16 @@
-"""The execution engine: spec answers equal legacy answers and the oracle.
+"""The execution engine: spec answers equal the oracle.
 
-The acceptance contract of the declarative API: every operation of
-:class:`RegressionCubeView` is expressible as a spec, ``execute(view, spec)``
-returns the same answer as the legacy method, specs round-trip through the
-JSON codec, and whole-cuboid scans serve from *complete* materialized
-cuboids (popular-path cuboids included) without changing answers.
+The acceptance contract of the declarative API: every operation is a spec,
+``execute(view, spec)`` answers it exactly as a from-scratch full
+materialization would, and whole-cuboid scans serve from *complete*
+materialized cuboids (popular-path cuboids included) without changing
+answers.  ``exceptions`` / ``change_exceptions`` run through the same
+engine, the latter against the view's change source.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -20,11 +22,13 @@ from repro.cubing.full import full_materialization, intermediate_slopes
 from repro.cubing.mo_cubing import mo_cubing
 from repro.cubing.policy import GlobalSlopeThreshold, calibrate_threshold
 from repro.cubing.popular_path import popular_path_cubing
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError
 from repro.io import result_to_dict, spec_from_dict, spec_to_dict
 from repro.query import Q, RegressionCubeView, execute, execute_batch
 from repro.regression.isb import ISB
+from repro.stream.engine import StreamCubeEngine
 from repro.stream.generator import DatasetSpec, generate_dataset
+from repro.stream.records import StreamRecord
 from tests.conftest import isb_close
 
 
@@ -46,49 +50,98 @@ def sample_cells(oracle, coord, n=3):
     return list(oracle.cuboids[coord].cells)[:n]
 
 
-class TestEquivalenceWithLegacy:
-    """execute(view, spec) == the view method, for every operation."""
+class TestOperationSemantics:
+    """What each operation means, beyond the per-cuboid oracle sweeps."""
 
-    @pytest.mark.parametrize("which", ["mo", "pp"])
-    def test_all_ops_match_methods(self, setup, which):
-        data, oracle, mo_view, pp_view = setup
-        view = mo_view if which == "mo" else pp_view
-        m, o = data.layers.m_coord, data.layers.o_coord
-        mid = data.layers.intermediate_coords[0]
-        cell = next(iter(view.result.m_layer.cells))
-        dim0 = data.layers.schema.names[0]
-
-        pairs = [
-            (Q.cell(m, cell), view.cell(m, cell)),
-            (Q.slice(o, {dim0: 0}), view.slice(o, {dim0: 0})),
-            (Q.roll_up(m, cell, dim0), view.roll_up(m, cell, dim0)),
-            (
-                Q.drill_down(o, (0, 0), dim0),
-                view.drill_down(o, (0, 0), dim0),
-            ),
-            (Q.siblings(m, cell, dim0), view.siblings(m, cell, dim0)),
-            (Q.top_slopes(mid, k=4), view.top_slopes(mid, 4)),
-            (Q.observation_deck(), view.observation_deck()),
-            (Q.watch_list(), view.watch_list()),
-        ]
-        for spec, legacy in pairs:
-            assert execute(view, spec).value == legacy, spec.op
-            # ... and the spec survives the wire.
-            assert spec_from_dict(spec_to_dict(spec)) == spec
-
-    def test_sibling_deviation_matches(self, setup):
+    def test_cell_without_data_raises(self, setup):
         data, oracle, view, _ = setup
         m = data.layers.m_coord
+        card = data.layers.schema.hierarchy(0).cardinality(m[0])
+        for key in itertools.product(range(card), repeat=2):
+            if key not in oracle.m_layer:
+                with pytest.raises(QueryError):
+                    execute(view, Q.cell(m, key))
+                break
+        else:
+            pytest.skip("dataset saturates the m-layer key space")
+
+    def test_invalid_values_raise(self, setup):
+        data, _, view, _ = setup
+        with pytest.raises(ReproError):
+            execute(view, Q.cell(data.layers.o_coord, (99, 99)))
+
+    def test_cell_addressed_by_level_names(self, setup):
+        data, oracle, view, _ = setup
+        names = data.layers.schema.describe_coord(data.layers.o_coord)
+        values = next(iter(oracle.o_layer.cells))
+        got = execute(view, Q.cell(tuple(names), values)).value
+        assert isb_close(got, oracle.o_layer[values], tol=1e-7)
+
+    def test_observation_deck_and_watch_list(self, setup):
+        _, oracle, view, _ = setup
+        deck = execute(view, Q.observation_deck()).value
+        watch = execute(view, Q.watch_list()).value
+        assert set(watch) <= set(deck)
+        assert set(deck) == set(oracle.o_layer.cells)
+
+    def test_roll_up_step(self, setup):
+        data, oracle, view, _ = setup
+        m = data.layers.m_coord
+        values = next(iter(view.result.m_layer.cells))
         dim0 = data.layers.schema.names[0]
-        for cell in sample_cells(oracle, m, n=20):
-            try:
-                legacy = view.sibling_deviation(m, cell, dim0)
-            except QueryError:
+        parent_coord, parent_values, isb = execute(
+            view, Q.roll_up(m, values, dim0)
+        ).value
+        assert parent_coord[0] == m[0] - 1
+        assert isb_close(
+            isb, oracle.cuboids[parent_coord][parent_values], tol=1e-7
+        )
+
+    def test_drill_down_children_partition_parent(self, setup):
+        data, oracle, view, _ = setup
+        o = data.layers.o_coord
+        dim0 = data.layers.schema.names[0]
+        for values, isb in oracle.o_layer.items():
+            children = execute(view, Q.drill_down(o, values, dim0)).value
+            if not children:
                 continue
-            got = execute(view, Q.sibling_deviation(m, cell, dim0)).value
-            assert math.isclose(got, legacy, rel_tol=1e-12)
+            base_sum = math.fsum(c.base for c in children.values())
+            slope_sum = math.fsum(c.slope for c in children.values())
+            assert math.isclose(base_sum, isb.base, rel_tol=1e-6)
+            assert math.isclose(slope_sum, isb.slope, rel_tol=1e-6, abs_tol=1e-9)
             return
-        pytest.skip("no cell with siblings in the sample")
+        pytest.fail("no o-layer cell had children")
+
+    def test_exceptions_lists_retained_cells_and_the_watch_list(self, setup):
+        data, _, view, _ = setup
+        got = execute(view, Q.exceptions()).value
+        o = data.layers.o_coord
+        assert got[o] == execute(view, Q.watch_list()).value
+        assert {c: cells for c, cells in got.items() if c != o} == {
+            coord: dict(cells)
+            for coord, cells in view.result.retained_exceptions.items()
+            if coord != o
+        }
+
+    def test_change_exceptions_reads_the_change_source_not_the_result(self):
+        layers = DatasetSpec(2, 2, 3, 1).build_layers()
+        engine = StreamCubeEngine(
+            layers, GlobalSlopeThreshold(0.1), ticks_per_quarter=4
+        )
+        engine.ingest_many(
+            StreamRecord((i, i), t, float(i * t)) for t in range(16) for i in range(3)
+        )
+        engine.advance_to(16)
+        view = RegressionCubeView(engine.refresh(2), engine)
+        assert execute(view, Q.change_exceptions()).value == (
+            engine.change_exceptions(1)
+        )
+        assert execute(view, Q.change_exceptions(2, "o")).value == (
+            engine.o_layer_change_exceptions(2)
+        )
+        # A one-shot cubing result has no stream behind it.
+        with pytest.raises(QueryError, match="change_exceptions"):
+            execute(RegressionCubeView(view.result), Q.change_exceptions())
 
 
 class TestEquivalenceWithOracle:
@@ -131,7 +184,7 @@ class TestEquivalenceWithOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(data_=st.data())
-    def test_property_cell_matches_oracle_and_legacy(self, setup, data_):
+    def test_property_cell_matches_oracle(self, setup, data_):
         data, oracle, mo_view, pp_view = setup
         coord = data_.draw(
             st.sampled_from(sorted(data.layers.lattice.coords()))
@@ -142,7 +195,6 @@ class TestEquivalenceWithOracle:
         view = data_.draw(st.sampled_from([mo_view, pp_view]))
         spec = Q.cell(coord, values)
         got = execute(view, spec).value
-        assert got == view.cell(coord, values)
         assert isb_close(got, oracle.cuboids[coord][values], tol=1e-7)
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
@@ -171,19 +223,19 @@ class TestCompleteCuboidServing:
     def test_slice_serves_from_complete_cuboid(self, poisoned):
         result, mid, key, sentinel = poisoned
         view = RegressionCubeView(result)
-        assert view.slice(mid, {})[key] == sentinel
+        assert execute(view, Q.slice(mid, {})).value[key] == sentinel
 
     def test_top_slopes_serves_from_complete_cuboid(self, poisoned):
         result, mid, key, sentinel = poisoned
         view = RegressionCubeView(result)
-        assert view.top_slopes(mid, k=1) == [(key, sentinel)]
+        assert execute(view, Q.top_slopes(mid, k=1)).value == [(key, sentinel)]
 
     def test_partial_cuboids_fall_back_to_m_layer(self, poisoned):
         result, mid, key, sentinel = poisoned
         result.complete_coords = frozenset()  # demote: nothing complete
         view = RegressionCubeView(result)
-        assert view.slice(mid, {})[key] != sentinel
-        assert view.top_slopes(mid, k=1)[0][1] != sentinel
+        assert execute(view, Q.slice(mid, {})).value[key] != sentinel
+        assert execute(view, Q.top_slopes(mid, k=1)).value[0][1] != sentinel
 
     def test_popular_path_marks_exactly_the_path(self, setup):
         data, _, _, pp_view = setup
@@ -203,15 +255,15 @@ class TestTopSlopesRobustness:
         layers = DatasetSpec(2, 2, 3, 1).build_layers()
         result = mo_cubing(layers, {}, GlobalSlopeThreshold(0.1))
         view = RegressionCubeView(result)
-        assert view.top_slopes(layers.o_coord, k=5) == []
-        assert view.top_slopes(layers.intermediate_coords[0], k=5) == []
+        for coord in (layers.o_coord, layers.intermediate_coords[0]):
+            assert execute(view, Q.top_slopes(coord, k=5)).value == []
 
     def test_bad_k_raises_instead_of_empty_list(self, setup):
         data, _, view, _ = setup
         with pytest.raises(QueryError):
-            view.top_slopes(data.layers.o_coord, k=0)
+            Q.top_slopes(data.layers.o_coord, k=0)
         with pytest.raises(QueryError):
-            view.top_slopes(data.layers.o_coord, k=-3)
+            Q.top_slopes(data.layers.o_coord, k=-3)
 
 
 class TestBatchesAndEnvelopes:
@@ -227,10 +279,10 @@ class TestBatchesAndEnvelopes:
             ),
         )
         assert [item.ok for item in items] == [True, False, True]
-        assert items[0].result.value == view.watch_list()
+        assert items[0].result == execute(view, Q.watch_list())
         assert items[1].error_type == "SchemaError"
         assert items[1].error
-        assert items[2].result.value == view.top_slopes(o, 2)
+        assert items[2].result == execute(view, Q.top_slopes(o, 2))
 
     def test_batch_accepts_wire_dicts(self, setup):
         data, _, view, _ = setup
@@ -242,8 +294,8 @@ class TestBatchesAndEnvelopes:
 
     def test_execute_accepts_wire_dict(self, setup):
         data, _, view, _ = setup
-        got = execute(view, {"op": "observation_deck"}).value
-        assert got == view.observation_deck()
+        got = execute(view, {"op": "observation_deck"})
+        assert got == execute(view, Q.observation_deck())
 
     def test_execute_rejects_batchquery(self, setup):
         _, _, view, _ = setup
@@ -266,3 +318,6 @@ class TestBatchesAndEnvelopes:
         assert all(set(row) == {"values", "isb"} for row in payload["cells"])
         payload = result_to_dict(execute(view, Q.watch_list()))
         assert isinstance(payload["cells"], list)
+        payload = result_to_dict(execute(view, Q.exceptions()))
+        assert payload["op"] == "exceptions"
+        assert all(set(row) == {"coord", "cells"} for row in payload["cuboids"])

@@ -12,7 +12,7 @@ from repro.cube.schema import CubeSchema, Dimension
 from repro.cubing.mo_cubing import mo_cubing
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.errors import QueryError
-from repro.query.api import RegressionCubeView
+from repro.query import Q, RegressionCubeView, execute
 from repro.regression.isb import ISB
 
 
@@ -38,55 +38,37 @@ def view():
 
 class TestSiblings:
     def test_siblings_share_parent_and_other_dims(self, view):
-        sibs = view.siblings((2, 2), (0, 0), "a")
+        sibs = execute(view, Q.siblings((2, 2), (0, 0), "a")).value
         # Only (1, 0) qualifies: same b value, same a-parent (0).
         assert set(sibs) == {(1, 0)}
 
     def test_cell_itself_excluded(self, view):
-        sibs = view.siblings((2, 2), (0, 0), "a")
+        sibs = execute(view, Q.siblings((2, 2), (0, 0), "a")).value
         assert (0, 0) not in sibs
 
     def test_different_parent_excluded(self, view):
-        sibs = view.siblings((2, 2), (0, 0), "a")
+        sibs = execute(view, Q.siblings((2, 2), (0, 0), "a")).value
         assert (2, 0) not in sibs
 
     def test_other_dim_must_match(self, view):
-        sibs = view.siblings((2, 2), (0, 0), "a")
+        sibs = execute(view, Q.siblings((2, 2), (0, 0), "a")).value
         assert (0, 1) not in sibs
-
-    def test_star_dimension_rejected(self, view):
-        layers = view.layers
-        # Build an o-layer at '*' for dim a to exercise the guard.
-        from repro.cube.layers import CriticalLayers as CL
-
-        star_layers = CL(layers.schema, (2, 2), (0, 1))
-        from repro.cubing.mo_cubing import mo_cubing
-        from repro.cubing.policy import GlobalSlopeThreshold
-
-        result = mo_cubing(
-            star_layers,
-            dict(view.result.m_layer.items()),
-            GlobalSlopeThreshold(0.5),
-        )
-        star_view = RegressionCubeView(result)
-        with pytest.raises(QueryError):
-            star_view.siblings(star_layers.o_coord, ("*", 0), "a")
 
     def test_no_siblings_empty(self, view):
         # (2, 0) has a-parent 1, whose only other child is 3 — absent.
-        sibs = view.siblings((2, 2), (2, 0), "a")
+        sibs = execute(view, Q.siblings((2, 2), (2, 0), "a")).value
         assert sibs == {}
 
 
 class TestSiblingDeviation:
     def test_lone_trender_deviates(self, view):
-        deviation = view.sibling_deviation((2, 2), (0, 0), "a")
+        deviation = execute(view, Q.sibling_deviation((2, 2), (0, 0), "a")).value
         assert math.isclose(deviation, 2.0 - 0.1, rel_tol=1e-9)
 
     def test_symmetric_view_from_the_flat_sibling(self, view):
-        deviation = view.sibling_deviation((2, 2), (1, 0), "a")
+        deviation = execute(view, Q.sibling_deviation((2, 2), (1, 0), "a")).value
         assert math.isclose(deviation, 0.1 - 2.0, rel_tol=1e-9)
 
     def test_no_siblings_raises(self, view):
         with pytest.raises(QueryError):
-            view.sibling_deviation((2, 2), (2, 0), "a")
+            execute(view, Q.sibling_deviation((2, 2), (2, 0), "a")).value

@@ -7,8 +7,8 @@ import pytest
 from repro.errors import HierarchyError, QueryError, SchemaError
 from repro.io import batch_from_dict, batch_to_dict, spec_from_dict, spec_to_dict
 from repro.query.spec import (
+    _REGISTRY,
     BatchQuery,
-    CellSpec,
     Q,
     QuerySpec,
     SliceSpec,
@@ -34,6 +34,8 @@ def every_op_specs():
         Q.top_slopes((1, 1), k=7),
         Q.observation_deck(),
         Q.watch_list(window=6),
+        Q.exceptions(window=2),
+        Q.change_exceptions(quarters_apart=2, layer="o"),
     ]
 
 
@@ -83,6 +85,18 @@ class TestBuilder:
             Q.top_slopes((1, 1), k=0)
         with pytest.raises(QueryError):
             Q.top_slopes((1, 1), k="many")
+
+    def test_change_exceptions_fields_validated_at_construction(self):
+        assert Q.change_exceptions() == Q.change_exceptions(1, "m")
+        assert Q.change_exceptions("2", "o").quarters_apart == 2
+        with pytest.raises(QueryError):
+            Q.change_exceptions(layer="x")
+        with pytest.raises(QueryError):
+            Q.change_exceptions(quarters_apart=0)
+        with pytest.raises(QueryError):
+            Q.change_exceptions(quarters_apart="soon")
+        with pytest.raises(QueryError):
+            Q.exceptions(window=0)
 
     def test_garbage_fields_rejected(self):
         with pytest.raises(QueryError):
@@ -155,12 +169,19 @@ class TestCodec:
         }
         assert spec_from_dict(payload) == spec
 
-    def test_legacy_point_alias(self):
-        decoded = spec_from_dict(
-            {"op": "point", "coord": [1, 1], "values": [0, 0]}
+    def test_the_point_alias_is_gone(self):
+        with pytest.raises(QueryError, match="unknown query op 'point'"):
+            spec_from_dict({"op": "point", "coord": [1, 1], "values": [0, 0]})
+
+    def test_change_exceptions_wire_defaults(self):
+        assert spec_from_dict({"op": "change_exceptions"}) == (
+            Q.change_exceptions(1, "m")
         )
-        assert isinstance(decoded, CellSpec)
-        assert decoded == Q.cell((1, 1), (0, 0))
+        assert spec_to_dict(Q.change_exceptions(layer="o")) == {
+            "op": "change_exceptions",
+            "quarters_apart": 1,
+            "layer": "o",
+        }
 
     def test_unknown_op_rejected(self):
         with pytest.raises(QueryError):
@@ -205,9 +226,9 @@ class TestBatch:
 
 
 class TestFamily:
-    def test_every_view_operation_has_a_spec(self):
+    def test_every_operation_has_a_spec(self):
         ops = {spec.op for spec in every_op_specs()}
-        assert ops == {
+        assert ops == set(_REGISTRY) == {
             "cell",
             "slice",
             "roll_up",
@@ -217,6 +238,8 @@ class TestFamily:
             "top_slopes",
             "observation_deck",
             "watch_list",
+            "exceptions",
+            "change_exceptions",
         }
 
     def test_specs_are_hashable(self):

@@ -10,10 +10,13 @@ import urllib.request
 import pytest
 
 from repro.io import cells_from_payload, isb_from_dict
+from repro.query import Q
 from repro.service.http import StreamCubeService, make_server
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.storage import StorageConfig
+from repro.stream.records import StreamRecord
+from repro.verify.oracle import RawStreamOracle, assert_cells_equal
 
 from tests.service.conftest import TPQ, workload
 
@@ -51,7 +54,7 @@ class TestDispatch:
 
     def test_stats(self, loaded):
         loaded.handle(
-            "POST", "/query", {"op": "point", "coord": [1, 1], "values": [0, 0]}
+            "POST", "/query", {"op": "cell", "coord": [1, 1], "values": [0, 0]}
         )
         status, body = loaded.handle("GET", "/stats")
         assert status == 200
@@ -60,11 +63,11 @@ class TestDispatch:
 
     def test_point_round_trips_isb(self, loaded):
         status, body = loaded.handle(
-            "POST", "/query", {"op": "point", "coord": [1, 1], "values": [0, 0]}
+            "POST", "/query", {"op": "cell", "coord": [1, 1], "values": [0, 0]}
         )
         assert status == 200
         isb = isb_from_dict(body["isb"])
-        assert isb == loaded.router.point((1, 1), (0, 0))
+        assert isb == loaded.router.execute(Q.cell((1, 1), (0, 0))).value
 
     def test_slice_and_exceptions(self, loaded):
         status, body = loaded.handle(
@@ -74,7 +77,9 @@ class TestDispatch:
         )
         assert status == 200
         cells = cells_from_payload(body["cells"])
-        assert cells == loaded.router.slice((1, 1), {"d0": 0})
+        assert cells == loaded.router.execute(
+            Q.slice((1, 1), {"d0": 0})
+        ).value
 
         status, body = loaded.handle("POST", "/query", {"op": "exceptions"})
         assert status == 200
@@ -87,12 +92,12 @@ class TestDispatch:
         )
         assert status == 200
         assert cells_from_payload(body["cells"]) == (
-            loaded.router.change_exceptions(1, "o")
+            loaded.cube.o_layer_change_exceptions(1)
         )
 
     def test_domain_error_maps_to_400(self, loaded):
         status, body = loaded.handle(
-            "POST", "/query", {"op": "point", "coord": [9, 9], "values": [0, 0]}
+            "POST", "/query", {"op": "cell", "coord": [9, 9], "values": [0, 0]}
         )
         assert status == 400
         assert "error" in body and body["type"]
@@ -107,8 +112,8 @@ class TestDispatch:
         """Missing or mistyped /query fields are a client error, never an
         unanswered (dropped) request."""
         for payload in (
-            {"op": "point"},  # missing coord/values
-            {"op": "point", "coord": [1, 1], "values": [0, 0], "window": "x"},
+            {"op": "cell"},  # missing coord/values
+            {"op": "cell", "coord": [1, 1], "values": [0, 0], "window": "x"},
             {"op": "top_slopes", "coord": [1, 1], "k": "many"},
             {"op": "roll_up", "coord": [1, 1], "values": [0, 0]},  # no dim
         ):
@@ -143,7 +148,9 @@ class TestBatchQueries:
         assert body["count"] == 3
         watch, top, bad = body["results"]
         assert watch["ok"] is True
-        assert cells_from_payload(watch["cells"]) == loaded.router.watch_list()
+        assert cells_from_payload(watch["cells"]) == (
+            loaded.router.execute(Q.watch_list()).value
+        )
         assert top["ok"] is True
         assert len(top["cells"]) <= 3
         assert bad["ok"] is False
@@ -193,17 +200,59 @@ class TestBatchQueries:
         assert status == 400
         assert body["type"] == "ServiceError"
 
-    def test_legacy_point_alias_matches_cell(self, loaded):
-        _, old = loaded.handle(
+    def test_change_exceptions_subscription_matches_the_oracle(
+        self, loaded, layers, policy
+    ):
+        """A cube-level op is subscribable like any spec: one update per
+        seal, equal to a from-scratch answer at that update's quarter."""
+        oracle = RawStreamOracle(layers, policy, ticks_per_quarter=TPQ)
+        oracle.ingest(workload(3))
+        oracle.advance_to(6 * TPQ)
+        # Let the dispatcher finish with the fixture's seals first, or it
+        # may deliver a quarter-6 update to the new subscription.
+        assert loaded.subscriptions.flush(10.0)
+        status, body = loaded.handle(
+            "POST",
+            "/subscribe",
+            {"spec": {"op": "change_exceptions", "layer": "o"}},
+        )
+        assert status == 200
+        sub = body["subscription"]
+        for quarter in (7, 8, 9):
+            t0 = (quarter - 1) * TPQ
+            records = [
+                StreamRecord((i, i), t, float(quarter * i) + 0.5 * t)
+                for t in range(t0, t0 + TPQ)
+                for i in range(4)
+            ]
+            rows = [{"values": list(r.values), "t": r.t, "z": r.z} for r in records]
+            assert loaded.handle("POST", "/ingest", {"records": rows})[0] == 200
+            assert loaded.handle("POST", "/advance", {"t": t0 + TPQ})[0] == 200
+            oracle.ingest(records)
+            oracle.advance_to(t0 + TPQ)
+            assert loaded.subscriptions.flush(10.0)
+            status, body = loaded.handle(
+                "GET", f"/updates?subscription={sub}&since={quarter - 7}"
+            )
+            assert status == 200
+            (update,) = body["updates"]
+            assert update["quarter"] == quarter
+            assert update["result"]["op"] == "change_exceptions"
+            expected = oracle.o_layer_change_exceptions(1)
+            assert expected  # the jump in level is a change at the o-layer
+            assert_cells_equal(
+                cells_from_payload(update["result"]["cells"]),
+                expected,
+                f"pushed change exceptions at quarter {quarter}",
+            )
+
+    def test_the_point_alias_is_gone(self, loaded):
+        status, body = loaded.handle(
             "POST", "/query", {"op": "point", "coord": [1, 1], "values": [0, 0]}
         )
-        _, new = loaded.handle(
-            "POST", "/query", {"op": "cell", "coord": [1, 1], "values": [0, 0]}
-        )
-        # Same answer; the legacy op name is echoed back to legacy clients.
-        assert old["isb"] == new["isb"]
-        assert old["op"] == "point"
-        assert new["op"] == "cell"
+        assert status == 400
+        assert body["type"] == "QueryError"
+        assert "unknown query op 'point'" in body["error"]
 
 
 @pytest.fixture
@@ -497,15 +546,15 @@ class TestLiveServer:
             assert post("/advance", {"t": 6 * TPQ})["current_quarter"] == 6
 
             body = post(
-                "/query", {"op": "point", "coord": [1, 1], "values": [0, 0]}
+                "/query", {"op": "cell", "coord": [1, 1], "values": [0, 0]}
             )
-            assert isb_from_dict(body["isb"]) == service.router.point(
-                (1, 1), (0, 0)
-            )
+            assert isb_from_dict(body["isb"]) == service.router.execute(
+                Q.cell((1, 1), (0, 0))
+            ).value
 
             body = post("/query", {"op": "watch_list"})
             assert cells_from_payload(body["cells"]) == (
-                service.router.watch_list()
+                service.router.execute(Q.watch_list()).value
             )
 
             with urllib.request.urlopen(base + "/health") as response:

@@ -15,7 +15,7 @@ from repro.cube.hierarchy import ALL, FanoutHierarchy
 from repro.cube.layers import CriticalLayers
 from repro.cube.schema import CubeSchema, Dimension
 from repro.cubing.policy import GlobalSlopeThreshold
-from repro.errors import QueryError, ReproError, SchemaError
+from repro.errors import QueryError, ReproError, SchemaError, StreamError
 from repro.query import Q, execute
 from repro.query.spec import spec_from_dict
 from repro.service.http import StreamCubeService
@@ -60,6 +60,42 @@ ERROR_SPECS = [
     ("siblings-at-star", Q.siblings((0, 1), (ALL, 0), "a")),
     ("missing-required-field", Q.cell()),
     ("missing-dim", Q.roll_up((1, 1), (0, 0))),
+    # Only two quarters are sealed: no pair of 2-quarter windows yet.
+    ("change-needs-two-windows", Q.change_exceptions(quarters_apart=2)),
+]
+
+CONSTRUCTION_ERRORS = [
+    # (case id, builder call, wire payload) — invalid before any execution.
+    (
+        "bad-k",
+        lambda: Q.top_slopes((1, 1), k=0),
+        {"op": "top_slopes", "coord": [1, 1], "k": 0},
+    ),
+    (
+        "exceptions-window-not-an-int",
+        lambda: Q.exceptions(window="x"),
+        {"op": "exceptions", "window": "x"},
+    ),
+    (
+        "exceptions-window-zero",
+        lambda: Q.exceptions(window=0),
+        {"op": "exceptions", "window": 0},
+    ),
+    (
+        "change-bad-layer",
+        lambda: Q.change_exceptions(layer="x"),
+        {"op": "change_exceptions", "layer": "x"},
+    ),
+    (
+        "change-quarters-apart-not-an-int",
+        lambda: Q.change_exceptions(quarters_apart="soon"),
+        {"op": "change_exceptions", "quarters_apart": "soon"},
+    ),
+    (
+        "change-quarters-apart-zero",
+        lambda: Q.change_exceptions(quarters_apart=0),
+        {"op": "change_exceptions", "quarters_apart": 0},
+    ),
 ]
 
 
@@ -97,19 +133,37 @@ class TestSameEnvelopeOnBothSurfaces:
         assert bad["type"] == type(exc).__name__, case
         assert bad["error"] == str(exc), case
 
-    def test_construction_errors_match_decode_errors(self, service):
-        """Specs invalid at construction (bad k) fail the same on the wire."""
+    @pytest.mark.parametrize(
+        "case,build,payload",
+        CONSTRUCTION_ERRORS,
+        ids=[case for case, _, _ in CONSTRUCTION_ERRORS],
+    )
+    def test_construction_errors_match_decode_errors(
+        self, service, case, build, payload
+    ):
+        """Specs invalid at construction fail the same on the wire, alone
+        or as a batch entry."""
         with pytest.raises(QueryError) as excinfo:
-            Q.top_slopes((1, 1), k=0)
-        payload = {"op": "top_slopes", "coord": [1, 1], "k": 0}
+            build()
         with pytest.raises(QueryError) as wire_excinfo:
             spec_from_dict(payload)
         assert str(wire_excinfo.value) == str(excinfo.value)
 
         status, body = service.handle("POST", "/query", payload)
         assert status == 400
+        assert body == {"error": str(excinfo.value), "type": "QueryError"}
+
+        status, body = service.handle("POST", "/query", {"queries": [payload]})
+        assert status == 200
+        assert body["results"] == [
+            {"ok": False, "error": str(excinfo.value), "type": "QueryError"}
+        ]
+
+    def test_the_point_alias_is_an_unknown_op(self, service):
+        status, body = service.handle("POST", "/query", {"op": "point"})
+        assert status == 400
         assert body["type"] == "QueryError"
-        assert body["error"] == str(excinfo.value)
+        assert body["error"].startswith("unknown query op 'point'")
 
 
 class TestExpectedTypes:
@@ -126,6 +180,7 @@ class TestExpectedTypes:
             "siblings-at-star": QueryError,
             "missing-required-field": QueryError,
             "missing-dim": QueryError,
+            "change-needs-two-windows": StreamError,
         }
         by_case = dict(ERROR_SPECS)
         for case, exc_type in expectations.items():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
-from repro.errors import ServiceError
-from repro.query.api import RegressionCubeView
-from repro.query.spec import Q
+from repro.errors import QueryError, ServiceError
+from repro.query import Q, RegressionCubeView, execute
 from repro.service.router import LRUCache, QueryRouter, _Flight
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.records import StreamRecord
@@ -33,33 +36,26 @@ def router(cube):
 class TestLRUCache:
     def test_capacity_evicts_least_recent(self):
         cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a
-        cache.put("c", 3)  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_hit_miss_accounting(self):
-        cache = LRUCache(4)
-        cache.put("k", "v")
-        cache.get("k")
-        cache.get("absent")
-        assert cache.hits == 1
-        assert cache.misses == 1
+        cache.put("a", (1, "va"))
+        cache.put("b", (1, "vb"))
+        assert cache.get_versioned("a", 1) == (1, "va")  # refresh a
+        cache.put("c", (1, "vc"))  # evicts b
+        assert cache.get_versioned("b", 1) is None
+        assert cache.get_versioned("a", 1) == (1, "va")
+        assert cache.get_versioned("c", 1) == (1, "vc")
 
     def test_capacity_validated(self):
         with pytest.raises(ServiceError):
             LRUCache(0)
 
-    def test_versioned_hit_and_stale_miss_accounting(self):
+    def test_versioned_hit_and_miss_accounting(self):
         cache = LRUCache(4)
         cache.put("k", (7, "value"))
         assert cache.get_versioned("k", 7) == (7, "value")
         assert cache.hits == 1
-        assert cache.get_versioned("k", 8) is None
-        assert cache.misses == 1
+        assert cache.get_versioned("k", 8) is None  # stale
+        assert cache.get_versioned("absent", 7) is None
+        assert cache.misses == 2
 
     def test_stale_entry_evicted_on_detection(self):
         # Regression: a stale line used to squat on its LRU slot until
@@ -75,66 +71,74 @@ class TestLRUCache:
         assert cache.get_versioned("c", 2) == (2, "vc")
 
 
-class TestRouterQueries:
-    def test_point_matches_uncached_view(self, cube, router):
-        view = RegressionCubeView(cube.refresh(4))
-        some_cell = next(iter(cube.m_cells(4)))
-        assert router.point((2, 2), some_cell) == view.cell((2, 2), some_cell)
+def every_op(cube) -> list:
+    some_cell = next(iter(cube.m_cells(4)))
+    return [
+        Q.cell((2, 2), some_cell),
         # Intermediate, non-materialized cuboid rolls up on the fly.
-        mid = (some_cell[0] // 3, some_cell[1])
-        assert router.point((1, 2), mid) == view.cell((1, 2), mid)
+        Q.cell((1, 2), (some_cell[0] // 3, some_cell[1])),
+        Q.slice((1, 1), {"d0": 0}),
+        Q.top_slopes((1, 1), 3),
+        Q.roll_up((2, 2), some_cell, "d0"),
+        Q.drill_down((1, 1), (0, 0), "d0"),
+        Q.siblings((2, 2), some_cell, "d0"),
+        Q.observation_deck(),
+        Q.watch_list(),
+        Q.exceptions(),
+        Q.change_exceptions(),
+        Q.change_exceptions(layer="o"),
+    ]
 
-    def test_second_query_is_a_cache_hit(self, router):
-        router.point((1, 1), (0, 0))
-        before = router.cache.hits
-        router.point((1, 1), (0, 0))
-        assert router.cache.hits == before + 1
 
-    def test_slice_and_top_slopes(self, cube, router):
-        view = RegressionCubeView(cube.refresh(4))
-        assert router.slice((1, 1), {"d0": 0}) == view.slice((1, 1), {"d0": 0})
-        assert router.top_slopes((1, 1), 3) == view.top_slopes((1, 1), 3)
+class TestRouterQueries:
+    def test_every_op_matches_an_uncached_view(self, cube, router):
+        view = RegressionCubeView(cube.refresh(4), cube)
+        for spec in every_op(cube):
+            assert router.execute(spec).value == execute(view, spec).value, spec.op
 
-    def test_roll_up_and_drill_down(self, cube, router):
-        view = RegressionCubeView(cube.refresh(4))
-        some_cell = next(iter(cube.m_cells(4)))
-        assert router.roll_up((2, 2), some_cell, "d0") == view.roll_up(
-            (2, 2), some_cell, "d0"
-        )
-        assert router.drill_down((1, 1), (0, 0), "d0") == view.drill_down(
-            (1, 1), (0, 0), "d0"
-        )
+    def test_second_query_is_a_cache_hit(self, cube, router):
+        for spec in every_op(cube):
+            router.execute(spec)
+            before = router.cache.hits
+            router.execute(spec)
+            assert router.cache.hits == before + 1, spec.op
 
-    def test_exceptions_include_o_layer(self, cube, router):
-        out = router.exceptions()
-        assert cube.layers.o_coord in out
-        assert out[cube.layers.o_coord] == router.watch_list()
-
-    def test_change_exceptions_layers(self, cube, router):
-        assert router.change_exceptions(1, "m") == cube.change_exceptions(1)
-        assert router.change_exceptions(1, "o") == (
-            cube.o_layer_change_exceptions(1)
-        )
-        with pytest.raises(ServiceError):
-            router.change_exceptions(1, "x")
-
-    def test_window_override(self, cube, router):
-        wide = router.point((1, 1), (0, 0), window_quarters=6)
-        narrow = router.point((1, 1), (0, 0), window_quarters=2)
+    def test_window_override(self, router):
+        wide = router.execute(Q.cell((1, 1), (0, 0), window=6)).value
+        narrow = router.execute(Q.cell((1, 1), (0, 0), window=2)).value
         assert wide.interval != narrow.interval
 
     def test_refresh_happens_once_per_window(self, router):
-        router.point((1, 1), (0, 0))
-        router.slice((1, 1), {"d0": 0})
-        router.watch_list()
+        router.execute(Q.cell((1, 1), (0, 0)))
+        router.execute(Q.slice((1, 1), {"d0": 0}))
+        router.execute(Q.watch_list())
+        router.execute(Q.exceptions())
         assert router.refreshes == 1
-        router.point((1, 1), (0, 0), window_quarters=2)
+        router.execute(Q.cell((1, 1), (0, 0), window=2))
         assert router.refreshes == 2
+
+    def test_change_exceptions_miss_builds_no_view(self, cube, router):
+        got = router.execute(Q.change_exceptions(layer="o")).value
+        assert got == cube.o_layer_change_exceptions(1)
+        stats = router.stats()
+        assert stats["specs_executed"] == 1
+        assert stats["refreshes"] == 0 and stats["views"] == 0
+
+    def test_harness_seam_builders_ride_the_spec_cache(self, cube, router):
+        # benchmarks/e2e wraps these two names; they are execute() in
+        # disguise, so they land on the spec's cache line.
+        assert router.exceptions() == router.execute(Q.exceptions()).value
+        assert router.change_exceptions(1, "o") == (
+            router.execute(Q.change_exceptions(1, "o")).value
+        )
+        assert router.cache.hits == 2 and router.specs_executed == 2
+        with pytest.raises(QueryError):
+            router.change_exceptions(1, "x")
 
 
 class TestInvalidation:
     def test_quarter_seal_clears_cache(self, cube, router):
-        stale = router.point((1, 1), (0, 0))
+        stale = router.execute(Q.cell((1, 1), (0, 0))).value
         assert len(router.cache) == 1
         epoch = router.epoch
         # New data in a new quarter, then seal it.
@@ -143,16 +147,16 @@ class TestInvalidation:
             [StreamRecord((0, 0), t, 50.0) for t in range(t0, t0 + TPQ)]
         )
         cube.advance_to(t0 + TPQ)
-        fresh = router.point((1, 1), (0, 0))
+        fresh = router.execute(Q.cell((1, 1), (0, 0))).value
         assert router.epoch == epoch + 1
         assert fresh != stale  # the jump moved the regression
         assert router.cache.hits == 0  # cleared, recomputed
 
     def test_no_invalidation_within_a_quarter(self, cube, router):
-        router.point((1, 1), (0, 0))
+        router.execute(Q.cell((1, 1), (0, 0)))
         # Mid-quarter records do not touch sealed history.
         cube.ingest_batch([StreamRecord((0, 0), 6 * TPQ, 50.0)])
-        router.point((1, 1), (0, 0))
+        router.execute(Q.cell((1, 1), (0, 0)))
         assert router.cache.hits == 1
 
 
@@ -160,10 +164,6 @@ class TestSpecExecution:
     def test_execute_fills_the_default_window(self, router):
         result = router.execute(Q.cell((1, 1), (0, 0)))
         assert result.spec.window_quarters == router.window_quarters
-        # The method-style wrapper builds the same plan -> same cache line.
-        before = router.cache.hits
-        assert router.point((1, 1), (0, 0)) == result.value
-        assert router.cache.hits == before + 1
 
     def test_equivalent_plans_share_one_cache_line(self, router):
         router.execute(Q.slice((1, 1), {"d0": 0, "d1": 1}))
@@ -180,7 +180,7 @@ class TestSpecExecution:
 
     def test_execute_accepts_wire_dicts(self, router):
         got = router.execute({"op": "watch_list"})
-        assert got.value == router.watch_list()
+        assert got is router.execute(Q.watch_list())
 
     def test_execute_batch_reports_in_order(self, router):
         items = router.execute_batch(
@@ -191,20 +191,69 @@ class TestSpecExecution:
         assert router.batches == 1
         assert router.specs_executed >= 2  # the failing spec never executes
 
+    def test_batched_exceptions_share_the_cache_and_the_refresh(self, router):
+        items = router.execute_batch(
+            [
+                {"op": "watch_list"},
+                {"op": "exceptions"},
+                {"op": "change_exceptions", "layer": "o"},
+                {"op": "exceptions"},
+                {"op": "change_exceptions", "layer": "x"},
+            ]
+        )
+        assert [item.ok for item in items] == [True, True, True, True, False]
+        assert items[4].error_type == "QueryError"
+        assert items[3].result is items[1].result  # the cached line
+        stats = router.stats()
+        assert stats["batches"] == 1
+        assert stats["specs_executed"] == 3
+        assert stats["refreshes"] == 1
+        assert stats["cache_hits"] == 1
+
+    def test_concurrent_batches_are_all_counted(self, cube):
+        # `batches += 1` used to run outside the router mutex.  CPython
+        # happens not to switch threads inside that one statement, so the
+        # getter below hands the GIL over between the read and the write:
+        # without the lock nearly every increment is lost.
+        class YieldingRouter(QueryRouter):
+            @property
+            def batches(self):
+                value = self.__dict__["batches"]
+                time.sleep(0)
+                return value
+
+            @batches.setter
+            def batches(self, value):
+                self.__dict__["batches"] = value
+
+        router = YieldingRouter(cube)
+        n_threads, n_batches = 8, 100
+        start = threading.Barrier(n_threads)
+
+        def work():
+            start.wait()
+            for _ in range(n_batches):
+                router.execute_batch(())
+
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert router.stats()["batches"] == n_threads * n_batches
+
     def test_execute_rejects_batchquery(self, router):
         with pytest.raises(ServiceError):
             router.execute(Q.batch(Q.watch_list()))
 
-    def test_new_method_wrappers_match_view(self, cube, router):
-        view = RegressionCubeView(cube.refresh(4))
-        some_cell = next(iter(cube.m_cells(4)))
-        assert router.siblings((2, 2), some_cell, "d0") == view.siblings(
-            (2, 2), some_cell, "d0"
-        )
-        assert router.observation_deck() == view.observation_deck()
-
     def test_stats_include_spec_counters(self, router):
-        router.point((1, 1), (0, 0))
+        router.execute(Q.cell((1, 1), (0, 0)))
         stats = router.stats()
         assert stats["specs_executed"] == 1
         assert stats["views"] == 1
@@ -224,7 +273,6 @@ class TestSpecExecution:
     def test_execute_versioned_returns_the_stored_cut(self, cube, router):
         cut, result = router.execute_versioned(Q.watch_list())
         assert cut == cube.epoch_vector()
-        assert result.value == router.watch_list()
         # The cache hit returns the very same stored entry.
         again_cut, again = router.execute_versioned(Q.watch_list())
         assert again_cut == cut
@@ -238,7 +286,7 @@ class TestSpecExecution:
         # any leader filling the cache — the storm, deterministically.
         flight = _Flight()
         flight.done.set()
-        key = ("_router", "storm-test")
+        key = ("storm-test",)
         router._flights[key] = flight
         calls = []
         cut, value = router._single_flight_entry(
@@ -249,22 +297,6 @@ class TestSpecExecution:
         assert router.single_flight_fallbacks == 1
         assert router.stats()["single_flight_fallbacks"] == 1
         assert router.cache.get_versioned(key, cut) is None
-
-    def test_hand_built_keys_are_namespaced(self, router):
-        # Hand-built lines share the LRU with spec cache keys, which are
-        # shaped (op, (field, value), ...) with an identifier op.  The
-        # "_router" tag keeps the two families disjoint: a spec-shaped
-        # key passed through _cached must land on a different line.
-        spec_shaped = ("exceptions", ("window_quarters", 4))
-        assert router._cached(spec_shaped, lambda: "hand-built") == (
-            "hand-built"
-        )
-        vector = router.cube.epoch_vector()
-        stored = router.cache.get_versioned(
-            ("_router",) + spec_shaped, vector
-        )
-        assert stored is not None and stored[1] == "hand-built"
-        assert router.cache.get_versioned(spec_shaped, vector) is None
 
 
 class TestValidation:

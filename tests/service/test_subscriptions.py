@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.errors import ReproError, ServiceError
+from repro.errors import QueryError, ReproError, ServiceError
 from repro.query.spec import Q
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
@@ -53,7 +53,7 @@ def seal_next(cube, registry) -> None:
 
 class TestDelivery:
     def test_watch_update_after_seal(self, cube, registry):
-        sub = registry.subscribe(watch=True)
+        sub = registry.subscribe(Q.watch_list())
         seal_next(cube, registry)
         out = registry.poll(sub)
         assert out["subscription"] == sub
@@ -67,8 +67,8 @@ class TestDelivery:
         assert out["last_seq"] == 1 and out["dropped"] == 0
 
     def test_every_k_skips_intermediate_seals(self, cube, registry):
-        every = registry.subscribe(watch=True)
-        coarse = registry.subscribe(watch=True, every_k=2)
+        every = registry.subscribe(Q.watch_list())
+        coarse = registry.subscribe(Q.watch_list(), every_k=2)
         for _ in range(3):
             seal_next(cube, registry)  # quarters 7, 8, 9
         quarters = lambda s: [  # noqa: E731
@@ -78,7 +78,7 @@ class TestDelivery:
         assert quarters(coarse) == [7, 9]
 
     def test_ack_prunes_and_since_filters(self, cube, registry):
-        sub = registry.subscribe(watch=True)
+        sub = registry.subscribe(Q.watch_list())
         seal_next(cube, registry)
         seal_next(cube, registry)
         assert [u["seq"] for u in registry.poll(sub)["updates"]] == [1, 2]
@@ -87,7 +87,7 @@ class TestDelivery:
         assert registry.describe_all()[0]["queued"] == 1  # seq 1 pruned
 
     def test_drop_oldest_counts(self, cube, registry):
-        sub = registry.subscribe(watch=True, queue_limit=2)
+        sub = registry.subscribe(Q.watch_list(), queue_limit=2)
         for _ in range(3):
             seal_next(cube, registry)
         out = registry.poll(sub)
@@ -96,7 +96,7 @@ class TestDelivery:
         assert registry.stats()["updates_dropped"] == 1
 
     def test_shared_spec_executes_once_per_seal(self, cube, router, registry):
-        subs = [registry.subscribe(watch=True) for _ in range(3)]
+        subs = [registry.subscribe(Q.watch_list()) for _ in range(3)]
         base = router.specs_executed
         seal_next(cube, registry)
         # Three subscribers to one spec: one execution, three deliveries.
@@ -105,7 +105,7 @@ class TestDelivery:
             assert len(registry.poll(sub)["updates"]) == 1
 
     def test_long_poll_wakes_on_delivery(self, cube, registry):
-        sub = registry.subscribe(watch=True)
+        sub = registry.subscribe(Q.watch_list())
         results = []
         thread = threading.Thread(
             target=lambda: results.append(registry.poll(sub, timeout=10.0)),
@@ -119,7 +119,7 @@ class TestDelivery:
 
     def test_close_wakes_long_pollers(self, router):
         registry = SubscriptionRegistry(router)
-        sub = registry.subscribe(watch=True)
+        sub = registry.subscribe(Q.watch_list())
         results = []
         thread = threading.Thread(
             target=lambda: results.append(registry.poll(sub, timeout=30.0)),
@@ -133,7 +133,7 @@ class TestDelivery:
             {"subscription": sub, "updates": [], "last_seq": 0, "dropped": 0}
         ]
         with pytest.raises(ServiceError):
-            registry.subscribe(watch=True)
+            registry.subscribe(Q.watch_list())
 
     def test_seal_listener_takes_no_registry_lock(self, registry):
         # The listener runs on the ingest thread inside the seal path; it
@@ -152,7 +152,7 @@ class TestDelivery:
         router = QueryRouter(cube, window_quarters=4)
         registry = SubscriptionRegistry(router)
         try:
-            sub = registry.subscribe(watch=True)
+            sub = registry.subscribe(Q.watch_list())
             cube.ingest_batch(
                 [StreamRecord((0, 0), t, 1.0) for t in range(TPQ)]
             )
@@ -171,13 +171,9 @@ class TestDelivery:
 class TestValidation:
     def test_subscribe_rejects_bad_args(self, registry):
         with pytest.raises(ServiceError):
-            registry.subscribe()  # no spec, no watch
+            registry.subscribe(Q.watch_list(), every_k=0)
         with pytest.raises(ServiceError):
-            registry.subscribe(Q.watch_list(), watch=True)
-        with pytest.raises(ServiceError):
-            registry.subscribe(watch=True, every_k=0)
-        with pytest.raises(ServiceError):
-            registry.subscribe(watch=True, queue_limit=0)
+            registry.subscribe(Q.watch_list(), queue_limit=0)
 
     def test_bad_spec_fails_the_subscribe_call(self, registry):
         # Eager resolution: a bad spec errors here, not in a background
@@ -193,12 +189,18 @@ class TestValidation:
             {"watch": True, "every_seal": False},
             {"watch": True, "queue_limit": 0},
             {"watch": True, "queue_limit": True},
-            {"watch": True, "window_quarters": "wide"},
             {"watch": True, "spec": {"op": "watch_list"}},
             {},
         ):
             with pytest.raises(ServiceError):
                 registry.subscribe_payload(payload)
+        # The watch shorthand is a watch_list spec: its window is validated
+        # where every spec's is.
+        for window in ("wide", 0):
+            with pytest.raises(QueryError, match="watch_list window"):
+                registry.subscribe_payload(
+                    {"watch": True, "window_quarters": window}
+                )
 
     def test_payload_accepts_both_forms(self, cube, registry):
         by_watch = registry.subscribe_payload(
@@ -218,7 +220,7 @@ class TestValidation:
         with pytest.raises(ServiceError):
             registry.poll("sub-999")
         assert registry.unsubscribe("sub-999") is False
-        sub = registry.subscribe(watch=True)
+        sub = registry.subscribe(Q.watch_list())
         assert registry.unsubscribe(sub) is True
         with pytest.raises(ServiceError):
             registry.poll(sub)
@@ -228,7 +230,7 @@ class TestValidation:
             SubscriptionRegistry(router, queue_limit=0)
 
     def test_stats_shape(self, cube, registry):
-        registry.subscribe(watch=True)
+        registry.subscribe(Q.watch_list())
         seal_next(cube, registry)
         stats = registry.stats()
         assert stats["active"] == 1

@@ -260,7 +260,7 @@ def v1_payload(engine: StreamCubeEngine) -> dict:
 
 
 class TestPackedStateCodec:
-    """Format version 2: packed base64 slot columns, version-1 compat."""
+    """Format version 2: packed base64 slot columns, and nothing else."""
 
     def loaded_engine(self, seed=9) -> StreamCubeEngine:
         engine = make_engine()
@@ -275,13 +275,31 @@ class TestPackedStateCodec:
             assert set(row) <= {"v", "s", "q", "t", "c"}
             assert isinstance(row["s"], str)
 
-    def test_version_1_payload_still_loads(self):
+    def test_version_1_payload_is_refused_by_version(self):
+        # Re-snapshot is the migration: the verbose decoder is gone.
+        wire = json.loads(json.dumps(v1_payload(self.loaded_engine())))
+        with pytest.raises(CodecError, match="unsupported version 1"):
+            engine_state_from_dict(wire)
+
+    def test_verbose_rows_under_the_current_version_are_refused(self):
+        wire = v1_payload(self.loaded_engine())
+        wire["version"] = 2
+        with pytest.raises(CodecError, match="engine_state"):
+            engine_state_from_dict(wire)
+
+    def test_unaligned_cell_is_refused_by_the_encoder(self):
         engine = self.loaded_engine()
-        wire = json.loads(json.dumps(v1_payload(engine)))
-        restored = StreamCubeEngine.restore(
-            engine_state_from_dict(wire), engine.layers, engine.policy
+        state = engine.snapshot()
+        key, victim = next(iter(state.cells.items()))
+        stale = state.zero_frame.clone()
+        stale._next_tick += TPQ  # desync the clock
+        state.cells[key] = type(victim)(
+            frame=stale,
+            tick_sums=victim.tick_sums,
+            last_active_quarter=victim.last_active_quarter,
         )
-        assert_engines_identical(engine, restored)
+        with pytest.raises(CodecError, match="not aligned"):
+            engine_state_to_dict(state)
 
     def test_packed_form_is_substantially_smaller(self):
         engine = self.loaded_engine()

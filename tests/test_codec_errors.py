@@ -110,7 +110,7 @@ class TestFrameCodec:
     def test_missing_slots_field(self):
         payload = {
             "format": "repro-tilt-frame",
-            "version": 1,
+            "version": 2,
             "levels": [{"name": "q", "unit_ticks": 4, "capacity": 4}],
             "origin": 0,
             "next_tick": 0,
@@ -132,7 +132,7 @@ class TestEngineStateCodec:
     def test_malformed_cell_row(self):
         payload = {
             "format": "repro-engine-state",
-            "version": 1,
+            "version": 2,
             "ticks_per_quarter": 4,
             "frame_levels": [{"name": "q", "unit_ticks": 4, "capacity": 4}],
             "current_quarter": 0,
@@ -140,14 +140,14 @@ class TestEngineStateCodec:
             "wal_seq": 0,
             "zero_frame": {
                 "format": "repro-tilt-frame",
-                "version": 1,
+                "version": 2,
                 "levels": [{"name": "q", "unit_ticks": 4, "capacity": 4}],
                 "origin": 0,
                 "next_tick": 0,
                 "evicted": 0,
                 "slots": [[]],
             },
-            "cells": [{"values": [1, 2]}],  # no frame / tick_sums
+            "cells": [{"v": [1, 2]}],  # no slot column
         }
         with pytest.raises(CodecError, match="engine_state"):
             EngineState.from_dict(payload)
