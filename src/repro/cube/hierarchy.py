@@ -25,8 +25,15 @@ from abc import ABC, abstractmethod
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import HierarchyError
+from repro.regression import kernels
 
-__all__ = ["ALL", "ConceptHierarchy", "ExplicitHierarchy", "FanoutHierarchy"]
+__all__ = [
+    "ALL",
+    "ConceptHierarchy",
+    "ExplicitHierarchy",
+    "FanoutHierarchy",
+    "LevelCodes",
+]
 
 #: Sentinel dimension value for the "*" (all) level.
 ALL = "*"
@@ -325,3 +332,82 @@ class FanoutHierarchy(ConceptHierarchy):
                 f"{value!r} is not a level-{level} value of {self.name!r}"
             )
         return value
+
+
+def _int64(codes: list[int]):
+    return kernels.np.array(codes, dtype=kernels.np.int64)
+
+
+class LevelCodes:
+    """Integer codes for one dimension's values, with ancestor-code arrays.
+
+    The columnar roll-ups (:class:`repro.cube.cuboid.CuboidColumns`) never
+    touch hierarchy values row by row: a dimension's distinct values at the
+    finest level in play are numbered once, in first-seen order, and each
+    coarser level, when first asked for, gets an array sending every fine
+    code to its ancestor's code (ancestors numbered in first-seen order
+    too).  The arrays are built through
+    :meth:`ConceptHierarchy.ancestor_mapper` over the *distinct* values, so
+    every hierarchy implementation takes the same path.  Requires numpy.
+    """
+
+    __slots__ = ("hierarchy", "level", "_index", "_up", "_lifts")
+
+    def __init__(
+        self,
+        hierarchy: ConceptHierarchy,
+        level: int,
+        index: Mapping[Hashable, int],
+    ) -> None:
+        """``index`` numbers the distinct level-``level`` values ``0..n-1``
+        in iteration order (the dict a first-seen encoding pass leaves)."""
+        self.hierarchy = hierarchy
+        self.level = level
+        self._index: dict[int, Mapping[Hashable, int]] = {level: index}
+        self._up: dict[int, object] = {}
+        self._lifts: dict[tuple[int, int], object] = {}
+
+    @classmethod
+    def encode(
+        cls, hierarchy: ConceptHierarchy, level: int, column: Iterable[Hashable]
+    ) -> tuple["LevelCodes", object]:
+        """Number a column of level-``level`` values; returns the table and
+        the column's int64 codes."""
+        index: dict[Hashable, int] = {}
+        codes = [index.setdefault(v, len(index)) for v in column]
+        return cls(hierarchy, level, index), _int64(codes)
+
+    def index(self, level: int) -> Mapping[Hashable, int]:
+        """``value -> code`` for the level-``level`` values present; a code
+        is the value's position in iteration order."""
+        index = self._index.get(level)
+        if index is None:
+            # Map up from the nearest finer level already numbered: its
+            # distinct values are the fewest the mapper has to be called on.
+            finer = min(lvl for lvl in self._index if lvl > level)
+            mapper = self.hierarchy.ancestor_mapper(finer, level)
+            index = {}
+            up = _int64(
+                [
+                    index.setdefault(mapper(v), len(index))
+                    for v in self._index[finer]
+                ]
+            )
+            self._index[level] = index
+            self._up[level] = up if finer == self.level else up[self._up[finer]]
+        return index
+
+    def lift(self, from_level: int, to_level: int):
+        """Array sending level-``from_level`` codes to their ancestors'
+        level-``to_level`` codes (``to_level < from_level``)."""
+        self.index(to_level)
+        if from_level == self.level:
+            return self._up[to_level]
+        lift = self._lifts.get((from_level, to_level))
+        if lift is None:
+            lift = kernels.np.empty(
+                len(self.index(from_level)), dtype=kernels.np.int64
+            )
+            lift[self._up[from_level]] = self._up[to_level]
+            self._lifts[(from_level, to_level)] = lift
+        return lift

@@ -44,6 +44,14 @@ class ExceptionPolicy(ABC):
         """Whether the cell's |slope| passes the cuboid's threshold."""
         return abs(isb.slope) >= self.threshold_for(coord)
 
+    def exception_mask(self, slopes, coord: Coord):
+        """:meth:`is_exception` over a numpy array of slopes at once.
+
+        The columnar cubing walks judge a whole cuboid through this, so a
+        subclass that overrides one of the two must override the other.
+        """
+        return abs(slopes) >= self.threshold_for(coord)
+
 
 class GlobalSlopeThreshold(ExceptionPolicy):
     """One threshold for the whole cube."""

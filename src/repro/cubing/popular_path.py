@@ -13,17 +13,17 @@ no off-path cuboid is touched (fast, but the path cells must be stored); at
 high exception rates nearly every cuboid is drilled, and each drill scans a
 path source without the cross-cuboid sharing m/o-cubing enjoys (slower).
 
-Drilling is columnar where the schema allows it: integer (fanout)
-hierarchies roll up and filter as packed int64 arrays with driver
-membership via ``np.isin`` and one grouped Theorem 3.2 kernel per cuboid
-(:class:`_ColumnarDrill`); other schemas use the scalar per-key loop.
+With numpy, drilling is columnar (:class:`_ColumnarDrill`): roll-ups and
+driver membership run on the integer code columns shared with m/o-cubing
+and one grouped Theorem 3.2 kernel call per cuboid; without it, the scalar
+per-key loop.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from repro.cube.cuboid import Cuboid
+from repro.cube.cuboid import Cuboid, CuboidColumns, key_codes
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.build import build_path_htree
@@ -118,147 +118,71 @@ def _extract_path_cells(
 
 
 class _ColumnarDrill:
-    """Vectorized off-path drilling for integer (fanout) hierarchies.
+    """Vectorized off-path drilling over the run's path cuboids.
 
-    The synthetic ``DxLyCz`` cubes — and any schema built purely from
-    :class:`~repro.cube.hierarchy.FanoutHierarchy` — encode values as
-    integers with closed-form ancestors (``v // fanout**k``), so a drilled
-    cuboid reduces to array arithmetic: pack each source cell's key into one
-    int64, roll up with vectorized divisions, test driver membership with
-    ``np.isin``, and merge the surviving groups with one
-    :func:`~repro.regression.kernels.segment_merge` call.  No per-row Python
-    at all; schemas with explicit (string) hierarchies use the scalar loop
-    in :func:`popular_path_cubing_from_tree` instead.
+    The m-layer path cuboid is encoded once into integer code columns
+    (:class:`~repro.cube.cuboid.CuboidColumns`); every other source cuboid
+    and every driver set is looked up in the same code tables, so a drilled
+    cuboid is gathers and packed keys: roll the source rows up to the target
+    cuboid, roll those up to each driving parent and test membership among
+    the parent's drivers with ``np.isin``, then merge the driven rows with
+    the grouped Theorem 3.2 kernel.  No per-row Python, whatever the
+    hierarchies are.
     """
 
-    def __init__(self, layers: CriticalLayers) -> None:
-        from repro.cube.hierarchy import FanoutHierarchy
+    def __init__(
+        self, layers: CriticalLayers, path_cells: Mapping[Coord, Mapping[Values, ISB]]
+    ) -> None:
+        self.layers = layers
+        self.path_cells = path_cells
+        self._sources: dict[Coord, CuboidColumns] = {}
+        self._drivers: dict[Coord, list] = {}
 
-        self.usable = kernels.HAVE_NUMPY and all(
-            isinstance(dim.hierarchy, FanoutHierarchy)
-            for dim in layers.schema.dimensions
-        )
-        if not self.usable:
-            return
-        self.fanouts = [
-            dim.hierarchy.fanout for dim in layers.schema.dimensions
-        ]
-        self._sources: dict[Coord, tuple] = {}
-        self._packed_drivers: dict[Coord, "object"] = {}
-
-    def _source(self, src_coord: Coord, src: Mapping[Values, ISB]):
-        cached = self._sources.get(src_coord)
-        if cached is None:
-            import numpy as np
-
-            n = len(src)
-            # Per-dimension columns; a level-0 dimension holds the ALL
-            # sentinel (non-numeric) but is also never consulted, since any
-            # roll-up target of it is level 0 too.
-            columns = [
-                np.fromiter(
-                    (key[d] for key in src.keys()), dtype=np.int64, count=n
-                )
-                if level > 0
-                else None
-                for d, level in enumerate(src_coord)
-            ]
-            cols = kernels.ISBColumns.from_isbs(src.values())
-            cached = (n, columns, cols)
-            self._sources[src_coord] = cached
-        return cached
-
-    def _pack(self, values: Values, coord: Coord) -> int:
-        packed = 0
-        for d, level in enumerate(coord):
-            if level > 0:
-                packed = packed * self.fanouts[d] ** level + int(values[d])
-        return packed
+    def _source(self, coord: Coord) -> CuboidColumns:
+        source = self._sources.get(coord)
+        if source is None:
+            m_coord = self.layers.m_coord
+            cells = self.path_cells[coord]
+            source = CuboidColumns.from_cells(
+                self.layers.schema,
+                coord,
+                list(cells),
+                cells.values(),
+                None if coord == m_coord else self._source(m_coord).tables,
+            )
+            self._sources[coord] = source
+        return source
 
     def drill(
         self,
         src_coord: Coord,
-        src: Mapping[Values, ISB],
         coord: Coord,
-        active_parents: list,
+        active_parents: list[tuple[Coord, set[Values]]],
         all_driven: bool,
-    ) -> dict[Values, ISB] | None:
-        """The drilled cuboid's cells, or ``None`` to use the scalar loop."""
-        import numpy as np
-
-        from repro.cube.hierarchy import ALL
-
-        card = 1
-        for d, level in enumerate(coord):
-            if level > 0:
-                card *= self.fanouts[d] ** level
-        if card > 2**62 or not src:  # packing would overflow / nothing to do
-            return None
-        n, columns, cols = self._source(src_coord, src)
-
-        mapped: list = [None] * len(coord)
-        key_id = np.zeros(n, dtype=np.int64)
-        for d, (f, t) in enumerate(zip(src_coord, coord)):
-            if t == 0:
-                continue
-            column = columns[d]
-            if t < f:
-                column = column // self.fanouts[d] ** (f - t)
-            mapped[d] = column
-            key_id = key_id * self.fanouts[d] ** t + column
-
-        if all_driven:
-            mask = None
-        else:
-            mask = np.zeros(n, dtype=bool)
+    ) -> dict[Values, ISB]:
+        """The cells of cuboid ``coord`` that some active parent drives."""
+        np = kernels.np
+        rows = self._source(src_coord).lifted(coord)
+        if not all_driven:
+            driven = np.zeros(len(rows), dtype=bool)
             for p_coord, p_drivers in active_parents:
-                packed = self._packed_drivers.get(p_coord)
-                if packed is None:
-                    packed = np.fromiter(
-                        (self._pack(k, p_coord) for k in p_drivers),
-                        dtype=np.int64,
-                        count=len(p_drivers),
-                    )
-                    self._packed_drivers[p_coord] = packed
-                parent_id = np.zeros(n, dtype=np.int64)
-                for d, (t, p) in enumerate(zip(coord, p_coord)):
-                    if p == 0:
-                        continue
-                    column = mapped[d]
-                    if p < t:
-                        column = column // self.fanouts[d] ** (t - p)
-                    parent_id = (
-                        parent_id * self.fanouts[d] ** p + column
-                    )
-                mask |= np.isin(parent_id, packed)
-
-        rows = np.arange(n) if mask is None else np.flatnonzero(mask)
-        if not len(rows):
-            return {}
-        ids = key_id[rows]
-        order = np.argsort(ids, kind="stable")  # keeps source order per group
-        rows = rows[order]
-        ids = ids[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], ids[1:] != ids[:-1]))
-        )
-        subset = kernels.ISBColumns(
-            cols.t_b[rows], cols.t_e[rows], cols.base[rows], cols.slope[rows]
-        )
-        merged = kernels.segment_merge(subset, starts).to_isbs()
-        first_rows = rows[starts]
-        key_columns = [
-            None if mapped[d] is None else mapped[d][first_rows].tolist()
-            for d in range(len(coord))
-        ]
-        out: dict[Values, ISB] = {}
-        for i, isb in enumerate(merged):
-            out[
-                tuple(
-                    ALL if col is None else col[i] for col in key_columns
+                drivers = self._drivers.get(p_coord)
+                if drivers is None:
+                    drivers = key_codes(rows.tables, p_coord, list(p_drivers))
+                    self._drivers[p_coord] = drivers
+                # Packed together, so both sides share one key numbering.
+                k = len(p_drivers)
+                ids = kernels.pack_keys(
+                    [
+                        np.concatenate(pair)
+                        for pair in zip(drivers, rows.codes_at(p_coord))
+                    ],
+                    rows.cards(p_coord),
+                    k + len(rows),
                 )
-            ] = isb
-        return out
+                driven |= np.isin(ids[k:], ids[:k])
+            rows = rows.take(np.flatnonzero(driven))
+        return rows.merged().cells()
 
 
 def popular_path_cubing_from_tree(
@@ -293,7 +217,7 @@ def popular_path_cubing_from_tree(
     # Step 3: exception-guided drilling, o-layer downward.
     # ------------------------------------------------------------------
     path_set = set(path.coords)
-    columnar = _ColumnarDrill(layers)
+    columnar = _ColumnarDrill(layers, path_cells)
     drivers: dict[Coord, set[Values]] = {}
     # Path cuboids are fully materialized, so "every computed cell is a
     # driver" means every child group's parent exists and drives — the
@@ -325,14 +249,11 @@ def popular_path_cubing_from_tree(
             all_driven = any(
                 p_coord in fully_driven for p_coord, _ in active_parents
             )
-            cells = (
-                columnar.drill(
-                    src_coord, src, coord, active_parents, all_driven
+            if kernels.HAVE_NUMPY:
+                cells = columnar.drill(
+                    src_coord, coord, active_parents, all_driven
                 )
-                if columnar.usable
-                else None
-            )
-            if cells is None:
+            else:
                 # Scalar drill: drive-membership is a function of the
                 # rolled-up key alone, so it is decided once per distinct
                 # key (memoized) rather than once per source cell; only

@@ -239,10 +239,18 @@ class HTree:
 
     def leaf_cells(self) -> Iterator[tuple[Values, ISB]]:
         """The m-layer cells as ``(values, isb)`` pairs."""
+        # cell_values() per leaf would re-validate the coordinate and
+        # re-resolve every attribute position; a leaf's path covers every
+        # attribute, so one plan serves them all.
+        plan = [
+            None if level == 0 else self.attr_position(d, level)
+            for d, level in enumerate(self.m_coord)
+        ]
         for leaf in self.leaves():
             if leaf.isb is None:  # pragma: no cover - insert always sets it
                 raise CubingError("leaf without an ISB")
-            yield self.cell_values(leaf, self.m_coord), leaf.isb
+            prefix = leaf.path_values()
+            yield tuple([ALL if p is None else prefix[p] for p in plan]), leaf.isb
 
     # ------------------------------------------------------------------
     # Interior aggregation (popular-path storage)

@@ -31,6 +31,24 @@ Numeric compatibility contract
   cell's arithmetic is the same whether it is sealed alongside 10 cells or
   10,000.
 
+* **The cubing contract.**  Cuboid roll-up and the columnar cubing walks
+  (m/o-cubing's lattice walk, popular-path's drills) group rows by a packed
+  integer key (:func:`pack_keys`) and merge them with :func:`group_merge`.
+  Against the scalar walk they replace — an H-tree, then one dict of lists
+  per cuboid folded by :func:`merge_groups` — they produce the same keys in
+  the same dict iteration order (m-layer in H-tree leaf order, i.e. stably
+  grouped by the last cardinality-ascending attribute's value in first-seen
+  order; roll-ups in first-appearance order), the same exception sets and
+  the same ``CubingStats`` counters.  Floats are bit-identical wherever the
+  scalar walk already summed sequentially (1- and 2-child groups, and every
+  batch of :data:`GROUP_MERGE_MIN_ROWS` rows or more) and within 4 ulps
+  where it used ``fsum`` (groups of three or more in smaller batches);
+  ``-0.0`` may come back as ``0.0`` (``bincount`` starts from ``+0.0``).
+  Unlike :func:`merge_groups`, :func:`group_merge` never switches
+  arithmetic on batch size, so per-group independence holds for it without
+  exception.  ``tests/cubing/test_columnar_mo.py`` is the differential
+  suite.
+
 When numpy is unavailable (:data:`HAVE_NUMPY` is ``False``) every caller
 falls back to the scalar reference path; the kernels themselves raise
 :class:`~repro.errors.AggregationError` if invoked.
@@ -64,6 +82,10 @@ __all__ = [
     "merge_time_grid",
     "group_fit",
     "merge_groups",
+    "pack_keys",
+    "first_seen_groups",
+    "distinct_count",
+    "group_merge",
 ]
 
 #: Below this many rows the numpy call overhead outweighs the vector win;
@@ -125,6 +147,12 @@ class ISBColumns:
             )
         ]
 
+    def take(self, rows: "npt.NDArray") -> "ISBColumns":
+        """The given rows, in the order given."""
+        return ISBColumns(
+            self.t_b[rows], self.t_e[rows], self.base[rows], self.slope[rows]
+        )
+
     def row(self, i: int) -> ISB:
         """One row as an ISB."""
         return ISB(
@@ -184,10 +212,11 @@ def segment_merge(cols: ISBColumns, seg_starts: Sequence[int]) -> ISBColumns:
     merged row per segment, bit-identical to folding each segment's bases
     and slopes left to right.
 
-    This is the grouped-reduce kernel behind H-tree bulk aggregation, cuboid
-    roll-up and the popular-path drill merges: build the groups once (sort
-    key / dict of lists), then aggregate every group in two ``bincount``
-    passes instead of one ``merge_standard`` call per group.
+    This is the grouped-reduce kernel behind H-tree bulk aggregation and
+    :func:`merge_groups`: build the groups once (sort key / dict of lists),
+    then aggregate every group in two ``bincount`` passes instead of one
+    ``merge_standard`` call per group.  (Cuboid roll-up groups by packed
+    key instead: :func:`group_merge`.)
     """
     _require_numpy()
     n = len(cols)
@@ -199,23 +228,29 @@ def segment_merge(cols: ISBColumns, seg_starts: Sequence[int]) -> ISBColumns:
             "segment starts must begin at 0, increase strictly and stay "
             "inside the batch"
         )
-    n_seg = len(starts)
-    seg_ids = _segment_ids(starts, n)
+    return _merge_by_group(cols, _segment_ids(starts, n), starts)
 
-    first_tb = cols.t_b[starts]
-    first_te = cols.t_e[starts]
-    mism = (cols.t_b != first_tb[seg_ids]) | (cols.t_e != first_te[seg_ids])
+
+def _merge_by_group(
+    cols: ISBColumns, gid: "npt.NDArray", first: "npt.NDArray"
+) -> ISBColumns:
+    """Theorem 3.2 per group: ``gid`` is every row's group, ``first`` each
+    group's first row; sums run in row order within a group."""
+    t_b = cols.t_b[first]
+    t_e = cols.t_e[first]
+    mism = (cols.t_b != t_b[gid]) | (cols.t_e != t_e[gid])
     if mism.any():
         bad = int(np.argmax(mism))
-        g = int(seg_ids[bad])
+        g = int(gid[bad])
         raise AggregationError(
             "standard-dimension aggregation requires identical intervals; "
-            f"got {(int(first_tb[g]), int(first_te[g]))} and "
+            f"got {(int(t_b[g]), int(t_e[g]))} and "
             f"{(int(cols.t_b[bad]), int(cols.t_e[bad]))}"
         )
-    base = np.bincount(seg_ids, weights=cols.base, minlength=n_seg)
-    slope = np.bincount(seg_ids, weights=cols.slope, minlength=n_seg)
-    return ISBColumns(first_tb, first_te, base, slope)
+    n_groups = len(first)
+    base = np.bincount(gid, weights=cols.base, minlength=n_groups)
+    slope = np.bincount(gid, weights=cols.slope, minlength=n_groups)
+    return ISBColumns(t_b, t_e, base, slope)
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +449,10 @@ def merge_groups(groups: "dict", min_rows: int = GROUP_MERGE_MIN_ROWS) -> "dict"
     """Merge ``{key: [ISB, ...]}`` groups with one :func:`segment_merge`.
 
     The grouped counterpart of calling :func:`~repro.regression.aggregation.
-    merge_standard` per group — cuboid roll-up, popular-path drilling and
-    H-tree bulk loads all reduce to this shape.  Groups may have different
+    merge_standard` per group, for callers that already hold their groups
+    as lists of objects (the scalar cuboid roll-up and popular-path drill;
+    with numpy those group by packed key through :func:`group_merge`
+    instead).  Groups may have different
     intervals from each other; rows *within* one group must share theirs.
 
     Falls back to the scalar path (``fsum``-based, correctly rounded) when
@@ -459,3 +496,94 @@ def merge_groups(groups: "dict", min_rows: int = GROUP_MERGE_MIN_ROWS) -> "dict"
             for key, isb in zip(pending_keys, merged.to_isbs()):
                 out[key] = isb
     return out
+
+
+# ----------------------------------------------------------------------
+# Grouped standard-dimension merge over packed integer keys
+# ----------------------------------------------------------------------
+
+#: Packed keys are re-numbered before a further column could push them past
+#: this bound, so int64 never wraps however many dimensions are packed.
+_PACK_LIMIT = 2**62
+
+
+def pack_keys(
+    columns: Sequence["npt.NDArray"], cards: Sequence[int], n: int
+) -> "npt.NDArray":
+    """One int64 key per row from per-dimension code columns.
+
+    ``columns[d]`` holds codes in ``range(cards[d])``; two rows get the same
+    key iff they agree in every column.  Keys are mixed-radix numbers while
+    the radix product fits, and are re-numbered densely (``np.unique``)
+    whenever one more column would overflow — only equality of keys within
+    one call is meaningful, never their value.
+    """
+    _require_numpy()
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for column, card in zip(columns, cards):
+        if bound * card > _PACK_LIMIT:
+            uniq, key = np.unique(key, return_inverse=True)
+            bound = len(uniq)
+        key = key * card + column
+        bound *= card
+    return key
+
+
+def first_seen_groups(keys: "npt.NDArray") -> tuple["npt.NDArray", "npt.NDArray"]:
+    """``(group id per row, first row per group)`` for equal ``keys``.
+
+    Groups are numbered by first appearance, so iterating groups visits keys
+    in the order a ``dict`` filled row by row would hold them — the order
+    every scalar roll-up in the library produces.  ``keys`` must be
+    non-negative.
+    """
+    _require_numpy()
+    n = len(keys)
+    if n == 0:
+        return keys, keys
+    if int(keys.max()) >= _PACK_LIMIT // n:
+        keys = np.unique(keys, return_inverse=True)[1]
+    # One plain sort of (key, row) pairs folded into single integers: rows
+    # of a group end up adjacent and ascending, so each run's head is the
+    # group's first row.  (A stable argsort gives the same at ~8x the cost.)
+    pairs = np.sort(keys * n + np.arange(n))
+    rows = pairs % n
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(pairs[1:] // n, pairs[:-1] // n, out=head[1:])
+    first = rows[head]  # per group, groups in key order
+    by_appearance = np.argsort(first)
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(len(first))
+    gid = np.empty(n, dtype=np.int64)
+    gid[rows] = rank[np.cumsum(head) - 1]
+    return gid, first[by_appearance]
+
+
+def distinct_count(keys: "npt.NDArray") -> int:
+    """Number of distinct values in ``keys``."""
+    _require_numpy()
+    if len(keys) == 0:
+        return 0
+    ordered = np.sort(keys)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def group_merge(
+    cols: ISBColumns, keys: "npt.NDArray"
+) -> tuple[ISBColumns, "npt.NDArray"]:
+    """Grouped Theorem 3.2 over packed keys: rows with equal key merge.
+
+    The packed roll-up kernel behind cuboid roll-up and the columnar cubing
+    walks.  Returns one merged row per distinct key, groups in
+    first-appearance order, plus the first source row of every group (its
+    representative, from which callers read the group's key columns).  Each
+    group's bases and slopes are folded left to right in row order by
+    ``np.bincount`` — the same sums as :func:`segment_merge` over the rows
+    gathered group by group, without the gather.  Rows of one group must
+    share their interval.
+    """
+    _require_numpy()
+    gid, first = first_seen_groups(keys)
+    return _merge_by_group(cols, gid, first), first

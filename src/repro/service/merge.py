@@ -5,7 +5,7 @@ union — no ISB arithmetic at all at the finest level.  Coarser cuboids are
 then re-aggregated from the union with Theorem 3.2, which is lossless: the
 merged cube is exactly the cube a single engine would compute over the same
 records.  (That re-aggregation runs on the columnar grouped kernels — see
-:func:`repro.regression.kernels.merge_groups`, which ``Cuboid.roll_up``
+:func:`repro.regression.kernels.group_merge`, which ``Cuboid.roll_up``
 and the cubing algorithms call — so :func:`merge_cube` gets the vectorized
 fast path without any code here.)  The union is canonically ordered so every downstream float
 aggregation folds in the same order regardless of how many shards the cells

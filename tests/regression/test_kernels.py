@@ -21,11 +21,15 @@ from repro.regression.aggregation import merge_standard, merge_time
 from repro.regression.isb import ISB
 from repro.regression.kernels import (
     ISBColumns,
+    distinct_count,
+    first_seen_groups,
     group_fit,
+    group_merge,
     merge_groups,
     merge_standard_cols,
     merge_time_cols,
     merge_time_grid,
+    pack_keys,
     segment_merge,
 )
 from repro.regression.linear import RunningRegression
@@ -331,3 +335,74 @@ class TestMergeGroups:
 
     def test_empty_groups_mapping(self):
         assert merge_groups({}) == {}
+
+
+class TestPackedGroupMerge:
+    """``pack_keys`` -> ``group_merge``: the packed roll-up kernel against a
+    dict filled row by row (the order and the sums of every scalar roll-up)."""
+
+    @staticmethod
+    def reference(columns, bases):
+        groups: dict[tuple, list[int]] = {}
+        for row, key in enumerate(zip(*columns)):
+            groups.setdefault(key, []).append(row)
+        sums = []
+        for rows in groups.values():
+            total = 0.0
+            for row in rows:
+                total += bases[row]
+            sums.append(total)
+        return [rows[0] for rows in groups.values()], sums
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 4), finite),
+            max_size=60,
+        )
+    )
+    def test_first_appearance_order_and_sequential_sums(self, rows):
+        n = len(rows)
+        columns = [
+            np.array([row[d] for row in rows], dtype=np.int64) for d in range(3)
+        ]
+        bases = np.array([row[3] for row in rows], dtype=np.float64)
+        cols = ISBColumns(
+            np.zeros(n, dtype=np.int64), np.full(n, 7, dtype=np.int64), bases, -bases
+        )
+        merged, first = group_merge(cols, pack_keys(columns, [4, 3, 5], n))
+        ref_first, ref_sums = self.reference([c.tolist() for c in columns], bases.tolist())
+        assert first.tolist() == ref_first
+        assert merged.base.tolist() == ref_sums  # bit-identical
+        assert merged.slope.tolist() == [-s for s in ref_sums]
+        assert distinct_count(pack_keys(columns, [4, 3, 5], n)) == len(ref_first)
+
+    def test_radix_product_past_int64_is_renumbered_not_wrapped(self):
+        """Eight dimensions of 300 values each: 300**8 > 2**63."""
+        rng = np.random.default_rng(3)
+        n = 500
+        columns = [rng.integers(0, 300, size=n) for _ in range(8)]
+        for column in columns:
+            column[n // 2 :] = column[: n // 2]  # every key appears twice
+        keys = pack_keys(columns, [300] * 8, n)
+        assert keys.min() >= 0
+        gid, first = first_seen_groups(keys)
+        ref_first, _ = self.reference([c.tolist() for c in columns], [0.0] * n)
+        assert first.tolist() == ref_first
+        assert gid[: n // 2].tolist() == gid[n // 2 :].tolist()
+
+    def test_large_keys_are_renumbered_before_the_pair_sort(self):
+        keys = np.array([2**61, 5, 2**61, 0, 5], dtype=np.int64)
+        gid, first = first_seen_groups(keys)
+        assert gid.tolist() == [0, 1, 0, 2, 1]
+        assert first.tolist() == [0, 1, 3]
+
+    def test_within_group_interval_mismatch_raises(self):
+        cols = ISBColumns.from_isbs([ISB(0, 3, 1.0, 1.0), ISB(4, 7, 1.0, 1.0)])
+        with pytest.raises(AggregationError, match="identical intervals"):
+            group_merge(cols, np.zeros(2, dtype=np.int64))
+
+    def test_empty_batch(self):
+        cols = ISBColumns.from_isbs([])
+        merged, first = group_merge(cols, pack_keys([], [], 0))
+        assert len(merged) == 0 and len(first) == 0
+        assert distinct_count(np.zeros(0, dtype=np.int64)) == 0
