@@ -108,11 +108,11 @@ def _traffic(seed: int = 17) -> list[StreamRecord]:
 
 
 def _resident_slots(engine: StreamCubeEngine) -> int:
-    return sum(
-        len(cell.frame.slots(i))
-        for cell in engine._cells.values()
-        for i in range(len(engine._frame_levels))
-    )
+    # Every cell retains the clock's slots; one frame_of() reads the count.
+    if not engine.tracked_cells:
+        return 0
+    first = next(iter(engine._cells))
+    return engine.frame_of(first).total_retained * engine.tracked_cells
 
 
 def _timed_ingest(engine, records) -> tuple[float, float]:

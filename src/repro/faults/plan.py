@@ -25,6 +25,17 @@ hooks), skip their first ``after`` matching operations, and may fire
 probabilistically; each rule owns a :class:`random.Random` seeded from
 ``(plan.seed, rule index)`` so a plan replays identically run to run.
 
+``after`` counts the *calling thread's* matching operations, not the
+process's.  A retry runs on the thread whose first attempt failed, right
+after it; spacing two rules apart with ``after`` (``page-bitflip``: flip
+read 1, EIO read 4) therefore keeps them off one operation's retry only
+if other threads' traffic cannot advance the count in between.  With a
+process-wide count, two shard threads reading cold pages concurrently
+could put the EIO on the bit flip's retry read — two faults on one read,
+which no single-retry repair survives — depending on scheduling alone.
+``count`` stays process-wide: a one-shot rule fires once, on whichever
+thread gets there first.
+
 The injector is process-global by design: forked shard workers *clear*
 any inherited injector and re-install from their ``WorkerSpec``'s plan
 with the supervisor-only sites dropped, so a plan armed in the parent
@@ -252,6 +263,8 @@ def load_plan(spec: str, seed: int = 0) -> FaultPlan:
 
 
 class _RuleState:
+    # ``seen`` is the process-wide total (stats only); the ``after`` test
+    # reads the calling thread's own count, see FaultInjector._fire.
     __slots__ = ("rule", "rng", "seen", "fired", "remaining")
 
     def __init__(self, rule: FaultRule, seed: int, index: int) -> None:
@@ -272,19 +285,25 @@ class FaultInjector:
             _RuleState(rule, plan.seed, i)
             for i, rule in enumerate(plan.rules)
         ]
+        self._thread = threading.local()  # .seen: this thread's counts
 
     def _fire(self, site: str, kinds: tuple[str, ...]) -> list[FaultRule]:
         """Advance matching rules one operation; returns those that fire."""
         fired = []
+        try:
+            seen = self._thread.seen
+        except AttributeError:
+            seen = self._thread.seen = [0] * len(self._states)
         with self._lock:
-            for state in self._states:
+            for i, state in enumerate(self._states):
                 rule = state.rule
                 if rule.kind not in kinds:
                     continue
                 if rule.site != "*" and rule.site != site:
                     continue
                 state.seen += 1
-                if state.seen <= rule.after:
+                seen[i] += 1
+                if seen[i] <= rule.after:
                     continue
                 if state.remaining is not None and state.remaining <= 0:
                     continue

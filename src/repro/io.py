@@ -257,9 +257,9 @@ def frame_from_dict(
     """Inverse of :func:`frame_to_dict`.
 
     ``levels``, when given, must equal the payload's level specs and is
-    used *by identity* for the rebuilt frame — the stream engine passes one
-    shared tuple so every restored cell frame keeps the identity-based
-    alignment fast path (:meth:`TiltTimeFrame.aligned_with`).
+    used *by identity* for the rebuilt frame — the engine-state codec
+    passes its own tuple so the restored clock and the state agree on one
+    object (:meth:`TiltTimeFrame.aligned_with` tests identity first).
     """
     check_format("tilt_frame", payload, "repro-tilt-frame", STATE_VERSION)
     decoded = tuple(

@@ -135,6 +135,24 @@ class ISBColumns:
         slope = np.fromiter((i.slope for i in items), dtype=np.float64, count=n)
         return cls(t_b, t_e, base, slope)
 
+    @classmethod
+    def over(cls, t_b: int, t_e: int, base, slope) -> "ISBColumns":
+        """Columns that all cover one interval — a tilt *page* as a batch.
+
+        The interval columns are zero-stride broadcasts of the two scalars,
+        so a page costs its ``base`` / ``slope`` arrays (16 bytes a row) and
+        nothing per row for ``t_b`` / ``t_e``; the float columns are used as
+        given, not copied.
+        """
+        _require_numpy()
+        n = len(base)
+        return cls(
+            np.broadcast_to(np.int64(t_b), (n,)),
+            np.broadcast_to(np.int64(t_e), (n,)),
+            base,
+            slope,
+        )
+
     def to_isbs(self) -> list[ISB]:
         """Unpack back into ISB objects (the only per-row Python cost)."""
         return [

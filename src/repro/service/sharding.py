@@ -74,7 +74,7 @@ from repro.stream.engine import (
 from repro.stream.records import StreamRecord
 from repro.stream.state import EngineState
 from repro.stream.wal import QuarterWAL
-from repro.tilt.frame import TiltLevelSpec
+from repro.tilt.frame import TiltLevelSpec, TiltPages
 
 __all__ = ["ShardedStreamCube", "stable_shard_index"]
 
@@ -111,30 +111,36 @@ def _repartition_states(
 ) -> list[EngineState]:
     """Re-partition aligned per-shard states over a new shard count.
 
-    Each cell's :class:`~repro.stream.state.CellSnapshot` moves wholesale
-    to its new owner (``stable_shard_index`` over the new count), so no ISB
-    arithmetic happens at all — the re-partitioned cube is bit-identical by
-    construction.  The lifetime record counter is a cube-level statistic
-    whose per-shard split is meaningless after moving cells between shards;
-    the aggregate is preserved by assigning it to shard 0.  Demoted spans
-    (``cold_spans``) are level-granular and identical on every aligned
-    shard, so they transfer to every new shard verbatim — the cold *pages*
-    are re-partitioned separately by
-    :func:`repro.storage.open_shard_stores`.
+    Each cell's :class:`~repro.stream.state.CellSnapshot` and its row of
+    every page move wholesale to the new owner (``stable_shard_index``
+    over the new count), so no ISB arithmetic happens at all — the
+    re-partitioned cube is bit-identical by construction.  The lifetime
+    record counter is a cube-level statistic whose per-shard split is
+    meaningless after moving cells between shards; the aggregate is
+    preserved by assigning it to shard 0.  Demoted spans (``cold_spans``)
+    are level-granular and identical on every aligned shard, so they
+    transfer to every new shard verbatim — the cold *pages* are
+    re-partitioned separately by :func:`repro.storage.open_shard_stores`.
     """
     template = states[0]
     total_records = sum(state.records_ingested for state in states)
     cells: list[dict[Values, Any]] = [{} for _ in range(new_n)]
-    for state in states:
-        for key, cell in state.cells.items():
-            cells[stable_shard_index(key, new_n)][key] = cell
+    # rows[i][s]: the rows of source state s that new shard i takes.
+    rows: list[list[list[int]]] = [[[] for _ in states] for _ in range(new_n)]
+    for s, state in enumerate(states):
+        for row, (key, cell) in enumerate(state.cells.items()):
+            owner = stable_shard_index(key, new_n)
+            cells[owner][key] = cell
+            rows[owner][s].append(row)
     return [
         EngineState(
             ticks_per_quarter=template.ticks_per_quarter,
             frame_levels=template.frame_levels,
             current_quarter=template.current_quarter,
             records_ingested=total_records if i == 0 else 0,
-            zero_frame=template.zero_frame.clone(),
+            tilt=TiltPages.gather(
+                [(state.tilt, rows[i][s]) for s, state in enumerate(states)]
+            ),
             cells=cells[i],
             wal_seq=max(state.wal_seq for state in states),
             cold_spans=template.cold_spans,

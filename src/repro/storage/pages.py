@@ -1,11 +1,13 @@
 """The packed columnar page codec shared by every cold-store backend.
 
 One :class:`ColdPage` holds every cell's sealed ISB for one tilt-frame
-``(level, [t_b, t_e])`` slot — a struct-of-arrays twin of
-:class:`~repro.regression.kernels.ISBColumns` frozen to disk.  Because all
-of an engine's frames advance in lockstep on one quarter grid, a demoted
-slot has the *same* interval in every cell, so the interval is stored once
-in the header and the body is just the cell keys plus two float64 columns.
+``(level, [t_b, t_e])`` slot — a hot page of
+:class:`~repro.tilt.frame.TiltPages` frozen to disk, columns unchanged.
+Because all of an engine's cells advance in lockstep on one quarter grid, a
+demoted slot has the *same* interval in every cell, so the interval is
+stored once in the header and the body is just the cell keys (hot pages are
+positional, but rows move when cells are pruned or re-sharded) plus two
+float64 columns.
 
 Binary layout (little-endian)::
 
@@ -24,8 +26,8 @@ corrupted ``zero_base`` silently rewrite every absent cell's history.
 
 The embedded zero row is the engine's zero prototype's exact ISB for the
 interval: a key missing from the page decodes to that row, which is
-bit-identical to the zero-backfill a late-born cell's cloned frame would
-have held.  A corrupt page raises
+bit-identical to the zero-backfill a frame of the late-born cell's own
+would have held.  A corrupt page raises
 :class:`~repro.errors.CorruptionError` instead of decoding garbage.
 
 Floats travel as raw IEEE-754 doubles (``numpy`` ``tobytes`` /
@@ -38,11 +40,13 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from array import array
 from typing import Hashable, Sequence
 
 from repro.errors import CorruptionError, StorageError
 from repro.regression import kernels
 from repro.regression.isb import ISB
+from repro.tilt.frame import take_rows
 
 if kernels.HAVE_NUMPY:
     import numpy as np
@@ -92,6 +96,16 @@ def unpack_f64(buf: bytes, count: int, offset: int = 0) -> tuple[float, ...]:
             np.frombuffer(buf, dtype="<f8", count=count, offset=offset).tolist()
         )
     return struct.unpack_from(f"<{count}d", buf, offset)
+
+
+def _f64_column(values: Sequence[float]) -> Sequence[float]:
+    """A page's float column as held in memory — the column type of
+    :class:`~repro.tilt.frame.TiltPages`: a float64 numpy array when numpy
+    imports (a hot page's column is adopted as it is, not re-boxed row by
+    row), an ``array('d')`` otherwise."""
+    if kernels.HAVE_NUMPY:
+        return np.asarray(values, dtype=np.float64)
+    return array("d", values)
 
 
 def _encode_keys(keys: Sequence[Values]) -> bytes:
@@ -145,8 +159,8 @@ class ColdPage:
         self.level = level
         self.t_b = t_b
         self.t_e = t_e
-        self.base = tuple(float(b) for b in base)
-        self.slope = tuple(float(s) for s in slope)
+        self.base = _f64_column(base)
+        self.slope = _f64_column(slope)
         self.zero_base = float(zero_base)
         self.zero_slope = float(zero_slope)
         self._row_of: dict[Values, int] | None = None
@@ -166,20 +180,39 @@ class ColdPage:
         """The zero prototype's exact ISB for this interval."""
         return ISB(self.t_b, self.t_e, self.zero_base, self.zero_slope)
 
+    def row_of(self, key: Values) -> int:
+        """``key``'s row in the page, or ``-1`` for a key absent at spill
+        time — which reads the zero row (:meth:`isb`, :meth:`gather`)."""
+        if self._row_of is None:
+            self._row_of = {k: i for i, k in enumerate(self.keys)}
+        return self._row_of.get(tuple(key), -1)
+
     def isb(self, key: Values) -> ISB:
         """``key``'s row, or the zero row for keys absent at spill time.
 
         The fallback is not a convenience: a cell born after this slot was
-        demoted cloned the zero prototype, so its (never-materialized) slot
-        for this interval *is* the zero row — returning it here keeps cold
-        reads bit-identical to the zero-backfill the frame would hold.
+        sealed never had a row in its page, so its (never-materialized)
+        slot for this interval *is* the zero row — returning it here keeps
+        cold reads bit-identical to the zero-backfill a frame of the
+        cell's own would hold.
         """
-        if self._row_of is None:
-            self._row_of = {k: i for i, k in enumerate(self.keys)}
-        i = self._row_of.get(tuple(key))
-        if i is None:
+        i = self.row_of(key)
+        if i < 0:
             return self.zero_isb()
-        return ISB(self.t_b, self.t_e, self.base[i], self.slope[i])
+        return ISB(
+            self.t_b, self.t_e, float(self.base[i]), float(self.slope[i])
+        )
+
+    def gather(
+        self, rows: Sequence[int]
+    ) -> tuple[Sequence[float], Sequence[float]]:
+        """``(base, slope)`` columns holding page row ``rows[i]`` at ``i``,
+        the zero row wherever ``rows[i]`` is ``-1`` — a cold slot laid out
+        over a reader's own row order, ready for a columnar merge."""
+        return (
+            take_rows(self.base, rows, self.zero_base),
+            take_rows(self.slope, rows, self.zero_slope),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColdPage):
@@ -189,8 +222,8 @@ class ColdPage:
             and self.t_b == other.t_b
             and self.t_e == other.t_e
             and self.keys == other.keys
-            and self.base == other.base
-            and self.slope == other.slope
+            and pack_f64(self.base) == pack_f64(other.base)
+            and pack_f64(self.slope) == pack_f64(other.slope)
             and self.zero_base == other.zero_base
             and self.zero_slope == other.zero_slope
         )
@@ -259,8 +292,15 @@ class ColdPage:
             raise StorageError(
                 f"cold page declares {n_rows} rows but has {len(keys)} keys"
             )
-        base = unpack_f64(data, n_rows, _HEADER.size + keys_len)
-        slope = unpack_f64(data, n_rows, _HEADER.size + keys_len + 8 * n_rows)
+        at = _HEADER.size + keys_len
+        if kernels.HAVE_NUMPY:
+            base = np.frombuffer(data, dtype="<f8", count=n_rows, offset=at)
+            slope = np.frombuffer(
+                data, dtype="<f8", count=n_rows, offset=at + 8 * n_rows
+            )
+        else:
+            base = unpack_f64(data, n_rows, at)
+            slope = unpack_f64(data, n_rows, at + 8 * n_rows)
         return cls(
             level, t_b, t_e, keys, base, slope, zero_base, zero_slope
         )

@@ -15,12 +15,12 @@ level must not spill at all.  Two rules keep demotion invisible to the
 frame's promotion machinery:
 
 * A level spills only if the hot horizon fits in ``capacity - 1`` slots —
-  then the deque never reaches ``maxlen`` between demotions, so maxlen
-  eviction (which would lose data without writing a page) never fires at
-  a spilling level.
+  then the level's page deque never reaches ``maxlen`` between demotions,
+  so maxlen eviction (which would lose data without writing a page) never
+  fires at a spilling level.
 * A non-coarsest level never demotes slots at or past the last completed
-  next-coarser unit boundary — those slots have not been promoted yet and
-  the promotion path reads them from the deque.
+  next-coarser unit boundary — those pages have not been promoted yet and
+  the promotion path reads them from the hot tier.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ Span = tuple[int, int]  # [lo, hi): demoted ticks, half-open
 
 
 class ColdIndex:
-    """Per-level contiguous demoted spans, shared by all of an engine's frames.
+    """Per-level contiguous demoted spans, consulted by an engine's clock.
 
     ``units[li]`` is level ``li``'s ``unit_ticks``; a demoted slot at level
     ``li`` covers exactly one unit.  Slots are recorded oldest-first and
-    contiguously (the demotion loop pops from the left of each deque), so
+    contiguously (the demotion loop drops each level's oldest page), so
     one half-open tick span per level captures the whole cold set.
     """
 

@@ -4,11 +4,23 @@ The engine closes the loop the paper describes: raw records arrive
 continuously at the primitive layer; they are rolled up to m-layer cells on
 ingestion and accumulated — by regression aggregation, in O(1) space per
 cell — within the current quarter; every quarter boundary seals an exact ISB
-into each cell's tilt time frame, where promotions to coarser granularities
+per cell into the tilt time frame, where promotions to coarser granularities
 happen automatically ("the aggregated data will trigger the cube computation
 once every 15 minutes"); and on demand the engine assembles the m-layer over
 an analysis window and runs a cubing algorithm to refresh the o-layer and
 the exception cells.
+
+Every cell's frame advances on one global quarter grid, so the engine keeps
+the frame *once*: a :class:`~repro.tilt.frame.TiltPages` — one clock (the
+zero prototype: levels, ``now``, eviction count, cold index, window
+planning) and, per retained slot, one page of ``(base, slope)`` float64
+columns with a row per cell.  A cell's history costs 16 bytes per retained
+slot (Example 3's 71 slots: ~1.1 KB), a seal scatters the grouped fit's
+arrays into a new page, a promotion is one grid merge down the rows of the
+last ``ratio`` pages, and demotion hands a page's columns to the cold store
+as they are.  Rows are numbered in the order cells were born; a cell born
+(or revived) after a page was sealed has no row in it and reads that page's
+*zero row* — the one rule that backfills late cells, hot page or cold.
 
 Time units: records carry *primitive* ticks (e.g. minutes);
 ``ticks_per_quarter`` primitive ticks form one finest tilt-frame slot.
@@ -17,6 +29,7 @@ Time units: records carry *primitive* ticks (e.g. minutes);
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterable, Literal
 
@@ -38,7 +51,15 @@ from repro.storage.spill import ColdIndex, demotion_cutoffs
 from repro.stream.records import StreamRecord
 from repro.stream.state import CellSnapshot, EngineState
 from repro.stream.wal import QuarterWAL
-from repro.tilt.frame import TiltLevelSpec, TiltTimeFrame, bulk_insert
+from repro.tilt.frame import (
+    Column,
+    Piece,
+    TiltLevelSpec,
+    TiltPages,
+    TiltTimeFrame,
+    merge_grid,
+    merge_rows,
+)
 
 if kernels.HAVE_NUMPY:
     import numpy as np
@@ -158,22 +179,24 @@ class _CellState:
     of its contributing streams) — and the quarter's ISB is fitted over the
     per-tick sums at sealing time.  Memory per cell is O(ticks_per_quarter).
 
+    The cell's sealed history is not here: it is row ``i`` of the engine's
+    pages, ``i`` the cell's position in the engine's cell order.
+
     ``last_active_quarter`` records the quarter of the newest record the
     cell has received; :meth:`StreamCubeEngine.prune_idle` reads it instead
     of probing the tilt frame.
     """
 
-    __slots__ = ("frame", "tick_sums", "last_active_quarter", "cold_since")
+    __slots__ = ("tick_sums", "last_active_quarter", "cold_since")
 
-    def __init__(self, frame: TiltTimeFrame, quarter: int) -> None:
-        self.frame = frame
+    def __init__(self, quarter: int) -> None:
         self.tick_sums: dict[int, float] = {}
         self.last_active_quarter = quarter
-        # With tiered storage: the zero-frame clock at this cell's birth.
-        # Cold pages sealed *before* a cell existed may still carry rows
-        # under its key (a pruned predecessor); reads below this tick must
-        # answer the zero row — exactly what the cell's freshly cloned
-        # frame would have held.
+        # With tiered storage: the clock at this cell's birth.  Cold pages
+        # are keyed, and one sealed *before* a cell existed may still carry
+        # a row under its key (a pruned predecessor); below this tick the
+        # cell reads the page's zero row, as it does from a hot page too
+        # short to hold its row.
         self.cold_since = 0
 
     def add(self, t: int, z: float) -> None:
@@ -293,11 +316,11 @@ class StreamCubeEngine:
         self._current_quarter = 0
         self._records_ingested = 0
         self._validate_values = layers.schema.values_validator(layers.m_coord)
-        # The zero prototype: an always-idle frame that seals alongside the
-        # real cells.  New cells clone it instead of replaying the
-        # zero-quarter backfill, and prune_idle probes it once per call for
-        # window coverability (all cell frames share its geometry).
-        self._zero_frame = TiltTimeFrame(self._frame_levels, origin=0)
+        # Every cell's sealed history: one clock (an always-idle frame, the
+        # zero prototype) and a page of columns per retained slot.  A new
+        # cell takes the next row and nothing is backfilled — pages sealed
+        # before it answer their zero row.
+        self._tilt = TiltPages(TiltTimeFrame(self._frame_levels, origin=0))
         self._storage = storage
         self.hot_quarters = 4 if hot_quarters is None else hot_quarters
         self._pages_spilled = 0
@@ -313,7 +336,7 @@ class StreamCubeEngine:
             self._cold = ColdIndex(
                 [lv.unit_ticks for lv in self._frame_levels]
             )
-            self._zero_frame.attach_cold(self._cold, self._zero_reader)
+            self._tilt.clock.attach_cold(self._cold, None)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -336,26 +359,45 @@ class StreamCubeEngine:
         return self._records_ingested
 
     def frame_of(self, values: Values) -> TiltTimeFrame:
-        """The tilt frame of one m-layer cell."""
-        try:
-            return self._cells[tuple(values)].frame
-        except KeyError:
-            raise StreamError(f"no data seen for cell {tuple(values)}") from None
+        """The tilt frame of one m-layer cell, materialized from the pages.
+
+        An independent :class:`~repro.tilt.frame.TiltTimeFrame` holding,
+        slot for slot, what ``TiltTimeFrame.insert`` of the cell's sealed
+        quarters alone would have built (zero backfill before its birth
+        included) — the single-series view, and the differential reference
+        for the page store.  With tiered storage it faults demoted slots
+        in like the engine's own windows do.
+        """
+        key = tuple(values)
+        state = self._cells.get(key)
+        if state is None:
+            raise StreamError(f"no data seen for cell {key}")
+        frame = self._tilt.frame_of(list(self._cells).index(key))
+        if self._cold is not None:
+
+            def read(level: int, t_b: int, t_e: int) -> ISB:
+                page = self._load_page(level, t_b, t_e)
+                if t_e < state.cold_since:
+                    return page.zero_isb()
+                return page.isb(key)
+
+            frame.attach_cold(self._cold, read)
+        return frame
 
     def prune_idle(self, idle_quarters: int) -> int:
         """Drop cells with no records in the last ``idle_quarters`` quarters.
 
         Long-running deployments see churn — users move away, sensors are
-        decommissioned — and per-cell frames are the engine's only unbounded
+        decommissioned — and per-cell rows are the engine's only unbounded
         state.  Each cell tracks the quarter of its newest record
         (``last_active_quarter``), so idleness is an O(1) comparison per
         cell: a cell whose last record predates the window was sealed from
         empty accumulators throughout it, i.e. its recent slots are exactly
         the flat zero line the old frame probe looked for.  The frame is
-        consulted only once per call — through the engine's zero prototype,
-        whose geometry every cell frame shares — to check that the window is
-        actually covered by retained history (an uncoverable window proves
-        nothing, exactly as before).
+        consulted only once per call — through the clock every cell shares
+        — to check that the window is actually covered by retained history
+        (an uncoverable window proves nothing, exactly as before).  The
+        dead cells' rows are then dropped from every page in one pass.
 
         A cell that keeps reporting *zeros* counts as active here (it has
         records); the previous implementation pruned it.  Returns the number
@@ -371,18 +413,25 @@ class StreamCubeEngine:
         end = self._current_quarter * q - 1
         start = end - window * q + 1
         try:
-            self._zero_frame.window_plan(start, end)
+            self._tilt.clock.window_plan(start, end)
         except TiltFrameError:
             return 0  # window not fully covered: cannot prove idleness
         cutoff = self._current_quarter - window
-        dead = [
-            key
-            for key, state in self._cells.items()
-            if not state.tick_sums and state.last_active_quarter < cutoff
+        alive = [
+            bool(state.tick_sums) or state.last_active_quarter >= cutoff
+            for state in self._cells.values()
         ]
-        for key in dead:
-            del self._cells[key]
-        return len(dead)
+        dropped = alive.count(False)
+        if dropped:
+            self._tilt = TiltPages.gather(
+                [(self._tilt, [i for i, keep in enumerate(alive) if keep])]
+            )
+            self._cells = {
+                key: state
+                for (key, state), keep in zip(self._cells.items(), alive)
+                if keep
+            }
+        return dropped
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -561,72 +610,62 @@ class StreamCubeEngine:
 
     def _new_cell(self, key: Values) -> _CellState:
         key = self._validate_values(key)
-        # Clone the zero prototype instead of building a frame and replaying
-        # every sealed quarter: the prototype *is* the zero-backfilled state
-        # (it seals alongside the real cells), so every cell's frame shares
-        # the global quarter grid at O(levels) spawn cost.
-        state = _CellState(self._zero_frame.clone(), self._current_quarter)
+        # The cell takes the next row; every page sealed so far is too
+        # short to hold it and answers its zero row — the zero backfill at
+        # no spawn cost at all.
+        state = _CellState(self._current_quarter)
         if self._storage is not None:
-            state.cold_since = self._zero_frame.now
-            state.frame.attach_cold(
-                self._cold, self._cell_reader(key, state)
-            )
+            state.cold_since = self._tilt.clock.now
         self._cells[key] = state
         return state
-
-    def _zero_quarter(self, quarter: int) -> ISB:
-        q = self.ticks_per_quarter
-        return ISB(quarter * q, quarter * q + q - 1, 0.0, 0.0)
 
     def _seal_through(self, quarter: int) -> None:
         """Seal every quarter up to (excluding) ``quarter`` for all cells.
 
         One grouped kernel call fits every active cell's quarter
         (:func:`repro.regression.kernels.group_fit`, bit-identical to the
-        scalar :meth:`_CellState.seal`), idle cells share a single zero ISB,
-        and all frames advance through one :func:`~repro.tilt.frame.
-        bulk_insert` — promotions included — instead of N ``seal``/
-        ``insert`` pairs.
+        scalar :meth:`_CellState.seal`) and its arrays are scattered into
+        the rows of a new page, idle cells' rows staying the zero line;
+        :meth:`~repro.tilt.frame.TiltPages.seal` appends the page and runs
+        the promotions it triggers — no per-cell object is made.
         """
         tpq = self.ticks_per_quarter
         for q in range(self._current_quarter, quarter):
             lo = q * tpq
             hi = lo + tpq - 1
-            zero = self._zero_quarter(q)
             states = list(self._cells.values())
-            mask = [bool(state.tick_sums) for state in states]
-            active = [state for state, m in zip(states, mask) if m]
-            if active and kernels.HAVE_NUMPY:
-                ticks: list[int] = []
-                sums: list[float] = []
-                starts: list[int] = []
-                for state in active:
-                    starts.append(len(ticks))
-                    for t, z in state.sorted_items():
-                        ticks.append(t)
-                        sums.append(z)
-                    state.tick_sums.clear()
-                base, slope = kernels.group_fit(
-                    np.asarray(ticks, dtype=np.int64),
-                    np.asarray(sums, dtype=np.float64),
-                    starts,
-                    lo,
-                    hi,
+            if kernels.HAVE_NUMPY:
+                base = np.zeros(len(states), dtype=np.float64)
+                slope = np.zeros(len(states), dtype=np.float64)
+                active = np.array(
+                    [bool(state.tick_sums) for state in states], dtype=bool
                 )
-                active_isbs = [
-                    ISB(lo, hi, b, s)
-                    for b, s in zip(base.tolist(), slope.tolist())
-                ]
+                if active.any():
+                    ticks: list[int] = []
+                    sums: list[float] = []
+                    starts: list[int] = []
+                    for state in states:
+                        if state.tick_sums:
+                            starts.append(len(ticks))
+                            for t, z in state.sorted_items():
+                                ticks.append(t)
+                                sums.append(z)
+                            state.tick_sums.clear()
+                    base[active], slope[active] = kernels.group_fit(
+                        np.asarray(ticks, dtype=np.int64),
+                        np.asarray(sums, dtype=np.float64),
+                        starts,
+                        lo,
+                        hi,
+                    )
             else:
-                active_isbs = [state.seal(lo, hi) for state in active]
-            sealed = iter(active_isbs)
-            frames = [state.frame for state in states]
-            frames.append(self._zero_frame)
-            isbs = [next(sealed) if m else zero for m in mask]
-            isbs.append(zero)
-            # The engine owns these frames and advances them in lockstep
-            # from one cloned prototype — alignment is an invariant.
-            bulk_insert(frames, isbs, assume_aligned=True)
+                sealed = [
+                    state.seal(lo, hi) if state.tick_sums else None
+                    for state in states
+                ]
+                base = array("d", [isb.base if isb else 0.0 for isb in sealed])
+                slope = array("d", [isb.slope if isb else 0.0 for isb in sealed])
+            self._tilt.seal(base, slope)
             if self._storage is not None:
                 self._spill_cold()
         self._current_quarter = quarter
@@ -637,58 +676,55 @@ class StreamCubeEngine:
     def _spill_cold(self) -> None:
         """Demote slots past the hot horizon into the cold store.
 
-        Runs after every quarter's ``bulk_insert``.  Per eligible level
-        (see :func:`repro.storage.spill.demotion_cutoffs`), the oldest
-        resident slots are packed — one :class:`ColdPage` per slot interval
-        across *all* cells, the zero prototype's slot embedded as the
-        page's zero row — written, and only then popped from every frame in
-        lockstep.  Pages are written even with zero tracked cells: a cell
-        born later still needs the zero row when it faults the interval in.
+        Runs after every quarter's seal.  Per eligible level (see
+        :func:`repro.storage.spill.demotion_cutoffs`), the oldest resident
+        pages are handed to the store as they are — a hot page already *is*
+        a :class:`ColdPage`'s columns, its rows the first cells in engine
+        order, the clock's slot its interval and zero row — written, and
+        only then dropped.  Pages are written even with zero tracked cells:
+        a cell born later still needs the zero row when it faults the
+        interval in.
 
         The arithmetic is deterministic in the sealed history, so a crash
         after a spill but before the next snapshot loses nothing: WAL
-        replay re-seals the same quarters and re-derives bit-identical
-        pages (``put_segment`` is idempotent by interval).
+        replay re-seals the same quarters and re-derives pages that read
+        bit-identically (``put_segment`` is idempotent by interval).
         """
-        zero = self._zero_frame
+        clock = self._tilt.clock
         cutoffs = demotion_cutoffs(
-            [lv.unit_ticks for lv in zero.levels],
-            [lv.capacity for lv in zero.levels],
-            zero.origin,
-            zero.now,
+            [lv.unit_ticks for lv in clock.levels],
+            [lv.capacity for lv in clock.levels],
+            clock.origin,
+            clock.now,
             self.hot_quarters * self.ticks_per_quarter,
         )
-        items = list(self._cells.items())
+        keys: list[Values] | None = None
         for li, cutoff in enumerate(cutoffs):
             if cutoff is None:
                 continue
-            zslots = zero._slots[li]
-            while zslots and zslots[0].t_e < cutoff:
-                zslot = zslots[0]
-                base: list[float] = []
-                slope: list[float] = []
-                for _, state in items:
-                    slot = state.frame._slots[li][0]
-                    base.append(slot.base)
-                    slope.append(slot.slope)
+            while True:
+                oldest = self._tilt.oldest(li)
+                if oldest is None or oldest[0].t_e >= cutoff:
+                    break
+                if keys is None:
+                    keys = list(self._cells)
+                zero, (base, slope) = oldest
                 self._storage.put_segment(
                     ColdPage(
                         li,
-                        zslot.t_b,
-                        zslot.t_e,
-                        [key for key, _ in items],
+                        zero.t_b,
+                        zero.t_e,
+                        keys[: len(base)],
                         base,
                         slope,
-                        zero_base=zslot.base,
-                        zero_slope=zslot.slope,
+                        zero_base=zero.base,
+                        zero_slope=zero.slope,
                     )
                 )
-                zslots.popleft()
-                for _, state in items:
-                    state.frame._slots[li].popleft()
-                self._cold.record(li, zslot.t_b, zslot.t_e)
+                self._tilt.pop_oldest(li)
+                self._cold.record(li, zero.t_b, zero.t_e)
                 with self._page_lock:
-                    self._page_cache.pop((li, zslot.t_b, zslot.t_e), None)
+                    self._page_cache.pop((li, zero.t_b, zero.t_e), None)
                 self._pages_spilled += 1
 
     #: Decoded cold pages kept hot; a deep window touches each page once
@@ -714,32 +750,26 @@ class StreamCubeEngine:
                 self._page_cache.popitem(last=False)
         return page
 
-    def _zero_reader(self, level: int, t_b: int, t_e: int) -> ISB:
-        return self._load_page(level, t_b, t_e).zero_isb()
+    def _piece_columns(
+        self, piece: tuple[int, int, int, int], keys: list[Values]
+    ) -> tuple[Column, Column]:
+        """One window piece as ``(base, slope)`` columns over ``keys``' rows.
 
-    def _cell_reader(
-        self, key: Values, state: _CellState
-    ) -> Callable[[int, int, int], ISB]:
-        def read(level: int, t_b: int, t_e: int) -> ISB:
-            page = self._load_page(level, t_b, t_e)
-            if t_e < state.cold_since:
-                return page.zero_isb()
-            return page.isb(key)
-
-        return read
-
-    def _cold_rows(
-        self, level: int, t_b: int, t_e: int, keys: list[Values]
-    ) -> list[ISB]:
-        """Every listed cell's ISB for one cold slot, one page fault total."""
+        The zero-row rule in both its forms: a hot page is positional and
+        answers its zero row past its own length; a cold page is keyed and
+        answers it for keys it does not hold and for cells born after it
+        was sealed (one page fault serves every cell on the piece).
+        """
+        level, pos, t_b, t_e = piece
+        if pos >= 0:
+            return self._tilt.column(level, pos, len(keys))
         page = self._load_page(level, t_b, t_e)
-        out: list[ISB] = []
-        for key in keys:
-            if t_e < self._cells[key].cold_since:
-                out.append(page.zero_isb())
-            else:
-                out.append(page.isb(key))
-        return out
+        return page.gather(
+            [
+                page.row_of(key) if state.cold_since <= t_e else -1
+                for key, state in self._cells.items()
+            ]
+        )
 
     def storage_stats(self) -> dict[str, Any] | None:
         """The ``/stats`` storage block, or ``None`` without a cold store."""
@@ -778,9 +808,11 @@ class StreamCubeEngine:
     def snapshot(self) -> EngineState:
         """A complete, independent extract of the engine's stream state.
 
-        Frames are cloned and accumulators copied, so the snapshot is
-        immune to further ingestion; layers/policy/key_fn are configuration
-        and deliberately not captured (see :mod:`repro.stream.state`).
+        The clock and the page lists are copied, the page columns shared
+        (sealed pages are never written again) and accumulators copied, so
+        the snapshot is immune to further ingestion at a cost independent
+        of history depth; layers/policy/key_fn are configuration and
+        deliberately not captured (see :mod:`repro.stream.state`).
         When a WAL is attached, the snapshot records its sequence
         high-water mark so recovery replays only what the snapshot missed.
         """
@@ -789,10 +821,9 @@ class StreamCubeEngine:
             frame_levels=tuple(self._frame_levels),
             current_quarter=self._current_quarter,
             records_ingested=self._records_ingested,
-            zero_frame=self._zero_frame.clone(),
+            tilt=self._tilt.copy(),
             cells={
                 key: CellSnapshot(
-                    frame=state.frame.clone(),
                     tick_sums=dict(state.tick_sums),
                     last_active_quarter=state.last_active_quarter,
                     cold_since=state.cold_since,
@@ -847,23 +878,28 @@ class StreamCubeEngine:
     def load_state(self, state: EngineState) -> None:
         """Replace this engine's stream state with a snapshot's.
 
-        The cells, frames, accumulators, quarter clock, and record counter
+        The cells, pages, accumulators, quarter clock, and record counter
         all come from the snapshot; the engine's configuration (layers,
-        policy, key_fn) stays.  Every restored frame must share the zero
-        prototype's geometry and clock — a snapshot that violates that
-        (corruption, or hand-edited state) raises :class:`StreamError`
-        before any state is replaced.
+        policy, key_fn) stays.  The snapshot's clock must agree with its
+        quarter and no page may hold more rows than there are cells — a
+        snapshot that violates that (corruption, or hand-edited state)
+        raises :class:`StreamError` before any state is replaced.
         """
         if state.ticks_per_quarter != self.ticks_per_quarter:
             raise StreamError(
                 f"snapshot has ticks_per_quarter={state.ticks_per_quarter}, "
                 f"engine is configured with {self.ticks_per_quarter}"
             )
-        zero = state.zero_frame.clone()
-        if zero.now != state.current_quarter * self.ticks_per_quarter:
+        tilt = state.tilt.copy()
+        if tilt.clock.now != state.current_quarter * self.ticks_per_quarter:
             raise StreamError(
-                f"snapshot zero frame clock ({zero.now}) disagrees with its "
-                f"current quarter ({state.current_quarter})"
+                f"snapshot zero frame clock ({tilt.clock.now}) disagrees "
+                f"with its current quarter ({state.current_quarter})"
+            )
+        if tilt.max_rows > len(state.cells):
+            raise StreamError(
+                f"snapshot pages hold {tilt.max_rows} rows for "
+                f"{len(state.cells)} cells (corrupt or inconsistent snapshot)"
             )
         spans = state.cold_spans
         has_cold = spans is not None and any(s is not None for s in spans)
@@ -874,19 +910,12 @@ class StreamCubeEngine:
             )
         cells: dict[Values, _CellState] = {}
         for key, cell in state.cells.items():
-            if not cell.frame.aligned_with(zero):
-                raise StreamError(
-                    f"snapshot cell {key}: frame is not aligned with the "
-                    "zero prototype (corrupt or inconsistent snapshot)"
-                )
-            restored = _CellState(
-                cell.frame.clone(), cell.last_active_quarter
-            )
+            restored = _CellState(cell.last_active_quarter)
             restored.tick_sums = dict(cell.tick_sums)
             restored.cold_since = cell.cold_since
             cells[self._validate_values(key)] = restored
         self._frame_levels = list(state.frame_levels)
-        self._zero_frame = zero
+        self._tilt = tilt
         self._cells = cells
         self._current_quarter = state.current_quarter
         self._records_ingested = state.records_ingested
@@ -899,11 +928,8 @@ class StreamCubeEngine:
                 if spans is not None
                 else ColdIndex(units)
             )
-            self._zero_frame.attach_cold(self._cold, self._zero_reader)
-            for key, restored in self._cells.items():
-                restored.frame.attach_cold(
-                    self._cold, self._cell_reader(key, restored)
-                )
+        # The snapshot's clock may still point at its writer's cold index.
+        tilt.clock.attach_cold(self._cold, None)
 
     # ------------------------------------------------------------------
     # Analysis
@@ -911,63 +937,37 @@ class StreamCubeEngine:
     def window_isbs(self, t_b: int, t_e: int) -> dict[Values, ISB]:
         """Every tracked cell's exact ISB over the sealed window [t_b, t_e].
 
-        The window must be covered by each cell's tilt frame (i.e. lie within
-        the sealed history); Theorem 3.3 assembles the exact regression from
-        the frame's slots.  This is the primitive the analysis views — and
-        the cross-shard merge in :mod:`repro.service` — are built from.
+        The window must be covered by the tilt frame (i.e. lie within the
+        sealed history); Theorem 3.3 assembles the exact regression from
+        the frame's slots.  One plan from the shared clock serves every
+        cell, the planned pages merge down their rows in one grid kernel
+        call, and the result is boxed into ISBs once, at the end.  This is
+        the primitive the analysis views — and the cross-shard merge in
+        :mod:`repro.service` — are built from.
         """
         if not self._cells:
             return {}
         keys = list(self._cells)
-        frames = [self._cells[key].frame for key in keys]
-        first = frames[0]
-        if kernels.HAVE_NUMPY and all(
-            f is first or f.aligned_with(first) for f in frames[1:]
-        ):
-            # All frames share the quarter grid, so one plan serves every
-            # cell and the Theorem 3.3 merges run as one grid kernel call.
-            try:
-                plan = first.window_plan(t_b, t_e)
-            except TiltFrameError as exc:
-                raise StreamError(
-                    f"cell {keys[0]}: window [{t_b},{t_e}] not covered: {exc}"
-                ) from exc
-            if len(plan) == 1:
-                level, pos, piece_b, piece_e = plan[0]
-                if pos >= 0:
-                    return {
-                        key: frame._slots[level][pos]
-                        for key, frame in zip(keys, frames)
-                    }
-                return dict(
-                    zip(keys, self._cold_rows(level, piece_b, piece_e, keys))
-                )
-            columns = []
-            for level, pos, piece_b, piece_e in plan:
-                if pos >= 0:
-                    columns.append(
-                        kernels.ISBColumns.from_isbs(
-                            [frame._slots[level][pos] for frame in frames]
-                        )
-                    )
-                else:
-                    # One page fault serves every cell on this piece.
-                    columns.append(
-                        kernels.ISBColumns.from_isbs(
-                            self._cold_rows(level, piece_b, piece_e, keys)
-                        )
-                    )
-            merged = kernels.merge_time_grid(columns).to_isbs()
-            return dict(zip(keys, merged))
-        out: dict[Values, ISB] = {}
-        for key, frame in zip(keys, frames):
-            try:
-                out[key] = frame.query(t_b, t_e)
-            except TiltFrameError as exc:
-                raise StreamError(
-                    f"cell {key}: window [{t_b},{t_e}] not covered: {exc}"
-                ) from exc
-        return out
+        pieces = self._window_pieces(t_b, t_e, keys)
+        if kernels.HAVE_NUMPY:
+            return dict(zip(keys, merge_grid(pieces).to_isbs()))
+        return dict(zip(keys, merge_rows(pieces)))
+
+    def _window_pieces(
+        self, t_b: int, t_e: int, keys: list[Values]
+    ) -> list[Piece]:
+        """The window's plan as ``(t_b, t_e, base, slope)`` per piece, the
+        columns over ``keys``' rows."""
+        try:
+            plan = self._tilt.clock.window_plan(t_b, t_e)
+        except TiltFrameError as exc:
+            raise StreamError(
+                f"cell {keys[0]}: window [{t_b},{t_e}] not covered: {exc}"
+            ) from exc
+        return [
+            (piece[2], piece[3], *self._piece_columns(piece, keys))
+            for piece in plan
+        ]
 
     def m_cells(self, window_quarters: int = 4) -> dict[Values, ISB]:
         """The m-layer over the last ``window_quarters`` sealed quarters.
@@ -1025,9 +1025,15 @@ class StreamCubeEngine:
         clock can lag the fleet's mid-replay).
         """
         out: dict[Values, ISB] = {}
-        for key, state in self._cells.items():
-            prev = state.frame.query(prev_b, cur_b - 1)
-            cur = state.frame.query(cur_b, end)
+        if not self._cells:
+            return out
+        keys = list(self._cells)
+        # Per-cell scalar merges (fsum) on both kernel paths: the change
+        # line is judged against a threshold, and its digits must not
+        # depend on whether numpy imports.
+        prevs = merge_rows(self._window_pieces(prev_b, cur_b - 1, keys))
+        curs = merge_rows(self._window_pieces(cur_b, end, keys))
+        for key, prev, cur in zip(keys, prevs, curs):
             change = two_point_isb(prev, cur)
             if self.policy.is_exception(change, self.layers.m_coord):
                 out[key] = change

@@ -1,13 +1,20 @@
 """Explicit, serializable engine state (the durability seam).
 
-The stream engine's internals — per-cell tilt frames, the current quarter's
-per-tick accumulators, activity bookkeeping, the shared zero prototype —
-were process-private until the durability refactor.  This module names that
+The stream engine's internals — the page-columnar tilt store, the current
+quarter's per-tick accumulators, activity bookkeeping — were
+process-private until the durability refactor.  This module names that
 state: :class:`EngineState` is a complete, self-contained extract of one
 :class:`~repro.stream.engine.StreamCubeEngine`, deep enough that restoring
 it (``StreamCubeEngine.restore``) yields an engine bit-identical to the
 original, shallow enough that a snapshot never blocks ingestion for longer
-than a state copy.
+than a state copy — and the copy is small: sealed pages are immutable, so
+the snapshot *shares* the engine's page columns and copies only the clock,
+the page lists and each cell's accumulator dict.
+
+The shape mirrors the engine's: ``tilt`` is the whole sealed history (one
+clock — the zero prototype — plus per level one ``(base, slope)`` column
+pair per retained slot, row ``i`` belonging to the ``i``-th cell of
+``cells``), and ``cells`` holds what is genuinely per cell.
 
 What is *not* captured: the critical layers, the exception policy, and the
 key function.  Those are code/configuration, not stream state — the caller
@@ -21,18 +28,21 @@ the caller reattaches on restore.
 
 Serialization goes through :mod:`repro.io` (``engine_state_to_dict`` /
 ``engine_state_from_dict``); floats survive the JSON round trip bit for
-bit.  Each cell's sealed history rides as packed base64 float64 columns
-(the cold-page float codec, :func:`repro.storage.pages.pack_f64`) — slot
-*intervals* are shared with the zero prototype, whose frame every cell's is
-aligned with, so only ``(base, slope)`` pairs travel per cell.  There is
-one format version; a payload of any other version is refused (re-snapshot
-with this build to migrate).
+bit.  On the wire the history is *row-major*: each cell's row carries its
+``(base, slope)`` pair for every retained slot as one packed base64
+float64 blob (the cold-page float codec,
+:func:`repro.storage.pages.pack_f64`), zero rows written out — slot
+*intervals* ride once, with the clock.  The codec transposes between that
+and the in-memory pages, so the format (and ``STATE_VERSION``) is the one
+earlier builds wrote.  There is one format version; a payload of any other
+version is refused (re-snapshot with this build to migrate).
 """
 
 from __future__ import annotations
 
 import base64
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Any, Hashable, Mapping
 
@@ -46,9 +56,12 @@ from repro.io import (
     tilt_level_from_dict,
     tilt_level_to_dict,
 )
-from repro.regression.isb import ISB
+from repro.regression import kernels
 from repro.storage.pages import pack_f64, unpack_f64
-from repro.tilt.frame import TiltLevelSpec, TiltTimeFrame
+from repro.tilt.frame import Page, TiltLevelSpec, TiltPages
+
+if kernels.HAVE_NUMPY:
+    import numpy as np
 
 __all__ = ["CellSnapshot", "EngineState"]
 
@@ -59,19 +72,17 @@ _PAIR = struct.Struct("<qd")
 
 @dataclass(frozen=True)
 class CellSnapshot:
-    """One m-layer cell's complete streaming state.
+    """What one m-layer cell holds beyond its rows in the page store.
 
-    ``frame`` is the cell's tilt frame (sealed history), ``tick_sums`` the
-    current unsealed quarter's per-tick accumulators,
+    ``tick_sums`` is the current unsealed quarter's per-tick accumulators,
     ``last_active_quarter`` the activity marker ``prune_idle`` reads, and
-    ``cold_since`` the zero-frame tick of the cell's birth (0 when tiered
+    ``cold_since`` the clock tick of the cell's birth (0 when tiered
     storage is off) — cold pages older than it answer the zero row for
     this cell, see :class:`repro.stream.engine.StreamCubeEngine`.  The
-    frame and dict are private copies — mutating the live engine after a
-    snapshot does not disturb the snapshot.
+    dict is a private copy — mutating the live engine after a snapshot
+    does not disturb the snapshot.
     """
 
-    frame: TiltTimeFrame
     tick_sums: dict[int, float]
     last_active_quarter: int
     cold_since: int = 0
@@ -89,12 +100,14 @@ class EngineState:
         The quarter accumulating at snapshot time.
     records_ingested:
         The engine's lifetime record counter.
-    zero_frame:
-        The engine's zero prototype — the always-idle frame every cell
-        clones; restoring it keeps new-cell spawning and window planning
-        identical after a restore.
+    tilt:
+        The sealed history of every cell: the engine's clock (its zero
+        prototype) and the pages behind it.  Row ``i`` of every page is
+        the ``i``-th cell of ``cells``; a page shorter than that answers
+        its zero row (:class:`~repro.tilt.frame.TiltPages`).
     cells:
-        Per-cell :class:`CellSnapshot`, keyed by m-layer values.
+        Per-cell :class:`CellSnapshot`, keyed by m-layer values, in row
+        order.
     wal_seq:
         High-water mark of the attached write-ahead log at snapshot time
         (0 when no WAL is attached).  Recovery replays only WAL entries
@@ -113,7 +126,7 @@ class EngineState:
     frame_levels: tuple[TiltLevelSpec, ...]
     current_quarter: int
     records_ingested: int
-    zero_frame: TiltTimeFrame
+    tilt: TiltPages
     cells: dict[Values, CellSnapshot]
     wal_seq: int = 0
     cold_spans: tuple[tuple[int, int] | None, ...] | None = None
@@ -127,11 +140,15 @@ class EngineState:
         Tick accumulators are emitted as packed ``(tick, sum)`` pairs in
         insertion order; the restore path rebuilds the dict in the same
         order, so even dict iteration order — which the sealing path sorts
-        anyway — survives the round trip.  A cell whose frame is not
-        aligned with the zero prototype cannot be represented (and could
-        not be loaded back: ``load_state`` rejects it), so it is refused.
+        anyway — survives the round trip.  A page longer than the cell
+        list has rows nothing owns; such a state is refused.
         """
-        zero = self.zero_frame
+        clock = self.tilt.clock
+        if self.tilt.max_rows > len(self.cells):
+            raise CodecError(
+                f"engine_state: a page holds {self.tilt.max_rows} rows for "
+                f"{len(self.cells)} cells"
+            )
         payload: dict[str, Any] = {
             "format": "repro-engine-state",
             "version": STATE_VERSION,
@@ -142,10 +159,12 @@ class EngineState:
             "current_quarter": self.current_quarter,
             "records_ingested": self.records_ingested,
             "wal_seq": self.wal_seq,
-            "zero_frame": frame_to_dict(zero),
+            "zero_frame": frame_to_dict(clock),
             "cells": [
-                self._cell_row(values, cell, zero, self.current_quarter)
-                for values, cell in self.cells.items()
+                self._cell_row(values, cell, blob, self.current_quarter)
+                for (values, cell), blob in zip(
+                    self.cells.items(), self._slot_blobs()
+                )
             ],
         }
         if self.cold_spans is not None:
@@ -155,34 +174,33 @@ class EngineState:
             ]
         return payload
 
+    def _slot_blobs(self) -> list[bytes]:
+        """Per cell, its interleaved ``(base, slope)`` float64 pairs, one
+        per retained slot, finest level first — the pages transposed."""
+        n = len(self.cells)
+        columns = [
+            column
+            for level in range(len(self.tilt.clock.levels))
+            for pos in range(len(self.tilt.pages(level)))
+            for column in self.tilt.column(level, pos, n)
+        ]
+        if kernels.HAVE_NUMPY:
+            rows = np.empty((n, len(columns)), dtype="<f8")
+            for j, column in enumerate(columns):
+                rows[:, j] = column
+            return [row.tobytes() for row in rows]
+        return [pack_f64([column[i] for column in columns]) for i in range(n)]
+
     @staticmethod
     def _cell_row(
         values: Values,
         cell: CellSnapshot,
-        zero: TiltTimeFrame,
+        slots: bytes,
         current_quarter: int,
     ) -> dict[str, Any]:
-        if not cell.frame.aligned_with(zero):
-            raise CodecError(
-                f"engine_state: cell {values} frame is not aligned with "
-                "the zero prototype; its slots cannot ride the shared "
-                "intervals"
-            )
         row: dict[str, Any] = {
             "v": list(values),
-            # Interleaved (base, slope) float64 pairs, one per retained
-            # slot, finest level first — one blob for all levels, since
-            # the per-level counts and intervals are the zero frame's.
-            "s": base64.b64encode(
-                pack_f64(
-                    [
-                        x
-                        for i in range(len(zero.levels))
-                        for slot in cell.frame.slots(i)
-                        for x in (slot.base, slot.slope)
-                    ]
-                )
-            ).decode("ascii"),
+            "s": base64.b64encode(slots).decode("ascii"),
         }
         if cell.last_active_quarter != current_quarter:
             row["q"] = cell.last_active_quarter
@@ -209,28 +227,27 @@ class EngineState:
                 "engine_state", lambda: list(payload["frame_levels"])
             )
         )
-        zero = frame_from_dict(
+        clock = frame_from_dict(
             decoding("engine_state", lambda: payload["zero_frame"]),
             levels=levels,
         )
-        intervals = [
-            [(slot.t_b, slot.t_e) for slot in zero.slots(i)]
-            for i in range(len(levels))
-        ]
+        n_slots = clock.total_retained
         current = decoding(
             "engine_state", lambda: int(payload["current_quarter"])
         )
         cells: dict[Values, CellSnapshot] = {}
+        blobs: list[bytes] = []
         for row in decoding("engine_state", lambda: list(payload["cells"])):
-            values, cell = decoding(
+            values, cell, blob = decoding(
                 "engine_state",
-                lambda: cls._packed_cell(row, levels, zero, intervals, current),
+                lambda: cls._packed_cell(row, n_slots, current),
             )
             if values in cells:
                 raise CodecError(
                     f"engine_state: duplicate cell {values} in payload"
                 )
             cells[values] = cell
+            blobs.append(blob)
 
         def spans() -> tuple[tuple[int, int] | None, ...] | None:
             raw = payload.get("cold_spans")
@@ -247,7 +264,7 @@ class EngineState:
                 frame_levels=levels,
                 current_quarter=int(payload["current_quarter"]),
                 records_ingested=int(payload["records_ingested"]),
-                zero_frame=zero,
+                tilt=TiltPages(clock, cls._pages_of(blobs, clock)),
                 cells=cells,
                 wal_seq=int(payload.get("wal_seq", 0)),
                 cold_spans=decoding("engine_state", spans),
@@ -256,34 +273,50 @@ class EngineState:
         return decoding("engine_state", finish)
 
     @staticmethod
+    def _pages_of(blobs: list[bytes], clock) -> list[list[Page]]:
+        """The cells' slot blobs transposed back into per-slot pages."""
+        n_slots = clock.total_retained
+        if kernels.HAVE_NUMPY:
+            rows = np.frombuffer(b"".join(blobs), dtype="<f8").reshape(
+                len(blobs), 2 * n_slots
+            )
+            columns = [
+                np.ascontiguousarray(rows[:, j]) for j in range(2 * n_slots)
+            ]
+        else:
+            flat = [unpack_f64(blob, 2 * n_slots) for blob in blobs]
+            columns = [
+                array("d", [row[j] for row in flat])
+                for j in range(2 * n_slots)
+            ]
+        pages: list[list[Page]] = []
+        at = 0
+        for level in range(len(clock.levels)):
+            count = len(clock.slots(level))
+            pages.append(
+                [
+                    (columns[at + 2 * j], columns[at + 2 * j + 1])
+                    for j in range(count)
+                ]
+            )
+            at += 2 * count
+        return pages
+
+    @staticmethod
     def _packed_cell(
-        row: Mapping[str, Any],
-        levels: tuple[TiltLevelSpec, ...],
-        zero: TiltTimeFrame,
-        intervals: list[list[tuple[int, int]]],
-        current_quarter: int,
-    ) -> tuple[Values, CellSnapshot]:
+        row: Mapping[str, Any], n_slots: int, current_quarter: int
+    ) -> tuple[Values, CellSnapshot, bytes]:
         values = tuple(row["v"])
-        n_slots = sum(len(spans) for spans in intervals)
         try:
-            raw = base64.b64decode(str(row["s"]).encode("ascii"), validate=True)
-            if len(raw) != 16 * n_slots:
+            slots = base64.b64decode(
+                str(row["s"]).encode("ascii"), validate=True
+            )
+            if len(slots) != 16 * n_slots:
                 raise CodecError(
                     f"engine_state: cell {values} slot blob holds "
-                    f"{len(raw)} bytes, expected {16 * n_slots} "
+                    f"{len(slots)} bytes, expected {16 * n_slots} "
                     "(snapshot disagrees with its zero frame)"
                 )
-            flat = unpack_f64(raw, 2 * n_slots)
-            slots: list[list[ISB]] = []
-            at = 0
-            for spans in intervals:
-                slots.append(
-                    [
-                        ISB(t_b, t_e, flat[at + 2 * j], flat[at + 2 * j + 1])
-                        for j, (t_b, t_e) in enumerate(spans)
-                    ]
-                )
-                at += 2 * len(spans)
             tick_sums: dict[int, float] = {}
             if "t" in row:
                 raw = base64.b64decode(
@@ -301,16 +334,12 @@ class EngineState:
                 f"engine_state: cell {values} packed column is invalid "
                 f"({exc})"
             ) from None
-        frame = TiltTimeFrame.from_state(
-            levels,
-            origin=zero.origin,
-            next_tick=zero.now,
-            evicted=zero.evicted_slots,
-            slots=slots,
-        )
-        return values, CellSnapshot(
-            frame=frame,
-            tick_sums=tick_sums,
-            last_active_quarter=int(row.get("q", current_quarter)),
-            cold_since=int(row.get("c", 0)),
+        return (
+            values,
+            CellSnapshot(
+                tick_sums=tick_sums,
+                last_active_quarter=int(row.get("q", current_quarter)),
+                cold_since=int(row.get("c", 0)),
+            ),
+            slots,
         )

@@ -12,20 +12,40 @@ quarter-based regression analysis").
 
 The frame is generic; the paper's natural-calendar preset and a logarithmic
 variant live in :mod:`repro.tilt.natural` and :mod:`repro.tilt.logarithmic`.
+
+Two carriers share the discipline.  :class:`TiltTimeFrame` is one series:
+a deque of :class:`ISB` slots per level — the public single-series API, and
+the reference the page store is tested against (:func:`bulk_insert`
+advances several such frames at once).  :class:`TiltPages` is *many aligned
+series*: one ``TiltTimeFrame`` as the shared clock plus, per retained slot,
+a page of ``(base, slope)`` columns with a row per series — what the stream
+engine keeps, at 16 bytes per series per slot instead of an object.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Iterator, Sequence
+from typing import Any, Deque, Iterable, Iterator, Sequence
 
 from repro.errors import TiltFrameError
 from repro.regression import kernels
 from repro.regression.aggregation import merge_time
 from repro.regression.isb import ISB
 
-__all__ = ["TiltLevelSpec", "TiltTimeFrame", "bulk_insert"]
+if kernels.HAVE_NUMPY:
+    import numpy as np
+
+__all__ = [
+    "TiltLevelSpec",
+    "TiltTimeFrame",
+    "TiltPages",
+    "bulk_insert",
+    "merge_grid",
+    "merge_rows",
+    "take_rows",
+]
 
 #: A window decomposition: ``(level index, slot position, t_b, t_e)`` per
 #: piece, finest available level first at every position (see
@@ -78,9 +98,10 @@ class TiltTimeFrame:
     #: Cold-storage seam (class-level defaults keep frames storage-free by
     #: default).  ``_cold`` answers "does a demoted slot start here?" (duck
     #: typed: anything with ``has_slot(level, t_b)``, in practice one
-    #: :class:`repro.storage.spill.ColdIndex` shared by every frame of an
-    #: engine); ``_cold_reader(level, t_b, t_e)`` faults the slot's ISB
-    #: back in.  The tilt layer never imports the storage layer.
+    #: :class:`repro.storage.spill.ColdIndex` per engine, consulted through
+    #: the engine's clock); ``_cold_reader(level, t_b, t_e)`` faults the
+    #: slot's ISB back in (a clock plans but never reads: its reader is
+    #: ``None``).  The tilt layer never imports the storage layer.
     _cold = None
     _cold_reader = None
 
@@ -212,16 +233,15 @@ class TiltTimeFrame:
         self._promote(level + 1)
 
     # ------------------------------------------------------------------
-    # Cloning (cheap engine-side cell spawning)
+    # Cloning
     # ------------------------------------------------------------------
     def clone(self) -> "TiltTimeFrame":
         """An exact, independent copy of this frame's state.
 
         Slots hold immutable ISBs, so the copy shares them; only the deques
         are duplicated.  Skips ``__init__`` validation — the levels were
-        validated when this frame was built.  The stream engine uses this to
-        spawn a new cell's frame from its zero-backfilled prototype in O(L)
-        instead of replaying every sealed quarter.
+        validated when this frame was built.  A page store's clock is
+        copied this way for every snapshot, in O(L).
         """
         other = object.__new__(TiltTimeFrame)
         other.levels = self.levels
@@ -263,8 +283,8 @@ class TiltTimeFrame:
         retained slots are installed verbatim — restored frames are
         bit-identical to the originals, slot for slot, including eviction
         accounting.  Passing an already-validated ``levels`` tuple shared
-        by sibling frames keeps the engine's identity-based alignment fast
-        path intact after a restore.
+        by sibling frames keeps the identity-based alignment fast path
+        (:meth:`aligned_with`) intact after a restore.
         """
         frame = cls(levels, origin=origin)
         if len(slots) != len(frame.levels):
@@ -291,7 +311,7 @@ class TiltTimeFrame:
         """
         if self._next_tick != other._next_tick or self.origin != other.origin:
             return False
-        # Identity first: engine frames share one levels tuple via clone().
+        # Identity first: clones and restored siblings share one levels tuple.
         if self.levels is not other.levels and self.levels != other.levels:
             return False
         for a, b in zip(self._slots, other._slots):
@@ -320,9 +340,9 @@ class TiltTimeFrame:
         position of ``-1`` marks a *cold* (demoted) slot that
         :meth:`slots_at` faults back in.  The plan depends only on slot
         *boundaries*, so frames that are :meth:`aligned_with` each other —
-        and share one cold index — share one plan: the engine computes it
-        once and gathers every cell's slots with :meth:`slots_at`, then
-        merges all cells in one grouped Theorem 3.3 kernel call.
+        and share one cold index — share one plan: the stream engine plans
+        once on its page store's clock and merges the planned pages down
+        their rows in one grouped Theorem 3.3 kernel call.
 
         Planning is two-tier.  The *canonical* pass decomposes finest-first
         over the slots a storage-free frame would retain (resident slots
@@ -439,7 +459,6 @@ class TiltTimeFrame:
 def bulk_insert(
     frames: Sequence[TiltTimeFrame],
     isbs: Iterable[ISB],
-    assume_aligned: bool = False,
 ) -> None:
     """Insert one finest-level slot into many aligned frames at once.
 
@@ -448,22 +467,19 @@ def bulk_insert(
     call per level (:func:`repro.regression.kernels.merge_time_grid`)
     instead of one ``merge_time`` per frame.  Aligned frames promote at the
     same boundaries with the same child intervals, which is what makes the
-    grid shape possible — the stream engine keeps every cell's frame on one
-    global quarter grid for exactly this reason.
+    grid shape possible.  (:meth:`TiltPages.seal` is the same operation for
+    series that *never* leave alignment, with the frames replaced by rows.)
 
     Numeric note: the kernel folds each frame's children sequentially where
     scalar ``merge_time`` uses ``math.fsum``, so promoted slots agree with
     the scalar path to ulps, not bits (see :mod:`repro.regression.kernels`).
     Each frame's slots are computed from that frame's values alone, so
     results do not depend on how many frames share the batch — a cell seals
-    identically on a 1-cell shard and a 10,000-cell engine.
+    identically on a 1-cell shard and a 10,000-cell engine, and a batch of
+    one frame is the reference for one row of a page store.
 
     Falls back to per-frame :meth:`TiltTimeFrame.insert` when numpy is
-    unavailable or the frames are not aligned.  ``assume_aligned=True``
-    skips the per-frame alignment check — only for callers that *own* the
-    frames and maintain alignment as an invariant (the stream engine, whose
-    frames are all clones of one prototype advanced in lockstep); a
-    misaligned frame would silently receive a slot at the wrong position.
+    unavailable or the frames are not aligned.
     """
     frames = list(frames)
     isb_list = list(isbs)
@@ -474,9 +490,8 @@ def bulk_insert(
     if not frames:
         return
     first = frames[0]
-    if not kernels.HAVE_NUMPY or not (
-        assume_aligned
-        or all(f is first or f.aligned_with(first) for f in frames[1:])
+    if not kernels.HAVE_NUMPY or not all(
+        f is first or f.aligned_with(first) for f in frames[1:]
     ):
         for frame, isb in zip(frames, isb_list):
             frame.insert(isb)
@@ -516,3 +531,285 @@ def bulk_insert(
                 frame._evicted += 1
             target.append(slot)
         level += 1
+
+
+# ----------------------------------------------------------------------
+# The page-columnar frame: many aligned series behind one clock
+# ----------------------------------------------------------------------
+
+#: One float64 column over a page's rows: a numpy array when numpy imports,
+#: an ``array('d')`` otherwise — 8 bytes a row either way.
+Column = Any
+#: ``(base, slope)`` columns of one slot interval.
+Page = tuple[Column, Column]
+#: A page with its interval: ``(t_b, t_e, base, slope)``.
+Piece = tuple[int, int, Column, Column]
+
+
+def _filled(head: Column, n: int, fill: float) -> Column:
+    """``head`` extended to ``n`` rows with ``fill`` (as is when it fits)."""
+    if len(head) == n:
+        return head
+    if kernels.HAVE_NUMPY:
+        out = np.full(n, fill, dtype=np.float64)
+        out[: len(head)] = head
+        return out
+    out = array("d", head)
+    out.extend([fill] * (n - len(head)))
+    return out
+
+
+class TiltPages:
+    """The tilt frames of many aligned series, stored by slot, not by series.
+
+    Series that advance in lockstep on one grid — every m-layer cell of a
+    stream engine — promote at the same boundaries over the same intervals,
+    so a frame per series repeats one clock N times and pays a Python
+    :class:`ISB` per series per slot.  Here the clock exists once and each
+    retained slot is one *page*: a ``(base, slope)`` pair of float64 columns
+    with one row per series — 16 bytes per series per slot, the shape
+    :class:`repro.storage.pages.ColdPage` gives a demoted slot.
+
+    ``clock``
+        A :class:`TiltTimeFrame` that carries no series of its own: levels,
+        ``now``, the eviction count, the cold seam and
+        :meth:`~TiltTimeFrame.window_plan` are the clock's, and the slot at
+        ``(level, pos)`` holds page ``(level, pos)``'s interval and *zero
+        row* — what an always-idle series holds there.
+
+    **The zero-row rule.**  Rows are numbered in the order series joined,
+    and a page is as long as the number of series that existed when it was
+    sealed: a series that joined later has no row in it and reads the
+    page's zero row instead.  That is exactly the zero backfill a frame of
+    its own would have held, with nothing materialized.
+
+    Pages are never written after they are sealed, so copies (snapshots)
+    share their columns.
+    """
+
+    __slots__ = ("clock", "_pages")
+
+    def __init__(
+        self,
+        clock: TiltTimeFrame,
+        pages: Sequence[Sequence[Page]] | None = None,
+    ) -> None:
+        self.clock = clock
+        if pages is None:
+            pages = [()] * len(clock.levels)
+        if len(pages) != len(clock.levels):
+            raise TiltFrameError(
+                f"page store has {len(pages)} page levels for "
+                f"{len(clock.levels)} level specs"
+            )
+        self._pages: list[Deque[Page]] = []
+        for spec, slots, level_pages in zip(clock.levels, clock._slots, pages):
+            if len(level_pages) != len(slots):
+                raise TiltFrameError(
+                    f"level {spec.name!r} holds {len(level_pages)} pages "
+                    f"for the clock's {len(slots)} slots"
+                )
+            for base, slope in level_pages:
+                if len(base) != len(slope):
+                    raise TiltFrameError(
+                        f"level {spec.name!r}: a page's base and slope "
+                        "columns differ in length"
+                    )
+            self._pages.append(deque(level_pages, maxlen=spec.capacity))
+
+    def copy(self) -> "TiltPages":
+        """An independent store over the same (immutable) page columns."""
+        return TiltPages(self.clock.clone(), self._pages)
+
+    def pages(self, level: int) -> tuple[Page, ...]:
+        """The retained pages of a level, oldest first."""
+        return tuple(self._pages[level])
+
+    @property
+    def max_rows(self) -> int:
+        """Rows of the longest retained page (0 with nothing sealed)."""
+        return max(
+            (len(base) for level in self._pages for base, _ in level),
+            default=0,
+        )
+
+    def column(self, level: int, pos: int, n: int) -> Page:
+        """Page ``(level, pos)`` over ``n`` rows, zero row where it is short."""
+        zero = self.clock._slots[level][pos]
+        base, slope = self._pages[level][pos]
+        return _filled(base, n, zero.base), _filled(slope, n, zero.slope)
+
+    # ------------------------------------------------------------------
+    # Sealing / promotion
+    # ------------------------------------------------------------------
+    def seal(self, base: Column, slope: Column) -> None:
+        """Append the next finest-level page and run its promotions.
+
+        Per series this is :meth:`TiltTimeFrame.insert`; across series it is
+        :func:`bulk_insert` — with numpy one
+        :func:`~repro.regression.kernels.merge_time_grid` per completed
+        coarser unit over the last ``ratio`` pages (each row's arithmetic is
+        that row's alone, so the result is bit-identical to ``bulk_insert``
+        over one frame per series), scalar :func:`merge_time` per row
+        without.  The zero row rides along as one extra row, so a promoted
+        page's zero row is the promotion of its children's zero rows.
+        """
+        clock = self.clock
+        levels = clock.levels
+        unit = levels[0].unit_ticks
+        lo = clock._next_tick
+        clock._slots[0].append(ISB(lo, lo + unit - 1, 0.0, 0.0))
+        self._pages[0].append((base, slope))
+        clock._next_tick = lo + unit
+        n = len(base)
+        level = 0
+        while level + 1 < len(levels):
+            coarse = levels[level + 1]
+            if (clock._next_tick - clock.origin) % coarse.unit_ticks != 0:
+                break
+            zeros = clock._slots[level]
+            ratio = coarse.unit_ticks // levels[level].unit_ticks
+            if len(zeros) < ratio:  # partial history at startup
+                break
+            first = len(zeros) - ratio
+            # n + 1 rows each: the fill past a page's end is its zero row,
+            # so the last row of the merge is the promoted zero row.
+            children = [
+                (zeros[pos].t_b, zeros[pos].t_e, *self.column(level, pos, n + 1))
+                for pos in range(first, first + ratio)
+            ]
+            if kernels.HAVE_NUMPY:
+                merged = merge_grid(children)
+                base, slope = merged.base, merged.slope
+            else:
+                rows = merge_rows(children)
+                base = array("d", [isb.base for isb in rows])
+                slope = array("d", [isb.slope for isb in rows])
+            target = clock._slots[level + 1]
+            if len(target) == target.maxlen and level + 2 == len(levels):
+                clock._evicted += 1
+            target.append(
+                ISB(
+                    children[0][0],
+                    children[-1][1],
+                    float(base[n]),
+                    float(slope[n]),
+                )
+            )
+            self._pages[level + 1].append((base[:n], slope[:n]))
+            level += 1
+
+    def oldest(self, level: int) -> tuple[ISB, Page] | None:
+        """A level's oldest retained slot — the clock's slot (interval and
+        zero row) and the page — or ``None`` when the level is empty."""
+        if not self._pages[level]:
+            return None
+        return self.clock._slots[level][0], self._pages[level][0]
+
+    def pop_oldest(self, level: int) -> None:
+        """Drop a level's oldest slot (it has been demoted)."""
+        self.clock._slots[level].popleft()
+        self._pages[level].popleft()
+
+    # ------------------------------------------------------------------
+    # Row selection and per-series views
+    # ------------------------------------------------------------------
+    @classmethod
+    def gather(
+        cls, parts: Sequence[tuple["TiltPages", Sequence[int]]]
+    ) -> "TiltPages":
+        """A new store whose rows are the listed rows of each part, in order.
+
+        The parts must share one clock state (the first part's is cloned).
+        One part is a row selection (pruning); several are a re-partition.
+        A row a page is too short for is taken from the page's zero row.
+        """
+        template = parts[0][0]
+        pages: list[list[Page]] = []
+        for level, zeros in enumerate(template.clock._slots):
+            level_pages: list[Page] = []
+            for pos, zero in enumerate(zeros):
+                taken = [
+                    (
+                        take_rows(store._pages[level][pos][0], rows, zero.base),
+                        take_rows(store._pages[level][pos][1], rows, zero.slope),
+                    )
+                    for store, rows in parts
+                ]
+                level_pages.append(
+                    (
+                        _concat([base for base, _ in taken]),
+                        _concat([slope for _, slope in taken]),
+                    )
+                )
+            pages.append(level_pages)
+        return cls(template.clock.clone(), pages)
+
+    def frame_of(self, row: int) -> TiltTimeFrame:
+        """Row ``row``'s series as a frame of its own (the reference view).
+
+        Slot for slot what :meth:`TiltTimeFrame.insert` would have built for
+        that series alone; independent of this store.
+        """
+        clock = self.clock
+        slots = []
+        for zeros, level_pages in zip(clock._slots, self._pages):
+            slots.append(
+                [
+                    ISB(zero.t_b, zero.t_e, float(base[row]), float(slope[row]))
+                    if row < len(base)
+                    else zero
+                    for zero, (base, slope) in zip(zeros, level_pages)
+                ]
+            )
+        return TiltTimeFrame.from_state(
+            clock.levels, clock.origin, clock.now, clock.evicted_slots, slots
+        )
+
+
+def take_rows(column: Column, rows: Sequence[int], fill: float) -> Column:
+    """``column[rows]``, with ``fill`` for rows the column does not have
+    (negative, or past its end) — the zero-row rule as a gather."""
+    size = len(column)
+    if kernels.HAVE_NUMPY:
+        index = np.asarray(rows, dtype=np.intp)
+        out = np.full(len(index), fill, dtype=np.float64)
+        present = (index >= 0) & (index < size)
+        out[present] = column[index[present]]
+        return out
+    return array("d", [column[i] if 0 <= i < size else fill for i in rows])
+
+
+def _concat(columns: Sequence[Column]) -> Column:
+    if len(columns) == 1:
+        return columns[0]
+    if kernels.HAVE_NUMPY:
+        return np.concatenate(columns)
+    out = array("d")
+    for column in columns:
+        out.extend(column)
+    return out
+
+
+def merge_grid(pieces: Sequence[Piece]) -> "kernels.ISBColumns":
+    """Theorem 3.3 down the rows of time-adjacent pages, one kernel call
+    (:func:`~repro.regression.kernels.merge_time_grid`; numpy only).  A
+    single piece is returned as it is — no arithmetic, as ``query`` does."""
+    columns = [kernels.ISBColumns.over(*piece) for piece in pieces]
+    return columns[0] if len(columns) == 1 else kernels.merge_time_grid(columns)
+
+
+def merge_rows(pieces: Sequence[Piece]) -> list[ISB]:
+    """Scalar Theorem 3.3 (:func:`merge_time`) down each row of
+    time-adjacent pages — what :meth:`TiltTimeFrame.query` computes for one
+    series, for every row; the reference for :func:`merge_grid`."""
+    lists = [
+        (t_b, t_e, base.tolist(), slope.tolist())
+        for t_b, t_e, base, slope in pieces
+    ]
+    return [
+        merge_time(
+            [ISB(t_b, t_e, base[i], slope[i]) for t_b, t_e, base, slope in lists]
+        )
+        for i in range(len(lists[0][2]))
+    ]

@@ -8,6 +8,7 @@ its counters, seeding and validation get direct coverage.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -145,6 +146,39 @@ class TestInjectorSemantics:
             inj.check("store.read")  # must not raise
         with pytest.raises(OSError):
             inj.check("store.read")
+
+    def test_after_counts_the_calling_threads_operations(self):
+        """Other threads' traffic never moves a rule onto this thread's retry.
+
+        ``page-bitflip`` spaces its EIO three reads after its bit flip so
+        the two never share one read's single retry.  The interleaving
+        below — the flipped read on one thread, two clean reads on another,
+        then the first thread's retry — put the EIO on that retry while
+        ``after`` counted process-wide (the fault-matrix flake).
+        """
+        inj = FaultInjector(preset_plan("page-bitflip"))
+
+        def read() -> bytes:
+            inj.check("store.read")
+            return inj.corrupt("store.read", b"page")
+
+        assert read() != b"page"  # attempt 1: the bit flip
+
+        def two_clean_reads():
+            for _ in range(2):
+                assert read() == b"page"
+
+        other = threading.Thread(target=two_clean_reads)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert read() == b"page"  # the retry: 4th read overall, 2nd here
+        assert read() == b"page"
+        with pytest.raises(OSError):  # this thread's own 4th read
+            read()
+        assert read() == b"page"  # whose retry is clean again
+        assert [row["fired"] for row in inj.stats()] == [1, 1]
+        assert inj.stats()[1]["seen"] == 7  # stats still count every thread
 
     def test_count_zero_is_unlimited(self):
         inj = FaultInjector(self.plan(count=0))

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -15,6 +19,7 @@ from repro.service.http import StreamCubeService, make_server
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.storage import StorageConfig
+from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
 from repro.verify.oracle import RawStreamOracle, assert_cells_equal
 
@@ -592,3 +597,151 @@ class TestLiveServer:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+@pytest.fixture
+def live(loaded):
+    """The loaded service behind ``make_server`` on a real socket."""
+    server = make_server(loaded, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield loaded, server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _raw_exchange(sock, request: bytes) -> tuple[int, dict]:
+    """Send raw bytes, read exactly one JSON response off the socket."""
+    sock.sendall(request)
+    reader = sock.makefile("rb")
+    status = int(reader.readline().split()[1])
+    length = 0
+    while True:
+        line = reader.readline().strip()
+        if not line:
+            break
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    return status, json.loads(reader.read(length))
+
+
+class TestTransport:
+    """One write per response: no Nagle + delayed-ACK floor, same bytes."""
+
+    def test_small_round_trips_on_a_keep_alive_connection_are_fast(self, live):
+        # Two writes per response park every small answer behind the
+        # client's delayed ACK (>= 40 ms by kernel timer); the handler
+        # itself takes well under a millisecond.
+        _, port = live
+        ingest = json.dumps(
+            {
+                "records": [
+                    {"values": [0, 0], "t": 6 * TPQ, "z": float(i)}
+                    for i in range(5)
+                ]
+            }
+        ).encode("utf-8")
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            for method, path, body in (
+                ("GET", "/healthz", None),
+                ("POST", "/ingest", ingest),
+            ):
+                trips = []
+                for _ in range(30):
+                    start = time.perf_counter()
+                    conn.request(
+                        method,
+                        path,
+                        body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    response.read()
+                    trips.append(time.perf_counter() - start)
+                    assert response.status == 200
+                assert statistics.median(trips) < 0.020, (path, trips)
+        finally:
+            conn.close()
+
+    def test_a_large_answer_is_byte_equal_to_the_in_process_body(self, policy):
+        # A 32 x 32 o-layer: the deck is well past one TCP segment.
+        wide = DatasetSpec(2, 2, 32, 1).build_layers()
+        cube = ShardedStreamCube(wide, policy, n_shards=2, ticks_per_quarter=TPQ)
+        service = StreamCubeService(cube, QueryRouter(cube, window_quarters=4))
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        try:
+            rows = [
+                {"values": [32 * a, 32 * b], "t": t, "z": 1.0 + a * t / 7 + b}
+                for t in range(4 * TPQ)
+                for a in range(32)
+                for b in range(32)
+            ]
+            service.handle("POST", "/ingest", {"records": rows})
+            service.handle("POST", "/advance", {"t": 4 * TPQ})
+            spec = {"op": "observation_deck"}
+            status, body = service.handle("POST", "/query", spec)
+            assert status == 200
+            expected = json.dumps(body).encode("utf-8")
+            assert len(expected) > 80_000
+            conn.request("POST", "/query", body=json.dumps(spec).encode())
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.read() == expected
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            service.close()
+
+
+class TestHttpEdges:
+    """Malformed framing answers a typed error, never a dead socket."""
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_typed_400_and_the_connection_lives(
+        self, live, length
+    ):
+        _, port = live
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            status, body = _raw_exchange(
+                sock,
+                b"POST /ingest HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode(),
+            )
+            assert status == 400
+            assert body["type"] == "BadRequest"
+            assert length in body["error"]
+            status, body = _raw_exchange(
+                sock, b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            assert status == 200 and body["status"] == "ok"
+
+    def test_an_oversized_body_is_refused_unread_with_a_typed_413(self, live):
+        from repro.service.http import MAX_BODY_BYTES
+
+        service, port = live
+        before = service.cube.records_ingested
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            status, body = _raw_exchange(
+                sock,
+                b"POST /ingest HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+                + b'{"records": []}',
+            )
+            assert status == 413
+            assert body["type"] == "PayloadTooLarge"
+            # The unread body makes the stream unusable: the server closes.
+            assert sock.recv(1) == b""
+        assert service.cube.records_ingested == before

@@ -123,9 +123,7 @@ class TestSpillAndFault:
     def test_resident_state_is_bounded_by_the_hot_set(self, tmp_path, backend):
         def resident(engine):
             return sum(
-                len(cell.frame.slots(i))
-                for cell in engine._cells.values()
-                for i in range(len(engine._frame_levels))
+                engine.frame_of(key).total_retained for key in engine._cells
             )
 
         eng_mid, ref_mid, _, s1 = make_trio(

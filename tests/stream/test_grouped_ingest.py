@@ -72,8 +72,9 @@ def assert_engines_identical(a: StreamCubeEngine, b: StreamCubeEngine):
         assert sa.tick_sums == sb.tick_sums
         assert sa.last_active_quarter == sb.last_active_quarter
         # Same retained slots at every granularity, bit for bit.
-        assert list(sa.frame.all_slots()) == list(sb.frame.all_slots())
-        assert sa.frame.now == sb.frame.now
+        fa, fb = a.frame_of(key), b.frame_of(key)
+        assert list(fa.all_slots()) == list(fb.all_slots())
+        assert fa.now == fb.now
 
 
 @given(

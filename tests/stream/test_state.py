@@ -10,6 +10,7 @@ is bit-identical too.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -21,7 +22,7 @@ from repro.cube.hierarchy import FanoutHierarchy
 from repro.cube.layers import CriticalLayers
 from repro.cube.schema import CubeSchema, Dimension
 from repro.cubing.policy import GlobalSlopeThreshold
-from repro.errors import CodecError, SchemaError, StreamError
+from repro.errors import CodecError, SchemaError, StreamError, TiltFrameError
 from repro.io import (
     engine_state_from_dict,
     engine_state_to_dict,
@@ -32,8 +33,7 @@ from repro.io import (
 )
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.records import StreamRecord
-from repro.stream.state import EngineState
-from repro.tilt.frame import TiltLevelSpec, TiltTimeFrame
+from repro.tilt.frame import TiltLevelSpec, TiltPages, TiltTimeFrame
 
 TPQ = 4
 
@@ -74,9 +74,10 @@ def assert_engines_identical(a: StreamCubeEngine, b: StreamCubeEngine) -> None:
         sa, sb = a._cells[key], b._cells[key]
         assert sa.tick_sums == sb.tick_sums
         assert sa.last_active_quarter == sb.last_active_quarter
-        assert list(sa.frame.all_slots()) == list(sb.frame.all_slots())
-        assert sa.frame.now == sb.frame.now
-        assert sa.frame.evicted_slots == sb.frame.evicted_slots
+        fa, fb = a.frame_of(key), b.frame_of(key)
+        assert list(fa.all_slots()) == list(fb.all_slots())
+        assert fa.now == fb.now
+        assert fa.evicted_slots == fb.evicted_slots
 
 
 class TestTiltFrameCodec:
@@ -179,40 +180,36 @@ class TestEngineSnapshot:
         with pytest.raises(StreamError, match="ticks_per_quarter"):
             other.load_state(engine.snapshot())
 
-    def test_misaligned_snapshot_frame_raises(self):
+    def test_inconsistent_snapshots_are_refused(self):
+        """A desynced clock, or pages with rows no cell owns, never load."""
         engine = make_engine()
         engine.ingest_many(random_records(6, 80, 4))
         state = engine.snapshot()
-        key = next(iter(state.cells))
-        broken = dict(state.cells)
-        victim = broken[key]
-        stale = engine._zero_frame.clone()
-        stale._next_tick += TPQ  # desync the clock
-        broken[key] = type(victim)(
-            frame=stale,
-            tick_sums=victim.tick_sums,
-            last_active_quarter=victim.last_active_quarter,
-        )
-        bad = EngineState(
-            ticks_per_quarter=state.ticks_per_quarter,
-            frame_levels=state.frame_levels,
-            current_quarter=state.current_quarter,
-            records_ingested=state.records_ingested,
-            zero_frame=state.zero_frame,
-            cells=broken,
-        )
-        with pytest.raises(StreamError, match="not aligned"):
-            StreamCubeEngine.restore(bad, engine.layers, engine.policy)
+        stale = state.tilt.copy()
+        stale.clock._next_tick += TPQ  # desync the clock
+        with pytest.raises(StreamError, match="disagrees"):
+            StreamCubeEngine.restore(
+                dataclasses.replace(state, tilt=stale),
+                engine.layers,
+                engine.policy,
+            )
+        orphaned = dict(list(state.cells.items())[:1])
+        with pytest.raises(StreamError, match="rows for"):
+            StreamCubeEngine.restore(
+                dataclasses.replace(state, cells=orphaned),
+                engine.layers,
+                engine.policy,
+            )
 
-    def test_restored_engine_keeps_bulk_fast_paths(self):
-        """Restored frames must share one levels tuple (identity alignment)."""
+    def test_a_snapshot_shares_page_columns_instead_of_copying_them(self):
         engine = make_engine()
         engine.ingest_many(random_records(7, 100, 4))
-        wire = engine_state_to_dict(engine.snapshot())
-        state = engine_state_from_dict(wire)
-        restored = StreamCubeEngine.restore(state, engine.layers, engine.policy)
-        frames = [s.frame for s in restored._cells.values()]
-        assert all(f.levels is restored._zero_frame.levels for f in frames)
+        state = engine.snapshot()
+        for level in range(len(state.frame_levels)):
+            for mine, theirs in zip(
+                engine._tilt.pages(level), state.tilt.pages(level)
+            ):
+                assert mine[0] is theirs[0] and mine[1] is theirs[1]
 
     def test_prune_composes_with_restore(self):
         """Pruned cells stay pruned; last_active_quarter survives."""
@@ -250,7 +247,7 @@ def v1_payload(engine: StreamCubeEngine) -> dict:
     payload["cells"] = [
         {
             "values": list(values),
-            "frame": frame_to_dict(cell.frame),
+            "frame": frame_to_dict(engine.frame_of(values)),
             "tick_sums": [[t, z] for t, z in cell.tick_sums.items()],
             "last_active_quarter": cell.last_active_quarter,
         }
@@ -287,19 +284,18 @@ class TestPackedStateCodec:
         with pytest.raises(CodecError, match="engine_state"):
             engine_state_from_dict(wire)
 
-    def test_unaligned_cell_is_refused_by_the_encoder(self):
-        engine = self.loaded_engine()
-        state = engine.snapshot()
-        key, victim = next(iter(state.cells.items()))
-        stale = state.zero_frame.clone()
-        stale._next_tick += TPQ  # desync the clock
-        state.cells[key] = type(victim)(
-            frame=stale,
-            tick_sums=victim.tick_sums,
-            last_active_quarter=victim.last_active_quarter,
-        )
-        with pytest.raises(CodecError, match="not aligned"):
-            engine_state_to_dict(state)
+    def test_rows_no_cell_owns_are_refused_by_the_encoder(self):
+        state = self.loaded_engine().snapshot()
+        orphaned = dict(list(state.cells.items())[:1])
+        with pytest.raises(CodecError, match="rows for"):
+            engine_state_to_dict(dataclasses.replace(state, cells=orphaned))
+
+    def test_pages_out_of_step_with_the_clock_are_refused(self):
+        state = self.loaded_engine().snapshot()
+        pages = [list(state.tilt.pages(i)) for i in range(len(state.frame_levels))]
+        pages[0].pop()
+        with pytest.raises(TiltFrameError, match="pages"):
+            TiltPages(state.tilt.clock, pages)
 
     def test_packed_form_is_substantially_smaller(self):
         engine = self.loaded_engine()
