@@ -111,7 +111,7 @@ def _resident_slots(engine: StreamCubeEngine) -> int:
     # Every cell retains the clock's slots; one frame_of() reads the count.
     if not engine.tracked_cells:
         return 0
-    first = next(iter(engine._cells))
+    first = next(iter(engine._rows))
     return engine.frame_of(first).total_retained * engine.tracked_cells
 
 

@@ -13,7 +13,11 @@ Each method's arguments and result have a tiny, explicit codec
 (:func:`encode_args` / :func:`decode_args` / :func:`encode_result` /
 :func:`decode_result`) built on the PR 2 cell payload codecs and the PR 4
 engine-state codecs in :mod:`repro.io` — no pickling anywhere, so the
-protocol is inspectable and version-diffable.
+protocol is inspectable and version-diffable.  Ingest batches cross as the
+engine's coded segments (:data:`repro.stream.engine.Segment`):
+``[quarter, keys, group, ticks, z]`` — each distinct cell key once, then
+three aligned number lists with one entry per record, ``group[i]`` the
+index of record ``i``'s key.
 
 Failure classification
 ----------------------
@@ -49,6 +53,7 @@ from repro.io import (
     engine_state_from_dict,
     engine_state_to_dict,
 )
+from repro.regression import kernels
 from repro.stream.records import StreamRecord
 
 __all__ = [
@@ -145,15 +150,22 @@ def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
 # Method argument / result codecs
 # ---------------------------------------------------------------------------
 def _encode_segments(segments: list) -> list:
-    """``(quarter, {key: (ticks, values)})`` segments as JSON rows.
+    """Coded ``(quarter, keys, group, ticks, z)`` segments as JSON rows.
 
-    Keys are m-layer value tuples (schema values: ints and strings), which
-    JSON round-trips exactly; group order is preserved, which the grouped
-    ingest contract requires.
+    ``keys`` — the segment's distinct m-layer value tuples (schema values:
+    ints and strings), which JSON round-trips exactly — ride once; the
+    three aligned record columns ride as plain number lists.  Key order and
+    record order are preserved, which the ingest contract requires.
     """
     return [
-        [quarter, [[list(key), ts, zs] for key, (ts, zs) in groups.items()]]
-        for quarter, groups in segments
+        [
+            quarter,
+            [list(key) for key in keys],
+            group.tolist(),
+            ticks.tolist(),
+            z.tolist(),
+        ]
+        for quarter, keys, group, ticks, z in segments
     ]
 
 
@@ -161,15 +173,12 @@ def _decode_segments(payload: list) -> list:
     return [
         (
             int(quarter),
-            {
-                tuple(key): (
-                    [int(t) for t in ts],
-                    [float(z) for z in zs],
-                )
-                for key, ts, zs in rows
-            },
+            [tuple(key) for key in keys],
+            kernels.int_column(group),
+            kernels.int_column(ticks),
+            kernels.float_column(z),
         )
-        for quarter, rows in payload
+        for quarter, keys, group, ticks, z in payload
     ]
 
 

@@ -50,17 +50,23 @@ Numeric compatibility contract
   suite.
 
 When numpy is unavailable (:data:`HAVE_NUMPY` is ``False``) every caller
-falls back to the scalar reference path; the kernels themselves raise
-:class:`~repro.errors.AggregationError` if invoked.
+falls back to the scalar reference path; the ISB kernels themselves raise
+:class:`~repro.errors.AggregationError` if invoked.  The exception is the
+last section, the ingest columns and the open-quarter accumulator: those
+are the stream engine's only write path, so each function there has two
+bodies over one flat layout — numpy arrays, or ``array('q')`` /
+``array('d')`` / ``bytearray`` with scalar loops.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import AggregationError
 from repro.regression.isb import ISB
+from repro.regression.linear import RunningRegression
 
 try:  # numpy is a normal dependency, but every consumer degrades gracefully
     import numpy as np
@@ -86,6 +92,20 @@ __all__ = [
     "first_seen_groups",
     "distinct_count",
     "group_merge",
+    "int_column",
+    "float_column",
+    "zeros",
+    "grown",
+    "take",
+    "put",
+    "at_least",
+    "quarter_order",
+    "group_counts",
+    "split_groups",
+    "open_slots",
+    "open_add",
+    "open_seal",
+    "open_ticks",
 ]
 
 #: Below this many rows the numpy call overhead outweighs the vector win;
@@ -605,3 +625,241 @@ def group_merge(
     _require_numpy()
     gid, first = first_seen_groups(keys)
     return _merge_by_group(cols, gid, first), first
+
+
+# ----------------------------------------------------------------------
+# Ingest columns and the open-quarter accumulator (numpy or scalar)
+# ----------------------------------------------------------------------
+
+#: One flat column: a numpy array when numpy imports, otherwise an
+#: ``array('q')`` (ints), ``array('d')`` (floats) or ``bytearray`` (masks).
+Column = Any
+
+
+def int_column(items: Iterable[int]) -> Column:
+    """An int64 column; :class:`OverflowError` for a value outside int64."""
+    if HAVE_NUMPY:
+        return np.fromiter(items, dtype=np.int64)
+    return array("q", items)
+
+
+def float_column(items: Iterable[float]) -> Column:
+    """A float64 column."""
+    if HAVE_NUMPY:
+        return np.fromiter(items, dtype=np.float64)
+    return array("d", items)
+
+
+def zeros(code: str, n: int) -> Column:
+    """``n`` zeros of ``array`` typecode ``code``: ``'q'``, ``'d'``, or
+    ``'B'`` for a mask."""
+    if HAVE_NUMPY:
+        return np.zeros(n, dtype=code)
+    return bytearray(n) if code == "B" else array(code, bytes(8 * n))
+
+
+def grown(column: Column, n: int) -> Column:
+    """``column`` zero-extended to at least ``n`` entries (capacity doubles
+    on the numpy side, so appending rows one at a time stays amortized)."""
+    have = len(column)
+    if n <= have:
+        return column
+    if HAVE_NUMPY:
+        out = np.zeros(max(n, 2 * have), dtype=column.dtype)
+        out[:have] = column
+        return out
+    column.extend(bytes(n - have))  # n - have items, each 0
+    return column
+
+
+def take(column: Column, index: Sequence[int]) -> Column:
+    """``column[index]`` — a gather, in the order given."""
+    if HAVE_NUMPY:
+        return column[index]
+    return array(column.typecode, [column[i] for i in index])
+
+
+def put(column: Column, index: Column, value: int) -> None:
+    """``column[index] = value`` — a scatter of one value."""
+    if HAVE_NUMPY:
+        column[index] = value
+    else:
+        for i in index:
+            column[i] = value
+
+
+def at_least(column: Column, n: int, floor: int) -> list[int]:
+    """The indices below ``n`` whose entry is ``>= floor``, ascending."""
+    if HAVE_NUMPY:
+        return np.flatnonzero(column[:n] >= floor).tolist()
+    return [i for i in range(n) if column[i] >= floor]
+
+
+def quarter_order(
+    ticks: Column, ticks_per_quarter: int, floor: int
+) -> tuple[Column, int]:
+    """Every tick's quarter, and the first record breaking quarter order.
+
+    A record is out of order when its quarter lies below ``floor`` (the
+    clock: that quarter is sealed) or below the record's before it; ``-1``
+    when the batch is in order.
+    """
+    if HAVE_NUMPY:
+        quarters = ticks // ticks_per_quarter
+        bad = quarters < floor
+        bad[1:] |= quarters[1:] < quarters[:-1]
+        return quarters, int(bad.argmax()) if bad.any() else -1
+    quarters = array("q", [t // ticks_per_quarter for t in ticks])
+    high = floor
+    for i, quarter in enumerate(quarters):
+        if quarter < high:
+            return quarters, i
+        high = quarter
+    return quarters, -1
+
+
+def group_counts(group: Column, n_groups: int) -> list[int]:
+    """Records per group code."""
+    if HAVE_NUMPY:
+        return np.bincount(group, minlength=n_groups).tolist()
+    counts = [0] * n_groups
+    for g in group:
+        counts[g] += 1
+    return counts
+
+
+def split_groups(
+    group: Column, part_of: Column, n_parts: int
+) -> list[tuple[list[int], Column, Column] | None]:
+    """Split coded records by a per-*group* part assignment.
+
+    ``group`` holds one group code per record, ``part_of[g]`` the part group
+    ``g`` goes to.  Per part: ``(groups, records, codes)`` — the group codes
+    it takes (ascending), the indices of its records (ascending, so arrival
+    order survives) and those records' codes renumbered into ``groups`` —
+    or ``None`` for a part that takes nothing.  Groups stay whole.
+    """
+    parts: list[tuple[list[int], Column, Column] | None] = [None] * n_parts
+    if HAVE_NUMPY:
+        of_record = part_of[group]
+        local = np.empty(len(part_of), dtype=np.int64)
+        for part in range(n_parts):
+            groups = np.flatnonzero(part_of == part)
+            if len(groups):
+                local[groups] = np.arange(len(groups))
+                records = np.flatnonzero(of_record == part)
+                parts[part] = (groups.tolist(), records, local[group[records]])
+        return parts
+    local_of: list[int] = []
+    for g, part in enumerate(part_of):
+        if parts[part] is None:
+            parts[part] = ([], array("q"), array("q"))
+        local_of.append(len(parts[part][0]))
+        parts[part][0].append(g)
+    for i, g in enumerate(group):
+        _, records, codes = parts[part_of[g]]
+        records.append(i)
+        codes.append(local_of[g])
+    return parts
+
+
+def open_slots(
+    rows: Column, group: Column, ticks: Column, lo: int, ticks_per_quarter: int
+) -> Column:
+    """Every record's slot in the open-quarter layout.
+
+    The open quarter is flat and row-major: the sum of cell row ``r`` at
+    tick ``t`` of the quarter starting at ``lo`` lives at slot
+    ``r * ticks_per_quarter + (t - lo)``.  ``rows[group[i]]`` is record
+    ``i``'s cell row.
+    """
+    if HAVE_NUMPY:
+        offsets = ticks - lo
+        if len(offsets) and (
+            int(offsets.min()) < 0 or int(offsets.max()) >= ticks_per_quarter
+        ):
+            raise AggregationError(
+                "recorded ticks fall outside the window "
+                f"[{lo}, {lo + ticks_per_quarter - 1}]"
+            )
+        return rows[group] * ticks_per_quarter + offsets
+    slots = array("q")
+    for g, t in zip(group, ticks):
+        if not 0 <= t - lo < ticks_per_quarter:
+            raise AggregationError(
+                "recorded ticks fall outside the window "
+                f"[{lo}, {lo + ticks_per_quarter - 1}]"
+            )
+        slots.append(rows[g] * ticks_per_quarter + t - lo)
+    return slots
+
+
+def open_add(sums: Column, present: Column, slots: Column, z: Column) -> None:
+    """Ordered scatter-add of ``z`` into the open quarter's ``sums``.
+
+    ``np.add.at`` is unbuffered: it performs ``sums[slot] += z`` record by
+    record, in order — the very IEEE additions a per-record loop does,
+    earlier batches' partial sums included, so the result is bit-identical
+    to record-at-a-time ingestion (which ``np.bincount`` into a non-empty
+    accumulator is not).
+    """
+    if HAVE_NUMPY:
+        np.add.at(sums, slots, z)
+        present[slots] = 1
+    else:
+        for slot, value in zip(slots, z):
+            sums[slot] += value
+            present[slot] = 1
+
+
+def open_seal(
+    sums: Column, present: Column, n_rows: int, ticks_per_quarter: int, lo: int
+) -> tuple[Column, Column]:
+    """Fit and clear the open quarter: ``(base, slope)`` columns, a row per cell.
+
+    Row-major non-zeros of ``present`` are each cell's ticks in ascending
+    order, cells in row order — :func:`group_fit`'s input as it stands, no
+    per-cell loop and no sort.  The scalar body folds the same ticks in the
+    same order through :class:`~repro.regression.linear.RunningRegression`,
+    which ``group_fit`` replicates bit for bit.  Rows with nothing recorded
+    stay the zero line.
+    """
+    hi = lo + ticks_per_quarter - 1
+    base, slope = zeros("d", n_rows), zeros("d", n_rows)
+    if HAVE_NUMPY:
+        slots = np.flatnonzero(present[: n_rows * ticks_per_quarter])
+        if len(slots):
+            rows = slots // ticks_per_quarter
+            heads = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            base[rows[heads]], slope[rows[heads]] = group_fit(
+                lo + slots % ticks_per_quarter, sums[slots], heads, lo, hi
+            )
+            sums[slots] = 0.0
+            present[slots] = 0
+        return base, slope
+    end = n_rows * ticks_per_quarter
+    slot = present.find(1, 0, end)
+    while slot >= 0:
+        row = slot // ticks_per_quarter
+        first = row * ticks_per_quarter
+        running = RunningRegression()
+        for s in range(slot, first + ticks_per_quarter):
+            if present[s]:
+                running.add(lo + s - first, sums[s])
+                sums[s] = 0.0
+                present[s] = 0
+        fit = running.fit_window(lo, hi)
+        base[row], slope[row] = fit.base, fit.slope
+        slot = present.find(1, first + ticks_per_quarter, end)
+    return base, slope
+
+
+def open_ticks(
+    sums: Column, present: Column, n_slots: int
+) -> tuple[list[int], list[float]]:
+    """The open quarter's recorded ``(slots, sums)``, slots ascending."""
+    if HAVE_NUMPY:
+        slots = np.flatnonzero(present[:n_slots])
+        return slots.tolist(), sums[slots].tolist()
+    slots = [s for s in range(n_slots) if present[s]]
+    return slots, [sums[s] for s in slots]

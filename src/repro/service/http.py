@@ -78,19 +78,18 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Hashable, Mapping
+from typing import Any, Mapping
 from urllib.parse import parse_qsl
 
 from repro.errors import ReproError, ServiceError
 from repro.io import spec_from_dict
+from repro.regression import kernels
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
-from repro.stream.records import StreamRecord
+from repro.stream.records import RecordColumns
 
 __all__ = ["StreamCubeService", "make_server", "serve"]
-
-Values = tuple[Hashable, ...]
 
 #: Largest request body the handler will read; a longer ``Content-Length``
 #: is answered 413 without reading it.  (A 2,000-record ingest batch is
@@ -98,10 +97,47 @@ Values = tuple[Hashable, ...]
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
-def _values_of(payload: Any) -> Values:
-    if not isinstance(payload, list):
-        raise ServiceError(f"'values' must be a list, got {type(payload).__name__}")
-    return tuple(payload)
+def _record_columns(rows: list[Any]) -> RecordColumns:
+    """The parsed ``records`` rows of an ``/ingest`` body as columns.
+
+    This is where rows stop: three column extractions and one bulk
+    coercion, no per-record object.  The bulk form takes only what needs no
+    coercion — ``values`` a list, ``t`` an ``int`` (not a ``bool``), ``z``
+    an ``int`` or ``float``; any other batch re-runs row by row through
+    ``int()`` / ``float()``, which accepts what those accept (``"7"``,
+    ``7.9``, ``true``) and answers the rest with the typed 400 and message
+    it always had.  A tick outside int64 is refused by the coercion.
+    """
+    try:
+        values = [row["values"] for row in rows]
+        ticks = [row["t"] for row in rows]
+        zs = [row["z"] for row in rows]
+        plain = (
+            set(map(type, values)) <= {list}
+            and set(map(type, ticks)) <= {int}
+            and set(map(type, zs)) <= {int, float}
+        )
+    except (KeyError, TypeError):
+        plain = False
+    try:
+        if not plain:
+            values, ticks, zs = [], [], []
+            for row in rows:
+                if not isinstance(row["values"], list):
+                    raise ServiceError(
+                        "'values' must be a list, got "
+                        f"{type(row['values']).__name__}"
+                    )
+                values.append(row["values"])
+                ticks.append(int(row["t"]))
+                zs.append(float(row["z"]))
+        return RecordColumns(
+            list(map(tuple, values)),
+            kernels.int_column(ticks),
+            kernels.float_column(zs),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ServiceError(f"malformed record in batch: {exc}") from exc
 
 
 class StreamCubeService:
@@ -331,18 +367,7 @@ class StreamCubeService:
         rows = payload.get("records")
         if not isinstance(rows, list):
             raise ServiceError("ingest payload needs a 'records' list")
-        try:
-            records = [
-                StreamRecord(
-                    values=_values_of(row["values"]),
-                    t=int(row["t"]),
-                    z=float(row["z"]),
-                )
-                for row in rows
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"malformed record in batch: {exc}") from exc
-        count = self.cube.ingest_batch(records)
+        count = self.cube.ingest_batch(_record_columns(rows))
         self._maybe_snapshot()
         return {
             "ingested": count,
@@ -352,7 +377,7 @@ class StreamCubeService:
     def advance(self, payload: dict[str, Any]) -> dict[str, Any]:
         try:
             t = int(payload["t"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ServiceError("advance payload needs an integer 't'") from exc
         self.cube.advance_to(t)
         self._maybe_snapshot()

@@ -54,6 +54,7 @@ from repro.io import (
     payload_checksum,
     write_atomic,
 )
+from repro.regression import kernels
 from repro.regression.isb import ISB
 from repro.service.locks import ShardLockTable
 from repro.service.merge import disjoint_union
@@ -65,13 +66,16 @@ from repro.storage import (
 from repro.stream.engine import (
     Algorithm,
     KeyFn,
+    Segment,
     StreamCubeEngine,
     change_window_bounds,
+    check_seal_horizon,
+    group_segments,
     o_layer_change_from_windows,
     run_cubing,
     validate_quarter_order,
 )
-from repro.stream.records import StreamRecord
+from repro.stream.records import RecordColumns, StreamRecord
 from repro.stream.state import EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import TiltLevelSpec, TiltPages
@@ -84,8 +88,10 @@ _MANIFEST = "manifest.json"
 _SNAPSHOT_FORMAT = "repro-snapshot"
 
 #: Bound on the parent-side key -> shard routing cache (cleared wholesale
-#: when exceeded; routing is a pure function, so the cache is only a
-#: blake2b saver, never a correctness surface).
+#: when exceeded).  An entry memoizes validate-then-route, a pure function
+#: of the schema and the shard count: a key is in it only after it passed
+#: schema validation, so the batch path validates each key once, not once
+#: per batch — dropping entries only costs a re-validation and a blake2b.
 _ROUTE_CACHE_LIMIT = 1 << 20
 
 
@@ -104,6 +110,48 @@ def stable_shard_index(values: Values, n_shards: int) -> int:
         digest_size=8,
     )
     return int.from_bytes(digest.digest(), "big") % n_shards
+
+
+def _n_records(segments: list[Segment]) -> int:
+    return sum(len(group) for _, _, group, _, _ in segments)
+
+
+def _split(
+    segment: Segment, part_of: kernels.Column, n_parts: int
+) -> list[Segment | None]:
+    """``segment`` split by a per-*key* part assignment: one segment a part
+    (``None`` for a part no key goes to), groups whole, key order and record
+    order kept (:func:`repro.regression.kernels.split_groups`)."""
+    quarter, keys, group, ticks, z = segment
+    return [
+        part
+        and (
+            quarter,
+            [keys[g] for g in part[0]],
+            part[2],
+            kernels.take(ticks, part[1]),
+            kernels.take(z, part[1]),
+        )
+        for part in kernels.split_groups(group, part_of, n_parts)
+    ]
+
+
+def _chunks(segment: Segment, target: int) -> list[Segment]:
+    """``segment`` as pieces of roughly ``target`` records, cut between
+    groups (the segment itself when it is small enough)."""
+    _, keys, group, _, _ = segment
+    if len(group) <= target:
+        return [segment]
+    piece_of: list[int] = []
+    piece = filled = 0
+    for count in kernels.group_counts(group, len(keys)):
+        piece_of.append(piece)
+        filled += count
+        if filled >= target:
+            piece, filled = piece + 1, 0
+    return list(
+        filter(None, _split(segment, kernels.int_column(piece_of), piece + 1))
+    )
 
 
 def _repartition_states(
@@ -227,10 +275,7 @@ class ShardedStreamCube:
         self.layers = layers
         self.policy = policy
         self.wal = wal
-        self._key_fn_arg = key_fn
-        self.key_fn: KeyFn = key_fn if key_fn is not None else (
-            lambda record: record.values
-        )
+        self.key_fn = key_fn
         self.ticks_per_quarter = ticks_per_quarter
         levels = list(frame_levels) if frame_levels is not None else None
         self._frame_levels = levels
@@ -319,7 +364,7 @@ class ShardedStreamCube:
                 n_shards=n_shards,
                 layers=self.layers,
                 policy=self.policy,
-                key_fn=self._key_fn_arg,
+                key_fn=self.key_fn,
                 ticks_per_quarter=self.ticks_per_quarter,
                 frame_levels=self._frame_levels,
                 storage_root=(
@@ -418,15 +463,21 @@ class ShardedStreamCube:
         return [c[2] for c in self._backend.counters()]
 
     def shard_index(self, values: Values) -> int:
-        """The shard owning an m-layer key (cached: routing is pure)."""
+        """The shard owning an m-layer key (routing is pure)."""
         key = tuple(values)
-        cache = self._route_cache
-        idx = cache.get(key)
+        idx = self._route_cache.get(key)
         if idx is None:
-            if len(cache) >= _ROUTE_CACHE_LIMIT:
-                cache.clear()
             idx = stable_shard_index(key, self._backend.n_shards)
-            cache[key] = idx
+        return idx
+
+    def _admit(self, key: Values) -> int:
+        """Schema-validate a key the batch path has not routed before, then
+        route it and remember both (see :data:`_ROUTE_CACHE_LIMIT`)."""
+        self._validate_values(key)
+        cache = self._route_cache
+        if len(cache) >= _ROUTE_CACHE_LIMIT:
+            cache.clear()
+        idx = cache[key] = stable_shard_index(key, self._backend.n_shards)
         return idx
 
     def parallel_stats(self) -> dict[str, Any]:
@@ -520,27 +571,26 @@ class ShardedStreamCube:
     def ingest(self, record: StreamRecord) -> None:
         """Ingest one record on its owner shard, keeping shards aligned."""
         with self._write_mutex:
-            key = self.key_fn(record)
+            key = (
+                record.values if self.key_fn is None else self.key_fn(record)
+            )
             idx = self.shard_index(key)
             backend = self._backend
+            current = self.current_quarter
             quarter = record.t // self.ticks_per_quarter
+            # Validate before journaling or touching a shard: a rejected
+            # record leaves no trace, and a journaled one never fails on
+            # replay (the owner shard re-checks all three conditions).
+            if quarter < current:
+                raise StreamError(
+                    f"record at t={record.t} belongs to sealed quarter "
+                    f"{quarter} (current quarter is {current})"
+                )
+            check_seal_horizon(record.t, quarter, current)
+            self._validate_values(tuple(key))
             if self.wal is not None:
-                # Validate before journaling: a journaled record must never
-                # fail on replay (the owner shard re-checks both conditions).
-                if quarter < self.current_quarter:
-                    raise StreamError(
-                        f"record at t={record.t} belongs to sealed quarter "
-                        f"{quarter} (current quarter is "
-                        f"{self.current_quarter})"
-                    )
-                if isinstance(backend, InprocBackend):
-                    owner = backend.engines[idx]
-                    if key not in owner._cells:
-                        owner.validate_cell_key(key)
-                else:
-                    self._validate_values(tuple(key))
                 self.wal.append_batch([record], quarter)
-            if quarter > self.current_quarter:
+            if quarter > current:
                 # Sealing: every shard's clock moves, so every shard is
                 # write-locked — no reader can observe a misaligned fleet.
                 with self._locks.write_all():
@@ -554,95 +604,64 @@ class ShardedStreamCube:
                 with self._locks.write([idx]):
                     backend.call(idx, "ingest", record)
 
-    def ingest_batch(self, records: Iterable[StreamRecord]) -> int:
-        """Group a quarter-ordered batch per shard and dispatch in parallel.
+    def ingest_batch(
+        self, records: RecordColumns | Iterable[StreamRecord]
+    ) -> int:
+        """Route a quarter-ordered batch per shard and dispatch in parallel.
 
         The batch obeys the same validation contract as
         :meth:`StreamCubeEngine.ingest_many` — quarters non-decreasing,
-        none sealed — checked against the *global* order before any shard
-        is touched, so a bad batch mutates nothing; with a WAL attached,
-        cell keys are additionally schema-validated before the batch is
-        journaled, so a rejected batch can never poison the log.
-        Returns the number of records ingested.
+        none sealed, the last within the seal horizon — checked against the
+        *global* order, and every cell key this cube has not routed before
+        is schema-validated, all before the journal or any shard is touched:
+        a bad batch mutates nothing (with or without a WAL), so a client
+        can fix and resend it, and a rejected batch can never poison the
+        log.  Records are converted to columns here, at the door; a caller
+        that already holds :class:`~repro.stream.records.RecordColumns`
+        (the HTTP edge) passes them as they are.  Returns the number of
+        records ingested.
         """
-        batch = list(records)
-        if not batch:
+        batch = RecordColumns.of(records)
+        if not len(batch):
             return 0
         with self._write_mutex:
             return self._ingest_batch_locked(batch)
 
-    def _ingest_batch_locked(self, batch: list[StreamRecord]) -> int:
-        quarters = validate_quarter_order(
-            batch, self.current_quarter, self.ticks_per_quarter
-        )
-        # One routing pass does all the per-record work: key once, hash
-        # once (through the route cache), and bucket straight into the
-        # per-quarter, per-cell groups the engines apply (so nothing
-        # downstream touches records again).  The segment shape built here
-        # must mirror what StreamCubeEngine.ingest_grouped builds — both
-        # feed apply_segments' (quarter, {key: (ticks, values)}) contract.
+    def _ingest_batch_locked(self, batch: RecordColumns) -> int:
         backend = self._backend
-        n_shards = backend.n_shards
-        key_fn = self.key_fn
-        route_cache = self._route_cache
-        segments: list[list] = [[] for _ in range(n_shards)]
-        current: list = [None] * n_shards
-        counts = [0] * n_shards
-        for record, quarter in zip(batch, quarters):
-            key = key_fn(record)
-            idx = route_cache.get(key)
-            if idx is None:
-                if len(route_cache) >= _ROUTE_CACHE_LIMIT:
-                    route_cache.clear()
-                idx = stable_shard_index(key, n_shards)
-                route_cache[key] = idx
-            segment = current[idx]
-            if segment is None or segment[0] != quarter:
-                segment = (quarter, {})
-                current[idx] = segment
-                segments[idx].append(segment)
-            groups = segment[1]
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = ([], [])
-            group[0].append(record.t)
-            group[1].append(record.z)
-            counts[idx] += 1
+        current = self.current_quarter
+        quarters = validate_quarter_order(
+            batch.ticks, current, self.ticks_per_quarter
+        )
+        top = int(quarters[-1])
+        segments = self._route(
+            group_segments(
+                batch.keys(self.key_fn), batch.ticks, batch.z, quarters
+            )
+        )
         if self.wal is not None:
-            # Journal integrity: validate cell keys before the batch is
-            # journaled, so the log can never hold a batch that would fail
-            # on replay.  WAL-off skips the pass entirely.  The in-process
-            # backend checks only keys its engines have not seen; the
-            # process backend validates every key parent-side (strictly
-            # stronger, and it saves a round trip per shard).
-            if isinstance(backend, InprocBackend):
-                for engine, shard_segments in zip(
-                    backend.engines, segments
-                ):
-                    engine.validate_segment_keys(shard_segments)
-            else:
-                validate = self._validate_values
-                for _, groups in itertools.chain.from_iterable(segments):
-                    for key in groups:
-                        validate(key)
-            self.wal.append_batch(batch, quarters[-1])
+            self.wal.append_batch(batch, top)
         # Readers are fenced out only while engine state actually changes:
         # a sealing batch (its top quarter passes the cube clock) moves
         # every shard's clock, so it holds every write lock across apply +
         # align; a mid-quarter batch locks just the shards it touches.
-        sealing = quarters[-1] > self.current_quarter
+        sealing = top > current
         if sealing:
             lock_ctx = self._locks.write_all()
         else:
             lock_ctx = self._locks.write(
-                [i for i in range(n_shards) if segments[i]]
+                [i for i, shard_segments in enumerate(segments) if shard_segments]
             )
         with lock_ctx:
             if isinstance(backend, ProcessBackend):
                 self._dispatch_chunked(backend, segments)
             else:
                 backend.map(
-                    "apply_segments", list(zip(segments, counts))
+                    "apply_segments",
+                    [
+                        (shard_segments, _n_records(shard_segments))
+                        for shard_segments in segments
+                    ],
                 )
             if sealing:
                 self._align(max(c[0] for c in backend.counters()))
@@ -650,53 +669,77 @@ class ShardedStreamCube:
             self._notify_seal()
         return len(batch)
 
+    def _route(self, batch_segments: list[Segment]) -> list[list[Segment]]:
+        """Split a batch's coded segments into one segment list per shard.
+
+        Routing runs once per *distinct* key, through the route cache; a
+        key the cache has not seen is schema-validated first
+        (:meth:`_admit`), so a batch with an out-of-schema key raises here,
+        before the journal or any shard sees it.  The records follow their
+        key's group code (:func:`repro.regression.kernels.split_groups`),
+        keeping arrival order within every shard and first-seen key order
+        — so each shard bears its cells and folds its sums exactly as a
+        single engine fed the whole batch would.
+        """
+        n_shards = self._backend.n_shards
+        cache = self._route_cache
+        routed: list[list[Segment]] = [[] for _ in range(n_shards)]
+        for segment in batch_segments:
+            keys = segment[1]
+            try:
+                owners = kernels.int_column(map(cache.get, keys))
+            except TypeError:  # a None: some of the keys are new to the cube
+                owners = kernels.int_column(
+                    [
+                        cache[key] if key in cache else self._admit(key)
+                        for key in keys
+                    ]
+                )
+            if n_shards == 1:
+                routed[0].append(segment)
+                continue
+            for shard, part in enumerate(_split(segment, owners, n_shards)):
+                if part is not None:
+                    routed[shard].append(part)
+        return routed
+
     def _dispatch_chunked(
-        self, backend: ProcessBackend, segments: list[list]
+        self, backend: ProcessBackend, segments: list[list[Segment]]
     ) -> None:
         """Pipelined dispatch of one routed batch to the worker fleet.
 
-        Each shard's segments are split at group (cell) boundaries into
-        chunks of roughly ``ingest_chunk`` records and submitted
-        round-robin, so workers start applying the head of the batch while
-        the parent is still encoding its tail — the parent's serial
-        routing/encoding cost hides behind worker compute.  Chunking is
-        bit-identical to one-shot dispatch: groups stay whole, per-shard
-        quarter order is preserved, and ``apply_segments`` is associative
-        over group-aligned splits (the engine folds each group with one
-        ``add_many`` either way).
+        Each shard's segments are cut into chunks of roughly
+        ``ingest_chunk`` records and submitted round-robin, so workers
+        start applying the head of the batch while the parent is still
+        encoding its tail — the parent's serial routing/encoding cost
+        hides behind worker compute.  A segment larger than the target is
+        split on group-code ranges: groups stay whole, each piece keeps the
+        arrival order of its records, and the pieces' keys are consecutive
+        runs of the segment's, so the worker bears cells and folds sums as
+        one-shot dispatch would (see
+        :meth:`StreamCubeEngine.apply_segments`).
         """
         target = self._cluster.ingest_chunk
-        per_shard_chunks: list[list[tuple[list, int]]] = []
+        per_shard_chunks: list[list[tuple[list[Segment], int]]] = []
         for shard_segments in segments:
-            chunks: list[tuple[list, int]] = []
-            chunk: list = []
+            chunks: list[tuple[list[Segment], int]] = []
+            chunk: list[Segment] = []
             chunk_records = 0
-            chunk_groups: dict | None = None
-            chunk_quarter = -1
-            for quarter, groups in shard_segments:
-                chunk_groups = None
-                for key, (ts, zs) in groups.items():
-                    if chunk_groups is None or chunk_quarter != quarter:
-                        chunk_groups = {}
-                        chunk.append((quarter, chunk_groups))
-                        chunk_quarter = quarter
-                    chunk_groups[key] = (ts, zs)
-                    chunk_records += len(ts)
+            for segment in shard_segments:
+                for piece in _chunks(segment, target):
+                    chunk.append(piece)
+                    chunk_records += len(piece[2])
                     if chunk_records >= target:
                         chunks.append((chunk, chunk_records))
-                        chunk = []
-                        chunk_records = 0
-                        chunk_groups = None
+                        chunk, chunk_records = [], 0
             if chunk:
                 chunks.append((chunk, chunk_records))
             per_shard_chunks.append(chunks)
         pending: list[tuple[int, tuple, Any]] = []
         for round_ in itertools.zip_longest(*per_shard_chunks):
-            for shard, item in enumerate(round_):
-                if item is None:
+            for shard, args in enumerate(round_):
+                if args is None:
                     continue
-                chunk, chunk_records = item
-                args = (chunk, chunk_records)
                 pending.append(
                     (
                         shard,
@@ -714,7 +757,10 @@ class ShardedStreamCube:
         engine's :meth:`~repro.stream.engine.StreamCubeEngine.advance_to`)."""
         with self._write_mutex:
             quarter = t // self.ticks_per_quarter
-            sealing = quarter > self.current_quarter
+            current = self.current_quarter
+            sealing = quarter > current
+            if sealing:
+                check_seal_horizon(t, quarter, current)
             if self.wal is not None and sealing:
                 self.wal.append_advance(t, quarter)
             if sealing:
@@ -1135,7 +1181,7 @@ class ShardedStreamCube:
             states,
             self.layers,
             self.policy,
-            key_fn=self._key_fn_arg,
+            key_fn=self.key_fn,
             n_shards=new_n,
             max_workers=max_workers,
             wal=None,
@@ -1259,44 +1305,32 @@ class ShardedStreamCube:
     def _replay_into_shard(self, shard: int, after_seq: int) -> None:
         """Replay the WAL tail (``seq > after_seq``) into one shard.
 
-        Batches are re-routed record by record (``stable_shard_index`` is
-        process-stable, so every record lands on the same owner it did
-        originally) and re-grouped into the same segment shape the live
-        dispatch built.  Alignment advances are *derived* state and not
+        Batches are re-routed through the live path's own routing
+        (``stable_shard_index`` is process-stable, so every record lands on
+        the same owner it did originally) and this shard's segments
+        applied.  Alignment advances are *derived* state and not
         journaled, so the final explicit ``advance_to`` re-seals the shard
         up to the cube clock — deferred sealing is bit-identical because
         each quarter's accumulator is complete before it seals either way.
         """
         tpq = self.ticks_per_quarter
-        n_shards = self._backend.n_shards
-        key_fn = self.key_fn
         submit = self._backend.submit
         for entry in self.wal.entries(after_seq=after_seq):
             if entry.kind == "advance":
                 submit(shard, "advance_to", entry.t).result()
                 continue
             assert entry.records is not None
-            segments: list = []
-            groups: dict | None = None
-            segment_quarter = -1
-            count = 0
-            for record in entry.records:
-                key = key_fn(record)
-                if stable_shard_index(tuple(key), n_shards) != shard:
-                    continue
-                quarter = record.t // tpq
-                if groups is None or quarter != segment_quarter:
-                    groups = {}
-                    segments.append((quarter, groups))
-                    segment_quarter = quarter
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = group = ([], [])
-                group[0].append(record.t)
-                group[1].append(record.z)
-                count += 1
+            batch = RecordColumns.of(entry.records)
+            quarters, _ = kernels.quarter_order(batch.ticks, tpq, 0)
+            segments = self._route(
+                group_segments(
+                    batch.keys(self.key_fn), batch.ticks, batch.z, quarters
+                )
+            )[shard]
             if segments:
-                submit(shard, "apply_segments", segments, count).result()
+                submit(
+                    shard, "apply_segments", segments, _n_records(segments)
+                ).result()
         submit(
             shard, "advance_to", self.current_quarter * tpq
         ).result()

@@ -3,7 +3,12 @@
 from repro.stream.engine import StreamCubeEngine, engine_frame_levels
 from repro.stream.generator import DatasetSpec, GeneratedDataset, generate_dataset
 from repro.stream.power_grid import PowerGridConfig, PowerGridSimulator, USER_GROUPS
-from repro.stream.records import StreamRecord, sort_records, validate_monotonic
+from repro.stream.records import (
+    RecordColumns,
+    StreamRecord,
+    sort_records,
+    validate_monotonic,
+)
 from repro.stream.replay import capture, replay_records, write_records
 from repro.stream.sliding import SlidingWindowRegression
 from repro.stream.state import CellSnapshot, EngineState
@@ -17,6 +22,7 @@ __all__ = [
     "DatasetSpec",
     "GeneratedDataset",
     "generate_dataset",
+    "RecordColumns",
     "StreamRecord",
     "sort_records",
     "validate_monotonic",

@@ -22,6 +22,22 @@ as they are.  Rows are numbered in the order cells were born; a cell born
 (or revived) after a page was sealed has no row in it and reads that page's
 *zero row* — the one rule that backfills late cells, hot page or cold.
 
+The *open* quarter is columnar too.  Within it, readings are accumulated
+per tick — several records of one cell at the same tick are *summed* (the
+point-wise standard-dimension semantics of Section 3.3: a cell's series is
+the sum of its contributing streams) — and the quarter's ISB is fitted over
+the per-tick sums at sealing time.  The engine maps each cell key to its
+row and keeps four flat columns over the rows: ``sums`` and a ``present``
+mask, row-major with ``ticks_per_quarter`` slots a row — tick ``t`` of the
+quarter starting at ``lo`` is slot ``row * ticks_per_quarter + (t - lo)`` —
+plus ``last_active_quarter`` and ``cold_since``, one entry a row (9 bytes a
+tick and 16 a cell; no per-cell object).  Batches arrive as *coded
+segments*, ``(quarter, keys, group, ticks, z)``: the segment's distinct cell
+keys in first-seen order and three aligned columns, ``group[i]`` indexing
+record ``i``'s key.  Applying one is a row lookup per distinct key and one
+ordered scatter-add (:func:`repro.regression.kernels.open_add`); sealing is
+the ``present`` mask handed to the grouped fit as it stands.
+
 Time units: records carry *primitive* ticks (e.g. minutes);
 ``ticks_per_quarter`` primitive ticks form one finest tilt-frame slot.
 """
@@ -29,8 +45,9 @@ Time units: records carry *primitive* ticks (e.g. minutes);
 from __future__ import annotations
 
 import threading
-from array import array
-from collections import OrderedDict
+from bisect import bisect_right
+from collections import OrderedDict, defaultdict
+from itertools import count, filterfalse
 from typing import Any, Callable, Hashable, Iterable, Literal
 
 from repro.cube.lattice import PopularPath
@@ -44,11 +61,10 @@ from repro.cubing.result import CubeResult
 from repro.errors import StreamError, TiltFrameError
 from repro.regression import kernels
 from repro.regression.isb import ISB
-from repro.regression.linear import RunningRegression
 from repro.storage.base import ColdStore
 from repro.storage.pages import ColdPage
 from repro.storage.spill import ColdIndex, demotion_cutoffs
-from repro.stream.records import StreamRecord
+from repro.stream.records import RecordColumns, StreamRecord
 from repro.stream.state import CellSnapshot, EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import (
@@ -61,12 +77,13 @@ from repro.tilt.frame import (
     merge_rows,
 )
 
-if kernels.HAVE_NUMPY:
-    import numpy as np
-
 __all__ = [
+    "MAX_QUARTERS_AHEAD",
+    "Segment",
     "StreamCubeEngine",
+    "check_seal_horizon",
     "engine_frame_levels",
+    "group_segments",
     "o_layer_change_from_windows",
     "run_cubing",
     "validate_quarter_order",
@@ -76,39 +93,92 @@ __all__ = [
 Values = tuple[Hashable, ...]
 KeyFn = Callable[[StreamRecord], Values]
 Algorithm = Literal["mo", "popular", "multiway", "full"]
+#: One quarter of a batch, interned: ``(quarter, keys, group, ticks, z)`` —
+#: the distinct cell keys in first-seen order, and per record (arrival
+#: order) its key's index in ``keys``, its tick and its value.
+Segment = tuple[int, list[Values], kernels.Column, kernels.Column, kernels.Column]
+
+#: How far past the clock one batch or advance may reach, in quarters (one
+#: month, the coarsest Fig 4 unit).  Every quarter in between is sealed one
+#: by one under every shard's write lock, so a single far-future tick would
+#: otherwise stall the service for as long as it likes; a stream quiet for
+#: longer than this advances in several calls.
+MAX_QUARTERS_AHEAD = 4 * 24 * 31
+
+
+def check_seal_horizon(t: int, quarter: int, current_quarter: int) -> None:
+    """Refuse a tick that would seal more than :data:`MAX_QUARTERS_AHEAD`
+    quarters at once (before anything is journaled or mutated)."""
+    if quarter - current_quarter > MAX_QUARTERS_AHEAD:
+        raise StreamError(
+            f"t={t} (quarter {quarter}) is more than {MAX_QUARTERS_AHEAD} "
+            f"quarters ahead of the current quarter {current_quarter}; "
+            "advance in smaller steps — nothing ingested"
+        )
 
 
 def validate_quarter_order(
-    batch: list[StreamRecord], current_quarter: int, ticks_per_quarter: int
-) -> list[int]:
+    ticks: kernels.Column, current_quarter: int, ticks_per_quarter: int
+) -> kernels.Column:
     """Enforce the batch ordering contract before any state is mutated.
 
-    Quarters must be non-decreasing across the batch and none may precede
-    ``current_quarter``; within one quarter any tick order is fine.  Shared
-    by the single engine's :meth:`~StreamCubeEngine.ingest_many` and the
-    sharded cube's ``ingest_batch`` so the contract cannot diverge.
+    Quarters must be non-decreasing across the batch, none may precede
+    ``current_quarter`` and the last may not lie past the seal horizon
+    (:func:`check_seal_horizon`); within one quarter any tick order is fine.
+    The one body behind the single engine's
+    :meth:`~StreamCubeEngine.ingest_many` and the sharded cube's
+    ``ingest_batch``, so the contract cannot diverge.
 
-    Returns the per-record quarter indices so callers can group the batch
-    without re-deriving ``t // ticks_per_quarter`` per record.
+    Returns the quarter column of the tick column (empty batches pass).
     """
-    quarters = [record.t // ticks_per_quarter for record in batch]
-    high = current_quarter
-    for i, quarter in enumerate(quarters):
+    quarters, bad = kernels.quarter_order(
+        ticks, ticks_per_quarter, current_quarter
+    )
+    if bad >= 0:
+        t, quarter = int(ticks[bad]), int(quarters[bad])
         if quarter < current_quarter:
             raise StreamError(
-                f"batch record {i} at t={batch[i].t} belongs to sealed "
+                f"batch record {bad} at t={t} belongs to sealed "
                 f"quarter {quarter} (current quarter is {current_quarter}); "
                 "batch rejected, no records ingested"
             )
-        if quarter < high:
-            raise StreamError(
-                f"batch record {i} at t={batch[i].t} (quarter {quarter}) "
-                f"goes back past quarter {high} seen earlier in the "
-                "batch; batches must be quarter-ordered — batch "
-                "rejected, no records ingested"
-            )
-        high = quarter
+        raise StreamError(
+            f"batch record {bad} at t={t} (quarter {quarter}) "
+            f"goes back past quarter {int(quarters[bad - 1])} seen earlier "
+            "in the batch; batches must be quarter-ordered — batch "
+            "rejected, no records ingested"
+        )
+    if len(ticks):
+        check_seal_horizon(int(ticks[-1]), int(quarters[-1]), current_quarter)
     return quarters
+
+
+def group_segments(
+    keys: list[Values],
+    ticks: kernels.Column,
+    z: kernels.Column,
+    quarters: kernels.Column,
+) -> list[Segment]:
+    """Intern a quarter-ordered batch into one coded :data:`Segment` a quarter.
+
+    One ``map`` over a ``defaultdict`` that numbers keys as they first
+    appear codes the records and leaves the quarter's distinct keys in
+    first-seen order — one hash per record, no Python statement per record.
+    Pure: callers group, validate, journal, and only then apply.
+    """
+    segments: list[Segment] = []
+    start, n = 0, len(keys)
+    while start < n:
+        quarter = int(quarters[start])
+        stop = bisect_right(quarters, quarter, start)
+        part = keys if stop - start == n else keys[start:stop]
+        code: dict[Values, int] = defaultdict(count().__next__)
+        group = kernels.int_column(map(code.__getitem__, part))
+        segments.append(
+            (quarter, list(code), group, ticks[start:stop], z[start:stop])
+        )
+        start = stop
+    return segments
 
 
 def change_window_bounds(
@@ -164,93 +234,6 @@ def engine_frame_levels(ticks_per_quarter: int) -> list[TiltLevelSpec]:
     ]
 
 
-#: Minimum records in one (cell, quarter) group before the grouped ingest
-#: path builds numpy arrays; smaller groups stay on the dict loop, whose
-#: result is bit-identical (see :meth:`_CellState.add_many`).
-_GROUP_VECTOR_MIN = 16
-
-
-class _CellState:
-    """Per-m-layer-cell streaming state.
-
-    Within the current quarter, readings are accumulated per tick — several
-    records of one cell at the same tick are *summed* (the point-wise
-    standard-dimension semantics of Section 3.3: a cell's series is the sum
-    of its contributing streams) — and the quarter's ISB is fitted over the
-    per-tick sums at sealing time.  Memory per cell is O(ticks_per_quarter).
-
-    The cell's sealed history is not here: it is row ``i`` of the engine's
-    pages, ``i`` the cell's position in the engine's cell order.
-
-    ``last_active_quarter`` records the quarter of the newest record the
-    cell has received; :meth:`StreamCubeEngine.prune_idle` reads it instead
-    of probing the tilt frame.
-    """
-
-    __slots__ = ("tick_sums", "last_active_quarter", "cold_since")
-
-    def __init__(self, quarter: int) -> None:
-        self.tick_sums: dict[int, float] = {}
-        self.last_active_quarter = quarter
-        # With tiered storage: the clock at this cell's birth.  Cold pages
-        # are keyed, and one sealed *before* a cell existed may still carry
-        # a row under its key (a pruned predecessor); below this tick the
-        # cell reads the page's zero row, as it does from a hot page too
-        # short to hold its row.
-        self.cold_since = 0
-
-    def add(self, t: int, z: float) -> None:
-        self.tick_sums[t] = self.tick_sums.get(t, 0.0) + z
-
-    def add_many(self, ts: list[int], zs: list[float]) -> None:
-        """Accumulate one (cell, quarter) group of a batch.
-
-        Bit-identical to calling :meth:`add` per record: when the quarter's
-        accumulator is untouched, summing a tick's batch records left to
-        right from 0.0 (what ``np.bincount`` does) performs exactly the IEEE
-        additions the dict loop would; when partial sums already exist, the
-        group stays on the dict loop so the existing sum folds in record
-        order.
-        """
-        sums = self.tick_sums
-        if (
-            sums
-            or len(ts) < _GROUP_VECTOR_MIN
-            or not kernels.HAVE_NUMPY
-        ):
-            for t, z in zip(ts, zs):
-                sums[t] = sums.get(t, 0.0) + z
-            return
-        t_arr = np.asarray(ts, dtype=np.int64)
-        t0 = int(t_arr.min())
-        offsets = t_arr - t0
-        span = int(offsets.max()) + 1
-        totals = np.bincount(offsets, weights=zs, minlength=span)
-        present = np.bincount(offsets, minlength=span) > 0
-        ticks = (np.nonzero(present)[0] + t0).tolist()
-        for t, z in zip(ticks, totals[present].tolist()):
-            sums[t] = z
-
-    def sorted_items(self) -> list[tuple[int, float]]:
-        """The per-tick sums in ascending tick order (the sealing order)."""
-        return sorted(self.tick_sums.items())
-
-    def seal(self, lo: int, hi: int) -> ISB:
-        """Fit and clear the quarter's accumulator (scalar reference path).
-
-        Ticks are folded in ascending order — the canonical sealing order —
-        so the sealed ISB does not depend on record arrival order and
-        matches the grouped kernel (:func:`repro.regression.kernels.
-        group_fit`) bit for bit.
-        """
-        running = RunningRegression()
-        for t, z in self.sorted_items():
-            running.add(t, z)
-        self.tick_sums.clear()
-        fit = running.fit_window(lo, hi)
-        return ISB(lo, hi, fit.base, fit.slope)
-
-
 class StreamCubeEngine:
     """Incremental regression-cube maintenance over an unbounded stream.
 
@@ -302,9 +285,7 @@ class StreamCubeEngine:
             raise StreamError("hot_quarters must be >= 1")
         self.layers = layers
         self.policy = policy
-        self.key_fn: KeyFn = key_fn if key_fn is not None else (
-            lambda record: record.values
-        )
+        self.key_fn = key_fn
         self.ticks_per_quarter = ticks_per_quarter
         self._frame_levels = (
             list(frame_levels)
@@ -312,7 +293,18 @@ class StreamCubeEngine:
             else engine_frame_levels(ticks_per_quarter)
         )
         self.wal = wal
-        self._cells: dict[Values, _CellState] = {}
+        # Cell key -> row, in birth order; the open quarter's columns over
+        # those rows (see the module docstring for the layout).
+        self._rows: dict[Values, int] = {}
+        self._sums = kernels.zeros("d", 0)
+        self._present = kernels.zeros("B", 0)
+        self._last_active = kernels.zeros("q", 0)
+        # With tiered storage: the clock at each cell's birth.  Cold pages
+        # are keyed, and one sealed *before* a cell existed may still carry
+        # a row under its key (a pruned predecessor); below this tick the
+        # cell reads the page's zero row, as it does from a hot page too
+        # short to hold its row.
+        self._cold_since = kernels.zeros("q", 0)
         self._current_quarter = 0
         self._records_ingested = 0
         self._validate_values = layers.schema.values_validator(layers.m_coord)
@@ -352,7 +344,7 @@ class StreamCubeEngine:
 
     @property
     def tracked_cells(self) -> int:
-        return len(self._cells)
+        return len(self._rows)
 
     @property
     def records_ingested(self) -> int:
@@ -369,15 +361,16 @@ class StreamCubeEngine:
         in like the engine's own windows do.
         """
         key = tuple(values)
-        state = self._cells.get(key)
-        if state is None:
+        row = self._rows.get(key)
+        if row is None:
             raise StreamError(f"no data seen for cell {key}")
-        frame = self._tilt.frame_of(list(self._cells).index(key))
+        frame = self._tilt.frame_of(row)
         if self._cold is not None:
+            cold_since = int(self._cold_since[row])
 
             def read(level: int, t_b: int, t_e: int) -> ISB:
                 page = self._load_page(level, t_b, t_e)
-                if t_e < state.cold_since:
+                if t_e < cold_since:
                     return page.zero_isb()
                 return page.isb(key)
 
@@ -389,9 +382,9 @@ class StreamCubeEngine:
 
         Long-running deployments see churn — users move away, sensors are
         decommissioned — and per-cell rows are the engine's only unbounded
-        state.  Each cell tracks the quarter of its newest record
-        (``last_active_quarter``), so idleness is an O(1) comparison per
-        cell: a cell whose last record predates the window was sealed from
+        state.  The ``last_active_quarter`` column holds the quarter of each
+        cell's newest record, so idleness is one vectorized comparison: a
+        cell whose last record predates the window was sealed from
         empty accumulators throughout it, i.e. its recent slots are exactly
         the flat zero line the old frame probe looked for.  The frame is
         consulted only once per call — through the clock every cell shares
@@ -417,183 +410,156 @@ class StreamCubeEngine:
         except TiltFrameError:
             return 0  # window not fully covered: cannot prove idleness
         cutoff = self._current_quarter - window
-        alive = [
-            bool(state.tick_sums) or state.last_active_quarter >= cutoff
-            for state in self._cells.values()
-        ]
-        dropped = alive.count(False)
-        if dropped:
-            self._tilt = TiltPages.gather(
-                [(self._tilt, [i for i, keep in enumerate(alive) if keep])]
-            )
-            self._cells = {
-                key: state
-                for (key, state), keep in zip(self._cells.items(), alive)
-                if keep
+        n = len(self._rows)
+        slots, sums = kernels.open_ticks(self._sums, self._present, n * q)
+        keep = sorted(
+            {
+                *kernels.at_least(self._last_active, n, cutoff),
+                *(slot // q for slot in slots),  # still accumulating
             }
+        )
+        dropped = n - len(keep)
+        if dropped:
+            self._tilt = TiltPages.gather([(self._tilt, keep)])
+            keys = list(self._rows)
+            self._rows = {keys[row]: i for i, row in enumerate(keep)}
+            self._last_active = kernels.take(self._last_active, keep)
+            self._cold_since = kernels.take(self._cold_since, keep)
+            moved = {row: i for i, row in enumerate(keep)}
+            self._load_open(
+                [moved[slot // q] * q + slot % q for slot in slots], sums
+            )
         return dropped
+
+    def _load_open(self, slots: list[int], sums: list[float]) -> None:
+        """Fresh open-quarter columns holding ``sums`` at ``slots``
+        (adding to ``0.0`` is exact: an accumulated sum is never ``-0.0``)."""
+        size = len(self._rows) * self.ticks_per_quarter
+        self._sums = kernels.zeros("d", size)
+        self._present = kernels.zeros("B", size)
+        kernels.open_add(
+            self._sums,
+            self._present,
+            kernels.int_column(slots),
+            kernels.float_column(sums),
+        )
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def validate_cell_key(self, key: Values) -> Values:
-        """Schema-validate one m-layer key (the canonical tuple comes back).
-
-        Exposed so batch paths — here and in the sharded cube — can reject
-        a record *before* any state is mutated or any WAL entry is written:
-        a journaled batch must never fail on replay.
-        """
-        return self._validate_values(key)
-
     def ingest(self, record: StreamRecord) -> None:
         """Ingest one primitive record.
 
         Records must not go back past a sealed quarter; within the current
         quarter any order is accepted (the running sums are order-free).
-        A record that fails validation — sealed quarter or out-of-schema
-        key — is rejected before any state is mutated or journaled.
+        A record that fails validation — sealed quarter, a quarter past the
+        seal horizon, or an out-of-schema key — is rejected before any state
+        is mutated or journaled.  This is the record-at-a-time reference
+        the batch path is pinned against: one scalar ``+=`` on the same
+        slot the scatter-add would hit.
         """
-        quarter = record.t // self.ticks_per_quarter
+        tpq = self.ticks_per_quarter
+        quarter = record.t // tpq
         if quarter < self._current_quarter:
             raise StreamError(
                 f"record at t={record.t} belongs to sealed quarter {quarter} "
                 f"(current quarter is {self._current_quarter})"
             )
-        key = self.key_fn(record)
+        check_seal_horizon(record.t, quarter, self._current_quarter)
+        key = record.values if self.key_fn is None else self.key_fn(record)
+        if key not in self._rows:
+            self._validate_values(key)
         if self.wal is not None:
-            if key not in self._cells:
-                self._validate_values(key)
             self.wal.append_batch([record], quarter)
         if quarter > self._current_quarter:
             self._seal_through(quarter)
-        state = self._cells.get(key)
-        if state is None:
-            state = self._new_cell(key)
-        state.add(record.t, record.z)
-        state.last_active_quarter = quarter
+        if key not in self._rows:
+            self._new_cells([key])
+        row = self._rows[key]
+        slot = row * tpq + record.t - quarter * tpq
+        self._sums[slot] += record.z
+        self._present[slot] = 1
+        self._last_active[row] = quarter
         self._records_ingested += 1
 
-    def ingest_many(self, records: Iterable[StreamRecord]) -> None:
-        """Ingest a batch of records, validating time order up front.
+    def ingest_many(
+        self, records: RecordColumns | Iterable[StreamRecord]
+    ) -> None:
+        """Ingest a batch of records, validating it whole up front.
 
         Ordering contract: the batch's records must have non-decreasing
         *quarters* (``t // ticks_per_quarter``) and none may belong to an
         already-sealed quarter.  Within one quarter any tick order is fine —
         per-tick accumulation is order-free — but a record whose quarter
         precedes an earlier record's quarter would force sealing that the
-        stream cannot undo.  The whole batch is order-checked before any
-        state is mutated, so a bad batch raises :class:`StreamError` and
-        leaves the engine exactly as it was (no partial ingestion).
+        stream cannot undo.  Order, the seal horizon and the schema of every
+        cell key the engine has not seen are checked before any state is
+        mutated or journaled, so a bad batch raises and leaves the engine
+        (and its WAL) exactly as it was — a client may fix and resend it.
 
-        With a WAL attached, every *new* cell key is additionally
-        schema-validated up front, before journaling, so the log can never
-        hold a batch that would fail on replay.  The default (WAL-off)
-        path skips that batch-wide pass and keeps the lazy per-new-cell
-        validation — zero added overhead.
-
-        Batches take the grouped fast path: records are bucketed by
-        ``(cell, quarter)`` in one pass, sealing runs once per quarter
-        boundary, and each group applies one accumulator update — instead of
-        re-deriving the quarter and re-dispatching per record as
-        :meth:`ingest` must.  The resulting engine state is bit-identical to
-        record-at-a-time ingestion (property-pinned in
-        ``tests/stream/test_grouped_ingest.py``).
+        Records are converted to columns here, at the door
+        (:class:`~repro.stream.records.RecordColumns`, taken as it is when
+        the caller already holds one); from there the batch is interned
+        into coded segments (:func:`group_segments`), sealing runs once per
+        quarter boundary and each segment is one ordered scatter-add.  The
+        resulting engine state is bit-identical to record-at-a-time
+        :meth:`ingest` (property-pinned in
+        ``tests/stream/test_columnar_ingest.py``).
         """
-        batch = list(records)
+        batch = RecordColumns.of(records)
         quarters = validate_quarter_order(
-            batch, self._current_quarter, self.ticks_per_quarter
+            batch.ticks, self._current_quarter, self.ticks_per_quarter
         )
-        self.ingest_grouped(batch, quarters)
-
-    def ingest_grouped(
-        self,
-        batch: list[StreamRecord],
-        quarters: list[int],
-    ) -> None:
-        """Grouped ingestion of an already-validated, quarter-ordered batch.
-
-        ``quarters`` is :func:`validate_quarter_order`'s output for the
-        batch.  One pass buckets the batch into per-quarter, per-cell
-        ``(ticks, values)`` groups, then :meth:`apply_segments` seals each
-        quarter boundary once and applies one accumulator update per group.
-        With a WAL attached, the batch is journaled (after new-key
-        validation) exactly as :meth:`ingest_many` would — every accepted
-        batch reaches the log no matter which ingest surface it entered
-        through.  Callers that cannot guarantee the ordering contract must
-        use :meth:`ingest_many`.
-        """
-        segments = self.group_segments(batch, quarters)
-        if self.wal is not None and batch:
-            self.validate_segment_keys(segments)
-            self.wal.append_batch(batch, quarters[-1])
+        segments = group_segments(
+            batch.keys(self.key_fn), batch.ticks, batch.z, quarters
+        )
+        self.validate_segment_keys(segments)
+        if self.wal is not None and len(batch):
+            self.wal.append_batch(batch, segments[-1][0])
         self.apply_segments(segments, len(batch))
 
-    def group_segments(
-        self,
-        batch: list[StreamRecord],
-        quarters: list[int],
-    ) -> list[tuple[int, dict[Values, tuple[list[int], list[float]]]]]:
-        """Bucket a quarter-ordered batch into per-quarter, per-cell groups.
+    def validate_segment_keys(self, segments: list[Segment]) -> None:
+        """Schema-validate every *new* cell key in coded segments.
 
-        Pure (no engine state is touched), so callers can group, validate,
-        journal, and only then apply.
+        Runs once per distinct key (not per record) and only for keys the
+        engine has not seen, so the whole batch is accepted or rejected
+        before any accumulator, page, or journal is touched.
         """
-        key_fn = self.key_fn
-        segments: list[tuple[int, dict[Values, tuple[list[int], list[float]]]]]
-        segments = []
-        groups: dict[Values, tuple[list[int], list[float]]] | None = None
-        segment_quarter = -1
-        for record, quarter in zip(batch, quarters):
-            if groups is None or quarter != segment_quarter:
-                groups = {}
-                segments.append((quarter, groups))
-                segment_quarter = quarter
-            key = key_fn(record)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = ([], [])
-            group[0].append(record.t)
-            group[1].append(record.z)
-        return segments
+        known = self._rows.__contains__
+        for _, keys, *_ in segments:
+            for key in filterfalse(known, keys):
+                self._validate_values(key)
 
-    def validate_segment_keys(
-        self,
-        segments: list[tuple[int, dict[Values, tuple[list[int], list[float]]]]],
-    ) -> None:
-        """Schema-validate every *new* cell key in pre-grouped segments.
+    def apply_segments(self, segments: list[Segment], n_records: int) -> None:
+        """Apply coded quarter segments (the one batch write path).
 
-        Runs once per group (not per record) and only for keys the engine
-        has not seen, so the whole batch is accepted or rejected before any
-        accumulator, frame, or journal is touched.
+        Each :data:`Segment` is ``(quarter, keys, group, ticks, z)`` with
+        quarters strictly increasing, none sealed, every tick inside its
+        quarter and new keys already validated.  Cells are born in ``keys``
+        order — first-seen order, as record-at-a-time ingestion would bear
+        them — and the records land in arrival order, so splitting a
+        segment into several (by record range, or by key range as the
+        process backend's chunking does) changes nothing.  The sharded cube
+        builds these per shard in its routing pass, so a batch is interned
+        exactly once end to end.
         """
-        cells = self._cells
-        for _, groups in segments:
-            for key in groups:
-                if key not in cells:
-                    self._validate_values(key)
-
-    def apply_segments(
-        self,
-        segments: list[tuple[int, dict[Values, tuple[list[int], list[float]]]]],
-        n_records: int,
-    ) -> None:
-        """Apply pre-grouped quarter segments (the grouped-ingest backend).
-
-        Each segment is ``(quarter, {cell key -> (ticks, values)})`` with
-        quarters strictly increasing and none sealed; groups preserve record
-        order.  The sharded cube builds these per shard in its routing pass
-        so records are grouped exactly once end to end.
-        """
-        cells = self._cells
-        for quarter, groups in segments:
+        tpq = self.ticks_per_quarter
+        lookup = self._rows.get
+        for quarter, keys, group, ticks, z in segments:
             if quarter > self._current_quarter:
                 self._seal_through(quarter)
-            for key, (ts, zs) in groups.items():
-                state = cells.get(key)
-                if state is None:
-                    state = self._new_cell(key)
-                state.add_many(ts, zs)
-                state.last_active_quarter = quarter
+            try:
+                rows = kernels.int_column(map(lookup, keys))
+            except TypeError:  # a None: some of the keys are new cells
+                self._new_cells(filterfalse(self._rows.__contains__, keys))
+                rows = kernels.int_column(map(lookup, keys))
+            kernels.put(self._last_active, rows, quarter)
+            kernels.open_add(
+                self._sums,
+                self._present,
+                kernels.open_slots(rows, group, ticks, quarter * tpq, tpq),
+                z,
+            )
         self._records_ingested += n_records
 
     def advance_to(self, t: int) -> None:
@@ -604,68 +570,46 @@ class StreamCubeEngine:
         """
         quarter = t // self.ticks_per_quarter
         if quarter > self._current_quarter:
+            check_seal_horizon(t, quarter, self._current_quarter)
             if self.wal is not None:
                 self.wal.append_advance(t, quarter)
             self._seal_through(quarter)
 
-    def _new_cell(self, key: Values) -> _CellState:
-        key = self._validate_values(key)
-        # The cell takes the next row; every page sealed so far is too
-        # short to hold it and answers its zero row — the zero backfill at
-        # no spawn cost at all.
-        state = _CellState(self._current_quarter)
+    def _new_cells(self, keys: Iterable[Values]) -> None:
+        """Give each of ``keys`` (validated, not yet tracked) the next row."""
+        # Every page sealed so far is too short to hold the rows and answers
+        # its zero row — the zero backfill at no spawn cost at all.
+        rows = self._rows
+        first = len(rows)
+        for key in keys:
+            rows[key] = len(rows)
+        n, tpq = len(rows), self.ticks_per_quarter
+        self._sums = kernels.grown(self._sums, n * tpq)
+        self._present = kernels.grown(self._present, n * tpq)
+        self._last_active = kernels.grown(self._last_active, n)
+        self._cold_since = kernels.grown(self._cold_since, n)
+        born = range(first, n)
+        kernels.put(self._last_active, born, self._current_quarter)
         if self._storage is not None:
-            state.cold_since = self._tilt.clock.now
-        self._cells[key] = state
-        return state
+            kernels.put(self._cold_since, born, self._tilt.clock.now)
 
     def _seal_through(self, quarter: int) -> None:
         """Seal every quarter up to (excluding) ``quarter`` for all cells.
 
-        One grouped kernel call fits every active cell's quarter
-        (:func:`repro.regression.kernels.group_fit`, bit-identical to the
-        scalar :meth:`_CellState.seal`) and its arrays are scattered into
-        the rows of a new page, idle cells' rows staying the zero line;
-        :meth:`~repro.tilt.frame.TiltPages.seal` appends the page and runs
-        the promotions it triggers — no per-cell object is made.
+        :func:`repro.regression.kernels.open_seal` turns the open quarter's
+        ``present`` mask into one grouped kernel call
+        (:func:`~repro.regression.kernels.group_fit`) and hands back a
+        ``(base, slope)`` row per cell, idle cells' rows the zero line;
+        :meth:`~repro.tilt.frame.TiltPages.seal` appends them as a page and
+        runs the promotions it triggers — no per-cell step anywhere.
         """
         tpq = self.ticks_per_quarter
         for q in range(self._current_quarter, quarter):
-            lo = q * tpq
-            hi = lo + tpq - 1
-            states = list(self._cells.values())
-            if kernels.HAVE_NUMPY:
-                base = np.zeros(len(states), dtype=np.float64)
-                slope = np.zeros(len(states), dtype=np.float64)
-                active = np.array(
-                    [bool(state.tick_sums) for state in states], dtype=bool
+            self._tilt.seal(
+                *kernels.open_seal(
+                    self._sums, self._present, len(self._rows), tpq, q * tpq
                 )
-                if active.any():
-                    ticks: list[int] = []
-                    sums: list[float] = []
-                    starts: list[int] = []
-                    for state in states:
-                        if state.tick_sums:
-                            starts.append(len(ticks))
-                            for t, z in state.sorted_items():
-                                ticks.append(t)
-                                sums.append(z)
-                            state.tick_sums.clear()
-                    base[active], slope[active] = kernels.group_fit(
-                        np.asarray(ticks, dtype=np.int64),
-                        np.asarray(sums, dtype=np.float64),
-                        starts,
-                        lo,
-                        hi,
-                    )
-            else:
-                sealed = [
-                    state.seal(lo, hi) if state.tick_sums else None
-                    for state in states
-                ]
-                base = array("d", [isb.base if isb else 0.0 for isb in sealed])
-                slope = array("d", [isb.slope if isb else 0.0 for isb in sealed])
-            self._tilt.seal(base, slope)
+            )
             if self._storage is not None:
                 self._spill_cold()
         self._current_quarter = quarter
@@ -707,7 +651,7 @@ class StreamCubeEngine:
                 if oldest is None or oldest[0].t_e >= cutoff:
                     break
                 if keys is None:
-                    keys = list(self._cells)
+                    keys = list(self._rows)
                 zero, (base, slope) = oldest
                 self._storage.put_segment(
                     ColdPage(
@@ -764,10 +708,11 @@ class StreamCubeEngine:
         if pos >= 0:
             return self._tilt.column(level, pos, len(keys))
         page = self._load_page(level, t_b, t_e)
+        born = self._cold_since[: len(keys)].tolist()
         return page.gather(
             [
-                page.row_of(key) if state.cold_since <= t_e else -1
-                for key, state in self._cells.items()
+                page.row_of(key) if since <= t_e else -1
+                for key, since in zip(keys, born)
             ]
         )
 
@@ -777,7 +722,7 @@ class StreamCubeEngine:
             return None
         stats = self._storage.stats().to_dict()
         stats.update(
-            hot_cells=len(self._cells),
+            hot_cells=len(self._rows),
             hot_quarters=self.hot_quarters,
             cold_slots=self._cold.total_slots,
             pages_spilled=self._pages_spilled,
@@ -809,27 +754,39 @@ class StreamCubeEngine:
         """A complete, independent extract of the engine's stream state.
 
         The clock and the page lists are copied, the page columns shared
-        (sealed pages are never written again) and accumulators copied, so
-        the snapshot is immune to further ingestion at a cost independent
-        of history depth; layers/policy/key_fn are configuration and
-        deliberately not captured (see :mod:`repro.stream.state`).
-        When a WAL is attached, the snapshot records its sequence
-        high-water mark so recovery replays only what the snapshot missed.
+        (sealed pages are never written again) and the open quarter read
+        out into per-cell ``tick_sums`` (only rows with open ticks get
+        entries), so the snapshot is immune to further ingestion at a cost
+        independent of history depth; layers/policy/key_fn are
+        configuration and deliberately not captured (see
+        :mod:`repro.stream.state`).  When a WAL is attached, the snapshot
+        records its sequence high-water mark so recovery replays only what
+        the snapshot missed.
         """
+        n, tpq = len(self._rows), self.ticks_per_quarter
+        lo = self._current_quarter * tpq
+        tick_sums: list[dict[int, float]] = [{} for _ in range(n)]
+        for slot, total in zip(
+            *kernels.open_ticks(self._sums, self._present, n * tpq)
+        ):
+            tick_sums[slot // tpq][lo + slot % tpq] = total
         return EngineState(
             ticks_per_quarter=self.ticks_per_quarter,
             frame_levels=tuple(self._frame_levels),
             current_quarter=self._current_quarter,
             records_ingested=self._records_ingested,
             tilt=self._tilt.copy(),
-            cells={
-                key: CellSnapshot(
-                    tick_sums=dict(state.tick_sums),
-                    last_active_quarter=state.last_active_quarter,
-                    cold_since=state.cold_since,
+            cells=dict(
+                zip(
+                    self._rows,
+                    map(
+                        CellSnapshot,
+                        tick_sums,
+                        self._last_active[:n].tolist(),
+                        self._cold_since[:n].tolist(),
+                    ),
                 )
-                for key, state in self._cells.items()
-            },
+            ),
             wal_seq=self.wal.last_seq if self.wal is not None else 0,
             cold_spans=(
                 tuple(
@@ -881,9 +838,10 @@ class StreamCubeEngine:
         The cells, pages, accumulators, quarter clock, and record counter
         all come from the snapshot; the engine's configuration (layers,
         policy, key_fn) stays.  The snapshot's clock must agree with its
-        quarter and no page may hold more rows than there are cells — a
-        snapshot that violates that (corruption, or hand-edited state)
-        raises :class:`StreamError` before any state is replaced.
+        quarter, no page may hold more rows than there are cells and every
+        open tick must lie in the current quarter — a snapshot that
+        violates that (corruption, or hand-edited state) raises
+        :class:`StreamError` before any state is replaced.
         """
         if state.ticks_per_quarter != self.ticks_per_quarter:
             raise StreamError(
@@ -908,15 +866,32 @@ class StreamCubeEngine:
                 "snapshot has demoted (cold) history but this engine has no "
                 "cold store configured; restore with the snapshot's storage"
             )
-        cells: dict[Values, _CellState] = {}
-        for key, cell in state.cells.items():
-            restored = _CellState(cell.last_active_quarter)
-            restored.tick_sums = dict(cell.tick_sums)
-            restored.cold_since = cell.cold_since
-            cells[self._validate_values(key)] = restored
+        tpq = self.ticks_per_quarter
+        lo = state.current_quarter * tpq
+        rows: dict[Values, int] = {}
+        slots: list[int] = []
+        sums: list[float] = []
+        for row, (key, cell) in enumerate(state.cells.items()):
+            rows[self._validate_values(key)] = row
+            for t, total in cell.tick_sums.items():
+                if not lo <= t < lo + tpq:
+                    raise StreamError(
+                        f"snapshot cell {key} holds an open tick {t} outside "
+                        f"the current quarter [{lo}, {lo + tpq - 1}] "
+                        "(corrupt or inconsistent snapshot)"
+                    )
+                slots.append(row * tpq + t - lo)
+                sums.append(total)
         self._frame_levels = list(state.frame_levels)
         self._tilt = tilt
-        self._cells = cells
+        self._rows = rows
+        self._last_active = kernels.int_column(
+            [cell.last_active_quarter for cell in state.cells.values()]
+        )
+        self._cold_since = kernels.int_column(
+            [cell.cold_since for cell in state.cells.values()]
+        )
+        self._load_open(slots, sums)
         self._current_quarter = state.current_quarter
         self._records_ingested = state.records_ingested
         with self._page_lock:
@@ -945,9 +920,9 @@ class StreamCubeEngine:
         the primitive the analysis views — and the cross-shard merge in
         :mod:`repro.service` — are built from.
         """
-        if not self._cells:
+        if not self._rows:
             return {}
-        keys = list(self._cells)
+        keys = list(self._rows)
         pieces = self._window_pieces(t_b, t_e, keys)
         if kernels.HAVE_NUMPY:
             return dict(zip(keys, merge_grid(pieces).to_isbs()))
@@ -1025,9 +1000,9 @@ class StreamCubeEngine:
         clock can lag the fleet's mid-replay).
         """
         out: dict[Values, ISB] = {}
-        if not self._cells:
+        if not self._rows:
             return out
-        keys = list(self._cells)
+        keys = list(self._rows)
         # Per-cell scalar merges (fsum) on both kernel paths: the change
         # line is judged against a threshold, and its digits must not
         # depend on whether numpy imports.

@@ -5,16 +5,28 @@ e.g. ``(individual user, street address, minute) -> kWh``.  The online engine
 rolls records up to the m-layer on ingestion; the record type itself is a
 plain value object so any source (simulator, file replay, socket) can
 produce them.
+
+A *batch* does not travel as records.  :class:`RecordColumns` is a batch as
+three aligned columns, and it is what every batch entry point works on:
+``ingest_many`` / ``ingest_batch`` / ``QuarterWAL.append_batch`` convert an
+iterable of records once, at the door (:meth:`RecordColumns.of`), and the
+HTTP edge builds the columns straight from the parsed request rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from repro.errors import StreamError
+from repro.regression import kernels
 
-__all__ = ["StreamRecord", "sort_records", "validate_monotonic"]
+__all__ = [
+    "RecordColumns",
+    "StreamRecord",
+    "sort_records",
+    "validate_monotonic",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +46,58 @@ class StreamRecord:
     values: tuple[Hashable, ...]
     t: int
     z: float
+
+
+class RecordColumns:
+    """A batch of records as columns: ``values``, ``ticks``, ``z``.
+
+    ``values`` is a list of value tuples, ``ticks`` an int64 and ``z`` a
+    float64 column (:func:`repro.regression.kernels.int_column` /
+    ``float_column``: numpy arrays, or ``array`` without numpy), all in
+    arrival order.
+    """
+
+    __slots__ = ("values", "ticks", "z")
+
+    def __init__(
+        self, values: list[tuple[Hashable, ...]], ticks: Any, z: Any
+    ) -> None:
+        self.values = values
+        self.ticks = ticks
+        self.z = z
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @classmethod
+    def of(
+        cls, records: "RecordColumns | Iterable[StreamRecord]"
+    ) -> "RecordColumns":
+        """``records`` as columns (as it is when it already is)."""
+        if isinstance(records, cls):
+            return records
+        batch = list(records)
+        try:
+            ticks = kernels.int_column([record.t for record in batch])
+        except OverflowError as exc:
+            raise StreamError(f"a record's tick is outside int64: {exc}") from exc
+        return cls(
+            [record.values for record in batch],
+            ticks,
+            kernels.float_column([record.z for record in batch]),
+        )
+
+    def keys(
+        self, key_fn: Callable[[StreamRecord], tuple[Hashable, ...]] | None
+    ) -> list[tuple[Hashable, ...]]:
+        """The m-layer key column: ``values`` itself, or a custom ``key_fn``
+        mapped over the rows (the one place a batch is seen as records)."""
+        if key_fn is None:
+            return self.values
+        records = map(
+            StreamRecord, self.values, self.ticks.tolist(), self.z.tolist()
+        )
+        return [key_fn(record) for record in records]
 
 
 def sort_records(records: Iterable[StreamRecord]) -> list[StreamRecord]:

@@ -1,20 +1,26 @@
 """Explicit, serializable engine state (the durability seam).
 
-The stream engine's internals — the page-columnar tilt store, the current
-quarter's per-tick accumulators, activity bookkeeping — were
-process-private until the durability refactor.  This module names that
-state: :class:`EngineState` is a complete, self-contained extract of one
+The stream engine's internals — the page-columnar tilt store, the open
+quarter's accumulator columns, activity bookkeeping — were process-private
+until the durability refactor.  This module names that state:
+:class:`EngineState` is a complete, self-contained extract of one
 :class:`~repro.stream.engine.StreamCubeEngine`, deep enough that restoring
 it (``StreamCubeEngine.restore``) yields an engine bit-identical to the
 original, shallow enough that a snapshot never blocks ingestion for longer
 than a state copy — and the copy is small: sealed pages are immutable, so
 the snapshot *shares* the engine's page columns and copies only the clock,
-the page lists and each cell's accumulator dict.
+the page lists and the open quarter.
 
-The shape mirrors the engine's: ``tilt`` is the whole sealed history (one
-clock — the zero prototype — plus per level one ``(base, slope)`` column
-pair per retained slot, row ``i`` belonging to the ``i``-th cell of
-``cells``), and ``cells`` holds what is genuinely per cell.
+``tilt`` mirrors the engine: the whole sealed history (one clock — the
+zero prototype — plus per level one ``(base, slope)`` column pair per
+retained slot, row ``i`` belonging to the ``i``-th cell of ``cells``).
+``cells`` does not: in the engine the open quarter is four flat columns
+over the cell rows (``sums`` and ``present``, ``ticks_per_quarter`` slots a
+row, plus ``last_active_quarter`` and ``cold_since``); a snapshot reads
+them out into one :class:`CellSnapshot` per cell — a ``tick_sums`` dict
+holding entries only where the row has open ticks — and ``load_state``
+scatters them back.  That keeps this type, its codec and every file
+written by earlier builds exactly as they were.
 
 What is *not* captured: the critical layers, the exception policy, and the
 key function.  Those are code/configuration, not stream state — the caller
@@ -74,13 +80,14 @@ _PAIR = struct.Struct("<qd")
 class CellSnapshot:
     """What one m-layer cell holds beyond its rows in the page store.
 
-    ``tick_sums`` is the current unsealed quarter's per-tick accumulators,
-    ``last_active_quarter`` the activity marker ``prune_idle`` reads, and
-    ``cold_since`` the clock tick of the cell's birth (0 when tiered
-    storage is off) — cold pages older than it answer the zero row for
-    this cell, see :class:`repro.stream.engine.StreamCubeEngine`.  The
-    dict is a private copy — mutating the live engine after a snapshot
-    does not disturb the snapshot.
+    ``tick_sums`` is the cell's row of the open quarter — its per-tick sums
+    where a record has landed, in ascending tick order, empty for a cell
+    with nothing open — ``last_active_quarter`` the activity marker
+    ``prune_idle`` reads, and ``cold_since`` the clock tick of the cell's
+    birth (0 when tiered storage is off) — cold pages older than it answer
+    the zero row for this cell, see
+    :class:`repro.stream.engine.StreamCubeEngine`.  The dict is built for
+    the snapshot — mutating the live engine afterwards does not disturb it.
     """
 
     tick_sums: dict[int, float]
@@ -138,9 +145,9 @@ class EngineState:
         """Versioned JSON-ready form (see :mod:`repro.io`).
 
         Tick accumulators are emitted as packed ``(tick, sum)`` pairs in
-        insertion order; the restore path rebuilds the dict in the same
-        order, so even dict iteration order — which the sealing path sorts
-        anyway — survives the round trip.  A page longer than the cell
+        dict order (ascending ticks for an engine's snapshot; the restore
+        path scatters them into the open-quarter columns, where order does
+        not exist).  A page longer than the cell
         list has rows nothing owns; such a state is refused.
         """
         clock = self.tilt.clock

@@ -59,7 +59,7 @@ from repro.errors import (
     StreamError,
     WalCorruptionError,
 )
-from repro.stream.records import StreamRecord
+from repro.stream.records import RecordColumns, StreamRecord
 
 __all__ = ["QuarterWAL", "WalEntry"]
 
@@ -91,13 +91,18 @@ class WalEntry:
 
 
 def _encode_batch(
-    seq: int, quarter: int, records: list[StreamRecord]
+    seq: int, quarter: int, batch: RecordColumns
 ) -> dict[str, Any]:
     return {
         "seq": seq,
         "kind": "batch",
         "quarter": quarter,
-        "records": [[list(r.values), r.t, r.z] for r in records],
+        "records": [
+            [list(values), t, z]
+            for values, t, z in zip(
+                batch.values, batch.ticks.tolist(), batch.z.tolist()
+            )
+        ],
     }
 
 
@@ -224,21 +229,25 @@ class QuarterWAL:
     # ------------------------------------------------------------------
     # Journaling (called *before* the batch is applied)
     # ------------------------------------------------------------------
-    def append_batch(self, records: list[StreamRecord], quarter: int) -> int:
+    def append_batch(
+        self, records: RecordColumns | Iterable[StreamRecord], quarter: int
+    ) -> int:
         """Journal one validated, quarter-ordered batch; returns its seq.
 
-        ``quarter`` is the batch's *ending* quarter (the last record's —
-        batches are quarter-ordered), the retention index compaction uses.
+        The ingest paths hand over the batch's columns as they are (one
+        row-shaped line is rendered from them); records are converted at
+        the door.  ``quarter`` is the batch's *ending* quarter (the last
+        record's — batches are quarter-ordered), the retention index
+        compaction uses.
         Callers journal after validation and before mutation, so the log
         only ever holds batches the engine accepted — replay cannot trip
         the ordering contract the original ingestion already checked.
         """
-        if not records:
+        batch = RecordColumns.of(records)
+        if not len(batch):
             return self._seq
         self._seq += 1
-        self._append_line(
-            _encode_batch(self._seq, quarter, records)
-        )
+        self._append_line(_encode_batch(self._seq, quarter, batch))
         return self._seq
 
     def append_advance(self, t: int, quarter: int) -> int:
@@ -437,7 +446,9 @@ class QuarterWAL:
                 if entry.kind == "batch":
                     assert entry.records is not None
                     payload = _encode_batch(
-                        entry.seq, entry.quarter, entry.records
+                        entry.seq,
+                        entry.quarter,
+                        RecordColumns.of(entry.records),
                     )
                 else:
                     payload = {

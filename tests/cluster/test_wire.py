@@ -8,6 +8,7 @@ makes that possible; these tests pin it down).
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 
@@ -15,10 +16,29 @@ import pytest
 
 from repro.cluster import wire
 from repro.errors import ServiceError, StreamError
+from repro.regression import kernels
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.records import StreamRecord
 
 from tests.cluster.conftest import TPQ, workload
+
+
+def segment(quarter, keys, group, ticks, z):
+    """One coded ``(quarter, keys, group, ticks, z)`` ingest segment."""
+    return (
+        quarter,
+        keys,
+        kernels.int_column(group),
+        kernels.int_column(ticks),
+        kernels.float_column(z),
+    )
+
+
+def plain(segments):
+    return [
+        (quarter, keys, group.tolist(), ticks.tolist(), z.tolist())
+        for quarter, keys, group, ticks, z in segments
+    ]
 
 
 class TestFraming:
@@ -76,21 +96,22 @@ class TestFraming:
 class TestArgCodecs:
     def test_apply_segments_round_trip(self):
         segments = [
-            (0, {(1, "a"): ([0, 1, 1], [0.5, -1.25, 3.0])}),
-            (1, {(1, "a"): ([4], [2.0]), (2, "b"): ([5, 6], [0.1, 0.2])}),
+            segment(0, [(1, "a")], [0, 0, 0], [0, 1, 1], [0.5, -1.25, 3.0]),
+            segment(1, [(2, "b"), (1, "a")], [0, 1, 0], [5, 4, 6], [0.1, 2.0, 0.2]),
         ]
-        payload = wire.encode_args("apply_segments", (segments, 6))
-        decoded = wire.decode_args("apply_segments", payload)
-        assert decoded == (segments, 6)
-        # Group order inside a segment is part of the contract.
-        assert list(decoded[0][1][1].keys()) == list(segments[1][1].keys())
+        payload = json.loads(
+            json.dumps(wire.encode_args("apply_segments", (segments, 6)))
+        )
+        decoded, n_records = wire.decode_args("apply_segments", payload)
+        assert n_records == 6
+        # Key order and record order are part of the contract.
+        assert plain(decoded) == plain(segments)
 
     def test_validate_segment_keys_round_trip(self):
-        segments = [(2, {(0, 0): ([8], [1.0])})]
+        segments = [segment(2, [(0, 0)], [0], [8], [1.0])]
         payload = wire.encode_args("validate_segment_keys", (segments,))
-        assert wire.decode_args("validate_segment_keys", payload) == (
-            segments,
-        )
+        (decoded,) = wire.decode_args("validate_segment_keys", payload)
+        assert plain(decoded) == plain(segments)
 
     def test_ingest_record_round_trip(self):
         record = StreamRecord((3, 7), 11, -0.1234567890123456789)

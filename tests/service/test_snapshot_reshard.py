@@ -256,7 +256,7 @@ class TestReshard:
         with loaded_cube(layers, policy, workload(19), 3) as cube:
             with cube.reshard(5) as resharded:
                 for i, shard in enumerate(resharded.shards):
-                    for key in shard._cells:
+                    for key in shard.snapshot().cells:
                         assert stable_shard_index(key, 5) == i
 
     def test_reshard_rejects_bad_count(self, layers, policy):

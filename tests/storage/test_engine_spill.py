@@ -123,7 +123,7 @@ class TestSpillAndFault:
     def test_resident_state_is_bounded_by_the_hot_set(self, tmp_path, backend):
         def resident(engine):
             return sum(
-                engine.frame_of(key).total_retained for key in engine._cells
+                engine.frame_of(key).total_retained for key in engine.snapshot().cells
             )
 
         eng_mid, ref_mid, _, s1 = make_trio(
@@ -136,7 +136,7 @@ class TestSpillAndFault:
         assert resident(eng_long) < resident(ref_long)
         # ...and another 96 quarters of history barely move the hot set
         # (one more day slot per cell at most), while nothing was lost:
-        per_cell = len(eng_long._cells)
+        per_cell = eng_long.tracked_cells
         assert resident(eng_long) - resident(eng_mid) <= 2 * per_cell
         assert (
             eng_long.storage_stats()["cold_slots"]

@@ -69,11 +69,9 @@ def random_records(seed: int, n: int, quarters: int) -> list[StreamRecord]:
 def assert_engines_identical(a: StreamCubeEngine, b: StreamCubeEngine) -> None:
     assert a.current_quarter == b.current_quarter
     assert a.records_ingested == b.records_ingested
-    assert set(a._cells) == set(b._cells)
-    for key in a._cells:
-        sa, sb = a._cells[key], b._cells[key]
-        assert sa.tick_sums == sb.tick_sums
-        assert sa.last_active_quarter == sb.last_active_quarter
+    cells_a, cells_b = a.snapshot().cells, b.snapshot().cells
+    assert cells_a == cells_b
+    for key in cells_a:
         fa, fb = a.frame_of(key), b.frame_of(key)
         assert list(fa.all_slots()) == list(fb.all_slots())
         assert fa.now == fb.now
@@ -230,10 +228,10 @@ class TestEngineSnapshot:
             engine.layers,
             engine.policy,
         )
-        assert idle not in restored._cells
+        assert idle not in restored.snapshot().cells
         assert (
-            restored._cells[active].last_active_quarter
-            == engine._cells[active].last_active_quarter
+            restored.snapshot().cells[active].last_active_quarter
+            == engine.snapshot().cells[active].last_active_quarter
         )
         # Pruning again on the restored engine drops nothing new.
         assert restored.prune_idle(4) == 0
