@@ -7,7 +7,12 @@ Usage::
 Measures, at 1/2/4 shards over the same seeded workload:
 
 * batched ingest throughput (records/second through ``ingest_batch``),
-* merged-refresh cost (the first query of an epoch pays it; best of three),
+* merged-refresh cost, twice (the first query of an epoch pays one of them;
+  best of three each): ``refresh`` is the steady state — the cell set stood
+  still since the last refresh, so the cube's held cubing plan is re-run
+  over fresh columns — and ``refresh_cold`` the first refresh after one
+  birth, i.e. plan build + run (the whole of what every refresh used to
+  cost),
 * uncached query latency (merged view warm, LRU miss path), and
 * cached query latency (LRU hit path).
 
@@ -56,6 +61,7 @@ class ServicePoint:
     n_records: int
     ingest_s: float
     refresh_ms: float
+    refresh_cold_ms: float
     uncached_us: float
     cached_us: float
 
@@ -105,13 +111,28 @@ def measure_service(
     with cube:
         router = QueryRouter(cube, window_quarters=4)
         m_coord = layers.m_coord
-        # Best-of-N like ingest: the refresh row is gated in CI.
-        refresh_ms = float("inf")
-        for _ in range(rounds):
-            gc.collect()
-            t0 = time.perf_counter()
-            cube.refresh(window_quarters=4)  # merged m-layer + recube
-            refresh_ms = min(refresh_ms, (time.perf_counter() - t0) * 1e3)
+        # Best-of-N like ingest: both refresh rows are gated in CI.
+        def best_refresh_ms(before=lambda: None) -> float:
+            best = float("inf")
+            for _ in range(rounds):
+                before()
+                gc.collect()
+                t0 = time.perf_counter()
+                cube.refresh(window_quarters=4)  # merged m-layer + recube
+                best = min(best, (time.perf_counter() - t0) * 1e3)
+            return best
+
+        births = iter(range(10**3))
+
+        def one_birth() -> None:
+            # A cell the workload (values drawn below 1,000 at random) all
+            # but surely never used, recorded in the open quarter: the
+            # window's floats stand, the cell set — and the plan — moves.
+            key = (next(births), 10**3 - 1, 10**3 - 1)
+            cube.ingest_batch([StreamRecord(key, _QUARTERS * _TPQ, 1.0)])
+
+        refresh_cold_ms = best_refresh_ms(one_birth)
+        refresh_ms = best_refresh_ms()
         router.view()
 
         rng = random.Random(23)
@@ -141,6 +162,7 @@ def measure_service(
             n_records=len(records),
             ingest_s=ingest_s,
             refresh_ms=refresh_ms,
+            refresh_cold_ms=refresh_cold_ms,
             uncached_us=miss_us,
             cached_us=hit_us,
         )
@@ -156,7 +178,8 @@ def service_throughput_series(
 def render_service_table(rows: list[ServicePoint]) -> str:
     header = (
         f"{'shards':>6} | {'ingest rec/s':>12} | {'refresh ms':>10} | "
-        f"{'uncached µs':>11} | {'cached µs':>9} | {'speedup':>7}"
+        f"{'cold ms':>7} | {'uncached µs':>11} | {'cached µs':>9} | "
+        f"{'speedup':>7}"
     )
     lines = [
         "service throughput (ingest + point-query latency)",
@@ -166,6 +189,7 @@ def render_service_table(rows: list[ServicePoint]) -> str:
     for p in rows:
         lines.append(
             f"{p.shards:>6} | {p.ingest_rps:>12.0f} | {p.refresh_ms:>10.1f} | "
+            f"{p.refresh_cold_ms:>7.1f} | "
             f"{p.uncached_us:>11.1f} | {p.cached_us:>9.1f} | "
             f"{p.cache_speedup:>6.1f}x"
         )
@@ -179,10 +203,15 @@ def service_checks(rows: list[ServicePoint]) -> list[tuple[str, bool]]:
             all(p.cached_us <= p.uncached_us for p in rows),
         ),
         (
-            "merge: refresh cost stays within 3x across shard counts "
-            "(the union is the same m-layer)",
-            max(p.refresh_ms for p in rows)
-            < 3.0 * min(p.refresh_ms for p in rows),
+            "merge: refresh cost stays within 3x across shard counts, plan "
+            "held or rebuilt (the union is the same m-layer)",
+            all(
+                max(costs) < 3.0 * min(costs)
+                for costs in (
+                    [p.refresh_ms for p in rows],
+                    [p.refresh_cold_ms for p in rows],
+                )
+            ),
         ),
         (
             "ingest: dispatch overhead stays within 3x of the 1-shard path",
@@ -205,15 +234,16 @@ def json_entries(rows: list[ServicePoint], scale: str) -> list[dict]:
                 "records_per_s": round(p.ingest_rps, 1),
             }
         )
-        entries.append(
-            {
-                "op": "refresh",
-                "scale": scale,
-                "shards": p.shards,
-                "wall_s": round(p.refresh_ms / 1e3, 6),
-                "records_per_s": None,
-            }
-        )
+        for op, ms in (("refresh", p.refresh_ms), ("refresh_cold", p.refresh_cold_ms)):
+            entries.append(
+                {
+                    "op": op,
+                    "scale": scale,
+                    "shards": p.shards,
+                    "wall_s": round(ms / 1e3, 6),
+                    "records_per_s": None,
+                }
+            )
         entries.append(
             {
                 "op": "query_uncached",

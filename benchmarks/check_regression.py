@@ -68,17 +68,18 @@ _DEFAULT_CONCURRENCY_BASELINE = (
 def _service_points(document: dict) -> dict[tuple[str, int], float]:
     """``{(op, shards): rate}`` for the gated service entries of a document.
 
-    ``ingest_batch`` rows carry records/s; ``refresh`` rows carry the wall
-    time of one merged recube (what the first pull and every pushed update
-    after a seal wait for), gated as the rate ``1 / wall_s`` so that one
-    floor serves both.
+    ``ingest_batch`` rows carry records/s; ``refresh`` (the cubing plan
+    held) and ``refresh_cold`` (the plan rebuilt after a birth) rows carry
+    the wall time of one merged recube (what the first pull and every
+    pushed update after a seal wait for), gated as the rate ``1 / wall_s``
+    so that one floor serves all three.
     """
     out: dict[tuple[str, int], float] = {}
     for entry in document.get("entries", []):
         op = entry.get("op")
         if op == "ingest_batch" and entry.get("records_per_s"):
             out[(op, int(entry["shards"]))] = float(entry["records_per_s"])
-        elif op == "refresh" and entry.get("wall_s"):
+        elif op in ("refresh", "refresh_cold") and entry.get("wall_s"):
             out[(op, int(entry["shards"]))] = 1.0 / float(entry["wall_s"])
     return out
 

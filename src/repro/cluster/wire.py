@@ -234,6 +234,19 @@ def encode_result(method: str, value: Any) -> Any:
     """JSON-ready result payload for one RPC reply (runs in the worker)."""
     if method in _CELL_RESULTS:
         return cells_to_payload(value)
+    if method == "window_columns":
+        # One window, one interval: it rides once, the two float columns as
+        # number lists (bit-exact through JSON), the keys only when the
+        # engine sent them.
+        generation, keys, isbs = value
+        interval = [int(isbs.t_b[0]), int(isbs.t_e[0])] if len(isbs) else [0, -1]
+        return [
+            generation,
+            keys and [list(key) for key in keys],
+            interval,
+            isbs.base.tolist(),
+            isbs.slope.tolist(),
+        ]
     if method == "snapshot":
         return engine_state_to_dict(value)
     return value
@@ -243,6 +256,15 @@ def decode_result(method: str, payload: Any) -> Any:
     """Inverse of :func:`encode_result` (runs in the parent)."""
     if method in _CELL_RESULTS:
         return cells_from_payload(payload)
+    if method == "window_columns":
+        generation, keys, interval, base, slope = payload
+        return (
+            generation,
+            keys and [tuple(key) for key in keys],
+            kernels.ISBColumns.over(
+                *interval, kernels.float_column(base), kernels.float_column(slope)
+            ),
+        )
     if method == "snapshot":
         return engine_state_from_dict(payload)
     return payload
@@ -279,6 +301,7 @@ UNRECOVERABLE = "unrecoverable"
 _IDEMPOTENT_METHODS = frozenset(
     {
         "window_isbs",
+        "window_columns",
         "m_cells",
         "change_exceptions",
         "change_exceptions_between",

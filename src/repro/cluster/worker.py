@@ -78,6 +78,7 @@ _ENGINE_METHODS = frozenset(
         "validate_segment_keys",
         "prune_idle",
         "window_isbs",
+        "window_columns",
         "m_cells",
         "change_exceptions",
         "change_exceptions_between",

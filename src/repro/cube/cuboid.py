@@ -4,11 +4,17 @@
 consume: a mapping from cell value tuples to measures, tagged with its
 coordinate.  Aggregation between cuboids (roll-up over standard dimensions
 via Theorem 3.2) lives here because it is shared by every algorithm.
+
+With numpy the cells may be *column-backed*: :class:`CuboidColumns` holds
+integer key codes and ISB columns, and :class:`ColumnCells` presents them as
+the ``{values: isb}`` mapping, building value tuples and :class:`ISB`
+objects only for what a caller reads.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.cube.cell import roll_up_values
 from repro.cube.hierarchy import LevelCodes
@@ -19,7 +25,7 @@ from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
 from repro.regression.kernels import ISBColumns, merge_groups
 
-__all__ = ["Cuboid", "CuboidColumns", "key_codes"]
+__all__ = ["ColumnCells", "Cuboid", "CuboidColumns", "key_codes"]
 
 Values = tuple[Hashable, ...]
 Coord = tuple[int, ...]
@@ -33,26 +39,30 @@ class CuboidColumns:
     ``d`` as a code of ``tables[d]`` at level ``coord[d]``, ``isbs`` the
     measures, rows in the order the equivalent ``Cuboid.cells`` dict would
     iterate.  Roll-ups are array gathers and one grouped kernel call; value
-    tuples and :class:`ISB` objects exist only for the rows
-    :meth:`cells` is asked for.  Requires numpy.
+    tuples and :class:`ISB` objects exist only for the rows :meth:`keys` /
+    :meth:`cells` are asked for.  ``isbs`` is ``None`` on the key-only
+    instances a :class:`~repro.cubing.mo_cubing.CubePlan` records (the
+    structure of a cuboid, awaiting :meth:`with_isbs`).  Requires numpy.
     """
 
-    __slots__ = ("coord", "tables", "codes", "isbs")
+    __slots__ = ("coord", "tables", "codes", "isbs", "_keys")
 
     def __init__(
         self,
         coord: Coord,
         tables: Sequence[LevelCodes],
         codes: Sequence,
-        isbs: ISBColumns,
+        isbs: ISBColumns | None,
+        keys: list[Values] | None = None,
     ) -> None:
         self.coord = coord
         self.tables = tables
         self.codes = codes
         self.isbs = isbs
+        self._keys = keys
 
     def __len__(self) -> int:
-        return len(self.isbs)
+        return len(self.codes[0])  # a schema has at least one dimension
 
     @classmethod
     def from_cells(
@@ -60,7 +70,7 @@ class CuboidColumns:
         schema: CubeSchema,
         coord: Coord,
         keys: Sequence[Values],
-        isbs: Iterable[ISB],
+        isbs: Iterable[ISB] | None,
         tables: Sequence[LevelCodes] | None = None,
     ) -> "CuboidColumns":
         """Encode value-tuple keys and their measures, one row per key.
@@ -68,9 +78,10 @@ class CuboidColumns:
         Without ``tables`` each dimension's values are numbered in
         first-seen order at this cuboid's level; with them, the keys are
         looked up in tables another cuboid of the same data already built
-        (``coord`` must not be finer than their levels).
+        (``coord`` must not be finer than their levels).  ``isbs=None``
+        encodes the keys alone.
         """
-        isbs = ISBColumns.from_isbs(isbs)
+        isbs = None if isbs is None else ISBColumns.from_isbs(isbs)
         if tables is not None:
             return cls(coord, tables, key_codes(tables, coord, keys), isbs)
         encoded = [
@@ -114,7 +125,20 @@ class CuboidColumns:
             self.coord,
             self.tables,
             [column[rows] for column in self.codes],
-            self.isbs.take(rows),
+            None if self.isbs is None else self.isbs.take(rows),
+        )
+
+    def with_isbs(self, isbs: ISBColumns) -> "CuboidColumns":
+        """These key columns (and any keys already built) over ``isbs``."""
+        return CuboidColumns(
+            self.coord, self.tables, self.codes, isbs, self._keys
+        )
+
+    def grouping(self):
+        """``(group id per row, first row per group)`` of rows with equal
+        keys, groups in first-appearance order."""
+        return kernels.first_seen_groups(
+            kernels.pack_keys(self.codes, self.cards(self.coord), len(self))
         )
 
     def merged(self) -> "CuboidColumns":
@@ -131,13 +155,67 @@ class CuboidColumns:
         does one tuple at a time, with the same cell order and sums."""
         return self.lifted(to_coord).merged()
 
+    def keys(self) -> list[Values]:
+        """Every row's value tuple (built once, then kept)."""
+        if self._keys is None:
+            value_columns = [
+                map(list(table.index(level)).__getitem__, column.tolist())
+                for table, level, column in zip(
+                    self.tables, self.coord, self.codes
+                )
+            ]
+            self._keys = list(zip(*value_columns))
+        return self._keys
+
     def cells(self) -> dict[Values, ISB]:
         """Materialize ``{values: isb}``, one entry per row."""
-        value_columns = [
-            map(list(table.index(level)).__getitem__, column.tolist())
-            for table, level, column in zip(self.tables, self.coord, self.codes)
-        ]
-        return dict(zip(zip(*value_columns), self.isbs.to_isbs()))
+        return dict(zip(self.keys(), self.isbs.to_isbs()))
+
+
+class ColumnCells(Mapping):
+    """A column-backed cuboid's ``{values: isb}``, boxed only when read.
+
+    ``len`` costs nothing, iterating builds the value tuples, a lookup
+    builds a key-to-row index and one :class:`ISB`, and only the dict views
+    (``keys()`` / ``items()`` / ``values()``, hence ``dict(cells)``) box
+    every row — once; the dict is kept.  Read-only: the columns are the
+    data.
+    """
+
+    __slots__ = ("columns", "_boxed", "_rows")
+
+    def __init__(self, columns: CuboidColumns) -> None:
+        self.columns = columns
+        self._boxed: dict[Values, ISB] | None = None
+        self._rows: dict[Values, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self) -> Iterator[Values]:
+        return iter(self.columns.keys())
+
+    def __getitem__(self, values: Values) -> ISB:
+        if self._boxed is not None:
+            return self._boxed[values]
+        if self._rows is None:
+            keys = self.columns.keys()
+            self._rows = dict(zip(keys, range(len(keys))))
+        return self.columns.isbs.row(self._rows[values])
+
+    def _all(self) -> dict[Values, ISB]:
+        if self._boxed is None:
+            self._boxed = self.columns.cells()
+        return self._boxed
+
+    def keys(self):  # what ``dict(cells)`` reads: box once, not per key
+        return self._all().keys()
+
+    def items(self):
+        return self._all().items()
+
+    def values(self):
+        return self._all().values()
 
 
 def _columns(keys: Sequence[Values], n_dims: int):
@@ -159,7 +237,11 @@ def key_codes(
 
 
 class Cuboid:
-    """Cells of one cuboid coordinate, keyed by value tuple."""
+    """Cells of one cuboid coordinate, keyed by value tuple.
+
+    ``cells`` is a ``dict``, or the read-only :class:`ColumnCells` of a
+    column-backed cuboid (which is kept as it is, not copied).
+    """
 
     __slots__ = ("schema", "coord", "cells")
 
@@ -171,7 +253,9 @@ class Cuboid:
     ) -> None:
         self.schema = schema
         self.coord = schema.validate_coord(coord)
-        self.cells: dict[Values, ISB] = dict(cells) if cells else {}
+        self.cells: Mapping[Values, ISB] = (
+            cells if isinstance(cells, ColumnCells) else dict(cells or ())
+        )
 
     # ------------------------------------------------------------------
     # Mapping-ish interface
@@ -217,13 +301,17 @@ class Cuboid:
                 )
         out = Cuboid(self.schema, to_coord)
         if kernels.HAVE_NUMPY and self.cells:
-            out.cells = (
-                CuboidColumns.from_cells(
-                    self.schema, self.coord, list(self.cells), self.cells.values()
+            cells = self.cells
+            if isinstance(cells, ColumnCells):  # columns in, columns out
+                out.cells = ColumnCells(cells.columns.roll_up(to_coord))
+            else:
+                out.cells = (
+                    CuboidColumns.from_cells(
+                        self.schema, self.coord, list(cells), cells.values()
+                    )
+                    .roll_up(to_coord)
+                    .cells()
                 )
-                .roll_up(to_coord)
-                .cells()
-            )
             return out
         mappers = [
             dim.hierarchy.ancestor_mapper(f, t)

@@ -17,24 +17,33 @@ the Python-side working dictionary, which is an implementation convenience.
 Retained memory is the o-layer plus the exception cells — the paper's "only
 the exception cells take additional space".
 
-Two carriers, one walk.  With numpy the m-layer is encoded once into
-integer code columns (:class:`~repro.cube.cuboid.CuboidColumns`) and every
-roll-up is a gather, a packed key and two ``np.bincount`` passes; value
-tuples and :class:`ISB` objects are built only for the cells the result
-retains.  What the H-tree contributes to the result — the m-layer's leaf
-order and the node / header-entry counts of the memory model — is derived
-from the code columns.  Without numpy the H-tree is built and the same walk
-runs over :class:`~repro.cube.cuboid.Cuboid` dicts; that scalar walk
-(:func:`mo_cubing_from_tree`) is also the differential reference the
-columnar one is tested against: key order, exception sets and every counter
-equal, floats per the contract in :mod:`repro.regression.kernels`.
+Plan and run.  With numpy the walk is split in two.  What it derives
+from the m-layer's *cell set* alone is a :class:`CubePlan`: the keys encoded
+once into integer code columns, duplicate cells grouped, the H-tree's leaf
+order, per cuboid its source cuboid and the ``(group id, first row)`` of the
+roll-up, and every counter of the memory model that does not depend on a
+float.  What is left for the measures is :meth:`CubePlan.run`: one grouped
+Theorem 3.2 kernel call per cuboid over the plan's recorded grouping and one
+exception mask — the same rows in the same order through the same
+``bincount`` passes as grouping them afresh, so the same bits.
+``mo_cubing`` plans and runs in one call; a caller whose cell set outlives
+its measures (a stream cube between seals) keeps the plan and hands
+``mo_cubing`` a :class:`PlannedCells`.  Value tuples and :class:`ISB`
+objects are built only for the cells a reader asks the result for
+(:class:`~repro.cube.cuboid.ColumnCells`).  Without numpy the H-tree is
+built and the walk runs over :class:`~repro.cube.cuboid.Cuboid` dicts; that
+scalar walk (:func:`mo_cubing_from_tree`) is also the differential
+reference the columnar one is tested against: key order, exception sets and
+every counter equal, floats per the contract in
+:mod:`repro.regression.kernels`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+import dataclasses
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
-from repro.cube.cuboid import Cuboid, CuboidColumns
+from repro.cube.cuboid import ColumnCells, Cuboid, CuboidColumns
 from repro.cube.layers import CriticalLayers
 from repro.cubing.build import build_mo_htree
 from repro.cubing.policy import ExceptionPolicy
@@ -43,8 +52,9 @@ from repro.cubing.stats import CubingStats, Stopwatch
 from repro.htree.tree import HTree, cardinality_ascending_order
 from repro.regression import kernels
 from repro.regression.isb import ISB
+from repro.regression.kernels import ISBColumns
 
-__all__ = ["mo_cubing", "mo_cubing_from_tree"]
+__all__ = ["CubePlan", "PlannedCells", "mo_cubing", "mo_cubing_from_tree"]
 
 Values = tuple[Hashable, ...]
 Coord = tuple[int, ...]
@@ -52,169 +62,213 @@ Coord = tuple[int, ...]
 
 def mo_cubing(
     layers: CriticalLayers,
-    m_cells: Mapping[Values, ISB] | Iterable[tuple[Values, ISB]],
+    m_cells: Mapping[Values, ISB] | Iterable[tuple[Values, ISB]] | PlannedCells,
     policy: ExceptionPolicy,
 ) -> CubeResult:
     """Run Algorithm 1 end to end: load the m-layer, then cube.
 
     ``m_cells`` are the m-layer regression cells ("Step 1" — aggregating the
     raw stream to the m-layer — is the stream engine's job; benchmarks and
-    tests produce m-layer cells directly).
+    tests produce m-layer cells directly), or a :class:`PlannedCells` from a
+    caller that kept the plan of an unchanged cell set.
     """
+    if isinstance(m_cells, PlannedCells):
+        return m_cells.plan.run(m_cells.columns, policy)
     items = m_cells.items() if isinstance(m_cells, Mapping) else m_cells
     if kernels.HAVE_NUMPY:
-        return _cube(layers, policy, *_columnar_m_layer(layers, items))
+        pairs = list(items)
+        plan = CubePlan(layers, [values for values, _ in pairs])
+        return plan.run(ISBColumns.from_isbs(isb for _, isb in pairs), policy)
     tree = build_mo_htree(layers, items)
     return mo_cubing_from_tree(layers, tree, policy)
+
+
+class CubePlan:
+    """Everything Algorithm 1 derives from the m-layer's cell set alone.
+
+    Built from the cell keys (numpy only): the keys validated against the
+    hierarchies and encoded into code columns
+    (:class:`~repro.cube.hierarchy.LevelCodes` per dimension), duplicate
+    cells grouped, the H-tree's leaf order, and per cuboid of the bottom-up
+    walk its source cuboid, the ``(group id, first row)`` of the roll-up and
+    its key columns — plus the structure-derived counters (``htree_nodes``,
+    ``header_entries``, ``rows_scanned``, ``cells_computed``,
+    ``transient_peak_cells``, ``cuboids_computed``).  Nothing in it depends
+    on a measure, so it holds for as long as the cell set does; any change
+    of keys or of their order needs a new plan.  Immutable once built:
+    concurrent :meth:`run` calls may share one.
+    """
+
+    def __init__(self, layers: CriticalLayers, keys: Iterable[Values]) -> None:
+        np = kernels.np
+        self.layers = layers
+        schema, m_coord, lattice = layers.schema, layers.m_coord, layers.lattice
+        keys = [tuple(values) for values in keys]
+        if set(map(len, keys)) - {schema.n_dims}:
+            _validate_rows(layers, keys)
+        rows = CuboidColumns.from_cells(schema, m_coord, keys, None)
+        # Membership is checked once per distinct value; a column mixing
+        # types (whose equal values the encoding dict conflates: 1 and 1.0)
+        # goes to the row validator like any other doubt.
+        if any(
+            len(set(map(type, column))) > 1
+            or not all(dim.hierarchy.contains(v, level) for v in table.index(level))
+            for dim, level, table, column in zip(
+                schema.dimensions, m_coord, rows.tables, zip(*keys)
+            )
+        ):
+            _validate_rows(layers, keys)
+        # Duplicate cells merge (Theorem 3.2) before anything else.
+        gid, first = rows.grouping()
+        self._duplicates = None if len(first) == len(keys) else (gid, first)
+
+        # Leaf order: the last header table's values in first-seen order,
+        # each value's side-link chain in insertion order.
+        attributes = cardinality_ascending_order(schema, m_coord)
+        last_dim, last_level = attributes[-1]
+        at_last = tuple(
+            last_level if d == last_dim else level
+            for d, level in enumerate(m_coord)
+        )
+        self._leaf_order = np.argsort(
+            rows.codes_at(at_last)[last_dim][first], kind="stable"
+        )
+        source = first[self._leaf_order]
+        m_layer = CuboidColumns(
+            m_coord,
+            rows.tables,
+            [column[source] for column in rows.codes],
+            None,
+            keys=[keys[row] for row in source.tolist()],
+        )
+
+        stats = CubingStats("m/o-cubing", n_dims=schema.n_dims)
+        # One tree node per distinct attribute prefix, one header entry per
+        # distinct attribute value.
+        depth = [0] * schema.n_dims
+        for d, level in attributes:
+            depth[d] = max(depth[d], level)
+            prefix = tuple(depth)
+            stats.htree_nodes += kernels.distinct_count(
+                kernels.pack_keys(
+                    m_layer.codes_at(prefix), m_layer.cards(prefix), len(m_layer)
+                )
+            )
+        stats.header_entries = sum(
+            len(m_layer.tables[d].index(level)) for d, level in attributes
+        )
+
+        # The shared bottom-up walk: each cuboid rolls up from its cheapest
+        # computed descendant; descendants are freed (as sources) once every
+        # cuboid that could roll up from them has been computed.
+        parents_remaining = {
+            coord: len(lattice.parents(coord)) for coord in lattice.coords()
+        }
+        working: dict[Coord, CuboidColumns] = {}
+        #: Per cuboid, bottom-up: ``(key columns, source coord, gid, first)``.
+        self._steps: list[tuple[CuboidColumns, Coord | None, object, object]] = []
+        for coord in lattice.bottom_up_order():
+            if coord == m_coord:
+                cuboid, src_coord, gid, first = m_layer, None, None, None
+                stats.rows_scanned += len(cuboid)
+                stats.htree_leaf_isbs = len(cuboid)
+            else:
+                src_coord = lattice.closest_descendant(coord, list(working))
+                assert src_coord is not None, "children are freed only after parents"
+                lifted = working[src_coord].lifted(coord)
+                gid, first = lifted.grouping()
+                cuboid = lifted.take(first)
+                stats.rows_scanned += len(lifted)
+                # Local-header-table bound: the largest group-by under
+                # computation (see module docstring).
+                stats.transient_peak_cells = max(
+                    stats.transient_peak_cells, len(cuboid)
+                )
+            stats.cells_computed += len(cuboid)
+            stats.cuboids_computed += 1
+            working[coord] = cuboid
+            self._steps.append((cuboid, src_coord, gid, first))
+            for child in lattice.children(coord):
+                parents_remaining[child] -= 1
+                if parents_remaining[child] == 0:
+                    working.pop(child, None)
+        self._stats = stats
+
+    def run(self, columns: ISBColumns, policy: ExceptionPolicy) -> CubeResult:
+        """Algorithm 1 over the m-layer measures ``columns``, one row per
+        key the plan was built from, in that order."""
+        np = kernels.np
+        layers = self.layers
+        watch = Stopwatch()
+        if self._duplicates is not None:
+            columns = kernels.merge_by_group(columns, *self._duplicates)
+        stats = dataclasses.replace(self._stats)
+        computed: dict[Coord, ISBColumns] = {}
+        cuboids: dict[Coord, Cuboid] = {}
+        retained_exceptions: dict[Coord, Mapping[Values, ISB]] = {}
+        for keys, src_coord, gid, first in self._steps:
+            coord = keys.coord
+            isbs = computed[coord] = (
+                columns.take(self._leaf_order)
+                if src_coord is None
+                else kernels.merge_by_group(computed[src_coord], gid, first)
+            )
+            cuboid = keys.with_isbs(isbs)
+            critical = coord in (layers.m_coord, layers.o_coord)
+            if not critical:  # in between, only the exception cells stay
+                cuboid = cuboid.take(
+                    np.flatnonzero(policy.exception_mask(isbs.slope, coord))
+                )
+            cells = ColumnCells(cuboid)
+            cuboids[coord] = Cuboid(layers.schema, coord, cells)
+            if not critical:
+                retained_exceptions[coord] = cells
+            # The m-layer is the tree's own data: memory is charged to the
+            # tree leaves, not to retained cells.
+            if coord != layers.m_coord:
+                stats.retained_cells += len(cuboid)
+        stats.runtime_s = watch.elapsed()
+        return CubeResult(
+            layers=layers,
+            policy=policy,
+            cuboids=cuboids,
+            stats=stats,
+            retained_exceptions=retained_exceptions,
+        )
+
+
+class PlannedCells(NamedTuple):
+    """An m-layer handed over as columns under the plan of its cell set:
+    ``columns`` has one row per key ``plan`` was built from, in that order."""
+
+    plan: CubePlan
+    columns: ISBColumns
 
 
 def mo_cubing_from_tree(
     layers: CriticalLayers, tree: HTree, policy: ExceptionPolicy
 ) -> CubeResult:
     """Run Algorithm 1's Step 2 on an already-built H-tree (scalar walk)."""
-    m_layer = Cuboid(layers.schema, layers.m_coord, dict(tree.leaf_cells()))
-    return _cube(
-        layers,
-        policy,
-        m_layer,
-        m_layer.cells,
-        tree.node_count,
-        tree.header_entry_count,
-    )
-
-
-def _columnar_m_layer(
-    layers: CriticalLayers, items: Iterable[tuple[Values, ISB]]
-) -> tuple[CuboidColumns, dict[Values, ISB], int, int]:
-    """Encode the m-layer cells and derive what the H-tree contributes.
-
-    Returns the m-layer as columns and as the ``{values: isb}`` dict the
-    result retains, both in H-tree leaf order, plus the node and
-    header-entry counts of the tree :func:`build_mo_htree` would build.
-    Duplicate cells merge (Theorem 3.2) and values outside the hierarchies
-    raise what :meth:`HTree.insert_many`'s validator raises.
-    """
-    np = kernels.np
-    schema = layers.schema
-    m_coord = layers.m_coord
-    pairs = list(items)
-    keys = [tuple(values) for values, _ in pairs]
-    isbs = [isb for _, isb in pairs]
-    if set(map(len, keys)) - {schema.n_dims}:
-        _validate_rows(layers, keys)
-    rows = CuboidColumns.from_cells(schema, m_coord, keys, isbs)
-    # Membership is checked once per distinct value; a column mixing types
-    # (whose equal values the encoding dict conflates: 1 and 1.0) goes to
-    # the row validator like any other doubt.
-    if any(
-        len(set(map(type, column))) > 1
-        or not all(dim.hierarchy.contains(v, level) for v in table.index(level))
-        for dim, level, table, column in zip(
-            schema.dimensions, m_coord, rows.tables, zip(*keys)
-        )
-    ):
-        _validate_rows(layers, keys)
-    cards = rows.cards(m_coord)
-    merged, first = kernels.group_merge(
-        rows.isbs, kernels.pack_keys(rows.codes, cards, len(rows))
-    )
-
-    # Leaf order: the last header table's values in first-seen order, each
-    # value's side-link chain in insertion order.
-    attributes = cardinality_ascending_order(schema, m_coord)
-    last_dim, last_level = attributes[-1]
-    at_last = tuple(
-        last_level if d == last_dim else level
-        for d, level in enumerate(m_coord)
-    )
-    chain = np.argsort(rows.codes_at(at_last)[last_dim][first], kind="stable")
-    source = first[chain]
-    m_layer = CuboidColumns(
-        m_coord,
-        rows.tables,
-        [column[source] for column in rows.codes],
-        merged.take(chain),
-    )
-    leaf_isbs = (
-        map(isbs.__getitem__, source.tolist())
-        if len(first) == len(rows)  # no duplicates: the inputs are the cells
-        else m_layer.isbs.to_isbs()
-    )
-    m_cells = dict(zip(map(keys.__getitem__, source.tolist()), leaf_isbs))
-
-    # One tree node per distinct attribute prefix, one header entry per
-    # distinct attribute value.
-    nodes = 0
-    depth = [0] * schema.n_dims
-    for d, level in attributes:
-        depth[d] = max(depth[d], level)
-        prefix = tuple(depth)
-        nodes += kernels.distinct_count(
-            kernels.pack_keys(
-                m_layer.codes_at(prefix), m_layer.cards(prefix), len(m_layer)
-            )
-        )
-    header_entries = sum(
-        len(m_layer.tables[d].index(level)) for d, level in attributes
-    )
-    return m_layer, m_cells, nodes, header_entries
-
-
-def _validate_rows(layers: CriticalLayers, keys: list[Values]) -> None:
-    """Raise what :meth:`HTree.insert_many` raises for the first bad row."""
-    validate = layers.schema.values_validator(layers.m_coord)
-    for values in keys:
-        validate(values)
-
-
-def _retained(
-    cuboid: Cuboid | CuboidColumns, policy: ExceptionPolicy | None
-) -> dict[Values, ISB]:
-    """The cells of ``cuboid`` the result keeps: its exceptions under
-    ``policy``, or every cell when ``policy`` is ``None``."""
-    if isinstance(cuboid, Cuboid):
-        if policy is None:
-            return cuboid.cells
-        return {
-            values: isb
-            for values, isb in cuboid.items()
-            if policy.is_exception(isb, cuboid.coord)
-        }
-    if policy is None:
-        return cuboid.cells()
-    mask = policy.exception_mask(cuboid.isbs.slope, cuboid.coord)
-    return cuboid.take(kernels.np.flatnonzero(mask)).cells()
-
-
-def _cube(
-    layers: CriticalLayers,
-    policy: ExceptionPolicy,
-    m_layer: Cuboid | CuboidColumns,
-    m_cells: dict[Values, ISB],
-    htree_nodes: int,
-    header_entries: int,
-) -> CubeResult:
-    """Algorithm 1's Step 2: the shared bottom-up walk from the m-layer."""
     schema = layers.schema
     lattice = layers.lattice
     stats = CubingStats("m/o-cubing", n_dims=schema.n_dims)
     watch = Stopwatch()
 
-    stats.htree_nodes = htree_nodes
-    stats.header_entries = header_entries
+    stats.htree_nodes = tree.node_count
+    stats.header_entries = tree.header_entry_count
 
     order = lattice.bottom_up_order()
     parents_remaining: dict[Coord, int] = {
         coord: len(lattice.parents(coord)) for coord in order
     }
 
-    working: dict[Coord, Cuboid | CuboidColumns] = {}
+    working: dict[Coord, Cuboid] = {}
     result_cuboids: dict[Coord, Cuboid] = {}
     retained_exceptions: dict[Coord, dict[Values, ISB]] = {}
 
     for coord in order:
         if coord == layers.m_coord:
-            cuboid = m_layer
+            cuboid = Cuboid(schema, coord, dict(tree.leaf_cells()))
             stats.rows_scanned += len(cuboid)
             stats.htree_leaf_isbs = len(cuboid)
         else:
@@ -232,14 +286,18 @@ def _cube(
         working[coord] = cuboid
 
         if coord == layers.o_coord:
-            result_cuboids[coord] = Cuboid(schema, coord, _retained(cuboid, None))
+            result_cuboids[coord] = cuboid
             stats.retained_cells += len(cuboid)
         elif coord == layers.m_coord:
             # The m-layer is the tree's own data; memory is charged to the
             # tree leaves, not to retained cells.
-            result_cuboids[coord] = Cuboid(schema, coord, m_cells)
+            result_cuboids[coord] = cuboid
         else:
-            exceptions = _retained(cuboid, policy)
+            exceptions = {
+                values: isb
+                for values, isb in cuboid.items()
+                if policy.is_exception(isb, coord)
+            }
             retained_exceptions[coord] = exceptions
             result_cuboids[coord] = Cuboid(schema, coord, exceptions)
             stats.retained_cells += len(exceptions)
@@ -259,3 +317,10 @@ def _cube(
         stats=stats,
         retained_exceptions=retained_exceptions,
     )
+
+
+def _validate_rows(layers: CriticalLayers, keys: list[Values]) -> None:
+    """Raise what :meth:`HTree.insert_many` raises for the first bad row."""
+    validate = layers.schema.values_validator(layers.m_coord)
+    for values in keys:
+        validate(values)

@@ -46,13 +46,19 @@ class CubeResult:
     its path cuboids, full materialization completes everything.  Queries
     use :meth:`complete_cuboid` to serve whole-cuboid scans from them
     instead of re-aggregating the m-layer.
+
+    The cell mappings (``Cuboid.cells``, the values of
+    ``retained_exceptions``) are dicts, or the column-backed
+    :class:`~repro.cube.cuboid.ColumnCells` the numpy m/o-cubing walk
+    returns: value tuples and ISB objects then exist only for the cells a
+    caller has read.
     """
 
     layers: CriticalLayers
     policy: ExceptionPolicy
     cuboids: dict[Coord, Cuboid]
     stats: CubingStats
-    retained_exceptions: dict[Coord, dict[Values, ISB]] = field(
+    retained_exceptions: dict[Coord, Mapping[Values, ISB]] = field(
         default_factory=dict
     )
     complete_coords: frozenset[Coord] | None = None

@@ -85,6 +85,7 @@ __all__ = [
     "merge_standard_cols",
     "merge_time_cols",
     "segment_merge",
+    "merge_by_group",
     "merge_time_grid",
     "group_fit",
     "merge_groups",
@@ -185,6 +186,16 @@ class ISBColumns:
             )
         ]
 
+    @classmethod
+    def concat(cls, parts: Sequence["ISBColumns"]) -> "ISBColumns":
+        """The batches' rows end to end, in the order given."""
+        return cls(
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name in ("t_b", "t_e", "base", "slope")
+            )
+        )
+
     def take(self, rows: "npt.NDArray") -> "ISBColumns":
         """The given rows, in the order given."""
         return ISBColumns(
@@ -266,14 +277,21 @@ def segment_merge(cols: ISBColumns, seg_starts: Sequence[int]) -> ISBColumns:
             "segment starts must begin at 0, increase strictly and stay "
             "inside the batch"
         )
-    return _merge_by_group(cols, _segment_ids(starts, n), starts)
+    return merge_by_group(cols, _segment_ids(starts, n), starts)
 
 
-def _merge_by_group(
+def merge_by_group(
     cols: ISBColumns, gid: "npt.NDArray", first: "npt.NDArray"
 ) -> ISBColumns:
     """Theorem 3.2 per group: ``gid`` is every row's group, ``first`` each
-    group's first row; sums run in row order within a group."""
+    group's first row; sums run in row order within a group.
+
+    The grouping is the caller's: :func:`segment_merge` and
+    :func:`group_merge` derive it from their input, a
+    :class:`~repro.cubing.mo_cubing.CubePlan` recorded it when the cell set
+    last changed and replays it over fresh columns — the same rows in the
+    same order through the same two ``bincount`` passes, so the same bits.
+    The shared-interval check runs on every call either way."""
     t_b = cols.t_b[first]
     t_e = cols.t_e[first]
     mism = (cols.t_b != t_b[gid]) | (cols.t_e != t_e[gid])
@@ -624,7 +642,7 @@ def group_merge(
     """
     _require_numpy()
     gid, first = first_seen_groups(keys)
-    return _merge_by_group(cols, gid, first), first
+    return merge_by_group(cols, gid, first), first
 
 
 # ----------------------------------------------------------------------

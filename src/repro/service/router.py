@@ -215,8 +215,15 @@ class QueryRouter:
                     result = self.cube.refresh(window, self.algorithm)
                     view = RegressionCubeView(result, self.cube)
                     with self._mu:
-                        # One line per window: a stale view is simply
-                        # overwritten by the refresh that replaced it.
+                        # A line at any other vector can never be served
+                        # again (the vector only moves forward): drop them
+                        # all, or a client sweeping windows pins one stale
+                        # cube per window for the life of the process.
+                        self._views = {
+                            w: entry
+                            for w, entry in self._views.items()
+                            if entry[0] == vector
+                        }
                         self._views[window] = (vector, view)
                         self.refreshes += 1
                     return view
@@ -372,6 +379,8 @@ class QueryRouter:
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "refreshes": self.refreshes,
+            "plan_builds": self.cube.plan_builds,
+            "plan_reuses": self.cube.plan_reuses,
             "views": len(self._views),
             "batches": self.batches,
             "specs_executed": self.specs_executed,

@@ -29,7 +29,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro import faults
 from repro.cluster.backends import ClusterConfig, InprocBackend, ShardBackend
@@ -37,6 +37,7 @@ from repro.cluster.process import ProcessBackend
 from repro.cluster.worker import WorkerSpec
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
+from repro.cubing.mo_cubing import CubePlan, PlannedCells
 from repro.cubing.policy import ExceptionPolicy
 from repro.cubing.result import CubeResult
 from repro.errors import (
@@ -72,6 +73,7 @@ from repro.stream.engine import (
     check_seal_horizon,
     group_segments,
     o_layer_change_from_windows,
+    recent_window_bounds,
     run_cubing,
     validate_quarter_order,
 )
@@ -197,6 +199,23 @@ def _repartition_states(
     ]
 
 
+class _HeldPlan(NamedTuple):
+    """The cubing plan of one merged cell set, and what it was built from.
+
+    ``version`` is ``(structure_version, per-shard cell generation)`` with
+    ``None`` for a shard a degraded read lost; ``shard_keys`` the keys each
+    answering shard reported at that generation (re-sent only when it
+    moves); ``order`` the canonical permutation of the concatenated shard
+    rows — :func:`~repro.service.merge.disjoint_union`'s order, the key
+    order ``plan`` was built in.
+    """
+
+    version: tuple[int, tuple[str | None, ...]]
+    shard_keys: list[list[Values] | None]
+    order: Any
+    plan: CubePlan
+
+
 class ShardedStreamCube:
     """One logical stream cube partitioned across N independent engines.
 
@@ -311,6 +330,14 @@ class ShardedStreamCube:
         self._write_mutex = threading.RLock()
         self._locks = ShardLockTable(n_shards)
         self._structure_version = 0
+        # The cubing plan of the current merged cell set (see refresh):
+        # replaced whole, never patched, so concurrent refreshes may share
+        # it; the lock only keeps the two counters exact.
+        self._plan: _HeldPlan | None = None
+        self._plan_mu = threading.Lock()
+        #: Refreshes that had to (re)build the plan / ran on the held one.
+        self.plan_builds = 0
+        self.plan_reuses = 0
         # Seal listeners fire after a sealing mutator has released every
         # shard write lock (still under the write mutex, so notifications
         # are totally ordered with the seals they announce).  Listeners
@@ -835,32 +862,36 @@ class ShardedStreamCube:
     # ------------------------------------------------------------------
     # Merged analysis (exact, Theorem 3.2 / 3.3)
     # ------------------------------------------------------------------
-    def _merged(self, method: str, *args: Any) -> dict[Values, ISB]:
-        """Disjoint-union one per-shard read across the fleet.
+    def _fanout(self, method: str, *args: Any) -> list:
+        """One per-shard read across the fleet: a result per shard.
 
         Strict mode (the default) is the original behavior: every shard
         must answer or the error propagates.  With :attr:`degraded_reads`
         set, unreachable shards (quarantined data, dead workers) become
-        holes: the union covers the answering shards and each hole's
-        descriptor accumulates for :meth:`consume_degraded` — partial
-        results are exact for the shards present, since shards own
-        disjoint key sets.
+        ``None`` holes and each hole's descriptor accumulates for
+        :meth:`consume_degraded` — partial results are exact for the
+        shards present, since shards own disjoint key sets.  The caller
+        holds the read cut.
         """
+        backend = self._backend
+        if not self.degraded_reads:
+            return backend.broadcast(method, *args)
+        results, missing = backend.broadcast_partial(method, *args)
+        if missing:
+            holes = self._degraded_holes()
+            seen = {entry["shard"] for entry in holes}
+            holes.extend(
+                entry for entry in missing if entry["shard"] not in seen
+            )
+        return results
+
+    def _merged(self, method: str, *args: Any) -> dict[Values, ISB]:
+        """Disjoint-union one per-shard read across the fleet."""
         with self._locks.read_all():
-            backend = self._backend
-            if not self.degraded_reads:
-                return disjoint_union(backend.broadcast(method, *args))
-            results, missing = backend.broadcast_partial(method, *args)
-            if missing:
-                holes = self._degraded_holes()
-                seen = {entry["shard"] for entry in holes}
-                holes.extend(
-                    entry
-                    for entry in missing
-                    if entry["shard"] not in seen
-                )
             return disjoint_union(
-                [cells for cells in results if cells is not None]
+                cells
+                for cells in self._fanout(method, *args)
+                if cells is not None
             )
 
     def _degraded_holes(self) -> list[dict[str, Any]]:
@@ -937,14 +968,14 @@ class ShardedStreamCube:
         window instead of silently answering for an older one).
         """
         with self._locks.read_all():
-            if self.current_quarter < window_quarters:
-                raise StreamError(
-                    f"only {self.current_quarter} quarters sealed; cannot "
-                    f"form a {window_quarters}-quarter window"
-                )
-            t_e = self.current_quarter * self.ticks_per_quarter - 1
-            t_b = t_e - window_quarters * self.ticks_per_quarter + 1
-            return self._merged("window_isbs", t_b, t_e)
+            return self._merged(
+                "window_isbs", *self._recent_window(window_quarters)
+            )
+
+    def _recent_window(self, window_quarters: int) -> tuple[int, int]:
+        return recent_window_bounds(
+            self.current_quarter, self.ticks_per_quarter, window_quarters
+        )
 
     def refresh(
         self,
@@ -957,10 +988,77 @@ class ShardedStreamCube:
         The merge is the only cross-shard step: once the m-layer union is
         assembled, the cubing algorithms run unchanged — coarser cuboids are
         re-aggregated from the union exactly as they would be from a single
-        engine's m-layer.
+        engine's m-layer.  With numpy, m/o-cubing takes the union as
+        columns under the cube's held plan (:meth:`_planned_window`);
+        everything else takes the ``{values: isb}`` of :meth:`m_cells`.
         """
-        cells = self.m_cells(window_quarters)
+        if algorithm == "mo" and kernels.HAVE_NUMPY:
+            with self._locks.read_all():
+                cells = self._planned_window(
+                    *self._recent_window(window_quarters)
+                )
+        else:
+            cells = self.m_cells(window_quarters)
         return run_cubing(self.layers, cells, self.policy, algorithm, path)
+
+    def _planned_window(self, t_b: int, t_e: int) -> PlannedCells:
+        """The merged m-layer over ``[t_b, t_e]`` as columns under the plan
+        of its cell set (the caller holds the read cut).
+
+        Each shard answers ``(generation, keys, columns)`` — rows in its
+        birth order, keys only when its generation is not one the held plan
+        was built from.  The plan stands while ``(structure_version,
+        per-shard generation)`` stands: then the shard columns are
+        concatenated, gathered through the plan's canonical permutation and
+        that is all.  When it moved — a birth, a prune, a state load, a
+        shard lost to or back from a degraded read — the plan is rebuilt
+        from the shards' keys (the disjoint-union check and canonical sort
+        of :func:`~repro.service.merge.disjoint_union`, then the hierarchy
+        validation and grouping of :class:`CubePlan`), never patched.
+        """
+        np = kernels.np
+        held = self._plan
+        known = [g for g in held.version[1] if g] if held is not None else []
+        parts = self._fanout("window_columns", t_b, t_e, known)
+        version = (
+            self._structure_version,
+            tuple(None if part is None else part[0] for part in parts),
+        )
+        stale = held is None or held.version != version
+        if stale:
+            shard_keys = [
+                None
+                if part is None
+                else held.shard_keys[i]
+                if part[1] is None
+                else part[1]
+                for i, part in enumerate(parts)
+            ]
+            present = [keys for keys in shard_keys if keys is not None]
+            offsets = itertools.accumulate(map(len, present), initial=0)
+            row_of = disjoint_union(
+                dict(zip(keys, itertools.count(offset)))
+                for keys, offset in zip(present, offsets)
+            )
+            held = _HeldPlan(
+                version,
+                shard_keys,
+                np.fromiter(row_of.values(), dtype=np.int64, count=len(row_of)),
+                CubePlan(self.layers, row_of),
+            )
+        with self._plan_mu:
+            if stale:
+                self._plan = held
+                self.plan_builds += 1
+            else:
+                self.plan_reuses += 1
+        answered = [part[2] for part in parts if part is not None]
+        columns = (
+            kernels.ISBColumns.concat(answered)
+            if answered
+            else kernels.ISBColumns.over(t_b, t_e, np.zeros(0), np.zeros(0))
+        )
+        return PlannedCells(held.plan, columns.take(held.order))
 
     # ------------------------------------------------------------------
     # Durability and elasticity: snapshot / restore / reshard

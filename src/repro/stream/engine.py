@@ -44,6 +44,7 @@ Time units: records carry *primitive* ticks (e.g. minutes);
 
 from __future__ import annotations
 
+import os
 import threading
 from bisect import bisect_right
 from collections import OrderedDict, defaultdict
@@ -53,7 +54,7 @@ from typing import Any, Callable, Hashable, Iterable, Literal
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.full import full_materialization
-from repro.cubing.mo_cubing import mo_cubing
+from repro.cubing.mo_cubing import CubePlan, PlannedCells, mo_cubing
 from repro.cubing.multiway import multiway_cubing
 from repro.cubing.policy import ExceptionPolicy, two_point_isb
 from repro.cubing.popular_path import popular_path_cubing
@@ -85,6 +86,7 @@ __all__ = [
     "engine_frame_levels",
     "group_segments",
     "o_layer_change_from_windows",
+    "recent_window_bounds",
     "run_cubing",
     "validate_quarter_order",
     "change_window_bounds",
@@ -181,6 +183,21 @@ def group_segments(
     return segments
 
 
+def recent_window_bounds(
+    current_quarter: int, ticks_per_quarter: int, window_quarters: int
+) -> tuple[int, int]:
+    """The ``(t_b, t_e)`` ticks of the last ``window_quarters`` sealed
+    quarters; raises when fewer are sealed.  One definition serves the
+    engine and the sharded cube."""
+    if current_quarter < window_quarters:
+        raise StreamError(
+            f"only {current_quarter} quarters sealed; cannot form "
+            f"a {window_quarters}-quarter window"
+        )
+    t_e = current_quarter * ticks_per_quarter - 1
+    return t_e - window_quarters * ticks_per_quarter + 1, t_e
+
+
 def change_window_bounds(
     current_quarter: int, ticks_per_quarter: int, quarters_apart: int
 ) -> tuple[int, int, int]:
@@ -201,12 +218,16 @@ def change_window_bounds(
 
 def run_cubing(
     layers: CriticalLayers,
-    cells: dict[Values, ISB],
+    cells: dict[Values, ISB] | PlannedCells,
     policy: ExceptionPolicy,
     algorithm: Algorithm = "mo",
     path: PopularPath | None = None,
 ) -> CubeResult:
-    """Dispatch one cubing run over an assembled m-layer by algorithm name."""
+    """Dispatch one cubing run over an assembled m-layer by algorithm name.
+
+    ``cells`` is the m-layer as ``{values: isb}`` or, for ``"mo"`` only, as
+    columns under the kept plan of their cell set
+    (:class:`~repro.cubing.mo_cubing.PlannedCells`)."""
     if algorithm == "mo":
         return mo_cubing(layers, cells, policy)
     if algorithm == "popular":
@@ -307,6 +328,15 @@ class StreamCubeEngine:
         self._cold_since = kernels.zeros("q", 0)
         self._current_quarter = 0
         self._records_ingested = 0
+        # The cell set's version: a count of the changes to which keys are
+        # tracked or to their row order (birth, prune, state load), under a
+        # token drawn per engine object — so a restarted worker's
+        # generations never collide with its predecessor's.  Readers that
+        # cache what they derived from the keys (the cubing plan) compare
+        # :attr:`cell_generation` for equality, nothing else.
+        self._incarnation = os.urandom(8).hex()
+        self._cell_changes = 0
+        self._plan: tuple[str, CubePlan] | None = None
         self._validate_values = layers.schema.values_validator(layers.m_coord)
         # Every cell's sealed history: one clock (an always-idle frame, the
         # zero prototype) and a page of columns per retained slot.  A new
@@ -349,6 +379,12 @@ class StreamCubeEngine:
     @property
     def records_ingested(self) -> int:
         return self._records_ingested
+
+    @property
+    def cell_generation(self) -> str:
+        """Names the tracked cell set and its row order; moves when a cell
+        is born, pruned or the state is reloaded, and only then."""
+        return f"{self._incarnation}:{self._cell_changes}"
 
     def frame_of(self, values: Values) -> TiltTimeFrame:
         """The tilt frame of one m-layer cell, materialized from the pages.
@@ -420,6 +456,7 @@ class StreamCubeEngine:
         )
         dropped = n - len(keep)
         if dropped:
+            self._cell_changes += 1
             self._tilt = TiltPages.gather([(self._tilt, keep)])
             keys = list(self._rows)
             self._rows = {keys[row]: i for i, row in enumerate(keep)}
@@ -583,6 +620,7 @@ class StreamCubeEngine:
         first = len(rows)
         for key in keys:
             rows[key] = len(rows)
+        self._cell_changes += 1
         n, tpq = len(rows), self.ticks_per_quarter
         self._sums = kernels.grown(self._sums, n * tpq)
         self._present = kernels.grown(self._present, n * tpq)
@@ -885,6 +923,7 @@ class StreamCubeEngine:
         self._frame_levels = list(state.frame_levels)
         self._tilt = tilt
         self._rows = rows
+        self._cell_changes += 1
         self._last_active = kernels.int_column(
             [cell.last_active_quarter for cell in state.cells.values()]
         )
@@ -928,6 +967,27 @@ class StreamCubeEngine:
             return dict(zip(keys, merge_grid(pieces).to_isbs()))
         return dict(zip(keys, merge_rows(pieces)))
 
+    def window_columns(
+        self, t_b: int, t_e: int, known: Iterable[str] = ()
+    ) -> tuple[str, list[Values] | None, kernels.ISBColumns]:
+        """:meth:`window_isbs` as columns: ``(generation, keys, isbs)``.
+
+        One row per tracked cell in birth order, nothing boxed (numpy
+        only).  ``keys`` are the cells' keys in row order — or ``None``
+        when the caller already holds them, i.e. when
+        :attr:`cell_generation` is among the ``known`` generations it
+        passed: between changes of the cell set only the floats travel.
+        """
+        generation = self.cell_generation
+        keys = list(self._rows)
+        if keys:
+            isbs = merge_grid(self._window_pieces(t_b, t_e, keys))
+        else:
+            isbs = kernels.ISBColumns.over(
+                t_b, t_e, kernels.zeros("d", 0), kernels.zeros("d", 0)
+            )
+        return generation, None if generation in known else keys, isbs
+
     def _window_pieces(
         self, t_b: int, t_e: int, keys: list[Values]
     ) -> list[Piece]:
@@ -951,14 +1011,11 @@ class StreamCubeEngine:
         Cells whose frames cannot cover the window (nothing sealed yet)
         raise; call :meth:`advance_to` first.
         """
-        if self._current_quarter < window_quarters:
-            raise StreamError(
-                f"only {self._current_quarter} quarters sealed; cannot form "
-                f"a {window_quarters}-quarter window"
+        return self.window_isbs(
+            *recent_window_bounds(
+                self._current_quarter, self.ticks_per_quarter, window_quarters
             )
-        t_e = self._current_quarter * self.ticks_per_quarter - 1
-        t_b = t_e - window_quarters * self.ticks_per_quarter + 1
-        return self.window_isbs(t_b, t_e)
+        )
 
     def refresh(
         self,
@@ -970,9 +1027,25 @@ class StreamCubeEngine:
 
         This is the quarter-boundary "cube computation" trigger of
         Section 4.5, exposed as an explicit call so applications control the
-        cadence.
+        cadence.  With numpy, m/o-cubing reads the window as columns and
+        keeps its :class:`~repro.cubing.mo_cubing.CubePlan` for as long as
+        the cell set stands, so a refresh between births re-runs only the
+        floats.
         """
-        cells = self.m_cells(window_quarters)
+        if algorithm == "mo" and kernels.HAVE_NUMPY:
+            generation, keys, columns = self.window_columns(
+                *recent_window_bounds(
+                    self._current_quarter,
+                    self.ticks_per_quarter,
+                    window_quarters,
+                )
+            )
+            held = self._plan
+            if held is None or held[0] != generation:
+                held = self._plan = (generation, CubePlan(self.layers, keys))
+            cells = PlannedCells(held[1], columns)
+        else:
+            cells = self.m_cells(window_quarters)
         return run_cubing(self.layers, cells, self.policy, algorithm, path)
 
     def change_exceptions(

@@ -50,10 +50,12 @@ from typing import Any, Hashable
 from repro import faults
 from repro.cluster import ClusterConfig
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.errors import CorruptionError, ServiceError
 from repro.io import isb_from_dict
 from repro.query.api import RegressionCubeView
 from repro.query.exec import execute
 from repro.query.spec import Q
+from repro.regression import kernels
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
@@ -92,6 +94,8 @@ __all__ = [
     "SlowRpc",
     "Subscribe",
     "DrainUpdates",
+    "Pulls",
+    "LoseShard",
 ]
 
 Values = tuple[Hashable, ...]
@@ -261,6 +265,37 @@ class DrainUpdates:
     expect_updates: bool = True
 
 
+@dataclass(frozen=True)
+class Pulls:
+    """The dashboard's pulls through the router, each against the oracle.
+
+    ``observation_deck``, ``watch_list``, ``exceptions`` and ``top_slopes``
+    over every window in ``windows`` (default: the scenario's) — the
+    answers the merged refresh exists for.  Then the cube's plan counters:
+    if nothing touched the cell set since the previous ``Pulls`` (same
+    cube, same keys, no prune) no pull may have rebuilt the cubing plan,
+    and if something did, one must have.  After :class:`LoseShard` the
+    answers must be exactly the survivors' and name the hole.
+    """
+
+    windows: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class LoseShard:
+    """Lose one cube shard for good; later ``Pulls`` are degraded.
+
+    A process worker is SIGKILLed until its restart budget is spent; an
+    in-process shard cannot die, so its engine's window reads are made to
+    raise what a quarantined cold page raises.  The cube's degraded-read
+    mode is switched on (as the HTTP service runs) and the lost keys leave
+    the oracle: every later pull must equal the survivors' answer.  Only
+    ``Pulls`` may follow — a cube with a dead shard ingests nothing.
+    """
+
+    shard: int | None = None
+
+
 Event = (
     Traffic
     | Advance
@@ -275,6 +310,8 @@ Event = (
     | SlowRpc
     | Subscribe
     | DrainUpdates
+    | Pulls
+    | LoseShard
 )
 
 
@@ -420,6 +457,12 @@ class ScenarioRunner:
         self._sub_since: dict[str, int] = {}
         self._sub_prev_epoch: dict[str, tuple[int, ...]] = {}
         self._updates_verified = 0
+        # Pulls / LoseShard state: the shards lost so far, how often the
+        # cell set was re-rowed behind the keys' back (prunes), and what
+        # the previous Pulls saw — (cube, keys, prunes, plan_builds).
+        self._lost_shards: set[int] = set()
+        self._prunes = 0
+        self._last_pulls: tuple | None = None
 
     # ------------------------------------------------------------------
     # Event interpretation
@@ -454,6 +497,8 @@ class ScenarioRunner:
             SlowRpc: self._slow_rpc,
             Subscribe: self._subscribe,
             DrainUpdates: self._drain_updates,
+            Pulls: self._pulls,
+            LoseShard: self._lose_shard,
         }[type(event)]
         handler(event)
 
@@ -1073,6 +1118,7 @@ class ScenarioRunner:
         )
         if dropped_engine == len(candidates):
             self.oracle.drop_keys(candidates)
+            self._prunes += bool(candidates)
         elif dropped_engine == 0 and candidates and certainly_coverable:
             raise VerifyMismatch(
                 f"prune dropped nothing although the {window}-quarter "
@@ -1091,6 +1137,120 @@ class ScenarioRunner:
                 f"cells, oracle {self.oracle.tracked_cells}"
             )
         self.report.checks += 1
+
+    # -- the refresh path: dashboard pulls, plan accounting --------------
+    def _pulls(self, event: Pulls) -> None:
+        self._require_clocks_agree()
+        tol = DEFAULT_TOLERANCE
+        oracle, o_coord = self.oracle, self.layers.o_coord
+        intermediate = set(self.layers.intermediate_coords)
+        for window in event.windows or (self.scenario.window,):
+            if not self._windows_ready(window):
+                raise VerifyMismatch(
+                    f"scenario bug: Pulls before {window} quarters sealed"
+                )
+
+            def pull(spec):
+                return self.router.execute(spec).value
+
+            deck = oracle.o_layer_cells(window)
+            assert_cells_equal(
+                pull(Q.observation_deck(window=window)),
+                deck,
+                f"observation_deck/{window}",
+                tol,
+            )
+            retained = pull(Q.exceptions(window=window))
+            if set(retained) != intermediate | {o_coord}:
+                raise VerifyMismatch(
+                    f"exceptions/{window} covers cuboids {sorted(retained)}"
+                )
+            watched = {o_coord: pull(Q.watch_list(window=window))}
+            for what, answer in (("watch_list", watched), ("exceptions", retained)):
+                for coord, cells in answer.items():
+                    _flag_sets_equal(
+                        cells,
+                        oracle.exceptional_cells(coord, window),
+                        oracle,
+                        coord,
+                        f"{what}/{window} at {coord}",
+                        tol,
+                    )
+            top = pull(Q.top_slopes(o_coord, 3, window=window))
+            if len(top) != min(3, len(deck)):
+                raise VerifyMismatch(
+                    f"top_slopes/{window} returned {len(top)} of "
+                    f"{len(deck)} cells for k=3"
+                )
+            cut = sorted((abs(isb.slope) for isb in deck.values()), reverse=True)
+            for values, isb in top:
+                problem = isb_agree(isb, deck[values], tol)
+                if problem:
+                    raise VerifyMismatch(f"top_slopes/{window} {values}: {problem}")
+                if abs(isb.slope) < cut[len(top) - 1] - 1e-9:
+                    raise VerifyMismatch(
+                        f"top_slopes/{window}: {values} is under the cut line"
+                    )
+            self.report.cells_compared += len(deck)
+        holes = {hole["shard"] for hole in self.cube.consume_degraded()}
+        if holes != self._lost_shards:
+            raise VerifyMismatch(
+                f"degraded answers named shards {sorted(holes)}; "
+                f"lost are {sorted(self._lost_shards)}"
+            )
+        # Plan accounting (without numpy nothing holds a plan).
+        builds = self.cube.plan_builds
+        seen = (self.cube, frozenset(oracle.keys()), self._prunes)
+        if self._last_pulls is not None and kernels.HAVE_NUMPY:
+            *before, built = self._last_pulls
+            if before[0] is not self.cube:
+                built = 0  # a new cube counts from zero
+            if tuple(before) == seen and builds != built:
+                raise VerifyMismatch(
+                    "the cubing plan was rebuilt although the cell set "
+                    "did not change"
+                )
+            if tuple(before) != seen and builds == built:
+                raise VerifyMismatch(
+                    "the cell set changed but the cubing plan was kept"
+                )
+        self._last_pulls = (*seen, builds)
+        self.report.checks += 1
+
+    def _lose_shard(self, event: LoseShard) -> None:
+        self._require_no_subscriptions("LoseShard")
+        cube = self.cube
+        shard = (
+            event.shard
+            if event.shard is not None
+            else self.rng.randrange(cube.n_shards)
+        )
+        lost = [key for key in self.oracle.keys() if cube.shard_index(key) == shard]
+        if self.scenario.backend == "process":
+            while True:
+                cube.kill_worker(shard)
+                try:
+                    cube.change_exceptions(1)  # any strict read finds it dead
+                except ServiceError:
+                    break  # restart budget spent: the death sticks
+        else:
+
+            def quarantined(*args: Any):
+                raise CorruptionError(
+                    f"shard {shard}: cold page quarantined (injected)"
+                )
+
+            engine = cube.shards[shard]
+            engine.window_columns = engine.window_isbs = quarantined
+            # Injected from outside, the loss moved no epoch: answers
+            # cached while the shard still read must not be served.
+            self.router = QueryRouter(
+                cube, window_quarters=self.scenario.window
+            )
+        cube.degraded_reads = True
+        self.oracle.drop_keys(lost)
+        self._lost_shards.add(shard)
+        self._prunes += 1  # the merged cell set lost rows
 
     # -- chaos: worker crashes and RPC timeouts -------------------------
     def _pick_shard(self, shard: int | None) -> int:
@@ -1298,6 +1458,31 @@ def _scenario(name: str, description: str, *events: Event, **cfg) -> Scenario:
 
 
 FULL_CHECK = Check(windows=True, cube=True, queries=True, changes=True)
+
+#: One round of ``refresh_plan_churn`` (the fault matrix's long form runs
+#: several before losing the shard).  hot_quarters=1 under window=4 makes
+#: every pull a cold-window pull.
+REFRESH_PLAN_CHURN: tuple[Event, ...] = (
+    Traffic(quarters=5, rate=2),  # births all the way
+    Advance(1),
+    Pulls(),
+    Traffic(quarters=1, rate=3),  # seals over (mostly) the same cells
+    Advance(1),
+    Pulls(),
+    Advance(2),  # seals nobody spoke in: the plan must hold
+    Pulls(windows=(1, 4, 8)),  # three windows, one plan
+    Traffic(quarters=2, rate=1, style="trickle"),
+    Prune(idle_quarters=2),
+    Pulls(),
+    Traffic(quarters=2, rate=3),  # revivals under new rows
+    Pulls(),
+    Reshard(shards=2),
+    Pulls(),
+    Traffic(quarters=1, rate=2),
+    SnapshotRestore(),  # mid-quarter
+    Advance(1),
+    Pulls(windows=(4, 8)),
+)
 
 # Quarter accounting: Traffic(quarters=n) starting at the accumulating
 # quarter q puts records into q .. q+n-1 and leaves q+n-1 *unsealed*; a
@@ -1568,6 +1753,21 @@ SCENARIOS: dict[str, Scenario] = {
             Check(changes=True),
             backend="process",
             rpc_timeout=0.5,
+        ),
+        _scenario(
+            "refresh_plan_churn",
+            "The held cubing plan under everything that moves the cell "
+            "set — births, prune + revival, reshard, snapshot + restore — "
+            "and everything that does not (seals, windows reaching cold "
+            "pages), dashboard pulls checked after every step; ends "
+            "degraded, a shard lost for good.",
+            *REFRESH_PLAN_CHURN,
+            LoseShard(),
+            Pulls(windows=(4, 1)),
+            ticks_per_quarter=2,
+            storage="file",
+            hot_quarters=1,
+            cell_pool=9,
         ),
         _scenario(
             "kitchen_sink",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -151,6 +153,20 @@ class TestInvalidation:
         assert router.epoch == epoch + 1
         assert fresh != stale  # the jump moved the regression
         assert router.cache.hits == 0  # cleared, recomputed
+
+    def test_a_window_sweep_does_not_pin_stale_views(self, cube, router):
+        """A client sweeping ``"window": 1..N`` used to leave one full
+        ``CubeResult`` per window behind for the life of the process: a
+        line was only ever overwritten by a refresh of the *same* window."""
+        cube.advance_to(32 * TPQ)
+        windows = [1, 2, 3, 4, 8, 12, 16, 20]  # what 32 sealed quarters cover
+        swept = [weakref.ref(router.view(window).result) for window in windows]
+        assert router.stats()["views"] == 8
+        cube.advance_to(33 * TPQ)  # a seal: none of the eight can be served again
+        router.view(1)
+        assert router.stats()["views"] == 1
+        gc.collect()
+        assert [ref() for ref in swept] == [None] * 8
 
     def test_no_invalidation_within_a_quarter(self, cube, router):
         router.execute(Q.cell((1, 1), (0, 0)))

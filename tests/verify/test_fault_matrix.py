@@ -7,16 +7,19 @@ same oracle agreement, same engine==cube equivalence — not merely
 survive.  The default leg keeps CI fast: three recovery-heavy scenarios
 x three presets on the file store, plus a process-backend spot check on
 sqlite.  ``FAULT_MATRIX=full`` (the nightly leg) widens to the whole
-catalogue x both stores x both execution backends.
+catalogue x both stores x both execution backends, and runs
+``refresh_plan_churn`` in its long form (four rounds of cell-set churn
+before the shard is lost).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
 
-from repro.verify.scenarios import SCENARIOS, run_scenario
+from repro.verify.scenarios import REFRESH_PLAN_CHURN, SCENARIOS, run_scenario
 
 PRESETS = ("wal-torn", "page-bitflip", "enospc-snapshot")
 
@@ -68,3 +71,24 @@ def test_scenario_passes_bit_identically_under_faults(
     )
     assert report.checks > 0
     assert report.cells_compared > 0
+
+
+@pytest.mark.skipif(not FULL, reason="long form: FAULT_MATRIX=full only")
+@pytest.mark.parametrize("backend", ("inproc", "process"))
+@pytest.mark.parametrize("storage", ("file", "sqlite"))
+@pytest.mark.parametrize("preset", PRESETS)
+def test_refresh_plan_churn_long_form(preset, storage, backend, tmp_path):
+    short = SCENARIOS["refresh_plan_churn"]
+    rounds = REFRESH_PLAN_CHURN * 4
+    long_form = dataclasses.replace(
+        short, events=rounds + short.events[len(REFRESH_PLAN_CHURN):]
+    )
+    report = run_scenario(
+        long_form,
+        seed=29,
+        workdir=tmp_path,
+        storage=storage,
+        backend=backend,
+        fault_plan=preset,
+    )
+    assert report.checks >= 4 * 9
