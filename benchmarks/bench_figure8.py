@@ -17,7 +17,7 @@ Each benchmark's ``extra_info`` carries the memory-model M-bytes and the
 retained-exception count for the corresponding panel (b) series.
 
 Both algorithms aggregate through the columnar kernels
-(``repro.regression.kernels``; scalar fallback when numpy is absent).
+(``repro.regression.kernels``).
 m/o-cubing's whole lattice walk is columnar — integer key codes, one packed
 grouped Theorem 3.2 kernel call per cuboid, objects only for retained cells
 — while popular-path still bulk-loads and aggregates an object H-tree and

@@ -9,8 +9,7 @@ and (b) recomputing the full analysis window from scratch.
 Both sides ride the columnar fast path (``repro.regression.kernels``):
 quarter absorption goes through grouped ingestion + one grouped sealing fit
 + bulk tilt-frame promotion, and the window recompute's roll-ups go through
-the grouped Theorem 3.2 kernel.  Without numpy the engine falls back to the
-scalar reference path and this bench measures that instead.
+the grouped Theorem 3.2 kernel.
 """
 
 from __future__ import annotations

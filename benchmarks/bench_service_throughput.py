@@ -18,8 +18,7 @@ Measures, at 1/2/4 shards over the same seeded workload:
 
 Ingestion runs on the columnar fast path (grouped batch routing, one
 grouped-fit kernel per sealed quarter, bulk tilt-frame promotion — see
-``repro.regression.kernels``); without numpy the engines fall back to the
-scalar reference path and this bench simply measures that.
+``repro.regression.kernels``).
 
 ``--json PATH`` (or ``REPRO_BENCH_JSON=PATH``) additionally writes
 ``BENCH_service_throughput.json`` — op, scale, wall seconds, records/s and

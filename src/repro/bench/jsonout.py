@@ -38,6 +38,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "json_path_from_args",
     "machine_score",
@@ -71,20 +73,14 @@ def json_path_from_args(
 def machine_score(budget_s: float = 0.1) -> float:
     """A relative speed score for the current machine/interpreter.
 
-    Times a fixed mixed workload — a pure-Python inner loop plus, when
-    numpy is importable, a small vector reduction — for ~``budget_s``
+    Times a fixed mixed workload — a pure-Python inner loop plus a small
+    numpy vector reduction — for ~``budget_s``
     seconds and returns iterations per microsecond.  The mix mirrors the
     gated ingest path (Python grouping/dispatch plus numpy kernels), so a
     runner that is fast at one but slow at the other does not skew the
     normalization.  Only *ratios* of scores are meaningful.
     """
-    try:
-        import numpy as np
-
-        vector = np.arange(20_000, dtype=np.float64)
-    except ImportError:  # pragma: no cover - stripped installs
-        np = None
-        vector = None
+    vector = np.arange(20_000, dtype=np.float64)
     chunk = 100_000
     total = 0
     t0 = time.perf_counter()
@@ -92,9 +88,8 @@ def machine_score(budget_s: float = 0.1) -> float:
         acc = 0
         for i in range(chunk):
             acc += i & 7
-        if vector is not None:
-            for _ in range(10):
-                float(np.add.reduce(vector * 1.0000001))
+        for _ in range(10):
+            float(np.add.reduce(vector * 1.0000001))
         total += chunk
         elapsed = time.perf_counter() - t0
         if elapsed >= budget_s:

@@ -5,7 +5,7 @@ consume: a mapping from cell value tuples to measures, tagged with its
 coordinate.  Aggregation between cuboids (roll-up over standard dimensions
 via Theorem 3.2) lives here because it is shared by every algorithm.
 
-With numpy the cells may be *column-backed*: :class:`CuboidColumns` holds
+The cells may be *column-backed*: :class:`CuboidColumns` holds
 integer key codes and ISB columns, and :class:`ColumnCells` presents them as
 the ``{values: isb}`` mapping, building value tuples and :class:`ISB`
 objects only for what a caller reads.
@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.cube.cell import roll_up_values
 from repro.cube.hierarchy import LevelCodes
 from repro.cube.schema import CubeSchema
@@ -23,7 +25,7 @@ from repro.errors import QueryError, SchemaError
 from repro.regression import kernels
 from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
-from repro.regression.kernels import ISBColumns, merge_groups
+from repro.regression.kernels import ISBColumns
 
 __all__ = ["ColumnCells", "Cuboid", "CuboidColumns", "key_codes"]
 
@@ -42,7 +44,7 @@ class CuboidColumns:
     tuples and :class:`ISB` objects exist only for the rows :meth:`keys` /
     :meth:`cells` are asked for.  ``isbs`` is ``None`` on the key-only
     instances a :class:`~repro.cubing.mo_cubing.CubePlan` records (the
-    structure of a cuboid, awaiting :meth:`with_isbs`).  Requires numpy.
+    structure of a cuboid, awaiting :meth:`with_isbs`).
     """
 
     __slots__ = ("coord", "tables", "codes", "isbs", "_keys")
@@ -227,7 +229,6 @@ def key_codes(
     tables: Sequence[LevelCodes], coord: Coord, keys: Sequence[Values]
 ) -> list:
     """Code columns of value-tuple keys at ``coord`` under existing tables."""
-    np = kernels.np
     return [
         np.array(list(map(table.index(level).__getitem__, column)), dtype=np.int64)
         for table, level, column in zip(
@@ -300,28 +301,19 @@ class Cuboid:
                     f"roll up cuboid level {f} to finer level {t}"
                 )
         out = Cuboid(self.schema, to_coord)
-        if kernels.HAVE_NUMPY and self.cells:
-            cells = self.cells
-            if isinstance(cells, ColumnCells):  # columns in, columns out
-                out.cells = ColumnCells(cells.columns.roll_up(to_coord))
-            else:
-                out.cells = (
-                    CuboidColumns.from_cells(
-                        self.schema, self.coord, list(cells), cells.values()
-                    )
-                    .roll_up(to_coord)
-                    .cells()
-                )
+        cells = self.cells
+        if not cells:
             return out
-        mappers = [
-            dim.hierarchy.ancestor_mapper(f, t)
-            for dim, f, t in zip(self.schema.dimensions, self.coord, to_coord)
-        ]
-        groups: dict[Values, list[ISB]] = {}
-        for values, isb in self.cells.items():
-            key = tuple(m(v) for m, v in zip(mappers, values))
-            groups.setdefault(key, []).append(isb)
-        out.cells = merge_groups(groups)
+        if isinstance(cells, ColumnCells):  # columns in, columns out
+            out.cells = ColumnCells(cells.columns.roll_up(to_coord))
+        else:
+            out.cells = (
+                CuboidColumns.from_cells(
+                    self.schema, self.coord, list(cells), cells.values()
+                )
+                .roll_up(to_coord)
+                .cells()
+            )
         return out
 
     def roll_up_cell(self, to_coord: Coord, target_values: Values) -> ISB | None:

@@ -24,8 +24,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import HierarchyError
-from repro.regression import kernels
 
 __all__ = [
     "ALL",
@@ -335,7 +336,7 @@ class FanoutHierarchy(ConceptHierarchy):
 
 
 def _int64(codes: list[int]):
-    return kernels.np.array(codes, dtype=kernels.np.int64)
+    return np.array(codes, dtype=np.int64)
 
 
 class LevelCodes:
@@ -405,9 +406,7 @@ class LevelCodes:
             return self._up[to_level]
         lift = self._lifts.get((from_level, to_level))
         if lift is None:
-            lift = kernels.np.empty(
-                len(self.index(from_level)), dtype=kernels.np.int64
-            )
+            lift = np.empty(len(self.index(from_level)), dtype=np.int64)
             lift[self._up[from_level]] = self._up[to_level]
             self._lifts[(from_level, to_level)] = lift
         return lift

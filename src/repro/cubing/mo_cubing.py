@@ -17,7 +17,7 @@ the Python-side working dictionary, which is an implementation convenience.
 Retained memory is the o-layer plus the exception cells — the paper's "only
 the exception cells take additional space".
 
-Plan and run.  With numpy the walk is split in two.  What it derives
+Plan and run.  The walk is split in two.  What it derives
 from the m-layer's *cell set* alone is a :class:`CubePlan`: the keys encoded
 once into integer code columns, duplicate cells grouped, the H-tree's leaf
 order, per cuboid its source cuboid and the ``(group id, first row)`` of the
@@ -30,12 +30,12 @@ exception mask — the same rows in the same order through the same
 its measures (a stream cube between seals) keeps the plan and hands
 ``mo_cubing`` a :class:`PlannedCells`.  Value tuples and :class:`ISB`
 objects are built only for the cells a reader asks the result for
-(:class:`~repro.cube.cuboid.ColumnCells`).  Without numpy the H-tree is
-built and the walk runs over :class:`~repro.cube.cuboid.Cuboid` dicts; that
-scalar walk (:func:`mo_cubing_from_tree`) is also the differential
-reference the columnar one is tested against: key order, exception sets and
-every counter equal, floats per the contract in
-:mod:`repro.regression.kernels`.
+(:class:`~repro.cube.cuboid.ColumnCells`).  The paper's own walk — build the
+H-tree (:func:`~repro.cubing.build.build_mo_htree`), then cube over
+:class:`~repro.cube.cuboid.Cuboid` dicts (:func:`mo_cubing_from_tree`) — is
+never a fallback: it is what Figures 8-10 reproduce and the differential
+reference the plan is tested against: key order, exception sets and every
+counter equal, floats per the contract in :mod:`repro.regression.kernels`.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
+import numpy as np
+
 from repro.cube.cuboid import ColumnCells, Cuboid, CuboidColumns
 from repro.cube.layers import CriticalLayers
-from repro.cubing.build import build_mo_htree
 from repro.cubing.policy import ExceptionPolicy
 from repro.cubing.result import CubeResult
 from repro.cubing.stats import CubingStats, Stopwatch
@@ -75,18 +76,15 @@ def mo_cubing(
     if isinstance(m_cells, PlannedCells):
         return m_cells.plan.run(m_cells.columns, policy)
     items = m_cells.items() if isinstance(m_cells, Mapping) else m_cells
-    if kernels.HAVE_NUMPY:
-        pairs = list(items)
-        plan = CubePlan(layers, [values for values, _ in pairs])
-        return plan.run(ISBColumns.from_isbs(isb for _, isb in pairs), policy)
-    tree = build_mo_htree(layers, items)
-    return mo_cubing_from_tree(layers, tree, policy)
+    pairs = list(items)
+    plan = CubePlan(layers, [values for values, _ in pairs])
+    return plan.run(ISBColumns.from_isbs(isb for _, isb in pairs), policy)
 
 
 class CubePlan:
     """Everything Algorithm 1 derives from the m-layer's cell set alone.
 
-    Built from the cell keys (numpy only): the keys validated against the
+    Built from the cell keys: the keys validated against the
     hierarchies and encoded into code columns
     (:class:`~repro.cube.hierarchy.LevelCodes` per dimension), duplicate
     cells grouped, the H-tree's leaf order, and per cuboid of the bottom-up
@@ -100,7 +98,6 @@ class CubePlan:
     """
 
     def __init__(self, layers: CriticalLayers, keys: Iterable[Values]) -> None:
-        np = kernels.np
         self.layers = layers
         schema, m_coord, lattice = layers.schema, layers.m_coord, layers.lattice
         keys = [tuple(values) for values in keys]
@@ -197,7 +194,6 @@ class CubePlan:
     def run(self, columns: ISBColumns, policy: ExceptionPolicy) -> CubeResult:
         """Algorithm 1 over the m-layer measures ``columns``, one row per
         key the plan was built from, in that order."""
-        np = kernels.np
         layers = self.layers
         watch = Stopwatch()
         if self._duplicates is not None:

@@ -13,15 +13,16 @@ no off-path cuboid is touched (fast, but the path cells must be stored); at
 high exception rates nearly every cuboid is drilled, and each drill scans a
 path source without the cross-cuboid sharing m/o-cubing enjoys (slower).
 
-With numpy, drilling is columnar (:class:`_ColumnarDrill`): roll-ups and
-driver membership run on the integer code columns shared with m/o-cubing
-and one grouped Theorem 3.2 kernel call per cuboid; without it, the scalar
-per-key loop.
+Drilling is columnar (:class:`_ColumnarDrill`): roll-ups and driver
+membership run on the integer code columns shared with m/o-cubing and one
+grouped Theorem 3.2 kernel call per cuboid.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
+
+import numpy as np
 
 from repro.cube.cuboid import Cuboid, CuboidColumns, key_codes
 from repro.cube.lattice import PopularPath
@@ -34,7 +35,6 @@ from repro.errors import CubingError
 from repro.htree.tree import HTree
 from repro.regression import kernels
 from repro.regression.isb import ISB
-from repro.regression.kernels import merge_groups
 
 __all__ = ["popular_path_cubing", "popular_path_cubing_from_tree"]
 
@@ -161,7 +161,6 @@ class _ColumnarDrill:
         all_driven: bool,
     ) -> dict[Values, ISB]:
         """The cells of cuboid ``coord`` that some active parent drives."""
-        np = kernels.np
         rows = self._source(src_coord).lifted(coord)
         if not all_driven:
             driven = np.zeros(len(rows), dtype=bool)
@@ -249,53 +248,7 @@ def popular_path_cubing_from_tree(
             all_driven = any(
                 p_coord in fully_driven for p_coord, _ in active_parents
             )
-            if kernels.HAVE_NUMPY:
-                cells = columnar.drill(
-                    src_coord, coord, active_parents, all_driven
-                )
-            else:
-                # Scalar drill: drive-membership is a function of the
-                # rolled-up key alone, so it is decided once per distinct
-                # key (memoized) rather than once per source cell; only
-                # driven cells are grouped at all.
-                src_to_here = [
-                    dim.hierarchy.ancestor_mapper(f, t)
-                    for dim, f, t in zip(schema.dimensions, src_coord, coord)
-                ]
-                here_to_parent = [
-                    (
-                        [
-                            dim.hierarchy.ancestor_mapper(f, t)
-                            for dim, f, t in zip(
-                                schema.dimensions, coord, p_coord
-                            )
-                        ],
-                        p_drivers,
-                    )
-                    for p_coord, p_drivers in active_parents
-                ]
-                decided: dict[Values, bool] = {}
-                groups: dict[Values, list[ISB]] = {}
-                for values, isb in src.items():
-                    key = tuple([m(v) for m, v in zip(src_to_here, values)])
-                    is_driven = True if all_driven else decided.get(key)
-                    if is_driven is None:
-                        is_driven = False
-                        for parent_maps, p_drivers in here_to_parent:
-                            parent_key = tuple(
-                                [m(v) for m, v in zip(parent_maps, key)]
-                            )
-                            if parent_key in p_drivers:
-                                is_driven = True
-                                break
-                        decided[key] = is_driven
-                    if is_driven:
-                        group = groups.get(key)
-                        if group is None:
-                            groups[key] = group = []
-                        group.append(isb)
-                # One grouped Theorem 3.2 kernel call per drilled cuboid.
-                cells = merge_groups(groups)
+            cells = columnar.drill(src_coord, coord, active_parents, all_driven)
             stats.cells_computed += len(cells)
             stats.cuboids_computed += 1
             if len(cells) > stats.transient_peak_cells:

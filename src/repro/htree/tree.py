@@ -262,19 +262,11 @@ class HTree:
         popular path in its nodes ("with the aggregated regression points
         stored in the nonleaf nodes", Algorithm 2 Step 2).
 
-        With numpy available the pass runs level-wise bottom-up: each
-        depth's parent sums are one grouped kernel call
-        (:func:`repro.regression.kernels.segment_merge`) over the children
-        gathered through the header tables, producing bit-identical results
-        to the recursive scalar fold (both add children sequentially in
-        child order).
+        The pass runs level-wise bottom-up: each depth's parent sums are one
+        grouped kernel call (:func:`repro.regression.kernels.segment_merge`)
+        over the children gathered through the header tables, each parent's
+        children added sequentially in child order.
         """
-        if kernels.HAVE_NUMPY and self.attributes:
-            self._aggregate_levelwise()
-        else:
-            self._aggregate(self.root)
-
-    def _aggregate_levelwise(self) -> None:
         depth = len(self.attributes)
         for leaf in self.nodes_at_depth(depth):
             if leaf.isb is None:
@@ -310,28 +302,6 @@ class HTree:
             merged = kernels.segment_merge(cols, starts).to_isbs()
             for parent, isb in zip(parents, merged):
                 parent.isb = isb
-
-    def _aggregate(self, node: HTreeNode) -> ISB:
-        if node.is_leaf:
-            if node.isb is None:
-                raise CubingError("leaf without an ISB; insert data first")
-            return node.isb
-        # Children all share the tree's single time window, so Theorem 3.2
-        # reduces to summing bases and slopes; the generic merge_standard
-        # re-validates intervals per child, which this hot path skips.
-        children = [self._aggregate(child) for child in node.children.values()]
-        first = children[0]
-        base = first.base
-        slope = first.slope
-        for child in children[1:]:
-            if child.t_b != first.t_b or child.t_e != first.t_e:
-                raise CubingError(
-                    "m-layer cells with differing windows cannot share a tree"
-                )
-            base += child.base
-            slope += child.slope
-        node.isb = ISB(first.t_b, first.t_e, base, slope)
-        return node.isb
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

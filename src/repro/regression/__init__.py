@@ -11,8 +11,8 @@ Section 3 plus the Section 6.2 multiple-regression generalization):
   and Theorem 3.3 (time dimension) lossless aggregation (the scalar
   reference implementation).
 * :mod:`repro.regression.kernels` — columnar (struct-of-arrays) twins of the
-  aggregation theorems plus grouped-reduce kernels; the numpy fast path the
-  hot loops run on, property-pinned against the scalar reference.
+  aggregation theorems plus grouped-reduce kernels; the numpy path the hot
+  loops run on, property-pinned against the scalar reference.
 * :mod:`repro.regression.basis` / :mod:`repro.regression.multiple` — the
   generalized theory: mergeable sufficient statistics for multiple linear
   regression with arbitrary (possibly non-linear) basis functions.
@@ -36,7 +36,6 @@ from repro.regression.basis import (
 )
 from repro.regression.isb import ISB, IntVal, isb_of_series
 from repro.regression.kernels import (
-    HAVE_NUMPY,
     ISBColumns,
     group_fit,
     merge_groups,
@@ -65,7 +64,6 @@ __all__ = [
     "interval_length",
     "interval_mean_t",
     "svs",
-    "HAVE_NUMPY",
     "ISBColumns",
     "group_fit",
     "merge_groups",

@@ -49,38 +49,26 @@ Numeric compatibility contract
   exception.  ``tests/cubing/test_columnar_mo.py`` is the differential
   suite.
 
-When numpy is unavailable (:data:`HAVE_NUMPY` is ``False``) every caller
-falls back to the scalar reference path; the ISB kernels themselves raise
-:class:`~repro.errors.AggregationError` if invoked.  The exception is the
-last section, the ingest columns and the open-quarter accumulator: those
-are the stream engine's only write path, so each function there has two
-bodies over one flat layout — numpy arrays, or ``array('q')`` /
-``array('d')`` / ``bytearray`` with scalar loops.
+The scalar functions are references, reached by explicit choice and never
+as a fallback: nothing here branches on whether numpy imported.  The last
+section holds the ingest columns and the open-quarter accumulator — the
+stream engine's only write path — over one flat numpy layout.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import AggregationError
 from repro.regression.isb import ISB
-from repro.regression.linear import RunningRegression
-
-try:  # numpy is a normal dependency, but every consumer degrades gracefully
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy.typing as npt
 
 __all__ = [
-    "HAVE_NUMPY",
     "ISBColumns",
     "merge_standard_cols",
     "merge_time_cols",
@@ -95,32 +83,13 @@ __all__ = [
     "group_merge",
     "int_column",
     "float_column",
-    "zeros",
     "grown",
-    "take",
-    "put",
-    "at_least",
     "quarter_order",
-    "group_counts",
     "split_groups",
     "open_slots",
     "open_add",
     "open_seal",
-    "open_ticks",
 ]
-
-#: Below this many rows the numpy call overhead outweighs the vector win;
-#: callers use it to decide between the kernel and the scalar loop.
-VECTOR_MIN_ROWS = 4
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - stripped installs only
-        raise AggregationError(
-            "columnar ISB kernels require numpy; use the scalar functions in "
-            "repro.regression.aggregation instead"
-        )
-
 
 @dataclass(frozen=True)
 class ISBColumns:
@@ -147,7 +116,6 @@ class ISBColumns:
     @classmethod
     def from_isbs(cls, isbs: Sequence[ISB] | Iterable[ISB]) -> "ISBColumns":
         """Pack ISB objects into columns (one pass, order preserved)."""
-        _require_numpy()
         items = list(isbs)
         n = len(items)
         t_b = np.fromiter((i.t_b for i in items), dtype=np.int64, count=n)
@@ -165,7 +133,6 @@ class ISBColumns:
         nothing per row for ``t_b`` / ``t_e``; the float columns are used as
         given, not copied.
         """
-        _require_numpy()
         n = len(base)
         return cls(
             np.broadcast_to(np.int64(t_b), (n,)),
@@ -222,7 +189,6 @@ def merge_standard_cols(cols: ISBColumns) -> ISB:
     merge_standard`; ulp-compatible with it (sequential sums instead of
     ``fsum`` — see the module docstring).
     """
-    _require_numpy()
     n = len(cols)
     if n == 0:
         raise AggregationError("merge_standard requires at least one child")
@@ -267,7 +233,6 @@ def segment_merge(cols: ISBColumns, seg_starts: Sequence[int]) -> ISBColumns:
     ``merge_standard`` call per group.  (Cuboid roll-up groups by packed
     key instead: :func:`group_merge`.)
     """
-    _require_numpy()
     n = len(cols)
     starts = np.asarray(seg_starts, dtype=np.int64)
     if len(starts) == 0 or n == 0:
@@ -322,7 +287,6 @@ def merge_time_cols(cols: ISBColumns) -> ISB:
     formula runs as array expressions.  Ulp-compatible with
     :func:`~repro.regression.aggregation.merge_time`.
     """
-    _require_numpy()
     k = len(cols)
     if k == 0:
         raise AggregationError("merge_time requires at least one child")
@@ -372,7 +336,6 @@ def merge_time_grid(columns: Sequence[ISBColumns]) -> ISBColumns:
     columns[R-1][g])``, computed from row ``g``'s values alone (per-group
     independence — see the module docstring).
     """
-    _require_numpy()
     if not columns:
         raise AggregationError("merge_time requires at least one child")
     g = len(columns[0])
@@ -457,7 +420,6 @@ def group_fit(
     exactly as the scalar path does.  (Empty cells never reach this kernel —
     the engine seals those with the shared zero ISB.)
     """
-    _require_numpy()
     n_rows = len(ticks)
     starts = np.asarray(seg_starts, dtype=np.int64)
     if len(starts) == 0 or n_rows == 0:
@@ -505,20 +467,19 @@ def merge_groups(groups: "dict", min_rows: int = GROUP_MERGE_MIN_ROWS) -> "dict"
     """Merge ``{key: [ISB, ...]}`` groups with one :func:`segment_merge`.
 
     The grouped counterpart of calling :func:`~repro.regression.aggregation.
-    merge_standard` per group, for callers that already hold their groups
-    as lists of objects (the scalar cuboid roll-up and popular-path drill;
-    with numpy those group by packed key through :func:`group_merge`
-    instead).  Groups may have different
-    intervals from each other; rows *within* one group must share theirs.
+    merge_standard` per group, for groups held as lists of objects.  It has
+    no caller in ``src/``: cuboid roll-up and the popular-path drill group
+    by packed key through :func:`group_merge`.  The name stays because the
+    end-to-end tracer (``benchmarks/e2e/replay.py``) wraps it.  Groups may
+    have different intervals from each other; rows *within* one group must
+    share theirs.
 
-    Falls back to the scalar path (``fsum``-based, correctly rounded) when
-    numpy is absent or the batch is tiny; the kernel path folds each group
-    sequentially in list order, agreeing with the scalar result to ulps.
+    A tiny batch takes the scalar path (``fsum``-based, correctly rounded);
+    the kernel path folds each group sequentially in list order, agreeing
+    with the scalar result to ulps.
     """
     from repro.regression.aggregation import merge_standard
 
-    if not HAVE_NUMPY:
-        return {key: merge_standard(isbs) for key, isbs in groups.items()}
     # 1- and 2-child groups dominate real roll-ups and cost more to pack
     # into arrays than to merge; both inline forms are bit-identical to the
     # kernel *and* the fsum reference (a 2-term fsum is one IEEE add).
@@ -574,7 +535,6 @@ def pack_keys(
     whenever one more column would overflow — only equality of keys within
     one call is meaningful, never their value.
     """
-    _require_numpy()
     key = np.zeros(n, dtype=np.int64)
     bound = 1
     for column, card in zip(columns, cards):
@@ -594,7 +554,6 @@ def first_seen_groups(keys: "npt.NDArray") -> tuple["npt.NDArray", "npt.NDArray"
     every scalar roll-up in the library produces.  ``keys`` must be
     non-negative.
     """
-    _require_numpy()
     n = len(keys)
     if n == 0:
         return keys, keys
@@ -619,7 +578,6 @@ def first_seen_groups(keys: "npt.NDArray") -> tuple["npt.NDArray", "npt.NDArray"
 
 def distinct_count(keys: "npt.NDArray") -> int:
     """Number of distinct values in ``keys``."""
-    _require_numpy()
     if len(keys) == 0:
         return 0
     ordered = np.sort(keys)
@@ -640,77 +598,38 @@ def group_merge(
     gathered group by group, without the gather.  Rows of one group must
     share their interval.
     """
-    _require_numpy()
     gid, first = first_seen_groups(keys)
     return merge_by_group(cols, gid, first), first
 
 
 # ----------------------------------------------------------------------
-# Ingest columns and the open-quarter accumulator (numpy or scalar)
+# Ingest columns and the open-quarter accumulator
 # ----------------------------------------------------------------------
 
-#: One flat column: a numpy array when numpy imports, otherwise an
-#: ``array('q')`` (ints), ``array('d')`` (floats) or ``bytearray`` (masks).
-Column = Any
+#: One flat column: int64 (codes, ticks, rows), float64 (sums) or uint8
+#: (masks).
+Column = np.ndarray
 
 
 def int_column(items: Iterable[int]) -> Column:
     """An int64 column; :class:`OverflowError` for a value outside int64."""
-    if HAVE_NUMPY:
-        return np.fromiter(items, dtype=np.int64)
-    return array("q", items)
+    return np.fromiter(items, dtype=np.int64)
 
 
 def float_column(items: Iterable[float]) -> Column:
     """A float64 column."""
-    if HAVE_NUMPY:
-        return np.fromiter(items, dtype=np.float64)
-    return array("d", items)
-
-
-def zeros(code: str, n: int) -> Column:
-    """``n`` zeros of ``array`` typecode ``code``: ``'q'``, ``'d'``, or
-    ``'B'`` for a mask."""
-    if HAVE_NUMPY:
-        return np.zeros(n, dtype=code)
-    return bytearray(n) if code == "B" else array(code, bytes(8 * n))
+    return np.fromiter(items, dtype=np.float64)
 
 
 def grown(column: Column, n: int) -> Column:
-    """``column`` zero-extended to at least ``n`` entries (capacity doubles
-    on the numpy side, so appending rows one at a time stays amortized)."""
+    """``column`` zero-extended to at least ``n`` entries (capacity doubles,
+    so appending rows one at a time stays amortized)."""
     have = len(column)
     if n <= have:
         return column
-    if HAVE_NUMPY:
-        out = np.zeros(max(n, 2 * have), dtype=column.dtype)
-        out[:have] = column
-        return out
-    column.extend(bytes(n - have))  # n - have items, each 0
-    return column
-
-
-def take(column: Column, index: Sequence[int]) -> Column:
-    """``column[index]`` — a gather, in the order given."""
-    if HAVE_NUMPY:
-        return column[index]
-    return array(column.typecode, [column[i] for i in index])
-
-
-def put(column: Column, index: Column, value: int) -> None:
-    """``column[index] = value`` — a scatter of one value."""
-    if HAVE_NUMPY:
-        column[index] = value
-    else:
-        for i in index:
-            column[i] = value
-
-
-def at_least(column: Column, n: int, floor: int) -> list[int]:
-    """The indices below ``n`` whose entry is ``>= floor``, ascending."""
-    if HAVE_NUMPY:
-        return np.flatnonzero(column[:n] >= floor).tolist()
-    return [i for i in range(n) if column[i] >= floor]
+    out = np.zeros(max(n, 2 * have), dtype=column.dtype)
+    out[:have] = column
+    return out
 
 
 def quarter_order(
@@ -722,28 +641,10 @@ def quarter_order(
     clock: that quarter is sealed) or below the record's before it; ``-1``
     when the batch is in order.
     """
-    if HAVE_NUMPY:
-        quarters = ticks // ticks_per_quarter
-        bad = quarters < floor
-        bad[1:] |= quarters[1:] < quarters[:-1]
-        return quarters, int(bad.argmax()) if bad.any() else -1
-    quarters = array("q", [t // ticks_per_quarter for t in ticks])
-    high = floor
-    for i, quarter in enumerate(quarters):
-        if quarter < high:
-            return quarters, i
-        high = quarter
-    return quarters, -1
-
-
-def group_counts(group: Column, n_groups: int) -> list[int]:
-    """Records per group code."""
-    if HAVE_NUMPY:
-        return np.bincount(group, minlength=n_groups).tolist()
-    counts = [0] * n_groups
-    for g in group:
-        counts[g] += 1
-    return counts
+    quarters = ticks // ticks_per_quarter
+    bad = quarters < floor
+    bad[1:] |= quarters[1:] < quarters[:-1]
+    return quarters, int(bad.argmax()) if bad.any() else -1
 
 
 def split_groups(
@@ -758,26 +659,14 @@ def split_groups(
     or ``None`` for a part that takes nothing.  Groups stay whole.
     """
     parts: list[tuple[list[int], Column, Column] | None] = [None] * n_parts
-    if HAVE_NUMPY:
-        of_record = part_of[group]
-        local = np.empty(len(part_of), dtype=np.int64)
-        for part in range(n_parts):
-            groups = np.flatnonzero(part_of == part)
-            if len(groups):
-                local[groups] = np.arange(len(groups))
-                records = np.flatnonzero(of_record == part)
-                parts[part] = (groups.tolist(), records, local[group[records]])
-        return parts
-    local_of: list[int] = []
-    for g, part in enumerate(part_of):
-        if parts[part] is None:
-            parts[part] = ([], array("q"), array("q"))
-        local_of.append(len(parts[part][0]))
-        parts[part][0].append(g)
-    for i, g in enumerate(group):
-        _, records, codes = parts[part_of[g]]
-        records.append(i)
-        codes.append(local_of[g])
+    of_record = part_of[group]
+    local = np.empty(len(part_of), dtype=np.int64)
+    for part in range(n_parts):
+        groups = np.flatnonzero(part_of == part)
+        if len(groups):
+            local[groups] = np.arange(len(groups))
+            records = np.flatnonzero(of_record == part)
+            parts[part] = (groups.tolist(), records, local[group[records]])
     return parts
 
 
@@ -791,25 +680,15 @@ def open_slots(
     ``r * ticks_per_quarter + (t - lo)``.  ``rows[group[i]]`` is record
     ``i``'s cell row.
     """
-    if HAVE_NUMPY:
-        offsets = ticks - lo
-        if len(offsets) and (
-            int(offsets.min()) < 0 or int(offsets.max()) >= ticks_per_quarter
-        ):
-            raise AggregationError(
-                "recorded ticks fall outside the window "
-                f"[{lo}, {lo + ticks_per_quarter - 1}]"
-            )
-        return rows[group] * ticks_per_quarter + offsets
-    slots = array("q")
-    for g, t in zip(group, ticks):
-        if not 0 <= t - lo < ticks_per_quarter:
-            raise AggregationError(
-                "recorded ticks fall outside the window "
-                f"[{lo}, {lo + ticks_per_quarter - 1}]"
-            )
-        slots.append(rows[g] * ticks_per_quarter + t - lo)
-    return slots
+    offsets = ticks - lo
+    if len(offsets) and (
+        int(offsets.min()) < 0 or int(offsets.max()) >= ticks_per_quarter
+    ):
+        raise AggregationError(
+            "recorded ticks fall outside the window "
+            f"[{lo}, {lo + ticks_per_quarter - 1}]"
+        )
+    return rows[group] * ticks_per_quarter + offsets
 
 
 def open_add(sums: Column, present: Column, slots: Column, z: Column) -> None:
@@ -821,13 +700,8 @@ def open_add(sums: Column, present: Column, slots: Column, z: Column) -> None:
     to record-at-a-time ingestion (which ``np.bincount`` into a non-empty
     accumulator is not).
     """
-    if HAVE_NUMPY:
-        np.add.at(sums, slots, z)
-        present[slots] = 1
-    else:
-        for slot, value in zip(slots, z):
-            sums[slot] += value
-            present[slot] = 1
+    np.add.at(sums, slots, z)
+    present[slots] = 1
 
 
 def open_seal(
@@ -837,47 +711,18 @@ def open_seal(
 
     Row-major non-zeros of ``present`` are each cell's ticks in ascending
     order, cells in row order — :func:`group_fit`'s input as it stands, no
-    per-cell loop and no sort.  The scalar body folds the same ticks in the
-    same order through :class:`~repro.regression.linear.RunningRegression`,
-    which ``group_fit`` replicates bit for bit.  Rows with nothing recorded
-    stay the zero line.
+    per-cell loop and no sort.  Rows with nothing recorded stay the zero
+    line.
     """
     hi = lo + ticks_per_quarter - 1
-    base, slope = zeros("d", n_rows), zeros("d", n_rows)
-    if HAVE_NUMPY:
-        slots = np.flatnonzero(present[: n_rows * ticks_per_quarter])
-        if len(slots):
-            rows = slots // ticks_per_quarter
-            heads = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-            base[rows[heads]], slope[rows[heads]] = group_fit(
-                lo + slots % ticks_per_quarter, sums[slots], heads, lo, hi
-            )
-            sums[slots] = 0.0
-            present[slots] = 0
-        return base, slope
-    end = n_rows * ticks_per_quarter
-    slot = present.find(1, 0, end)
-    while slot >= 0:
-        row = slot // ticks_per_quarter
-        first = row * ticks_per_quarter
-        running = RunningRegression()
-        for s in range(slot, first + ticks_per_quarter):
-            if present[s]:
-                running.add(lo + s - first, sums[s])
-                sums[s] = 0.0
-                present[s] = 0
-        fit = running.fit_window(lo, hi)
-        base[row], slope[row] = fit.base, fit.slope
-        slot = present.find(1, first + ticks_per_quarter, end)
+    base, slope = np.zeros(n_rows), np.zeros(n_rows)
+    slots = np.flatnonzero(present[: n_rows * ticks_per_quarter])
+    if len(slots):
+        rows = slots // ticks_per_quarter
+        heads = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        base[rows[heads]], slope[rows[heads]] = group_fit(
+            lo + slots % ticks_per_quarter, sums[slots], heads, lo, hi
+        )
+        sums[slots] = 0.0
+        present[slots] = 0
     return base, slope
-
-
-def open_ticks(
-    sums: Column, present: Column, n_slots: int
-) -> tuple[list[int], list[float]]:
-    """The open quarter's recorded ``(slots, sums)``, slots ascending."""
-    if HAVE_NUMPY:
-        slots = np.flatnonzero(present[:n_slots])
-        return slots.tolist(), sums[slots].tolist()
-    slots = [s for s in range(n_slots) if present[s]]
-    return slots, [sums[s] for s in slots]

@@ -29,18 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-try:  # multiple regression is linear algebra; it degrades to a clear error
-    import numpy as np
-except ImportError:  # pragma: no cover - stripped installs only
-    np = None  # type: ignore[assignment]
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ModuleNotFoundError(
-            "multiple linear regression (repro.regression.multiple) "
-            "requires numpy; the ISB/linear pipeline works without it"
-        )
+import numpy as np
 
 from repro.errors import (
     AggregationError,
@@ -91,7 +80,6 @@ class SufficientStats:
     __slots__ = ("design", "n", "xtx", "xtz", "ztz", "ztz_valid", "t_b", "t_e")
 
     def __init__(self, design: Design | None = None) -> None:
-        _require_numpy()
         self.design = design if design is not None else linear_design()
         k = self.design.k
         self.n = 0

@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
+import numpy as np
+
 from repro import faults
 from repro.cluster.backends import ClusterConfig, InprocBackend, ShardBackend
 from repro.cluster.process import ProcessBackend
@@ -77,7 +79,7 @@ from repro.stream.engine import (
     run_cubing,
     validate_quarter_order,
 )
-from repro.stream.records import RecordColumns, StreamRecord
+from repro.stream.records import RecordColumns, StreamRecord, require_int_ticks
 from repro.stream.state import EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import TiltLevelSpec, TiltPages
@@ -131,8 +133,8 @@ def _split(
             quarter,
             [keys[g] for g in part[0]],
             part[2],
-            kernels.take(ticks, part[1]),
-            kernels.take(z, part[1]),
+            ticks[part[1]],
+            z[part[1]],
         )
         for part in kernels.split_groups(group, part_of, n_parts)
     ]
@@ -146,7 +148,7 @@ def _chunks(segment: Segment, target: int) -> list[Segment]:
         return [segment]
     piece_of: list[int] = []
     piece = filled = 0
-    for count in kernels.group_counts(group, len(keys)):
+    for count in np.bincount(group, minlength=len(keys)).tolist():
         piece_of.append(piece)
         filled += count
         if filled >= target:
@@ -597,6 +599,7 @@ class ShardedStreamCube:
     # ------------------------------------------------------------------
     def ingest(self, record: StreamRecord) -> None:
         """Ingest one record on its owner shard, keeping shards aligned."""
+        require_int_ticks((record.t,))
         with self._write_mutex:
             key = (
                 record.values if self.key_fn is None else self.key_fn(record)
@@ -988,11 +991,11 @@ class ShardedStreamCube:
         The merge is the only cross-shard step: once the m-layer union is
         assembled, the cubing algorithms run unchanged — coarser cuboids are
         re-aggregated from the union exactly as they would be from a single
-        engine's m-layer.  With numpy, m/o-cubing takes the union as
-        columns under the cube's held plan (:meth:`_planned_window`);
-        everything else takes the ``{values: isb}`` of :meth:`m_cells`.
+        engine's m-layer.  m/o-cubing takes the union as columns under the
+        cube's held plan (:meth:`_planned_window`); everything else takes
+        the ``{values: isb}`` of :meth:`m_cells`.
         """
-        if algorithm == "mo" and kernels.HAVE_NUMPY:
+        if algorithm == "mo":
             with self._locks.read_all():
                 cells = self._planned_window(
                     *self._recent_window(window_quarters)
@@ -1016,7 +1019,6 @@ class ShardedStreamCube:
         of :func:`~repro.service.merge.disjoint_union`, then the hierarchy
         validation and grouping of :class:`CubePlan`), never patched.
         """
-        np = kernels.np
         held = self._plan
         known = [g for g in held.version[1] if g] if held is not None else []
         parts = self._fanout("window_columns", t_b, t_e, known)

@@ -30,9 +30,8 @@ bit-identical to the zero-backfill a frame of the late-born cell's own
 would have held.  A corrupt page raises
 :class:`~repro.errors.CorruptionError` instead of decoding garbage.
 
-Floats travel as raw IEEE-754 doubles (``numpy`` ``tobytes`` /
-``frombuffer`` when available, ``struct`` otherwise — the two produce the
-same bytes), so pages round-trip bit for bit on either path.
+Floats travel as raw little-endian IEEE-754 doubles (``numpy`` ``tobytes``
+/ ``frombuffer``), so pages round-trip bit for bit.
 """
 
 from __future__ import annotations
@@ -40,16 +39,13 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from array import array
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from repro.errors import CorruptionError, StorageError
-from repro.regression import kernels
 from repro.regression.isb import ISB
 from repro.tilt.frame import take_rows
-
-if kernels.HAVE_NUMPY:
-    import numpy as np
 
 __all__ = [
     "PAGE_VERSION",
@@ -83,29 +79,15 @@ PAGE_HEADER_BYTES = _HEADER.size
 
 
 def pack_f64(values: Sequence[float]) -> bytes:
-    """Raw little-endian IEEE-754 doubles (bit-exact, both codec paths)."""
-    if kernels.HAVE_NUMPY:
-        return np.asarray(values, dtype="<f8").tobytes()
-    return struct.pack(f"<{len(values)}d", *values)
+    """Raw little-endian IEEE-754 doubles (bit-exact)."""
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
 def unpack_f64(buf: bytes, count: int, offset: int = 0) -> tuple[float, ...]:
     """Inverse of :func:`pack_f64` (reads ``count`` doubles at ``offset``)."""
-    if kernels.HAVE_NUMPY:
-        return tuple(
-            np.frombuffer(buf, dtype="<f8", count=count, offset=offset).tolist()
-        )
-    return struct.unpack_from(f"<{count}d", buf, offset)
-
-
-def _f64_column(values: Sequence[float]) -> Sequence[float]:
-    """A page's float column as held in memory — the column type of
-    :class:`~repro.tilt.frame.TiltPages`: a float64 numpy array when numpy
-    imports (a hot page's column is adopted as it is, not re-boxed row by
-    row), an ``array('d')`` otherwise."""
-    if kernels.HAVE_NUMPY:
-        return np.asarray(values, dtype=np.float64)
-    return array("d", values)
+    return tuple(
+        np.frombuffer(buf, dtype="<f8", count=count, offset=offset).tolist()
+    )
 
 
 def _encode_keys(keys: Sequence[Values]) -> bytes:
@@ -159,8 +141,10 @@ class ColdPage:
         self.level = level
         self.t_b = t_b
         self.t_e = t_e
-        self.base = _f64_column(base)
-        self.slope = _f64_column(slope)
+        # The column type of :class:`~repro.tilt.frame.TiltPages`: a hot
+        # page's column is adopted as it is, not re-boxed row by row.
+        self.base = np.asarray(base, dtype=np.float64)
+        self.slope = np.asarray(slope, dtype=np.float64)
         self.zero_base = float(zero_base)
         self.zero_slope = float(zero_slope)
         self._row_of: dict[Values, int] | None = None
@@ -293,14 +277,10 @@ class ColdPage:
                 f"cold page declares {n_rows} rows but has {len(keys)} keys"
             )
         at = _HEADER.size + keys_len
-        if kernels.HAVE_NUMPY:
-            base = np.frombuffer(data, dtype="<f8", count=n_rows, offset=at)
-            slope = np.frombuffer(
-                data, dtype="<f8", count=n_rows, offset=at + 8 * n_rows
-            )
-        else:
-            base = unpack_f64(data, n_rows, at)
-            slope = unpack_f64(data, n_rows, at + 8 * n_rows)
+        base = np.frombuffer(data, dtype="<f8", count=n_rows, offset=at)
+        slope = np.frombuffer(
+            data, dtype="<f8", count=n_rows, offset=at + 8 * n_rows
+        )
         return cls(
             level, t_b, t_e, keys, base, slope, zero_base, zero_slope
         )

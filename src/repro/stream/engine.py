@@ -51,6 +51,8 @@ from collections import OrderedDict, defaultdict
 from itertools import count, filterfalse
 from typing import Any, Callable, Hashable, Iterable, Literal
 
+import numpy as np
+
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.full import full_materialization
@@ -65,7 +67,7 @@ from repro.regression.isb import ISB
 from repro.storage.base import ColdStore
 from repro.storage.pages import ColdPage
 from repro.storage.spill import ColdIndex, demotion_cutoffs
-from repro.stream.records import RecordColumns, StreamRecord
+from repro.stream.records import RecordColumns, StreamRecord, require_int_ticks
 from repro.stream.state import CellSnapshot, EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import (
@@ -317,15 +319,15 @@ class StreamCubeEngine:
         # Cell key -> row, in birth order; the open quarter's columns over
         # those rows (see the module docstring for the layout).
         self._rows: dict[Values, int] = {}
-        self._sums = kernels.zeros("d", 0)
-        self._present = kernels.zeros("B", 0)
-        self._last_active = kernels.zeros("q", 0)
+        self._sums = np.zeros(0)
+        self._present = np.zeros(0, dtype=np.uint8)
+        self._last_active = np.zeros(0, dtype=np.int64)
         # With tiered storage: the clock at each cell's birth.  Cold pages
         # are keyed, and one sealed *before* a cell existed may still carry
         # a row under its key (a pruned predecessor); below this tick the
         # cell reads the page's zero row, as it does from a hot page too
         # short to hold its row.
-        self._cold_since = kernels.zeros("q", 0)
+        self._cold_since = np.zeros(0, dtype=np.int64)
         self._current_quarter = 0
         self._records_ingested = 0
         # The cell set's version: a count of the changes to which keys are
@@ -447,10 +449,11 @@ class StreamCubeEngine:
             return 0  # window not fully covered: cannot prove idleness
         cutoff = self._current_quarter - window
         n = len(self._rows)
-        slots, sums = kernels.open_ticks(self._sums, self._present, n * q)
+        recorded = np.flatnonzero(self._present[: n * q])
+        slots, sums = recorded.tolist(), self._sums[recorded].tolist()
         keep = sorted(
             {
-                *kernels.at_least(self._last_active, n, cutoff),
+                *np.flatnonzero(self._last_active[:n] >= cutoff).tolist(),
                 *(slot // q for slot in slots),  # still accumulating
             }
         )
@@ -460,8 +463,8 @@ class StreamCubeEngine:
             self._tilt = TiltPages.gather([(self._tilt, keep)])
             keys = list(self._rows)
             self._rows = {keys[row]: i for i, row in enumerate(keep)}
-            self._last_active = kernels.take(self._last_active, keep)
-            self._cold_since = kernels.take(self._cold_since, keep)
+            self._last_active = self._last_active[keep]
+            self._cold_since = self._cold_since[keep]
             moved = {row: i for i, row in enumerate(keep)}
             self._load_open(
                 [moved[slot // q] * q + slot % q for slot in slots], sums
@@ -472,8 +475,8 @@ class StreamCubeEngine:
         """Fresh open-quarter columns holding ``sums`` at ``slots``
         (adding to ``0.0`` is exact: an accumulated sum is never ``-0.0``)."""
         size = len(self._rows) * self.ticks_per_quarter
-        self._sums = kernels.zeros("d", size)
-        self._present = kernels.zeros("B", size)
+        self._sums = np.zeros(size)
+        self._present = np.zeros(size, dtype=np.uint8)
         kernels.open_add(
             self._sums,
             self._present,
@@ -489,12 +492,13 @@ class StreamCubeEngine:
 
         Records must not go back past a sealed quarter; within the current
         quarter any order is accepted (the running sums are order-free).
-        A record that fails validation — sealed quarter, a quarter past the
-        seal horizon, or an out-of-schema key — is rejected before any state
-        is mutated or journaled.  This is the record-at-a-time reference
-        the batch path is pinned against: one scalar ``+=`` on the same
-        slot the scatter-add would hit.
+        A record that fails validation — a tick that is not an ``int``, a
+        sealed quarter, a quarter past the seal horizon, or an out-of-schema
+        key — is rejected before any state is mutated or journaled.  This
+        is the record-at-a-time reference the batch path is pinned against:
+        one scalar ``+=`` on the same slot the scatter-add would hit.
         """
+        require_int_ticks((record.t,))
         tpq = self.ticks_per_quarter
         quarter = record.t // tpq
         if quarter < self._current_quarter:
@@ -590,7 +594,7 @@ class StreamCubeEngine:
             except TypeError:  # a None: some of the keys are new cells
                 self._new_cells(filterfalse(self._rows.__contains__, keys))
                 rows = kernels.int_column(map(lookup, keys))
-            kernels.put(self._last_active, rows, quarter)
+            self._last_active[rows] = quarter
             kernels.open_add(
                 self._sums,
                 self._present,
@@ -626,10 +630,9 @@ class StreamCubeEngine:
         self._present = kernels.grown(self._present, n * tpq)
         self._last_active = kernels.grown(self._last_active, n)
         self._cold_since = kernels.grown(self._cold_since, n)
-        born = range(first, n)
-        kernels.put(self._last_active, born, self._current_quarter)
+        self._last_active[first:n] = self._current_quarter
         if self._storage is not None:
-            kernels.put(self._cold_since, born, self._tilt.clock.now)
+            self._cold_since[first:n] = self._tilt.clock.now
 
     def _seal_through(self, quarter: int) -> None:
         """Seal every quarter up to (excluding) ``quarter`` for all cells.
@@ -804,9 +807,8 @@ class StreamCubeEngine:
         n, tpq = len(self._rows), self.ticks_per_quarter
         lo = self._current_quarter * tpq
         tick_sums: list[dict[int, float]] = [{} for _ in range(n)]
-        for slot, total in zip(
-            *kernels.open_ticks(self._sums, self._present, n * tpq)
-        ):
+        slots = np.flatnonzero(self._present[: n * tpq])
+        for slot, total in zip(slots.tolist(), self._sums[slots].tolist()):
             tick_sums[slot // tpq][lo + slot % tpq] = total
         return EngineState(
             ticks_per_quarter=self.ticks_per_quarter,
@@ -963,20 +965,18 @@ class StreamCubeEngine:
             return {}
         keys = list(self._rows)
         pieces = self._window_pieces(t_b, t_e, keys)
-        if kernels.HAVE_NUMPY:
-            return dict(zip(keys, merge_grid(pieces).to_isbs()))
-        return dict(zip(keys, merge_rows(pieces)))
+        return dict(zip(keys, merge_grid(pieces).to_isbs()))
 
     def window_columns(
         self, t_b: int, t_e: int, known: Iterable[str] = ()
     ) -> tuple[str, list[Values] | None, kernels.ISBColumns]:
         """:meth:`window_isbs` as columns: ``(generation, keys, isbs)``.
 
-        One row per tracked cell in birth order, nothing boxed (numpy
-        only).  ``keys`` are the cells' keys in row order — or ``None``
-        when the caller already holds them, i.e. when
-        :attr:`cell_generation` is among the ``known`` generations it
-        passed: between changes of the cell set only the floats travel.
+        One row per tracked cell in birth order, nothing boxed.  ``keys``
+        are the cells' keys in row order — or ``None`` when the caller
+        already holds them, i.e. when :attr:`cell_generation` is among the
+        ``known`` generations it passed: between changes of the cell set
+        only the floats travel.
         """
         generation = self.cell_generation
         keys = list(self._rows)
@@ -984,7 +984,7 @@ class StreamCubeEngine:
             isbs = merge_grid(self._window_pieces(t_b, t_e, keys))
         else:
             isbs = kernels.ISBColumns.over(
-                t_b, t_e, kernels.zeros("d", 0), kernels.zeros("d", 0)
+                t_b, t_e, np.zeros(0), np.zeros(0)
             )
         return generation, None if generation in known else keys, isbs
 
@@ -1027,12 +1027,11 @@ class StreamCubeEngine:
 
         This is the quarter-boundary "cube computation" trigger of
         Section 4.5, exposed as an explicit call so applications control the
-        cadence.  With numpy, m/o-cubing reads the window as columns and
-        keeps its :class:`~repro.cubing.mo_cubing.CubePlan` for as long as
-        the cell set stands, so a refresh between births re-runs only the
-        floats.
+        cadence.  m/o-cubing reads the window as columns and keeps its
+        :class:`~repro.cubing.mo_cubing.CubePlan` for as long as the cell
+        set stands, so a refresh between births re-runs only the floats.
         """
-        if algorithm == "mo" and kernels.HAVE_NUMPY:
+        if algorithm == "mo":
             generation, keys, columns = self.window_columns(
                 *recent_window_bounds(
                     self._current_quarter,
@@ -1076,9 +1075,8 @@ class StreamCubeEngine:
         if not self._rows:
             return out
         keys = list(self._rows)
-        # Per-cell scalar merges (fsum) on both kernel paths: the change
-        # line is judged against a threshold, and its digits must not
-        # depend on whether numpy imports.
+        # Per-cell scalar merges (fsum, correctly rounded): the change line
+        # is judged against a threshold.
         prevs = merge_rows(self._window_pieces(prev_b, cur_b - 1, keys))
         curs = merge_rows(self._window_pieces(cur_b, end, keys))
         for key, prev, cur in zip(keys, prevs, curs):

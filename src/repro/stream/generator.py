@@ -15,16 +15,11 @@ Everything is seeded and deterministic.
 
 from __future__ import annotations
 
-import math
-import random
 import re
 from dataclasses import dataclass, field
 from typing import Hashable
 
-try:  # numpy drives the fast draw path; a seeded stdlib fallback stands in
-    import numpy as np
-except ImportError:  # pragma: no cover - stripped installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.cube.hierarchy import FanoutHierarchy
 from repro.cube.layers import CriticalLayers
@@ -192,38 +187,14 @@ def generate_dataset(
     if zipf_a is not None and zipf_a <= 1.0:
         raise SchemaError("zipf_a must exceed 1")
 
-    if np is not None:
-        rng = np.random.default_rng(seed)
-        shape = (spec.n_tuples, spec.n_dims)
-        if zipf_a is None:
-            draws = rng.integers(0, leaf_card, size=shape)
-        else:
-            draws = (rng.zipf(zipf_a, size=shape) - 1) % leaf_card
-        bases = rng.uniform(*base_range, size=spec.n_tuples)
-        slopes = rng.laplace(0.0, slope_scale, size=spec.n_tuples)
+    rng = np.random.default_rng(seed)
+    shape = (spec.n_tuples, spec.n_dims)
+    if zipf_a is None:
+        draws = rng.integers(0, leaf_card, size=shape)
     else:
-        # Scalar fallback: the same distributions from the stdlib RNG.
-        # Draws differ from the numpy build (different bit streams) but
-        # are equally deterministic per seed, which is all the tests and
-        # benchmarks rely on.
-        if zipf_a is not None:
-            raise SchemaError("zipf-skewed datasets require numpy")
-        srng = random.Random(seed)
-        draws = [
-            [srng.randrange(leaf_card) for _ in range(spec.n_dims)]
-            for _ in range(spec.n_tuples)
-        ]
-        bases = [srng.uniform(*base_range) for _ in range(spec.n_tuples)]
-
-        def laplace() -> float:
-            # random() can return exactly 0.0; nudge it so u never hits
-            # -0.5, where log1p(-1.0) would be -inf.
-            u = (srng.random() or 2.0**-53) - 0.5
-            return -slope_scale * math.copysign(
-                math.log1p(-2.0 * abs(u)), u
-            )
-
-        slopes = [laplace() for _ in range(spec.n_tuples)]
+        draws = (rng.zipf(zipf_a, size=shape) - 1) % leaf_card
+    bases = rng.uniform(*base_range, size=spec.n_tuples)
+    slopes = rng.laplace(0.0, slope_scale, size=spec.n_tuples)
 
     t_b, t_e = 0, window_ticks - 1
     cells: dict[Values, ISB] = {}

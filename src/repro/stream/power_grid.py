@@ -18,10 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterator
 
-try:  # the simulator draws numpy randomness; schemas alone do not need it
-    import numpy as np
-except ImportError:  # pragma: no cover - stripped installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.cube.hierarchy import ExplicitHierarchy
 from repro.cube.layers import CriticalLayers
@@ -67,11 +64,6 @@ class PowerGridSimulator:
     """Deterministic per-minute power usage source for Example 1."""
 
     def __init__(self, config: PowerGridConfig | None = None) -> None:
-        if np is None:
-            raise ModuleNotFoundError(
-                "PowerGridSimulator draws numpy randomness; install numpy "
-                "or use repro.stream.generator / repro.verify traffic"
-            )
         self.config = config or PowerGridConfig()
         cfg = self.config
         self._rng = np.random.default_rng(cfg.seed)

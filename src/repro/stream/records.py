@@ -24,6 +24,7 @@ from repro.regression import kernels
 __all__ = [
     "RecordColumns",
     "StreamRecord",
+    "require_int_ticks",
     "sort_records",
     "validate_monotonic",
 ]
@@ -48,13 +49,24 @@ class StreamRecord:
     z: float
 
 
+def require_int_ticks(ticks: list | tuple) -> None:
+    """Refuse a tick that is not an ``int`` (a ``bool`` is none here) before
+    a column coercion truncates ``1.7`` or parses ``"2"``: what the Python
+    API takes is what it journals.  (The HTTP edge coerces on its own.)"""
+    for t in ticks:
+        if type(t) is not int:
+            raise StreamError(
+                f"a record's tick must be an int, got {type(t).__name__} "
+                f"{t!r} — nothing ingested"
+            )
+
+
 class RecordColumns:
     """A batch of records as columns: ``values``, ``ticks``, ``z``.
 
     ``values`` is a list of value tuples, ``ticks`` an int64 and ``z`` a
-    float64 column (:func:`repro.regression.kernels.int_column` /
-    ``float_column``: numpy arrays, or ``array`` without numpy), all in
-    arrival order.
+    float64 numpy column (:func:`repro.regression.kernels.int_column` /
+    ``float_column``), all in arrival order.
     """
 
     __slots__ = ("values", "ticks", "z")
@@ -77,8 +89,10 @@ class RecordColumns:
         if isinstance(records, cls):
             return records
         batch = list(records)
+        ticks = [record.t for record in batch]
+        require_int_ticks(ticks)
         try:
-            ticks = kernels.int_column([record.t for record in batch])
+            ticks = kernels.int_column(ticks)
         except OverflowError as exc:
             raise StreamError(f"a record's tick is outside int64: {exc}") from exc
         return cls(

@@ -48,9 +48,10 @@ from __future__ import annotations
 
 import base64
 import struct
-from array import array
 from dataclasses import dataclass
 from typing import Any, Hashable, Mapping
+
+import numpy as np
 
 from repro.errors import CodecError
 from repro.io import (
@@ -62,12 +63,7 @@ from repro.io import (
     tilt_level_from_dict,
     tilt_level_to_dict,
 )
-from repro.regression import kernels
-from repro.storage.pages import pack_f64, unpack_f64
 from repro.tilt.frame import Page, TiltLevelSpec, TiltPages
-
-if kernels.HAVE_NUMPY:
-    import numpy as np
 
 __all__ = ["CellSnapshot", "EngineState"]
 
@@ -191,12 +187,10 @@ class EngineState:
             for pos in range(len(self.tilt.pages(level)))
             for column in self.tilt.column(level, pos, n)
         ]
-        if kernels.HAVE_NUMPY:
-            rows = np.empty((n, len(columns)), dtype="<f8")
-            for j, column in enumerate(columns):
-                rows[:, j] = column
-            return [row.tobytes() for row in rows]
-        return [pack_f64([column[i] for column in columns]) for i in range(n)]
+        rows = np.empty((n, len(columns)), dtype="<f8")
+        for j, column in enumerate(columns):
+            rows[:, j] = column
+        return [row.tobytes() for row in rows]
 
     @staticmethod
     def _cell_row(
@@ -283,19 +277,10 @@ class EngineState:
     def _pages_of(blobs: list[bytes], clock) -> list[list[Page]]:
         """The cells' slot blobs transposed back into per-slot pages."""
         n_slots = clock.total_retained
-        if kernels.HAVE_NUMPY:
-            rows = np.frombuffer(b"".join(blobs), dtype="<f8").reshape(
-                len(blobs), 2 * n_slots
-            )
-            columns = [
-                np.ascontiguousarray(rows[:, j]) for j in range(2 * n_slots)
-            ]
-        else:
-            flat = [unpack_f64(blob, 2 * n_slots) for blob in blobs]
-            columns = [
-                array("d", [row[j] for row in flat])
-                for j in range(2 * n_slots)
-            ]
+        rows = np.frombuffer(b"".join(blobs), dtype="<f8").reshape(
+            len(blobs), 2 * n_slots
+        )
+        columns = [np.ascontiguousarray(rows[:, j]) for j in range(2 * n_slots)]
         pages: list[list[Page]] = []
         at = 0
         for level in range(len(clock.levels)):

@@ -24,18 +24,16 @@ engine keeps, at 16 bytes per series per slot instead of an object.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Iterable, Iterator, Sequence
+from typing import Deque, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import TiltFrameError
 from repro.regression import kernels
 from repro.regression.aggregation import merge_time
 from repro.regression.isb import ISB
-
-if kernels.HAVE_NUMPY:
-    import numpy as np
 
 __all__ = [
     "TiltLevelSpec",
@@ -478,8 +476,8 @@ def bulk_insert(
     identically on a 1-cell shard and a 10,000-cell engine, and a batch of
     one frame is the reference for one row of a page store.
 
-    Falls back to per-frame :meth:`TiltTimeFrame.insert` when numpy is
-    unavailable or the frames are not aligned.
+    Falls back to per-frame :meth:`TiltTimeFrame.insert` when the frames
+    are not aligned.
     """
     frames = list(frames)
     isb_list = list(isbs)
@@ -490,9 +488,7 @@ def bulk_insert(
     if not frames:
         return
     first = frames[0]
-    if not kernels.HAVE_NUMPY or not all(
-        f is first or f.aligned_with(first) for f in frames[1:]
-    ):
+    if not all(f is first or f.aligned_with(first) for f in frames[1:]):
         for frame, isb in zip(frames, isb_list):
             frame.insert(isb)
         return
@@ -537,9 +533,8 @@ def bulk_insert(
 # The page-columnar frame: many aligned series behind one clock
 # ----------------------------------------------------------------------
 
-#: One float64 column over a page's rows: a numpy array when numpy imports,
-#: an ``array('d')`` otherwise — 8 bytes a row either way.
-Column = Any
+#: One float64 column over a page's rows — 8 bytes a row.
+Column = np.ndarray
 #: ``(base, slope)`` columns of one slot interval.
 Page = tuple[Column, Column]
 #: A page with its interval: ``(t_b, t_e, base, slope)``.
@@ -550,12 +545,8 @@ def _filled(head: Column, n: int, fill: float) -> Column:
     """``head`` extended to ``n`` rows with ``fill`` (as is when it fits)."""
     if len(head) == n:
         return head
-    if kernels.HAVE_NUMPY:
-        out = np.full(n, fill, dtype=np.float64)
-        out[: len(head)] = head
-        return out
-    out = array("d", head)
-    out.extend([fill] * (n - len(head)))
+    out = np.full(n, fill, dtype=np.float64)
+    out[: len(head)] = head
     return out
 
 
@@ -646,13 +637,13 @@ class TiltPages:
         """Append the next finest-level page and run its promotions.
 
         Per series this is :meth:`TiltTimeFrame.insert`; across series it is
-        :func:`bulk_insert` — with numpy one
+        :func:`bulk_insert` — one
         :func:`~repro.regression.kernels.merge_time_grid` per completed
         coarser unit over the last ``ratio`` pages (each row's arithmetic is
         that row's alone, so the result is bit-identical to ``bulk_insert``
-        over one frame per series), scalar :func:`merge_time` per row
-        without.  The zero row rides along as one extra row, so a promoted
-        page's zero row is the promotion of its children's zero rows.
+        over one frame per series).  The zero row rides along as one extra
+        row, so a promoted page's zero row is the promotion of its
+        children's zero rows.
         """
         clock = self.clock
         levels = clock.levels
@@ -678,13 +669,8 @@ class TiltPages:
                 (zeros[pos].t_b, zeros[pos].t_e, *self.column(level, pos, n + 1))
                 for pos in range(first, first + ratio)
             ]
-            if kernels.HAVE_NUMPY:
-                merged = merge_grid(children)
-                base, slope = merged.base, merged.slope
-            else:
-                rows = merge_rows(children)
-                base = array("d", [isb.base for isb in rows])
-                slope = array("d", [isb.slope for isb in rows])
+            merged = merge_grid(children)
+            base, slope = merged.base, merged.slope
             target = clock._slots[level + 1]
             if len(target) == target.maxlen and level + 2 == len(levels):
                 clock._evicted += 1
@@ -771,29 +757,20 @@ def take_rows(column: Column, rows: Sequence[int], fill: float) -> Column:
     """``column[rows]``, with ``fill`` for rows the column does not have
     (negative, or past its end) — the zero-row rule as a gather."""
     size = len(column)
-    if kernels.HAVE_NUMPY:
-        index = np.asarray(rows, dtype=np.intp)
-        out = np.full(len(index), fill, dtype=np.float64)
-        present = (index >= 0) & (index < size)
-        out[present] = column[index[present]]
-        return out
-    return array("d", [column[i] if 0 <= i < size else fill for i in rows])
+    index = np.asarray(rows, dtype=np.intp)
+    out = np.full(len(index), fill, dtype=np.float64)
+    present = (index >= 0) & (index < size)
+    out[present] = column[index[present]]
+    return out
 
 
 def _concat(columns: Sequence[Column]) -> Column:
-    if len(columns) == 1:
-        return columns[0]
-    if kernels.HAVE_NUMPY:
-        return np.concatenate(columns)
-    out = array("d")
-    for column in columns:
-        out.extend(column)
-    return out
+    return columns[0] if len(columns) == 1 else np.concatenate(columns)
 
 
 def merge_grid(pieces: Sequence[Piece]) -> "kernels.ISBColumns":
     """Theorem 3.3 down the rows of time-adjacent pages, one kernel call
-    (:func:`~repro.regression.kernels.merge_time_grid`; numpy only).  A
+    (:func:`~repro.regression.kernels.merge_time_grid`).  A
     single piece is returned as it is — no arithmetic, as ``query`` does."""
     columns = [kernels.ISBColumns.over(*piece) for piece in pieces]
     return columns[0] if len(columns) == 1 else kernels.merge_time_grid(columns)

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import math
 
-try:  # synthetic generators draw numpy randomness; gate, don't hard-require
-    import numpy as np
-except ImportError:  # pragma: no cover - stripped installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.errors import EmptySeriesError
 from repro.timeseries.series import TimeSeries
@@ -32,11 +29,6 @@ __all__ = [
 
 def rng_of(seed: int | np.random.Generator) -> np.random.Generator:
     """Coerce an int seed or an existing Generator into a Generator."""
-    if np is None:
-        raise ModuleNotFoundError(
-            "repro.timeseries.generators draws numpy randomness; install "
-            "numpy to use the synthetic series generators"
-        )
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)

@@ -55,7 +55,6 @@ from repro.io import isb_from_dict
 from repro.query.api import RegressionCubeView
 from repro.query.exec import execute
 from repro.query.spec import Q
-from repro.regression import kernels
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
@@ -1198,10 +1197,10 @@ class ScenarioRunner:
                 f"degraded answers named shards {sorted(holes)}; "
                 f"lost are {sorted(self._lost_shards)}"
             )
-        # Plan accounting (without numpy nothing holds a plan).
+        # Plan accounting.
         builds = self.cube.plan_builds
         seen = (self.cube, frozenset(oracle.keys()), self._prunes)
-        if self._last_pulls is not None and kernels.HAVE_NUMPY:
+        if self._last_pulls is not None:
             *before, built = self._last_pulls
             if before[0] is not self.cube:
                 built = 0  # a new cube counts from zero

@@ -1,4 +1,4 @@
-"""Shared fixtures, hypothesis profiles, and the numpy-absent test mode.
+"""Shared fixtures and hypothesis profiles.
 
 Hypothesis profiles (pick with ``HYPOTHESIS_PROFILE=<name>``, default
 ``ci``):
@@ -8,37 +8,12 @@ Hypothesis profiles (pick with ``HYPOTHESIS_PROFILE=<name>``, default
 * ``dev`` — 10 randomized examples for quick local iteration.
 * ``nightly`` — 200 randomized examples (10x the ci sweep), meant for the
   scheduled chaos-scenario workflow; keeps exploring new seeds.
-
-Numpy-absent mode: ``REPRO_FORCE_NO_NUMPY=1`` makes ``import numpy`` raise
-inside this process even when numpy is installed, faithfully reproducing
-the stripped-install CI leg locally.  Modules with vectorized fast paths
-fall back to their scalar implementations; test modules that genuinely
-need numpy guard themselves with ``pytest.importorskip("numpy")``.
 """
 
 from __future__ import annotations
 
-import importlib.abc
 import math
 import os
-import sys
-
-# ----------------------------------------------------------------------
-# Optional numpy-absent mode — must run before anything imports numpy.
-# ----------------------------------------------------------------------
-if os.environ.get("REPRO_FORCE_NO_NUMPY"):
-
-    class _NumpyBlocker(importlib.abc.MetaPathFinder):
-        def find_spec(self, fullname, path=None, target=None):
-            if fullname == "numpy" or fullname.startswith("numpy."):
-                raise ModuleNotFoundError(
-                    "numpy is blocked by REPRO_FORCE_NO_NUMPY"
-                )
-            return None
-
-    for _mod in [m for m in sys.modules if m.split(".")[0] == "numpy"]:
-        del sys.modules[_mod]
-    sys.meta_path.insert(0, _NumpyBlocker())
 
 import pytest
 from hypothesis import settings
@@ -49,14 +24,6 @@ from repro.cube.schema import CubeSchema, Dimension
 from repro.regression.isb import ISB
 from repro.stream.generator import generate_dataset
 from repro.timeseries.series import TimeSeries
-
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ModuleNotFoundError:  # stripped install or REPRO_FORCE_NO_NUMPY
-    np = None
-    HAVE_NUMPY = False
 
 # ----------------------------------------------------------------------
 # Hypothesis profiles
@@ -143,8 +110,7 @@ def fanout_layers() -> CriticalLayers:
 def random_series(rng, n: int, t_b: int = 0) -> TimeSeries:
     """A noisy random trend series for oracle-based property tests.
 
-    ``rng`` is a ``numpy.random.Generator``; callers live in test modules
-    that importorskip numpy.
+    ``rng`` is a ``numpy.random.Generator``.
     """
     base = rng.uniform(-5, 5)
     slope = rng.uniform(-1, 1)

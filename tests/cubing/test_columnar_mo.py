@@ -1,9 +1,9 @@
 """Differential suite: the columnar m/o-cubing walk vs the scalar H-tree walk.
 
-``mo_cubing`` runs the columnar walk whenever numpy is present; the scalar
-walk it replaced stays reachable as ``mo_cubing_from_tree`` over a tree from
-``build_mo_htree`` (it is what runs without numpy), and is the reference
-here.  The contract, per ``repro.regression.kernels``' compatibility notes:
+``mo_cubing`` runs the columnar walk; the scalar walk it replaced stays
+reachable as ``mo_cubing_from_tree`` over a tree from ``build_mo_htree`` (the
+paper's Algorithm 1 as written), and is the reference here.  The contract,
+per ``repro.regression.kernels``' compatibility notes:
 
 * the same keys in the same dict iteration order in every cuboid (m-layer in
   H-tree leaf order, roll-ups in first-appearance order);
@@ -19,9 +19,6 @@ import math
 import struct
 
 import pytest
-
-pytest.importorskip("numpy")  # the scalar walk alone is all of no-numpy mode
-
 from hypothesis import given
 from hypothesis import strategies as st
 

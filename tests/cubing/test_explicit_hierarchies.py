@@ -9,9 +9,8 @@ fanout-based suite.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # these tests exercise numpy-backed paths
 
 from repro.cube.lattice import PopularPath
 from repro.cubing.buc import buc_cubing

@@ -12,8 +12,6 @@ import math
 
 import pytest
 
-pytest.importorskip("numpy")  # the power-grid simulator draws numpy randomness
-
 from repro.cube.hierarchy import ALL
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.query.drill import ExceptionDriller

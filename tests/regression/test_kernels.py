@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # these tests exercise numpy-backed paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

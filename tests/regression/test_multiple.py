@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # these tests exercise numpy-backed paths
 
 from repro.errors import (
     AggregationError,

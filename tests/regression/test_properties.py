@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.regression import kernels
 from repro.regression.aggregation import merge_standard, merge_time
 from repro.regression.isb import ISB, isb_of_series
 from repro.regression.linear import fit_series, svs, sum_of_series
@@ -155,7 +152,6 @@ def test_lemma_32_closed_form(n, start):
     cut=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="SufficientStats is numpy-backed")
 def test_sufficient_stats_agree_with_isb_after_time_merge(values, cut):
     """The general (Section 6.2) representation stays consistent with ISB."""
     k = cut.draw(st.integers(min_value=1, max_value=len(values) - 1))

@@ -8,11 +8,9 @@ here is the contract that let the delegate/alias tests be deleted rather
 than ported: whatever path a request takes inside the service, a client
 sees the same bytes.
 
-The numpy and scalar kernels differ in the last digits of a float, so the
-file holds one recording per kernel mode (``REPRO_FORCE_NO_NUMPY=1`` picks
-the scalar one).  Regenerate (only when the wire format is changed on
-purpose) with ``PYTHONPATH=src python -m tests.service.test_golden_bodies``
-from the repository root, once per mode.
+Regenerate (only when the wire format is changed on purpose) with
+``PYTHONPATH=src python -m tests.service.test_golden_bodies`` from the
+repository root.
 """
 
 from __future__ import annotations
@@ -20,10 +18,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Any, Iterator
-
-# First, so the regeneration entry point honours REPRO_FORCE_NO_NUMPY too
-# (under pytest the conftest is already loaded).
-from tests.conftest import HAVE_NUMPY  # isort: skip
 
 from repro.cluster import ClusterConfig
 from repro.cubing.policy import GlobalSlopeThreshold
@@ -37,7 +31,6 @@ from repro.stream.wal import QuarterWAL
 from tests.service.conftest import TPQ, workload
 
 GOLDEN = Path(__file__).parent / "golden" / "query_bodies.json"
-KERNELS = "numpy" if HAVE_NUMPY else "scalar"
 
 QUERIES: list[tuple[str, dict[str, Any]]] = [
     ("cell", {"op": "cell", "coord": [2, 2], "values": [0, 0]}),
@@ -158,7 +151,7 @@ def record_bodies(tmp_path: Path) -> dict[str, dict[str, Any]]:
 
 
 def test_bodies_are_byte_identical_to_the_recording(tmp_path):
-    golden = json.loads(GOLDEN.read_text())[KERNELS]
+    golden = json.loads(GOLDEN.read_text())
     got = record_bodies(tmp_path)
     assert sorted(got) == sorted(golden)
     for name, entry in golden.items():
@@ -176,9 +169,8 @@ def test_the_recording_covers_every_registered_op():
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     import tempfile
 
-    recordings = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        recordings[KERNELS] = record_bodies(Path(tmp))
+        recording = record_bodies(Path(tmp))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(recordings, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recordings[KERNELS])} {KERNELS} bodies to {GOLDEN}")
+    GOLDEN.write_text(json.dumps(recording, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recording)} bodies to {GOLDEN}")

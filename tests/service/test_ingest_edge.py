@@ -322,11 +322,10 @@ class TestStructure:
             # One grouped fit per shard over exactly the distinct
             # (cell, tick) pairs — what the per-cell accumulators handed
             # the kernel before.
-            if kernels.HAVE_NUMPY:
-                assert len(fits) == 2
-                assert sum(fits) == len(
-                    {(tuple(r["values"]), r["t"]) for r in rows}
-                )
+            assert len(fits) == 2
+            assert sum(fits) == len(
+                {(tuple(r["values"]), r["t"]) for r in rows}
+            )
         finally:
             service.close()
 

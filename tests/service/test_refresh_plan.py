@@ -25,9 +25,6 @@ import itertools
 import random
 
 import pytest
-
-pytest.importorskip("numpy")  # without numpy there is no plan to hold
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,8 +1,4 @@
-"""The packed columnar page codec: bit-exact round trips, hard failures.
-
-Runs unchanged with or without numpy (``REPRO_FORCE_NO_NUMPY=1``): the two
-float codec paths must produce identical bytes.
-"""
+"""The packed columnar page codec: bit-exact round trips, hard failures."""
 
 from __future__ import annotations
 

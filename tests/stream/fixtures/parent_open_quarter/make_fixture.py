@@ -1,11 +1,9 @@
 """Writes ``state.json`` — run it at the commit whose engine it pins.
 
 The committed file was written at commit 034bbe6 (the last build that kept
-the open quarter as one ``_CellState`` + ``tick_sums`` dict per cell), once
-per kernel mode::
+the open quarter as one ``_CellState`` + ``tick_sums`` dict per cell)::
 
     PYTHONPATH=src python tests/stream/fixtures/parent_open_quarter/make_fixture.py
-    PYTHONPATH=src REPRO_FORCE_NO_NUMPY=1 python .../make_fixture.py
 
 It feeds :func:`batches` to one engine and records the codec form of a
 snapshot taken *mid-quarter* — open ticks in several cells, sums whose value
@@ -16,26 +14,12 @@ current engine and requires the same decoded ``EngineState``.
 
 from __future__ import annotations
 
-import importlib.abc
 import json
-import os
 import random
-import sys
 from pathlib import Path
-
-if os.environ.get("REPRO_FORCE_NO_NUMPY"):
-
-    class _NumpyBlocker(importlib.abc.MetaPathFinder):
-        def find_spec(self, fullname, path=None, target=None):
-            if fullname == "numpy" or fullname.startswith("numpy."):
-                raise ModuleNotFoundError("numpy is blocked")
-            return None
-
-    sys.meta_path.insert(0, _NumpyBlocker())
 
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.io import engine_state_to_dict
-from repro.regression import kernels
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
@@ -77,11 +61,8 @@ def main() -> None:
     engine = build_engine()
     for batch in batches():
         engine.ingest_many(batch)
-    mode = "numpy" if kernels.HAVE_NUMPY else "scalar"
-    path = HERE / "state.json"
-    recorded = json.loads(path.read_text()) if path.exists() else {}
-    recorded[mode] = engine_state_to_dict(engine.snapshot())
-    path.write_text(json.dumps(recorded, indent=1) + "\n")
+    recorded = engine_state_to_dict(engine.snapshot())
+    (HERE / "state.json").write_text(json.dumps(recorded, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,42 +1,26 @@
 """Writes this directory's snapshot — run it at the commit whose format it pins.
 
 The committed files were written at commit 6a49a45 (the last build with one
-``TiltTimeFrame`` per cell), once per kernel mode::
+``TiltTimeFrame`` per cell)::
 
-    PYTHONPATH=src python tests/stream/fixtures/parent_snapshot/make_fixture.py write
-    PYTHONPATH=src REPRO_FORCE_NO_NUMPY=1 python .../make_fixture.py bodies
+    PYTHONPATH=src python tests/stream/fixtures/parent_snapshot/make_fixture.py
 
-``write`` builds a small durable service (2 shards, WAL, file cold store,
+It builds a small durable service (2 shards, WAL, file cold store,
 2-quarter hot horizon), drives cells born mid-stream, a prune and a revival
 through it, snapshots, journals a tail past the snapshot, and records the
-``/query`` bodies of the *restored* service under ``numpy``; ``bodies``
-restores the same directory with numpy blocked and records ``scalar``.
+``/query`` bodies of the *restored* service.
 ``tests/stream/test_page_store.py`` restores the directory on the current
 build and requires byte-equal bodies.
 """
 
 from __future__ import annotations
 
-import importlib.abc
 import json
-import os
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
-if os.environ.get("REPRO_FORCE_NO_NUMPY"):
-
-    class _NumpyBlocker(importlib.abc.MetaPathFinder):
-        def find_spec(self, fullname, path=None, target=None):
-            if fullname == "numpy" or fullname.startswith("numpy."):
-                raise ModuleNotFoundError("numpy is blocked")
-            return None
-
-    sys.meta_path.insert(0, _NumpyBlocker())
-
 from repro.cubing.policy import GlobalSlopeThreshold
-from repro.regression import kernels
 from repro.service import QueryRouter, ShardedStreamCube, StreamCubeService
 from repro.storage import StorageConfig
 from repro.stream.generator import DatasetSpec
@@ -141,17 +125,11 @@ def write() -> None:
     cube.advance_to(30 * TPQ)
     cube.ingest_batch(traffic(30, 1, late))  # an unsealed quarter
     service.close()
-    record("numpy")
-
-
-def record(mode: str) -> None:
-    assert kernels.HAVE_NUMPY == (mode == "numpy")
-    path = HERE / "expected_bodies.json"
-    expected = json.loads(path.read_text()) if path.exists() and mode != "numpy" else {}
-    expected["queries"] = QUERIES
-    expected[mode] = bodies(HERE)
-    path.write_text(json.dumps(expected, indent=1) + "\n")
+    expected = {"queries": QUERIES, "bodies": bodies(HERE)}
+    (HERE / "expected_bodies.json").write_text(
+        json.dumps(expected, indent=1) + "\n"
+    )
 
 
 if __name__ == "__main__":
-    {"write": write, "bodies": lambda: record("scalar")}[sys.argv[1]]()
+    write()

@@ -8,8 +8,7 @@ scalar ``+=`` per record — and everything observable must agree with it
 *exactly*: ``snapshot()`` field for field (cell order, open per-tick sums,
 activity markers, every retained slot) and ``window_isbs`` bit for bit, for
 a single engine and for sharded cubes of 1, 2 and 7 shards on both shard
-backends.  The suite runs under both kernel modes (``REPRO_FORCE_NO_NUMPY``),
-so the numpy and the scalar kernel bodies are each pinned.
+backends.
 
 Values are drawn from magnitudes whose sum depends on the order of
 addition, two hot cells take most of the duplicates, batches start and stop
@@ -33,7 +32,6 @@ from repro.cluster import ClusterConfig
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.errors import HierarchyError, StreamError
 from repro.io import engine_state_from_dict, engine_state_to_dict
-from repro.regression import kernels
 from repro.service.sharding import ShardedStreamCube, stable_shard_index
 from repro.stream.engine import MAX_QUARTERS_AHEAD, StreamCubeEngine
 from repro.stream.generator import DatasetSpec
@@ -254,8 +252,7 @@ def test_a_mid_quarter_snapshot_decodes_to_the_state_the_parent_wrote():
     maker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(maker)
 
-    mode = "numpy" if kernels.HAVE_NUMPY else "scalar"
-    recorded = json.loads((fixture / "state.json").read_text())[mode]
+    recorded = json.loads((fixture / "state.json").read_text())
     parent = engine_state_from_dict(recorded)
     assert any(cell.tick_sums for cell in parent.cells.values())  # mid-quarter
 
@@ -392,3 +389,63 @@ class TestSealHorizon:
                     attempt()
             assert cube.current_quarter == 2 and wal.last_seq == seq
         wal.close()
+
+
+class TestTickTypes:
+    """A tick through the Python API is an ``int``: ``1.7`` is not truncated,
+    ``"2"`` not parsed, ``True`` not counted — by the record path or the batch
+    path, and before anything is journaled or born.  (The HTTP edge coerces
+    on its own: ``tests/service/test_ingest_edge.py``.)"""
+
+    BAD_TICKS = (9.7, 9.0, "9", True, None)
+
+    @pytest.mark.parametrize("tick", BAD_TICKS)
+    def test_engine_refuses_before_journaling(self, tmp_path, tick):
+        wal = QuarterWAL(tmp_path / "wal.jsonl")
+        engine = StreamCubeEngine(LAYERS, POLICY, ticks_per_quarter=4, wal=wal)
+        _seeded(engine)
+        before = engine_state_to_dict(engine.snapshot())
+        journal = wal.path.read_bytes()
+        bad = StreamRecord((5, 5), tick, 1.0)  # a cell the engine has not seen
+        for attempt in (
+            lambda: engine.ingest(bad),
+            lambda: engine.ingest_many([bad]),
+            lambda: engine.ingest_many([StreamRecord((0, 0), 9, 1.0), bad]),
+        ):
+            with pytest.raises(StreamError, match="tick must be an int"):
+                attempt()
+        assert engine_state_to_dict(engine.snapshot()) == before
+        assert wal.path.read_bytes() == journal
+        wal.close()
+
+    @pytest.mark.parametrize("backend", ["inproc", "process"])
+    def test_cube_refuses_before_journaling(self, tmp_path, backend):
+        wal = QuarterWAL(tmp_path / "wal.jsonl")
+        with ShardedStreamCube(
+            LAYERS, POLICY, n_shards=2, ticks_per_quarter=4, wal=wal, backend=backend
+        ) as cube:
+            _seeded(cube)
+
+            def states() -> list[dict]:
+                return [
+                    engine_state_to_dict(state)
+                    for state in cube._backend.broadcast("snapshot")
+                ]
+
+            before, journal = states(), wal.path.read_bytes()
+            for tick in self.BAD_TICKS:
+                bad = StreamRecord((5, 5), tick, 1.0)
+                for attempt in (
+                    lambda: cube.ingest(bad),
+                    lambda: cube.ingest_batch([bad]),
+                    lambda: cube.ingest_batch([StreamRecord((0, 0), 9, 1.0), bad]),
+                ):
+                    with pytest.raises(StreamError, match="tick must be an int"):
+                        attempt()
+            assert states() == before
+            assert wal.path.read_bytes() == journal
+        wal.close()
+
+    def test_record_columns_refuse_at_the_door(self):
+        with pytest.raises(StreamError, match="got float 1.7"):
+            RecordColumns.of([StreamRecord((0, 0), 1.7, 1.0)])

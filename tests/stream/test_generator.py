@@ -79,7 +79,6 @@ class TestGeneration:
         assert all(isb.interval == (0, 7) for isb in data.cells.values())
 
     def test_zipf_skews_leaf_popularity(self):
-        pytest.importorskip("numpy")  # zipf draws require numpy
         # Leaf space (1000) well above tuple count so saturation cannot
         # mask the skew.
         uniform = generate_dataset("D1L3C10T2K", seed=5)
@@ -92,7 +91,6 @@ class TestGeneration:
             generate_dataset("D1L2C3T10", zipf_a=1.0)
 
     def test_slope_spread_nontrivial(self):
-        pytest.importorskip("numpy")  # spread bound calibrated for the numpy draw stream
         data = generate_dataset("D2L2C4T1K", seed=6, slope_scale=0.1)
         slopes = [abs(i.slope) for i in data.cells.values()]
         assert max(slopes) > 10 * (sum(slopes) / len(slopes)) * 0.5

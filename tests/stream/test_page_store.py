@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.io import engine_state_from_dict, engine_state_to_dict
 from repro.regression import kernels
-from repro.regression.aggregation import merge_time
 from repro.regression.isb import ISB
 from repro.regression.linear import RunningRegression
 from repro.storage import open_cold_store
@@ -64,8 +63,8 @@ class PerCellReference:
 
     @staticmethod
     def _insert(frame: TiltTimeFrame, isb: ISB) -> None:
-        # A batch of one: the engine's promotion arithmetic (the grid kernel
-        # with numpy, ``merge_time`` without) for this series alone.
+        # A batch of one: the engine's promotion arithmetic (the grid
+        # kernel) for this series alone.
         bulk_insert([frame], [isb])
 
     def _zero(self, quarter: int) -> ISB:
@@ -124,11 +123,6 @@ class PerCellReference:
             [self.slot(key, level, t_b) for key in keys]
             for level, _, t_b, _ in plan
         ]
-        if not kernels.HAVE_NUMPY:
-            return {
-                key: merge_time([piece[i] for piece in pieces])
-                for i, key in enumerate(keys)
-            }
         columns = [kernels.ISBColumns.from_isbs(piece) for piece in pieces]
         merged = (
             columns[0] if len(columns) == 1 else kernels.merge_time_grid(columns)
@@ -334,6 +328,5 @@ def test_a_parent_written_snapshot_restores_with_byte_equal_query_bodies():
 
     expected = json.loads((fixture / "expected_bodies.json").read_text())
     assert expected["queries"] == make_fixture.QUERIES
-    mode = "numpy" if kernels.HAVE_NUMPY else "scalar"
     # bodies() restores a scratch copy: the committed files stay untouched.
-    assert make_fixture.bodies(fixture) == expected[mode]
+    assert make_fixture.bodies(fixture) == expected["bodies"]

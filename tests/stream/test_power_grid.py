@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")  # the power-grid simulator draws numpy randomness
-
 from repro.errors import StreamError
 from repro.stream.power_grid import USER_GROUPS, PowerGridConfig, PowerGridSimulator
 

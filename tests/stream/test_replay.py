@@ -61,7 +61,6 @@ class TestCapture:
 
     def test_replayed_engine_run_is_identical(self, tmp_path):
         """Capture a live simulation, replay it, get identical cube state."""
-        pytest.importorskip("numpy")  # drives the power-grid simulator
         from repro.cubing.policy import GlobalSlopeThreshold
         from repro.stream.engine import StreamCubeEngine
         from repro.tilt.frame import TiltLevelSpec
