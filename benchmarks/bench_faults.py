@@ -136,9 +136,7 @@ def measure_ingest(
             n_shards=2,
             ticks_per_quarter=_TPQ,
             wal=QuarterWAL(workdir / "cube.wal"),
-            storage=StorageConfig(
-                root=workdir / "cold", backend="file", hot_quarters=2
-            ),
+            storage=StorageConfig(root=workdir / "cold", hot_quarters=2),
         )
         try:
             gc.collect()

@@ -5,15 +5,15 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_storage.py [--json PATH]
 
 Feeds the same long seeded workload (hundreds of single-tick quarters, so
-history reaches the hour/day tilt levels quickly) to three engines:
+history reaches the hour/day tilt levels quickly) to two engines:
 
-* ``spill:file`` / ``spill:sqlite`` — a :class:`StreamCubeEngine` over a
-  cold store with a small hot horizon, measuring ingest+seal throughput
-  while sealed slots are demoted to disk;
+* ``spill`` — a :class:`StreamCubeEngine` over the cold store with a small
+  hot horizon, measuring ingest+seal throughput while sealed slots are
+  demoted to disk;
 * ``resident`` — the storage-free reference engine, to price the spill
   overhead and to show what natural tilt retention keeps in RAM.
 
-Then, against the file-backed engine:
+Then, against the spilling engine:
 
 * ``cold_window`` — wall time of deep-history ``window_isbs`` calls that
   must fault pages back from disk (page cache dropped first), vs ``warm_window``
@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro.bench.memprobe import TracemallocProbe
 from repro.cubing.policy import GlobalSlopeThreshold
-from repro.storage import open_cold_store
+from repro.storage import BACKEND, FileColdStore
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
@@ -49,7 +49,6 @@ _TPQ = 1  # single-tick quarters: 4 ticks/hour, 384/day — deep levels fast
 _HOT = 2
 _QUARTERS = 480
 _N_CELLS = 48
-_BACKENDS = ("file", "sqlite")
 # Deep bounds that cannot be answered canonically from resident slots
 # (the first quarter is guaranteed cold after demotion) plus the full
 # history, which mixes resident coarse slots with faulted fine ones.
@@ -61,9 +60,8 @@ _COLD_BOUNDS = (
 
 @dataclass(frozen=True)
 class StoragePoint:
-    """One run's measurements over a single backend."""
+    """One run's measurements."""
 
-    backend: str
     n_records: int
     ingest_s: float
     resident_ingest_s: float
@@ -125,171 +123,148 @@ def _timed_ingest(engine, records) -> tuple[float, float]:
     return wall, probe.peak_megabytes
 
 
-def measure_backend(backend: str, workdir: Path) -> StoragePoint:
+def measure() -> StoragePoint:
     layers, policy = _build()
     records = _traffic()
 
-    store = open_cold_store(workdir / backend, backend=backend)
-    engine = StreamCubeEngine(
-        layers, policy, ticks_per_quarter=_TPQ,
-        storage=store, hot_quarters=_HOT,
-    )
-    ingest_s, spill_peak = _timed_ingest(engine, records)
-
-    reference = StreamCubeEngine(layers, policy, ticks_per_quarter=_TPQ)
-    resident_s, resident_peak = _timed_ingest(reference, records)
-
-    # Cold pass: drop the page cache so every bound faults from disk, then
-    # replay the same bounds warm (cache hits, no disk reads).  Best of
-    # three rounds each — single-digit-ms walls are too noisy for the CI
-    # regression gate otherwise.
-    cold_s: dict[str, float] = {}
-    warm_s: dict[str, float] = {}
-    for _ in range(3):
-        for label, (t_b, t_e) in _COLD_BOUNDS:
-            engine.drop_page_cache()
-            t0 = time.perf_counter()
-            engine.window_isbs(t_b, t_e)
-            wall = time.perf_counter() - t0
-            cold_s[label] = min(cold_s.get(label, wall), wall)
-        for label, (t_b, t_e) in _COLD_BOUNDS:
-            t0 = time.perf_counter()
-            engine.window_isbs(t_b, t_e)
-            wall = time.perf_counter() - t0
-            warm_s[label] = min(warm_s.get(label, wall), wall)
-
-    stats = engine.storage_stats()
-    point = StoragePoint(
-        backend=backend,
-        n_records=len(records),
-        ingest_s=ingest_s,
-        resident_ingest_s=resident_s,
-        pages_spilled=stats["pages_spilled"],
-        cold_slots=stats["cold_slots"],
-        bytes_on_disk=store.stats().bytes_on_disk,
-        resident_slots=_resident_slots(engine),
-        reference_slots=_resident_slots(reference),
-        spill_peak_mb=spill_peak,
-        resident_peak_mb=resident_peak,
-        cold_window_s=cold_s,
-        warm_window_s=warm_s,
-        cold_faults=stats["cold_faults"],
-    )
-    store.close()
-    return point
-
-
-def storage_series() -> list[StoragePoint]:
     workdir = Path(tempfile.mkdtemp(prefix="repro-bench-storage-"))
     try:
-        return [measure_backend(b, workdir) for b in _BACKENDS]
+        store = FileColdStore(workdir / "cold")
+        engine = StreamCubeEngine(
+            layers, policy, ticks_per_quarter=_TPQ,
+            storage=store, hot_quarters=_HOT,
+        )
+        ingest_s, spill_peak = _timed_ingest(engine, records)
+
+        reference = StreamCubeEngine(layers, policy, ticks_per_quarter=_TPQ)
+        resident_s, resident_peak = _timed_ingest(reference, records)
+
+        # Cold pass: drop the page cache so every bound faults from disk,
+        # then replay the same bounds warm (cache hits, no disk reads).
+        # Best of three rounds each — single-digit-ms walls are too noisy
+        # for the CI regression gate otherwise.
+        cold_s: dict[str, float] = {}
+        warm_s: dict[str, float] = {}
+        for _ in range(3):
+            for label, (t_b, t_e) in _COLD_BOUNDS:
+                engine.drop_page_cache()
+                t0 = time.perf_counter()
+                engine.window_isbs(t_b, t_e)
+                wall = time.perf_counter() - t0
+                cold_s[label] = min(cold_s.get(label, wall), wall)
+            for label, (t_b, t_e) in _COLD_BOUNDS:
+                t0 = time.perf_counter()
+                engine.window_isbs(t_b, t_e)
+                wall = time.perf_counter() - t0
+                warm_s[label] = min(warm_s.get(label, wall), wall)
+
+        stats = engine.storage_stats()
+        return StoragePoint(
+            n_records=len(records),
+            ingest_s=ingest_s,
+            resident_ingest_s=resident_s,
+            pages_spilled=stats["pages_spilled"],
+            cold_slots=stats["cold_slots"],
+            bytes_on_disk=store.stats().bytes_on_disk,
+            resident_slots=_resident_slots(engine),
+            reference_slots=_resident_slots(reference),
+            spill_peak_mb=spill_peak,
+            resident_peak_mb=resident_peak,
+            cold_window_s=cold_s,
+            warm_window_s=warm_s,
+            cold_faults=stats["cold_faults"],
+        )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def render_storage_table(rows: list[StoragePoint]) -> str:
+def render_storage_table(p: StoragePoint) -> str:
     header = (
-        f"{'backend':>7} | {'ingest rec/s':>12} | {'vs resident':>11} | "
+        f"{'ingest rec/s':>12} | {'vs resident':>11} | "
         f"{'pages':>5} | {'disk KB':>7} | {'hot slots':>9} | "
         f"{'cold ms':>7} | {'warm ms':>7}"
     )
-    lines = [
-        f"tiered storage ({_QUARTERS} quarters, hot horizon "
-        f"{_HOT}q, {rows[0].n_records} records)",
-        header,
-        "-" * len(header),
-    ]
-    for p in rows:
-        cold_ms = sum(p.cold_window_s.values()) * 1e3
-        warm_ms = sum(p.warm_window_s.values()) * 1e3
-        lines.append(
-            f"{p.backend:>7} | {p.ingest_records_per_s:>12,.0f} | "
+    cold_ms = sum(p.cold_window_s.values()) * 1e3
+    warm_ms = sum(p.warm_window_s.values()) * 1e3
+    return "\n".join(
+        [
+            f"tiered storage ({_QUARTERS} quarters, hot horizon "
+            f"{_HOT}q, {p.n_records} records)",
+            header,
+            "-" * len(header),
+            f"{p.ingest_records_per_s:>12,.0f} | "
             f"{p.ingest_s / p.resident_ingest_s:>10.2f}x | "
             f"{p.pages_spilled:>5} | {p.bytes_on_disk / 1024:>7.1f} | "
             f"{p.resident_slots:>4}/{p.reference_slots:<4} | "
-            f"{cold_ms:>7.1f} | {warm_ms:>7.1f}"
-        )
-    p = rows[0]
-    lines.append(
-        f"ingest peak tracemalloc: spilling {p.spill_peak_mb:.1f} MB vs "
-        f"resident {p.resident_peak_mb:.1f} MB"
-    )
-    return "\n".join(lines)
-
-
-def storage_checks(rows: list[StoragePoint]) -> list[tuple[str, bool]]:
-    checks: list[tuple[str, bool]] = []
-    for p in rows:
-        checks += [
-            (
-                f"{p.backend}: sealing demotes history to disk "
-                "(pages and cold slots accumulate)",
-                p.pages_spilled > 0
-                and p.cold_slots > 0
-                and p.bytes_on_disk > 0,
-            ),
-            (
-                f"{p.backend}: resident slots stay bounded by the hot set "
-                "(under half of natural tilt retention)",
-                p.resident_slots < 0.5 * p.reference_slots,
-            ),
-            (
-                f"{p.backend}: spill tax on ingest is bounded (< 4x the "
-                "storage-free engine)",
-                p.ingest_s < 4.0 * p.resident_ingest_s,
-            ),
-            (
-                f"{p.backend}: deep windows really fault cold pages",
-                p.cold_faults > 0,
-            ),
+            f"{cold_ms:>7.1f} | {warm_ms:>7.1f}",
+            f"ingest peak tracemalloc: spilling {p.spill_peak_mb:.1f} MB vs "
+            f"resident {p.resident_peak_mb:.1f} MB",
         ]
-    p = rows[0]
-    checks.append(
+    )
+
+
+def storage_checks(p: StoragePoint) -> list[tuple[str, bool]]:
+    return [
+        (
+            "sealing demotes history to disk "
+            "(pages and cold slots accumulate)",
+            p.pages_spilled > 0 and p.cold_slots > 0 and p.bytes_on_disk > 0,
+        ),
+        (
+            "resident slots stay bounded by the hot set "
+            "(under half of natural tilt retention)",
+            p.resident_slots < 0.5 * p.reference_slots,
+        ),
+        (
+            "spill tax on ingest is bounded (< 4x the storage-free engine)",
+            p.ingest_s < 4.0 * p.resident_ingest_s,
+        ),
+        (
+            "deep windows really fault cold pages",
+            p.cold_faults > 0,
+        ),
         (
             "memory-bounded ingest: spilling peak allocation stays within "
             "1.5x of the resident engine (pages stream out, not pile up)",
             p.spill_peak_mb < 1.5 * p.resident_peak_mb,
-        )
-    )
-    return checks
+        ),
+    ]
 
 
-def json_entries(rows: list[StoragePoint], scale: str) -> list[dict]:
+def json_entries(p: StoragePoint, scale: str) -> list[dict]:
     """The machine-readable form of one run (see ``repro.bench.jsonout``)."""
-    entries: list[dict] = []
-    for p in rows:
+    entries: list[dict] = [
+        {
+            "op": "spill_ingest",
+            "scale": scale,
+            "backend": BACKEND,
+            "n_records": p.n_records,
+            "quarters": _QUARTERS,
+            "hot_quarters": _HOT,
+            "wall_s": round(p.ingest_s, 6),
+            "records_per_s": round(p.ingest_records_per_s, 1),
+            "pages_spilled": p.pages_spilled,
+            "cold_slots": p.cold_slots,
+            "bytes_on_disk": p.bytes_on_disk,
+            "resident_slots": p.resident_slots,
+            "reference_slots": p.reference_slots,
+            "spill_peak_mb": round(p.spill_peak_mb, 3),
+            "resident_peak_mb": round(p.resident_peak_mb, 3),
+        }
+    ]
+    for label, wall in p.cold_window_s.items():
         entries.append(
             {
-                "op": "spill_ingest",
+                "op": "cold_window",
                 "scale": scale,
-                "backend": p.backend,
-                "n_records": p.n_records,
-                "quarters": _QUARTERS,
-                "hot_quarters": _HOT,
-                "wall_s": round(p.ingest_s, 6),
-                "records_per_s": round(p.ingest_records_per_s, 1),
-                "pages_spilled": p.pages_spilled,
-                "cold_slots": p.cold_slots,
-                "bytes_on_disk": p.bytes_on_disk,
-                "resident_slots": p.resident_slots,
-                "reference_slots": p.reference_slots,
-                "spill_peak_mb": round(p.spill_peak_mb, 3),
-                "resident_peak_mb": round(p.resident_peak_mb, 3),
+                "backend": BACKEND,
+                "bound": label,
+                "wall_s": round(wall, 6),
+                "warm_wall_s": round(p.warm_window_s[label], 6),
+                "queries_per_s": round(1.0 / wall, 1),
+                "records_per_s": None,
             }
         )
-        for label, wall in p.cold_window_s.items():
-            entries.append(
-                {
-                    "op": "cold_window",
-                    "scale": scale,
-                    "backend": p.backend,
-                    "bound": label,
-                    "wall_s": round(wall, 6),
-                    "warm_wall_s": round(p.warm_window_s[label], 6),
-                    "queries_per_s": round(1.0 / wall, 1),
-                    "records_per_s": None,
-                }
-            )
     return entries
 
 
@@ -298,15 +273,15 @@ def main() -> int:
     from repro.bench.reporting import render_shape_checks
     from repro.bench.workloads import current_scale
 
-    rows = storage_series()
-    print(render_storage_table(rows))
-    checks = storage_checks(rows)
+    point = measure()
+    print(render_storage_table(point))
+    checks = storage_checks(point)
     print(render_shape_checks(checks))
     json_path = json_path_from_args()
     if json_path:
         scale = current_scale().name
         target = write_bench_json(
-            json_path, "storage", scale, json_entries(rows, scale)
+            json_path, "storage", scale, json_entries(point, scale)
         )
         print(f"wrote {target}")
     return 0 if all(ok for _, ok in checks) else 1

@@ -20,8 +20,8 @@ Compares the current run's ``ingest_batch`` records/s and merged ``refresh``
 time per shard count against the committed baseline and exits non-zero if
 any point regresses by more than ``--max-regression`` (default 25%).  With ``--storage-current``,
 additionally gates the tiered-storage benchmark's cold-window query rate
-(deep ``window_isbs`` calls that fault pages back from disk, per backend
-and bound) the same way.  With ``--parallel-current``, gates the
+(deep ``window_isbs`` calls that fault pages back from disk, per bound)
+the same way.  With ``--parallel-current``, gates the
 process-parallel bench twice: normalized throughput per (backend,
 workers) point against the committed baseline, and — on runners with at
 least 4 usable cores — the 4-worker process ingest rate against

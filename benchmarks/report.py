@@ -261,12 +261,12 @@ def main() -> int:
     import bench_storage as storage_bench
 
     t0 = time.time()
-    storage_rows = storage_bench.storage_series()
-    print(storage_bench.render_storage_table(storage_rows))
-    checks = storage_bench.storage_checks(storage_rows)
+    storage_point = storage_bench.measure()
+    print(storage_bench.render_storage_table(storage_point))
+    checks = storage_bench.storage_checks(storage_point)
     print(render_shape_checks(checks))
     all_ok &= all(ok for _, ok in checks)
-    json_entries += storage_bench.json_entries(storage_rows, scale.name)
+    json_entries += storage_bench.json_entries(storage_point, scale.name)
     print(f"  ({time.time() - t0:.1f}s)\n")
 
     # Verification: what the differential oracle costs to keep around.

@@ -169,19 +169,16 @@ def step6_tiered_storage() -> None:
     from pathlib import Path
 
     from repro import StreamRecord
-    from repro.storage import open_cold_store
+    from repro.storage import FileColdStore
     from repro.stream.engine import StreamCubeEngine
     from repro.stream.generator import DatasetSpec
 
     layers = DatasetSpec(2, 2, 4, 1).build_layers()
-    store = open_cold_store(
-        Path(tempfile.mkdtemp()) / "cold", backend="file"
-    )
     engine = StreamCubeEngine(
         layers,
         GlobalSlopeThreshold(0.1),
         ticks_per_quarter=1,
-        storage=store,
+        storage=FileColdStore(Path(tempfile.mkdtemp()) / "cold"),
         hot_quarters=2,
     )
     rng = random.Random(5)
@@ -207,7 +204,6 @@ def step6_tiered_storage() -> None:
         f"deep window [0,0]: {len(window)} cells answered with "
         f"{engine.storage_stats()['cold_faults']} cold faults"
     )
-    store.close()
 
 
 def step7_process_parallel() -> None:

@@ -113,6 +113,8 @@ def build_service(args: argparse.Namespace):
 
     from repro.errors import ServiceError
 
+    if args.hot_quarters is not None and not args.storage_dir:
+        raise ServiceError("--hot-quarters needs --storage-dir")
     snapshot_dir = Path(args.snapshot_dir) if args.snapshot_dir else None
     backend_name = getattr(args, "backend", "inproc")
     workers = getattr(args, "workers", None)
@@ -167,7 +169,6 @@ def build_service(args: argparse.Namespace):
     storage_cfg = (
         StorageConfig(
             root=Path(args.storage_dir),
-            backend=args.storage_backend,
             hot_quarters=(
                 args.hot_quarters if args.hot_quarters is not None else 4
             ),
@@ -208,8 +209,7 @@ def build_service(args: argparse.Namespace):
     if args.restore and manifest is not None:
         if manifest.get("storage") is not None and storage_cfg is None:
             raise ServiceError(
-                "this snapshot was taken with tiered storage "
-                f"({manifest['storage']['backend']} backend); pass "
+                "this snapshot was taken with tiered storage; pass "
                 "--storage-dir pointing at its cold-store directory"
             )
         cube = ShardedStreamCube.restore(
@@ -308,95 +308,8 @@ def soak_command(args: argparse.Namespace) -> int:
     return soak_main(args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point; ``argv`` defaults to no arguments (the demo), and the
-    ``python -m repro`` block below passes the real command line."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="regression cubes for time-series data streams",
-    )
-    sub = parser.add_subparsers(dest="command")
-    sub.add_parser("demo", help="run the 30-second self-demonstration")
-
-    soak_p = sub.add_parser(
-        "soak",
-        help="hammer a live service with concurrent seeded traffic and "
-        "verify the final state against the brute-force oracle",
-    )
-    soak_p.add_argument(
-        "--seed", type=int, default=0, help="RNG seed (default 0)"
-    )
-    soak_p.add_argument(
-        "--duration",
-        type=float,
-        default=30.0,
-        help="how long to run the concurrent phase, seconds (default 30)",
-    )
-    soak_p.add_argument(
-        "--shards", type=int, default=4, help="engine shards (default 4)"
-    )
-    soak_p.add_argument(
-        "--ingest-threads",
-        type=int,
-        default=3,
-        help="concurrent ingest workers (default 3)",
-    )
-    soak_p.add_argument(
-        "--query-threads",
-        "--query-clients",
-        dest="query_threads",
-        type=int,
-        default=2,
-        help="concurrent query clients hammering the service (default 2)",
-    )
-    soak_p.add_argument(
-        "--subscribers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="continuous-query subscribers long-polling pushed updates "
-        "while the stream seals (each verifies ordering and payloads "
-        "against the oracle; default 0)",
-    )
-    soak_p.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port (default 0: pick an ephemeral port)",
-    )
-    soak_p.add_argument(
-        "--storage",
-        choices=("file", "sqlite"),
-        default=None,
-        help="also spill sealed history to a cold store of this backend "
-        "during the soak (default: no tiered storage)",
-    )
-    soak_p.add_argument(
-        "--hot-quarters",
-        type=int,
-        default=2,
-        metavar="K",
-        help="hot horizon for --storage runs (default 2)",
-    )
-    soak_p.add_argument(
-        "--backend",
-        choices=("inproc", "process"),
-        default="inproc",
-        help="shard execution backend: in-process engines (default) or "
-        "one supervised worker process per shard",
-    )
-    soak_p.add_argument(
-        "--fault-plan",
-        metavar="PLAN",
-        default=None,
-        help="arm seeded fault injection for the whole soak: a preset "
-        "name (wal-torn, page-bitflip, enospc-snapshot) or a JSON plan "
-        "file; the verdict must stay zero mismatches",
-    )
-
-    serve_p = sub.add_parser(
-        "serve", help="run the sharded stream-cube HTTP service"
-    )
+def add_serve_arguments(serve_p: argparse.ArgumentParser) -> None:
+    """Add the ``serve`` flags; :func:`build_service` reads what they parse."""
     serve_p.add_argument(
         "--shards",
         type=int,
@@ -505,12 +418,9 @@ def main(argv: list[str] | None = None) -> int:
         "fault it back transparently (resident memory stays bounded by "
         "the hot set)",
     )
+    # Read by nothing: kept so existing command lines still parse.
     serve_p.add_argument(
-        "--storage-backend",
-        choices=("file", "sqlite"),
-        default="file",
-        help="cold-store backend (default file: append-only packed "
-        "columnar partitions)",
+        "--storage-backend", choices=("file",), help=argparse.SUPPRESS
     )
     serve_p.add_argument(
         "--hot-quarters",
@@ -537,6 +447,95 @@ def main(argv: list[str] | None = None) -> int:
         metavar="S",
         help="seed for --fault-plan rule RNGs (default 0)",
     )
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point; ``argv`` defaults to no arguments (the demo), and the
+    ``python -m repro`` block below passes the real command line."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="regression cubes for time-series data streams",
+    )
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser("demo", help="run the 30-second self-demonstration")
+
+    soak_p = sub.add_parser(
+        "soak",
+        help="hammer a live service with concurrent seeded traffic and "
+        "verify the final state against the brute-force oracle",
+    )
+    soak_p.add_argument(
+        "--seed", type=int, default=0, help="RNG seed (default 0)"
+    )
+    soak_p.add_argument(
+        "--duration",
+        type=float,
+        default=30.0,
+        help="how long to run the concurrent phase, seconds (default 30)",
+    )
+    soak_p.add_argument(
+        "--shards", type=int, default=4, help="engine shards (default 4)"
+    )
+    soak_p.add_argument(
+        "--ingest-threads",
+        type=int,
+        default=3,
+        help="concurrent ingest workers (default 3)",
+    )
+    soak_p.add_argument(
+        "--query-threads",
+        "--query-clients",
+        dest="query_threads",
+        type=int,
+        default=2,
+        help="concurrent query clients hammering the service (default 2)",
+    )
+    soak_p.add_argument(
+        "--subscribers",
+        type=int,
+        default=0,
+        metavar="N",
+        help="continuous-query subscribers long-polling pushed updates "
+        "while the stream seals (each verifies ordering and payloads "
+        "against the oracle; default 0)",
+    )
+    soak_p.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="TCP port (default 0: pick an ephemeral port)",
+    )
+    soak_p.add_argument(
+        "--storage",
+        action="store_true",
+        help="also spill sealed history to a cold store during the soak "
+        "(default: no tiered storage)",
+    )
+    soak_p.add_argument(
+        "--hot-quarters",
+        type=int,
+        default=2,
+        metavar="K",
+        help="hot horizon for --storage runs (default 2)",
+    )
+    soak_p.add_argument(
+        "--backend",
+        choices=("inproc", "process"),
+        default="inproc",
+        help="shard execution backend: in-process engines (default) or "
+        "one supervised worker process per shard",
+    )
+    soak_p.add_argument(
+        "--fault-plan",
+        metavar="PLAN",
+        default=None,
+        help="arm seeded fault injection for the whole soak: a preset "
+        "name (wal-torn, page-bitflip, enospc-snapshot) or a JSON plan "
+        "file; the verdict must stay zero mismatches",
+    )
+
+    serve_help = "run the sharded stream-cube HTTP service"
+    add_serve_arguments(sub.add_parser("serve", help=serve_help))
 
     args = parser.parse_args(argv if argv is not None else [])
     if args.command == "serve":

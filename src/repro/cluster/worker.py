@@ -32,7 +32,7 @@ from repro.cube.layers import CriticalLayers
 from repro.cubing.policy import ExceptionPolicy
 from repro.errors import ServiceError
 from repro.io import engine_state_to_dict, write_atomic
-from repro.storage import open_cold_store, shard_store_path
+from repro.storage import FileColdStore, shard_store_path
 from repro.stream.engine import KeyFn, StreamCubeEngine
 from repro.tilt.frame import TiltLevelSpec
 
@@ -43,11 +43,10 @@ __all__ = ["ShardHost", "WorkerSpec", "build_host", "worker_main"]
 class WorkerSpec:
     """Everything one worker needs to build its shard engine.
 
-    ``storage_root`` / ``storage_backend`` / ``storage_generation`` name
-    the worker's partition in the generation layout of
-    :mod:`repro.storage.layout`; the parent opens (and immediately closes)
-    the stores once to run the generation/repartition logic, and each
-    worker reopens its own partition locally.
+    ``storage_root`` / ``storage_generation`` name the worker's partition
+    in the generation layout of :mod:`repro.storage.layout`; the parent
+    opens the stores once to run the generation/repartition logic, and
+    each worker reopens its own partition locally.
     """
 
     shard_index: int
@@ -58,7 +57,6 @@ class WorkerSpec:
     ticks_per_quarter: int
     frame_levels: list[TiltLevelSpec] | None
     storage_root: str | None = None
-    storage_backend: str | None = None
     storage_generation: int = 0
     hot_quarters: int | None = None
     #: The parent's armed fault plan as a plain dict (``None`` = none).
@@ -165,15 +163,13 @@ def build_host(spec: WorkerSpec) -> ShardHost:
     """Build the engine (opening its own cold store) described by a spec."""
     storage = None
     if spec.storage_root is not None:
-        storage = open_cold_store(
+        storage = FileColdStore(
             shard_store_path(
                 spec.storage_root,
                 spec.storage_generation,
                 spec.shard_index,
                 spec.n_shards,
-                spec.storage_backend,
-            ),
-            backend=spec.storage_backend,
+            )
         )
     engine = StreamCubeEngine(
         spec.layers,
@@ -233,9 +229,6 @@ def worker_main(
                 reply.update(ok=False, c=host.counters())
                 reply.update(wire.error_to_wire(exc))
             wire.send_frame(sock, reply)
-        engine = host.engine
-        if engine._storage is not None:
-            engine._storage.close()
     except BaseException:
         code = 1
     finally:

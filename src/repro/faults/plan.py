@@ -12,8 +12,8 @@ site experiences a realistic failure: an ``OSError`` with ``EIO`` or
 
 Sites are dotted names::
 
-    store.read       cold-store page fetch (both backends)
-    store.write      cold-store page append (both backends)
+    store.read       cold-store page fetch
+    store.write      cold-store page append
     wal.append       QuarterWAL line append
     snapshot.write   write_atomic (snapshot shard files, manifests)
     rpc.send         cluster frame send (supervisor side)

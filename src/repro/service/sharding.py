@@ -46,6 +46,7 @@ from repro.errors import (
     CodecError,
     CorruptionError,
     ServiceError,
+    StorageError,
     StreamError,
 )
 from repro.io import (
@@ -62,6 +63,7 @@ from repro.regression.isb import ISB
 from repro.service.locks import ShardLockTable
 from repro.service.merge import disjoint_union
 from repro.storage import (
+    BACKEND,
     StorageConfig,
     open_shard_stores,
     prune_stale_generations,
@@ -289,7 +291,6 @@ class ShardedStreamCube:
         # Lifecycle flags first: close() must be safe (and idempotent)
         # even when construction fails before any resource exists.
         self._closed = False
-        self._stores = None
         self._backend: ShardBackend | None = None
         if n_shards < 1:
             raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
@@ -350,8 +351,9 @@ class ShardedStreamCube:
         #: reaped, sticky-dead shards and why).
         self.close_summary: dict[str, Any] | None = None
         try:
+            stores = None
             if storage is not None:
-                self._storage_generation, self._stores = open_shard_stores(
+                self._storage_generation, stores = open_shard_stores(
                     storage, n_shards, stable_shard_index
                 )
             if self._cluster.backend == "process":
@@ -364,7 +366,7 @@ class ShardedStreamCube:
                         key_fn=key_fn,
                         ticks_per_quarter=ticks_per_quarter,
                         frame_levels=levels,
-                        storage=self._stores[i] if self._stores else None,
+                        storage=stores[i] if stores else None,
                         hot_quarters=self.hot_quarters,
                     )
                     for i in range(n_shards)
@@ -379,13 +381,8 @@ class ShardedStreamCube:
 
         The parent ran the generation/repartition logic by opening the
         stores (constructor, above); workers reopen their own partition
-        locally, so the parent's handles are closed before the forks —
-        no file descriptor is shared across the process boundary.
+        locally.
         """
-        if self._stores is not None:
-            for store in self._stores:
-                store.close()
-            self._stores = None
         storage = self._storage_config
         specs = [
             WorkerSpec(
@@ -398,9 +395,6 @@ class ShardedStreamCube:
                 frame_levels=self._frame_levels,
                 storage_root=(
                     str(storage.root) if storage is not None else None
-                ),
-                storage_backend=(
-                    storage.backend if storage is not None else None
                 ),
                 storage_generation=self._storage_generation,
                 hot_quarters=self.hot_quarters,
@@ -416,7 +410,7 @@ class ShardedStreamCube:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the backend and any cold stores.
+        """Release the backend.
 
         Idempotent, and safe on a partially constructed cube (a failed
         ``__init__`` calls it with whatever subset of resources exists):
@@ -438,13 +432,6 @@ class ShardedStreamCube:
                     "backend": getattr(backend, "name", "?"),
                     "error": str(exc),
                 }
-        stores = getattr(self, "_stores", None)
-        if stores is not None:
-            for store in stores:
-                try:
-                    store.close()
-                except Exception:
-                    pass
 
     def __enter__(self) -> "ShardedStreamCube":
         return self
@@ -544,7 +531,7 @@ class ShardedStreamCube:
             )
         }
         totals.update(
-            backend=self._storage_config.backend,
+            backend=BACKEND,
             generation=self._storage_generation,
             hot_quarters=self.hot_quarters,
             shards=per_shard,
@@ -554,12 +541,11 @@ class ShardedStreamCube:
     def compact_storage(self) -> int:
         """Compact every shard's cold store; returns total bytes reclaimed.
 
-        Rewrites file partitions around superseded pages (or VACUUMs the
-        sqlite stores) and removes partition sets left behind by earlier
-        shard counts — safe here because this cube's generation is the
-        newest by construction.  The periodic-checkpoint path calls this
-        after each WAL truncation, so cold storage is groomed on the same
-        cadence as the journal.
+        Rewrites file partitions around superseded pages and removes
+        partition sets left behind by earlier shard counts — safe here
+        because this cube's generation is the newest by construction.
+        The periodic-checkpoint path calls this after each WAL truncation,
+        so cold storage is groomed on the same cadence as the journal.
         """
         if self._storage_config is None:
             return 0
@@ -1143,7 +1129,7 @@ class ShardedStreamCube:
             # The cold pages themselves live in the storage root, not the
             # snapshot directory; the manifest records how to reopen them.
             manifest["storage"] = {
-                "backend": self._storage_config.backend,
+                "backend": BACKEND,
                 "hot_quarters": self.hot_quarters,
                 "generation": self._storage_generation,
                 "n_shards": n_shards,
@@ -1182,6 +1168,14 @@ class ShardedStreamCube:
                 f"{payload_checksum(payload)}); the snapshot directory "
                 "is corrupt — do not restore from it"
             )
+        recorded = payload.get("storage")
+        if recorded is not None:
+            backend = decoding("snapshot", lambda: recorded["backend"])
+            if backend != BACKEND:
+                raise StorageError(
+                    f"snapshot: {path} was taken over {backend!r} cold "
+                    f"stores; only {BACKEND!r} stores can be restored"
+                )
         return payload
 
     @classmethod

@@ -1,4 +1,18 @@
-"""Append-only partitioned file backend for cold pages.
+"""The cold store: append-only partitioned files of cold pages.
+
+A :class:`FileColdStore` is a durable map from ``(level, t_b, t_e)`` to one
+:class:`~repro.storage.pages.ColdPage`.  Its contract:
+
+* ``put_segment`` is **idempotent by key**: re-putting the same interval —
+  the crash-recovery path re-derives pages deterministically from the WAL —
+  must leave the store answering with the latest page, never erroring.
+* ``get_segment`` raises :class:`~repro.errors.StorageError` for a missing
+  key; the engine treats that as corruption, not as "no data" (the
+  :class:`~repro.storage.spill.ColdIndex` knows exactly what was demoted).
+* ``scan`` lists every stored key in sorted order — what reshard
+  repartitioning iterates.
+* ``compact`` reclaims space held by superseded or deleted rows and
+  returns the bytes freed; correctness never depends on calling it.
 
 One directory per store; inside it, one segment file per ``(level, slot
 bucket)`` partition, named ``L{level:02d}-{bucket:06d}.seg`` where
@@ -15,7 +29,8 @@ parses.
 Re-putting an existing key appends a new occurrence; the in-memory index
 keeps the **latest** occurrence per key, and :meth:`FileColdStore.compact`
 rewrites each partition keeping only live occurrences (temp file +
-``os.replace``, crash-safe).
+``os.replace``, crash-safe).  Every call opens and closes its own file,
+so a store holds no handle and needs no closing.
 """
 
 from __future__ import annotations
@@ -24,14 +39,20 @@ import errno
 import mmap
 import os
 import struct
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from repro import faults
 from repro.errors import CorruptionError, StorageError
-from repro.storage.base import ColdStore, StoreStats
 from repro.storage.pages import PAGE_HEADER_BYTES, ColdPage, read_page_header
 
-__all__ = ["FileColdStore"]
+__all__ = ["BACKEND", "FileColdStore", "StoreStats"]
+
+#: What generation markers, snapshot manifests and the ``/stats`` storage
+#: block record under ``"backend"``.  Anything else on read was written by
+#: a build with another store and is refused.
+BACKEND = "file"
 
 _LEN = struct.Struct("<I")
 
@@ -43,10 +64,46 @@ DEFAULT_PARTITION_TICKS = 4096
 _Entry = tuple[Path, int, int, int]
 
 
-class FileColdStore(ColdStore):
-    """See the module docstring; ``root`` is created if absent."""
+@dataclass(frozen=True)
+class StoreStats:
+    """A point-in-time summary of one cold store.
 
-    backend = "file"
+    ``pages``/``rows`` count live (latest-occurrence) pages; ``puts`` and
+    ``gets`` are lifetime operation counters of this store *instance* —
+    they reset on reopen, which is what the ``/stats`` block wants (spill
+    and fault-in activity of the running process, not of all history).
+    """
+
+    pages: int
+    rows: int
+    bytes_on_disk: int
+    puts: int
+    gets: int
+    #: Reads that failed once (I/O error or checksum) and succeeded on the
+    #: immediate re-read — transient faults the store absorbed.
+    read_retries: int = 0
+    #: Failed appends rolled back and successfully retried.
+    write_repairs: int = 0
+    #: Pages dropped from the index because they were unreadable on both
+    #: attempts; each raised a :class:`~repro.errors.CorruptionError`.
+    quarantined: int = 0
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "backend": BACKEND,
+            "pages": self.pages,
+            "rows": self.rows,
+            "bytes_on_disk": self.bytes_on_disk,
+            "puts": self.puts,
+            "gets": self.gets,
+            "read_retries": self.read_retries,
+            "write_repairs": self.write_repairs,
+            "quarantined": self.quarantined,
+        }
+
+
+class FileColdStore:
+    """See the module docstring; ``root`` is created if absent."""
 
     def __init__(
         self,
@@ -104,7 +161,7 @@ class FileColdStore(ColdStore):
                 fh.truncate(good)
 
     # ------------------------------------------------------------------
-    # ColdStore interface
+    # The store contract
     # ------------------------------------------------------------------
     def put_segment(self, page: ColdPage) -> None:
         blob = page.encode()
@@ -203,7 +260,6 @@ class FileColdStore(ColdStore):
             p.stat().st_size for p in self.root.glob("L*.seg")
         )
         return StoreStats(
-            backend=self.backend,
             pages=len(self._index),
             rows=sum(entry[3] for entry in self._index.values()),
             bytes_on_disk=on_disk,

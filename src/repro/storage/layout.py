@@ -6,11 +6,11 @@ cube may be reading.  The layout under one storage root::
 
     root/
       g0001.ok                        # marker: {"generation", "n_shards", "backend"}
-      g0001-shard-00-of-03/           # file backend: a directory of .seg files
+      g0001-shard-00-of-03/           # one directory of .seg files per shard
       g0001-shard-01-of-03/
       g0001-shard-02-of-03/
       g0002.ok
-      g0002-shard-00-of-05.sqlite     # sqlite backend: one db file per shard
+      g0002-shard-00-of-05/
       ...
 
 :func:`open_shard_stores` opens the newest complete generation when its
@@ -21,6 +21,9 @@ routes records with), empty pages included — a shard with no rows for an
 interval still needs the zero row for late-born cells.  The marker file is
 written only after every new store is populated, so a crash mid-reshard
 leaves the old generation authoritative and the partial one inert.
+Every marker records ``"backend": "file"``; a root whose markers say
+otherwise was written by a build with another store and is refused before
+anything is created under it.
 
 Old generations are never pruned at open (a live cube may hold them);
 :func:`prune_stale_generations` runs from the checkpoint/compaction path.
@@ -37,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Hashable
 
 from repro.errors import StorageError
-from repro.storage.base import ColdStore, open_cold_store
+from repro.storage.files import BACKEND, FileColdStore
 from repro.storage.pages import ColdPage
 
 __all__ = [
@@ -57,32 +60,24 @@ _MARKER_RE = re.compile(r"^g(\d{4})\.ok$")
 class StorageConfig:
     """Tiered-storage configuration of one sharded cube (or ``serve``).
 
-    ``root`` holds every generation of per-shard stores; ``backend`` is
-    ``"file"`` or ``"sqlite"``; ``hot_quarters`` is the hot horizon each
-    shard engine keeps resident before demoting sealed slots.
+    ``root`` holds every generation of per-shard stores; ``hot_quarters``
+    is the hot horizon each shard engine keeps resident before demoting
+    sealed slots.
     """
 
     root: str | Path
-    backend: str = "file"
     hot_quarters: int = 4
 
     def __post_init__(self) -> None:
-        if self.backend not in ("file", "sqlite"):
-            raise StorageError(
-                f"unknown storage backend {self.backend!r} "
-                "(expected 'file' or 'sqlite')"
-            )
         if self.hot_quarters < 1:
             raise StorageError("hot_quarters must be >= 1")
 
 
 def shard_store_path(
-    root: str | Path, generation: int, shard: int, n_shards: int, backend: str
+    root: str | Path, generation: int, shard: int, n_shards: int
 ) -> Path:
-    """The store path of one shard in one generation."""
+    """The store directory of one shard in one generation."""
     name = f"g{generation:04d}-shard-{shard:02d}-of-{n_shards:02d}"
-    if backend == "sqlite":
-        name += ".sqlite"
     return Path(root) / name
 
 
@@ -99,10 +94,10 @@ def _read_generations(root: Path) -> list[dict]:
             continue
         try:
             meta = json.loads(path.read_text(encoding="utf-8"))
+            backend = str(meta["backend"])
             meta = {
                 "generation": int(meta["generation"]),
                 "n_shards": int(meta["n_shards"]),
-                "backend": str(meta["backend"]),
             }
         except (ValueError, KeyError, TypeError) as exc:
             raise StorageError(
@@ -112,11 +107,17 @@ def _read_generations(root: Path) -> list[dict]:
             raise StorageError(
                 f"storage marker {path} disagrees with its own name"
             )
+        if backend != BACKEND:
+            raise StorageError(
+                f"storage generation {meta['generation']} under {root} "
+                f"holds {backend!r} stores; only {BACKEND!r} stores can "
+                "be opened"
+            )
         out.append(meta)
     return sorted(out, key=lambda m: m["generation"])
 
 
-def _write_marker(root: Path, generation: int, n_shards: int, backend: str) -> None:
+def _write_marker(root: Path, generation: int, n_shards: int) -> None:
     path = _marker_path(root, generation)
     tmp = path.with_suffix(".ok.tmp")
     tmp.write_text(
@@ -124,7 +125,7 @@ def _write_marker(root: Path, generation: int, n_shards: int, backend: str) -> N
             {
                 "generation": generation,
                 "n_shards": n_shards,
-                "backend": backend,
+                "backend": BACKEND,
             }
         ),
         encoding="utf-8",
@@ -133,15 +134,10 @@ def _write_marker(root: Path, generation: int, n_shards: int, backend: str) -> N
 
 
 def _open_generation(
-    config: StorageConfig, generation: int, n_shards: int
-) -> list[ColdStore]:
+    root: Path, generation: int, n_shards: int
+) -> list[FileColdStore]:
     return [
-        open_cold_store(
-            shard_store_path(
-                config.root, generation, i, n_shards, config.backend
-            ),
-            backend=config.backend,
-        )
+        FileColdStore(shard_store_path(root, generation, i, n_shards))
         for i in range(n_shards)
     ]
 
@@ -150,7 +146,7 @@ def open_shard_stores(
     config: StorageConfig,
     n_shards: int,
     shard_key: ShardKey,
-) -> tuple[int, list[ColdStore]]:
+) -> tuple[int, list[FileColdStore]]:
     """Open (creating or repartitioning as needed) ``n_shards`` cold stores.
 
     Returns ``(generation, stores)``.  ``shard_key(values, n_shards)`` must
@@ -160,79 +156,71 @@ def open_shard_stores(
     if n_shards < 1:
         raise StorageError("n_shards must be >= 1")
     root = Path(config.root)
-    root.mkdir(parents=True, exist_ok=True)
     generations = _read_generations(root)
+    root.mkdir(parents=True, exist_ok=True)
     if not generations:
-        stores = _open_generation(config, 1, n_shards)
-        _write_marker(root, 1, n_shards, config.backend)
+        stores = _open_generation(root, 1, n_shards)
+        _write_marker(root, 1, n_shards)
         return 1, stores
     newest = generations[-1]
-    if newest["backend"] != config.backend:
-        raise StorageError(
-            f"storage root {root} holds {newest['backend']!r} stores; "
-            f"configured backend is {config.backend!r}"
-        )
     if newest["n_shards"] == n_shards:
         return newest["generation"], _open_generation(
-            config, newest["generation"], n_shards
+            root, newest["generation"], n_shards
         )
-    return _repartition(config, newest, n_shards, shard_key)
+    return _repartition(root, newest, n_shards, shard_key)
 
 
 def _repartition(
-    config: StorageConfig,
+    root: Path,
     newest: dict,
     n_shards: int,
     shard_key: ShardKey,
-) -> tuple[int, list[ColdStore]]:
+) -> tuple[int, list[FileColdStore]]:
     """Split the newest generation's pages row-by-row into a fresh one."""
-    root = Path(config.root)
-    old_stores = _open_generation(config, newest["generation"], newest["n_shards"])
+    old_stores = _open_generation(
+        root, newest["generation"], newest["n_shards"]
+    )
     generation = newest["generation"] + 1
-    try:
-        new_stores = _open_generation(config, generation, n_shards)
-        keys: set[tuple[int, int, int]] = set()
+    new_stores = _open_generation(root, generation, n_shards)
+    keys: set[tuple[int, int, int]] = set()
+    for store in old_stores:
+        keys.update(store.scan())
+    for level, t_b, t_e in sorted(keys):
+        pages = []
         for store in old_stores:
-            keys.update(store.scan())
-        for level, t_b, t_e in sorted(keys):
-            pages = []
-            for store in old_stores:
-                try:
-                    pages.append(store.get_segment(level, t_b, t_e))
-                except StorageError:
-                    continue  # that shard held no rows for this interval
-            if not pages:  # pragma: no cover - scan/get raced nothing here
-                continue
-            zero = pages[0]
-            split: list[tuple[list[Values], list[float], list[float]]] = [
-                ([], [], []) for _ in range(n_shards)
-            ]
-            for page in pages:
-                for key, base, slope in zip(page.keys, page.base, page.slope):
-                    j = shard_key(key, n_shards)
-                    split[j][0].append(key)
-                    split[j][1].append(base)
-                    split[j][2].append(slope)
-            for j, (skeys, sbase, sslope) in enumerate(split):
-                # Empty pages are still written: a shard with no rows for
-                # this interval still answers late-born cells' fault-ins
-                # with the zero row.
-                new_stores[j].put_segment(
-                    ColdPage(
-                        level,
-                        t_b,
-                        t_e,
-                        skeys,
-                        sbase,
-                        sslope,
-                        zero_base=zero.zero_base,
-                        zero_slope=zero.zero_slope,
-                    )
+            try:
+                pages.append(store.get_segment(level, t_b, t_e))
+            except StorageError:
+                continue  # that shard held no rows for this interval
+        if not pages:  # pragma: no cover - scan/get raced nothing here
+            continue
+        zero = pages[0]
+        split: list[tuple[list[Values], list[float], list[float]]] = [
+            ([], [], []) for _ in range(n_shards)
+        ]
+        for page in pages:
+            for key, base, slope in zip(page.keys, page.base, page.slope):
+                j = shard_key(key, n_shards)
+                split[j][0].append(key)
+                split[j][1].append(base)
+                split[j][2].append(slope)
+        for j, (skeys, sbase, sslope) in enumerate(split):
+            # Empty pages are still written: a shard with no rows for
+            # this interval still answers late-born cells' fault-ins
+            # with the zero row.
+            new_stores[j].put_segment(
+                ColdPage(
+                    level,
+                    t_b,
+                    t_e,
+                    skeys,
+                    sbase,
+                    sslope,
+                    zero_base=zero.zero_base,
+                    zero_slope=zero.zero_slope,
                 )
-    finally:
-        for store in old_stores:
-            store.close()
-    _write_marker(root, generation, n_shards, config.backend)
+            )
+    _write_marker(root, generation, n_shards)
     return generation, new_stores
 
 
@@ -252,13 +240,9 @@ def prune_stale_generations(
         if generation >= keep_generation:
             continue
         for i in range(meta["n_shards"]):
-            path = shard_store_path(
-                root, generation, i, meta["n_shards"], meta["backend"]
-            )
+            path = shard_store_path(root, generation, i, meta["n_shards"])
             if path.is_dir():
                 shutil.rmtree(path)
-            elif path.exists():
-                path.unlink()
         _marker_path(root, generation).unlink()
         removed += 1
     return removed

@@ -1,4 +1,4 @@
-"""The packed columnar page codec shared by every cold-store backend.
+"""The packed columnar page codec of the cold store.
 
 One :class:`ColdPage` holds every cell's sealed ISB for one tilt-frame
 ``(level, [t_b, t_e])`` slot — a hot page of

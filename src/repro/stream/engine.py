@@ -64,7 +64,7 @@ from repro.cubing.result import CubeResult
 from repro.errors import StreamError, TiltFrameError
 from repro.regression import kernels
 from repro.regression.isb import ISB
-from repro.storage.base import ColdStore
+from repro.storage.files import FileColdStore
 from repro.storage.pages import ColdPage
 from repro.storage.spill import ColdIndex, demotion_cutoffs
 from repro.stream.records import RecordColumns, StreamRecord, require_int_ticks
@@ -280,7 +280,7 @@ class StreamCubeEngine:
         acknowledged; when ``None`` (the default) the ingest paths pay one
         ``is None`` check and nothing else.
     storage:
-        Optional :class:`~repro.storage.base.ColdStore`.  When attached,
+        Optional :class:`~repro.storage.files.FileColdStore`.  When attached,
         every quarter seal demotes slots older than the hot horizon into
         packed cold pages; deep-history windows fault them back
         transparently, so resident memory is bounded by the hot set while
@@ -299,7 +299,7 @@ class StreamCubeEngine:
         ticks_per_quarter: int = 15,
         frame_levels: Iterable[TiltLevelSpec] | None = None,
         wal: QuarterWAL | None = None,
-        storage: ColdStore | None = None,
+        storage: FileColdStore | None = None,
         hot_quarters: int | None = None,
     ) -> None:
         if ticks_per_quarter < 1:
@@ -846,7 +846,7 @@ class StreamCubeEngine:
         policy: ExceptionPolicy,
         key_fn: KeyFn | None = None,
         wal: QuarterWAL | None = None,
-        storage: ColdStore | None = None,
+        storage: FileColdStore | None = None,
         hot_quarters: int | None = None,
     ) -> "StreamCubeEngine":
         """Rebuild an engine from a snapshot, bit-identical to the original.

@@ -24,7 +24,7 @@ Scenarios may also run under tiered storage (``Scenario.storage``): every
 system spills sealed history past a small hot horizon into a cold store,
 and the :class:`DeepWindow` event queries windows that *only* the cold
 tier can answer — any catalogue entry can be re-run spilling via
-``run_scenario(name, seed, storage="file")``.
+``run_scenario(name, seed, storage=True)``.
 
 Scenarios likewise pick a shard *execution backend*
 (``Scenario.backend``): the default ``"inproc"`` runs engines in-process,
@@ -58,7 +58,7 @@ from repro.query.spec import Q
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
-from repro.storage import StorageConfig, open_cold_store
+from repro.storage import FileColdStore, StorageConfig
 from repro.stream.engine import StreamCubeEngine, engine_frame_levels
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
@@ -321,10 +321,10 @@ Event = (
 class Scenario:
     """A cube configuration plus the event stream to drive through it.
 
-    ``storage`` (``"file"`` / ``"sqlite"`` / ``None``) turns on tiered
-    storage for engine *and* cube: sealed slots older than ``hot_quarters``
-    are demoted to a cold store under the run's workdir and faulted back on
-    demand — the rest of the event stream runs unchanged on top.
+    ``storage`` turns on tiered storage for engine *and* cube: sealed
+    slots older than ``hot_quarters`` are demoted to a cold store under the
+    run's workdir and faulted back on demand — the rest of the event
+    stream runs unchanged on top.
     """
 
     name: str
@@ -338,7 +338,7 @@ class Scenario:
     window: int = 4
     n_shards: int = 3
     cell_pool: int = 10
-    storage: str | None = None
+    storage: bool = False
     hot_quarters: int = 2
     #: Shard execution backend ("inproc" / "process").  Process-backed
     #: scenarios run the cube leg against supervised worker processes,
@@ -380,18 +380,15 @@ class ScenarioRunner:
         # With storage configured, engine and cube each spill into their
         # own cold tier under the workdir (the engine shares one store
         # instance across restores; the cube opens per-shard sets from the
-        # config and owns their lifecycle).
+        # config).
         self._engine_store = (
-            open_cold_store(
-                self.workdir / "engine-store", backend=scenario.storage
-            )
+            FileColdStore(self.workdir / "engine-store")
             if scenario.storage
             else None
         )
         self._cube_storage = (
             StorageConfig(
                 root=self.workdir / "cube-store",
-                backend=scenario.storage,
                 hot_quarters=scenario.hot_quarters,
             )
             if scenario.storage
@@ -478,8 +475,6 @@ class ScenarioRunner:
             self.cube.close()
             if self.cube.wal is not None:
                 self.cube.wal.close()
-            if self._engine_store is not None:
-                self._engine_store.close()
 
     def apply(self, event: Event) -> None:
         handler = {
@@ -635,7 +630,7 @@ class ScenarioRunner:
         )
 
     def _deep_window(self, event: DeepWindow) -> None:
-        if self.scenario.storage is None:
+        if not self.scenario.storage:
             raise VerifyMismatch(
                 "scenario bug: DeepWindow in a scenario without storage"
             )
@@ -1044,7 +1039,6 @@ class ScenarioRunner:
             )
             crash_storage = StorageConfig(
                 root=crash_dir / "storage",
-                backend=self.scenario.storage,
                 hot_quarters=self.scenario.hot_quarters,
             )
         with open(crash_dir / "wal.jsonl", "a", encoding="utf-8") as fh:
@@ -1670,14 +1664,14 @@ SCENARIOS: dict[str, Scenario] = {
             DeepWindow(samples=3),
             Check(),
             ticks_per_quarter=1,
-            storage="file",
+            storage=True,
             hot_quarters=2,
             cell_pool=6,
         ),
         _scenario(
             "spill_snapshot_restore",
             "Snapshot and reshard a cube whose history lives in a "
-            "populated sqlite cold store; deep windows stay identical.",
+            "populated cold store; deep windows stay identical.",
             Traffic(quarters=20, rate=2),
             SnapshotRestore(),
             Traffic(quarters=8, rate=2),
@@ -1689,7 +1683,7 @@ SCENARIOS: dict[str, Scenario] = {
             DeepWindow(),
             Check(cube=True),
             ticks_per_quarter=2,
-            storage="sqlite",
+            storage=True,
             hot_quarters=2,
             cell_pool=8,
         ),
@@ -1706,7 +1700,7 @@ SCENARIOS: dict[str, Scenario] = {
             DeepWindow(),
             Check(cube=True),
             ticks_per_quarter=2,
-            storage="file",
+            storage=True,
             hot_quarters=1,
             cell_pool=8,
         ),
@@ -1764,7 +1758,7 @@ SCENARIOS: dict[str, Scenario] = {
             LoseShard(),
             Pulls(windows=(4, 1)),
             ticks_per_quarter=2,
-            storage="file",
+            storage=True,
             hot_quarters=1,
             cell_pool=9,
         ),
@@ -1792,7 +1786,7 @@ def run_scenario(
     scenario: Scenario | str,
     seed: int,
     workdir: str | Path | None = None,
-    storage: str | None = None,
+    storage: bool | None = None,
     hot_quarters: int | None = None,
     backend: str | None = None,
     fault_plan: str | None = None,
@@ -1802,7 +1796,7 @@ def run_scenario(
     stores) defaults to a fresh temporary directory.  ``storage`` /
     ``hot_quarters`` override the scenario's tiered-storage configuration,
     so the whole catalogue can be replayed spilling:
-    ``run_scenario("kitchen_sink", seed, storage="file")``; ``backend``
+    ``run_scenario("kitchen_sink", seed, storage=True)``; ``backend``
     likewise overrides the execution backend, so the whole catalogue can
     be replayed against process workers:
     ``run_scenario("kitchen_sink", seed, backend="process")``.

@@ -90,12 +90,11 @@ class SoakConfig:
     batch_records: int = 24
     host: str = "127.0.0.1"
     port: int = 0  # 0: pick an ephemeral port
-    #: Cold-store backend name ("file" / "sqlite"); None runs without
-    #: tiered storage.  With a backend set, sealed history past
+    #: Tiered storage on/off.  When on, sealed history past
     #: ``hot_quarters`` spills to disk *while the soak hammers the
     #: service*, so snapshot/compaction/deep-query interleavings run
     #: against a spilling cube too.
-    storage: str | None = None
+    storage: bool = False
     hot_quarters: int = 2
     #: Shard execution backend ("inproc" / "process").  The process leg
     #: runs the whole soak — concurrent ingest, queries, snapshots and the
@@ -486,7 +485,6 @@ def run_soak(config: SoakConfig, workdir: str | Path | None = None) -> SoakRepor
     storage_cfg = (
         StorageConfig(
             root=workdir / "storage",
-            backend=config.storage,
             hot_quarters=config.hot_quarters,
         )
         if config.storage
@@ -787,7 +785,7 @@ def main(args) -> int:
         query_threads=args.query_threads,
         subscribers=getattr(args, "subscribers", 0) or 0,
         port=args.port,
-        storage=getattr(args, "storage", None),
+        storage=getattr(args, "storage", False),
         hot_quarters=getattr(args, "hot_quarters", None) or 2,
         backend=getattr(args, "backend", "inproc"),
         fault_plan=getattr(args, "fault_plan", None),

@@ -6,17 +6,20 @@ functions).  A renamed or moved hook would otherwise surface as a
 ``KeyError`` forty minutes into a benchmark run; here it is a tier-1
 failure naming the missing attribute, in under a second.  The same goes
 for what the harness calls directly on the service's router, cube and
-subscription registry.  Reads ``benchmarks/e2e``, edits nothing there.
+subscription registry, and for the ``serve`` flags each workload passes.
+Reads ``benchmarks/e2e``, edits nothing there.
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.__main__ import add_serve_arguments, build_service
 from repro.query import exec as query_exec
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
@@ -66,3 +69,40 @@ def test_everything_the_harness_calls_on_the_service_exists(attr, owner):
     assert called, f"the harness no longer touches service.{attr}?"
     missing = sorted(name for name in called if not hasattr(owner, name))
     assert not missing, f"{owner.__name__} lost {missing}; benchmarks/e2e calls them"
+
+
+def _workloads():
+    if str(E2E) not in sys.path:
+        sys.path.insert(0, str(E2E))
+    from workloads import WORKLOADS
+
+    return WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(_workloads()))
+def test_every_workload_serve_flags_parse_and_build(name, tmp_path):
+    """The flags each workload starts ``python -m repro serve`` with parse
+    with the real parser, and the service they describe builds."""
+    flags = _workloads()[name].serve_flags(
+        str(tmp_path / "snap"), str(tmp_path / "cold")
+    )
+    build_service(serve_parser().parse_args(flags)).close()
+
+
+def serve_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser()
+    add_serve_arguments(parser)
+    return parser
+
+
+def test_hidden_storage_backend_flag_accepts_only_the_file_store():
+    """``durable_deep`` still passes ``--storage-backend file``; any other
+    store name is an argparse error, not a silently ignored value."""
+    assert serve_parser().parse_args(["--storage-backend", "file"])
+    with pytest.raises(SystemExit):
+        serve_parser().parse_args(["--storage-backend", "shoebox"])
+
+
+def test_hidden_storage_backend_flag_is_not_in_help():
+    assert "--storage-backend" not in serve_parser().format_help()
+    assert "--storage-dir" in serve_parser().format_help()

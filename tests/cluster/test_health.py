@@ -217,9 +217,7 @@ class TestCorruptColdPageRebuild:
         records = workload(13, quarters=8)
         end = 8 * TPQ
         engine = single_engine(layers, policy, records, end)
-        storage = StorageConfig(
-            root=tmp_path / "cold", backend="file", hot_quarters=2
-        )
+        storage = StorageConfig(root=tmp_path / "cold", hot_quarters=2)
         cube = walled_cube(layers, policy, tmp_path, storage=storage)
         try:
             cube.ingest_batch(records)

@@ -208,16 +208,13 @@ class TestProcessSurface:
 
 
 class TestProcessWithStorage:
-    @pytest.mark.parametrize("store_backend", ("file", "sqlite"))
     def test_spilling_workers_stay_bit_identical(
-        self, layers, policy, tmp_path, store_backend
+        self, layers, policy, tmp_path
     ):
         records = workload(13, quarters=8)
         end = 8 * TPQ
         engine = single_engine(layers, policy, records, end)
-        storage = StorageConfig(
-            root=tmp_path / "cold", backend=store_backend, hot_quarters=2
-        )
+        storage = StorageConfig(root=tmp_path / "cold", hot_quarters=2)
         with process_cube(layers, policy, 2, storage=storage) as cube:
             cube.ingest_batch(records)
             cube.advance_to(end)
@@ -227,6 +224,6 @@ class TestProcessWithStorage:
                 0, end - 1
             )
             stats = cube.storage_stats()
-            assert stats["backend"] == store_backend
+            assert stats["backend"] == "file"
             assert len(stats["shards"]) == 2
             assert stats["pages_spilled"] > 0

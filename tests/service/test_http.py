@@ -267,9 +267,7 @@ def tiered_service(layers, policy, tmp_path):
         policy,
         n_shards=2,
         ticks_per_quarter=TPQ,
-        storage=StorageConfig(
-            root=tmp_path / "cold", backend="file", hot_quarters=1
-        ),
+        storage=StorageConfig(root=tmp_path / "cold", hot_quarters=1),
     )
     service = StreamCubeService(
         cube,

@@ -50,7 +50,6 @@ def serve_args(tmp_path, **overrides) -> argparse.Namespace:
         snapshot_dir=str(tmp_path / "snaps"),
         snapshot_every_quarters=0,
         storage_dir=None,
-        storage_backend="file",
         hot_quarters=None,
     )
     defaults.update(overrides)
@@ -281,6 +280,27 @@ class TestRestoreCLI:
             assert restored.app_config["fanout"] == 3
         finally:
             restored.close()
+
+    def test_hot_quarters_without_storage_dir_is_refused(self, tmp_path):
+        from repro.errors import ServiceError
+
+        with pytest.raises(ServiceError, match="--hot-quarters needs"):
+            build_service(serve_args(tmp_path, hot_quarters=2))
+        assert not (tmp_path / "snaps").exists()  # no WAL, no snapshot
+
+    def test_restore_with_hot_quarters_without_storage_dir_is_refused(
+        self, tmp_path
+    ):
+        from repro.errors import ServiceError
+
+        build_service(serve_args(tmp_path)).close()
+        snaps = tmp_path / "snaps"
+        before = {p.name: p.read_bytes() for p in snaps.iterdir()}
+        with pytest.raises(ServiceError, match="--hot-quarters needs"):
+            build_service(
+                serve_args(tmp_path, restore=str(snaps), hot_quarters=2)
+            )
+        assert {p.name: p.read_bytes() for p in snaps.iterdir()} == before
 
 
 @pytest.mark.skipif(

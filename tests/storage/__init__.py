@@ -1,1 +1,1 @@
-"""Tiered storage: page codec, cold-store backends, spill/fault paths."""
+"""Tiered storage: page codec, the cold store, spill/fault paths."""

@@ -1,6 +1,6 @@
 """The engine's spill/fault seam: bounded hot set, exact deep windows.
 
-The contract under test, for both backends:
+The contract under test:
 
 * windows answerable from resident slots stay bit-identical to a
   storage-free engine fed the same traffic;
@@ -22,7 +22,7 @@ import pytest
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.errors import StreamError, TiltFrameError
 from repro.io import engine_state_from_dict, engine_state_to_dict
-from repro.storage import open_cold_store
+from repro.storage import FileColdStore
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
@@ -52,9 +52,9 @@ def traffic(seed: int, quarters: int, start: int = 0) -> list[StreamRecord]:
     return records
 
 
-def make_trio(tmp_path, backend, quarters=60, hot=HOT, seed=11):
+def make_trio(tmp_path, quarters=60, hot=HOT, seed=11):
     layers, policy = build()
-    store = open_cold_store(tmp_path / "cold", backend=backend)
+    store = FileColdStore(tmp_path / "cold")
     engine = StreamCubeEngine(
         layers, policy, ticks_per_quarter=TPQ, storage=store, hot_quarters=hot
     )
@@ -71,38 +71,29 @@ def make_trio(tmp_path, backend, quarters=60, hot=HOT, seed=11):
     return engine, reference, oracle, store
 
 
-@pytest.fixture(params=("file", "sqlite"))
-def backend(request):
-    return request.param
-
-
 class TestSpillAndFault:
-    def test_sealing_spills_pages(self, tmp_path, backend):
-        engine, _, _, store = make_trio(tmp_path, backend)
+    def test_sealing_spills_pages(self, tmp_path):
+        engine, _, _, store = make_trio(tmp_path)
         stats = engine.storage_stats()
         assert stats["pages_spilled"] > 0
         assert stats["cold_slots"] > 0
         assert stats["pages"] == store.stats().pages > 0
-        assert stats["backend"] == backend
+        assert stats["backend"] == "file"
         assert stats["hot_quarters"] == HOT
-        store.close()
 
-    def test_hot_windows_bit_identical_to_storage_free_engine(
-        self, tmp_path, backend
-    ):
-        engine, reference, _, store = make_trio(tmp_path, backend)
+    def test_hot_windows_bit_identical_to_storage_free_engine(self, tmp_path):
+        engine, reference, _, _ = make_trio(tmp_path)
         end = 60 * TPQ
         for quarters_back in (1, 2, 3):
             t_b, t_e = end - quarters_back * TPQ, end - 1
             assert engine.window_isbs(t_b, t_e) == reference.window_isbs(
                 t_b, t_e
             )
-        store.close()
 
     def test_deep_windows_need_the_cold_store_and_match_the_oracle(
-        self, tmp_path, backend
+        self, tmp_path
     ):
-        engine, reference, oracle, store = make_trio(tmp_path, backend)
+        engine, reference, oracle, _ = make_trio(tmp_path)
         end = 60 * TPQ
         # The storage-free engine promoted its early fine slots away: the
         # first quarter alone is simply not answerable any more.
@@ -118,20 +109,15 @@ class TestSpillAndFault:
         stats = engine.storage_stats()
         assert stats["cold_faults"] > faults_before
         assert stats["page_cache_entries"] <= 32
-        store.close()
 
-    def test_resident_state_is_bounded_by_the_hot_set(self, tmp_path, backend):
+    def test_resident_state_is_bounded_by_the_hot_set(self, tmp_path):
         def resident(engine):
             return sum(
                 engine.frame_of(key).total_retained for key in engine.snapshot().cells
             )
 
-        eng_mid, ref_mid, _, s1 = make_trio(
-            tmp_path / "mid", backend, quarters=120
-        )
-        eng_long, ref_long, _, s2 = make_trio(
-            tmp_path / "long", backend, quarters=216
-        )
+        eng_mid, ref_mid, _, _ = make_trio(tmp_path / "mid", quarters=120)
+        eng_long, ref_long, _, _ = make_trio(tmp_path / "long", quarters=216)
         # Demotion keeps far less resident than natural tilt retention...
         assert resident(eng_long) < resident(ref_long)
         # ...and another 96 quarters of history barely move the hot set
@@ -142,13 +128,11 @@ class TestSpillAndFault:
             eng_long.storage_stats()["cold_slots"]
             > eng_mid.storage_stats()["cold_slots"]
         )
-        s1.close()
-        s2.close()
 
 
 class TestDurabilityWithStorage:
-    def test_snapshot_restore_round_trips_cold_state(self, tmp_path, backend):
-        engine, _, oracle, store = make_trio(tmp_path, backend)
+    def test_snapshot_restore_round_trips_cold_state(self, tmp_path):
+        engine, _, oracle, store = make_trio(tmp_path)
         wire = json.loads(json.dumps(engine_state_to_dict(engine.snapshot())))
         restored = StreamCubeEngine.restore(
             engine_state_from_dict(wire),
@@ -171,18 +155,14 @@ class TestDurabilityWithStorage:
             restored.storage_stats()["cold_slots"]
             == engine.storage_stats()["cold_slots"]
         )
-        store.close()
 
-    def test_restore_without_store_is_refused(self, tmp_path, backend):
-        engine, _, _, store = make_trio(tmp_path, backend)
+    def test_restore_without_store_is_refused(self, tmp_path):
+        engine, _, _, _ = make_trio(tmp_path)
         state = engine.snapshot()
         with pytest.raises(StreamError, match="storage"):
             StreamCubeEngine.restore(state, engine.layers, engine.policy)
-        store.close()
 
-    def test_spilling_restart_continues_bit_identically(
-        self, tmp_path, backend
-    ):
+    def test_spilling_restart_continues_bit_identically(self, tmp_path):
         """Stop mid-stream, restore against the same store, keep ingesting:
         indistinguishable from the uninterrupted spilling engine."""
         layers, policy = build()
@@ -190,9 +170,7 @@ class TestDurabilityWithStorage:
         records = traffic(23, quarters)
         split = len(records) * 2 // 3
 
-        straight_store = open_cold_store(
-            tmp_path / "straight", backend=backend
-        )
+        straight_store = FileColdStore(tmp_path / "straight")
         straight = StreamCubeEngine(
             layers, policy, ticks_per_quarter=TPQ,
             storage=straight_store, hot_quarters=HOT,
@@ -200,7 +178,7 @@ class TestDurabilityWithStorage:
         straight.ingest_many(records)
         straight.advance_to(quarters * TPQ)
 
-        resumed_store = open_cold_store(tmp_path / "resumed", backend=backend)
+        resumed_store = FileColdStore(tmp_path / "resumed")
         first = StreamCubeEngine(
             layers, policy, ticks_per_quarter=TPQ,
             storage=resumed_store, hot_quarters=HOT,
@@ -221,19 +199,15 @@ class TestDurabilityWithStorage:
             assert resumed.window_isbs(t_b, t_e) == straight.window_isbs(
                 t_b, t_e
             )
-        straight_store.close()
-        resumed_store.close()
 
 
 class TestLateBornCells:
-    def test_late_cell_reads_zero_rows_from_pre_birth_pages(
-        self, tmp_path, backend
-    ):
+    def test_late_cell_reads_zero_rows_from_pre_birth_pages(self, tmp_path):
         """A cell first seen long after early slots were demoted must see
         its zero-backfill in deep windows — served by the cold pages' zero
         row, bit-identical to what a resident frame would have held."""
         layers, policy = build()
-        store = open_cold_store(tmp_path / "cold", backend=backend)
+        store = FileColdStore(tmp_path / "cold")
         engine = StreamCubeEngine(
             layers, policy, ticks_per_quarter=TPQ,
             storage=store, hot_quarters=HOT,
@@ -257,4 +231,3 @@ class TestLateBornCells:
             oracle.window_isbs(0, 50 * TPQ - 1),
             "window with late-born cell",
         )
-        store.close()

@@ -1,9 +1,9 @@
-"""Cold stores under injected faults: retry, repair, quarantine.
+"""The cold store under injected faults: retry, repair, quarantine.
 
-Both backends run the same ladder: a transient read fault is retried
-away, a transient write fault is rolled back and retried, and persistent
-corruption (a bit flipped *before* the bytes hit disk) ends in quarantine
-plus a typed :class:`CorruptionError` that names the rebuild path.
+The ladder: a transient read fault is retried away, a transient write
+fault is rolled back and retried, and persistent corruption (a bit
+flipped *before* the bytes hit disk) ends in quarantine plus a typed
+:class:`CorruptionError` that names the rebuild path.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import pytest
 
 from repro import faults
 from repro.errors import CorruptionError, StorageError
-from repro.storage import open_cold_store
+from repro.storage import FileColdStore
 
-from tests.storage.test_stores import BACKENDS, page
+from tests.storage.test_stores import page
 
 
 @pytest.fixture(autouse=True)
@@ -24,11 +24,9 @@ def disarm():
     faults.clear()
 
 
-@pytest.fixture(params=BACKENDS)
-def store(request, tmp_path):
-    s = open_cold_store(tmp_path / "store", backend=request.param)
-    yield s
-    s.close()
+@pytest.fixture
+def store(tmp_path):
+    return FileColdStore(tmp_path / "store")
 
 
 def arm(site, kind, **kwargs):
@@ -103,8 +101,7 @@ class TestWriteFaults:
 
     def test_double_write_failure_raises_storage_error(self, store):
         arm("store.write", "eio", count=2)
-        # file: "even after rollback"; sqlite: "even after retry" (its
-        # journal is the rollback).  Both name the first and final error.
+        # "even after rollback", naming the first and final error.
         with pytest.raises(StorageError, match="even after"):
             store.put_segment(page())
 

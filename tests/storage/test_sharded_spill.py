@@ -9,13 +9,16 @@ stale generations).
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.errors import CodecError, StorageError
+from repro.io import STATE_VERSION
 from repro.service.sharding import ShardedStreamCube
-from repro.storage import StorageConfig, open_cold_store
+from repro.storage import FileColdStore, StorageConfig
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
@@ -44,16 +47,9 @@ def traffic(seed: int, quarters: int, start: int = 0) -> list[StreamRecord]:
     ]
 
 
-@pytest.fixture(params=("file", "sqlite"))
-def backend(request):
-    return request.param
-
-
-def make_pair(tmp_path, backend, n_shards=3):
+def make_pair(tmp_path, n_shards=3):
     layers, policy = build()
-    config = StorageConfig(
-        root=tmp_path / "cube-store", backend=backend, hot_quarters=HOT
-    )
+    config = StorageConfig(root=tmp_path / "cube-store", hot_quarters=HOT)
     cube = ShardedStreamCube(
         layers,
         policy,
@@ -62,9 +58,12 @@ def make_pair(tmp_path, backend, n_shards=3):
         storage=config,
         hot_quarters=HOT,
     )
-    store = open_cold_store(tmp_path / "engine-store", backend=backend)
     engine = StreamCubeEngine(
-        layers, policy, ticks_per_quarter=TPQ, storage=store, hot_quarters=HOT
+        layers,
+        policy,
+        ticks_per_quarter=TPQ,
+        storage=FileColdStore(tmp_path / "engine-store"),
+        hot_quarters=HOT,
     )
     records = traffic(29, QUARTERS)
     cube.ingest_batch(records)
@@ -72,7 +71,30 @@ def make_pair(tmp_path, backend, n_shards=3):
     t = QUARTERS * TPQ
     cube.advance_to(t)
     engine.advance_to(t)
-    return cube, engine, store, config, layers, policy, records
+    return cube, engine, config, layers, policy, records
+
+
+def foreign_snapshot(tmp_path, storage_block: dict):
+    """A hand-written manifest whose ``storage`` block is ``storage_block``
+    (plus the geometry fields); it names one shard file that is never
+    written, so a restore that gets past the block fails loudly."""
+    snap = tmp_path / "snap"
+    snap.mkdir()
+    block = {"hot_quarters": HOT, "generation": 1, "n_shards": 1}
+    block.update(storage_block)
+    (snap / "manifest.json").write_text(
+        json.dumps(
+            {
+                "format": "repro-snapshot",
+                "version": STATE_VERSION,
+                "n_shards": 1,
+                "wal_seq": 0,
+                "shards": ["shard-00-missing.json"],
+                "storage": block,
+            }
+        )
+    )
+    return snap
 
 
 def deep_and_hot_bounds():
@@ -81,10 +103,8 @@ def deep_and_hot_bounds():
 
 
 class TestShardingEquivalence:
-    def test_spilling_cube_matches_spilling_engine_bit_for_bit(
-        self, tmp_path, backend
-    ):
-        cube, engine, store, *_ = make_pair(tmp_path, backend)
+    def test_spilling_cube_matches_spilling_engine_bit_for_bit(self, tmp_path):
+        cube, engine, *_ = make_pair(tmp_path)
         try:
             for t_b, t_e in deep_and_hot_bounds():
                 assert cube.window_isbs(t_b, t_e) == engine.window_isbs(
@@ -92,14 +112,13 @@ class TestShardingEquivalence:
                 )
         finally:
             cube.close()
-            store.close()
 
-    def test_storage_stats_aggregate_shards(self, tmp_path, backend):
-        cube, engine, store, *_ = make_pair(tmp_path, backend)
+    def test_storage_stats_aggregate_shards(self, tmp_path):
+        cube, engine, *_ = make_pair(tmp_path)
         try:
             cube.window_isbs(0, TPQ - 1)  # force at least one fault
             stats = cube.storage_stats()
-            assert stats["backend"] == backend
+            assert stats["backend"] == "file"
             assert stats["generation"] == 1
             assert stats["hot_quarters"] == HOT
             assert len(stats["shards"]) == 3
@@ -109,21 +128,16 @@ class TestShardingEquivalence:
             assert stats["cold_faults"] > 0
         finally:
             cube.close()
-            store.close()
 
 
 class TestDurabilityAndElasticity:
-    def test_manifest_records_storage_and_restore_continues(
-        self, tmp_path, backend
-    ):
-        cube, engine, store, config, layers, policy, _ = make_pair(
-            tmp_path, backend
-        )
+    def test_manifest_records_storage_and_restore_continues(self, tmp_path):
+        cube, _, config, layers, policy, _ = make_pair(tmp_path)
         restored = None
         try:
             manifest = cube.snapshot(tmp_path / "snap")
             block = manifest["storage"]
-            assert block["backend"] == backend
+            assert block["backend"] == "file"
             assert block["hot_quarters"] == HOT
             assert block["generation"] == 1
             assert block["n_shards"] == 3
@@ -138,14 +152,34 @@ class TestDurabilityAndElasticity:
             if restored is not None:
                 restored.close()
             cube.close()
-            store.close()
 
-    def test_reshard_repartitions_cold_pages_and_stays_identical(
+    @pytest.mark.parametrize("backend", ["shoebox", "", "FILE"])
+    def test_manifest_of_another_store_is_refused_before_any_load(
         self, tmp_path, backend
     ):
-        cube, engine, store, config, layers, policy, records = make_pair(
-            tmp_path, backend
-        )
+        """A snapshot taken over another build's cold store: restore fails
+        typed before reading a shard file (none exist here to read)."""
+        snap = foreign_snapshot(tmp_path, {"backend": backend})
+        layers, policy = build()
+        config = StorageConfig(root=tmp_path / "cube-store", hot_quarters=HOT)
+        with pytest.raises(StorageError, match=repr(backend)):
+            ShardedStreamCube.restore(snap, layers, policy, storage=config)
+        assert not (tmp_path / "cube-store").exists()
+
+    def test_manifest_storage_block_without_backend_is_refused(
+        self, tmp_path
+    ):
+        snap = foreign_snapshot(tmp_path, {})
+        layers, policy = build()
+        config = StorageConfig(root=tmp_path / "cube-store", hot_quarters=HOT)
+        with pytest.raises(CodecError, match="backend"):
+            ShardedStreamCube.restore(snap, layers, policy, storage=config)
+        assert not (tmp_path / "cube-store").exists()
+
+    def test_reshard_repartitions_cold_pages_and_stays_identical(
+        self, tmp_path
+    ):
+        cube, engine, *_ = make_pair(tmp_path)
         resharded = None
         try:
             resharded = cube.reshard(2)
@@ -168,10 +202,9 @@ class TestDurabilityAndElasticity:
             if resharded is not None:
                 resharded.close()
             cube.close()
-            store.close()
 
-    def test_compact_storage_prunes_stale_generations(self, tmp_path, backend):
-        cube, engine, store, config, *_ = make_pair(tmp_path, backend)
+    def test_compact_storage_prunes_stale_generations(self, tmp_path):
+        cube, engine, *_ = make_pair(tmp_path)
         resharded = None
         try:
             resharded = cube.reshard(2)
@@ -194,12 +227,9 @@ class TestDurabilityAndElasticity:
         finally:
             if resharded is not None:
                 resharded.close()
-            store.close()
 
-    def test_oracle_agreement_end_to_end(self, tmp_path, backend):
-        cube, engine, store, config, layers, policy, records = make_pair(
-            tmp_path, backend
-        )
+    def test_oracle_agreement_end_to_end(self, tmp_path):
+        cube, _, _, layers, policy, records = make_pair(tmp_path)
         try:
             oracle = RawStreamOracle(layers, policy, ticks_per_quarter=TPQ)
             oracle.ingest(records)
@@ -212,4 +242,3 @@ class TestDurabilityAndElasticity:
             )
         finally:
             cube.close()
-            store.close()

@@ -71,7 +71,7 @@ def restored_service(root: Path) -> StreamCubeService:
         layers,
         policy,
         wal=wal,
-        storage=StorageConfig(root=root / "storage", backend="file", hot_quarters=HOT),
+        storage=StorageConfig(root=root / "storage", hot_quarters=HOT),
         hot_quarters=HOT,
     )
     wal.replay(cube, after_seq=int(manifest["wal_seq"]))
@@ -106,7 +106,7 @@ def write() -> None:
         n_shards=2,
         ticks_per_quarter=TPQ,
         wal=wal,
-        storage=StorageConfig(root=HERE / "storage", backend="file", hot_quarters=HOT),
+        storage=StorageConfig(root=HERE / "storage", hot_quarters=HOT),
     )
     service = StreamCubeService(
         cube, QueryRouter(cube, window_quarters=4), snapshot_dir=HERE / "snapshot"

@@ -30,7 +30,7 @@ from repro.io import engine_state_from_dict, engine_state_to_dict
 from repro.regression import kernels
 from repro.regression.isb import ISB
 from repro.regression.linear import RunningRegression
-from repro.storage import open_cold_store
+from repro.storage import FileColdStore
 from repro.stream.engine import StreamCubeEngine, engine_frame_levels
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
@@ -249,13 +249,12 @@ def test_pages_match_one_frame_per_cell(levels, script):
     ) == engine.window_isbs(*recent_windows(engine.current_quarter)[-1])
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
 @pytest.mark.parametrize("hot", [1, 2, 3])
 @given(script=steps)
 @settings(max_examples=3, deadline=None)
-def test_demoted_pages_fault_back_as_the_reference(backend, hot, script):
+def test_demoted_pages_fault_back_as_the_reference(hot, script):
     with tempfile.TemporaryDirectory() as scratch:
-        store = open_cold_store(Path(scratch) / "cold", backend=backend)
+        store = FileColdStore(Path(scratch) / "cold")
         engine = StreamCubeEngine(
             LAYERS, POLICY, ticks_per_quarter=TPQ, storage=store, hot_quarters=hot
         )
@@ -272,15 +271,12 @@ def test_demoted_pages_fault_back_as_the_reference(backend, hot, script):
         def check():
             assert_windows_match(engine, reference, windows())
 
-        try:
-            drive(script, engine, reference, check)
-            assert engine.storage_stats()["pages_spilled"] > 0
-            # Demotion bounds what stays resident, whatever the history.
-            assert engine.frame_of(POOL[0]).total_retained < 40
-            restored = round_trip(engine, storage=store, hot_quarters=hot)
-            assert_windows_match(restored, reference, windows())
-        finally:
-            store.close()
+        drive(script, engine, reference, check)
+        assert engine.storage_stats()["pages_spilled"] > 0
+        # Demotion bounds what stays resident, whatever the history.
+        assert engine.frame_of(POOL[0]).total_retained < 40
+        restored = round_trip(engine, storage=store, hot_quarters=hot)
+        assert_windows_match(restored, reference, windows())
 
 
 def test_a_retained_slot_costs_sixteen_bytes_not_an_object():

@@ -4,10 +4,10 @@ Every preset fault class (torn WAL appends, cold-page bit flips,
 ENOSPC mid-snapshot) is one the durability layer repairs in place, so a
 scenario run with a plan armed must still pass **bit-identically** —
 same oracle agreement, same engine==cube equivalence — not merely
-survive.  The default leg keeps CI fast: three recovery-heavy scenarios
-x three presets on the file store, plus a process-backend spot check on
-sqlite.  ``FAULT_MATRIX=full`` (the nightly leg) widens to the whole
-catalogue x both stores x both execution backends, and runs
+survive.  Every run spills to the cold store.  The default leg keeps CI
+fast: three recovery-heavy scenarios x three presets, plus a
+process-backend spot check.  ``FAULT_MATRIX=full`` (the nightly leg)
+widens to the whole catalogue x both execution backends, and runs
 ``refresh_plan_churn`` in its long form (four rounds of cell-set churn
 before the shard is lost).
 """
@@ -33,39 +33,37 @@ FULL = os.environ.get("FAULT_MATRIX") == "full"
 
 def combos():
     names = tuple(SCENARIOS) if FULL else QUICK_SCENARIOS
-    storages = ("file", "sqlite") if FULL else ("file",)
     backends = ("inproc", "process") if FULL else ("inproc",)
     for name in names:
         for preset in PRESETS:
-            for storage in storages:
-                for backend in backends:
-                    if (
-                        SCENARIOS[name].backend == "process"
-                        and backend == "inproc"
-                    ):
-                        continue  # KillWorker/SlowRpc need real workers
-                    yield name, preset, storage, backend
+            for backend in backends:
+                if (
+                    SCENARIOS[name].backend == "process"
+                    and backend == "inproc"
+                ):
+                    continue  # KillWorker/SlowRpc need real workers
+                yield name, preset, backend
     if not FULL:
-        # One process-backend x sqlite spot check per preset keeps the
+        # One process-backend spot check per preset keeps the
         # forked-worker fault seams (plan shipped via WorkerSpec, RPC
         # sites dropped) covered on every CI run.
         for preset in PRESETS:
-            yield "crash_replay", preset, "sqlite", "process"
+            yield "crash_replay", preset, "process"
 
 
 @pytest.mark.parametrize(
-    "name,preset,storage,backend",
+    "name,preset,backend",
     list(combos()),
     ids=lambda v: str(v),
 )
 def test_scenario_passes_bit_identically_under_faults(
-    name, preset, storage, backend, tmp_path
+    name, preset, backend, tmp_path
 ):
     report = run_scenario(
         name,
         seed=29,
         workdir=tmp_path,
-        storage=storage,
+        storage=True,
         backend=backend,
         fault_plan=preset,
     )
@@ -75,9 +73,8 @@ def test_scenario_passes_bit_identically_under_faults(
 
 @pytest.mark.skipif(not FULL, reason="long form: FAULT_MATRIX=full only")
 @pytest.mark.parametrize("backend", ("inproc", "process"))
-@pytest.mark.parametrize("storage", ("file", "sqlite"))
 @pytest.mark.parametrize("preset", PRESETS)
-def test_refresh_plan_churn_long_form(preset, storage, backend, tmp_path):
+def test_refresh_plan_churn_long_form(preset, backend, tmp_path):
     short = SCENARIOS["refresh_plan_churn"]
     rounds = REFRESH_PLAN_CHURN * 4
     long_form = dataclasses.replace(
@@ -87,7 +84,7 @@ def test_refresh_plan_churn_long_form(preset, storage, backend, tmp_path):
         long_form,
         seed=29,
         workdir=tmp_path,
-        storage=storage,
+        storage=True,
         backend=backend,
         fault_plan=preset,
     )

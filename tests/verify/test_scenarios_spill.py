@@ -34,16 +34,10 @@ class TestCatalogue:
     def test_spill_scenarios_present_and_deep(self):
         for name in SPILL_SCENARIOS:
             scenario = SCENARIOS[name]
-            assert scenario.storage in ("file", "sqlite")
+            assert scenario.storage
             assert any(
                 isinstance(event, DeepWindow) for event in scenario.events
             )
-
-    def test_both_backends_in_the_catalogue(self):
-        backends = {
-            SCENARIOS[name].storage for name in SPILL_SCENARIOS
-        }
-        assert backends == {"file", "sqlite"}
 
     def test_deep_window_scenario_reaches_hundreds_of_quarters(self):
         scenario = SCENARIOS["spill_deep_window"]
@@ -59,7 +53,7 @@ class TestCatalogue:
 def test_whole_catalogue_passes_while_spilling(name: str):
     """Every scenario — not just the spill-specific ones — must clear all
     its differential checks with a cold store underneath."""
-    report = run_scenario(name, seed=2026, storage="file", hot_quarters=2)
+    report = run_scenario(name, seed=2026, storage=True, hot_quarters=2)
     assert report.checks > 0
 
 
@@ -69,11 +63,6 @@ def test_spill_scenarios_over_seeds(name: str, seed: int):
     report = run_scenario(name, seed=seed)
     assert report.checks > 0
     assert report.cells_compared > 0
-
-
-def test_sqlite_override_runs_the_deep_catalogue_entry():
-    report = run_scenario("spill_crash_replay", seed=7, storage="sqlite")
-    assert report.checks > 0
 
 
 class TestDeepWindowGuards:
@@ -91,7 +80,7 @@ class TestDeepWindowGuards:
             name="premature_deep",
             description="DeepWindow before anything sealed",
             events=(Traffic(quarters=1), DeepWindow()),
-            storage="file",
+            storage=True,
         )
         with pytest.raises(VerifyMismatch, match="scenario bug"):
             run_scenario(bad, seed=3)

@@ -53,6 +53,26 @@ def test_soak_cli_entry(tmp_path, capsys, monkeypatch):
     assert "ZERO oracle mismatches" in out
 
 
+def test_soak_storage_flag_is_a_switch(monkeypatch):
+    """`soak --storage` takes no value: there is one cold store."""
+    import repro.__main__ as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "soak_command", lambda args: seen.append(args) or 0)
+    assert cli.main(["soak", "--storage", "--hot-quarters", "2"]) == 0
+    assert cli.main(["soak"]) == 0
+    assert [args.storage for args in seen] == [True, False]
+    assert seen[0].hot_quarters == 2
+
+
+def test_soak_storage_flag_refuses_a_value(monkeypatch):
+    import repro.__main__ as cli
+
+    monkeypatch.setattr(cli, "soak_command", lambda args: 0)
+    with pytest.raises(SystemExit):
+        cli.main(["soak", "--storage", "file"])
+
+
 def test_report_describe_lists_problems():
     from repro.verify.soak import SoakReport
 
