@@ -61,12 +61,7 @@ from repro.query import (
     execute,
     execute_batch,
 )
-from repro.service import (
-    QueryRouter,
-    ShardedStreamCube,
-    StreamCubeService,
-    merge_cube,
-)
+from repro.service import QueryRouter, ShardedStreamCube, StreamCubeService
 from repro.regression import (
     ISB,
     Design,
@@ -184,5 +179,4 @@ __all__ = [
     "ShardedStreamCube",
     "QueryRouter",
     "StreamCubeService",
-    "merge_cube",
 ]

@@ -11,13 +11,14 @@ advertises survives the hop.
 
 Each method's arguments and result have a tiny, explicit codec
 (:func:`encode_args` / :func:`decode_args` / :func:`encode_result` /
-:func:`decode_result`) built on the PR 2 cell payload codecs and the PR 4
-engine-state codecs in :mod:`repro.io` — no pickling anywhere, so the
-protocol is inspectable and version-diffable.  Ingest batches cross as the
-engine's coded segments (:data:`repro.stream.engine.Segment`):
-``[quarter, keys, group, ticks, z]`` — each distinct cell key once, then
-three aligned number lists with one entry per record, ``group[i]`` the
-index of record ``i``'s key.
+:func:`decode_result`) built on the engine-state codecs in :mod:`repro.io`
+— no pickling anywhere, so the protocol is inspectable and
+version-diffable.  The one window read, ``window_columns``, answers as a
+generation, the keys (only when the parent lacks them), one interval and
+two float lists.  Ingest batches cross as the engine's coded segments
+(:data:`repro.stream.engine.Segment`): ``[quarter, keys, group, ticks,
+z]`` — each distinct cell key once, then three aligned number lists with
+one entry per record, ``group[i]`` the index of record ``i``'s key.
 
 Failure classification
 ----------------------
@@ -47,12 +48,7 @@ from typing import Any
 from repro import errors as _errors
 from repro import faults
 from repro.errors import ReproError, ServiceError
-from repro.io import (
-    cells_from_payload,
-    cells_to_payload,
-    engine_state_from_dict,
-    engine_state_to_dict,
-)
+from repro.io import engine_state_from_dict, engine_state_to_dict
 from repro.regression import kernels
 from repro.stream.records import StreamRecord
 
@@ -219,21 +215,8 @@ def decode_args(method: str, payload: list) -> tuple:
     return tuple(payload)
 
 
-#: Methods whose result is a ``{values -> ISB}`` cell mapping.
-_CELL_RESULTS = frozenset(
-    {
-        "window_isbs",
-        "m_cells",
-        "change_exceptions",
-        "change_exceptions_between",
-    }
-)
-
-
 def encode_result(method: str, value: Any) -> Any:
     """JSON-ready result payload for one RPC reply (runs in the worker)."""
-    if method in _CELL_RESULTS:
-        return cells_to_payload(value)
     if method == "window_columns":
         # One window, one interval: it rides once, the two float columns as
         # number lists (bit-exact through JSON), the keys only when the
@@ -254,8 +237,6 @@ def encode_result(method: str, value: Any) -> Any:
 
 def decode_result(method: str, payload: Any) -> Any:
     """Inverse of :func:`encode_result` (runs in the parent)."""
-    if method in _CELL_RESULTS:
-        return cells_from_payload(payload)
     if method == "window_columns":
         generation, keys, interval, base, slope = payload
         return (
@@ -300,11 +281,7 @@ UNRECOVERABLE = "unrecoverable"
 
 _IDEMPOTENT_METHODS = frozenset(
     {
-        "window_isbs",
         "window_columns",
-        "m_cells",
-        "change_exceptions",
-        "change_exceptions_between",
         "snapshot",
         "snapshot_to_file",
         "storage_stats",

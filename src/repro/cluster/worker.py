@@ -67,7 +67,8 @@ class WorkerSpec:
     fault_plan: dict[str, Any] | None = None
 
 
-#: Methods delegated verbatim to the shard engine.
+#: Methods delegated verbatim to the shard engine.  ``window_columns`` is
+#: the one window read: every merged view is assembled from it parent-side.
 _ENGINE_METHODS = frozenset(
     {
         "apply_segments",
@@ -75,11 +76,7 @@ _ENGINE_METHODS = frozenset(
         "ingest",
         "validate_segment_keys",
         "prune_idle",
-        "window_isbs",
         "window_columns",
-        "m_cells",
-        "change_exceptions",
-        "change_exceptions_between",
         "snapshot",
         "load_state",
         "storage_stats",

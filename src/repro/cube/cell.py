@@ -16,10 +16,28 @@ from repro.cube.hierarchy import ALL
 from repro.cube.schema import CubeSchema
 from repro.errors import SchemaError
 
-__all__ = ["CellRef", "roll_up_values", "is_ancestor", "is_descendant", "is_sibling"]
+__all__ = [
+    "CellRef",
+    "canonical_cell_order",
+    "roll_up_values",
+    "is_ancestor",
+    "is_descendant",
+    "is_sibling",
+]
 
 Values = tuple[Hashable, ...]
 Coord = tuple[int, ...]
+
+
+def canonical_cell_order(values: Values) -> tuple[tuple[str, str], ...]:
+    """A total order over cell keys that tolerates mixed value types.
+
+    Keys mix ints and strings (fanout vs explicit hierarchies), which do not
+    compare directly; ordering by ``(type name, repr)`` per value is total,
+    deterministic across processes, and cheap.  It is the order merged
+    m-layers are presented in, whatever engine or shard the cells live on.
+    """
+    return tuple((type(v).__name__, repr(v)) for v in values)
 
 
 @dataclass(frozen=True)

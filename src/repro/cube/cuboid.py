@@ -14,11 +14,10 @@ objects only for what a caller reads.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.cube.cell import roll_up_values
 from repro.cube.hierarchy import LevelCodes
 from repro.cube.schema import CubeSchema
 from repro.errors import QueryError, SchemaError
@@ -293,6 +292,45 @@ class Cuboid:
         Every cell's values are rolled up through the concept hierarchies and
         cells mapping to the same ancestor are merged with Theorem 3.2.
         """
+        to_coord = self._coarser(to_coord)
+        out = Cuboid(self.schema, to_coord)
+        if not self.cells:
+            return out
+        rolled = self._columns().roll_up(to_coord)
+        if isinstance(self.cells, ColumnCells):  # columns in, columns out
+            out.cells = ColumnCells(rolled)
+        else:
+            out.cells = rolled.cells()
+        return out
+
+    def roll_up_cell(self, to_coord: Coord, target_values: Values) -> ISB | None:
+        """Aggregate only the cells that roll up to ``target_values``.
+
+        The rows whose lifted key codes equal the target's are merged with
+        :func:`~repro.regression.aggregation.merge_standard` (``fsum``), and
+        only those rows are boxed.  Used by popular-path drilling and by
+        queries for a cell no cuboid retained.  Returns ``None`` when no
+        source cell contributes.
+        """
+        to_coord = self._coarser(to_coord)
+        if not self.cells or len(target_values) != len(to_coord):
+            return None
+        columns = self._columns()
+        match = np.ones(len(columns), dtype=bool)
+        for table, codes, level, value in zip(
+            columns.tables, columns.codes_at(to_coord), to_coord, target_values
+        ):
+            code = table.index(level).get(value)
+            if code is None:
+                return None
+            match &= codes == code
+        rows = np.flatnonzero(match)
+        if not len(rows):
+            return None
+        return merge_standard(columns.isbs.take(rows).to_isbs())
+
+    def _coarser(self, to_coord: Coord) -> Coord:
+        """``to_coord`` validated as coarser-or-equal in every dimension."""
         to_coord = self.schema.validate_coord(to_coord)
         for i, (f, t) in enumerate(zip(self.coord, to_coord)):
             if t > f:
@@ -300,49 +338,17 @@ class Cuboid:
                     f"dimension {self.schema.dimensions[i].name!r}: cannot "
                     f"roll up cuboid level {f} to finer level {t}"
                 )
-        out = Cuboid(self.schema, to_coord)
+        return to_coord
+
+    def _columns(self) -> CuboidColumns:
+        """The cells as columns: a column-backed cuboid's own, a dict's
+        encoded."""
         cells = self.cells
-        if not cells:
-            return out
-        if isinstance(cells, ColumnCells):  # columns in, columns out
-            out.cells = ColumnCells(cells.columns.roll_up(to_coord))
-        else:
-            out.cells = (
-                CuboidColumns.from_cells(
-                    self.schema, self.coord, list(cells), cells.values()
-                )
-                .roll_up(to_coord)
-                .cells()
-            )
-        return out
-
-    def roll_up_cell(self, to_coord: Coord, target_values: Values) -> ISB | None:
-        """Aggregate only the cells that roll up to ``target_values``.
-
-        Used by popular-path drilling, which materializes individual cells of
-        a coarser cuboid on demand rather than the whole cuboid.  Returns
-        ``None`` when no source cell contributes.
-        """
-        to_coord = self.schema.validate_coord(to_coord)
-        target = tuple(target_values)
-        parts = [
-            isb
-            for values, isb in self.cells.items()
-            if roll_up_values(self.schema, values, self.coord, to_coord) == target
-        ]
-        if not parts:
-            return None
-        return merge_standard(parts)
-
-    def filtered(self, predicate: Callable[[Values, ISB], bool]) -> "Cuboid":
-        """A new cuboid keeping only cells satisfying ``predicate``."""
-        out = Cuboid(self.schema, self.coord)
-        out.cells = {
-            values: isb
-            for values, isb in self.cells.items()
-            if predicate(values, isb)
-        }
-        return out
+        if isinstance(cells, ColumnCells):
+            return cells.columns
+        return CuboidColumns.from_cells(
+            self.schema, self.coord, list(cells), cells.values()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Cuboid({self.coord}, cells={len(self.cells)})"

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CubingError
 from repro.regression.isb import ISB
+from repro.regression.kernels import ISBColumns
 
 __all__ = [
     "ExceptionPolicy",
@@ -27,6 +28,7 @@ __all__ = [
     "PerCuboidSlopeThreshold",
     "PerDimensionLevelThreshold",
     "two_point_isb",
+    "two_point_columns",
     "calibrate_threshold",
 ]
 
@@ -141,6 +143,28 @@ def two_point_isb(previous: ISB, current: ISB) -> ISB:
     slope = (current.mean - previous.mean) / (t_cur - t_prev)
     base = previous.mean - slope * t_prev
     return ISB(previous.t_b, current.t_e, base, slope)
+
+
+def two_point_columns(previous: ISBColumns, current: ISBColumns) -> ISBColumns:
+    """:func:`two_point_isb` down the rows of two window batches at once.
+
+    Row ``i`` of the result is ``two_point_isb(previous.row(i),
+    current.row(i))`` to the bit: the same IEEE operations in the same
+    order, as array expressions.
+    """
+    if len(previous) and previous.t_e[0] + 1 != current.t_b[0]:
+        raise CubingError(
+            f"windows {(int(previous.t_b[0]), int(previous.t_e[0]))} and "
+            f"{(int(current.t_b[0]), int(current.t_e[0]))} are not "
+            "adjacent; cannot form a current-vs-previous regression"
+        )
+    t_prev = (previous.t_b + previous.t_e) / 2.0
+    t_cur = (current.t_b + current.t_e) / 2.0
+    mean_prev = previous.base + previous.slope * t_prev
+    mean_cur = current.base + current.slope * t_cur
+    slope = (mean_cur - mean_prev) / (t_cur - t_prev)
+    base = mean_prev - slope * t_prev
+    return ISBColumns(previous.t_b, current.t_e, base, slope)
 
 
 def calibrate_threshold(

@@ -15,7 +15,7 @@ n_shards=j)`` re-partition the exact state over a new shard count.
 """
 
 from repro.service.http import StreamCubeService, make_server, serve
-from repro.service.merge import canonical_cell_order, disjoint_union, merge_cube
+from repro.service.merge import canonical_cell_order, disjoint_union
 from repro.service.router import LRUCache, QueryRouter
 from repro.service.sharding import ShardedStreamCube, stable_shard_index
 from repro.service.subscriptions import Subscription, SubscriptionRegistry
@@ -24,7 +24,6 @@ __all__ = [
     "ShardedStreamCube",
     "stable_shard_index",
     "disjoint_union",
-    "merge_cube",
     "canonical_cell_order",
     "LRUCache",
     "QueryRouter",

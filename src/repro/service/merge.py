@@ -4,19 +4,20 @@ Shards own *disjoint* m-layer key sets, so the global m-layer is a disjoint
 union — no ISB arithmetic at all at the finest level.  Coarser cuboids are
 then re-aggregated from the union with Theorem 3.2, which is lossless: the
 merged cube is exactly the cube a single engine would compute over the same
-records.  (That re-aggregation runs on the columnar grouped kernels — see
-:func:`repro.regression.kernels.group_merge`, which ``Cuboid.roll_up``
-and the cubing algorithms call — so :func:`merge_cube` gets the vectorized
-fast path without any code here.)  The union is canonically ordered so every downstream float
+records.  The union is canonically ordered
+(:func:`~repro.cube.cell.canonical_cell_order`) so every downstream float
 aggregation folds in the same order regardless of how many shards the cells
 came from — the property tests in ``tests/service`` pin shard-count
-invariance down to bit equality.
+invariance down to bit equality.  The sharded cube runs
+:func:`disjoint_union` over the shards' keys once per cell set and keeps the
+resulting permutation for the columns of every merged read.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
+from repro.cube.cell import canonical_cell_order
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.policy import ExceptionPolicy
@@ -28,16 +29,6 @@ from repro.stream.engine import Algorithm, run_cubing
 __all__ = ["canonical_cell_order", "disjoint_union", "merge_cube"]
 
 Values = tuple[Hashable, ...]
-
-
-def canonical_cell_order(values: Values) -> tuple[tuple[str, str], ...]:
-    """A total order over cell keys that tolerates mixed value types.
-
-    Keys mix ints and strings (fanout vs explicit hierarchies), which do not
-    compare directly; ordering by ``(type name, repr)`` per value is total,
-    deterministic across processes, and cheap.
-    """
-    return tuple((type(v).__name__, repr(v)) for v in values)
 
 
 def disjoint_union(
@@ -76,6 +67,10 @@ def merge_cube(
     The disjoint union *is* the global m-layer; every coarser cuboid and the
     exception closure are recomputed from it by the chosen cubing algorithm,
     so the result carries no trace of the partitioning.
+
+    No ``src/`` caller: the frozen end-to-end tracer
+    (``benchmarks/e2e/replay.py``) wraps it by name, and it goes when that
+    hook does.
     """
     return run_cubing(
         layers, disjoint_union(shard_m_layers), policy, algorithm, path

@@ -42,7 +42,6 @@ from repro.query.exec import BatchItem, QueryResult, execute, run_batch
 from repro.query.spec import BatchQuery, Q, QuerySpec, spec_from_dict
 from repro.regression.isb import ISB
 from repro.service.sharding import ShardedStreamCube
-from repro.stream.engine import Algorithm
 
 __all__ = ["LRUCache", "QueryRouter"]
 
@@ -138,17 +137,16 @@ class QueryRouter:
         The sharded cube being served.
     window_quarters:
         Default analysis window for specs that do not name one.
-    algorithm:
-        Cubing algorithm used for merged refreshes.
     cache_size:
         LRU capacity for individual query results.
+
+    Merged refreshes always run m/o-cubing, on the cube's held plan.
     """
 
     def __init__(
         self,
         cube: ShardedStreamCube,
         window_quarters: int = 4,
-        algorithm: Algorithm = "mo",
         cache_size: int = 1024,
     ) -> None:
         if window_quarters < 1:
@@ -157,7 +155,6 @@ class QueryRouter:
             )
         self.cube = cube
         self.window_quarters = window_quarters
-        self.algorithm: Algorithm = algorithm
         self.cache = LRUCache(cache_size)
         self._mu = threading.Lock()
         self._views: dict[
@@ -212,7 +209,7 @@ class QueryRouter:
                     flight = self._view_flights[window] = _Flight()
             if leader:
                 try:
-                    result = self.cube.refresh(window, self.algorithm)
+                    result = self.cube.refresh(window)
                     view = RegressionCubeView(result, self.cube)
                     with self._mu:
                         # A line at any other vector can never be served

@@ -21,6 +21,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -29,7 +30,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -76,10 +77,10 @@ from repro.stream.engine import (
     change_window_bounds,
     check_seal_horizon,
     group_segments,
-    o_layer_change_from_windows,
     recent_window_bounds,
     run_cubing,
     validate_quarter_order,
+    window_change_exceptions,
 )
 from repro.stream.records import RecordColumns, StreamRecord, require_int_ticks
 from repro.stream.state import EngineState
@@ -203,21 +204,41 @@ def _repartition_states(
     ]
 
 
-class _HeldPlan(NamedTuple):
-    """The cubing plan of one merged cell set, and what it was built from.
+class _HeldCells:
+    """One merged cell set, in canonical order, and what is built from it.
 
     ``version`` is ``(structure_version, per-shard cell generation)`` with
     ``None`` for a shard a degraded read lost; ``shard_keys`` the keys each
     answering shard reported at that generation (re-sent only when it
-    moves); ``order`` the canonical permutation of the concatenated shard
-    rows — :func:`~repro.service.merge.disjoint_union`'s order, the key
-    order ``plan`` was built in.
+    moves); ``keys`` the merged keys in canonical order and ``order`` the
+    permutation taking the concatenated shard rows there —
+    :func:`~repro.service.merge.disjoint_union`'s order and its
+    disjointness check.  ``plan``, the cubing plan of the set, is built by
+    the first refresh that asks for it.  Never patched: a moved version
+    gets a new one.
     """
 
-    version: tuple[int, tuple[str | None, ...]]
-    shard_keys: list[list[Values] | None]
-    order: Any
-    plan: CubePlan
+    def __init__(
+        self,
+        layers: CriticalLayers,
+        version: tuple[int, tuple[str | None, ...]],
+        shard_keys: list[list[Values] | None],
+    ) -> None:
+        present = [keys for keys in shard_keys if keys is not None]
+        offsets = itertools.accumulate(map(len, present), initial=0)
+        row_of = disjoint_union(
+            dict(zip(keys, itertools.count(offset)))
+            for keys, offset in zip(present, offsets)
+        )
+        self.layers = layers
+        self.version = version
+        self.shard_keys = shard_keys
+        self.keys = list(row_of)
+        self.order = np.fromiter(row_of.values(), dtype=np.int64, count=len(row_of))
+
+    @functools.cached_property
+    def plan(self) -> CubePlan:
+        return CubePlan(self.layers, self.keys)
 
 
 class ShardedStreamCube:
@@ -333,12 +354,13 @@ class ShardedStreamCube:
         self._write_mutex = threading.RLock()
         self._locks = ShardLockTable(n_shards)
         self._structure_version = 0
-        # The cubing plan of the current merged cell set (see refresh):
-        # replaced whole, never patched, so concurrent refreshes may share
-        # it; the lock only keeps the two counters exact.
-        self._plan: _HeldPlan | None = None
+        # The current merged cell set and its cubing plan (see
+        # _merged_columns): replaced whole, never patched, so concurrent
+        # reads may share it; the lock only keeps the two counters exact.
+        self._held: _HeldCells | None = None
         self._plan_mu = threading.Lock()
-        #: Refreshes that had to (re)build the plan / ran on the held one.
+        #: Merged reads that had to rebuild the held cell set (and so the
+        #: plan) / ran on the held one.
         self.plan_builds = 0
         self.plan_reuses = 0
         # Seal listeners fire after a sealing mutator has released every
@@ -874,15 +896,6 @@ class ShardedStreamCube:
             )
         return results
 
-    def _merged(self, method: str, *args: Any) -> dict[Values, ISB]:
-        """Disjoint-union one per-shard read across the fleet."""
-        with self._locks.read_all():
-            return disjoint_union(
-                cells
-                for cells in self._fanout(method, *args)
-                if cells is not None
-            )
-
     def _degraded_holes(self) -> list[dict[str, Any]]:
         holes = getattr(self._degraded_local, "holes", None)
         if holes is None:
@@ -942,24 +955,20 @@ class ShardedStreamCube:
             yield self.epoch_vector()
 
     def window_isbs(self, t_b: int, t_e: int) -> dict[Values, ISB]:
-        """The merged m-layer over an arbitrary sealed window."""
-        return self._merged("window_isbs", t_b, t_e)
+        """The merged m-layer over an arbitrary sealed window, boxed."""
+        return self._boxed((t_b, t_e))
 
     def m_cells(self, window_quarters: int = 4) -> dict[Values, ISB]:
-        """The merged m-layer over the last ``window_quarters`` quarters.
-
-        A disjoint union of the per-shard m-layers (shards own disjoint key
-        sets), canonically ordered so the result is identical for every
-        shard count.  The window bounds are fixed parent-side under the
-        read cut and broadcast as an explicit interval, so every shard
-        answers for the *same* window by construction — even one that is
-        mid-recovery with a lagging clock (it raises for an uncovered
-        window instead of silently answering for an older one).
-        """
+        """The merged m-layer over the last ``window_quarters`` quarters,
+        boxed: ``{values: isb}`` in canonical order, identical for every
+        shard count."""
         with self._locks.read_all():
-            return self._merged(
-                "window_isbs", *self._recent_window(window_quarters)
-            )
+            return self._boxed(self._recent_window(window_quarters))
+
+    def _boxed(self, window: tuple[int, int]) -> dict[Values, ISB]:
+        with self._locks.read_all():
+            held, (isbs,) = self._merged_columns(window)
+        return dict(zip(held.keys, isbs.to_isbs()))
 
     def _recent_window(self, window_quarters: int) -> tuple[int, int]:
         return recent_window_bounds(
@@ -978,75 +987,81 @@ class ShardedStreamCube:
         assembled, the cubing algorithms run unchanged — coarser cuboids are
         re-aggregated from the union exactly as they would be from a single
         engine's m-layer.  m/o-cubing takes the union as columns under the
-        cube's held plan (:meth:`_planned_window`); everything else takes
-        the ``{values: isb}`` of :meth:`m_cells`.
+        held plan of its cell set; everything else takes it boxed.
         """
+        with self._locks.read_all():
+            window = self._recent_window(window_quarters)
+            held, (isbs,) = self._merged_columns(window)
         if algorithm == "mo":
-            with self._locks.read_all():
-                cells = self._planned_window(
-                    *self._recent_window(window_quarters)
-                )
+            cells = PlannedCells(held.plan, isbs)
         else:
-            cells = self.m_cells(window_quarters)
+            cells = dict(zip(held.keys, isbs.to_isbs()))
         return run_cubing(self.layers, cells, self.policy, algorithm, path)
 
-    def _planned_window(self, t_b: int, t_e: int) -> PlannedCells:
-        """The merged m-layer over ``[t_b, t_e]`` as columns under the plan
-        of its cell set (the caller holds the read cut).
+    def _merged_columns(
+        self, *windows: tuple[int, int]
+    ) -> tuple[_HeldCells, list[kernels.ISBColumns]]:
+        """The merged m-layer over each ``(t_b, t_e)`` window as columns in
+        canonical key order, and the held cell set they are rows of (the
+        caller holds the read cut).  Every merged read goes through here.
 
-        Each shard answers ``(generation, keys, columns)`` — rows in its
-        birth order, keys only when its generation is not one the held plan
-        was built from.  The plan stands while ``(structure_version,
+        The window bounds are fixed parent-side under the read cut, so every
+        shard answers for the *same* windows by construction — even one
+        mid-recovery with a lagging clock (it raises for an uncovered
+        window instead of answering for an older one).  Each shard answers
+        ``(generation, keys, columns)`` per window — rows in its birth
+        order, keys only when its generation is not one the held cell set
+        was built from.  The set stands while ``(structure_version,
         per-shard generation)`` stands: then the shard columns are
-        concatenated, gathered through the plan's canonical permutation and
-        that is all.  When it moved — a birth, a prune, a state load, a
-        shard lost to or back from a degraded read — the plan is rebuilt
-        from the shards' keys (the disjoint-union check and canonical sort
-        of :func:`~repro.service.merge.disjoint_union`, then the hierarchy
-        validation and grouping of :class:`CubePlan`), never patched.
+        concatenated, gathered through its canonical permutation and that
+        is all.  When it moved — a birth, a prune, a state load, a shard
+        lost to or back from a degraded read — it is rebuilt from the
+        shards' keys, never patched.
         """
-        held = self._plan
+        held = self._held
         known = [g for g in held.version[1] if g] if held is not None else []
-        parts = self._fanout("window_columns", t_b, t_e, known)
+        answers = [
+            self._fanout("window_columns", t_b, t_e, known)
+            for t_b, t_e in windows
+        ]
+        # A shard lost between two fan-outs is a hole in all of them.
+        parts = [None if None in shard else shard for shard in zip(*answers)]
+        if any(part and len({answer[0] for answer in part}) > 1 for part in parts):
+            raise ServiceError("a shard's cell set moved within one read; retry")
         version = (
             self._structure_version,
-            tuple(None if part is None else part[0] for part in parts),
+            tuple(None if part is None else part[0][0] for part in parts),
         )
         stale = held is None or held.version != version
         if stale:
-            shard_keys = [
-                None
-                if part is None
-                else held.shard_keys[i]
-                if part[1] is None
-                else part[1]
-                for i, part in enumerate(parts)
-            ]
-            present = [keys for keys in shard_keys if keys is not None]
-            offsets = itertools.accumulate(map(len, present), initial=0)
-            row_of = disjoint_union(
-                dict(zip(keys, itertools.count(offset)))
-                for keys, offset in zip(present, offsets)
-            )
-            held = _HeldPlan(
+            held = _HeldCells(
+                self.layers,
                 version,
-                shard_keys,
-                np.fromiter(row_of.values(), dtype=np.int64, count=len(row_of)),
-                CubePlan(self.layers, row_of),
+                [
+                    None
+                    if part is None
+                    else held.shard_keys[i]
+                    if part[0][1] is None
+                    else part[0][1]
+                    for i, part in enumerate(parts)
+                ],
             )
         with self._plan_mu:
             if stale:
-                self._plan = held
+                self._held = held
                 self.plan_builds += 1
             else:
                 self.plan_reuses += 1
-        answered = [part[2] for part in parts if part is not None]
-        columns = (
-            kernels.ISBColumns.concat(answered)
-            if answered
-            else kernels.ISBColumns.over(t_b, t_e, np.zeros(0), np.zeros(0))
-        )
-        return PlannedCells(held.plan, columns.take(held.order))
+        merged = []
+        for w, (t_b, t_e) in enumerate(windows):
+            answered = [part[w][2] for part in parts if part is not None]
+            isbs = (
+                kernels.ISBColumns.concat(answered)
+                if answered
+                else kernels.ISBColumns.over(t_b, t_e, np.zeros(0), np.zeros(0))
+            )
+            merged.append(isbs.take(held.order))
+        return held, merged
 
     # ------------------------------------------------------------------
     # Durability and elasticity: snapshot / restore / reshard
@@ -1433,39 +1448,28 @@ class ShardedStreamCube:
     # Change analysis
     # ------------------------------------------------------------------
     def change_exceptions(self, quarters_apart: int = 1) -> dict[Values, ISB]:
-        """Merged m-layer window-over-window change exceptions.
-
-        Change detection is per-cell, so the global answer is the disjoint
-        union of the per-shard answers.  As with :meth:`m_cells`, the two
-        window bounds are fixed parent-side under the read cut and shipped
-        explicitly, so no shard ever judges change over a window pair its
-        own (possibly lagging) clock picked.
-        """
-        with self._locks.read_all():
-            prev_b, cur_b, end = change_window_bounds(
-                self.current_quarter, self.ticks_per_quarter, quarters_apart
-            )
-            return self._merged(
-                "change_exceptions_between", prev_b, cur_b, end
-            )
+        """Merged m-layer window-over-window change exceptions."""
+        return self._changes(quarters_apart, "m")
 
     def o_layer_change_exceptions(
         self, quarters_apart: int = 1
     ) -> dict[Values, ISB]:
-        """O-layer change exceptions over the merged cube.
+        """O-layer change exceptions over the merged cube."""
+        return self._changes(quarters_apart, "o")
 
-        O-layer cells aggregate m-cells that may live on different shards, so
-        this cannot be a union of per-shard answers; instead both windows are
-        merged at the m-layer first and the shared roll-up/judge logic runs
-        on the union (both under one read cut).
-        """
+    def _changes(self, quarters_apart: int, layer: str) -> dict[Values, ISB]:
+        """Both windows merged at the m-layer under one read cut, then
+        judged by the body the single engine runs
+        (:func:`~repro.stream.engine.window_change_exceptions`) — o-layer
+        cells aggregate m-cells that may live on different shards, so no
+        per-shard answer could do."""
         with self._locks.read_all():
             prev_b, cur_b, end = change_window_bounds(
                 self.current_quarter, self.ticks_per_quarter, quarters_apart
             )
-            return o_layer_change_from_windows(
-                self.layers,
-                self.policy,
-                self.window_isbs(prev_b, cur_b - 1),
-                self.window_isbs(cur_b, end),
+            held, (prev, cur) = self._merged_columns(
+                (prev_b, cur_b - 1), (cur_b, end)
             )
+        return window_change_exceptions(
+            self.layers, self.policy, held.keys, prev, cur, layer
+        )

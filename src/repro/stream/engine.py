@@ -44,6 +44,7 @@ Time units: records carry *primitive* ticks (e.g. minutes);
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from bisect import bisect_right
@@ -53,12 +54,14 @@ from typing import Any, Callable, Hashable, Iterable, Literal
 
 import numpy as np
 
+from repro.cube.cell import canonical_cell_order
+from repro.cube.cuboid import CuboidColumns
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.full import full_materialization
 from repro.cubing.mo_cubing import CubePlan, PlannedCells, mo_cubing
 from repro.cubing.multiway import multiway_cubing
-from repro.cubing.policy import ExceptionPolicy, two_point_isb
+from repro.cubing.policy import ExceptionPolicy, two_point_columns
 from repro.cubing.popular_path import popular_path_cubing
 from repro.cubing.result import CubeResult
 from repro.errors import StreamError, TiltFrameError
@@ -72,12 +75,10 @@ from repro.stream.state import CellSnapshot, EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import (
     Column,
-    Piece,
     TiltLevelSpec,
     TiltPages,
     TiltTimeFrame,
     merge_grid,
-    merge_rows,
 )
 
 __all__ = [
@@ -87,11 +88,11 @@ __all__ = [
     "check_seal_horizon",
     "engine_frame_levels",
     "group_segments",
-    "o_layer_change_from_windows",
     "recent_window_bounds",
     "run_cubing",
     "validate_quarter_order",
     "change_window_bounds",
+    "window_change_exceptions",
 ]
 
 Values = tuple[Hashable, ...]
@@ -216,6 +217,58 @@ def change_window_bounds(
     cur_b = end - quarters_apart * ticks_per_quarter + 1
     prev_b = cur_b - quarters_apart * ticks_per_quarter
     return prev_b, cur_b, end
+
+
+def window_change_exceptions(
+    layers: CriticalLayers,
+    policy: ExceptionPolicy,
+    keys: list[Values],
+    prev: kernels.ISBColumns,
+    cur: kernels.ISBColumns,
+    layer: str = "m",
+) -> dict[Values, ISB]:
+    """Window-over-window change exceptions from two adjacent m-layer windows.
+
+    The paper's second exception flavour: ``prev`` and ``cur`` hold, row for
+    row, the ISBs of the cells ``keys`` over the previous and the current
+    window.  At the m-layer (``layer="m"``) each row's two-point line is
+    judged at the m-layer coordinate.  At the o-layer (``layer="o"``) rows
+    are grouped by their o-layer ancestor, groups in first-seen row order;
+    each group's two windows are summed with ``math.fsum`` (Theorem 3.2,
+    correctly rounded, so no row order inside a group can move a bit) and
+    the o-cell's line is judged at the o-layer coordinate.  Answers come out
+    in row order, so callers that present the rows in one canonical order
+    (:func:`~repro.cube.cell.canonical_cell_order`) give one answer —
+    the single engine and the sharded cube both do.
+    """
+    coord = layers.o_coord if layer == "o" else layers.m_coord
+    if keys and layer == "o":
+        rows = CuboidColumns.from_cells(
+            layers.schema, layers.m_coord, keys, None
+        ).lifted(coord)
+        gid, first = rows.grouping()
+        keys = rows.take(first).keys()
+        groups = np.split(np.argsort(gid), np.cumsum(np.bincount(gid))[:-1])
+
+        def fsums(column: kernels.Column) -> kernels.Column:
+            return kernels.float_column(math.fsum(column[g].tolist()) for g in groups)
+
+        prev, cur = (
+            kernels.ISBColumns(
+                isbs.t_b[first], isbs.t_e[first], fsums(isbs.base), fsums(isbs.slope)
+            )
+            for isbs in (prev, cur)
+        )
+    line = two_point_columns(prev, cur)
+    hits = np.flatnonzero(policy.exception_mask(line.slope, coord))
+    return dict(zip([keys[i] for i in hits.tolist()], line.take(hits).to_isbs()))
+
+
+def _canonical_rows(keys: list[Values]) -> kernels.Column:
+    """The permutation putting ``keys`` in canonical cell order."""
+    return kernels.int_column(
+        sorted(range(len(keys)), key=lambda row: canonical_cell_order(keys[row]))
+    )
 
 
 def run_cubing(
@@ -951,58 +1004,40 @@ class StreamCubeEngine:
     # Analysis
     # ------------------------------------------------------------------
     def window_isbs(self, t_b: int, t_e: int) -> dict[Values, ISB]:
-        """Every tracked cell's exact ISB over the sealed window [t_b, t_e].
-
-        The window must be covered by the tilt frame (i.e. lie within the
-        sealed history); Theorem 3.3 assembles the exact regression from
-        the frame's slots.  One plan from the shared clock serves every
-        cell, the planned pages merge down their rows in one grid kernel
-        call, and the result is boxed into ISBs once, at the end.  This is
-        the primitive the analysis views — and the cross-shard merge in
-        :mod:`repro.service` — are built from.
-        """
-        if not self._rows:
-            return {}
-        keys = list(self._rows)
-        pieces = self._window_pieces(t_b, t_e, keys)
-        return dict(zip(keys, merge_grid(pieces).to_isbs()))
+        """:meth:`window_columns` boxed: ``{values: isb}`` in birth order."""
+        _, keys, isbs = self.window_columns(t_b, t_e)
+        return dict(zip(keys, isbs.to_isbs()))
 
     def window_columns(
         self, t_b: int, t_e: int, known: Iterable[str] = ()
     ) -> tuple[str, list[Values] | None, kernels.ISBColumns]:
-        """:meth:`window_isbs` as columns: ``(generation, keys, isbs)``.
+        """Every tracked cell's exact ISB over the sealed window [t_b, t_e],
+        as ``(generation, keys, isbs)``.
 
-        One row per tracked cell in birth order, nothing boxed.  ``keys``
-        are the cells' keys in row order — or ``None`` when the caller
-        already holds them, i.e. when :attr:`cell_generation` is among the
-        ``known`` generations it passed: between changes of the cell set
-        only the floats travel.
+        The window must be covered by the tilt frame (i.e. lie within the
+        sealed history); Theorem 3.3 assembles the exact regression from
+        the frame's slots.  One plan from the shared clock serves every
+        cell and the planned pages merge down their rows in one grid kernel
+        call: one row per tracked cell in birth order, nothing boxed.  This
+        is the one window read — every analysis view here and every merged
+        read of the sharded cube is built from it.  ``keys`` are the cells'
+        keys in row order — or ``None`` when the caller already holds them,
+        i.e. when :attr:`cell_generation` is among the ``known`` generations
+        it passed: between changes of the cell set only the floats travel.
         """
-        generation = self.cell_generation
-        keys = list(self._rows)
+        generation, keys = self.cell_generation, list(self._rows)
+        isbs = kernels.ISBColumns.over(t_b, t_e, np.zeros(0), np.zeros(0))
         if keys:
-            isbs = merge_grid(self._window_pieces(t_b, t_e, keys))
-        else:
-            isbs = kernels.ISBColumns.over(
-                t_b, t_e, np.zeros(0), np.zeros(0)
+            try:
+                plan = self._tilt.clock.window_plan(t_b, t_e)
+            except TiltFrameError as exc:
+                raise StreamError(
+                    f"cell {keys[0]}: window [{t_b},{t_e}] not covered: {exc}"
+                ) from exc
+            isbs = merge_grid(
+                [(p[2], p[3], *self._piece_columns(p, keys)) for p in plan]
             )
         return generation, None if generation in known else keys, isbs
-
-    def _window_pieces(
-        self, t_b: int, t_e: int, keys: list[Values]
-    ) -> list[Piece]:
-        """The window's plan as ``(t_b, t_e, base, slope)`` per piece, the
-        columns over ``keys``' rows."""
-        try:
-            plan = self._tilt.clock.window_plan(t_b, t_e)
-        except TiltFrameError as exc:
-            raise StreamError(
-                f"cell {keys[0]}: window [{t_b},{t_e}] not covered: {exc}"
-            ) from exc
-        return [
-            (piece[2], piece[3], *self._piece_columns(piece, keys))
-            for piece in plan
-        ]
 
     def m_cells(self, window_quarters: int = 4) -> dict[Values, ISB]:
         """The m-layer over the last ``window_quarters`` sealed quarters.
@@ -1062,28 +1097,27 @@ class StreamCubeEngine:
         return self.change_exceptions_between(prev_b, cur_b, end)
 
     def change_exceptions_between(
-        self, prev_b: int, cur_b: int, end: int
+        self, prev_b: int, cur_b: int, end: int, layer: str = "m"
     ) -> dict[Values, ISB]:
-        """Change exceptions over explicit window bounds.
+        """Change exceptions over explicit window bounds, at the m-layer
+        (``layer="m"``) or the o-layer (``"o"``).
 
-        The sharded cube fixes one ``(prev_b, cur_b, end)`` triple
-        parent-side and broadcasts it, so every shard judges the same
-        window pair regardless of its own clock (a recovering shard's
-        clock can lag the fleet's mid-replay).
+        Both windows are read as columns and put in canonical cell order,
+        then judged by :func:`window_change_exceptions` — the body the
+        sharded cube runs over its merged windows, so the two answer the
+        same cells in the same order with the same bits.
         """
-        out: dict[Values, ISB] = {}
-        if not self._rows:
-            return out
-        keys = list(self._rows)
-        # Per-cell scalar merges (fsum, correctly rounded): the change line
-        # is judged against a threshold.
-        prevs = merge_rows(self._window_pieces(prev_b, cur_b - 1, keys))
-        curs = merge_rows(self._window_pieces(cur_b, end, keys))
-        for key, prev, cur in zip(keys, prevs, curs):
-            change = two_point_isb(prev, cur)
-            if self.policy.is_exception(change, self.layers.m_coord):
-                out[key] = change
-        return out
+        _, keys, prev = self.window_columns(prev_b, cur_b - 1)
+        cur = self.window_columns(cur_b, end)[2]
+        rows = _canonical_rows(keys)
+        return window_change_exceptions(
+            self.layers,
+            self.policy,
+            [keys[row] for row in rows.tolist()],
+            prev.take(rows),
+            cur.take(rows),
+            layer,
+        )
 
     def o_layer_change_exceptions(
         self, quarters_apart: int = 1
@@ -1099,54 +1133,4 @@ class StreamCubeEngine:
         prev_b, cur_b, end = change_window_bounds(
             self._current_quarter, self.ticks_per_quarter, quarters_apart
         )
-        return o_layer_change_from_windows(
-            self.layers,
-            self.policy,
-            self.window_isbs(prev_b, cur_b - 1),
-            self.window_isbs(cur_b, end),
-        )
-
-
-def o_layer_change_from_windows(
-    layers: CriticalLayers,
-    policy: ExceptionPolicy,
-    prev_window: dict[Values, ISB],
-    cur_window: dict[Values, ISB],
-) -> dict[Values, ISB]:
-    """O-layer window-over-window change exceptions from two m-layer windows.
-
-    Both windows map m-layer cells to their exact ISBs over adjacent
-    intervals.  Cells are rolled up to the o-layer with Theorem 3.2, each
-    o-cell's two-window two-point regression is formed, and the policy judges
-    it at the o-layer coordinate.  Shared by the single engine and the
-    cross-shard merge (whose windows are disjoint unions of shard windows).
-    """
-    o_coord = layers.o_coord
-    schema = layers.schema
-    mappers = [
-        dim.hierarchy.ancestor_mapper(f, t)
-        for dim, f, t in zip(schema.dimensions, layers.m_coord, o_coord)
-    ]
-    prev_cells: dict[Values, list[ISB]] = {}
-    cur_cells: dict[Values, list[ISB]] = {}
-    for key, isb in prev_window.items():
-        o_key = tuple(m(v) for m, v in zip(mappers, key))
-        prev_cells.setdefault(o_key, []).append(isb)
-    for key, isb in cur_window.items():
-        o_key = tuple(m(v) for m, v in zip(mappers, key))
-        cur_cells.setdefault(o_key, []).append(isb)
-    # Deliberately the fsum-based scalar merge, NOT the columnar kernel:
-    # fsum is permutation-invariant, and the sharded cube feeds this function
-    # canonically re-ordered windows whose per-group order differs from a
-    # single engine's — order-sensitive sums would break the bit-identity
-    # the service property tests pin.
-    from repro.regression.aggregation import merge_standard
-
-    out: dict[Values, ISB] = {}
-    for o_key, prev_parts in prev_cells.items():
-        prev = merge_standard(prev_parts)
-        cur = merge_standard(cur_cells[o_key])
-        change = two_point_isb(prev, cur)
-        if policy.is_exception(change, o_coord):
-            out[o_key] = change
-    return out
+        return self.change_exceptions_between(prev_b, cur_b, end, "o")

@@ -41,7 +41,6 @@ __all__ = [
     "TiltPages",
     "bulk_insert",
     "merge_grid",
-    "merge_rows",
     "take_rows",
 ]
 
@@ -774,19 +773,3 @@ def merge_grid(pieces: Sequence[Piece]) -> "kernels.ISBColumns":
     single piece is returned as it is — no arithmetic, as ``query`` does."""
     columns = [kernels.ISBColumns.over(*piece) for piece in pieces]
     return columns[0] if len(columns) == 1 else kernels.merge_time_grid(columns)
-
-
-def merge_rows(pieces: Sequence[Piece]) -> list[ISB]:
-    """Scalar Theorem 3.3 (:func:`merge_time`) down each row of
-    time-adjacent pages — what :meth:`TiltTimeFrame.query` computes for one
-    series, for every row; the reference for :func:`merge_grid`."""
-    lists = [
-        (t_b, t_e, base.tolist(), slope.tolist())
-        for t_b, t_e, base, slope in pieces
-    ]
-    return [
-        merge_time(
-            [ISB(t_b, t_e, base[i], slope[i]) for t_b, t_e, base, slope in lists]
-        )
-        for i in range(len(lists[0][2]))
-    ]

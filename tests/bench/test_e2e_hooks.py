@@ -7,18 +7,23 @@ functions).  A renamed or moved hook would otherwise surface as a
 failure naming the missing attribute, in under a second.  The same goes
 for what the harness calls directly on the service's router, cube and
 subscription registry, and for the ``serve`` flags each workload passes.
-Reads ``benchmarks/e2e``, edits nothing there.
+Hooks that only the harness keeps alive are listed in :data:`HARNESS_ONLY`,
+checked to have no caller in ``src/``.  Reads ``benchmarks/e2e``, edits
+nothing there.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import add_serve_arguments, build_service
 from repro.query import exec as query_exec
 from repro.service.router import QueryRouter
@@ -50,6 +55,50 @@ def test_every_span_hook_resolves_and_uninstalls():
     for name, original in methods.items():
         assert QueryRouter.__dict__[name] is original, name
     assert query_exec.execute is execute
+
+
+#: Names the tracer wraps that nothing in ``src/`` calls: they are kept
+#: only so the frozen harness resolves.  Each is listed once, here, so the
+#: change that retires the tracer's hook table deletes them from this list
+#: together with their definitions.
+HARNESS_ONLY = [
+    ("repro.service.merge", "merge_cube"),
+    ("repro.regression.kernels", "merge_groups"),
+    ("repro.regression.kernels", "merge_standard_cols"),
+    ("repro.regression.kernels", "merge_time_cols"),
+    ("repro.tilt.frame", "bulk_insert"),
+]
+
+
+def test_every_harness_only_name_is_a_hook():
+    if str(E2E) not in sys.path:
+        sys.path.insert(0, str(E2E))
+    import replay
+    from tracer import Tracer
+
+    modules = [importlib.import_module(module) for module, _ in HARNESS_ONLY]
+    originals = [getattr(m, name) for m, (_, name) in zip(modules, HARNESS_ONLY)]
+    tracer = Tracer()
+    try:
+        replay.install_spans(tracer)
+        for module, (_, name), original in zip(modules, HARNESS_ONLY, originals):
+            assert getattr(module, name) is not original, name
+    finally:
+        tracer.uninstall()
+
+
+def test_no_src_module_calls_a_harness_only_name():
+    src = Path(repro.__file__).parent
+    names = {name for _, name in HARNESS_ONLY}
+    calls = [
+        f"{path.relative_to(src)}:{node.lineno} calls {callee}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (callee := getattr(node.func, "id", getattr(node.func, "attr", None)))
+        in names
+    ]
+    assert not calls, "a harness-only name has a caller; drop it from HARNESS_ONLY"
 
 
 @pytest.mark.parametrize(

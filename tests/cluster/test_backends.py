@@ -145,7 +145,7 @@ class TestShardHost:
 
     def test_fault_only_fires_on_named_method(self, layers, policy):
         host = self.host(layers, policy)
-        host.invoke("_arm_fault", ("sleep", "m_cells", 0.05))
+        host.invoke("_arm_fault", ("sleep", "window_columns", 0.05))
         host.invoke("ping", ())
         assert host._fault is not None  # still armed
 

@@ -143,10 +143,10 @@ class TestCrashRecovery:
         ) as cube:
             cube.ingest_batch(records)
             cube.advance_to(end)
-            # The cube's window reads dispatch the explicit-bounds
-            # ``window_isbs`` wire method (the parent computes the window
-            # under its read cut), so that is where the stall must land.
-            cube.arm_worker_fault(1, "sleep", "window_isbs", 2.0)
+            # Every merged read dispatches the one window method,
+            # ``window_columns`` (the parent fixes the bounds under its read
+            # cut), so that is where the stall must land.
+            cube.arm_worker_fault(1, "sleep", "window_columns", 2.0)
             assert cube.m_cells(4) == engine.m_cells(4)
             stats = cube.parallel_stats()
             assert stats["restarts"] == 1

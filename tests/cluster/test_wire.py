@@ -142,15 +142,37 @@ class TestArgCodecs:
 
 
 class TestResultCodecs:
-    def test_cell_results_bit_identical(self, layers, policy):
+    @staticmethod
+    def round_trip(value):
+        payload = json.loads(json.dumps(wire.encode_result("window_columns", value)))
+        return wire.decode_result("window_columns", payload)
+
+    @staticmethod
+    def assert_same_columns(got, expected):
+        for name in ("t_b", "t_e", "base", "slope"):
+            assert getattr(got, name).tolist() == getattr(expected, name).tolist()
+
+    def test_window_columns_bit_identical(self, layers, policy):
         engine = StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ)
         engine.ingest_many(workload(9, quarters=4))
         engine.advance_to(4 * TPQ)
-        cells = engine.m_cells(4)
-        assert cells  # non-trivial fixture
-        for method in ("m_cells", "window_isbs", "change_exceptions"):
-            encoded = wire.encode_result(method, cells)
-            assert wire.decode_result(method, encoded) == cells
+        generation, keys, isbs = engine.window_columns(0, 4 * TPQ - 1)
+        assert keys  # non-trivial fixture
+        got = self.round_trip((generation, keys, isbs))
+        assert got[:2] == (generation, keys)
+        self.assert_same_columns(got[2], isbs)
+        # A known generation: only the floats travel.
+        known = engine.window_columns(TPQ, 2 * TPQ - 1, [generation])
+        assert known[1] is None
+        got = self.round_trip(known)
+        assert got[:2] == (generation, None)
+        self.assert_same_columns(got[2], known[2])
+
+    def test_empty_window_columns_round_trip(self, layers, policy):
+        engine = StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ)
+        engine.advance_to(TPQ)
+        generation, keys, isbs = self.round_trip(engine.window_columns(0, TPQ - 1))
+        assert (generation, keys, len(isbs)) == (engine.cell_generation, [], 0)
 
     def test_snapshot_result_round_trip(self, layers, policy):
         engine = StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ)
@@ -197,9 +219,7 @@ class TestErrorTransport:
 class TestClassification:
     def test_reads_and_snapshot_writes_are_idempotent(self):
         for method in (
-            "window_isbs",
-            "m_cells",
-            "change_exceptions",
+            "window_columns",
             "snapshot",
             "snapshot_to_file",
             "storage_stats",
@@ -217,3 +237,21 @@ class TestClassification:
     def test_everything_else_is_unrecoverable(self):
         for method in ("prune_idle", "load_state", "_arm_fault", "nope"):
             assert wire.classify(method) == wire.UNRECOVERABLE
+
+    def test_window_columns_is_the_only_window_method(self):
+        """Every merged view is assembled parent-side from ``window_columns``:
+        no other analysis method of the engine crosses the wire."""
+        from repro.cluster.worker import _ENGINE_METHODS
+
+        analysis = {
+            "window_columns",
+            "window_isbs",
+            "m_cells",
+            "refresh",
+            "change_exceptions",
+            "change_exceptions_between",
+            "o_layer_change_exceptions",
+        }
+        assert analysis & _ENGINE_METHODS == {"window_columns"}
+        assert analysis & wire._IDEMPOTENT_METHODS == {"window_columns"}
+        assert not hasattr(wire, "_CELL_RESULTS")

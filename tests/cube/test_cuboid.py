@@ -6,10 +6,11 @@ import math
 
 import pytest
 
-from repro.cube.cuboid import Cuboid
+from repro.cube.cuboid import ColumnCells, Cuboid, CuboidColumns
 from repro.cube.hierarchy import ALL, FanoutHierarchy
 from repro.cube.schema import CubeSchema, Dimension
 from repro.errors import QueryError, SchemaError
+from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
 
 
@@ -90,10 +91,46 @@ class TestRollUp:
             assert math.isclose(single.slope, isb.slope)
 
 
-class TestFiltered:
-    def test_filtered_by_slope(self, base):
-        steep = base.filtered(lambda v, isb: isb.slope >= 0.3)
-        assert set(steep) == {(2, 1), (3, 3)}
+class TestRollUpCellFromColumns:
+    """One body for both arms: the rows whose lifted codes match, merged
+    with ``merge_standard`` (``fsum``), and nothing else boxed."""
 
-    def test_filtered_preserves_coord(self, base):
-        assert base.filtered(lambda v, i: True).coord == base.coord
+    @pytest.fixture
+    def cancelling(self, schema):
+        # Sequential sums lose the 1.0s against 1e16; fsum keeps them.
+        return {
+            (0, 0): ISB(0, 9, 1e16, 0.5),
+            (1, 0): ISB(0, 9, 1.0, 0.25),
+            (2, 1): ISB(0, 9, -1e16, -0.5),
+            (3, 3): ISB(0, 9, 1.0, 0.125),
+        }
+
+    def column_backed(self, schema, cells):
+        columns = CuboidColumns.from_cells(schema, (2, 2), list(cells), cells.values())
+        return Cuboid(schema, (2, 2), ColumnCells(columns))
+
+    def test_both_arms_are_fsum_of_the_matching_rows(self, schema, cancelling):
+        expected = merge_standard(cancelling.values())
+        assert expected.base == 2.0
+        for cuboid in (
+            Cuboid(schema, (2, 2), cancelling),
+            self.column_backed(schema, cancelling),
+        ):
+            assert cuboid.roll_up_cell((0, 0), (ALL, ALL)) == expected
+            assert cuboid.roll_up_cell((1, 2), (1, 1)) == cancelling[(2, 1)]
+            assert cuboid.roll_up_cell((1, 2), (1, 0)) is None
+            assert cuboid.roll_up_cell((1, 1), (0, 0)) == merge_standard(
+                [cancelling[(0, 0)], cancelling[(1, 0)]]
+            )
+
+    def test_column_backed_cells_are_not_boxed(self, schema, cancelling):
+        cuboid = self.column_backed(schema, cancelling)
+        assert cuboid.roll_up_cell((0, 1), (ALL, 0)) == merge_standard(
+            [cancelling[(0, 0)], cancelling[(1, 0)], cancelling[(2, 1)]]
+        )
+        assert cuboid.cells._boxed is None
+
+    def test_rejects_downward(self, schema):
+        c = Cuboid(schema, (1, 1), {(0, 0): ISB(0, 1, 0, 0)})
+        with pytest.raises(SchemaError):
+            c.roll_up_cell((2, 1), (0, 0))

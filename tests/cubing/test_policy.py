@@ -12,10 +12,12 @@ from repro.cubing.policy import (
     PerCuboidSlopeThreshold,
     PerDimensionLevelThreshold,
     calibrate_threshold,
+    two_point_columns,
     two_point_isb,
 )
 from repro.errors import CubingError
 from repro.regression.isb import ISB
+from repro.regression.kernels import ISBColumns
 
 
 class TestGlobalThreshold:
@@ -88,6 +90,26 @@ class TestTwoPointISB:
         prev = ISB(0, 3, 2.0, 0.0)
         cur = ISB(4, 7, 2.0, 0.0)
         assert two_point_isb(prev, cur).slope == 0.0
+
+
+class TestTwoPointColumns:
+    def test_every_row_is_two_point_isb_to_the_bit(self):
+        rng = np.random.default_rng(3)
+        for (pb, pe), (cb, ce) in [((0, 3), (4, 7)), ((10, 10), (11, 40))]:
+            n = 200
+            prev = ISBColumns.over(pb, pe, rng.normal(0, 1e3, n), rng.normal(0, 7, n))
+            cur = ISBColumns.over(cb, ce, rng.normal(0, 1e3, n), rng.normal(0, 7, n))
+            got = two_point_columns(prev, cur).to_isbs()
+            assert got == [
+                two_point_isb(p, c) for p, c in zip(prev.to_isbs(), cur.to_isbs())
+            ]
+
+    def test_requires_adjacency(self):
+        one = np.ones(1)
+        with pytest.raises(CubingError, match="not adjacent"):
+            two_point_columns(
+                ISBColumns.over(0, 3, one, one), ISBColumns.over(5, 8, one, one)
+            )
 
 
 class TestCalibration:

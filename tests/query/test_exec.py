@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cube.cell import roll_up_values
 from repro.cube.lattice import PopularPath
 from repro.cubing.full import full_materialization, intermediate_slopes
 from repro.cubing.mo_cubing import mo_cubing
@@ -25,6 +26,7 @@ from repro.cubing.popular_path import popular_path_cubing
 from repro.errors import QueryError, ReproError
 from repro.io import result_to_dict, spec_from_dict, spec_to_dict
 from repro.query import Q, RegressionCubeView, execute, execute_batch
+from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.generator import DatasetSpec, generate_dataset
@@ -122,6 +124,28 @@ class TestOperationSemantics:
             for coord, cells in view.result.retained_exceptions.items()
             if coord != o
         }
+
+    def test_a_cell_no_cuboid_kept_rolls_up_only_its_rows(self, setup):
+        """A non-retained cell is the ``fsum`` merge of the m-cells under it,
+        read straight off the columns: the m-layer is never boxed whole."""
+        data, oracle, _, _ = setup
+        layers = data.layers
+        result = mo_cubing(layers, data.cells, GlobalSlopeThreshold(math.inf))
+        coord = next(
+            c
+            for c in layers.lattice.coords()
+            if c not in (layers.m_coord, layers.o_coord)
+        )
+        assert not result.cuboids[coord].cells  # nothing retained in between
+        for values in sample_cells(oracle, coord):
+            got = execute(RegressionCubeView(result), Q.cell(coord, values)).value
+            assert got == merge_standard(
+                isb
+                for key, isb in data.cells.items()
+                if roll_up_values(layers.schema, key, layers.m_coord, coord)
+                == values
+            )
+        assert result.m_layer.cells._boxed is None
 
     def test_change_exceptions_reads_the_change_source_not_the_result(self):
         layers = DatasetSpec(2, 2, 3, 1).build_layers()

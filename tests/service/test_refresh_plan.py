@@ -112,20 +112,18 @@ class Stream:
 
 def lose_shard(cube, shard):
     """Make one in-process shard unreadable the way a quarantined cold page
-    does, for column and dict reads alike (both sides of the comparison
-    must see the same hole)."""
+    does: its one window read raises, so every merged read (planned or
+    boxed) sees the same hole."""
 
     def quarantined(*args):
         raise CorruptionError("cold page quarantined (injected)")
 
-    engine = cube.shards[shard]
-    engine.window_columns = engine.window_isbs = quarantined
+    cube.shards[shard].window_columns = quarantined
     cube.degraded_reads = True
 
 
 def heal_shard(cube, shard):
-    engine = cube.shards[shard]
-    del engine.window_columns, engine.window_isbs
+    del cube.shards[shard].window_columns
     cube.degraded_reads = False
     cube.consume_degraded()
 

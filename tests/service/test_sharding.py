@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.errors import ServiceError, StreamError
+from repro.errors import CorruptionError, ServiceError, StreamError
 from repro.service.merge import disjoint_union
 from repro.service.sharding import ShardedStreamCube, stable_shard_index
 from repro.stream.engine import StreamCubeEngine
@@ -126,16 +126,53 @@ class TestShardInvariance:
                 assert set(got.retained_exceptions[coord]) == set(cells)
 
     @pytest.mark.parametrize("k", SHARD_COUNTS)
-    def test_o_layer_change_matches_single_engine(self, layers, policy, k):
+    @pytest.mark.parametrize("quarters_apart", [1, 2])
+    def test_change_exceptions_match_single_engine_item_for_item(
+        self, layers, policy, k, quarters_apart
+    ):
+        """Both layers, compared as item lists: the same cells in the same
+        order with the same bits."""
         records = workload(29)
         end = 6 * TPQ
         engine = single_engine(layers, policy, records, end)
-        expected = engine.o_layer_change_exceptions()
         with sharded(layers, policy, records, end, k) as cube:
-            got = cube.o_layer_change_exceptions()
-            assert set(got) == set(expected)
-            for key, isb in expected.items():
-                assert math.isclose(got[key].slope, isb.slope, rel_tol=1e-9)
+            m_layer = list(cube.change_exceptions(quarters_apart).items())
+            o_layer = list(cube.o_layer_change_exceptions(quarters_apart).items())
+        assert m_layer == list(engine.change_exceptions(quarters_apart).items())
+        assert o_layer == list(
+            engine.o_layer_change_exceptions(quarters_apart).items()
+        )
+        assert m_layer and o_layer  # the workload flags something
+
+    def test_change_exceptions_over_surviving_shards(self, layers, policy):
+        """With one shard lost, both layers answer exactly what an engine
+        fed only the surviving shards' cells answers."""
+        records = workload(31)
+        end = 6 * TPQ
+        with sharded(layers, policy, records, end, 3) as cube:
+            lost = 1
+            survivors = single_engine(
+                layers,
+                policy,
+                [r for r in records if cube.shard_index(r.values) != lost],
+                end,
+            )
+
+            def quarantined(*args):
+                raise CorruptionError("cold page quarantined (injected)")
+
+            cube.shards[lost].window_columns = quarantined
+            cube.degraded_reads = True
+            for quarters_apart in (1, 2):
+                assert list(cube.change_exceptions(quarters_apart).items()) == (
+                    list(survivors.change_exceptions(quarters_apart).items())
+                )
+                assert list(
+                    cube.o_layer_change_exceptions(quarters_apart).items()
+                ) == list(
+                    survivors.o_layer_change_exceptions(quarters_apart).items()
+                )
+            assert {hole["shard"] for hole in cube.consume_degraded()} == {lost}
 
 
 class TestPartitioning:

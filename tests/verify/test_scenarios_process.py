@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.process import ProcessBackend
 from repro.verify.scenarios import (
     SCENARIOS,
     KillWorker,
@@ -60,6 +61,25 @@ class TestCatalogue:
         assert slow and all(
             e.seconds > scenario.rpc_timeout for e in slow
         )
+
+
+def test_the_stall_lands_on_a_read_the_checks_send(monkeypatch):
+    """A stall armed on a method no check dispatches never fires, and the
+    scenario would pass without a single timeout: the stalled method must
+    be one the supervisor then sees a worker die in."""
+    crashed: list[str] = []
+    after_crash = ProcessBackend._after_crash
+
+    def recording(backend, shard, method):
+        crashed.append(method)
+        return after_crash(backend, shard, method)
+
+    monkeypatch.setattr(ProcessBackend, "_after_crash", recording)
+    run_scenario("rpc_timeout_retry", 2)
+    scenario = SCENARIOS["rpc_timeout_retry"]
+    stalled = {e.method for e in scenario.events if isinstance(e, SlowRpc)}
+    assert stalled == {"window_columns"}
+    assert stalled <= set(crashed)
 
 
 class TestProcessSweep:
