@@ -22,6 +22,9 @@ m-layer otherwise.
 
 from __future__ import annotations
 
+import functools
+import json
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
 
@@ -34,7 +37,7 @@ from repro.regression.isb import ISB
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.api import RegressionCubeView
 
-__all__ = ["QueryResult", "BatchItem", "execute", "execute_batch"]
+__all__ = ["QueryResult", "BatchItem", "execute", "execute_batch", "wire_encodes"]
 
 Values = tuple[Hashable, ...]
 Coord = tuple[int, ...]
@@ -43,6 +46,15 @@ Coord = tuple[int, ...]
 # ----------------------------------------------------------------------
 # Result envelopes
 # ----------------------------------------------------------------------
+_encodes_mu = threading.Lock()
+_encodes = 0
+
+
+def wire_encodes() -> int:
+    """How many :attr:`QueryResult.wire` encodings this process has run."""
+    return _encodes
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """A typed result envelope: the resolved spec plus its answer.
@@ -50,7 +62,9 @@ class QueryResult:
     ``value`` is the operation's native Python answer (an :class:`ISB`, a
     cell mapping, a per-cuboid mapping of those, a ranked list, a roll-up
     triple, or a float);
-    :meth:`to_dict` is the canonical wire encoding the HTTP layer returns.
+    :meth:`to_dict` is the canonical wire encoding the HTTP layer returns,
+    and :attr:`wire` is that dict as JSON bytes, encoded at most once per
+    result object.
     """
 
     spec: QuerySpec
@@ -62,6 +76,20 @@ class QueryResult:
 
     def to_dict(self) -> dict[str, Any]:
         return {"op": self.op, **_RESULT_ENCODERS[self.op](self.value)}
+
+    @functools.cached_property
+    def wire(self) -> bytes:
+        """``json.dumps(self.to_dict())`` as UTF-8, memoized on the object.
+
+        A cached router line and every subscriber of its spec share one
+        result object, so a cache hit or a push writes these bytes instead
+        of encoding the answer again.
+        """
+        global _encodes
+        data = json.dumps(self.to_dict()).encode("utf-8")
+        with _encodes_mu:
+            _encodes += 1
+        return data
 
 
 @dataclass(frozen=True)
@@ -81,6 +109,14 @@ class BatchItem:
         if self.result is not None:
             return {"ok": True, **self.result.to_dict()}
         return {"ok": False, "error": self.error, "type": self.error_type}
+
+    @property
+    def wire(self) -> bytes:
+        """:meth:`to_dict` as JSON bytes; a result reuses its own
+        :attr:`QueryResult.wire` with ``"ok": true`` put in front."""
+        if self.result is not None:
+            return b'{"ok": true, ' + self.result.wire[1:]
+        return json.dumps(self.to_dict()).encode("utf-8")
 
 
 # ----------------------------------------------------------------------

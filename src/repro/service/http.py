@@ -52,9 +52,22 @@ same condition, so an orchestrator stops routing *new* traffic while
 in-flight clients keep getting partial answers.
 
 The query path is a pure decode → execute → encode shim over
-:meth:`repro.service.router.QueryRouter.execute`; all validation lives in
-the specs, so the Python API and the wire raise identical errors.  Domain
-errors map to 400 with ``{"error", "type"}``; unknown routes to 404.
+:meth:`repro.service.router.QueryRouter.execute_versioned`; all validation
+lives in the specs, so the Python API and the wire raise identical errors.
+Domain errors map to 400 with ``{"error", "type"}``; unknown routes to 404.
+
+Encode once: a :class:`~repro.query.exec.QueryResult` memoizes its JSON
+bytes (``wire``), and the router's cache and every subscription queue hold
+the result object, so a cache hit or a pushed update is written from the
+bytes encoded when that answer was first sent.  One routing table serves
+both senders: ``/query`` and ``/updates`` return a :class:`Reply`, which
+:meth:`StreamCubeService.handle` renders as a dict and the socket shell as
+bytes — a batch from each item's bytes, a ``degraded`` block spliced on as
+the last member — byte-equal to ``json.dumps`` of that dict.  Every other
+route is ``json.dumps`` of its dict.  A single-spec ``/query`` 200 that is
+not degraded carries ``ETag: "<epoch vector, dot-joined>-<cache-key
+digest>"``, a strong validator naming the cut the answer was computed at;
+conditional requests are not interpreted.
 
 Concurrency: requests are handled in parallel on a bounded thread pool
 (``--request-threads``).  Only the *mutators* — ingest, advance, and the
@@ -70,12 +83,14 @@ per-shard reader-writer locks and the router's single-flight cache — see
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Mapping
@@ -83,13 +98,14 @@ from urllib.parse import parse_qsl
 
 from repro.errors import ReproError, ServiceError
 from repro.io import spec_from_dict
+from repro.query.exec import BatchItem
 from repro.regression import kernels
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
 from repro.stream.records import RecordColumns
 
-__all__ = ["StreamCubeService", "make_server", "serve"]
+__all__ = ["Reply", "StreamCubeService", "make_server", "serve"]
 
 #: Largest request body the handler will read; a longer ``Content-Length``
 #: is answered 413 without reading it.  (A 2,000-record ingest batch is
@@ -138,6 +154,74 @@ def _record_columns(rows: list[Any]) -> RecordColumns:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ServiceError(f"malformed record in batch: {exc}") from exc
+
+
+def _json(body: Any) -> bytes:
+    return json.dumps(body).encode("utf-8")
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """A ``{"queries": [...]}`` answer: per-spec results and errors."""
+
+    items: list[BatchItem]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "count": len(self.items),
+            "results": [item.to_dict() for item in self.items],
+        }
+
+    @property
+    def wire(self) -> bytes:
+        return b'{"count": %d, "results": [%s]}' % (
+            len(self.items),
+            b", ".join(item.wire for item in self.items),
+        )
+
+
+@dataclass(frozen=True)
+class Reply:
+    """A ``/query`` or ``/updates`` answer, rendered by whoever sends it.
+
+    ``body`` is a :class:`~repro.query.exec.QueryResult`, a batch of them or
+    an :class:`~repro.service.subscriptions.Updates` page: each has
+    ``to_dict()`` and ``wire``, the bytes of ``json.dumps(to_dict())``
+    built around the results' own memoized encodings.
+    :meth:`StreamCubeService.handle` renders :meth:`to_dict`; the socket
+    shell writes :attr:`wire` and sends :attr:`etag`.
+    """
+
+    body: Any
+    degraded: dict[str, Any] | None = None
+    #: The epoch vector a single spec's answer is valid at.
+    cut: tuple[int, ...] | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        out = self.body.to_dict()
+        if self.degraded is not None:
+            out["degraded"] = self.degraded
+        return out
+
+    @property
+    def wire(self) -> bytes:
+        data = self.body.wire
+        if self.degraded is None:
+            return data
+        # Spliced in as the last member, where to_dict puts it.
+        return data[:-1] + b', "degraded": ' + _json(self.degraded) + b"}"
+
+    @property
+    def etag(self) -> str | None:
+        """A strong validator of a single spec's complete answer: its
+        epoch vector plus a digest of its cache key.  ``None`` for batches,
+        updates and degraded answers (the holes the merged reads skipped
+        can differ at one vector)."""
+        if self.cut is None or self.degraded is not None:
+            return None
+        key = repr(self.body.spec.cache_key()).encode("utf-8")
+        digest = hashlib.blake2b(key, digest_size=8).hexdigest()
+        return '"%s-%s"' % (".".join(map(str, self.cut)), digest)
 
 
 class StreamCubeService:
@@ -219,6 +303,24 @@ class StreamCubeService:
         self, method: str, path: str, payload: dict[str, Any] | None = None
     ) -> tuple[int, dict[str, Any]]:
         """Route one request; returns ``(http_status, json_body)``.
+
+        The body is a JSON-serializable dict for every route: a
+        ``/query`` or ``/updates`` :class:`Reply` is rendered with
+        ``to_dict``.  ``json.dumps`` of it is byte-equal to what the
+        socket shell writes.
+        """
+        status, body = self.route(method, path, payload)
+        if isinstance(body, Reply):
+            return status, body.to_dict()
+        return status, body
+
+    def route(
+        self, method: str, path: str, payload: dict[str, Any] | None = None
+    ) -> tuple[int, dict[str, Any] | Reply]:
+        """Route one request; returns ``(http_status, body)``, where the
+        body is a dict, or a :class:`Reply` for ``/query`` and
+        ``/updates`` that its sender renders (:meth:`handle` as a dict,
+        the socket shell as bytes).
 
         Query-string parameters (``/updates?subscription=...&since=N``)
         are merged into the payload dict; an explicit payload key wins.
@@ -430,25 +532,20 @@ class StreamCubeService:
         if elapsed >= self.snapshot_every_quarters:
             self.write_snapshot()
 
-    def query(self, payload: dict[str, Any]) -> dict[str, Any]:
-        body = self._query_body(payload)
-        degraded = self._degraded_block()
-        if degraded is not None:
-            body["degraded"] = degraded
-        return body
-
-    def _query_body(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def query(self, payload: dict[str, Any]) -> Reply:
         # Batch form: N specs, one merged view refresh per window/epoch,
         # per-spec results *and* errors.
         if "queries" in payload:
             entries = payload["queries"]
             if not isinstance(entries, list):
                 raise ServiceError("'queries' must be a list of query specs")
-            items = self.router.execute_batch(entries)
-            return {"count": len(items), "results": [it.to_dict() for it in items]}
+            batch = _Batch(self.router.execute_batch(entries))
+            return Reply(batch, self._degraded_block())
 
-        # Everything else is one spec: decode -> execute -> encode.
-        return self.router.execute(spec_from_dict(payload)).to_dict()
+        # Everything else is one spec: decode -> execute; the sender
+        # encodes (or reuses the cache line's bytes).
+        cut, result = self.router.execute_versioned(spec_from_dict(payload))
+        return Reply(result, self._degraded_block(), cut)
 
     # ------------------------------------------------------------------
     # Continuous queries (subscription push)
@@ -471,7 +568,7 @@ class StreamCubeService:
     def list_subscriptions(self, payload: dict[str, Any]) -> dict[str, Any]:
         return {"subscriptions": self.subscriptions.describe_all()}
 
-    def updates(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def updates(self, payload: dict[str, Any]) -> Reply:
         """Long-poll one subscription's queue.
 
         Runs without the mutator lock (and without any cube lock): the
@@ -486,7 +583,7 @@ class StreamCubeService:
             )
         since = int(payload.get("since", 0))
         timeout = float(payload.get("timeout", 0.0))
-        return self.subscriptions.poll(str(sub_id), since, timeout)
+        return Reply(self.subscriptions.updates(str(sub_id), since, timeout))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -499,9 +596,13 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # keep the serving loop quiet; /stats carries the numbers
 
     def _respond(
-        self, status: int, body: dict[str, Any], close: bool = False
+        self, status: int, body: dict[str, Any] | Reply, close: bool = False
     ) -> None:
         """Send one JSON response as ONE write: headers and body together.
+
+        A :class:`Reply` writes its :attr:`~Reply.wire` bytes (a cached
+        answer's own encoding) and its ``ETag``; any other body is
+        ``json.dumps`` of its dict.
 
         ``end_headers()`` followed by ``wfile.write(body)`` puts two small
         segments on the wire; the second waits (Nagle) for the client's ACK
@@ -509,12 +610,17 @@ class _Handler(BaseHTTPRequestHandler):
         every small response on a keep-alive connection.  The headers are
         therefore rendered into a scratch buffer and leave with the body.
         """
-        data = json.dumps(body).encode("utf-8")
+        if isinstance(body, Reply):
+            data, etag = body.wire, body.etag
+        else:
+            data, etag = _json(body), None
         wire, self.wfile = self.wfile, io.BytesIO()
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            if etag is not None:
+                self.send_header("ETag", etag)
             if close:
                 self.send_header("Connection", "close")
             self.end_headers()
@@ -524,12 +630,10 @@ class _Handler(BaseHTTPRequestHandler):
         wire.write(head + data)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        status, body = self.service.handle("GET", self.path)
-        self._respond(status, body)
+        self._respond(*self.service.route("GET", self.path))
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        status, body = self.service.handle("DELETE", self.path)
-        self._respond(status, body)
+        self._respond(*self.service.route("DELETE", self.path))
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         header = self.headers.get("Content-Length", "0")
@@ -574,8 +678,7 @@ class _Handler(BaseHTTPRequestHandler):
                 {"error": "JSON body must be an object", "type": "BadRequest"},
             )
             return
-        status, body = self.service.handle("POST", self.path, payload)
-        self._respond(status, body)
+        self._respond(*self.service.route("POST", self.path, payload))
 
 
 class _PooledHTTPServer(ThreadingHTTPServer):

@@ -5,8 +5,10 @@ merged-view refreshes per analysis window, resolves each incoming
 :class:`~repro.query.spec.QuerySpec` (filling the default window), and
 memoizes the :class:`~repro.query.exec.QueryResult` in a bounded LRU keyed
 on ``spec.cache_key()`` — the canonical plan identity, so equivalent plans
-built by any surface share one cache line.  Execution itself is the single
-engine in :mod:`repro.query.exec`.
+built by any surface share one cache line.  A result memoizes its own JSON
+bytes (:attr:`~repro.query.exec.QueryResult.wire`), so a line carries the
+answer's encoding too, and every hit and push reuses it.  Execution itself
+is the single engine in :mod:`repro.query.exec`.
 
 Concurrency: the router is safe for parallel callers and its hit path is
 completely lock-free on the cube.  Every cached entry is stored together
@@ -38,7 +40,13 @@ from repro.cube.schema import CubeSchema
 from repro.cubing.result import CubeResult
 from repro.errors import ServiceError
 from repro.query.api import RegressionCubeView
-from repro.query.exec import BatchItem, QueryResult, execute, run_batch
+from repro.query.exec import (
+    BatchItem,
+    QueryResult,
+    execute,
+    run_batch,
+    wire_encodes,
+)
 from repro.query.spec import BatchQuery, Q, QuerySpec, spec_from_dict
 from repro.regression.isb import ISB
 from repro.service.sharding import ShardedStreamCube
@@ -49,8 +57,23 @@ Values = tuple[Hashable, ...]
 Coord = tuple[int, ...]
 
 
+def _older(old: tuple[int, ...], new: tuple[int, ...]) -> bool:
+    """True iff version ``old`` precedes ``new``: every component is a
+    monotone counter, so ``old`` can never be current again."""
+    return old != new and all(a <= b for a, b in zip(old, new))
+
+
 class LRUCache:
-    """A small bounded LRU with hit/miss accounting (thread-safe)."""
+    """A small bounded LRU of ``(version, value)`` entries with hit/miss
+    accounting (thread-safe).
+
+    A version is a tuple of monotone counters (the cube's epoch vector).
+    Storing a line at a newer version drops every line at an older one:
+    those can never be served again, and waiting for each to be looked up
+    or pushed out by capacity would leave never-repeated lines (and the
+    bytes they carry) squatting on slots.  A line stored at a version
+    older than one already stored is dead on arrival and not kept.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -58,6 +81,7 @@ class LRUCache:
         self.capacity = capacity
         self._data: OrderedDict[Any, Any] = OrderedDict()
         self._mu = threading.Lock()
+        self._newest: tuple[int, ...] | None = None
         self.hits = 0
         self.misses = 0
 
@@ -85,9 +109,21 @@ class LRUCache:
             self.misses += 1
             return None
 
-    def put(self, key: Any, value: Any) -> None:
+    def put(self, key: Any, entry: tuple[tuple[int, ...], Any]) -> None:
+        """Store ``entry = (version, value)`` under ``key``."""
+        version = entry[0]
         with self._mu:
-            self._data[key] = value
+            newest = self._newest
+            if newest is not None and _older(version, newest):
+                return  # a late leader's cut: the newer lines stay
+            if newest is not None and _older(newest, version):
+                self._data = OrderedDict(
+                    (k, e)
+                    for k, e in self._data.items()
+                    if not _older(e[0], version)
+                )
+            self._newest = version
+            self._data[key] = entry
             self._data.move_to_end(key)
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
@@ -368,7 +404,11 @@ class QueryRouter:
     # Accounting
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
-        """Cache and refresh counters (served by the HTTP ``/stats``)."""
+        """Cache and refresh counters (served by the HTTP ``/stats``).
+
+        ``wire_encodes`` counts answers encoded to JSON bytes in this
+        process: one per result a client read as bytes, not one per read.
+        """
         return {
             "epoch": self.epoch,
             "cache_entries": len(self.cache),
@@ -383,4 +423,5 @@ class QueryRouter:
             "specs_executed": self.specs_executed,
             "single_flight_joins": self.single_flight_joins,
             "single_flight_fallbacks": self.single_flight_fallbacks,
+            "wire_encodes": wire_encodes(),
         }

@@ -18,7 +18,9 @@ This module is that surface:
   versioned cache plus single-flight, so N subscribers to one spec cost
   one execution per seal — and enqueues the result into each subscriber's
   bounded queue (drop-oldest, with a ``dropped`` counter; backpressure
-  never reaches the seal path).
+  never reaches the seal path).  Queues hold the shared result object, not
+  a per-subscriber copy: its JSON bytes are encoded on the first
+  ``/updates`` that reads them and reused by every other subscriber.
 - Consumers long-poll :meth:`poll` with their last-seen sequence number;
   delivery order is checkable: per-subscription ``seq`` is strictly
   increasing and each update's epoch vector is componentwise >= its
@@ -29,15 +31,81 @@ This module is that surface:
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.errors import ReproError, ServiceError
+from repro.query.exec import QueryResult
 from repro.query.spec import Q, QuerySpec, spec_from_dict
 
-__all__ = ["Subscription", "SubscriptionRegistry"]
+__all__ = ["Subscription", "SubscriptionRegistry", "Update", "Updates"]
+
+
+@dataclass(frozen=True)
+class Update:
+    """One pushed answer: a small header plus the shared result.
+
+    Every subscriber of one spec at one seal holds the same
+    :class:`QueryResult` (the router's cache line), so the answer is
+    encoded at most once however many subscribers read it, and not at all
+    when none does.
+    """
+
+    seq: int
+    quarter: int
+    epoch: tuple[int, ...]
+    result: QueryResult
+
+    def _header(self) -> dict[str, Any]:
+        return {
+            "seq": self.seq,
+            "quarter": self.quarter,
+            "epoch": list(self.epoch),
+            "op": self.result.op,
+        }
+
+    def to_dict(self) -> dict[str, Any]:
+        return {**self._header(), "result": self.result.to_dict()}
+
+    @property
+    def wire(self) -> bytes:
+        """:meth:`to_dict` as JSON bytes, around the result's own."""
+        head = json.dumps(self._header()).encode("utf-8")
+        return head[:-1] + b', "result": ' + self.result.wire + b"}"
+
+
+@dataclass(frozen=True)
+class Updates:
+    """One long-poll answer: a subscription's fresh updates and counters."""
+
+    subscription: str
+    updates: list[Update]
+    last_seq: int
+    dropped: int
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "subscription": self.subscription,
+            "updates": [update.to_dict() for update in self.updates],
+            "last_seq": self.last_seq,
+            "dropped": self.dropped,
+        }
+
+    @property
+    def wire(self) -> bytes:
+        """:meth:`to_dict` as JSON bytes, each update around its result's."""
+        return (
+            b'{"subscription": %s, "updates": [%s], '
+            b'"last_seq": %d, "dropped": %d}'
+        ) % (
+            json.dumps(self.subscription).encode("utf-8"),
+            b", ".join(update.wire for update in self.updates),
+            self.last_seq,
+            self.dropped,
+        )
 
 
 @dataclass
@@ -54,7 +122,7 @@ class Subscription:
     delivered: int = 0
     last_quarter: int = -1
     last_epoch: tuple[int, ...] | None = None
-    queue: list[dict[str, Any]] = field(default_factory=list)
+    queue: list[Update] = field(default_factory=list)
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -282,16 +350,19 @@ class SubscriptionRegistry:
                 # can be answered.
                 self.eval_errors += 1
                 continue
-            update = {
-                "quarter": min(cut[2:]) if len(cut) > 2 else quarter,
-                "epoch": list(cut),
-                "op": sub.spec.op,
-                "result": result.to_dict(),
-            }
-            self._deliver(sub.sub_id, cut, update)
+            self._deliver(
+                sub.sub_id,
+                cut,
+                min(cut[2:]) if len(cut) > 2 else quarter,
+                result,
+            )
 
     def _deliver(
-        self, sub_id: str, cut: tuple[int, ...], update: dict[str, Any]
+        self,
+        sub_id: str,
+        cut: tuple[int, ...],
+        quarter: int,
+        result: QueryResult,
     ) -> None:
         with self._cond:
             sub = self._subs.get(sub_id)
@@ -299,9 +370,9 @@ class SubscriptionRegistry:
                 return
             sub.seq += 1
             sub.delivered += 1
-            sub.last_quarter = update["quarter"]
+            sub.last_quarter = quarter
             sub.last_epoch = cut
-            sub.queue.append({"seq": sub.seq, **update})
+            sub.queue.append(Update(sub.seq, quarter, cut, result))
             while len(sub.queue) > sub.queue_limit:
                 sub.queue.pop(0)
                 sub.dropped += 1
@@ -335,6 +406,13 @@ class SubscriptionRegistry:
         queue.  Returns ``{"subscription", "updates", "last_seq",
         "dropped"}``; an empty ``updates`` list means the wait timed out.
         """
+        return self.updates(sub_id, since_seq, timeout).to_dict()
+
+    def updates(
+        self, sub_id: str, since_seq: int = 0, timeout: float = 0.0
+    ) -> Updates:
+        """:meth:`poll` before rendering: the queued :class:`Update`
+        objects themselves, which ``GET /updates`` writes as bytes."""
         deadline = time.monotonic() + max(0.0, min(timeout, self.poll_cap))
         with self._cond:
             while True:
@@ -342,18 +420,11 @@ class SubscriptionRegistry:
                 if sub is None:
                     raise ServiceError(f"unknown subscription {sub_id!r}")
                 if since_seq:
-                    sub.queue = [
-                        u for u in sub.queue if u["seq"] > since_seq
-                    ]
-                fresh = [u for u in sub.queue if u["seq"] > since_seq]
+                    sub.queue = [u for u in sub.queue if u.seq > since_seq]
+                fresh = [u for u in sub.queue if u.seq > since_seq]
                 remaining = deadline - time.monotonic()
                 if fresh or self._stop or remaining <= 0:
-                    return {
-                        "subscription": sub_id,
-                        "updates": fresh,
-                        "last_seq": sub.seq,
-                        "dropped": sub.dropped,
-                    }
+                    return Updates(sub_id, fresh, sub.seq, sub.dropped)
                 self._cond.wait(remaining)
 
     # ------------------------------------------------------------------

@@ -6,7 +6,10 @@ functions).  A renamed or moved hook would otherwise surface as a
 ``KeyError`` forty minutes into a benchmark run; here it is a tier-1
 failure naming the missing attribute, in under a second.  The same goes
 for what the harness calls directly on the service's router, cube and
-subscription registry, and for the ``serve`` flags each workload passes.
+subscription registry, for the ``serve`` flags each workload passes, and
+for the contract the traced pass rests on: ``handle`` answers every read
+route with a dict that ``json.dumps`` takes, whatever the socket shell
+writes instead.
 Hooks that only the harness keeps alive are listed in :data:`HARNESS_ONLY`,
 checked to have no caller in ``src/``.  Reads ``benchmarks/e2e``, edits
 nothing there.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import ast
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -25,10 +29,13 @@ import pytest
 
 import repro
 from repro.__main__ import add_serve_arguments, build_service
+from repro.cubing.policy import GlobalSlopeThreshold
 from repro.query import exec as query_exec
+from repro.service.http import StreamCubeService
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
+from repro.stream.generator import DatasetSpec
 
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
@@ -99,6 +106,50 @@ def test_no_src_module_calls_a_harness_only_name():
         in names
     ]
     assert not calls, "a harness-only name has a caller; drop it from HARNESS_ONLY"
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (StreamCubeService, "handle"),
+        (query_exec.QueryResult, "to_dict"),
+        (QueryRouter, "execute_versioned"),
+    ],
+)
+def test_the_traced_pass_entry_points_resolve(owner, name):
+    """The traced replay drives ``handle`` and times ``to_dict`` and
+    ``execute_versioned`` by name (``cls.__dict__[attr]``)."""
+    assert callable(owner.__dict__[name])
+
+
+def test_handle_bodies_are_json_dicts_on_the_read_routes():
+    """``replay.request`` does ``json.dumps(handle(...)[1])``: the reply
+    objects the socket shell writes as bytes must reach it as dicts."""
+    layers = DatasetSpec(2, 2, 3, 1).build_layers()
+    cube = ShardedStreamCube(
+        layers, GlobalSlopeThreshold(0.1), n_shards=2, ticks_per_quarter=4
+    )
+    service = StreamCubeService(cube, QueryRouter(cube, window_quarters=2))
+    try:
+        sub = service.handle("POST", "/subscribe", {"watch": True})[1]
+        rows = [
+            {"values": [v, v], "t": t, "z": float(v * t)}
+            for t in range(3 * 4)
+            for v in range(9)
+        ]
+        assert service.handle("POST", "/ingest", {"records": rows})[0] == 200
+        assert service.subscriptions.flush(10.0)
+        for method, path, payload in (
+            ("POST", "/query", {"op": "observation_deck"}),
+            ("POST", "/query", {"queries": [{"op": "watch_list"}]}),
+            ("GET", f"/updates?subscription={sub['subscription']}", None),
+        ):
+            status, body = service.handle(method, path, payload)
+            assert status == 200 and type(body) is dict, path
+            assert json.loads(json.dumps(body)) == body, path
+        assert body["updates"], "no pushed update to render"
+    finally:
+        service.close()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ response below, recorded from the commit *before* ``exceptions`` and
 view's per-op methods and the ``point`` alias were deleted).  Byte equality
 here is the contract that let the delegate/alias tests be deleted rather
 than ported: whatever path a request takes inside the service, a client
-sees the same bytes.
+sees the same bytes — ``json.dumps`` of ``handle``'s dict in process, and
+the socket shell's encode-once bytes over a real connection.
 
 Regenerate (only when the wire format is changed on purpose) with
 ``PYTHONPATH=src python -m tests.service.test_golden_bodies`` from the
@@ -15,13 +16,16 @@ repository root.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, ContextManager, Iterator
 
 from repro.cluster import ClusterConfig
 from repro.cubing.policy import GlobalSlopeThreshold
-from repro.service.http import StreamCubeService
+from repro.service.http import StreamCubeService, make_server
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.generator import DatasetSpec
@@ -93,40 +97,87 @@ def _cube(**kwargs: Any) -> ShardedStreamCube:
     )
 
 
-def _entry(answer: tuple[int, dict[str, Any]]) -> dict[str, Any]:
-    status, body = answer
-    return {"status": status, "body": json.dumps(body)}
+#: ``send(method, path, payload) -> {"status", "body", "etag"}``: one
+#: request and the text a client receives.
+Send = Callable[[str, str, "dict[str, Any] | None"], dict[str, Any]]
 
 
-def _query_bodies() -> Iterator[tuple[str, dict[str, Any]]]:
+@contextmanager
+def in_process(service: StreamCubeService) -> Iterator[Send]:
+    """``json.dumps`` of ``handle``'s dict: the recording's own path."""
+
+    def send(method, path, payload=None):
+        status, body = service.handle(method, path, payload)
+        return {"status": status, "body": json.dumps(body), "etag": None}
+
+    yield send
+
+
+@contextmanager
+def over_socket(service: StreamCubeService) -> Iterator[Send]:
+    """The bytes the socket shell writes, read off a keep-alive
+    connection to a real server."""
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=30
+    )
+
+    def send(method, path, payload=None):
+        body = None if payload is None else json.dumps(payload).encode()
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return {
+            "status": response.status,
+            "body": response.read().decode("utf-8"),
+            "etag": response.getheader("ETag"),
+        }
+
+    try:
+        yield send
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+Transport = Callable[[StreamCubeService], ContextManager[Send]]
+
+
+def _query_bodies(transport: Transport) -> Iterator[tuple[str, dict[str, Any]]]:
     cube = _cube()
     service = StreamCubeService(cube, QueryRouter(cube, window_quarters=4))
     try:
         _load(service)
-        for name, payload in QUERIES:
-            yield name, _entry(service.handle("POST", "/query", payload))
-        # A pushed update: {"watch": true} registers, one more quarter
-        # seals, the dispatcher delivers, the long-poll returns it.  (The
-        # flush keeps the load's own seals from reaching the new
-        # subscription.)
-        assert service.subscriptions.flush(10.0)
-        status, body = service.handle("POST", "/subscribe", {"watch": True})
-        assert status == 200
-        cube.ingest_batch(
-            [StreamRecord((0, 0), t, 5.0 + t) for t in range(6 * TPQ, 7 * TPQ)]
-        )
-        cube.advance_to(7 * TPQ)
-        assert service.subscriptions.flush(10.0)
-        yield "updates-watch", _entry(
-            service.handle(
-                "GET", f"/updates?subscription={body['subscription']}&since=0"
+        with transport(service) as send:
+            for name, payload in QUERIES:
+                yield name, send("POST", "/query", payload)
+            # A pushed update: {"watch": true} registers, one more quarter
+            # seals, the dispatcher delivers, the long-poll returns it.
+            # (The flush keeps the load's own seals from reaching the new
+            # subscription.)
+            assert service.subscriptions.flush(10.0)
+            status, body = service.handle("POST", "/subscribe", {"watch": True})
+            assert status == 200
+            cube.ingest_batch(
+                [StreamRecord((0, 0), t, 5.0 + t) for t in range(6 * TPQ, 7 * TPQ)]
             )
-        )
+            cube.advance_to(7 * TPQ)
+            assert service.subscriptions.flush(10.0)
+            yield "updates-watch", send(
+                "GET",
+                f"/updates?subscription={body['subscription']}&since=0&timeout=5",
+            )
     finally:
         service.close()
 
 
-def _degraded_bodies(tmp_path: Path) -> Iterator[tuple[str, dict[str, Any]]]:
+def _degraded_bodies(
+    tmp_path: Path, transport: Transport
+) -> Iterator[tuple[str, dict[str, Any]]]:
     """A dead shard: 200 with the reachable union plus a ``degraded`` block."""
     cube = _cube(
         wal=QuarterWAL(tmp_path / "cube.wal"),
@@ -136,26 +187,62 @@ def _degraded_bodies(tmp_path: Path) -> Iterator[tuple[str, dict[str, Any]]]:
     try:
         _load(service)
         cube.kill_worker(1)
-        for name, payload in (
-            ("degraded-change-exceptions-o", {"op": "change_exceptions", "layer": "o"}),
-            ("degraded-observation-deck", {"op": "observation_deck"}),
-            ("degraded-exceptions", {"op": "exceptions"}),
-        ):
-            yield name, _entry(service.handle("POST", "/query", payload))
+        with transport(service) as send:
+            for name, payload in (
+                ("degraded-change-exceptions-o", {"op": "change_exceptions", "layer": "o"}),
+                ("degraded-observation-deck", {"op": "observation_deck"}),
+                ("degraded-exceptions", {"op": "exceptions"}),
+            ):
+                yield name, send("POST", "/query", payload)
     finally:
         service.close()
 
 
-def record_bodies(tmp_path: Path) -> dict[str, dict[str, Any]]:
-    return dict([*_query_bodies(), *_degraded_bodies(tmp_path)])
+def record_bodies(
+    tmp_path: Path, transport: Transport = in_process
+) -> dict[str, dict[str, Any]]:
+    """Every recorded name -> ``{"status", "body", "etag"}``."""
+    return dict(
+        [*_query_bodies(transport), *_degraded_bodies(tmp_path, transport)]
+    )
+
+
+def _recorded(entries: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
+    return {
+        name: {"status": entry["status"], "body": entry["body"]}
+        for name, entry in entries.items()
+    }
 
 
 def test_bodies_are_byte_identical_to_the_recording(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    got = record_bodies(tmp_path)
+    got = _recorded(record_bodies(tmp_path))
     assert sorted(got) == sorted(golden)
     for name, entry in golden.items():
         assert got[name] == entry, name
+
+
+def test_socket_bytes_are_byte_identical_to_the_recording(tmp_path):
+    """What a client reads off the socket — cache-line bytes, batches
+    assembled from them, a long-polled update around them, ``degraded``
+    spliced onto them — is the recorded ``json.dumps`` text."""
+    golden = json.loads(GOLDEN.read_text())
+    got = record_bodies(tmp_path, over_socket)
+    bodies = _recorded(got)
+    assert sorted(bodies) == sorted(golden)
+    for name, entry in golden.items():
+        assert bodies[name] == entry, name
+    # A strong validator on exactly the complete single-spec answers.
+    tagged = {name for name, entry in got.items() if entry["etag"]}
+    assert tagged == {
+        name
+        for name, payload in QUERIES
+        if "op" in payload and got[name]["status"] == 200
+    }
+    for name in tagged:
+        vector, _, digest = got[name]["etag"].strip('"').partition("-")
+        assert all(part.isdigit() for part in vector.split(".")), name
+        assert len(digest) == 16, name
 
 
 def test_the_recording_covers_every_registered_op():
@@ -170,7 +257,7 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        recording = record_bodies(Path(tmp))
+        recording = _recorded(record_bodies(Path(tmp)))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(recording, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recording)} bodies to {GOLDEN}")

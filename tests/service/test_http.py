@@ -13,6 +13,7 @@ import urllib.request
 
 import pytest
 
+from repro.errors import CorruptionError
 from repro.io import cells_from_payload, isb_from_dict
 from repro.query import Q
 from repro.service.http import StreamCubeService, make_server
@@ -702,6 +703,98 @@ class TestTransport:
             server.server_close()
             thread.join(timeout=5)
             service.close()
+
+
+def _seal_a_quarter(service) -> None:
+    quarter = service.cube.current_quarter
+    rows = [
+        {"values": [0, 0], "t": t, "z": 5.0 + t}
+        for t in range(quarter * TPQ, (quarter + 1) * TPQ)
+    ]
+    assert service.handle("POST", "/ingest", {"records": rows})[0] == 200
+    assert service.handle("POST", "/advance", {"t": (quarter + 1) * TPQ})[0] == 200
+
+
+class TestEncodeOnce:
+    """Cached answers leave as the bytes they were first encoded to."""
+
+    DECK = {"op": "observation_deck"}
+
+    @staticmethod
+    def pull(conn, payload):
+        conn.request("POST", "/query", body=json.dumps(payload).encode())
+        response = conn.getresponse()
+        return response.status, response.read(), response.getheader("ETag")
+
+    def test_a_hit_writes_the_cache_line_bytes_and_counts_no_encoding(self, live):
+        service, port = live
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            before = service.handle("GET", "/stats")[1]["router"]["wire_encodes"]
+            first = self.pull(conn, self.DECK)
+            again = self.pull(conn, self.DECK)
+            stats = service.handle("GET", "/stats")[1]["router"]
+        finally:
+            conn.close()
+        assert first == again and first[0] == 200
+        _, result = service.router.execute_versioned(self.DECK)
+        assert first[1] == result.wire
+        # One miss, one hit: one encoding.  handle() renders dicts, so the
+        # in-process /stats reads above encoded nothing.
+        assert stats["wire_encodes"] == before + 1
+
+    def test_etag_names_the_spec_and_the_epoch(self, live):
+        service, port = live
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        cell = {"op": "cell", "coord": [1, 1], "values": [0, 0]}
+        try:
+            deck = self.pull(conn, self.DECK)[2]
+            assert deck == self.pull(conn, self.DECK)[2]
+            vector = ".".join(map(str, service.cube.epoch_vector()))
+            assert deck.startswith(f'"{vector}-') and deck.endswith('"')
+            assert self.pull(conn, cell)[2] not in (None, deck)
+            batch = self.pull(conn, {"queries": [self.DECK]})
+            assert batch[0] == 200 and batch[2] is None
+            error = self.pull(conn, {"op": "cell", "coord": [9, 9], "values": [0, 0]})
+            assert error[0] == 400 and error[2] is None
+            _seal_a_quarter(service)
+            assert self.pull(conn, self.DECK)[2] != deck
+        finally:
+            conn.close()
+
+    def test_a_degraded_answer_leaves_the_cached_bytes_alone(self, live):
+        service, port = live
+        cube = service.cube
+
+        def quarantined(*args):
+            raise CorruptionError("cold page quarantined (injected)")
+
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            cube.shards[1].window_columns = quarantined
+            status, partial, etag = self.pull(conn, self.DECK)
+            assert status == 200 and etag is None
+            _, stale = service.router.execute_versioned(self.DECK)
+            block = json.loads(partial)["degraded"]
+            assert partial == (
+                stale.wire[:-1]
+                + b', "degraded": '
+                + json.dumps(block).encode()
+                + b"}"
+            )
+            assert b'"degraded"' not in stale.wire
+
+            del cube.shards[1].window_columns
+            _seal_a_quarter(service)
+            fresh = self.pull(conn, self.DECK)
+            hit = self.pull(conn, self.DECK)
+        finally:
+            conn.close()
+        assert fresh == hit and hit[0] == 200 and hit[2] is not None
+        _, result = service.router.execute_versioned(self.DECK)
+        assert hit[1] == result.wire
+        assert b'"degraded"' not in hit[1]
+        assert b'"degraded"' not in stale.wire
 
 
 class TestHttpEdges:

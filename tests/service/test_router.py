@@ -35,16 +35,19 @@ def router(cube):
     return QueryRouter(cube, window_quarters=4)
 
 
+V1, V2, V3 = (0, 0, 1, 1), (0, 0, 1, 2), (0, 0, 2, 2)
+
+
 class TestLRUCache:
     def test_capacity_evicts_least_recent(self):
         cache = LRUCache(2)
-        cache.put("a", (1, "va"))
-        cache.put("b", (1, "vb"))
-        assert cache.get_versioned("a", 1) == (1, "va")  # refresh a
-        cache.put("c", (1, "vc"))  # evicts b
-        assert cache.get_versioned("b", 1) is None
-        assert cache.get_versioned("a", 1) == (1, "va")
-        assert cache.get_versioned("c", 1) == (1, "vc")
+        cache.put("a", (V1, "va"))
+        cache.put("b", (V1, "vb"))
+        assert cache.get_versioned("a", V1) == (V1, "va")  # refresh a
+        cache.put("c", (V1, "vc"))  # evicts b
+        assert cache.get_versioned("b", V1) is None
+        assert cache.get_versioned("a", V1) == (V1, "va")
+        assert cache.get_versioned("c", V1) == (V1, "vc")
 
     def test_capacity_validated(self):
         with pytest.raises(ServiceError):
@@ -52,11 +55,11 @@ class TestLRUCache:
 
     def test_versioned_hit_and_miss_accounting(self):
         cache = LRUCache(4)
-        cache.put("k", (7, "value"))
-        assert cache.get_versioned("k", 7) == (7, "value")
+        cache.put("k", (V1, "value"))
+        assert cache.get_versioned("k", V1) == (V1, "value")
         assert cache.hits == 1
-        assert cache.get_versioned("k", 8) is None  # stale
-        assert cache.get_versioned("absent", 7) is None
+        assert cache.get_versioned("k", V2) is None  # stale
+        assert cache.get_versioned("absent", V1) is None
         assert cache.misses == 2
 
     def test_stale_entry_evicted_on_detection(self):
@@ -65,12 +68,38 @@ class TestLRUCache:
         # capacity 2, detecting "a" as stale must free its slot so the
         # next put does not evict the still-valid "b".
         cache = LRUCache(2)
-        cache.put("a", (1, "va"))
-        cache.put("b", (1, "vb"))
-        assert cache.get_versioned("a", 2) is None  # stale -> evicted now
-        cache.put("c", (2, "vc"))
-        assert cache.get_versioned("b", 1) == (1, "vb")
-        assert cache.get_versioned("c", 2) == (2, "vc")
+        cache.put("a", (V1, "va"))
+        cache.put("b", (V1, "vb"))
+        assert cache.get_versioned("a", V2) is None  # stale -> evicted now
+        cache.put("c", (V1, "vc"))
+        assert cache.get_versioned("b", V1) == (V1, "vb")
+        assert cache.get_versioned("c", V1) == (V1, "vc")
+
+    def test_a_newer_vector_drops_every_older_line(self):
+        # Never-repeated keys (a top_slopes with a fresh k) are never
+        # looked up again, so detection alone would leave them until
+        # capacity pushed them out.
+        cache = LRUCache(8)
+        for k in range(5):
+            cache.put(("top", k), (V1, k))
+        cache.put("deck", (V2, "deck"))
+        assert len(cache) == 1
+        assert cache.get_versioned("deck", V2) == (V2, "deck")
+
+    def test_a_late_leader_never_evicts_newer_lines(self):
+        # A miss computed under an older cut finishes after a line at a
+        # newer cut was stored: the newer lines stay, and the late line
+        # (which no reader at the newer cut can use) is not kept.
+        cache = LRUCache(8)
+        cache.put("a", (V2, "va"))
+        cache.put("b", (V2, "vb"))
+        cache.put("late", (V1, "old"))
+        assert len(cache) == 2
+        assert cache.get_versioned("a", V2) == (V2, "va")
+        assert cache.get_versioned("b", V2) == (V2, "vb")
+        assert cache.get_versioned("late", V1) is None
+        cache.put("c", (V3, "vc"))  # the clock moves on: a and b go
+        assert len(cache) == 1
 
 
 def every_op(cube) -> list:

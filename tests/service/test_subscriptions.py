@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
 from repro.errors import QueryError, ReproError, ServiceError
+from repro.query.exec import wire_encodes
 from repro.query.spec import Q
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
@@ -103,6 +105,29 @@ class TestDelivery:
         assert router.specs_executed == base + 1
         for sub in subs:
             assert len(registry.poll(sub)["updates"]) == 1
+
+    def test_shared_spec_encodes_once_per_seal(self, cube, registry):
+        # Both queues hold the router's one result object, so the bytes
+        # /updates writes are encoded by the first reader and reused.
+        subs = [registry.subscribe(Q.watch_list()) for _ in range(2)]
+        for seq in (1, 2):
+            seal_next(cube, registry)
+            before = wire_encodes()
+            pages = [registry.updates(sub, since_seq=seq - 1) for sub in subs]
+            bodies = [page.wire for page in pages]
+            assert wire_encodes() == before + 1
+            results = [page.updates[0].result for page in pages]
+            assert results[0] is results[1]
+            for page, body in zip(pages, bodies):
+                assert body == json.dumps(page.to_dict()).encode()
+
+    def test_an_unpolled_subscription_encodes_nothing(self, cube, registry):
+        registry.subscribe(Q.watch_list())
+        before = wire_encodes()
+        seal_next(cube, registry)
+        seal_next(cube, registry)
+        assert registry.stats()["updates_enqueued"] == 2
+        assert wire_encodes() == before
 
     def test_long_poll_wakes_on_delivery(self, cube, registry):
         sub = registry.subscribe(Q.watch_list())
