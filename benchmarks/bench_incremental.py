@@ -70,7 +70,7 @@ def bench_batch_window_recompute(benchmark):
     engine.advance_to(60)
 
     def recompute():
-        return engine.refresh(window_quarters=4, algorithm="mo")
+        return engine.refresh(window_quarters=4)
 
     result = benchmark.pedantic(recompute, rounds=8, iterations=1)
     benchmark.extra_info["m_cells"] = len(result.m_layer)

@@ -16,7 +16,7 @@ Run: ``python examples/power_grid_monitoring.py``
 
 from __future__ import annotations
 
-from repro import GlobalSlopeThreshold
+from repro import GlobalSlopeThreshold, popular_path_cubing
 from repro.query.drill import ExceptionDriller
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.power_grid import PowerGridConfig, PowerGridSimulator
@@ -67,7 +67,7 @@ def main() -> None:
         if engine.current_quarter < 1:
             continue
         window = min(4, engine.current_quarter)
-        result = engine.refresh(window_quarters=window, algorithm="popular")
+        result = popular_path_cubing(layers, engine.m_cells(window), engine.policy)
         watch = result.o_layer_exceptions()
         flagged = ", ".join(
             f"{v[1]} ({isb.slope:+.3f})" for v, isb in sorted(watch.items())
@@ -83,7 +83,7 @@ def main() -> None:
     # The analyst drills into the flagged city.
     # ------------------------------------------------------------------
     print("\n== exception-guided drill-down (observation deck) ==")
-    result = engine.refresh(window_quarters=4, algorithm="mo")
+    result = engine.refresh(window_quarters=4)
     driller = ExceptionDriller(result)
     roots = driller.drill_tree()
     if not roots:

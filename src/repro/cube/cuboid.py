@@ -1,14 +1,14 @@
 """A materialized cuboid: cells of one lattice coordinate with ISB measures.
 
-:class:`Cuboid` is the in-memory carrier the cubing algorithms produce and
-consume: a mapping from cell value tuples to measures, tagged with its
-coordinate.  Aggregation between cuboids (roll-up over standard dimensions
-via Theorem 3.2) lives here because it is shared by every algorithm.
+:class:`Cuboid` is the carrier every cubing algorithm returns: the cells of
+one coordinate.  Aggregation between cuboids (roll-up over standard
+dimensions via Theorem 3.2) lives here because it is shared by every
+algorithm.
 
-The cells may be *column-backed*: :class:`CuboidColumns` holds
-integer key codes and ISB columns, and :class:`ColumnCells` presents them as
-the ``{values: isb}`` mapping, building value tuples and :class:`ISB`
-objects only for what a caller reads.
+The cells are columns: :class:`CuboidColumns` holds integer key codes and
+ISB columns, and :class:`ColumnCells` presents them as the ``{values: isb}``
+mapping, building value tuples and :class:`ISB` objects only for what a
+caller reads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
 from repro.regression.kernels import ISBColumns
 
-__all__ = ["ColumnCells", "Cuboid", "CuboidColumns", "key_codes"]
+__all__ = ["ColumnCells", "Cuboid", "CuboidColumns"]
 
 Values = tuple[Hashable, ...]
 Coord = tuple[int, ...]
@@ -35,13 +35,12 @@ Coord = tuple[int, ...]
 class CuboidColumns:
     """A cuboid as packed columns: integer key codes plus ISB columns.
 
-    The columnar twin of :class:`Cuboid`, for code that walks many cuboids
-    and keeps few cells: ``codes[d]`` holds every row's value in dimension
-    ``d`` as a code of ``tables[d]`` at level ``coord[d]``, ``isbs`` the
-    measures, rows in the order the equivalent ``Cuboid.cells`` dict would
-    iterate.  Roll-ups are array gathers and one grouped kernel call; value
-    tuples and :class:`ISB` objects exist only for the rows :meth:`keys` /
-    :meth:`cells` are asked for.  ``isbs`` is ``None`` on the key-only
+    What a :class:`Cuboid` holds, and what the cubing walks compute on:
+    ``codes[d]`` holds every row's value in dimension ``d`` as a code of
+    ``tables[d]`` at level ``coord[d]``, ``isbs`` the measures, rows in the
+    order ``Cuboid.cells`` iterates.  Roll-ups are array gathers and one
+    grouped kernel call; value tuples and :class:`ISB` objects exist only
+    for the rows :meth:`keys` / :meth:`cells` are asked for.  ``isbs`` is ``None`` on the key-only
     instances a :class:`~repro.cubing.mo_cubing.CubePlan` records (the
     structure of a cuboid, awaiting :meth:`with_isbs`).
     """
@@ -77,20 +76,44 @@ class CuboidColumns:
         """Encode value-tuple keys and their measures, one row per key.
 
         Without ``tables`` each dimension's values are numbered in
-        first-seen order at this cuboid's level; with them, the keys are
-        looked up in tables another cuboid of the same data already built
-        (``coord`` must not be finer than their levels).  ``isbs=None``
-        encodes the keys alone.
+        first-seen order at this cuboid's level, and the keys are checked
+        against the hierarchies on the way: a key of the wrong length or
+        with a value its level does not hold raises what
+        :meth:`~repro.cube.schema.CubeSchema.values_validator` raises for
+        the first bad row.  With ``tables``, the keys are looked up in
+        tables another cuboid of the same data already built (``coord``
+        must not be finer than their levels).  ``isbs=None`` encodes the
+        keys alone.
         """
         isbs = None if isbs is None else ISBColumns.from_isbs(isbs)
         if tables is not None:
-            return cls(coord, tables, key_codes(tables, coord, keys), isbs)
+            codes = [
+                np.array(
+                    list(map(table.index(level).__getitem__, column)), dtype=np.int64
+                )
+                for table, level, column in zip(
+                    tables, coord, _columns(keys, len(tables))
+                )
+            ]
+            return cls(coord, tables, codes, isbs)
+        if set(map(len, keys)) - {schema.n_dims}:
+            _validate_rows(schema, coord, keys)
+        columns = list(_columns(keys, schema.n_dims))
         encoded = [
             LevelCodes.encode(dim.hierarchy, level, column)
-            for dim, level, column in zip(
-                schema.dimensions, coord, _columns(keys, schema.n_dims)
-            )
+            for dim, level, column in zip(schema.dimensions, coord, columns)
         ]
+        # Membership is checked once per distinct value; a column mixing
+        # types (whose equal values the encoding dict conflates: 1 and 1.0)
+        # goes to the row validator like any other doubt.
+        if any(
+            len(set(map(type, column))) > 1
+            or not all(dim.hierarchy.contains(v, level) for v in table.index(level))
+            for dim, level, (table, _), column in zip(
+                schema.dimensions, coord, encoded, columns
+            )
+        ):
+            _validate_rows(schema, coord, keys)
         return cls(
             coord,
             [table for table, _ in encoded],
@@ -224,38 +247,42 @@ def _columns(keys: Sequence[Values], n_dims: int):
     return zip(*keys) if keys else [()] * n_dims
 
 
-def key_codes(
-    tables: Sequence[LevelCodes], coord: Coord, keys: Sequence[Values]
-) -> list:
-    """Code columns of value-tuple keys at ``coord`` under existing tables."""
-    return [
-        np.array(list(map(table.index(level).__getitem__, column)), dtype=np.int64)
-        for table, level, column in zip(
-            tables, coord, _columns(keys, len(tables))
-        )
-    ]
+def _validate_rows(schema: CubeSchema, coord: Coord, keys: Sequence[Values]) -> None:
+    """Raise what :meth:`CubeSchema.values_validator` raises for the first
+    bad row."""
+    validate = schema.values_validator(coord)
+    for values in keys:
+        validate(values)
 
 
 class Cuboid:
     """Cells of one cuboid coordinate, keyed by value tuple.
 
-    ``cells`` is a ``dict``, or the read-only :class:`ColumnCells` of a
-    column-backed cuboid (which is kept as it is, not copied).
+    Wraps a :class:`CuboidColumns` (kept as it is, not copied); ``cells`` is
+    its read-only :class:`ColumnCells` view.
     """
 
-    __slots__ = ("schema", "coord", "cells")
+    __slots__ = ("schema", "coord", "columns", "cells")
 
-    def __init__(
-        self,
+    def __init__(self, schema: CubeSchema, columns: CuboidColumns) -> None:
+        self.schema = schema
+        self.coord = schema.validate_coord(columns.coord)
+        self.columns = columns
+        self.cells = ColumnCells(columns)
+
+    @classmethod
+    def from_cells(
+        cls,
         schema: CubeSchema,
         coord: Coord,
-        cells: Mapping[Values, ISB] | None = None,
-    ) -> None:
-        self.schema = schema
-        self.coord = schema.validate_coord(coord)
-        self.cells: Mapping[Values, ISB] = (
-            cells if isinstance(cells, ColumnCells) else dict(cells or ())
-        )
+        cells: Iterable[tuple[Values, ISB]] = (),
+    ) -> "Cuboid":
+        """The cuboid of ``(values, isb)`` pairs, one cell per pair, in the
+        order given (no pairs: an empty cuboid)."""
+        pairs = list(cells)
+        keys = [values for values, _ in pairs]
+        isbs = [isb for _, isb in pairs]
+        return cls(schema, CuboidColumns.from_cells(schema, coord, keys, isbs))
 
     # ------------------------------------------------------------------
     # Mapping-ish interface
@@ -292,16 +319,7 @@ class Cuboid:
         Every cell's values are rolled up through the concept hierarchies and
         cells mapping to the same ancestor are merged with Theorem 3.2.
         """
-        to_coord = self._coarser(to_coord)
-        out = Cuboid(self.schema, to_coord)
-        if not self.cells:
-            return out
-        rolled = self._columns().roll_up(to_coord)
-        if isinstance(self.cells, ColumnCells):  # columns in, columns out
-            out.cells = ColumnCells(rolled)
-        else:
-            out.cells = rolled.cells()
-        return out
+        return Cuboid(self.schema, self.columns.roll_up(self._coarser(to_coord)))
 
     def roll_up_cell(self, to_coord: Coord, target_values: Values) -> ISB | None:
         """Aggregate only the cells that roll up to ``target_values``.
@@ -313,9 +331,9 @@ class Cuboid:
         source cell contributes.
         """
         to_coord = self._coarser(to_coord)
-        if not self.cells or len(target_values) != len(to_coord):
+        columns = self.columns
+        if not len(columns) or len(target_values) != len(to_coord):
             return None
-        columns = self._columns()
         match = np.ones(len(columns), dtype=bool)
         for table, codes, level, value in zip(
             columns.tables, columns.codes_at(to_coord), to_coord, target_values
@@ -339,16 +357,6 @@ class Cuboid:
                     f"roll up cuboid level {f} to finer level {t}"
                 )
         return to_coord
-
-    def _columns(self) -> CuboidColumns:
-        """The cells as columns: a column-backed cuboid's own, a dict's
-        encoded."""
-        cells = self.cells
-        if isinstance(cells, ColumnCells):
-            return cells.columns
-        return CuboidColumns.from_cells(
-            self.schema, self.coord, list(cells), cells.values()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Cuboid({self.coord}, cells={len(self.cells)})"

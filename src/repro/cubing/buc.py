@@ -14,7 +14,9 @@ children), so the algorithm computes every cell and — like Algorithm 1 —
 retains only the exceptions between the layers.  Its value is as the
 alternative computation-order baseline the paper's future work calls for:
 partition-based aggregation from raw m-layer groups versus H-cubing's
-shared roll-ups.
+shared roll-ups.  The partitioning stays scalar (one ``merge_standard``
+per group) for that reason; only the finished cuboids are encoded into
+columns.
 """
 
 from __future__ import annotations
@@ -103,24 +105,22 @@ def buc_cubing(
         recurse(0, seed_coord, o_values, group)
     stats.cuboids_computed = lattice.size
 
-    # Retention identical to Algorithm 1.
+    # Retention identical to Algorithm 1, over the encoded output.
     result_cuboids: dict[Coord, Cuboid] = {}
-    retained_exceptions: dict[Coord, dict[Values, ISB]] = {}
+    retained_exceptions: dict[Coord, Mapping[Values, ISB]] = {}
     for coord, cells in cuboids.items():
+        cuboid = Cuboid.from_cells(schema, coord, cells.items())
         if coord in (layers.m_coord, layers.o_coord):
-            result_cuboids[coord] = Cuboid(schema, coord, cells)
+            result_cuboids[coord] = cuboid
             if coord == layers.o_coord:
                 stats.retained_cells += len(cells)
             else:
                 stats.htree_leaf_isbs = len(cells)  # base-data charge
         else:
-            exceptions = {
-                values: isb
-                for values, isb in cells.items()
-                if policy.is_exception(isb, coord)
-            }
-            retained_exceptions[coord] = exceptions
-            result_cuboids[coord] = Cuboid(schema, coord, exceptions)
+            exceptions = result_cuboids[coord] = Cuboid(
+                schema, policy.exceptions(cuboid.columns)
+            )
+            retained_exceptions[coord] = exceptions.cells
             stats.retained_cells += len(exceptions)
             if len(cells) > stats.transient_peak_cells:
                 stats.transient_peak_cells = len(cells)

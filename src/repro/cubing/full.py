@@ -6,15 +6,16 @@ as the correctness oracle for both exception-based algorithms, and as the
 calibration population for turning a target exception *rate* into a slope
 threshold (the x-axis of Figure 8).
 
-Every cuboid between the layers is computed — with computation sharing, each
-from its cheapest already-computed descendant — and every cell is retained.
+The m-layer is encoded once; every cuboid between the layers is computed —
+with computation sharing, each from its cheapest already-computed descendant
+— and every cell is retained.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from repro.cube.cuboid import Cuboid
+from repro.cube.cuboid import ColumnCells, Cuboid
 from repro.cube.layers import CriticalLayers
 from repro.cubing.policy import ExceptionPolicy, GlobalSlopeThreshold
 from repro.cubing.result import CubeResult
@@ -44,11 +45,11 @@ def full_materialization(
     watch = Stopwatch()
     lattice = layers.lattice
 
-    cells = dict(m_cells) if not isinstance(m_cells, Mapping) else dict(m_cells)
+    cells = m_cells if isinstance(m_cells, Mapping) else dict(m_cells)
     cuboids: dict[Coord, Cuboid] = {}
     for coord in lattice.bottom_up_order():
         if coord == layers.m_coord:
-            cuboid = Cuboid(layers.schema, coord, cells)
+            cuboid = Cuboid.from_cells(layers.schema, coord, cells.items())
             stats.rows_scanned += len(cells)
         else:
             src_coord = lattice.closest_descendant(coord, list(cuboids))
@@ -62,11 +63,7 @@ def full_materialization(
         stats.retained_cells += len(cuboid)
 
     retained_exceptions = {
-        coord: {
-            values: isb
-            for values, isb in cuboid.items()
-            if policy.is_exception(isb, coord)
-        }
+        coord: ColumnCells(policy.exceptions(cuboid.columns))
         for coord, cuboid in cuboids.items()
         if coord != layers.m_coord
     }

@@ -31,11 +31,11 @@ its measures (a stream cube between seals) keeps the plan and hands
 ``mo_cubing`` a :class:`PlannedCells`.  Value tuples and :class:`ISB`
 objects are built only for the cells a reader asks the result for
 (:class:`~repro.cube.cuboid.ColumnCells`).  The paper's own walk — build the
-H-tree (:func:`~repro.cubing.build.build_mo_htree`), then cube over
-:class:`~repro.cube.cuboid.Cuboid` dicts (:func:`mo_cubing_from_tree`) — is
-never a fallback: it is what Figures 8-10 reproduce and the differential
-reference the plan is tested against: key order, exception sets and every
-counter equal, floats per the contract in :mod:`repro.regression.kernels`.
+H-tree (:func:`~repro.cubing.build.build_mo_htree`), then roll its leaves up
+one cuboid at a time (:func:`mo_cubing_from_tree`) — is never a fallback: it
+is the differential reference the plan is tested against: key order,
+exception sets and every counter equal, floats per the contract in
+:mod:`repro.regression.kernels`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Hashable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.cube.cuboid import ColumnCells, Cuboid, CuboidColumns
+from repro.cube.cuboid import Cuboid, CuboidColumns
 from repro.cube.layers import CriticalLayers
 from repro.cubing.policy import ExceptionPolicy
 from repro.cubing.result import CubeResult
@@ -101,20 +101,7 @@ class CubePlan:
         self.layers = layers
         schema, m_coord, lattice = layers.schema, layers.m_coord, layers.lattice
         keys = [tuple(values) for values in keys]
-        if set(map(len, keys)) - {schema.n_dims}:
-            _validate_rows(layers, keys)
         rows = CuboidColumns.from_cells(schema, m_coord, keys, None)
-        # Membership is checked once per distinct value; a column mixing
-        # types (whose equal values the encoding dict conflates: 1 and 1.0)
-        # goes to the row validator like any other doubt.
-        if any(
-            len(set(map(type, column))) > 1
-            or not all(dim.hierarchy.contains(v, level) for v in table.index(level))
-            for dim, level, table, column in zip(
-                schema.dimensions, m_coord, rows.tables, zip(*keys)
-            )
-        ):
-            _validate_rows(layers, keys)
         # Duplicate cells merge (Theorem 3.2) before anything else.
         gid, first = rows.grouping()
         self._duplicates = None if len(first) == len(keys) else (gid, first)
@@ -212,13 +199,10 @@ class CubePlan:
             cuboid = keys.with_isbs(isbs)
             critical = coord in (layers.m_coord, layers.o_coord)
             if not critical:  # in between, only the exception cells stay
-                cuboid = cuboid.take(
-                    np.flatnonzero(policy.exception_mask(isbs.slope, coord))
-                )
-            cells = ColumnCells(cuboid)
-            cuboids[coord] = Cuboid(layers.schema, coord, cells)
+                cuboid = policy.exceptions(cuboid)
+            cuboids[coord] = Cuboid(layers.schema, cuboid)
             if not critical:
-                retained_exceptions[coord] = cells
+                retained_exceptions[coord] = cuboids[coord].cells
             # The m-layer is the tree's own data: memory is charged to the
             # tree leaves, not to retained cells.
             if coord != layers.m_coord:
@@ -244,7 +228,8 @@ class PlannedCells(NamedTuple):
 def mo_cubing_from_tree(
     layers: CriticalLayers, tree: HTree, policy: ExceptionPolicy
 ) -> CubeResult:
-    """Run Algorithm 1's Step 2 on an already-built H-tree (scalar walk)."""
+    """Run Algorithm 1's Step 2 on an already-built H-tree: the leaves are
+    encoded once, then each cuboid rolls up from a computed descendant."""
     schema = layers.schema
     lattice = layers.lattice
     stats = CubingStats("m/o-cubing", n_dims=schema.n_dims)
@@ -258,13 +243,13 @@ def mo_cubing_from_tree(
         coord: len(lattice.parents(coord)) for coord in order
     }
 
-    working: dict[Coord, Cuboid] = {}
+    working: dict[Coord, CuboidColumns] = {}
     result_cuboids: dict[Coord, Cuboid] = {}
-    retained_exceptions: dict[Coord, dict[Values, ISB]] = {}
+    retained_exceptions: dict[Coord, Mapping[Values, ISB]] = {}
 
     for coord in order:
         if coord == layers.m_coord:
-            cuboid = Cuboid(schema, coord, dict(tree.leaf_cells()))
+            cuboid = Cuboid.from_cells(schema, coord, tree.leaf_cells()).columns
             stats.rows_scanned += len(cuboid)
             stats.htree_leaf_isbs = len(cuboid)
         else:
@@ -282,20 +267,17 @@ def mo_cubing_from_tree(
         working[coord] = cuboid
 
         if coord == layers.o_coord:
-            result_cuboids[coord] = cuboid
+            result_cuboids[coord] = Cuboid(schema, cuboid)
             stats.retained_cells += len(cuboid)
         elif coord == layers.m_coord:
             # The m-layer is the tree's own data; memory is charged to the
             # tree leaves, not to retained cells.
-            result_cuboids[coord] = cuboid
+            result_cuboids[coord] = Cuboid(schema, cuboid)
         else:
-            exceptions = {
-                values: isb
-                for values, isb in cuboid.items()
-                if policy.is_exception(isb, coord)
-            }
-            retained_exceptions[coord] = exceptions
-            result_cuboids[coord] = Cuboid(schema, coord, exceptions)
+            exceptions = result_cuboids[coord] = Cuboid(
+                schema, policy.exceptions(cuboid)
+            )
+            retained_exceptions[coord] = exceptions.cells
             stats.retained_cells += len(exceptions)
 
         # Free any descendant whose every parent cuboid is now computed
@@ -313,10 +295,3 @@ def mo_cubing_from_tree(
         stats=stats,
         retained_exceptions=retained_exceptions,
     )
-
-
-def _validate_rows(layers: CriticalLayers, keys: list[Values]) -> None:
-    """Raise what :meth:`HTree.insert_many` raises for the first bad row."""
-    validate = layers.schema.values_validator(layers.m_coord)
-    for values in keys:
-        validate(values)

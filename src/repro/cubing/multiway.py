@@ -5,22 +5,26 @@ group-bys in a single pass over the base data, updating every target
 simultaneously.  The paper lists it, with BUC, as a cubing technique worth
 exploring for regression cubes; this module provides that exploration:
 
-* one scan of the m-layer cells;
-* for each cell, its ancestor key in *every* lattice cuboid is computed and
-  the per-cuboid accumulator is updated in place (running base/slope sums —
-  Theorem 3.2 reduces to addition, so simultaneous accumulation is exact);
+* one scan of the m-layer cells, encoded once into code columns;
+* every lattice cuboid aggregated straight from those rows: each row's
+  ancestor key in the target is gathered from the code tables and the rows
+  are merged per key (Theorem 3.2 reduces to addition, so the per-target
+  sums are running sums in row order);
 * retention afterwards is identical to Algorithm 1 (all cells at the
   critical layers, exceptions in between).
 
-Trade-off profile versus m/o H-cubing: a single data pass (good cache
-behaviour, no intermediate cuboids) but ``#cuboids`` key computations per
-base cell instead of sharing roll-ups between adjacent cuboids.  The
-``bench_multiway`` benchmark records where each wins.
+Trade-off profile versus m/o H-cubing: no intermediate cuboids are shared,
+so every target groups all base rows — ``#cuboids`` key gathers and grouped
+merges over the whole m-layer instead of roll-ups from the nearest computed
+descendant, each of which is smaller.  The ``bench_multiway`` benchmark
+records where each wins.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
+
+import numpy as np
 
 from repro.cube.cuboid import Cuboid
 from repro.cube.layers import CriticalLayers
@@ -47,67 +51,38 @@ def multiway_cubing(
     stats = CubingStats("multiway", n_dims=schema.n_dims)
     watch = Stopwatch()
 
-    items = list(m_cells.items() if isinstance(m_cells, Mapping) else m_cells)
-    if items:
-        window = items[0][1].interval
-        for _, isb in items:
-            if isb.interval != window:
-                raise AggregationError(
-                    "multiway cubing requires one shared analysis window; "
-                    f"got {window} and {isb.interval}"
-                )
+    items = m_cells.items() if isinstance(m_cells, Mapping) else m_cells
+    base = Cuboid.from_cells(schema, layers.m_coord, items).columns
+    t_b, t_e = base.isbs.t_b, base.isbs.t_e
+    other = (t_b != t_b[:1]) | (t_e != t_e[:1])
+    if other.any():
+        i = int(np.argmax(other))
+        raise AggregationError(
+            "multiway cubing requires one shared analysis window; "
+            f"got {(int(t_b[0]), int(t_e[0]))} and {(int(t_b[i]), int(t_e[i]))}"
+        )
+    stats.rows_scanned = stats.htree_leaf_isbs = len(base)  # base-data charge
+    stats.cuboids_computed = lattice.size
 
-    # Per-cuboid accumulators: key -> [base_sum, slope_sum].
-    targets: list[tuple[Coord, list, dict]] = []
+    result_cuboids: dict[Coord, Cuboid] = {
+        layers.m_coord: Cuboid(schema, base.merged())
+    }
+    retained_exceptions: dict[Coord, Mapping[Values, ISB]] = {}
     for coord in lattice.coords():
         if coord == layers.m_coord:
             continue
-        mappers = [
-            dim.hierarchy.ancestor_mapper(f, t)
-            for dim, f, t in zip(schema.dimensions, layers.m_coord, coord)
-        ]
-        targets.append((coord, mappers, {}))
-
-    for values, isb in items:
-        stats.rows_scanned += 1
-        base, slope = isb.base, isb.slope
-        for _, mappers, acc in targets:
-            key = tuple(m(v) for m, v in zip(mappers, values))
-            entry = acc.get(key)
-            if entry is None:
-                acc[key] = [base, slope]
-            else:
-                entry[0] += base
-                entry[1] += slope
-
-    t_b, t_e = items[0][1].interval if items else (0, 0)
-    result_cuboids: dict[Coord, Cuboid] = {
-        layers.m_coord: Cuboid(layers.schema, layers.m_coord, dict(items))
-    }
-    retained_exceptions: dict[Coord, dict[Values, ISB]] = {}
-    stats.htree_leaf_isbs = len(items)  # base-data charge, as elsewhere
-    stats.cuboids_computed = lattice.size
-
-    for coord, _, acc in targets:
-        cells = {
-            key: ISB(t_b, t_e, base, slope)
-            for key, (base, slope) in acc.items()
-        }
+        cells = base.lifted(coord).merged()
         stats.cells_computed += len(cells)
         if coord == layers.o_coord:
-            result_cuboids[coord] = Cuboid(schema, coord, cells)
+            result_cuboids[coord] = Cuboid(schema, cells)
             stats.retained_cells += len(cells)
         else:
-            exceptions = {
-                values: isb
-                for values, isb in cells.items()
-                if policy.is_exception(isb, coord)
-            }
-            retained_exceptions[coord] = exceptions
-            result_cuboids[coord] = Cuboid(schema, coord, exceptions)
+            exceptions = result_cuboids[coord] = Cuboid(
+                schema, policy.exceptions(cells)
+            )
+            retained_exceptions[coord] = exceptions.cells
             stats.retained_cells += len(exceptions)
-            if len(cells) > stats.transient_peak_cells:
-                stats.transient_peak_cells = len(cells)
+            stats.transient_peak_cells = max(stats.transient_peak_cells, len(cells))
 
     stats.runtime_s = watch.elapsed()
     return CubeResult(

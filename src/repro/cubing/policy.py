@@ -18,6 +18,8 @@ import math
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import CubingError
 from repro.regression.isb import ISB
 from repro.regression.kernels import ISBColumns
@@ -53,6 +55,13 @@ class ExceptionPolicy(ABC):
         subclass that overrides one of the two must override the other.
         """
         return abs(slopes) >= self.threshold_for(coord)
+
+    def exceptions(self, columns):
+        """The exceptional rows of a cuboid's columns
+        (:class:`~repro.cube.cuboid.CuboidColumns`), in row order."""
+        return columns.take(
+            np.flatnonzero(self.exception_mask(columns.isbs.slope, columns.coord))
+        )
 
 
 class GlobalSlopeThreshold(ExceptionPolicy):

@@ -13,9 +13,9 @@ no off-path cuboid is touched (fast, but the path cells must be stored); at
 high exception rates nearly every cuboid is drilled, and each drill scans a
 path source without the cross-cuboid sharing m/o-cubing enjoys (slower).
 
-Drilling is columnar (:class:`_ColumnarDrill`): roll-ups and driver
-membership run on the integer code columns shared with m/o-cubing and one
-grouped Theorem 3.2 kernel call per cuboid.
+The path cuboids leave the tree as code columns under the m-layer's tables,
+and drilling stays on them (:func:`_drill`): roll-ups and driver membership
+run on integer codes, with one grouped Theorem 3.2 kernel call per cuboid.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from repro.cube.cuboid import Cuboid, CuboidColumns, key_codes
+from repro.cube.cuboid import ColumnCells, Cuboid, CuboidColumns
 from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.build import build_path_htree
@@ -71,13 +71,15 @@ def _check_path(layers: CriticalLayers, path: PopularPath) -> None:
 
 def _extract_path_cells(
     tree: HTree, layers: CriticalLayers, path: PopularPath
-) -> dict[Coord, dict[Values, ISB]]:
+) -> dict[Coord, CuboidColumns]:
     """Read every path cuboid out of the aggregated tree in one DFS.
 
     In path attribute order, the node at depth ``n_o_attrs + j`` *is* a cell
     of the ``j``-th path cuboid (counted o-layer-first); its cell key per
     dimension is the prefix value at that dimension's level attribute, or
-    ``*`` where the cuboid's level is 0.
+    ``*`` where the cuboid's level is 0.  The m-layer cuboid is encoded
+    first and every other path cuboid under its code tables, so all of
+    them — and every cuboid drilled from them — share one key numbering.
     """
     from repro.cube.hierarchy import ALL
 
@@ -114,74 +116,52 @@ def _extract_path_cells(
             # cuboids' cell insertion order) unchanged.
             for child in reversed(node.children.values()):
                 stack.append((child, depth + 1))
-    return out
+    schema, m_coord = layers.schema, layers.m_coord
+    m_layer = CuboidColumns.from_cells(
+        schema, m_coord, list(out[m_coord]), out[m_coord].values()
+    )
+    return {
+        coord: m_layer
+        if coord == m_coord
+        else CuboidColumns.from_cells(
+            schema, coord, list(cells), cells.values(), m_layer.tables
+        )
+        for coord, cells in out.items()
+    }
 
 
-class _ColumnarDrill:
-    """Vectorized off-path drilling over the run's path cuboids.
+def _drill(
+    source: CuboidColumns,
+    coord: Coord,
+    parents: list[CuboidColumns],
+    all_driven: bool,
+) -> CuboidColumns:
+    """The cells of cuboid ``coord`` that some parent's driver rows drive,
+    aggregated from ``source``.
 
-    The m-layer path cuboid is encoded once into integer code columns
-    (:class:`~repro.cube.cuboid.CuboidColumns`); every other source cuboid
-    and every driver set is looked up in the same code tables, so a drilled
-    cuboid is gathers and packed keys: roll the source rows up to the target
-    cuboid, roll those up to each driving parent and test membership among
-    the parent's drivers with ``np.isin``, then merge the driven rows with
-    the grouped Theorem 3.2 kernel.  No per-row Python, whatever the
-    hierarchies are.
+    Every cuboid of the run shares the m-layer's code tables, so this is
+    gathers and packed keys: roll the source rows up to ``coord``, roll
+    those up to each parent and test membership among the parent's drivers
+    with ``np.isin``, then merge the driven rows with the grouped
+    Theorem 3.2 kernel.  No per-row Python, whatever the hierarchies are.
     """
-
-    def __init__(
-        self, layers: CriticalLayers, path_cells: Mapping[Coord, Mapping[Values, ISB]]
-    ) -> None:
-        self.layers = layers
-        self.path_cells = path_cells
-        self._sources: dict[Coord, CuboidColumns] = {}
-        self._drivers: dict[Coord, list] = {}
-
-    def _source(self, coord: Coord) -> CuboidColumns:
-        source = self._sources.get(coord)
-        if source is None:
-            m_coord = self.layers.m_coord
-            cells = self.path_cells[coord]
-            source = CuboidColumns.from_cells(
-                self.layers.schema,
-                coord,
-                list(cells),
-                cells.values(),
-                None if coord == m_coord else self._source(m_coord).tables,
+    rows = source.lifted(coord)
+    if not all_driven:
+        driven = np.zeros(len(rows), dtype=bool)
+        for drivers in parents:
+            # Packed together, so both sides share one key numbering.
+            k = len(drivers)
+            ids = kernels.pack_keys(
+                [
+                    np.concatenate(pair)
+                    for pair in zip(drivers.codes, rows.codes_at(drivers.coord))
+                ],
+                rows.cards(drivers.coord),
+                k + len(rows),
             )
-            self._sources[coord] = source
-        return source
-
-    def drill(
-        self,
-        src_coord: Coord,
-        coord: Coord,
-        active_parents: list[tuple[Coord, set[Values]]],
-        all_driven: bool,
-    ) -> dict[Values, ISB]:
-        """The cells of cuboid ``coord`` that some active parent drives."""
-        rows = self._source(src_coord).lifted(coord)
-        if not all_driven:
-            driven = np.zeros(len(rows), dtype=bool)
-            for p_coord, p_drivers in active_parents:
-                drivers = self._drivers.get(p_coord)
-                if drivers is None:
-                    drivers = key_codes(rows.tables, p_coord, list(p_drivers))
-                    self._drivers[p_coord] = drivers
-                # Packed together, so both sides share one key numbering.
-                k = len(p_drivers)
-                ids = kernels.pack_keys(
-                    [
-                        np.concatenate(pair)
-                        for pair in zip(drivers, rows.codes_at(p_coord))
-                    ],
-                    rows.cards(p_coord),
-                    k + len(rows),
-                )
-                driven |= np.isin(ids[k:], ids[:k])
-            rows = rows.take(np.flatnonzero(driven))
-        return rows.merged().cells()
+            driven |= np.isin(ids[k:], ids[:k])
+        rows = rows.take(np.flatnonzero(driven))
+    return rows.merged()
 
 
 def popular_path_cubing_from_tree(
@@ -196,6 +176,23 @@ def popular_path_cubing_from_tree(
     _check_path(layers, path)
     stats = CubingStats("popular-path", n_dims=schema.n_dims)
     watch = Stopwatch()
+    result_cuboids: dict[Coord, Cuboid] = {}
+    retained_exceptions: dict[Coord, Mapping[Values, ISB]] = {}
+    path_set = set(path.coords)
+
+    if not tree.node_count:  # an empty m-layer: nothing to aggregate or drill
+        for coord in lattice.top_down_order():
+            empty = result_cuboids[coord] = Cuboid.from_cells(schema, coord)
+            if coord not in (layers.m_coord, layers.o_coord):
+                retained_exceptions[coord] = empty.cells
+        return CubeResult(
+            layers=layers,
+            policy=policy,
+            cuboids=result_cuboids,
+            stats=stats,
+            retained_exceptions=retained_exceptions,
+            complete_coords=frozenset(path_set),
+        )
 
     # ------------------------------------------------------------------
     # Step 2: roll up along the path; the tree stores the path cuboids.
@@ -215,68 +212,56 @@ def popular_path_cubing_from_tree(
     # ------------------------------------------------------------------
     # Step 3: exception-guided drilling, o-layer downward.
     # ------------------------------------------------------------------
-    path_set = set(path.coords)
-    columnar = _ColumnarDrill(layers, path_cells)
-    drivers: dict[Coord, set[Values]] = {}
+    #: Per computed cuboid, its exception rows: the cells whose children
+    #: get computed.
+    drivers: dict[Coord, CuboidColumns] = {}
     # Path cuboids are fully materialized, so "every computed cell is a
     # driver" means every child group's parent exists and drives — the
     # membership scan below can be skipped wholesale.  (Not sound for
     # drilled cuboids: their computed cells are only the driven subset.)
     fully_driven: set[Coord] = set()
-    result_cuboids: dict[Coord, Cuboid] = {}
-    retained_exceptions: dict[Coord, dict[Values, ISB]] = {}
 
     for coord in lattice.top_down_order():
         if coord in path_set:
             cells = path_cells[coord]
         else:
             active_parents = [
-                (p, drivers[p])
-                for p in lattice.parents(coord)
-                if drivers.get(p)
+                drivers[p] for p in lattice.parents(coord) if drivers.get(p)
             ]
             if not active_parents:
-                drivers[coord] = set()
-                retained_exceptions[coord] = {}
-                result_cuboids[coord] = Cuboid(schema, coord)
+                skipped = result_cuboids[coord] = Cuboid.from_cells(schema, coord)
+                retained_exceptions[coord] = skipped.cells
                 stats.cuboids_skipped += 1
                 continue
             src_coord = lattice.closest_descendant(coord, path.coords)
             assert src_coord is not None  # the m-layer is on the path
             src = path_cells[src_coord]
             stats.rows_scanned += len(src)
-            all_driven = any(
-                p_coord in fully_driven for p_coord, _ in active_parents
-            )
-            cells = columnar.drill(src_coord, coord, active_parents, all_driven)
+            all_driven = any(p.coord in fully_driven for p in active_parents)
+            cells = _drill(src, coord, active_parents, all_driven)
             stats.cells_computed += len(cells)
             stats.cuboids_computed += 1
             if len(cells) > stats.transient_peak_cells:
                 stats.transient_peak_cells = len(cells)
 
-        exceptions = {
-            values: isb
-            for values, isb in cells.items()
-            if policy.is_exception(isb, coord)
-        }
-        drivers[coord] = set(exceptions)
-        if coord in path_set and cells and len(exceptions) == len(cells):
+        exceptions = drivers[coord] = policy.exceptions(cells)
+        if coord in path_set and len(cells) and len(exceptions) == len(cells):
             fully_driven.add(coord)
 
         if coord == layers.o_coord:
-            result_cuboids[coord] = Cuboid(schema, coord, cells)
+            result_cuboids[coord] = Cuboid(schema, cells)
             stats.retained_cells += len(cells)
         elif coord == layers.m_coord:
-            result_cuboids[coord] = Cuboid(schema, coord, cells)
+            result_cuboids[coord] = Cuboid(schema, cells)
             # The m-layer is charged to the tree's leaf regression points.
         elif coord in path_set:
             # Path cells stay resident in the tree (charged as interior
             # ISBs); the *output* is the exception cells.
-            retained_exceptions[coord] = exceptions
-            result_cuboids[coord] = Cuboid(schema, coord, cells)
+            result_cuboids[coord] = Cuboid(schema, cells)
+            retained_exceptions[coord] = ColumnCells(exceptions)
         else:
-            retained_exceptions[coord] = exceptions
-            result_cuboids[coord] = Cuboid(schema, coord, exceptions)
+            kept = result_cuboids[coord] = Cuboid(schema, exceptions)
+            retained_exceptions[coord] = kept.cells
             stats.retained_cells += len(exceptions)
 
     stats.runtime_s = watch.elapsed()

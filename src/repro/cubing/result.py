@@ -48,10 +48,9 @@ class CubeResult:
     instead of re-aggregating the m-layer.
 
     The cell mappings (``Cuboid.cells``, the values of
-    ``retained_exceptions``) are dicts, or the column-backed
-    :class:`~repro.cube.cuboid.ColumnCells` the numpy m/o-cubing walk
-    returns: value tuples and ISB objects then exist only for the cells a
-    caller has read.
+    ``retained_exceptions``) are the column-backed
+    :class:`~repro.cube.cuboid.ColumnCells` every walk returns: value tuples
+    and ISB objects exist only for the cells a caller has read.
     """
 
     layers: CriticalLayers

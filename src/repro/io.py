@@ -1,9 +1,8 @@
-"""JSON persistence for ISBs, tilt frames, engine state, and cubing results.
+"""JSON persistence for ISBs, tilt frames, engine state, and query specs.
 
-Stream analysis checkpoints state: the m-layer of a window, the retained
-exception cells of the last refresh, a generated benchmark dataset — and,
-since the durability refactor, whole tilt frames and engine snapshots.
-This module serializes those to a stable, human-inspectable JSON layout.
+Stream analysis checkpoints state: whole tilt frames and engine snapshots,
+plus the cell rows and query specs of the service's wire format.  This
+module serializes those to a stable, human-inspectable JSON layout.
 
 Value tuples may mix ints and strings (fanout vs explicit hierarchies, plus
 the ``"*"`` sentinel), so each value is tagged on disk: ints as-is, strings
@@ -44,23 +43,13 @@ __all__ = [
     "frame_to_dict",
     "frame_from_dict",
     "cells_to_payload",
-    "cells_from_payload",
-    "dump_cells",
-    "load_cells",
-    "dump_exceptions",
-    "load_exceptions",
     "engine_state_to_dict",
     "engine_state_from_dict",
     "spec_to_dict",
     "spec_from_dict",
-    "batch_to_dict",
-    "batch_from_dict",
-    "result_to_dict",
 ]
 
 Values = tuple[Hashable, ...]
-
-_FORMAT_VERSION = 1
 
 #: Version tag of the state codecs (tilt frames, engine snapshots, cube
 #: manifests).  Bump when the payload shape changes; decoders reject
@@ -296,25 +285,11 @@ def frame_from_dict(
 
 def cells_to_payload(cells: Mapping[Values, ISB]) -> list[dict[str, Any]]:
     """A JSON-ready row list for a cell mapping (one ``{values, isb}`` per
-    cell) — the wire format of both the checkpoint files here and the HTTP
-    service in :mod:`repro.service`."""
+    cell) — the wire format of the HTTP service in :mod:`repro.service`."""
     return [
         {"values": list(values), "isb": isb_to_dict(isb)}
         for values, isb in cells.items()
     ]
-
-
-def cells_from_payload(rows: list[dict[str, Any]]) -> dict[Values, ISB]:
-    """Inverse of :func:`cells_to_payload`; rejects duplicate cells."""
-    out: dict[Values, ISB] = {}
-    for row in rows:
-        values = decoding("cells", lambda: tuple(row["values"]))
-        if values in out:
-            raise CodecError(f"cells: duplicate cell {values} in payload")
-        out[values] = isb_from_dict(
-            decoding("cells", lambda: row["isb"])
-        )
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -352,80 +327,3 @@ def spec_from_dict(payload: Mapping[str, Any]) -> Any:
     from repro.query.spec import spec_from_dict as decode
 
     return decode(payload)
-
-
-def batch_to_dict(batch: Any) -> dict[str, Any]:
-    """JSON-ready wire form of a :class:`~repro.query.spec.BatchQuery`."""
-    return batch.to_dict()
-
-
-def batch_from_dict(payload: Mapping[str, Any]) -> Any:
-    """Inverse of :func:`batch_to_dict`."""
-    from repro.query.spec import BatchQuery
-
-    return BatchQuery.from_dict(payload)
-
-
-def result_to_dict(result: Any) -> dict[str, Any]:
-    """Wire form of a :class:`~repro.query.exec.QueryResult` envelope."""
-    return result.to_dict()
-
-
-def _load_json(codec: str, path: str | Path) -> Any:
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"{codec}: {path} is not valid JSON ({exc})") from None
-
-
-def dump_cells(cells: Mapping[Values, ISB], path: str | Path) -> None:
-    """Write an m-layer (or any cell mapping) to a JSON file."""
-    payload = {
-        "format": "repro-cells",
-        "version": _FORMAT_VERSION,
-        "cells": cells_to_payload(cells),
-    }
-    Path(path).write_text(json.dumps(payload, indent=1))
-
-
-def load_cells(path: str | Path) -> dict[Values, ISB]:
-    """Read a cell mapping written by :func:`dump_cells`."""
-    payload = _load_json("cells", path)
-    check_format("cells", payload, "repro-cells", _FORMAT_VERSION)
-    return cells_from_payload(
-        decoding("cells", lambda: payload["cells"])
-    )
-
-
-def dump_exceptions(
-    retained: Mapping[tuple[int, ...], Mapping[Values, ISB]],
-    path: str | Path,
-) -> None:
-    """Write per-cuboid retained exception cells to a JSON file."""
-    payload = {
-        "format": "repro-exceptions",
-        "version": _FORMAT_VERSION,
-        "cuboids": [
-            {"coord": list(coord), "cells": cells_to_payload(cells)}
-            for coord, cells in retained.items()
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1))
-
-
-def load_exceptions(
-    path: str | Path,
-) -> dict[tuple[int, ...], dict[Values, ISB]]:
-    """Read exception cells written by :func:`dump_exceptions`."""
-    payload = _load_json("exceptions", path)
-    check_format("exceptions", payload, "repro-exceptions", _FORMAT_VERSION)
-
-    def build() -> dict[tuple[int, ...], dict[Values, ISB]]:
-        return {
-            tuple(int(c) for c in entry["coord"]): cells_from_payload(
-                entry["cells"]
-            )
-            for entry in payload["cuboids"]
-        }
-
-    return decoding("exceptions", build)

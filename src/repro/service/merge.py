@@ -18,13 +18,12 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Mapping
 
 from repro.cube.cell import canonical_cell_order
-from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.policy import ExceptionPolicy
 from repro.cubing.result import CubeResult
 from repro.errors import ServiceError
 from repro.regression.isb import ISB
-from repro.stream.engine import Algorithm, run_cubing
+from repro.stream.engine import run_cubing
 
 __all__ = ["canonical_cell_order", "disjoint_union", "merge_cube"]
 
@@ -59,19 +58,15 @@ def merge_cube(
     layers: CriticalLayers,
     policy: ExceptionPolicy,
     shard_m_layers: Iterable[Mapping[Values, ISB]],
-    algorithm: Algorithm = "mo",
-    path: PopularPath | None = None,
 ) -> CubeResult:
     """Assemble a global :class:`CubeResult` from per-shard m-layers.
 
     The disjoint union *is* the global m-layer; every coarser cuboid and the
-    exception closure are recomputed from it by the chosen cubing algorithm,
-    so the result carries no trace of the partitioning.
+    exception cells are recomputed from it by m/o-cubing, so the result
+    carries no trace of the partitioning.
 
     No ``src/`` caller: the frozen end-to-end tracer
     (``benchmarks/e2e/replay.py``) wraps it by name, and it goes when that
     hook does.
     """
-    return run_cubing(
-        layers, disjoint_union(shard_m_layers), policy, algorithm, path
-    )
+    return run_cubing(layers, disjoint_union(shard_m_layers), policy)

@@ -38,7 +38,6 @@ from repro import faults
 from repro.cluster.backends import ClusterConfig, InprocBackend, ShardBackend
 from repro.cluster.process import ProcessBackend
 from repro.cluster.worker import WorkerSpec
-from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
 from repro.cubing.mo_cubing import CubePlan, PlannedCells
 from repro.cubing.policy import ExceptionPolicy
@@ -70,7 +69,6 @@ from repro.storage import (
     prune_stale_generations,
 )
 from repro.stream.engine import (
-    Algorithm,
     KeyFn,
     Segment,
     StreamCubeEngine,
@@ -975,28 +973,20 @@ class ShardedStreamCube:
             self.current_quarter, self.ticks_per_quarter, window_quarters
         )
 
-    def refresh(
-        self,
-        window_quarters: int = 4,
-        algorithm: Algorithm = "mo",
-        path: PopularPath | None = None,
-    ) -> CubeResult:
+    def refresh(self, window_quarters: int = 4) -> CubeResult:
         """A global cube refresh over the merged m-layer.
 
         The merge is the only cross-shard step: once the m-layer union is
-        assembled, the cubing algorithms run unchanged — coarser cuboids are
+        assembled, m/o-cubing runs on it unchanged — coarser cuboids are
         re-aggregated from the union exactly as they would be from a single
-        engine's m-layer.  m/o-cubing takes the union as columns under the
-        held plan of its cell set; everything else takes it boxed.
+        engine's m-layer.  The union goes in as columns under the held plan
+        of its cell set.  Another algorithm runs on
+        ``m_cells(window_quarters)``.
         """
         with self._locks.read_all():
             window = self._recent_window(window_quarters)
             held, (isbs,) = self._merged_columns(window)
-        if algorithm == "mo":
-            cells = PlannedCells(held.plan, isbs)
-        else:
-            cells = dict(zip(held.keys, isbs.to_isbs()))
-        return run_cubing(self.layers, cells, self.policy, algorithm, path)
+        return run_cubing(self.layers, PlannedCells(held.plan, isbs), self.policy)
 
     def _merged_columns(
         self, *windows: tuple[int, int]

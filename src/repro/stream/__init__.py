@@ -9,7 +9,6 @@ from repro.stream.records import (
     sort_records,
     validate_monotonic,
 )
-from repro.stream.replay import capture, replay_records, write_records
 from repro.stream.sliding import SlidingWindowRegression
 from repro.stream.state import CellSnapshot, EngineState
 from repro.stream.wal import QuarterWAL, WalEntry
@@ -31,8 +30,5 @@ __all__ = [
     "USER_GROUPS",
     "StreamCubeEngine",
     "engine_frame_levels",
-    "write_records",
-    "replay_records",
-    "capture",
     "SlidingWindowRegression",
 ]

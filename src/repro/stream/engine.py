@@ -50,19 +50,15 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict, defaultdict
 from itertools import count, filterfalse
-from typing import Any, Callable, Hashable, Iterable, Literal
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
 from repro.cube.cell import canonical_cell_order
 from repro.cube.cuboid import CuboidColumns
-from repro.cube.lattice import PopularPath
 from repro.cube.layers import CriticalLayers
-from repro.cubing.full import full_materialization
 from repro.cubing.mo_cubing import CubePlan, PlannedCells, mo_cubing
-from repro.cubing.multiway import multiway_cubing
 from repro.cubing.policy import ExceptionPolicy, two_point_columns
-from repro.cubing.popular_path import popular_path_cubing
 from repro.cubing.result import CubeResult
 from repro.errors import StreamError, TiltFrameError
 from repro.regression import kernels
@@ -97,7 +93,6 @@ __all__ = [
 
 Values = tuple[Hashable, ...]
 KeyFn = Callable[[StreamRecord], Values]
-Algorithm = Literal["mo", "popular", "multiway", "full"]
 #: One quarter of a batch, interned: ``(quarter, keys, group, ticks, z)`` —
 #: the distinct cell keys in first-seen order, and per record (arrival
 #: order) its key's index in ``keys``, its tick and its value.
@@ -273,25 +268,17 @@ def _canonical_rows(keys: list[Values]) -> kernels.Column:
 
 def run_cubing(
     layers: CriticalLayers,
-    cells: dict[Values, ISB] | PlannedCells,
+    cells: Mapping[Values, ISB] | PlannedCells,
     policy: ExceptionPolicy,
-    algorithm: Algorithm = "mo",
-    path: PopularPath | None = None,
 ) -> CubeResult:
-    """Dispatch one cubing run over an assembled m-layer by algorithm name.
+    """One cubing run over an assembled m-layer: m/o-cubing (Algorithm 1).
 
-    ``cells`` is the m-layer as ``{values: isb}`` or, for ``"mo"`` only, as
-    columns under the kept plan of their cell set
-    (:class:`~repro.cubing.mo_cubing.PlannedCells`)."""
-    if algorithm == "mo":
-        return mo_cubing(layers, cells, policy)
-    if algorithm == "popular":
-        return popular_path_cubing(layers, cells, policy, path)
-    if algorithm == "multiway":
-        return multiway_cubing(layers, cells, policy)
-    if algorithm == "full":
-        return full_materialization(layers, cells, policy)
-    raise StreamError(f"unknown algorithm {algorithm!r}")
+    Both refreshes (the engine's and the sharded cube's) call this with
+    ``cells`` as columns under the kept plan of their cell set
+    (:class:`~repro.cubing.mo_cubing.PlannedCells`).  The other cubing
+    algorithms are library functions over ``m_cells(window)``, not options
+    of the stream path."""
+    return mo_cubing(layers, cells, policy)
 
 
 def engine_frame_levels(ticks_per_quarter: int) -> list[TiltLevelSpec]:
@@ -1052,35 +1039,25 @@ class StreamCubeEngine:
             )
         )
 
-    def refresh(
-        self,
-        window_quarters: int = 4,
-        algorithm: Algorithm = "mo",
-        path: PopularPath | None = None,
-    ) -> CubeResult:
+    def refresh(self, window_quarters: int = 4) -> CubeResult:
         """Recompute the o-layer and exception cells over a recent window.
 
         This is the quarter-boundary "cube computation" trigger of
         Section 4.5, exposed as an explicit call so applications control the
-        cadence.  m/o-cubing reads the window as columns and keeps its
-        :class:`~repro.cubing.mo_cubing.CubePlan` for as long as the cell
-        set stands, so a refresh between births re-runs only the floats.
+        cadence.  It runs m/o-cubing, which reads the window as columns and
+        keeps its :class:`~repro.cubing.mo_cubing.CubePlan` for as long as
+        the cell set stands, so a refresh between births re-runs only the
+        floats.  Another algorithm runs on ``m_cells(window_quarters)``.
         """
-        if algorithm == "mo":
-            generation, keys, columns = self.window_columns(
-                *recent_window_bounds(
-                    self._current_quarter,
-                    self.ticks_per_quarter,
-                    window_quarters,
-                )
+        generation, keys, columns = self.window_columns(
+            *recent_window_bounds(
+                self._current_quarter, self.ticks_per_quarter, window_quarters
             )
-            held = self._plan
-            if held is None or held[0] != generation:
-                held = self._plan = (generation, CubePlan(self.layers, keys))
-            cells = PlannedCells(held[1], columns)
-        else:
-            cells = self.m_cells(window_quarters)
-        return run_cubing(self.layers, cells, self.policy, algorithm, path)
+        )
+        held = self._plan
+        if held is None or held[0] != generation:
+            held = self._plan = (generation, CubePlan(self.layers, keys))
+        return run_cubing(self.layers, PlannedCells(held[1], columns), self.policy)
 
     def change_exceptions(
         self, quarters_apart: int = 1

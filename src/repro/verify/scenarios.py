@@ -45,11 +45,14 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from repro import faults
 from repro.cluster import ClusterConfig
+from repro.cubing.full import full_materialization
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.cubing.popular_path import popular_path_cubing
+from repro.cubing.result import CubeResult
 from repro.errors import CorruptionError, ServiceError
 from repro.io import isb_from_dict
 from repro.query.api import RegressionCubeView
@@ -137,7 +140,9 @@ class Check:
     """Differentially verify current state against the oracle.
 
     ``windows`` — m-layer window regressions (plus engine==cube equality);
-    ``cube`` — a full cubing refresh (cells, flags, retention closure);
+    ``cube`` — a full cubing refresh (cells, flags, retention closure) or,
+    with ``algorithm`` set, that cubing function run on both systems'
+    ``m_cells`` (a refresh always runs m/o-cubing);
     ``queries`` — the declarative query layer through view and router;
     ``changes`` — current-vs-previous change exceptions at both layers.
     """
@@ -146,7 +151,7 @@ class Check:
     cube: bool = False
     queries: bool = False
     changes: bool = False
-    algorithm: str = "mo"
+    algorithm: Callable[..., CubeResult] | None = None
 
 
 @dataclass(frozen=True)
@@ -685,11 +690,15 @@ class ScenarioRunner:
                 )
         self.report.checks += 1
 
-    def _check_cube(self, window: int, algorithm: str) -> None:
-        result = self.engine.refresh(window, algorithm)
-        assert_result_equal(result, self.oracle, window)
-        cube_result = self.cube.refresh(window, algorithm)
-        assert_result_equal(cube_result, self.oracle, window)
+    def _check_cube(
+        self, window: int, algorithm: Callable[..., CubeResult] | None
+    ) -> None:
+        for system in (self.engine, self.cube):
+            if algorithm is None:
+                result = system.refresh(window)
+            else:
+                result = algorithm(system.layers, system.m_cells(window), system.policy)
+            assert_result_equal(result, self.oracle, window)
         self.report.cells_compared += len(result.m_layer)
 
     def _check_changes(self) -> None:
@@ -1638,10 +1647,10 @@ SCENARIOS: dict[str, Scenario] = {
             "Popular-path cubing's retention closure vs the oracle.",
             Traffic(quarters=4, rate=4),
             Advance(1),
-            Check(cube=True, algorithm="popular"),
+            Check(cube=True, algorithm=popular_path_cubing),
             Traffic(quarters=1, rate=3, style="trickle"),
             Advance(1),
-            Check(cube=True, algorithm="full"),
+            Check(cube=True, algorithm=full_materialization),
         ),
         _scenario(
             "single_tick_quarters",

@@ -21,6 +21,12 @@ from hypothesis import settings
 from repro.cube.hierarchy import ExplicitHierarchy, FanoutHierarchy
 from repro.cube.layers import CriticalLayers
 from repro.cube.schema import CubeSchema, Dimension
+from repro.cubing.buc import buc_cubing
+from repro.cubing.build import build_mo_htree
+from repro.cubing.full import full_materialization
+from repro.cubing.mo_cubing import mo_cubing, mo_cubing_from_tree
+from repro.cubing.multiway import multiway_cubing
+from repro.cubing.popular_path import popular_path_cubing
 from repro.regression.isb import ISB
 from repro.stream.generator import generate_dataset
 from repro.timeseries.series import TimeSeries
@@ -43,6 +49,23 @@ def isb_close(a: ISB, b: ISB, tol: float = 1e-9) -> bool:
         and math.isclose(a.base, b.base, rel_tol=tol, abs_tol=tol)
         and math.isclose(a.slope, b.slope, rel_tol=tol, abs_tol=tol)
     )
+
+
+def _mo_cubing_from_tree(layers, cells, policy):
+    items = cells.items() if isinstance(cells, dict) else cells
+    return mo_cubing_from_tree(layers, build_mo_htree(layers, items), policy)
+
+
+#: Every cubing walk, as ``walk(layers, m_cells, policy)``; parametrize
+#: with ``ids=list(CUBING_WALKS)``.
+CUBING_WALKS = {
+    "mo": mo_cubing,
+    "mo_from_tree": _mo_cubing_from_tree,
+    "full": full_materialization,
+    "multiway": multiway_cubing,
+    "popular": popular_path_cubing,
+    "buc": buc_cubing,
+}
 
 
 @pytest.fixture

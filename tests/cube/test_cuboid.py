@@ -6,12 +6,14 @@ import math
 
 import pytest
 
-from repro.cube.cuboid import ColumnCells, Cuboid, CuboidColumns
+from repro.cube.cuboid import ColumnCells, Cuboid
 from repro.cube.hierarchy import ALL, FanoutHierarchy
 from repro.cube.schema import CubeSchema, Dimension
+from repro.cubing.policy import GlobalSlopeThreshold
 from repro.errors import QueryError, SchemaError
 from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
+from tests.conftest import CUBING_WALKS
 
 
 @pytest.fixture
@@ -33,7 +35,7 @@ def base(schema) -> Cuboid:
         (2, 1): ISB(0, 9, 3.0, 0.3),
         (3, 3): ISB(0, 9, 4.0, 0.4),
     }
-    return Cuboid(schema, (2, 2), cells)
+    return Cuboid.from_cells(schema, (2, 2), cells.items())
 
 
 class TestMappingInterface:
@@ -70,7 +72,7 @@ class TestRollUp:
         assert set(same) == set(base)
 
     def test_roll_up_rejects_downward(self, schema):
-        c = Cuboid(schema, (1, 1), {(0, 0): ISB(0, 1, 0, 0)})
+        c = Cuboid.from_cells(schema, (1, 1), [((0, 0), ISB(0, 1, 0, 0))])
         with pytest.raises(SchemaError):
             c.roll_up((2, 1))
 
@@ -92,8 +94,8 @@ class TestRollUp:
 
 
 class TestRollUpCellFromColumns:
-    """One body for both arms: the rows whose lifted codes match, merged
-    with ``merge_standard`` (``fsum``), and nothing else boxed."""
+    """The rows whose lifted codes match, merged with ``merge_standard``
+    (``fsum``), and nothing else boxed."""
 
     @pytest.fixture
     def cancelling(self, schema):
@@ -105,32 +107,36 @@ class TestRollUpCellFromColumns:
             (3, 3): ISB(0, 9, 1.0, 0.125),
         }
 
-    def column_backed(self, schema, cells):
-        columns = CuboidColumns.from_cells(schema, (2, 2), list(cells), cells.values())
-        return Cuboid(schema, (2, 2), ColumnCells(columns))
-
-    def test_both_arms_are_fsum_of_the_matching_rows(self, schema, cancelling):
+    def test_fsum_of_the_matching_rows(self, schema, cancelling):
         expected = merge_standard(cancelling.values())
         assert expected.base == 2.0
-        for cuboid in (
-            Cuboid(schema, (2, 2), cancelling),
-            self.column_backed(schema, cancelling),
-        ):
-            assert cuboid.roll_up_cell((0, 0), (ALL, ALL)) == expected
-            assert cuboid.roll_up_cell((1, 2), (1, 1)) == cancelling[(2, 1)]
-            assert cuboid.roll_up_cell((1, 2), (1, 0)) is None
-            assert cuboid.roll_up_cell((1, 1), (0, 0)) == merge_standard(
-                [cancelling[(0, 0)], cancelling[(1, 0)]]
-            )
+        cuboid = Cuboid.from_cells(schema, (2, 2), cancelling.items())
+        assert cuboid.roll_up_cell((0, 0), (ALL, ALL)) == expected
+        assert cuboid.roll_up_cell((1, 2), (1, 1)) == cancelling[(2, 1)]
+        assert cuboid.roll_up_cell((1, 2), (1, 0)) is None
+        assert cuboid.roll_up_cell((1, 1), (0, 0)) == merge_standard(
+            [cancelling[(0, 0)], cancelling[(1, 0)]]
+        )
 
-    def test_column_backed_cells_are_not_boxed(self, schema, cancelling):
-        cuboid = self.column_backed(schema, cancelling)
+    def test_cells_are_not_boxed(self, schema, cancelling):
+        cuboid = Cuboid.from_cells(schema, (2, 2), cancelling.items())
         assert cuboid.roll_up_cell((0, 1), (ALL, 0)) == merge_standard(
             [cancelling[(0, 0)], cancelling[(1, 0)], cancelling[(2, 1)]]
         )
         assert cuboid.cells._boxed is None
 
     def test_rejects_downward(self, schema):
-        c = Cuboid(schema, (1, 1), {(0, 0): ISB(0, 1, 0, 0)})
+        c = Cuboid.from_cells(schema, (1, 1), [((0, 0), ISB(0, 1, 0, 0))])
         with pytest.raises(SchemaError):
             c.roll_up_cell((2, 1), (0, 0))
+
+
+@pytest.mark.parametrize("walk", CUBING_WALKS.values(), ids=list(CUBING_WALKS))
+def test_every_walk_returns_column_backed_cells(walk, small_dataset):
+    result = walk(small_dataset.layers, small_dataset.cells, GlobalSlopeThreshold(0.3))
+    assert result.total_retained_exceptions > 0
+    for cells in [
+        *(cuboid.cells for cuboid in result.cuboids.values()),
+        *result.retained_exceptions.values(),
+    ]:
+        assert type(cells) is ColumnCells

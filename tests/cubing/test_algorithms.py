@@ -20,8 +20,9 @@ from repro.cubing.mo_cubing import mo_cubing
 from repro.cubing.policy import GlobalSlopeThreshold, calibrate_threshold
 from repro.cubing.popular_path import popular_path_cubing
 from repro.cubing.result import framework_closure
-from repro.errors import CubingError
-from tests.conftest import isb_close
+from repro.errors import CubingError, HierarchyError
+from repro.regression.isb import ISB
+from tests.conftest import CUBING_WALKS, isb_close
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +247,23 @@ class TestResultAccessors:
     def test_o_layer_exceptions_subset_of_o_layer(self, mo):
         exc = mo.o_layer_exceptions()
         assert set(exc) <= set(mo.o_layer.cells)
+
+
+@pytest.mark.parametrize("walk", CUBING_WALKS.values(), ids=list(CUBING_WALKS))
+class TestEveryWalk:
+    def test_empty_m_layer_gives_an_empty_result(self, walk, fanout_layers):
+        result = walk(fanout_layers, {}, GlobalSlopeThreshold(0.1))
+        assert set(result.cuboids) == set(fanout_layers.lattice.coords())
+        assert not any(len(cuboid) for cuboid in result.cuboids.values())
+        assert result.total_retained_exceptions == 0
+        stats = result.stats
+        assert (stats.cells_computed, stats.rows_scanned, stats.retained_cells) == (
+            0,
+            0,
+            0,
+        )
+
+    def test_out_of_schema_key_is_a_hierarchy_error(self, walk, fanout_layers):
+        cells = {(0, 1): ISB(0, 3, 1.0, 1.0), ("zz", "yy"): ISB(0, 3, 1.0, 0.5)}
+        with pytest.raises(HierarchyError):
+            walk(fanout_layers, cells, GlobalSlopeThreshold(0.1))

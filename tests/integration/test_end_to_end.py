@@ -14,6 +14,7 @@ import pytest
 
 from repro.cube.hierarchy import ALL
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.cubing.popular_path import popular_path_cubing
 from repro.query.drill import ExceptionDriller
 from repro.regression.isb import isb_of_series
 from repro.stream.engine import StreamCubeEngine
@@ -72,14 +73,14 @@ class TestStreamingPipeline:
 
     def test_surging_block_flagged_at_o_layer(self, pipeline):
         sim, layers, engine = pipeline
-        result = engine.refresh(window_quarters=4, algorithm="mo")
+        result = engine.refresh(window_quarters=4)
         exceptional = result.o_layer_exceptions()
         # o-layer is (*, city); the surging block is in city1.
         assert (ALL, "city1") in exceptional
 
     def test_drilling_localizes_the_surge(self, pipeline):
         sim, layers, engine = pipeline
-        result = engine.refresh(window_quarters=4, algorithm="mo")
+        result = engine.refresh(window_quarters=4)
         driller = ExceptionDriller(result)
         roots = driller.drill_tree()
         flagged_blocks = {
@@ -91,9 +92,9 @@ class TestStreamingPipeline:
         assert "c1-b1" in flagged_blocks
 
     def test_mo_and_popular_agree_end_to_end(self, pipeline):
-        _, _, engine = pipeline
-        mo = engine.refresh(4, "mo")
-        pp = engine.refresh(4, "popular")
+        _, layers, engine = pipeline
+        mo = engine.refresh(4)
+        pp = popular_path_cubing(layers, engine.m_cells(4), engine.policy)
         assert set(mo.o_layer.cells) == set(pp.o_layer.cells)
         for key in mo.o_layer.cells:
             assert math.isclose(

@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cube.cell import roll_up_values
+from repro.cube.cuboid import Cuboid
 from repro.cube.lattice import PopularPath
 from repro.cubing.full import full_materialization, intermediate_slopes
 from repro.cubing.mo_cubing import mo_cubing
 from repro.cubing.policy import GlobalSlopeThreshold, calibrate_threshold
 from repro.cubing.popular_path import popular_path_cubing
 from repro.errors import QueryError, ReproError
-from repro.io import result_to_dict, spec_from_dict, spec_to_dict
+from repro.io import spec_from_dict, spec_to_dict
 from repro.query import Q, RegressionCubeView, execute, execute_batch
 from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
@@ -239,9 +240,10 @@ class TestCompleteCuboidServing:
         }
         result = full_materialization(layers, cells, GlobalSlopeThreshold(1.0))
         mid = layers.intermediate_coords[0]
-        sentinel_key = next(iter(result.cuboids[mid].cells))
-        sentinel = ISB(0, 3, 123.0, 9.0)
-        result.cuboids[mid].cells[sentinel_key] = sentinel
+        cells = dict(result.cuboids[mid].cells)
+        sentinel_key = next(iter(cells))
+        sentinel = cells[sentinel_key] = ISB(0, 3, 123.0, 9.0)
+        result.cuboids[mid] = Cuboid.from_cells(layers.schema, mid, cells.items())
         return result, mid, sentinel_key, sentinel
 
     def test_slice_serves_from_complete_cuboid(self, poisoned):
@@ -331,17 +333,17 @@ class TestBatchesAndEnvelopes:
         m, o = data.layers.m_coord, data.layers.o_coord
         cell = next(iter(view.result.m_layer.cells))
         dim0 = data.layers.schema.names[0]
-        payload = result_to_dict(execute(view, Q.cell(m, cell)))
+        payload = execute(view, Q.cell(m, cell)).to_dict()
         assert payload["op"] == "cell" and set(payload["isb"]) == {
             "t_b", "t_e", "base", "slope",
         }
-        payload = result_to_dict(execute(view, Q.roll_up(m, cell, dim0)))
+        payload = execute(view, Q.roll_up(m, cell, dim0)).to_dict()
         assert set(payload) == {"op", "coord", "values", "isb"}
-        payload = result_to_dict(execute(view, Q.top_slopes(o, k=2)))
+        payload = execute(view, Q.top_slopes(o, k=2)).to_dict()
         assert payload["op"] == "top_slopes"
         assert all(set(row) == {"values", "isb"} for row in payload["cells"])
-        payload = result_to_dict(execute(view, Q.watch_list()))
+        payload = execute(view, Q.watch_list()).to_dict()
         assert isinstance(payload["cells"], list)
-        payload = result_to_dict(execute(view, Q.exceptions()))
+        payload = execute(view, Q.exceptions()).to_dict()
         assert payload["op"] == "exceptions"
         assert all(set(row) == {"coord", "cells"} for row in payload["cuboids"])

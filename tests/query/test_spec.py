@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import HierarchyError, QueryError, SchemaError
-from repro.io import batch_from_dict, batch_to_dict, spec_from_dict, spec_to_dict
+from repro.io import spec_from_dict, spec_to_dict
 from repro.query.spec import (
     _REGISTRY,
     BatchQuery,
@@ -213,11 +213,11 @@ class TestBatch:
 
     def test_round_trip(self):
         batch = Q.batch(*every_op_specs())
-        assert batch_from_dict(batch_to_dict(batch)) == batch
+        assert BatchQuery.from_dict(batch.to_dict()) == batch
 
     def test_decode_requires_queries_list(self):
         with pytest.raises(QueryError):
-            batch_from_dict({"queries": "nope"})
+            BatchQuery.from_dict({"queries": "nope"})
 
     def test_cache_key_covers_members_in_order(self):
         a = Q.batch(Q.watch_list(), Q.observation_deck())

@@ -14,7 +14,7 @@ import urllib.request
 import pytest
 
 from repro.errors import CorruptionError
-from repro.io import cells_from_payload, isb_from_dict
+from repro.io import isb_from_dict
 from repro.query import Q
 from repro.service.http import StreamCubeService, make_server
 from repro.service.router import QueryRouter
@@ -25,6 +25,11 @@ from repro.stream.records import StreamRecord
 from repro.verify.oracle import RawStreamOracle, assert_cells_equal
 
 from tests.service.conftest import TPQ, workload
+
+
+def cells_from_payload(rows):
+    """The ``{values: isb}`` mapping of a body's cell rows."""
+    return {tuple(row["values"]): isb_from_dict(row["isb"]) for row in rows}
 
 
 @pytest.fixture

@@ -9,7 +9,10 @@ import pytest
 from repro.cube.hierarchy import ALL, FanoutHierarchy
 from repro.cube.layers import CriticalLayers
 from repro.cube.schema import CubeSchema, Dimension
+from repro.cubing.full import full_materialization
+from repro.cubing.multiway import multiway_cubing
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.cubing.popular_path import popular_path_cubing
 from repro.errors import StreamError
 from repro.regression.isb import isb_of_series
 from repro.stream.engine import StreamCubeEngine, engine_frame_levels
@@ -240,51 +243,40 @@ class TestRefresh:
             engine.ingest(StreamRecord((3, 3), t, 2.0))
         engine.advance_to(8)
 
-    def test_refresh_mo(self, layers):
+    def test_refresh_runs_mo_cubing(self, layers):
         engine = make_engine(layers, threshold=0.5)
         self._fill(engine)
-        result = engine.refresh(window_quarters=2, algorithm="mo")
+        result = engine.refresh(window_quarters=2)
         assert result.stats.algorithm == "m/o-cubing"
         # o-layer cell (0,0) aggregates the two steep m-cells.
         o_exc = result.o_layer_exceptions()
         assert (0, 0) in o_exc
 
-    def test_refresh_popular(self, layers):
+    @pytest.mark.parametrize(
+        "walk, name",
+        [
+            (popular_path_cubing, "popular-path"),
+            (full_materialization, "full-materialization"),
+            (multiway_cubing, "multiway"),
+        ],
+    )
+    def test_other_algorithms_run_on_m_cells(self, layers, walk, name):
         engine = make_engine(layers, threshold=0.5)
         self._fill(engine)
-        result = engine.refresh(window_quarters=2, algorithm="popular")
-        assert result.stats.algorithm == "popular-path"
+        result = walk(layers, engine.m_cells(2), engine.policy)
+        assert result.stats.algorithm == name
         assert (0, 0) in result.o_layer_exceptions()
 
-    def test_refresh_full(self, layers):
+    def test_refresh_and_popular_path_agree_on_o_layer(self, layers):
         engine = make_engine(layers, threshold=0.5)
         self._fill(engine)
-        result = engine.refresh(window_quarters=2, algorithm="full")
-        assert result.stats.algorithm == "full-materialization"
-
-    def test_refresh_multiway(self, layers):
-        engine = make_engine(layers, threshold=0.5)
-        self._fill(engine)
-        result = engine.refresh(window_quarters=2, algorithm="multiway")
-        assert result.stats.algorithm == "multiway"
-        assert (0, 0) in result.o_layer_exceptions()
-
-    def test_refresh_algorithms_agree_on_o_layer(self, layers):
-        engine = make_engine(layers, threshold=0.5)
-        self._fill(engine)
-        mo = engine.refresh(2, "mo")
-        pp = engine.refresh(2, "popular")
+        mo = engine.refresh(2)
+        pp = popular_path_cubing(layers, engine.m_cells(2), engine.policy)
         assert set(mo.o_layer.cells) == set(pp.o_layer.cells)
         for key in mo.o_layer.cells:
             a, b = mo.o_layer[key], pp.o_layer[key]
             assert math.isclose(a.base, b.base, rel_tol=1e-9)
             assert math.isclose(a.slope, b.slope, rel_tol=1e-9)
-
-    def test_unknown_algorithm_rejected(self, layers):
-        engine = make_engine(layers)
-        self._fill(engine)
-        with pytest.raises(StreamError):
-            engine.refresh(2, "magic")  # type: ignore[arg-type]
 
 
 class TestPruning:

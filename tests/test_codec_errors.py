@@ -9,13 +9,10 @@ naming the codec and the problem, and ``CodecError`` slots under
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro import io
 from repro.errors import CodecError, ReproError, SchemaError
-from repro.regression.isb import ISB
 from repro.stream.state import EngineState
 
 
@@ -37,69 +34,6 @@ class TestIsbCodec:
     def test_non_mapping_payload_is_codec_error(self):
         with pytest.raises(CodecError, match="isb"):
             io.isb_from_dict(None)  # type: ignore[arg-type]
-
-
-class TestCellsCodec:
-    def test_missing_values_field(self):
-        with pytest.raises(CodecError, match="cells"):
-            io.cells_from_payload([{"isb": io.isb_to_dict(ISB(0, 1, 0, 0))}])
-
-    def test_duplicate_cells_rejected(self):
-        row = {"values": [1, 2], "isb": io.isb_to_dict(ISB(0, 1, 0.0, 0.0))}
-        with pytest.raises(CodecError, match="duplicate cell"):
-            io.cells_from_payload([row, dict(row)])
-
-    def test_load_cells_rejects_non_json(self, tmp_path):
-        path = tmp_path / "cells.json"
-        path.write_text("{ not json")
-        with pytest.raises(CodecError, match="not valid JSON"):
-            io.load_cells(path)
-
-    def test_load_cells_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "cells.json"
-        path.write_text(json.dumps({"format": "other", "version": 1}))
-        with pytest.raises(CodecError, match="not a repro-cells payload"):
-            io.load_cells(path)
-
-    def test_load_cells_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "cells.json"
-        path.write_text(
-            json.dumps({"format": "repro-cells", "version": 99, "cells": []})
-        )
-        with pytest.raises(CodecError, match="unsupported version 99"):
-            io.load_cells(path)
-
-    def test_load_cells_rejects_malformed_rows(self, tmp_path):
-        path = tmp_path / "cells.json"
-        path.write_text(
-            json.dumps(
-                {"format": "repro-cells", "version": 1, "cells": [{"bad": 1}]}
-            )
-        )
-        with pytest.raises(CodecError):
-            io.load_cells(path)
-
-
-class TestExceptionsCodec:
-    def test_load_exceptions_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "exc.json"
-        path.write_text(json.dumps({"format": "repro-cells", "version": 1}))
-        with pytest.raises(CodecError, match="not a repro-exceptions payload"):
-            io.load_exceptions(path)
-
-    def test_load_exceptions_rejects_malformed_cuboids(self, tmp_path):
-        path = tmp_path / "exc.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "format": "repro-exceptions",
-                    "version": 1,
-                    "cuboids": [{"coord": "nope"}],
-                }
-            )
-        )
-        with pytest.raises(CodecError, match="exceptions"):
-            io.load_exceptions(path)
 
 
 class TestFrameCodec:

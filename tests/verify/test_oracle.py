@@ -13,7 +13,10 @@ import random
 
 import pytest
 
+from repro.cubing.full import full_materialization
+from repro.cubing.multiway import multiway_cubing
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.cubing.popular_path import popular_path_cubing
 from repro.regression.isb import ISB
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.generator import DatasetSpec
@@ -148,8 +151,10 @@ class TestDifferentialAgreement:
     def test_engine_matches_oracle_end_to_end(self):
         engine, oracle = make_pair()
         assert_cells_equal(engine.m_cells(4), oracle.m_cells(4), "m-cells")
-        for algorithm in ("mo", "popular", "multiway", "full"):
-            assert_result_equal(engine.refresh(4, algorithm), oracle, 4)
+        assert_result_equal(engine.refresh(4), oracle, 4)
+        for algorithm in (popular_path_cubing, multiway_cubing, full_materialization):
+            result = algorithm(engine.layers, engine.m_cells(4), engine.policy)
+            assert_result_equal(result, oracle, 4)
 
     def test_change_exceptions_match(self):
         engine, oracle = make_pair(seed=9)
