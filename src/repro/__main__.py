@@ -193,7 +193,7 @@ def build_service(args: argparse.Namespace):
             if recorded:
                 app.update(recorded)
                 print(f"restoring with recorded app config: {recorded}")
-        elif not (restore_wal and restore_wal.exists()):
+        elif not (restore_wal and QuarterWAL.exists(restore_wal)):
             ShardedStreamCube.read_manifest(args.restore)  # raise the
             # usual "no manifest" CodecError
         # else: journal-only directory — the run crashed before its first
@@ -234,7 +234,7 @@ def build_service(args: argparse.Namespace):
         )
     if args.restore:
         replayed = 0
-        if restore_wal is not None and restore_wal.exists():
+        if restore_wal is not None and QuarterWAL.exists(restore_wal):
             after = int(manifest.get("wal_seq", 0)) if manifest else 0
             if wal is not None and wal.path.resolve() == restore_wal.resolve():
                 replayed = wal.replay(cube, after_seq=after)

@@ -496,7 +496,8 @@ class StreamCubeService:
 
         The WAL is truncated through the sequence number the snapshot
         captured — everything at or below it is durable in the snapshot,
-        so the journal shrinks back to the unsealed tail.  Callers hold
+        so the active segment is sealed and every covered segment
+        unlinked, leaving a fresh, empty active segment.  Callers hold
         the mutator lock (the HTTP route) or own the service exclusively
         (the shutdown hook), so no ingest can land between the snapshot
         and the truncation; the cube's own write mutex + read locks give

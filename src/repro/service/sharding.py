@@ -1418,8 +1418,8 @@ class ShardedStreamCube:
             if entry.kind == "advance":
                 submit(shard, "advance_to", entry.t).result()
                 continue
-            assert entry.records is not None
-            batch = RecordColumns.of(entry.records)
+            batch = entry.batch
+            assert batch is not None
             quarters, _ = kernels.quarter_order(batch.ticks, tpq, 0)
             segments = self._route(
                 group_segments(

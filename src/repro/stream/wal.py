@@ -15,30 +15,44 @@ double-counts journaled records, and ``restore + replay`` reproduces the
 uninterrupted engine bit for bit — the accumulators are rebuilt by the very
 same ``ingest_batch`` calls, in the original order.
 
-The log is quarter-granular in its retention: entries carry their ending
-quarter, and :meth:`truncate_through` (called after a successful snapshot)
-compacts everything the snapshot already covers, so in steady state the
-file holds roughly one unsealed quarter of traffic.
+Retention is by segment.  Every append goes to the *active* segment, the
+file the journal is named by (``wal.jsonl``).  :meth:`truncate_through`
+(called after a successful snapshot with its ``wal_seq``) seals the active
+segment by renaming it to ``wal.jsonl.<first>-<last>`` (its seq range,
+zero-padded to 12 digits), starts a fresh active segment, and unlinks every
+sealed segment the mark covers.  Truncation reads nothing — the ranges are
+in the names — so in steady state the journal is one active segment
+holding the traffic since the last snapshot.  A sealed segment that
+straddles the mark stays until a later truncation covers it; replay skips
+its covered prefix by seq.  Sequence numbers are dense (a rejected append
+does not consume one), so a sealed segment must start right after the
+previous one ends and the active segment right after the last sealed one:
+a break in that chain inside the replayed range raises
+:class:`~repro.errors.WalCorruptionError` naming the missing seqs.
 
-Format: one JSON object per line (append-only, human-inspectable)::
+Format: each segment is one JSON object per line (append-only,
+human-inspectable), starting with a header that names the seq the segment
+follows, so a segment holding no entries still carries the numbering::
 
-    {"format": "repro-wal", "version": 1, "crc": ...}             # header
+    {"format": "repro-wal", "version": 1, "after_seq": 0, "crc": ...}
     {"seq": 1, "kind": "batch", "quarter": 0, "records": [...], "crc": ...}
     {"seq": 2, "kind": "advance", "quarter": 3, "t": 45, "crc": ...}
 
-Every line carries a CRC32 of its own body (lines from older journals
-without one are still accepted).  A torn or unverifiable *final* line
-(crash mid-append) is tolerated on read — the entry was never
-acknowledged, so dropping it is correct; a line that fails to parse or
-checksum anywhere else means acknowledged history is unreadable and
-raises :class:`~repro.errors.WalCorruptionError` with the line number,
-byte offset and last intact sequence number.  A line that parses and
-checksums but has the wrong shape is a schema problem, not corruption,
-and still raises :class:`~repro.errors.CodecError`.
+A journal written as a single file by earlier builds is simply an active
+segment with no sealed ones.  Every line carries a CRC32 of its own body
+(lines from older journals without one are still accepted).  A torn or
+unverifiable *final* line (crash mid-append) is tolerated on read — the
+entry was never acknowledged, so dropping it is correct, and opening the
+journal cuts it off before the next append can extend it; a line that
+fails to parse or checksum anywhere else means acknowledged history is
+unreadable and raises :class:`~repro.errors.WalCorruptionError` with the
+segment, line number, byte offset and last intact sequence number.  A
+line that parses and checksums but has the wrong shape is a schema
+problem, not corruption, and still raises :class:`~repro.errors.CodecError`.
 
 Appends run through the :mod:`repro.faults` seam (site ``wal.append``)
-and repair injected short writes: a failed append rolls the file back to
-the last newline-terminated byte and retries once, so a transient EIO or
+and repair injected short writes: a failed append rolls the segment back
+to its length before the write and retries once, so a transient EIO or
 torn write never leaves a half-line for the next recovery to trip over.
 """
 
@@ -47,10 +61,11 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Protocol
+from typing import Any, Iterable, Iterator, NamedTuple, Protocol
 
 from repro import faults
 from repro.errors import (
@@ -59,6 +74,7 @@ from repro.errors import (
     StreamError,
     WalCorruptionError,
 )
+from repro.regression import kernels
 from repro.stream.records import RecordColumns, StreamRecord
 
 __all__ = ["QuarterWAL", "WalEntry"]
@@ -81,13 +97,27 @@ class _IngestTarget(Protocol):
 
 @dataclass(frozen=True)
 class WalEntry:
-    """One journaled action, decoded."""
+    """One journaled action, decoded (a batch straight to columns)."""
 
     seq: int
     kind: str  # "batch" | "advance"
     quarter: int
-    records: list[StreamRecord] | None = None
+    batch: RecordColumns | None = None
     t: int | None = None
+
+    @property
+    def records(self) -> list[StreamRecord] | None:
+        """The batch as records, for inspection (replay ingests ``batch``)."""
+        if self.batch is None:
+            return None
+        return list(
+            map(
+                StreamRecord,
+                self.batch.values,
+                self.batch.ticks.tolist(),
+                self.batch.z.tolist(),
+            )
+        )
 
 
 def _encode_batch(
@@ -97,26 +127,24 @@ def _encode_batch(
         "seq": seq,
         "kind": "batch",
         "quarter": quarter,
-        "records": [
-            [list(values), t, z]
-            for values, t, z in zip(
-                batch.values, batch.ticks.tolist(), batch.z.tolist()
-            )
-        ],
+        # json renders the row tuples as arrays: [values, t, z].
+        "records": list(
+            zip(batch.values, batch.ticks.tolist(), batch.z.tolist())
+        ),
     }
 
 
-def _encode_line(payload: dict[str, Any]) -> str:
-    """Serialize one journal line with a trailing CRC32 of its body.
+def _encode_line(payload: dict[str, Any]) -> bytes:
+    """One newline-terminated journal line with a CRC32 of its body.
 
     The checksum covers the line exactly as serialized *without* the
-    ``crc`` key; verification re-serializes the loaded payload (JSON
-    object order round-trips, and ``crc`` is always appended last) so no
-    canonicalization pass is needed.
+    ``crc`` key, which is spliced in last — the same bytes as
+    ``json.dumps({**payload, "crc": crc})`` from one ``json.dumps``.
+    Verification re-serializes the loaded payload (JSON object order
+    round-trips) so no canonicalization pass is needed.
     """
-    body = json.dumps(payload)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return json.dumps({**payload, "crc": crc})
+    body = json.dumps(payload).encode("utf-8")
+    return b'%s, "crc": %d}\n' % (body[:-1], zlib.crc32(body))
 
 
 def _line_crc_ok(payload: dict[str, Any], crc: Any) -> bool:
@@ -124,17 +152,27 @@ def _line_crc_ok(payload: dict[str, Any], crc: Any) -> bool:
     return isinstance(crc, int) and crc == expected
 
 
-def _decode_entry(payload: dict[str, Any]) -> WalEntry:
+def _seq_of(payload: Any) -> int:
     try:
-        seq = int(payload["seq"])
+        return int(payload["seq"])
+    except KeyError as exc:
+        raise CodecError(f"wal: entry missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"wal: malformed entry ({exc})") from None
+
+
+def _decode_entry(seq: int, payload: dict[str, Any]) -> WalEntry:
+    try:
         kind = payload["kind"]
         quarter = int(payload["quarter"])
         if kind == "batch":
-            records = [
-                StreamRecord(values=tuple(values), t=int(t), z=float(z))
-                for values, t, z in payload["records"]
-            ]
-            return WalEntry(seq, "batch", quarter, records=records)
+            rows = payload["records"]
+            batch = RecordColumns(
+                [tuple(values) for values, _, _ in rows],
+                kernels.int_column(t for _, t, _ in rows),
+                kernels.float_column(z for _, _, z in rows),
+            )
+            return WalEntry(seq, "batch", quarter, batch=batch)
         if kind == "advance":
             return WalEntry(seq, "advance", quarter, t=int(payload["t"]))
         raise CodecError(f"wal: unknown entry kind {kind!r}")
@@ -142,8 +180,106 @@ def _decode_entry(payload: dict[str, Any]) -> WalEntry:
         raise
     except KeyError as exc:
         raise CodecError(f"wal: entry missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CodecError(f"wal: malformed entry ({exc})") from None
+
+
+def _sealed_path(path: Path, first: int, last: int) -> Path:
+    return path.with_name(f"{path.name}.{first:012d}-{last:012d}")
+
+
+def _sealed_segments(path: Path) -> list[tuple[int, int, Path]]:
+    """``(first, last, file)`` of each sealed segment of ``path``, oldest
+    first — found by name alone."""
+    if not path.parent.is_dir():
+        return []
+    pattern = re.compile(re.escape(path.name) + r"\.(\d{12})-(\d{12})")
+    found = []
+    for candidate in path.parent.iterdir():
+        match = pattern.fullmatch(candidate.name)
+        if match:
+            found.append((int(match[1]), int(match[2]), candidate))
+    return sorted(found)
+
+
+class _Segment(NamedTuple):
+    """One segment as read: what its header and intact lines say."""
+
+    after_seq: int | None  # the seq the header says it follows (None: old)
+    first: int | None  # seq of its first entry (None: no entries)
+    last: int | None  # seq of its last entry
+    entries: list[WalEntry]  # decoded: only those past the requested mark
+    intact: int  # byte length of its intact prefix
+
+
+def _header_after_seq(path: Path, header: Any) -> int | None:
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
+        raise CodecError(f"wal: {path} has no {_FORMAT} header")
+    if header.get("version") != _WAL_VERSION:
+        raise CodecError(
+            f"wal: {path} has unsupported version {header.get('version')!r}"
+        )
+    after = header.get("after_seq")
+    if after is not None and not isinstance(after, int):
+        raise CodecError(f"wal: {path} header has a malformed after_seq")
+    return after
+
+
+def _read_segment(path: Path, decode_after: int | None = None) -> _Segment:
+    """Verify one segment line by line, decoding the entries with
+    ``seq > decode_after`` (none when ``None``) as it goes — each line's
+    parsed JSON is dropped at once, so a long segment never holds more
+    than its decoded columns.
+
+    Bytes after the last newline and a checksum-failing final line are
+    an append that was never acknowledged: left out, and not counted as
+    intact.  A line that fails to parse or checksum anywhere else raises
+    :class:`WalCorruptionError`; a missing segment, or one with nothing
+    intact, reads as empty.
+    """
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raw = b""
+    *lines, tail = raw.split(b"\n")
+    header_seen = False
+    after = first = last = None
+    entries: list[WalEntry] = []
+    offset = intact = 0
+    for i, line in enumerate(lines):
+        line_offset = offset
+        offset += len(line) + 1
+        if not line.strip():
+            continue
+        final = i == len(lines) - 1 and not tail
+        try:
+            payload = json.loads(line)
+        except ValueError:  # not JSON, or a flipped byte broke the UTF-8
+            if final:
+                break
+            raise WalCorruptionError(
+                f"wal: {path} line {i + 1} (byte offset {line_offset}) is "
+                f"not valid JSON; last intact seq is {last or 0}"
+            ) from None
+        crc = payload.pop("crc", None) if isinstance(payload, dict) else None
+        if crc is not None and not _line_crc_ok(payload, crc):
+            if final:
+                break
+            raise WalCorruptionError(
+                f"wal: {path} line {i + 1} (byte offset {line_offset}, "
+                f"claims seq {payload.get('seq')!r}) failed its checksum; "
+                f"last intact seq is {last or 0}"
+            )
+        if not header_seen:
+            after = _header_after_seq(path, payload)
+            header_seen = True
+        else:
+            last = _seq_of(payload)
+            first = last if first is None else first
+            if decode_after is not None and last > decode_after:
+                entries.append(_decode_entry(last, payload))
+        intact = offset
+    return _Segment(after, first, last, entries, intact)
 
 
 class QuarterWAL:
@@ -152,9 +288,12 @@ class QuarterWAL:
     Parameters
     ----------
     path:
-        The journal file.  Created (with a version header) if absent;
-        an existing journal is scanned once to recover the sequence
-        high-water mark, so appends continue where the previous process
+        The journal's active segment; sealed segments live beside it as
+        ``<path>.<first>-<last>``.  Created (with a version header) if
+        absent.  An existing active segment is scanned once to recover
+        the sequence high-water mark (its header's ``after_seq``, or the
+        newest sealed segment's name, supplies it when the active one
+        holds no entries), so appends continue where the previous process
         stopped.
     sync:
         When true, ``fsync`` after every append — full durability at the
@@ -166,42 +305,31 @@ class QuarterWAL:
     def __init__(self, path: str | Path, sync: bool = False) -> None:
         self.path = Path(path)
         self.sync = sync
-        self._seq = 0
         self._repairs = 0
-        # A zero-byte file (crash between create and header write, or a
-        # pre-created empty file) and a file holding only a *torn* header
-        # line (crash mid-header write) both count as absent: they get a
-        # fresh header rather than silently accumulating headerless
-        # entries that the next recovery could not read.
-        fresh = not (self.path.exists() and self.path.stat().st_size > 0)
-        if not fresh:
-            lines = [
-                line
-                for line in self.path.read_text(
-                    encoding="utf-8"
-                ).splitlines()
-                if line.strip()
-            ]
-            torn_header_only = False
-            if len(lines) == 1:
-                try:
-                    json.loads(lines[0])
-                except json.JSONDecodeError:
-                    torn_header_only = True
-            if torn_header_only:
-                self.path.unlink()
-                fresh = True
-            else:
-                for entry in self.entries():
-                    self._seq = max(self._seq, entry.seq)
-        if fresh:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self.path, "a", encoding="utf-8")
-            self._append_line(
-                {"format": _FORMAT, "version": _WAL_VERSION}
-            )
-        else:
-            self._file = open(self.path, "a", encoding="utf-8")
+        self._headerless = False
+        sealed = _sealed_segments(self.path)
+        # A crash between a rotation's rename and its new header leaves
+        # only sealed segments: numbering continues from the newest.
+        self._seq = sealed[-1][1] if sealed else 0
+        self._first: int | None = None  # oldest seq in the active segment
+        if self.path.exists():
+            active = _read_segment(self.path)
+            if active.intact < self.path.stat().st_size:
+                # A torn final append (or a file with no intact header):
+                # cut it so the next append starts on a line of its own.
+                os.truncate(self.path, active.intact)
+            if active.last is not None:
+                self._first, self._seq = active.first, active.last
+            elif active.after_seq is not None:
+                self._seq = active.after_seq
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._open_segment()
+
+    @staticmethod
+    def exists(path: str | Path) -> bool:
+        """Whether any segment of the journal at ``path`` is on disk."""
+        path = Path(path)
+        return path.exists() or bool(_sealed_segments(path))
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -237,8 +365,7 @@ class QuarterWAL:
         The ingest paths hand over the batch's columns as they are (one
         row-shaped line is rendered from them); records are converted at
         the door.  ``quarter`` is the batch's *ending* quarter (the last
-        record's — batches are quarter-ordered), the retention index
-        compaction uses.
+        record's — batches are quarter-ordered).
         Callers journal after validation and before mutation, so the log
         only ever holds batches the engine accepted — replay cannot trip
         the ordering contract the original ingestion already checked.
@@ -246,35 +373,64 @@ class QuarterWAL:
         batch = RecordColumns.of(records)
         if not len(batch):
             return self._seq
-        self._seq += 1
-        self._append_line(_encode_batch(self._seq, quarter, batch))
-        return self._seq
+        return self._append_entry(
+            _encode_batch(self._seq + 1, quarter, batch)
+        )
 
     def append_advance(self, t: int, quarter: int) -> int:
         """Journal one explicit clock advance; returns its seq."""
-        self._seq += 1
-        self._append_line(
-            {"seq": self._seq, "kind": "advance", "quarter": quarter, "t": t}
+        seq = self._seq + 1
+        return self._append_entry(
+            {"seq": seq, "kind": "advance", "quarter": quarter, "t": t}
         )
+
+    def _append_entry(self, payload: dict[str, Any]) -> int:
+        """Append one entry; its seq is taken only once the line is down,
+        so a rejected append leaves no hole in the numbering."""
+        if self._headerless:
+            self._write_header()  # a failed rotation left it without one
+        self._append_line(payload)
+        self._seq = payload["seq"]
+        if self._first is None:
+            self._first = self._seq
         return self._seq
+
+    def _open_segment(self) -> None:
+        """Open the active segment for appends; a new one gets its header."""
+        self._file = open(self.path, "ab")
+        if self._file.tell() == 0:
+            self._write_header()
+
+    def _write_header(self) -> None:
+        """Start the active segment: the header names the seq it follows,
+        so a segment holding no entries still carries the numbering."""
+        self._headerless = True
+        self._append_line(
+            {
+                "format": _FORMAT,
+                "version": _WAL_VERSION,
+                "after_seq": self._seq,
+            }
+        )
+        os.fsync(self._file.fileno())
+        self._headerless = False
 
     def _append_line(self, payload: dict[str, Any]) -> None:
         if self._file.closed:
             raise StreamError(f"WAL {self.path} is closed")
-        line = _encode_line(payload) + "\n"
+        line = _encode_line(payload)
+        start = self._file.tell()
         try:
             self._write_durably(line)
         except OSError as exc:
-            self._repair_append(line, exc)
+            self._repair_append(line, start, exc)
 
-    def _write_durably(self, line: str) -> None:
+    def _write_durably(self, line: bytes) -> None:
         faults.check("wal.append")
         if faults.active() is not None:
             # A write-side bit flip reaches the file silently; the line
             # CRC catches it on the next recovery scan.
-            line = faults.corrupt("wal.append", line.encode("utf-8")).decode(
-                "utf-8", errors="replace"
-            )
+            line = faults.corrupt("wal.append", line)
         if faults.torn("wal.append"):
             # A short write: part of the line reaches the file, then the
             # device gives up.  Flush so the partial bytes are really
@@ -287,34 +443,37 @@ class QuarterWAL:
         if self.sync and not faults.lie("wal.append"):
             os.fsync(self._file.fileno())
 
-    def _repair_append(self, line: str, cause: OSError) -> None:
-        """Roll back a failed append to the last intact line and retry.
+    def _repair_append(self, line: bytes, start: int, cause: OSError) -> None:
+        """Roll back a failed append to the segment's prior length and retry.
 
-        A failed ``write`` may have left a partial line behind; the entry
-        was never acknowledged, so truncating back to the last
-        newline-terminated byte restores the journal exactly and the
-        append can run again.  A second failure means the device is
-        genuinely refusing writes — that surfaces as a typed
-        :class:`StorageError` and the caller's batch is cleanly rejected
-        (journal-before-apply: no state was mutated).
+        A failed ``write`` may have left part (or all) of the line behind;
+        the entry was never acknowledged, so cutting the segment back to
+        where the append began restores the journal exactly and the
+        append can run again.  A second failure is rolled back the same
+        way and means the device is genuinely refusing writes — that
+        surfaces as a typed :class:`StorageError` and the caller's batch
+        is cleanly rejected (journal-before-apply: no state was mutated).
         """
-        self._file.close()
-        raw = self.path.read_bytes()
-        intact = raw.rfind(b"\n") + 1  # 0 when no newline survives
-        if intact != len(raw):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(intact)
-                fh.flush()
-                os.fsync(fh.fileno())
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._rollback(start)
         self._repairs += 1
         try:
             self._write_durably(line)
         except OSError as exc:
+            self._rollback(start)
             raise StorageError(
                 f"WAL {self.path} append failed even after short-write "
                 f"repair (first: {cause}; retry: {exc})"
             ) from exc
+
+    def _rollback(self, size: int) -> None:
+        """Cut the active segment back to ``size`` bytes and reopen it."""
+        try:
+            self._file.close()
+        except OSError:
+            pass  # the failed write's buffered bytes are discarded anyway
+        os.truncate(self.path, size)
+        self._file = open(self.path, "ab")
+        os.fsync(self._file.fileno())
 
     # ------------------------------------------------------------------
     # Recovery
@@ -322,65 +481,46 @@ class QuarterWAL:
     def entries(self, after_seq: int = 0) -> Iterator[WalEntry]:
         """Decoded entries with ``seq > after_seq``, in journal order.
 
-        A torn or checksum-failing *final* line is dropped (the crash
-        interrupted an append that was never acknowledged); a line that
-        fails to parse or checksum anywhere else raises
-        :class:`WalCorruptionError` with the line number, byte offset and
-        last intact sequence number.  A line that parses and checksums
-        but has the wrong shape raises :class:`CodecError`.
+        Sealed segments are chained oldest first, then the active one; a
+        sealed segment that ends at or below ``after_seq`` is not opened,
+        and only the entries yielded are decoded.  A break in the segment
+        chain that reaches past ``after_seq`` raises
+        :class:`WalCorruptionError` naming the missing seqs.  A torn or
+        checksum-failing *final* line is dropped (the crash interrupted
+        an append that was never acknowledged); a line that fails to
+        parse or checksum anywhere else raises
+        :class:`WalCorruptionError` with the segment, line number, byte
+        offset and last intact sequence number.  A line that parses and
+        checksums but has the wrong shape raises :class:`CodecError`.
         """
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            return
-        payloads: list[dict[str, Any]] = []
-        offset = 0
-        last_seq = 0
-        for i, line in enumerate(lines):
-            line_offset = offset
-            offset += len(line.encode("utf-8")) + 1
-            if not line.strip():
-                continue
-            final = i == len(lines) - 1
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                if final:
-                    break  # torn final append: never acknowledged, drop it
-                raise WalCorruptionError(
-                    f"wal: {self.path} line {i + 1} (byte offset "
-                    f"{line_offset}) is not valid JSON; last intact "
-                    f"seq is {last_seq}"
-                ) from None
-            crc = (
-                payload.pop("crc", None)
-                if isinstance(payload, dict)
-                else None
+        sealed = _sealed_segments(self.path)
+        active = _read_segment(self.path, decode_after=after_seq)
+        chain = list(sealed)
+        if active.after_seq is not None or active.first is not None:
+            # An old header names no after_seq: its first entry stands in.
+            first = (
+                active.first if active.after_seq is None
+                else active.after_seq + 1
             )
-            if crc is not None and not _line_crc_ok(payload, crc):
-                if final:
-                    break  # unverifiable final append: drop it too
-                raise WalCorruptionError(
-                    f"wal: {self.path} line {i + 1} (byte offset "
-                    f"{line_offset}, claims seq "
-                    f"{payload.get('seq')!r}) failed its checksum; "
-                    f"last intact seq is {last_seq}"
-                )
-            if isinstance(payload, dict) and isinstance(
-                payload.get("seq"), int
-            ):
-                last_seq = payload["seq"]
-            payloads.append(payload)
-        if not payloads or payloads[0].get("format") != _FORMAT:
-            raise CodecError(f"wal: {self.path} has no {_FORMAT} header")
-        if payloads[0].get("version") != _WAL_VERSION:
-            raise CodecError(
-                f"wal: {self.path} has unsupported version "
-                f"{payloads[0].get('version')!r}"
+            last = active.last if active.last is not None else first - 1
+            chain.append((first, last, self.path))
+        for (_, prev, _), (first, _, segment) in zip(chain, chain[1:]):
+            if first == prev + 1 or max(first - 1, prev) <= after_seq:
+                continue  # linked, or the break lies wholly below the mark
+            missing = (
+                f"; seqs {prev + 1}-{first - 1} are missing"
+                if first > prev + 1
+                else ""
             )
-        for payload in payloads[1:]:
-            entry = _decode_entry(payload)
-            if entry.seq > after_seq:
-                yield entry
+            raise WalCorruptionError(
+                f"wal: segment chain broken at {segment}: it starts at seq "
+                f"{first} but the segment before it ends at {prev}"
+                f"{missing}"
+            )
+        for _, last, segment in sealed:
+            if last > after_seq:
+                yield from _read_segment(segment, after_seq).entries
+        yield from active.entries
 
     def replay(self, target: _IngestTarget, after_seq: int = 0) -> int:
         """Re-apply journaled actions after ``after_seq``; returns the count.
@@ -407,8 +547,8 @@ class QuarterWAL:
         try:
             for entry in self.entries(after_seq):
                 if entry.kind == "batch":
-                    assert entry.records is not None
-                    ingest(entry.records)
+                    assert entry.batch is not None
+                    ingest(entry.batch)
                 else:
                     assert entry.t is not None
                     target.advance_to(entry.t)
@@ -422,45 +562,29 @@ class QuarterWAL:
     # Compaction
     # ------------------------------------------------------------------
     def truncate_through(self, seq: int) -> int:
-        """Drop entries with ``seq <= seq``; returns how many were dropped.
+        """Drop the segments holding only entries ``<= seq``; returns how
+        many entries they held.
 
         Called after a successful snapshot with the snapshot's ``wal_seq``:
-        everything at or below that mark is already durable in the
-        snapshot, so in steady state the journal shrinks back to the
-        current unsealed quarter's traffic.  The rewrite goes through a
-        temp file + ``os.replace`` so a crash mid-compaction leaves either
-        the old journal or the new one, never a torn file.
+        everything at or below that mark is durable in the snapshot.  When
+        the active segment holds any entry it is fsynced and renamed to a
+        sealed segment and a fresh one (header fsynced) takes its place;
+        then every sealed segment ending at or below ``seq`` is unlinked,
+        oldest first.  Nothing is read — the seq ranges are in
+        memory and in the segment names — so a covered entry that no
+        longer checksums cannot block compaction.
         """
-        all_entries = list(self.entries())
-        keep = [entry for entry in all_entries if entry.seq > seq]
-        dropped = len(all_entries) - len(keep)
-        if dropped == 0:
-            return 0
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(
-                _encode_line({"format": _FORMAT, "version": _WAL_VERSION})
-                + "\n"
-            )
-            for entry in keep:
-                if entry.kind == "batch":
-                    assert entry.records is not None
-                    payload = _encode_batch(
-                        entry.seq,
-                        entry.quarter,
-                        RecordColumns.of(entry.records),
-                    )
-                else:
-                    payload = {
-                        "seq": entry.seq,
-                        "kind": "advance",
-                        "quarter": entry.quarter,
-                        "t": entry.t,
-                    }
-                fh.write(_encode_line(payload) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._file.close()
-        os.replace(tmp, self.path)
-        self._file = open(self.path, "a", encoding="utf-8")
+        if self._first is not None:
+            os.fsync(self._file.fileno())
+            self._file.close()
+            sealed = _sealed_path(self.path, self._first, self._seq)
+            os.rename(self.path, sealed)
+            self._first = None
+            self._open_segment()
+        dropped = 0
+        for first, last, segment in _sealed_segments(self.path):
+            if last > seq:
+                break
+            segment.unlink()
+            dropped += last - first + 1
         return dropped

@@ -258,6 +258,47 @@ class TestRestoreCLI:
         finally:
             restored.close()
 
+    def test_journal_of_sealed_segments_only_restores(self, tmp_path):
+        """A crash between a rotation's rename and its new header leaves
+        sealed segments and no ``wal.jsonl``: ``--restore`` still finds
+        the journal and replays it bit for bit."""
+        from repro.cubing.policy import GlobalSlopeThreshold
+        from repro.stream.generator import DatasetSpec
+        from repro.stream.wal import QuarterWAL
+
+        records = workload(17)
+        snaps = tmp_path / "onlywal"
+        wal = QuarterWAL(snaps / "wal.jsonl")
+        cube = ShardedStreamCube(
+            DatasetSpec(2, 2, 3, 1).build_layers(),  # the serve_args schema
+            GlobalSlopeThreshold(0.1),
+            n_shards=2,
+            ticks_per_quarter=TPQ,
+            wal=wal,
+        )
+        with cube:
+            cube.ingest_batch(records[: len(records) // 2])
+            wal.truncate_through(0)  # rotate, drop nothing
+            cube.ingest_batch(records[len(records) // 2 :])
+            cube.advance_to(6 * TPQ)
+            wal.truncate_through(0)
+            live = cube.window_isbs(0, 6 * TPQ - 1)
+        wal.close()
+        (snaps / "wal.jsonl").unlink()  # the crash: no fresh header yet
+        assert len(list(snaps.iterdir())) == 2
+        restored = build_service(
+            serve_args(
+                tmp_path,
+                restore=str(snaps),
+                snapshot_dir=str(tmp_path / "fresh"),
+            )
+        )
+        try:
+            assert restored.cube.records_ingested == len(records)
+            assert restored.cube.window_isbs(0, 6 * TPQ - 1) == live
+        finally:
+            restored.close()
+
     def test_restore_uses_recorded_app_config(self, tmp_path):
         original = build_service(serve_args(tmp_path, dims=2, fanout=3))
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -178,28 +179,230 @@ class TestRecovery:
         assert_engines_identical(source, target)
 
 
+def journal_files(directory) -> list[str]:
+    return sorted(p.name for p in directory.iterdir())
+
+
+def seal(path, first, last):
+    """Rename the active segment as a rotation's first step does."""
+    path.rename(path.with_name(f"{path.name}.{first:012d}-{last:012d}"))
+
+
 class TestCompaction:
     def test_truncate_through_keeps_newer_entries(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = QuarterWAL(path)
         for q in range(4):
             wal.append_batch([StreamRecord((q,), q * TPQ, 1.0)], q)
-        assert wal.truncate_through(2) == 2
-        assert [e.seq for e in wal.entries()] == [3, 4]
-        # Appends continue with the old numbering after compaction.
+        # Entries 1-4 are sealed as one segment; it straddles the mark, so
+        # it stays and replay skips its covered prefix.
+        assert wal.truncate_through(2) == 0
+        assert journal_files(tmp_path) == [
+            "wal.jsonl",
+            "wal.jsonl.000000000001-000000000004",
+        ]
+        assert [e.seq for e in wal.entries(after_seq=2)] == [3, 4]
+        # Appends continue with the old numbering after a rotation.
         assert wal.append_advance(16, 4) == 5
         assert wal.truncate_through(0) == 0  # nothing below the mark
+        assert wal.truncate_through(5) == 5
+        assert journal_files(tmp_path) == ["wal.jsonl"]
+        assert list(wal.entries()) == []
 
     def test_truncated_file_reopens_cleanly(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = QuarterWAL(path)
         for q in range(3):
             wal.append_batch([StreamRecord((q,), q * TPQ, 1.0)], q)
-        wal.truncate_through(2)
+        wal.truncate_through(3)
+        assert journal_files(tmp_path) == ["wal.jsonl"]
         wal.close()
         reopened = QuarterWAL(path)
         assert reopened.last_seq == 3
-        assert [e.seq for e in reopened.entries()] == [3]
+        assert list(reopened.entries()) == []
+        assert reopened.append_advance(16, 4) == 4
+        assert [e.seq for e in reopened.entries()] == [4]
+
+    def test_truncation_reads_no_segment(self, tmp_path, monkeypatch):
+        wal = QuarterWAL(tmp_path / "wal.jsonl")
+        wal.append_advance(4, 1)
+        wal.truncate_through(0)
+        wal.append_advance(8, 2)
+
+        def no_reads(*args, **kwargs):
+            raise AssertionError("truncation read a segment")
+
+        monkeypatch.setattr("repro.stream.wal._read_segment", no_reads)
+        assert wal.truncate_through(2) == 2
+        assert journal_files(tmp_path) == ["wal.jsonl"]
+
+
+class TestSegments:
+    def fill_segments(self, path):
+        """Three sealed segments (1-2, 3-4, 5-6) and an active one (7)."""
+        wal = QuarterWAL(path)
+        for seq in range(1, 8):
+            wal.append_advance(4 * seq, seq)
+            if seq % 2 == 0:
+                wal.truncate_through(0)  # rotate, drop nothing
+        wal.close()
+
+    def test_entries_chain_segments_in_order(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        self.fill_segments(path)
+        assert len(journal_files(tmp_path)) == 4
+        wal = QuarterWAL(path)
+        assert wal.last_seq == 7
+        assert [e.seq for e in wal.entries()] == list(range(1, 8))
+        assert [e.seq for e in wal.entries(after_seq=3)] == [4, 5, 6, 7]
+
+    def test_entries_open_no_covered_segment(self, tmp_path, monkeypatch):
+        path = tmp_path / "wal.jsonl"
+        self.fill_segments(path)
+        wal = QuarterWAL(path)
+        from repro.stream import wal as wal_module
+
+        opened = []
+        real = wal_module._read_segment
+
+        def spy(segment, *args, **kwargs):
+            opened.append(segment.name)
+            return real(segment, *args, **kwargs)
+
+        monkeypatch.setattr(wal_module, "_read_segment", spy)
+        assert [e.seq for e in wal.entries(after_seq=4)] == [5, 6, 7]
+        assert sorted(opened) == [
+            "wal.jsonl",
+            "wal.jsonl.000000000005-000000000006",
+        ]
+
+    def test_missing_middle_segment_raises(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        self.fill_segments(path)
+        (tmp_path / "wal.jsonl.000000000003-000000000004").unlink()
+        wal = QuarterWAL(path)
+        with pytest.raises(WalCorruptionError, match="seqs 3-4 are missing"):
+            list(wal.entries())
+        # A replay from past the hole does not need it.
+        assert [e.seq for e in wal.entries(after_seq=4)] == [5, 6, 7]
+
+    def test_missing_newest_sealed_segment_raises(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        self.fill_segments(path)
+        (tmp_path / "wal.jsonl.000000000005-000000000006").unlink()
+        with pytest.raises(WalCorruptionError, match="seqs 5-6 are missing"):
+            list(QuarterWAL(path).entries(after_seq=2))
+
+    def test_crash_between_rename_and_header_recovers(self, tmp_path):
+        """A rotation that dies after its rename leaves only sealed
+        segments: open starts a fresh active one, numbering continues and
+        restore + replay is bit-identical."""
+        layers = build_layers()
+        records = random_records(5, 90, 3)
+        path = tmp_path / "wal.jsonl"
+        wal = QuarterWAL(path)
+        live = StreamCubeEngine(
+            layers, make_engine().policy, ticks_per_quarter=TPQ, wal=wal
+        )
+        live.ingest_many(records[:40])
+        state = live.snapshot()
+        wal.truncate_through(state.wal_seq)
+        live.ingest_many(records[40:70])
+        live.ingest_many(records[70:])
+        wal.close()
+        seal(path, state.wal_seq + 1, wal.last_seq)  # crash here
+        assert QuarterWAL.exists(path) and not path.exists()
+
+        recovery_wal = QuarterWAL(path)
+        assert recovery_wal.last_seq == wal.last_seq
+        recovered = StreamCubeEngine.restore(
+            state, layers, live.policy, wal=recovery_wal
+        )
+        recovery_wal.replay(recovered, after_seq=state.wal_seq)
+        assert_engines_identical(live, recovered)
+        assert recovery_wal.append_advance(4 * TPQ, 4) == wal.last_seq + 1
+        assert recovery_wal.truncate_through(wal.last_seq + 1) == 3
+        assert journal_files(tmp_path) == ["wal.jsonl"]
+
+    def test_reopen_cuts_a_torn_tail_before_appending(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        wal = QuarterWAL(path)
+        wal.append_advance(4, 1)
+        wal.close()
+        with open(path, "a") as fh:
+            fh.write('{"seq": 2, "kind": "adv')  # torn append
+        reopened = QuarterWAL(path)
+        assert reopened.append_advance(8, 2) == 2
+        reopened.close()
+        assert [e.t for e in QuarterWAL(path).entries()] == [4, 8]
+
+    def test_exists_sees_any_segment(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        assert not QuarterWAL.exists(path)
+        QuarterWAL(path).close()
+        assert QuarterWAL.exists(path)
+        seal(path, 1, 1)
+        assert QuarterWAL.exists(path)
+        (tmp_path / "wal.jsonl.backup").touch()  # not a segment name
+        (tmp_path / "wal.jsonl.000000000001-000000000001").unlink()
+        assert not QuarterWAL.exists(path)
+
+
+_json_scalars = st.one_of(
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.text(max_size=6),
+)
+_z_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e300, 0.1 + 0.2]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(_json_scalars, min_size=1, max_size=3),
+            st.integers(min_value=0, max_value=2**40),
+            _z_values,
+        ),
+        max_size=6,
+    ),
+    seq=st.integers(min_value=1, max_value=2**40),
+    quarter=st.integers(min_value=0, max_value=2**20),
+    extra_key=st.text(min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_lines_match_the_reference_encoding(rows, seq, quarter, extra_key):
+    """One ``json.dumps`` per line writes exactly the bytes of the
+    two-pass reference (body CRC, then the payload re-dumped with it)."""
+    from repro.regression import kernels
+    from repro.stream.records import RecordColumns
+    from repro.stream.wal import _encode_batch, _encode_line
+
+    def reference(payload):
+        crc = zlib.crc32(json.dumps(payload).encode("utf-8"))
+        return (json.dumps({**payload, "crc": crc}) + "\n").encode("utf-8")
+
+    batch = RecordColumns(
+        [tuple(values) for values, _, _ in rows],
+        kernels.int_column([t for _, t, _ in rows]),
+        kernels.float_column([z for _, _, z in rows]),
+    )
+    head_batch = {  # the row lists the previous encoder built
+        "seq": seq,
+        "kind": "batch",
+        "quarter": quarter,
+        "records": [[list(values), t, z] for values, t, z in rows],
+    }
+    assert _encode_line(_encode_batch(seq, quarter, batch)) == reference(
+        head_batch
+    )
+    advance = {"seq": seq, "kind": "advance", "quarter": quarter, "t": 4}
+    assert _encode_line(advance) == reference(advance)
+    header = {"format": "repro-wal", "version": 1}
+    assert _encode_line(header) == reference(header)
+    keyed = {extra_key + "\u00e9\u6f22": quarter, "seq": seq}  # non-ASCII keys
+    assert _encode_line(keyed) == reference(keyed)
 
 
 @given(
