@@ -14,7 +14,7 @@ caller reads.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,9 +43,14 @@ class CuboidColumns:
     for the rows :meth:`keys` / :meth:`cells` are asked for.  ``isbs`` is ``None`` on the key-only
     instances a :class:`~repro.cubing.mo_cubing.CubePlan` records (the
     structure of a cuboid, awaiting :meth:`with_isbs`).
+
+    What is derived from the key columns alone (:meth:`keys`, and whatever
+    a reader keeps through :meth:`memo`) is shared by every
+    :meth:`with_isbs` copy, so a plan's cuboid builds it once for as long
+    as its cell set holds, not once per run.
     """
 
-    __slots__ = ("coord", "tables", "codes", "isbs", "_keys")
+    __slots__ = ("coord", "tables", "codes", "isbs", "_memo")
 
     def __init__(
         self,
@@ -54,12 +59,15 @@ class CuboidColumns:
         codes: Sequence,
         isbs: ISBColumns | None,
         keys: list[Values] | None = None,
+        memo: dict | None = None,
     ) -> None:
         self.coord = coord
         self.tables = tables
         self.codes = codes
         self.isbs = isbs
-        self._keys = keys
+        self._memo = {} if memo is None else memo
+        if keys is not None:
+            self._memo["keys"] = keys
 
     def __len__(self) -> int:
         return len(self.codes[0])  # a schema has at least one dimension
@@ -153,10 +161,34 @@ class CuboidColumns:
         )
 
     def with_isbs(self, isbs: ISBColumns) -> "CuboidColumns":
-        """These key columns (and any keys already built) over ``isbs``."""
+        """These key columns over ``isbs``, sharing their :meth:`memo`."""
         return CuboidColumns(
-            self.coord, self.tables, self.codes, isbs, self._keys
+            self.coord, self.tables, self.codes, isbs, memo=self._memo
         )
+
+    def memo(self, name: str, build: Callable[["CuboidColumns"], Any]) -> Any:
+        """``build(self)``, kept under ``name`` for every instance over these
+        key columns; ``build`` may read the keys, never the measures."""
+        value = self._memo.get(name)
+        if value is None:
+            value = self._memo[name] = build(self)
+        return value
+
+    def mask(self, at: Coord, values: Mapping[int, Hashable]):
+        """Rows whose level-``at[d]`` ancestor in dimension ``d`` is
+        ``values[d]`` for every ``d`` given, as a boolean array (``at`` is
+        coarser than or equal to this cuboid's coordinate)."""
+        match = np.ones(len(self), dtype=bool)
+        codes = self.codes_at(at)
+        for d, value in values.items():
+            try:
+                code = self.tables[d].index(at[d]).get(value)
+            except TypeError:  # unhashable: equal to no value
+                code = None
+            if code is None:
+                return np.zeros(len(self), dtype=bool)
+            match &= codes[d] == code
+        return match
 
     def grouping(self):
         """``(group id per row, first row per group)`` of rows with equal
@@ -181,15 +213,7 @@ class CuboidColumns:
 
     def keys(self) -> list[Values]:
         """Every row's value tuple (built once, then kept)."""
-        if self._keys is None:
-            value_columns = [
-                map(list(table.index(level)).__getitem__, column.tolist())
-                for table, level, column in zip(
-                    self.tables, self.coord, self.codes
-                )
-            ]
-            self._keys = list(zip(*value_columns))
-        return self._keys
+        return self.memo("keys", _keys)
 
     def cells(self) -> dict[Values, ISB]:
         """Materialize ``{values: isb}``, one entry per row."""
@@ -206,12 +230,11 @@ class ColumnCells(Mapping):
     data.
     """
 
-    __slots__ = ("columns", "_boxed", "_rows")
+    __slots__ = ("columns", "_boxed")
 
     def __init__(self, columns: CuboidColumns) -> None:
         self.columns = columns
         self._boxed: dict[Values, ISB] | None = None
-        self._rows: dict[Values, int] | None = None
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -222,10 +245,8 @@ class ColumnCells(Mapping):
     def __getitem__(self, values: Values) -> ISB:
         if self._boxed is not None:
             return self._boxed[values]
-        if self._rows is None:
-            keys = self.columns.keys()
-            self._rows = dict(zip(keys, range(len(keys))))
-        return self.columns.isbs.row(self._rows[values])
+        rows = self.columns.memo("rows", _row_index)
+        return self.columns.isbs.row(rows[values])
 
     def _all(self) -> dict[Values, ISB]:
         if self._boxed is None:
@@ -240,6 +261,19 @@ class ColumnCells(Mapping):
 
     def values(self):
         return self._all().values()
+
+
+def _keys(columns: CuboidColumns) -> list[Values]:
+    value_columns = [
+        map(list(table.index(level)).__getitem__, column.tolist())
+        for table, level, column in zip(columns.tables, columns.coord, columns.codes)
+    ]
+    return list(zip(*value_columns))
+
+
+def _row_index(columns: CuboidColumns) -> dict[Values, int]:
+    keys = columns.keys()
+    return dict(zip(keys, range(len(keys))))
 
 
 def _columns(keys: Sequence[Values], n_dims: int):
@@ -334,15 +368,7 @@ class Cuboid:
         columns = self.columns
         if not len(columns) or len(target_values) != len(to_coord):
             return None
-        match = np.ones(len(columns), dtype=bool)
-        for table, codes, level, value in zip(
-            columns.tables, columns.codes_at(to_coord), to_coord, target_values
-        ):
-            code = table.index(level).get(value)
-            if code is None:
-                return None
-            match &= codes == code
-        rows = np.flatnonzero(match)
+        rows = np.flatnonzero(columns.mask(to_coord, dict(enumerate(target_values))))
         if not len(rows):
             return None
         return merge_standard(columns.isbs.take(rows).to_isbs())

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
 from repro.cube.cell import roll_up_values
-from repro.cube.cuboid import Cuboid
+from repro.cube.cuboid import ColumnCells, Cuboid
 from repro.cube.lattice import CuboidLattice
 from repro.cube.layers import CriticalLayers
 from repro.cubing.policy import ExceptionPolicy
@@ -98,14 +98,10 @@ class CubeResult:
         """Retained exception cells of one cuboid (empty if none)."""
         return dict(self.retained_exceptions.get(tuple(coord), {}))
 
-    def o_layer_exceptions(self) -> dict[Values, ISB]:
-        """Exception cells at the observation layer (judged on demand)."""
-        o = self.layers.o_coord
-        return {
-            values: isb
-            for values, isb in self.o_layer.items()
-            if self.policy.is_exception(isb, o)
-        }
+    def o_layer_exceptions(self) -> ColumnCells:
+        """Exception cells at the observation layer (judged on demand, as
+        one mask over the o-layer's columns; read-only, boxed on read)."""
+        return ColumnCells(self.policy.exceptions(self.o_layer.columns))
 
     @property
     def total_retained_exceptions(self) -> int:

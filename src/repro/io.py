@@ -28,7 +28,10 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, TypeVar
 
+import numpy as np
+
 from repro import faults
+from repro.cube.cuboid import ColumnCells
 from repro.errors import CodecError, StorageError, TiltFrameError
 from repro.regression.isb import ISB
 from repro.tilt.frame import TiltLevelSpec, TiltTimeFrame
@@ -43,6 +46,7 @@ __all__ = [
     "frame_to_dict",
     "frame_from_dict",
     "cells_to_payload",
+    "cells_to_json",
     "engine_state_to_dict",
     "engine_state_from_dict",
     "spec_to_dict",
@@ -290,6 +294,53 @@ def cells_to_payload(cells: Mapping[Values, ISB]) -> list[dict[str, Any]]:
         {"values": list(values), "isb": isb_to_dict(isb)}
         for values, isb in cells.items()
     ]
+
+
+def cells_to_json(cells: Mapping[Values, ISB]) -> str:
+    """``json.dumps(cells_to_payload(cells))``, character for character.
+
+    A column-backed mapping (:class:`~repro.cube.cuboid.ColumnCells`) is
+    rendered from its columns and boxes nothing: each row's text up to its
+    first number — ``{"values": [...], "isb": {"t_b": `` — depends on the
+    keys alone and is kept with them (:meth:`CuboidColumns.memo`, so a
+    held cubing plan renders it once per cell set, not once per answer),
+    and the numbers are formatted as ``json`` formats them:
+    ``int.__repr__``, ``float.__repr__``, ``NaN`` / ``Infinity`` /
+    ``-Infinity``.
+    """
+    if not isinstance(cells, ColumnCells):
+        return json.dumps(cells_to_payload(cells))
+    columns = cells.columns
+    isbs = columns.isbs
+    rows = map(
+        _ROW.__mod__,
+        zip(
+            columns.memo("json_heads", _row_heads),
+            isbs.t_b.tolist(),
+            isbs.t_e.tolist(),
+            _float_texts(isbs.base),
+            _float_texts(isbs.slope),
+        ),
+    )
+    return "[" + ", ".join(rows) + "]"
+
+
+_ROW = '%s%d, "t_e": %d, "base": %s, "slope": %s}}'
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _row_heads(columns: Any) -> list[str]:
+    return [
+        '{"values": %s, "isb": {"t_b": ' % json.dumps(list(values))
+        for values in columns.keys()
+    ]
+
+
+def _float_texts(column: Any) -> list[str]:
+    texts = list(map(float.__repr__, column.tolist()))
+    if not np.isfinite(column).all():
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
 
 
 # ----------------------------------------------------------------------

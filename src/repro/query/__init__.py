@@ -2,14 +2,19 @@
 
 ``repro.query.spec`` defines the frozen :class:`QuerySpec` plan objects and
 the fluent :data:`Q` builder; ``repro.query.exec`` is the single engine that
-turns a spec into a :class:`QueryResult`; ``repro.query.api`` is the
-execution context a spec runs against; ``repro.query.drill`` holds the
+turns a spec into a :class:`QueryResult` against a
+:class:`RegressionCubeView`; ``repro.query.drill`` holds the
 exception-guided drilling workflow.
 """
 
-from repro.query.api import RegressionCubeView
 from repro.query.drill import DrillNode, ExceptionDriller
-from repro.query.exec import BatchItem, QueryResult, execute, execute_batch
+from repro.query.exec import (
+    BatchItem,
+    QueryResult,
+    RegressionCubeView,
+    execute,
+    execute_batch,
+)
 from repro.query.spec import (
     BatchQuery,
     CellSpec,

@@ -15,8 +15,7 @@ from typing import Hashable, Iterable
 
 from repro.cube.cell import roll_up_values
 from repro.cubing.result import CubeResult
-from repro.query.api import RegressionCubeView
-from repro.query.exec import execute
+from repro.query.exec import RegressionCubeView, execute
 from repro.query.spec import Q
 from repro.regression.isb import ISB
 

@@ -9,15 +9,16 @@ envelope that knows its wire encoding.  :func:`execute_batch` runs many
 specs against one view and reports per-spec results *and* errors, so one bad
 plan never sinks a batch.
 
-The ``view`` is the execution context
-(:class:`~repro.query.api.RegressionCubeView` or anything with its five
-attributes): operations read the cubing ``result`` — except
-``change_exceptions``, which compares two stream windows through
-``view.changes`` and never touches the result.  Cuboid scans go through
-:func:`_cuboid_cells`, which serves from a *complete* materialized cuboid
-when the cubing result has one (m/o layers, popular-path cuboids, full
-materialization) and falls back to an exact Theorem 3.2 roll-up of the
-m-layer otherwise.
+The ``view`` is the execution context (:class:`RegressionCubeView` or
+anything with its five attributes): operations read the cubing ``result`` —
+except ``change_exceptions``, which compares two stream windows through
+``view.changes`` and never touches the result.  Cuboid scans run on columns
+(:func:`_cuboid_columns`): a *complete* materialized cuboid when the cubing
+result has one (m/o layers, popular-path cuboids, full materialization),
+else an exact Theorem 3.2 roll-up of the m-layer's columns.  Their filters
+are code masks, so a scan answers a read-only
+:class:`~repro.cube.cuboid.ColumnCells` and boxes no cell; ``top_slopes``
+boxes its ``k`` rows and nothing else.
 """
 
 from __future__ import annotations
@@ -26,21 +27,54 @@ import functools
 import json
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
+
+import numpy as np
 
 from repro.cube.cell import roll_up_values
+from repro.cube.cuboid import ColumnCells, CuboidColumns
+from repro.cubing.result import CubeResult
 from repro.errors import QueryError, ReproError
-from repro.io import cells_to_payload, isb_to_dict
+from repro.io import cells_to_json, cells_to_payload, isb_to_dict
 from repro.query.spec import BatchQuery, QuerySpec, spec_from_dict
 from repro.regression.isb import ISB
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.query.api import RegressionCubeView
-
-__all__ = ["QueryResult", "BatchItem", "execute", "execute_batch", "wire_encodes"]
+__all__ = [
+    "RegressionCubeView",
+    "QueryResult",
+    "BatchItem",
+    "execute",
+    "execute_batch",
+    "wire_encodes",
+]
 
 Values = tuple[Hashable, ...]
 Coord = tuple[int, ...]
+
+
+# ----------------------------------------------------------------------
+# The execution context
+# ----------------------------------------------------------------------
+class RegressionCubeView:
+    """What a query spec is executed against: one cubing result with its
+    layers, schema and lattice.
+
+    ``changes`` is the window-over-window change source: a
+    :class:`~repro.stream.engine.StreamCubeEngine` or
+    :class:`~repro.service.sharding.ShardedStreamCube` (anything with
+    ``change_exceptions(quarters_apart)`` and
+    ``o_layer_change_exceptions(quarters_apart)``).  A view over a one-shot
+    cubing result has none, and ``change_exceptions`` raises there.  The
+    view has no per-operation methods; every query is
+    ``execute(view, Q.<op>(...))``.
+    """
+
+    def __init__(self, result: CubeResult, changes: Any = None) -> None:
+        self.result = result
+        self.layers = result.layers
+        self.schema = result.layers.schema
+        self.lattice = result.layers.lattice
+        self.changes = changes
 
 
 # ----------------------------------------------------------------------
@@ -61,10 +95,11 @@ class QueryResult:
 
     ``value`` is the operation's native Python answer (an :class:`ISB`, a
     cell mapping, a per-cuboid mapping of those, a ranked list, a roll-up
-    triple, or a float);
-    :meth:`to_dict` is the canonical wire encoding the HTTP layer returns,
-    and :attr:`wire` is that dict as JSON bytes, encoded at most once per
-    result object.
+    triple, or a float); the cell mappings of the cuboid scans are
+    read-only column-backed :class:`~repro.cube.cuboid.ColumnCells`
+    (``dict(value)`` gives a boxed copy).  :meth:`to_dict` is the canonical
+    wire encoding the HTTP layer returns, and :attr:`wire` is that dict as
+    JSON bytes, encoded at most once per result object.
     """
 
     spec: QuerySpec
@@ -83,10 +118,18 @@ class QueryResult:
 
         A cached router line and every subscriber of its spec share one
         result object, so a cache hit or a push writes these bytes instead
-        of encoding the answer again.
+        of encoding the answer again.  Cell bodies are rendered by
+        :func:`~repro.io.cells_to_json`, straight from the columns of a
+        column-backed answer; the rest goes through :meth:`to_dict`.
         """
         global _encodes
-        data = json.dumps(self.to_dict()).encode("utf-8")
+        body = _WIRE_BODIES.get(self.op)
+        text = (
+            json.dumps(self.to_dict())
+            if body is None
+            else '{"op": "%s", %s}' % (self.op, body(self.value))
+        )
+        data = text.encode("utf-8")
         with _encodes_mu:
             _encodes += 1
         return data
@@ -122,21 +165,25 @@ class BatchItem:
 # ----------------------------------------------------------------------
 # Operation implementations
 # ----------------------------------------------------------------------
-def _cuboid_cells(view: "RegressionCubeView", coord: Coord) -> Iterable[tuple[Values, ISB]]:
-    """The cells of one cuboid, from the cheapest exact source.
+def _cuboid_columns(view: RegressionCubeView, coord: Coord) -> CuboidColumns:
+    """The columns of one whole cuboid, from the cheapest exact source.
 
     A *complete* materialized cuboid (m/o layer, popular-path cuboid, full
-    materialization) is served directly; partial cuboids (retained exception
-    cells only) and absent ones are re-aggregated from the m-layer, which is
-    exact by Theorem 3.2.
+    materialization) is served as it is; partial cuboids (retained exception
+    cells only) and absent ones are rolled up from the m-layer's columns,
+    which is exact by Theorem 3.2.
     """
     cuboid = view.result.complete_cuboid(coord)
     if cuboid is not None:
-        return cuboid.items()
-    return view.result.m_layer.roll_up(coord).items()
+        return cuboid.columns
+    return view.result.m_layer.columns.roll_up(coord)
 
 
-def _cell(view: "RegressionCubeView", spec: QuerySpec) -> ISB:
+def _selected(columns: CuboidColumns, mask) -> ColumnCells:
+    return ColumnCells(columns.take(np.flatnonzero(mask)))
+
+
+def _cell(view: RegressionCubeView, spec: QuerySpec) -> ISB:
     c = view.lattice.require(spec.coord)
     vals = tuple(spec.values)
     cuboid = view.result.cuboids.get(c)
@@ -150,19 +197,16 @@ def _cell(view: "RegressionCubeView", spec: QuerySpec) -> ISB:
     return isb
 
 
-def _slice(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
+def _slice(view: RegressionCubeView, spec: QuerySpec) -> ColumnCells:
     c = view.lattice.require(spec.coord)
-    fixed_idx = {
+    fixed = {
         view.schema.dim_index(name): value for name, value in (spec.fixed or ())
     }
-    return {
-        values: isb
-        for values, isb in _cuboid_cells(view, c)
-        if all(values[i] == v for i, v in fixed_idx.items())
-    }
+    columns = _cuboid_columns(view, c)
+    return _selected(columns, columns.mask(c, fixed))
 
 
-def _roll_up(view: "RegressionCubeView", spec: QuerySpec) -> tuple[Coord, Values, ISB]:
+def _roll_up(view: RegressionCubeView, spec: QuerySpec) -> tuple[Coord, Values, ISB]:
     c = view.lattice.require(spec.coord)
     d = view.schema.dim_index(spec.dim)
     if c[d] - 1 < view.layers.o_coord[d]:
@@ -177,23 +221,19 @@ def _roll_up(view: "RegressionCubeView", spec: QuerySpec) -> tuple[Coord, Values
     return parent_coord, parent_values, parent
 
 
-def _drill_down(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
+def _drill_down(view: RegressionCubeView, spec: QuerySpec) -> ColumnCells:
     c = view.lattice.require(spec.coord)
-    vals = tuple(spec.values)
     d = view.schema.dim_index(spec.dim)
     if c[d] + 1 > view.layers.m_coord[d]:
         raise QueryError(
             f"dimension {spec.dim!r} is already at the m-layer level in {c}"
         )
     child_coord = c[:d] + (c[d] + 1,) + c[d + 1 :]
-    out: dict[Values, ISB] = {}
-    for child_values, isb in _cuboid_cells(view, child_coord):
-        if roll_up_values(view.schema, child_values, child_coord, c) == vals:
-            out[child_values] = isb
-    return out
+    columns = _cuboid_columns(view, child_coord)
+    return _selected(columns, columns.mask(c, dict(enumerate(spec.values))))
 
 
-def _siblings(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
+def _siblings(view: RegressionCubeView, spec: QuerySpec) -> ColumnCells:
     c = view.lattice.require(spec.coord)
     vals = tuple(spec.values)
     d = view.schema.dim_index(spec.dim)
@@ -203,62 +243,59 @@ def _siblings(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
             f"dimension {spec.dim!r} is '*' in cuboid {c}; a '*' value has "
             "no siblings"
         )
-    hier = view.schema.dimensions[d].hierarchy
-    parent = hier.parent(vals[d], level)
-    out: dict[Values, ISB] = {}
-    for cell_values, isb in _cuboid_cells(view, c):
-        if cell_values == vals:
-            continue
-        if any(
-            i != d and v != w
-            for i, (v, w) in enumerate(zip(cell_values, vals))
-        ):
-            continue
-        if hier.parent(cell_values[d], level) == parent:
-            out[cell_values] = isb
-    return out
+    # Equal in every other dimension, under the same parent in ``d`` —
+    # and not the cell itself.
+    parent = view.schema.dimensions[d].hierarchy.parent(vals[d], level)
+    parent_coord = c[:d] + (level - 1,) + c[d + 1 :]
+    others = {i: v for i, v in enumerate(vals) if i != d}
+    columns = _cuboid_columns(view, c)
+    return _selected(
+        columns,
+        columns.mask(parent_coord, {**others, d: parent})
+        & ~columns.mask(c, {d: vals[d]}),
+    )
 
 
-def _sibling_deviation(view: "RegressionCubeView", spec: QuerySpec) -> float:
+def _sibling_deviation(view: RegressionCubeView, spec: QuerySpec) -> float:
     cell_isb = _cell(view, spec)
     brothers = _siblings(view, spec)
     if not brothers:
         raise QueryError(
             f"cell {tuple(spec.values)} has no siblings along {spec.dim!r}"
         )
-    mean_slope = sum(i.slope for i in brothers.values()) / len(brothers)
+    mean_slope = sum(brothers.columns.isbs.slope.tolist()) / len(brothers)
     return cell_isb.slope - mean_slope
 
 
 def _top_slopes(
-    view: "RegressionCubeView", spec: QuerySpec
+    view: RegressionCubeView, spec: QuerySpec
 ) -> list[tuple[Values, ISB]]:
     c = view.lattice.require(spec.coord)
-    ranked = sorted(_cuboid_cells(view, c), key=lambda kv: -abs(kv[1].slope))
-    return ranked[: spec.k]
+    columns = _cuboid_columns(view, c)
+    # Stable, so equal |slope| keep row order — what ``sorted`` gives.
+    order = np.argsort(-np.abs(columns.isbs.slope), kind="stable")
+    top = columns.take(order[: spec.k])
+    return list(zip(top.keys(), top.isbs.to_isbs()))
 
 
-def _observation_deck(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
-    return dict(view.result.o_layer.items())
+def _observation_deck(view: RegressionCubeView, spec: QuerySpec) -> ColumnCells:
+    return view.result.o_layer.cells
 
 
-def _watch_list(view: "RegressionCubeView", spec: QuerySpec) -> dict[Values, ISB]:
+def _watch_list(view: RegressionCubeView, spec: QuerySpec) -> ColumnCells:
     return view.result.o_layer_exceptions()
 
 
 def _exceptions(
-    view: "RegressionCubeView", spec: QuerySpec
-) -> dict[Coord, dict[Values, ISB]]:
-    out = {
-        coord: dict(cells)
-        for coord, cells in view.result.retained_exceptions.items()
-    }
+    view: RegressionCubeView, spec: QuerySpec
+) -> dict[Coord, Mapping[Values, ISB]]:
+    out = dict(view.result.retained_exceptions)
     out[view.layers.o_coord] = view.result.o_layer_exceptions()
     return out
 
 
 def _change_exceptions(
-    view: "RegressionCubeView", spec: QuerySpec
+    view: RegressionCubeView, spec: QuerySpec
 ) -> dict[Values, ISB]:
     if view.changes is None:
         raise QueryError(
@@ -270,7 +307,7 @@ def _change_exceptions(
     return view.changes.o_layer_change_exceptions(spec.quarters_apart)
 
 
-_IMPLS: dict[str, Callable[["RegressionCubeView", QuerySpec], Any]] = {
+_IMPLS: dict[str, Callable[[RegressionCubeView, QuerySpec], Any]] = {
     "cell": _cell,
     "slice": _slice,
     "roll_up": _roll_up,
@@ -323,6 +360,18 @@ def _encode_deviation(value: float) -> dict[str, Any]:
     return {"deviation": value}
 
 
+def _cells_json(value: Mapping[Values, ISB]) -> str:
+    return '"cells": ' + cells_to_json(value)
+
+
+def _cuboids_json(value: Mapping[Coord, Mapping[Values, ISB]]) -> str:
+    return '"cuboids": [%s]' % ", ".join(
+        '{"coord": %s, "cells": %s}'
+        % (json.dumps(list(coord)), cells_to_json(cells))
+        for coord, cells in value.items()
+    )
+
+
 _RESULT_ENCODERS: dict[str, Callable[[Any], dict[str, Any]]] = {
     "cell": _encode_isb,
     "slice": _encode_cells,
@@ -337,12 +386,24 @@ _RESULT_ENCODERS: dict[str, Callable[[Any], dict[str, Any]]] = {
     "change_exceptions": _encode_cells,
 }
 
+#: The ops whose :attr:`QueryResult.wire` body (after ``"op"``) is rendered
+#: from the cell mappings rather than through :meth:`QueryResult.to_dict`.
+_WIRE_BODIES: dict[str, Callable[[Any], str]] = {
+    "slice": _cells_json,
+    "drill_down": _cells_json,
+    "siblings": _cells_json,
+    "observation_deck": _cells_json,
+    "watch_list": _cells_json,
+    "exceptions": _cuboids_json,
+    "change_exceptions": _cells_json,
+}
+
 
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 def execute(
-    view: "RegressionCubeView",
+    view: RegressionCubeView,
     spec: QuerySpec | Mapping[str, Any],
     *,
     pre_resolved: bool = False,
@@ -395,7 +456,7 @@ def run_batch(
 
 
 def execute_batch(
-    view: "RegressionCubeView",
+    view: RegressionCubeView,
     batch: BatchQuery | Iterable[QuerySpec | Mapping[str, Any]],
 ) -> list[BatchItem]:
     """Run many specs against one view, collecting per-spec outcomes."""

@@ -39,10 +39,10 @@ from typing import Any, Hashable, Iterable, Mapping
 from repro.cube.schema import CubeSchema
 from repro.cubing.result import CubeResult
 from repro.errors import ServiceError
-from repro.query.api import RegressionCubeView
 from repro.query.exec import (
     BatchItem,
     QueryResult,
+    RegressionCubeView,
     execute,
     run_batch,
     wire_encodes,

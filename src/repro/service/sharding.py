@@ -77,10 +77,15 @@ from repro.stream.engine import (
     group_segments,
     recent_window_bounds,
     run_cubing,
-    validate_quarter_order,
+    validate_batch,
     window_change_exceptions,
 )
-from repro.stream.records import RecordColumns, StreamRecord, require_int_ticks
+from repro.stream.records import (
+    RecordColumns,
+    StreamRecord,
+    require_finite_z,
+    require_int_ticks,
+)
 from repro.stream.state import EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import TiltLevelSpec, TiltPages
@@ -606,6 +611,7 @@ class ShardedStreamCube:
     def ingest(self, record: StreamRecord) -> None:
         """Ingest one record on its owner shard, keeping shards aligned."""
         require_int_ticks((record.t,))
+        require_finite_z((record.z,))
         with self._write_mutex:
             key = (
                 record.values if self.key_fn is None else self.key_fn(record)
@@ -646,13 +652,13 @@ class ShardedStreamCube:
         """Route a quarter-ordered batch per shard and dispatch in parallel.
 
         The batch obeys the same validation contract as
-        :meth:`StreamCubeEngine.ingest_many` — quarters non-decreasing,
-        none sealed, the last within the seal horizon — checked against the
-        *global* order, and every cell key this cube has not routed before
-        is schema-validated, all before the journal or any shard is touched:
-        a bad batch mutates nothing (with or without a WAL), so a client
-        can fix and resend it, and a rejected batch can never poison the
-        log.  Records are converted to columns here, at the door; a caller
+        :meth:`StreamCubeEngine.ingest_many` — every ``z`` finite, quarters
+        non-decreasing, none sealed, the last within the seal horizon —
+        checked against the *global* order, and every cell key this cube
+        has not routed before is schema-validated, all before the journal
+        or any shard is touched: a bad batch mutates nothing (with or
+        without a WAL), so a client can fix and resend it, and a rejected
+        batch can never poison the log.  Records are converted to columns here, at the door; a caller
         that already holds :class:`~repro.stream.records.RecordColumns`
         (the HTTP edge) passes them as they are.  Returns the number of
         records ingested.
@@ -666,9 +672,7 @@ class ShardedStreamCube:
     def _ingest_batch_locked(self, batch: RecordColumns) -> int:
         backend = self._backend
         current = self.current_quarter
-        quarters = validate_quarter_order(
-            batch.ticks, current, self.ticks_per_quarter
-        )
+        quarters = validate_batch(batch, current, self.ticks_per_quarter)
         top = int(quarters[-1])
         segments = self._route(
             group_segments(

@@ -66,7 +66,12 @@ from repro.regression.isb import ISB
 from repro.storage.files import FileColdStore
 from repro.storage.pages import ColdPage
 from repro.storage.spill import ColdIndex, demotion_cutoffs
-from repro.stream.records import RecordColumns, StreamRecord, require_int_ticks
+from repro.stream.records import (
+    RecordColumns,
+    StreamRecord,
+    require_finite_z,
+    require_int_ticks,
+)
 from repro.stream.state import CellSnapshot, EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import (
@@ -86,7 +91,7 @@ __all__ = [
     "group_segments",
     "recent_window_bounds",
     "run_cubing",
-    "validate_quarter_order",
+    "validate_batch",
     "change_window_bounds",
     "window_change_exceptions",
 ]
@@ -117,11 +122,12 @@ def check_seal_horizon(t: int, quarter: int, current_quarter: int) -> None:
         )
 
 
-def validate_quarter_order(
-    ticks: kernels.Column, current_quarter: int, ticks_per_quarter: int
+def validate_batch(
+    batch: RecordColumns, current_quarter: int, ticks_per_quarter: int
 ) -> kernels.Column:
-    """Enforce the batch ordering contract before any state is mutated.
+    """Enforce the batch contract before any state is mutated or journaled.
 
+    Every ``z`` must be finite (:func:`~repro.stream.records.require_finite_z`).
     Quarters must be non-decreasing across the batch, none may precede
     ``current_quarter`` and the last may not lie past the seal horizon
     (:func:`check_seal_horizon`); within one quarter any tick order is fine.
@@ -131,6 +137,8 @@ def validate_quarter_order(
 
     Returns the quarter column of the tick column (empty batches pass).
     """
+    require_finite_z(batch.z)
+    ticks = batch.ticks
     quarters, bad = kernels.quarter_order(
         ticks, ticks_per_quarter, current_quarter
     )
@@ -533,12 +541,14 @@ class StreamCubeEngine:
         Records must not go back past a sealed quarter; within the current
         quarter any order is accepted (the running sums are order-free).
         A record that fails validation — a tick that is not an ``int``, a
-        sealed quarter, a quarter past the seal horizon, or an out-of-schema
-        key — is rejected before any state is mutated or journaled.  This
-        is the record-at-a-time reference the batch path is pinned against:
-        one scalar ``+=`` on the same slot the scatter-add would hit.
+        non-finite ``z``, a sealed quarter, a quarter past the seal horizon,
+        or an out-of-schema key — is rejected before any state is mutated
+        or journaled.  This is the record-at-a-time reference the batch
+        path is pinned against: one scalar ``+=`` on the same slot the
+        scatter-add would hit.
         """
         require_int_ticks((record.t,))
+        require_finite_z((record.z,))
         tpq = self.ticks_per_quarter
         quarter = record.t // tpq
         if quarter < self._current_quarter:
@@ -573,10 +583,11 @@ class StreamCubeEngine:
         already-sealed quarter.  Within one quarter any tick order is fine —
         per-tick accumulation is order-free — but a record whose quarter
         precedes an earlier record's quarter would force sealing that the
-        stream cannot undo.  Order, the seal horizon and the schema of every
-        cell key the engine has not seen are checked before any state is
-        mutated or journaled, so a bad batch raises and leaves the engine
-        (and its WAL) exactly as it was — a client may fix and resend it.
+        stream cannot undo.  Finite ``z``, order, the seal horizon and the
+        schema of every cell key the engine has not seen are checked before
+        any state is mutated or journaled, so a bad batch raises and leaves
+        the engine (and its WAL) exactly as it was — a client may fix and
+        resend it.
 
         Records are converted to columns here, at the door
         (:class:`~repro.stream.records.RecordColumns`, taken as it is when
@@ -588,8 +599,8 @@ class StreamCubeEngine:
         ``tests/stream/test_columnar_ingest.py``).
         """
         batch = RecordColumns.of(records)
-        quarters = validate_quarter_order(
-            batch.ticks, self._current_quarter, self.ticks_per_quarter
+        quarters = validate_batch(
+            batch, self._current_quarter, self.ticks_per_quarter
         )
         segments = group_segments(
             batch.keys(self.key_fn), batch.ticks, batch.z, quarters

@@ -18,12 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import StreamError
 from repro.regression import kernels
 
 __all__ = [
     "RecordColumns",
     "StreamRecord",
+    "require_finite_z",
     "require_int_ticks",
     "sort_records",
     "validate_monotonic",
@@ -47,6 +50,19 @@ class StreamRecord:
     values: tuple[Hashable, ...]
     t: int
     z: float
+
+
+def require_finite_z(z: Any) -> None:
+    """Refuse a NaN or infinite measure (``z`` is a column or a sequence of
+    floats) before it is journaled: one such record would make every
+    regression of every window and ancestor cell that covers it NaN."""
+    finite = np.isfinite(z)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise StreamError(
+            f"batch record {bad} has a non-finite z ({float(z[bad])!r}); "
+            "batch rejected, no records ingested"
+        )
 
 
 def require_int_ticks(ticks: list | tuple) -> None:

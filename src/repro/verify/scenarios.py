@@ -55,8 +55,7 @@ from repro.cubing.popular_path import popular_path_cubing
 from repro.cubing.result import CubeResult
 from repro.errors import CorruptionError, ServiceError
 from repro.io import isb_from_dict
-from repro.query.api import RegressionCubeView
-from repro.query.exec import execute
+from repro.query.exec import RegressionCubeView, execute
 from repro.query.spec import Q
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube

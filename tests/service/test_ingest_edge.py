@@ -26,14 +26,17 @@ from typing import Any
 import pytest
 
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.errors import StreamError
 from repro.io import engine_state_to_dict
 from repro.regression import kernels
 from repro.service.http import StreamCubeService, make_server
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.stream import records as records_module
-from repro.stream.engine import MAX_QUARTERS_AHEAD
+from repro.stream.engine import MAX_QUARTERS_AHEAD, StreamCubeEngine
 from repro.stream.generator import DatasetSpec
+from repro.stream.records import StreamRecord
+from repro.stream.wal import QuarterWAL
 
 from tests.service.conftest import TPQ
 
@@ -75,6 +78,8 @@ BATCHES: list[tuple[str, Any]] = [
     ("z-an-int", [row(z=3)]),
     ("z-true", [row(z=True)]),
     ("z-a-word", [row(z="much")]),
+    ("z-nan", [row(), row(z=float("nan"))]),  # json.loads accepts NaN
+    ("z-1e400", [row(z=json.loads("1e400"))]),  # parses to infinity
     ("second-row-malformed", [row(), row(z=None)]),
     ("sealed-quarter", [row(t=NOW - 1)]),
     ("second-row-sealed", [row(), row(t=0)]),
@@ -184,6 +189,57 @@ class TestRejectedBatchesLeaveNoTrace:
             assert shard_states(service) == before
         finally:
             service.close()
+
+
+class TestNonFiniteZ:
+    """A NaN or infinite ``z`` is refused before the journal on every
+    ingest path; accepted, it made every window and ancestor covering its
+    quarter NaN (and the wire carried ``NaN``, which is not JSON)."""
+
+    BAD = [float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("z", BAD)
+    @pytest.mark.parametrize("sharded", [False, True], ids=["engine", "cube"])
+    def test_python_paths_refuse_it_before_the_wal(self, tmp_path, sharded, z):
+        layers = DatasetSpec(2, 2, 3, 1).build_layers()
+        policy = GlobalSlopeThreshold(0.1)
+        wal = QuarterWAL(tmp_path / "wal.jsonl")
+        if sharded:
+            target = ShardedStreamCube(
+                layers, policy, n_shards=2, ticks_per_quarter=TPQ, wal=wal
+            )
+            ingest_batch = target.ingest_batch
+        else:
+            target = StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ, wal=wal)
+            ingest_batch = target.ingest_many
+        bad = StreamRecord((1, 2), 1, z)
+        try:
+            with pytest.raises(StreamError, match="non-finite z"):
+                target.ingest(bad)
+            with pytest.raises(StreamError, match="non-finite z"):
+                ingest_batch([StreamRecord((0, 0), 0, 1.0), bad])
+            assert wal.last_seq == 0
+            assert target.tracked_cells == 0
+        finally:
+            if sharded:
+                target.close()
+
+    def test_wal_replay_stops_at_an_entry_journaled_before_the_check(self, tmp_path):
+        """A journal written before the check can hold such an entry;
+        replay goes through the same validation and stops there with the
+        typed error, the entries before it applied."""
+        layers = DatasetSpec(2, 2, 3, 1).build_layers()
+        wal = QuarterWAL(tmp_path / "wal.jsonl")
+        for record in (
+            StreamRecord((0, 0), 0, 1.0),
+            StreamRecord((0, 0), 1, float("nan")),
+            StreamRecord((0, 1), 1, 2.0),
+        ):
+            wal.append_batch([record], 0)
+        engine = StreamCubeEngine(layers, GlobalSlopeThreshold(0.1), ticks_per_quarter=TPQ)
+        with pytest.raises(StreamError, match="non-finite z"):
+            wal.replay(engine)
+        assert engine.records_ingested == 1
 
 
 class TestFarFutureTicks:

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import io as repro_io
 from repro.cluster import ClusterConfig
 from repro.cube.hierarchy import LevelCodes
 from repro.cubing.mo_cubing import CubePlan, PlannedCells, mo_cubing
@@ -276,7 +277,15 @@ def counted(monkeypatch):
     """Call counts of the structure-deriving functions and of ``ISB``
     construction, from the moment the fixture is requested."""
     counts = dict.fromkeys(
-        ["encode", "first_seen_groups", "pack_keys", "canonical_cell_order", "isb"], 0
+        [
+            "encode",
+            "first_seen_groups",
+            "pack_keys",
+            "canonical_cell_order",
+            "isb",
+            "json_heads",
+        ],
+        0,
     )
 
     def counting(name, fn):
@@ -297,6 +306,9 @@ def counted(monkeypatch):
         counting("canonical_cell_order", merge.canonical_cell_order),
     )
     monkeypatch.setattr(ISB, "__post_init__", counting("isb", ISB.__post_init__))
+    monkeypatch.setattr(
+        repro_io, "_row_heads", counting("json_heads", repro_io._row_heads)
+    )
     return counts
 
 
@@ -325,17 +337,24 @@ def test_seals_on_an_unchanged_cell_set_rebuild_and_box_nothing(layers, counted)
                 ],
             )
             sealed_isbs = counted["isb"]
-            answer = router.execute(Q.observation_deck()).value
-            assert list(answer) == list(deck)  # same cells, same order
-            # Only what the answer reads is boxed: the o-layer, once.
-            assert counted["isb"] - sealed_isbs == len(deck)
-            assert router.execute(Q.observation_deck()).value is not None  # a hit
-            assert counted["isb"] - sealed_isbs == len(deck)
+            answer = router.execute(Q.observation_deck())
+            assert list(answer.value) == list(deck)  # same cells, same order
+            # The deck and its wire bytes are read off the columns: no cell
+            # is boxed, neither by the answer nor by its encoding.
+            assert answer.wire
+            assert counted["isb"] - sealed_isbs == 0
+            assert router.execute(Q.observation_deck()) is answer  # a hit
+            # A ranking boxes its k rows and nothing else.
+            top = router.execute(Q.top_slopes(layers.o_coord, k=3))
+            assert top.wire and len(top.value) == 3
+            assert counted["isb"] - sealed_isbs == 3
         stats = router.stats()
         assert (stats["plan_builds"], stats["plan_reuses"]) == (1, 20)
         assert stats["refreshes"] == 21
         for name in ("encode", "first_seen_groups", "pack_keys", "canonical_cell_order"):
             assert counted[name] == 0, name
+        # The deck's per-row key text is rendered once for the held plan.
+        assert counted["json_heads"] == 1
 
         # One birth: exactly one rebuild (one encode per dimension, one
         # canonical sort), then the plan holds again.
@@ -345,8 +364,10 @@ def test_seals_on_an_unchanged_cell_set_rebuild_and_box_nothing(layers, counted)
             if key not in set(keys)
         )
         seal(24, [StreamRecord(newborn, 24 * TPQ, 1.0)])
-        assert len(router.execute(Q.observation_deck()).value) >= len(deck)
+        reborn = router.execute(Q.observation_deck())
+        assert len(reborn.value) >= len(deck) and reborn.wire
         assert router.stats()["plan_builds"] == 2
+        assert counted["json_heads"] == 2
         assert counted["encode"] == layers.schema.n_dims
         assert counted["canonical_cell_order"] == len(keys) + 1
         seal(25, [StreamRecord(newborn, 25 * TPQ, 2.0)])

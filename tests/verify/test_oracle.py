@@ -202,7 +202,7 @@ class TestDifferentialAgreement:
         engine.advance_to(6 * 4)
         oracle.advance_to(6 * 4)
         result = engine.refresh(4)
-        flags = result.o_layer_exceptions()
+        flags = dict(result.o_layer_exceptions())  # a copy to corrupt
         deck = dict(result.o_layer.items())
         unflagged = [key for key in deck if key not in flags]
         if not unflagged:  # pragma: no cover - seed-dependent guard
