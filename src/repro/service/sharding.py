@@ -674,13 +674,12 @@ class ShardedStreamCube:
         current = self.current_quarter
         quarters = validate_batch(batch, current, self.ticks_per_quarter)
         top = int(quarters[-1])
-        segments = self._route(
-            group_segments(
-                batch.keys(self.key_fn), batch.ticks, batch.z, quarters
-            )
+        grouped = group_segments(
+            batch.keys(self.key_fn), batch.ticks, batch.z, quarters
         )
+        segments = self._route(grouped)
         if self.wal is not None:
-            self.wal.append_batch(batch, top)
+            self.wal.append_batch(batch, top, None if self.key_fn else grouped)
         # Readers are fenced out only while engine state actually changes:
         # a sealing batch (its top quarter passes the cube clock) moves
         # every shard's clock, so it holds every write lock across apply +

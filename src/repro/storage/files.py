@@ -24,7 +24,11 @@ never acknowledged and is re-derivable from the WAL).
 Reads go through ``mmap``: the page's bytes are sliced straight out of the
 mapping (then materialized, so the mapping closes immediately) and decoded
 with ``frombuffer`` on the numpy path — no seek/read shuffle, no partial
-parses.
+parses.  The store keeps, weakly, the :class:`~repro.storage.pages.KeyBlock`
+of every page it wrote or decoded that is still alive, by row count and
+keys bytes: a fault of a page whose keys it already holds verifies the
+page's checksum and shares that block, so pages spilled from one cell set
+decode their keys once between them.
 
 Re-putting an existing key appends a new occurrence; the in-memory index
 keeps the **latest** occurrence per key, and :meth:`FileColdStore.compact`
@@ -39,13 +43,19 @@ import errno
 import mmap
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro import faults
 from repro.errors import CorruptionError, StorageError
-from repro.storage.pages import PAGE_HEADER_BYTES, ColdPage, read_page_header
+from repro.storage.pages import (
+    PAGE_HEADER_BYTES,
+    ColdPage,
+    KeyBlock,
+    read_page_header,
+)
 
 __all__ = ["BACKEND", "FileColdStore", "StoreStats"]
 
@@ -121,6 +131,9 @@ class FileColdStore:
         self._read_retries = 0
         self._write_repairs = 0
         self._quarantined: list[tuple[int, int, int]] = []
+        self._key_blocks: weakref.WeakValueDictionary[
+            tuple[int, bytes], KeyBlock
+        ] = weakref.WeakValueDictionary()
         for path in sorted(self.root.glob("L*.seg")):
             self._scan_file(path)
 
@@ -192,6 +205,7 @@ class FileColdStore:
             len(blob),
             page.n_rows,
         )
+        self._key_blocks[page.n_rows, page.block.text(page.n_rows)] = page.block
         self._puts += 1
 
     def _append_blob(self, path: Path, blob: bytes) -> None:
@@ -238,7 +252,9 @@ class FileColdStore:
         with open(path, "rb") as fh:
             with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
                 data = bytes(mm[offset : offset + length])
-        return ColdPage.decode(faults.corrupt("store.read", data))
+        return ColdPage.decode(
+            faults.corrupt("store.read", data), self._key_blocks
+        )
 
     def _quarantine(
         self, key: tuple[int, int, int], cause: Exception

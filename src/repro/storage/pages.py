@@ -30,6 +30,14 @@ bit-identical to the zero-backfill a frame of the late-born cell's own
 would have held.  A corrupt page raises
 :class:`~repro.errors.CorruptionError` instead of decoding garbage.
 
+The keys of a page are a prefix of the cell set it was spilled from, and
+that set changes only on a birth, a prune or a reload, so pages share
+their keys through a :class:`KeyBlock`: one tuple of key tuples, with the
+JSON text of each prefix and a key -> row index built on first use.  The
+engine spills every page of one cell generation from one block, and a
+store decodes each distinct keys block once and hands the same block to
+every page that carries it.
+
 Floats travel as raw little-endian IEEE-754 doubles (``numpy`` ``tobytes``
 / ``frombuffer``), so pages round-trip bit for bit.
 """
@@ -39,7 +47,8 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Hashable, Sequence
+from itertools import repeat
+from typing import Hashable, MutableMapping, Sequence
 
 import numpy as np
 
@@ -51,6 +60,7 @@ __all__ = [
     "PAGE_VERSION",
     "PAGE_HEADER_BYTES",
     "ColdPage",
+    "KeyBlock",
     "read_page_header",
     "pack_f64",
     "unpack_f64",
@@ -90,10 +100,36 @@ def unpack_f64(buf: bytes, count: int, offset: int = 0) -> tuple[float, ...]:
     )
 
 
-def _encode_keys(keys: Sequence[Values]) -> bytes:
-    return json.dumps(
-        [list(key) for key in keys], separators=(",", ":")
-    ).encode("utf-8")
+class KeyBlock:
+    """One cell set's keys, shared by every page spilled from it.
+
+    ``keys`` is a tuple of key tuples; a page of ``n`` rows holds the first
+    ``n``.  :meth:`text` (the compact JSON a page of ``n`` rows stores) and
+    :attr:`index` are built on first use and kept.
+    """
+
+    __slots__ = ("keys", "_texts", "_index", "__weakref__")
+
+    def __init__(self, keys: tuple[Values, ...], text: bytes | None = None):
+        self.keys = keys
+        self._texts = {} if text is None else {len(keys): text}
+        self._index: dict[Values, int] | None = None
+
+    def text(self, n: int) -> bytes:
+        """The compact JSON array of the first ``n`` keys."""
+        text = self._texts.get(n)
+        if text is None:
+            text = self._texts[n] = json.dumps(
+                self.keys[:n], separators=(",", ":")
+            ).encode("utf-8")
+        return text
+
+    @property
+    def index(self) -> dict[Values, int]:
+        """Each key's row."""
+        if self._index is None:
+            self._index = dict(zip(self.keys, range(len(self.keys))))
+        return self._index
 
 
 class ColdPage:
@@ -101,20 +137,22 @@ class ColdPage:
 
     ``keys[i]``'s sealed ISB over ``[t_b, t_e]`` is
     ``ISB(t_b, t_e, base[i], slope[i])``; a key not in the page maps to the
-    zero row (see the module docstring).  Instances are value objects — the
-    engine caches decoded pages and shares them freely.
+    zero row (see the module docstring).  ``keys`` is a sequence of keys
+    (a tuple of tuples is taken as it is) or a :class:`KeyBlock`, of which
+    the page holds the first ``len(base)``.  Instances are value objects —
+    the engine caches decoded pages and shares them freely.
     """
 
     __slots__ = (
         "level",
         "t_b",
         "t_e",
-        "keys",
+        "block",
         "base",
         "slope",
         "zero_base",
         "zero_slope",
-        "_row_of",
+        "_rows_over",
     )
 
     def __init__(
@@ -122,7 +160,7 @@ class ColdPage:
         level: int,
         t_b: int,
         t_e: int,
-        keys: Sequence[Values],
+        keys: KeyBlock | Sequence[Values],
         base: Sequence[float],
         slope: Sequence[float],
         zero_base: float = 0.0,
@@ -132,10 +170,15 @@ class ColdPage:
             raise StorageError(f"cold page with empty interval [{t_b}, {t_e}]")
         if level < 0:
             raise StorageError(f"cold page with negative level {level}")
-        self.keys: tuple[Values, ...] = tuple(tuple(k) for k in keys)
-        if not (len(self.keys) == len(base) == len(slope)):
+        if isinstance(keys, KeyBlock):
+            self.block, fits = keys, len(base) <= len(keys.keys)
+        else:
+            if not isinstance(keys, tuple):
+                keys = tuple(map(tuple, keys))
+            self.block, fits = KeyBlock(keys), len(base) == len(keys)
+        if not (fits and len(base) == len(slope)):
             raise StorageError(
-                f"cold page row mismatch: {len(self.keys)} keys, "
+                f"cold page row mismatch: {len(self.block.keys)} keys, "
                 f"{len(base)} bases, {len(slope)} slopes"
             )
         self.level = level
@@ -147,14 +190,19 @@ class ColdPage:
         self.slope = np.asarray(slope, dtype=np.float64)
         self.zero_base = float(zero_base)
         self.zero_slope = float(zero_slope)
-        self._row_of: dict[Values, int] | None = None
+        self._rows_over: tuple[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Introspection / row access
     # ------------------------------------------------------------------
     @property
     def n_rows(self) -> int:
-        return len(self.keys)
+        return len(self.base)
+
+    @property
+    def keys(self) -> tuple[Values, ...]:
+        keys = self.block.keys
+        return keys if len(keys) == len(self.base) else keys[: len(self.base)]
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -167,9 +215,8 @@ class ColdPage:
     def row_of(self, key: Values) -> int:
         """``key``'s row in the page, or ``-1`` for a key absent at spill
         time — which reads the zero row (:meth:`isb`, :meth:`gather`)."""
-        if self._row_of is None:
-            self._row_of = {k: i for i, k in enumerate(self.keys)}
-        return self._row_of.get(tuple(key), -1)
+        row = self.block.index.get(tuple(key), -1)
+        return row if row < self.n_rows else -1
 
     def isb(self, key: Values) -> ISB:
         """``key``'s row, or the zero row for keys absent at spill time.
@@ -198,6 +245,29 @@ class ColdPage:
             take_rows(self.slope, rows, self.zero_slope),
         )
 
+    def rows_over(
+        self, generation: str, keys: Sequence[Values], born: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`gather` rows laying this page over a reader's cell set.
+
+        Row ``i`` is ``keys[i]``'s page row, or ``-1`` where the page holds
+        no such key or the cell was born after the page was sealed
+        (``born[i] > t_e``: a pruned predecessor's row is not its history).
+        ``generation`` names the reader's cell set, keys and births
+        included; the rows are built once per generation, by C-level
+        lookups, and kept until it moves.
+        """
+        held = self._rows_over
+        if held is None or held[0] != generation:
+            rows = np.fromiter(
+                map(self.block.index.get, keys, repeat(-1)),
+                dtype=np.intp,
+                count=len(keys),
+            )
+            rows[born > self.t_e] = -1
+            held = self._rows_over = (generation, rows)
+        return held[1]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColdPage):
             return NotImplemented
@@ -223,7 +293,7 @@ class ColdPage:
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
         """The page as bytes: checksummed header + keys + two f64 columns."""
-        keys_blob = _encode_keys(self.keys)
+        keys_blob = self.block.text(self.n_rows)
         body = keys_blob + pack_f64(self.base) + pack_f64(self.slope)
         header = _HEADER.pack(
             _MAGIC,
@@ -248,42 +318,63 @@ class ColdPage:
     @property
     def encoded_size(self) -> int:
         """Byte length :meth:`encode` will produce (header + body)."""
-        return _HEADER.size + len(_encode_keys(self.keys)) + 16 * self.n_rows
+        return (
+            _HEADER.size + len(self.block.text(self.n_rows)) + 16 * self.n_rows
+        )
 
     @classmethod
-    def decode(cls, buf: bytes | memoryview) -> "ColdPage":
-        """Inverse of :meth:`encode`; validates magic, version and checksum."""
+    def decode(
+        cls,
+        buf: bytes | memoryview,
+        blocks: MutableMapping[tuple[int, bytes], KeyBlock] | None = None,
+    ) -> "ColdPage":
+        """Inverse of :meth:`encode`; validates magic, version and checksum.
+
+        ``blocks`` maps ``(n_rows, keys block bytes)`` to a
+        :class:`KeyBlock` holding those keys first: a block found there is
+        shared, not parsed again, and one parsed here is added.  The
+        checksum over the whole page is verified first either way.
+        """
         data = bytes(buf)
         header = read_page_header(data)
         level, t_b, t_e, n_rows, keys_len, crc, zero_base, zero_slope = header
-        need = _HEADER.size + keys_len + 16 * n_rows
+        at = _HEADER.size + keys_len
+        need = at + 16 * n_rows
         if len(data) < need:
             raise StorageError(
                 f"cold page truncated: {len(data)} bytes, need {need}"
             )
-        body = data[_HEADER.size : need]
+        body = memoryview(data)[_HEADER.size : need]
         if _page_crc(data[: _HEADER.size], body) != crc:
             raise CorruptionError(
                 f"cold page checksum mismatch for level {level} "
                 f"[{t_b},{t_e}] (corrupt page)"
             )
-        try:
-            raw_keys = json.loads(body[:keys_len].decode("utf-8"))
-            keys = [tuple(k) for k in raw_keys]
-        except (ValueError, TypeError) as exc:
-            raise StorageError(f"cold page keys block is invalid: {exc}") from None
-        if len(keys) != n_rows:
-            raise StorageError(
-                f"cold page declares {n_rows} rows but has {len(keys)} keys"
-            )
-        at = _HEADER.size + keys_len
+        text = data[_HEADER.size : at]
+        block = None if blocks is None else blocks.get((n_rows, text))
+        if block is None:
+            block = _decode_keys(text, n_rows)
+            if blocks is not None:
+                blocks[n_rows, text] = block
         base = np.frombuffer(data, dtype="<f8", count=n_rows, offset=at)
         slope = np.frombuffer(
             data, dtype="<f8", count=n_rows, offset=at + 8 * n_rows
         )
         return cls(
-            level, t_b, t_e, keys, base, slope, zero_base, zero_slope
+            level, t_b, t_e, block, base, slope, zero_base, zero_slope
         )
+
+
+def _decode_keys(text: bytes, n_rows: int) -> KeyBlock:
+    try:
+        keys = tuple(map(tuple, json.loads(text.decode("utf-8"))))
+    except (ValueError, TypeError) as exc:
+        raise StorageError(f"cold page keys block is invalid: {exc}") from None
+    if len(keys) != n_rows:
+        raise StorageError(
+            f"cold page declares {n_rows} rows but has {len(keys)} keys"
+        )
+    return KeyBlock(keys, text)
 
 
 def read_page_header(

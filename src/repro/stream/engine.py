@@ -64,10 +64,11 @@ from repro.errors import StreamError, TiltFrameError
 from repro.regression import kernels
 from repro.regression.isb import ISB
 from repro.storage.files import FileColdStore
-from repro.storage.pages import ColdPage
+from repro.storage.pages import ColdPage, KeyBlock
 from repro.storage.spill import ColdIndex, demotion_cutoffs
 from repro.stream.records import (
     RecordColumns,
+    Segment,
     StreamRecord,
     require_finite_z,
     require_int_ticks,
@@ -98,10 +99,6 @@ __all__ = [
 
 Values = tuple[Hashable, ...]
 KeyFn = Callable[[StreamRecord], Values]
-#: One quarter of a batch, interned: ``(quarter, keys, group, ticks, z)`` —
-#: the distinct cell keys in first-seen order, and per record (arrival
-#: order) its key's index in ``keys``, its tick and its value.
-Segment = tuple[int, list[Values], kernels.Column, kernels.Column, kernels.Column]
 
 #: How far past the clock one batch or advance may reach, in quarters (one
 #: month, the coarsest Fig 4 unit).  Every quarter in between is sealed one
@@ -399,6 +396,9 @@ class StreamCubeEngine:
         self._cold_faults = 0
         self._page_cache: OrderedDict[tuple[int, int, int], ColdPage]
         self._page_cache = OrderedDict()
+        # The cell set's keys as its spilled pages carry them (one block a
+        # cell generation, made at the first spill of the generation).
+        self._key_block: tuple[str, KeyBlock] | None = None
         # The one piece of engine state that *reads* mutate (LRU ordering,
         # fault fills): its own lock, so concurrent deep-window queries
         # sharing the cube's shard read lock stay safe.
@@ -607,7 +607,9 @@ class StreamCubeEngine:
         )
         self.validate_segment_keys(segments)
         if self.wal is not None and len(batch):
-            self.wal.append_batch(batch, segments[-1][0])
+            self.wal.append_batch(
+                batch, segments[-1][0], None if self.key_fn else segments
+            )
         self.apply_segments(segments, len(batch))
 
     def validate_segment_keys(self, segments: list[Segment]) -> None:
@@ -734,7 +736,6 @@ class StreamCubeEngine:
             clock.now,
             self.hot_quarters * self.ticks_per_quarter,
         )
-        keys: list[Values] | None = None
         for li, cutoff in enumerate(cutoffs):
             if cutoff is None:
                 continue
@@ -742,15 +743,13 @@ class StreamCubeEngine:
                 oldest = self._tilt.oldest(li)
                 if oldest is None or oldest[0].t_e >= cutoff:
                     break
-                if keys is None:
-                    keys = list(self._rows)
                 zero, (base, slope) = oldest
                 self._storage.put_segment(
                     ColdPage(
                         li,
                         zero.t_b,
                         zero.t_e,
-                        keys[: len(base)],
+                        self._spill_keys(),
                         base,
                         slope,
                         zero_base=zero.base,
@@ -762,6 +761,15 @@ class StreamCubeEngine:
                 with self._page_lock:
                     self._page_cache.pop((li, zero.t_b, zero.t_e), None)
                 self._pages_spilled += 1
+
+    def _spill_keys(self) -> KeyBlock:
+        """The key block of the current cell generation: every page spilled
+        before the cell set moves shares its tuple and its key text."""
+        generation = self.cell_generation
+        held = self._key_block
+        if held is None or held[0] != generation:
+            held = self._key_block = (generation, KeyBlock(tuple(self._rows)))
+        return held[1]
 
     #: Decoded cold pages kept hot; a deep window touches each page once
     #: per call anyway, so a small LRU only needs to absorb *repeated*
@@ -787,25 +795,25 @@ class StreamCubeEngine:
         return page
 
     def _piece_columns(
-        self, piece: tuple[int, int, int, int], keys: list[Values]
+        self,
+        piece: tuple[int, int, int, int],
+        generation: str,
+        keys: list[Values],
     ) -> tuple[Column, Column]:
         """One window piece as ``(base, slope)`` columns over ``keys``' rows.
 
         The zero-row rule in both its forms: a hot page is positional and
         answers its zero row past its own length; a cold page is keyed and
         answers it for keys it does not hold and for cells born after it
-        was sealed (one page fault serves every cell on the piece).
+        was sealed (one page fault serves every cell on the piece, and the
+        page keeps its rows over the cell ``generation`` until it moves).
         """
         level, pos, t_b, t_e = piece
         if pos >= 0:
             return self._tilt.column(level, pos, len(keys))
         page = self._load_page(level, t_b, t_e)
-        born = self._cold_since[: len(keys)].tolist()
         return page.gather(
-            [
-                page.row_of(key) if since <= t_e else -1
-                for key, since in zip(keys, born)
-            ]
+            page.rows_over(generation, keys, self._cold_since[: len(keys)])
         )
 
     def storage_stats(self) -> dict[str, Any] | None:
@@ -1033,7 +1041,10 @@ class StreamCubeEngine:
                     f"cell {keys[0]}: window [{t_b},{t_e}] not covered: {exc}"
                 ) from exc
             isbs = merge_grid(
-                [(p[2], p[3], *self._piece_columns(p, keys)) for p in plan]
+                [
+                    (p[2], p[3], *self._piece_columns(p, generation, keys))
+                    for p in plan
+                ]
             )
         return generation, None if generation in known else keys, isbs
 

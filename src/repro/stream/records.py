@@ -25,6 +25,7 @@ from repro.regression import kernels
 
 __all__ = [
     "RecordColumns",
+    "Segment",
     "StreamRecord",
     "require_finite_z",
     "require_int_ticks",
@@ -50,6 +51,18 @@ class StreamRecord:
     values: tuple[Hashable, ...]
     t: int
     z: float
+
+
+#: One quarter of a batch, interned: ``(quarter, keys, group, ticks, z)`` —
+#: the distinct cell keys in first-seen order, and per record (arrival
+#: order) its key's index in ``keys``, its tick and its value.
+Segment = tuple[
+    int,
+    list[tuple[Hashable, ...]],
+    kernels.Column,
+    kernels.Column,
+    kernels.Column,
+]
 
 
 def require_finite_z(z: Any) -> None:

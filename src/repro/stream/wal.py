@@ -34,21 +34,45 @@ Format: each segment is one JSON object per line (append-only,
 human-inspectable), starting with a header that names the seq the segment
 follows, so a segment holding no entries still carries the numbering::
 
-    {"format": "repro-wal", "version": 1, "after_seq": 0, "crc": ...}
-    {"seq": 1, "kind": "batch", "quarter": 0, "records": [...], "crc": ...}
+    {"format": "repro-wal", "version": 2, "after_seq": 0, "crc": ...}
+    {"seq": 1, "kind": "batch", "quarter": 0, "keys": [[3, 1], [0, 2]],
+     "codes": "AAEA", "t0": 2, "ticks": "AA==", "runs": "Aw==",
+     "z": "...", "crc": ...}
     {"seq": 2, "kind": "advance", "quarter": 3, "t": 45, "crc": ...}
 
+A batch line carries its records as packed columns.  ``keys`` lists the
+batch's distinct cell keys once, in first-seen order; the rest are
+base64 of little-endian arrays: ``codes`` holds each record's index into
+``keys``, ``ticks`` / ``runs`` the ticks run-length encoded — per run of
+equal consecutive ticks, its offset from the batch's smallest tick ``t0``
+and its length (a batch usually spans very few distinct ticks; every tick
+stays exact) — and ``z`` the measures as ``float64`` (bit-exact).  The
+integer columns are unsigned and as narrow as their values allow, and no
+line names a width: ``codes`` follow from the key count, ``runs`` from
+the record count (``z``'s), and ``ticks`` from the run count.  The ingest paths hand the
+codes of their own interning pass to the journal, so a key is hashed
+once per batch, not once more to be written.
+
+Version 1 journals (the header says ``"version": 1``) wrote each batch as
+``"records": [[values, t, z], ...]`` rows.  They still replay, through a
+read-only decoder, and a version 1 active segment is appended to in the
+packed form (one segment, mixed lines).  A version 2 journal, or a
+version 1 segment holding packed lines, is not readable by builds that
+predate the packed form.
+
 A journal written as a single file by earlier builds is simply an active
-segment with no sealed ones.  Every line carries a CRC32 of its own body
-(lines from older journals without one are still accepted).  A torn or
-unverifiable *final* line (crash mid-append) is tolerated on read — the
-entry was never acknowledged, so dropping it is correct, and opening the
-journal cuts it off before the next append can extend it; a line that
-fails to parse or checksum anywhere else means acknowledged history is
-unreadable and raises :class:`~repro.errors.WalCorruptionError` with the
-segment, line number, byte offset and last intact sequence number.  A
-line that parses and checksums but has the wrong shape is a schema
-problem, not corruption, and still raises :class:`~repro.errors.CodecError`.
+segment with no sealed ones.  Every line carries a CRC32 of its own body;
+only a version 1 segment may hold lines without one (journals from before
+the checksum).  A torn or unverifiable *final* line (crash mid-append) is
+tolerated on read — the entry was never acknowledged, so dropping it is
+correct, and opening the journal cuts it off before the next append can
+extend it; a line that fails to parse or checksum anywhere else means
+acknowledged history is unreadable and raises
+:class:`~repro.errors.WalCorruptionError` with the segment, line number,
+byte offset and last intact sequence number.  A line that parses and
+checksums but has the wrong shape — a missing field, bad base64, columns
+whose lengths disagree, a code past the key list — is a schema problem,
+not corruption, and raises :class:`~repro.errors.CodecError`.
 
 Appends run through the :mod:`repro.faults` seam (site ``wal.append``)
 and repair injected short writes: a failed append rolls the segment back
@@ -58,14 +82,20 @@ torn write never leaves a half-line for the next recovery to trip over.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import errno
 import json
 import os
 import re
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Protocol
+from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Protocol
+
+import numpy as np
 
 from repro import faults
 from repro.errors import (
@@ -75,17 +105,19 @@ from repro.errors import (
     WalCorruptionError,
 )
 from repro.regression import kernels
-from repro.stream.records import RecordColumns, StreamRecord
+from repro.stream.records import RecordColumns, Segment, StreamRecord
 
 __all__ = ["QuarterWAL", "WalEntry"]
 
 _FORMAT = "repro-wal"
 
 #: The journal's own header version.  Deliberately *not* tied to
-#: ``repro.io.STATE_VERSION``: the entry shape here has not changed, so
-#: journals written before the snapshot codec went to v2 must keep
-#: replaying.
-_WAL_VERSION = 1
+#: ``repro.io.STATE_VERSION``.  Version 2 journals batches as packed
+#: columns; version 1 segments (row-shaped batches) still replay.
+_WAL_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+
+Values = tuple[Hashable, ...]
 
 
 class _IngestTarget(Protocol):
@@ -120,17 +152,66 @@ class WalEntry:
         )
 
 
+def _uint(largest: int) -> str:
+    """The narrowest little-endian unsigned type that holds ``largest``."""
+    for bits in (8, 16, 32):
+        if largest < 1 << bits:
+            return f"<u{bits // 8}"
+    return "<u8"
+
+
+def _b64(column: Any, dtype: str) -> str:
+    return base64.b64encode(np.asarray(column, dtype=dtype).tobytes()).decode(
+        "ascii"
+    )
+
+
+def _batch_codes(
+    batch: RecordColumns, segments: list[Segment] | None
+) -> tuple[list[Values], kernels.Column]:
+    """The batch's distinct keys (first-seen order) and each record's code.
+
+    ``segments`` are the batch's coded segments when their keys are its
+    values; their codes are reused, and only the distinct keys of a batch
+    spanning several quarters are hashed again.  Without them the values
+    are interned here, one hash per record.
+    """
+    code: dict[Values, int] = defaultdict(count().__next__)
+    if segments is None:
+        group = kernels.int_column(map(code.__getitem__, batch.values))
+        return list(code), group
+    if len(segments) == 1:
+        _, keys, group, _, _ = segments[0]
+        return keys, group
+    parts = [
+        kernels.int_column(map(code.__getitem__, keys))[group]
+        for _, keys, group, _, _ in segments
+    ]
+    return list(code), np.concatenate(parts)
+
+
 def _encode_batch(
-    seq: int, quarter: int, batch: RecordColumns
+    seq: int,
+    quarter: int,
+    batch: RecordColumns,
+    segments: list[Segment] | None = None,
 ) -> dict[str, Any]:
+    keys, codes = _batch_codes(batch, segments)
+    ticks = batch.ticks
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ticks)) + 1))
+    t0 = int(ticks.min())
+    # Exact: every tick lies in [t0, t0 + 2**64), whatever int64 wraps to.
+    offsets = (ticks[starts] - t0).view(np.uint64)
     return {
         "seq": seq,
         "kind": "batch",
         "quarter": quarter,
-        # json renders the row tuples as arrays: [values, t, z].
-        "records": list(
-            zip(batch.values, batch.ticks.tolist(), batch.z.tolist())
-        ),
+        "keys": keys,  # json renders the key tuples as arrays
+        "codes": _b64(codes, _uint(len(keys) - 1)),
+        "t0": t0,
+        "ticks": _b64(offsets, _uint(int(offsets.max()))),
+        "runs": _b64(np.diff(starts, append=len(ticks)), _uint(len(ticks))),
+        "z": _b64(batch.z, "<f8"),
     }
 
 
@@ -161,16 +242,80 @@ def _seq_of(payload: Any) -> int:
         raise CodecError(f"wal: malformed entry ({exc})") from None
 
 
+def _raw(payload: dict[str, Any], field: str) -> bytes:
+    try:
+        return base64.b64decode(payload[field], validate=True)
+    except binascii.Error as exc:
+        raise CodecError(
+            f"wal: batch column {field!r} is not base64 ({exc})"
+        ) from None
+
+
+def _column(payload: dict[str, Any], field: str, dtype: str) -> kernels.Column:
+    """One base64 column of a packed batch, as a writable native array."""
+    raw = _raw(payload, field)
+    width = np.dtype(dtype).itemsize
+    if len(raw) % width:
+        raise CodecError(
+            f"wal: batch column {field!r} holds {len(raw)} bytes, not a "
+            f"whole number of {width}-byte items"
+        )
+    return np.frombuffer(raw, dtype=dtype).astype(dtype[1:])
+
+
+def _decode_packed(payload: dict[str, Any]) -> RecordColumns:
+    keys = [tuple(key) for key in payload["keys"]]
+    z = _column(payload, "z", "<f8")
+    n = len(z)
+    codes = _column(payload, "codes", _uint(len(keys) - 1))
+    runs = _column(payload, "runs", _uint(n))
+    if not n or len(codes) != n or not runs.all() or int(runs.sum()) != n:
+        raise CodecError(
+            f"wal: batch columns disagree: {n} z, {len(codes)} codes, "
+            f"tick runs of {runs.tolist()[:8]} records"
+        )
+    if int(codes.max()) >= len(keys):
+        raise CodecError(
+            f"wal: batch code {int(codes.max())} is past its "
+            f"{len(keys)} keys"
+        )
+    # One offset per run: the width is what the run count leaves.
+    raw, t0 = _raw(payload, "ticks"), payload["t0"]
+    width = len(raw) // len(runs)
+    if width not in (1, 2, 4, 8) or width * len(runs) != len(raw):
+        raise CodecError(
+            f"wal: batch ticks hold {len(raw)} bytes for {len(runs)} runs"
+        )
+    offsets = np.frombuffer(raw, dtype=f"<u{width}").astype(np.uint64)
+    top = t0 + int(offsets.max()) if type(t0) is int else None
+    if top is None or not -(2**63) <= t0 <= top < 2**63:
+        raise CodecError(f"wal: batch ticks from t0 {t0!r} leave int64")
+    ticks = (offsets + np.uint64(t0 % 2**64)).view(np.int64)
+    return RecordColumns(
+        list(map(keys.__getitem__, codes.tolist())),
+        np.repeat(ticks, runs),
+        z,
+    )
+
+
+def _decode_rows(rows: Any) -> RecordColumns:
+    """A version 1 batch: ``[[values, t, z], ...]`` rows (read only)."""
+    return RecordColumns(
+        [tuple(values) for values, _, _ in rows],
+        kernels.int_column(t for _, t, _ in rows),
+        kernels.float_column(z for _, _, z in rows),
+    )
+
+
 def _decode_entry(seq: int, payload: dict[str, Any]) -> WalEntry:
     try:
         kind = payload["kind"]
         quarter = int(payload["quarter"])
         if kind == "batch":
-            rows = payload["records"]
-            batch = RecordColumns(
-                [tuple(values) for values, _, _ in rows],
-                kernels.int_column(t for _, t, _ in rows),
-                kernels.float_column(z for _, _, z in rows),
+            batch = (
+                _decode_rows(payload["records"])
+                if "records" in payload
+                else _decode_packed(payload)
             )
             return WalEntry(seq, "batch", quarter, batch=batch)
         if kind == "advance":
@@ -212,17 +357,17 @@ class _Segment(NamedTuple):
     intact: int  # byte length of its intact prefix
 
 
-def _header_after_seq(path: Path, header: Any) -> int | None:
+def _read_header(path: Path, header: Any) -> tuple[int, int | None]:
+    """A segment header's ``(version, after_seq)``."""
     if not isinstance(header, dict) or header.get("format") != _FORMAT:
         raise CodecError(f"wal: {path} has no {_FORMAT} header")
-    if header.get("version") != _WAL_VERSION:
-        raise CodecError(
-            f"wal: {path} has unsupported version {header.get('version')!r}"
-        )
+    version = header.get("version")
+    if version not in _READABLE_VERSIONS:
+        raise CodecError(f"wal: {path} has unsupported version {version!r}")
     after = header.get("after_seq")
     if after is not None and not isinstance(after, int):
         raise CodecError(f"wal: {path} header has a malformed after_seq")
-    return after
+    return version, after
 
 
 def _read_segment(path: Path, decode_after: int | None = None) -> _Segment:
@@ -234,15 +379,17 @@ def _read_segment(path: Path, decode_after: int | None = None) -> _Segment:
     Bytes after the last newline and a checksum-failing final line are
     an append that was never acknowledged: left out, and not counted as
     intact.  A line that fails to parse or checksum anywhere else raises
-    :class:`WalCorruptionError`; a missing segment, or one with nothing
-    intact, reads as empty.
+    :class:`WalCorruptionError` — and so does a line without a checksum
+    in a segment whose header is version 2 or later (only version 1
+    journals predate the checksum); a missing segment, or one with
+    nothing intact, reads as empty.
     """
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
         raw = b""
     *lines, tail = raw.split(b"\n")
-    header_seen = False
+    version = None
     after = first = last = None
     entries: list[WalEntry] = []
     offset = intact = 0
@@ -261,18 +408,28 @@ def _read_segment(path: Path, decode_after: int | None = None) -> _Segment:
                 f"wal: {path} line {i + 1} (byte offset {line_offset}) is "
                 f"not valid JSON; last intact seq is {last or 0}"
             ) from None
-        crc = payload.pop("crc", None) if isinstance(payload, dict) else None
-        if crc is not None and not _line_crc_ok(payload, crc):
+        if not isinstance(payload, dict):
+            raise CodecError(f"wal: {path} line {i + 1} is not a JSON object")
+        crc = payload.pop("crc", None)
+        # Only version 1 segments predate the checksum; a header checks
+        # itself against the version it claims.
+        claimed = payload.get("version") if version is None else version
+        if crc is None:
+            unsigned = claimed in _READABLE_VERSIONS and claimed >= 2
+            problem = f"has no checksum in a version {claimed} segment"
+        else:
+            unsigned = not _line_crc_ok(payload, crc)
+            problem = "failed its checksum"
+        if unsigned:
             if final:
                 break
             raise WalCorruptionError(
                 f"wal: {path} line {i + 1} (byte offset {line_offset}, "
-                f"claims seq {payload.get('seq')!r}) failed its checksum; "
+                f"claims seq {payload.get('seq')!r}) {problem}; "
                 f"last intact seq is {last or 0}"
             )
-        if not header_seen:
-            after = _header_after_seq(path, payload)
-            header_seen = True
+        if version is None:
+            version, after = _read_header(path, payload)
         else:
             last = _seq_of(payload)
             first = last if first is None else first
@@ -358,14 +515,19 @@ class QuarterWAL:
     # Journaling (called *before* the batch is applied)
     # ------------------------------------------------------------------
     def append_batch(
-        self, records: RecordColumns | Iterable[StreamRecord], quarter: int
+        self,
+        records: RecordColumns | Iterable[StreamRecord],
+        quarter: int,
+        segments: list[Segment] | None = None,
     ) -> int:
         """Journal one validated, quarter-ordered batch; returns its seq.
 
-        The ingest paths hand over the batch's columns as they are (one
-        row-shaped line is rendered from them); records are converted at
-        the door.  ``quarter`` is the batch's *ending* quarter (the last
-        record's — batches are quarter-ordered).
+        The ingest paths hand over the batch's columns as they are, and
+        ``segments`` — the coded segments their interning pass built
+        (:func:`~repro.stream.engine.group_segments`), when those are keyed
+        by the batch's values — so the packed line reuses their codes;
+        records are converted at the door.  ``quarter`` is the batch's
+        *ending* quarter (the last record's — batches are quarter-ordered).
         Callers journal after validation and before mutation, so the log
         only ever holds batches the engine accepted — replay cannot trip
         the ordering contract the original ingestion already checked.
@@ -374,7 +536,7 @@ class QuarterWAL:
         if not len(batch):
             return self._seq
         return self._append_entry(
-            _encode_batch(self._seq + 1, quarter, batch)
+            _encode_batch(self._seq + 1, quarter, batch, segments)
         )
 
     def append_advance(self, t: int, quarter: int) -> int:

@@ -154,10 +154,12 @@ class TestRecovery:
             list(QuarterWAL(path).entries())
 
     def test_unknown_kind_raises(self, tmp_path):
+        from repro.stream.wal import _encode_line
+
         path = tmp_path / "wal.jsonl"
         QuarterWAL(path).close()
-        with open(path, "a") as fh:
-            fh.write('{"seq": 1, "kind": "mystery", "quarter": 0}\n')
+        with open(path, "ab") as fh:  # a version 2 line must carry its crc
+            fh.write(_encode_line({"seq": 1, "kind": "mystery", "quarter": 0}))
         with pytest.raises(CodecError, match="unknown entry kind"):
             list(QuarterWAL(path).entries())
 
@@ -177,6 +179,138 @@ class TestRecovery:
         assert wal.last_seq == before  # nothing re-appended
         assert target.wal is wal  # reattached afterwards
         assert_engines_identical(source, target)
+
+
+def packed_line(**fields):
+    """A checksummed packed batch line (two keys, three records), with
+    ``fields`` replacing any of its columns."""
+    import base64
+
+    import numpy as np
+
+    from repro.stream.wal import _encode_line
+
+    def column(values, dtype):
+        return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode()
+
+    payload = {
+        "seq": 1,
+        "kind": "batch",
+        "quarter": 0,
+        "keys": [[1, 2], [3, 4]],
+        "codes": column([0, 1, 0], "<u1"),
+        "t0": 7,
+        "ticks": column([0, 1], "<u1"),
+        "runs": column([2, 1], "<u1"),
+        "z": column([1.0, 2.0, 3.0], "<f8"),
+    }
+    for name, value in fields.items():
+        payload[name] = column(*value) if isinstance(value, tuple) else value
+    return _encode_line(payload)
+
+
+class TestPackedEntries:
+    """A packed line that checksums but is malformed is a typed
+    :class:`CodecError`, never an ``IndexError`` or a short numpy buffer."""
+
+    def journal(self, tmp_path, *lines):
+        path = tmp_path / "wal.jsonl"
+        QuarterWAL(path).close()
+        with open(path, "ab") as fh:
+            fh.writelines(lines)
+        return path
+
+    def test_a_well_formed_line_decodes(self, tmp_path):
+        [entry] = QuarterWAL(self.journal(tmp_path, packed_line())).entries()
+        assert entry.records == [
+            StreamRecord((1, 2), 7, 1.0),
+            StreamRecord((3, 4), 7, 2.0),
+            StreamRecord((1, 2), 8, 3.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"codes": "AA=A"}, "not base64"),
+            ({"z": "!!!!"}, "not base64"),
+            ({"z": "AAAA"}, "whole number"),  # 3 bytes of float64
+            ({"codes": ([0, 1], "<u1")}, "disagree"),
+            ({"codes": ([0, 1, 0, 1], "<u1")}, "disagree"),
+            ({"runs": ([2, 2], "<u1")}, "disagree"),
+            ({"runs": ([3], "<u1"), "ticks": ([0, 1, 2], "<u1")}, "3 bytes for 1"),
+            ({"runs": ([0, 3], "<u1")}, "disagree"),
+            ({"runs": ([2, 1], "<u2")}, "disagree"),  # widths follow n
+            ({"ticks": ([0, 1, 2], "<u1")}, "3 bytes for 2 runs"),
+            ({"ticks": "AAAAAAA="}, "5 bytes for 2 runs"),
+            ({"z": "", "codes": "", "runs": ""}, "disagree"),  # no records
+            ({"t0": 2**63 - 1}, "leave int64"),
+            ({"t0": -(2**63) - 1}, "leave int64"),
+            ({"t0": 1.5}, "leave int64"),
+            ({"t0": "7"}, "leave int64"),
+            ({"codes": ([0, 2, 0], "<u1")}, "past its 2 keys"),
+            ({"keys": [[1, 2]]}, "past its 1 keys"),
+            ({"keys": [1, 2]}, "malformed"),
+            ({"codes": None}, "malformed"),
+        ],
+    )
+    def test_a_malformed_column_is_a_codec_error(self, tmp_path, fields, message):
+        # Interior, so only the shape can be at fault: the line checksums.
+        later = packed_line().replace(b'"seq": 1', b'"seq": 2')
+        path = self.journal(tmp_path, packed_line(**fields), later)
+        with pytest.raises(CodecError, match=message):
+            list(QuarterWAL(path).entries())
+
+    def test_a_missing_column_is_a_codec_error(self, tmp_path):
+        from repro.stream.wal import _encode_line
+
+        payload = json.loads(packed_line())
+        del payload["crc"], payload["z"]
+        path = self.journal(tmp_path, _encode_line(payload))
+        with pytest.raises(CodecError, match="missing field 'z'"):
+            list(QuarterWAL(path).entries())
+
+    def test_a_line_without_crc_in_a_version_2_segment_is_corruption(
+        self, tmp_path
+    ):
+        unsigned = json.loads(packed_line())
+        del unsigned["crc"]
+        line = (json.dumps(unsigned) + "\n").encode()
+        path = self.journal(tmp_path, line, _encode_advance(2))
+        with pytest.raises(WalCorruptionError, match="no checksum") as info:
+            list(QuarterWAL(path).entries())
+        assert "line 2" in str(info.value)
+        assert "claims seq 1" in str(info.value)
+        # As the final line it is an append never acknowledged: dropped.
+        (tmp_path / "final").mkdir()
+        path = self.journal(tmp_path / "final", line)
+        assert list(QuarterWAL(path).entries()) == []
+
+    def test_a_version_2_header_without_crc_is_corruption(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_bytes(
+            b'{"format": "repro-wal", "version": 2, "after_seq": 0}\n'
+            + _encode_advance(1)
+        )
+        with pytest.raises(WalCorruptionError, match="no checksum"):
+            QuarterWAL(path)
+
+    def test_a_version_1_segment_still_accepts_lines_without_crc(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text(
+            '{"format": "repro-wal", "version": 1}\n'
+            '{"seq": 1, "kind": "batch", "quarter": 0, '
+            '"records": [[[1, 2], 0, 1.5]]}\n'
+            '{"seq": 2, "kind": "advance", "quarter": 1, "t": 4}\n'
+        )
+        entries = list(QuarterWAL(path).entries())
+        assert entries[0].records == [StreamRecord((1, 2), 0, 1.5)]
+        assert entries[1].t == 4
+
+
+def _encode_advance(seq):
+    from repro.stream.wal import _encode_line
+
+    return _encode_line({"seq": seq, "kind": "advance", "quarter": 1, "t": 4})
 
 
 def journal_files(directory) -> list[str]:
@@ -374,32 +508,62 @@ _z_values = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_lines_match_the_reference_encoding(rows, seq, quarter, extra_key):
     """One ``json.dumps`` per line writes exactly the bytes of the
-    two-pass reference (body CRC, then the payload re-dumped with it)."""
+    two-pass reference (body CRC, then the payload re-dumped with it), and
+    a packed batch holds its distinct keys once, first-seen, and its codes,
+    tick runs and z as little-endian base64 columns."""
+    import base64
+
+    import numpy as np
+
     from repro.regression import kernels
     from repro.stream.records import RecordColumns
-    from repro.stream.wal import _encode_batch, _encode_line
+    from repro.stream.wal import _decode_entry, _encode_batch, _encode_line
 
     def reference(payload):
         crc = zlib.crc32(json.dumps(payload).encode("utf-8"))
         return (json.dumps({**payload, "crc": crc}) + "\n").encode("utf-8")
+
+    def column(values, dtype):
+        return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode()
 
     batch = RecordColumns(
         [tuple(values) for values, _, _ in rows],
         kernels.int_column([t for _, t, _ in rows]),
         kernels.float_column([z for _, _, z in rows]),
     )
-    head_batch = {  # the row lists the previous encoder built
+    distinct = list(dict.fromkeys(batch.values))
+    runs = []  # [tick, count] per run of equal consecutive ticks
+    for _, t, _ in rows:
+        if runs and runs[-1][0] == t:
+            runs[-1][1] += 1
+        else:
+            runs.append([t, 1])
+    t0 = min((t for _, t, _ in rows), default=0)
+    offsets = [t - t0 for t, _ in runs]
+    width = next(w for w in (1, 2, 4, 8) if max(offsets, default=0) < 256**w)
+    packed = {  # the packed batch, spelled out by hand
         "seq": seq,
         "kind": "batch",
         "quarter": quarter,
-        "records": [[list(values), t, z] for values, t, z in rows],
+        "keys": [list(key) for key in distinct],
+        "codes": column([distinct.index(key) for key in batch.values], "<u1"),
+        "t0": t0,
+        "ticks": column(offsets, f"<u{width}"),
+        "runs": column([n for _, n in runs], "<u1"),
+        "z": column([z for _, _, z in rows], "<f8"),
     }
-    assert _encode_line(_encode_batch(seq, quarter, batch)) == reference(
-        head_batch
-    )
+    if rows:
+        line = _encode_line(_encode_batch(seq, quarter, batch))
+        assert line == reference(packed)
+        payload = json.loads(line)
+        payload.pop("crc")
+        decoded = _decode_entry(seq, payload).batch
+        assert decoded.values == batch.values
+        assert decoded.ticks.tolist() == batch.ticks.tolist()
+        assert decoded.z.tobytes() == batch.z.tobytes()
     advance = {"seq": seq, "kind": "advance", "quarter": quarter, "t": 4}
     assert _encode_line(advance) == reference(advance)
-    header = {"format": "repro-wal", "version": 1}
+    header = {"format": "repro-wal", "version": 2}
     assert _encode_line(header) == reference(header)
     keyed = {extra_key + "\u00e9\u6f22": quarter, "seq": seq}  # non-ASCII keys
     assert _encode_line(keyed) == reference(keyed)

@@ -9,7 +9,9 @@ byte offset and last intact sequence number.
 
 from __future__ import annotations
 
+import base64
 import json
+import struct
 
 import pytest
 
@@ -159,7 +161,9 @@ class TestInteriorCorruption:
 
         def flip_z(line):
             payload = json.loads(line)
-            payload["records"][0][2] = 777.0  # body no longer matches crc
+            z = bytearray(base64.b64decode(payload["z"]))
+            z[:8] = struct.pack("<d", 777.0)  # body no longer matches crc
+            payload["z"] = base64.b64encode(bytes(z)).decode("ascii")
             return json.dumps(payload)
 
         self.corrupt_line(path, 2, flip_z)
