@@ -2,8 +2,8 @@
 
 The cube's dispatch seam (:class:`~repro.cluster.backends.ShardBackend`)
 with two implementations: :class:`~repro.cluster.backends.InprocBackend`
-(the original thread-pool wiring — engines in this process, bit-identical
-by construction) and :class:`~repro.cluster.process.ProcessBackend`
+(engines in this process, every shard call run on the caller's thread —
+bit-identical by construction) and :class:`~repro.cluster.process.ProcessBackend`
 (one forked worker per shard behind a supervised, length-prefixed JSON
 RPC — ingest that scales past the GIL).  :class:`~repro.cluster.backends.
 ClusterConfig` bundles the knobs (timeouts, queue depth, restart budget,

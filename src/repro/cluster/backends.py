@@ -1,13 +1,12 @@
 """The shard-execution seam: where a shard *runs* is a backend choice.
 
 :class:`ShardBackend` is the contract :class:`~repro.service.sharding.
-ShardedStreamCube` dispatches through — extracted from the cube's original
-``ThreadPoolExecutor`` wiring so process-parallel shards are a
+ShardedStreamCube` dispatches through, so process-parallel shards are a
 construction-time choice, not a rewrite.  Two implementations:
 
-* :class:`InprocBackend` — N engines in this process behind a thread pool,
-  preserving the original behavior exactly (no serialization, inline
-  single-shard calls, parallel fan-out).
+* :class:`InprocBackend` — N engines in this process, every shard call run
+  on the caller's thread (no serialization, no thread hand-off; a fan-out
+  is a loop over the shards).
 * :class:`~repro.cluster.process.ProcessBackend` — each shard behind a
   forked worker process with a supervised RPC channel, for ingest that
   scales past the GIL.
@@ -20,7 +19,7 @@ cube accepts either a backend name or a full config.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any
 
@@ -120,26 +119,10 @@ class ShardBackend:
         Returns ``(results, missing)`` where ``results`` has a ``None``
         hole per unreachable shard and ``missing`` describes each hole
         (shard index, state, reason, ``last_quarter`` staleness bound).
-        The default tolerates only quarantined data
-        (:class:`CorruptionError`); the process backend also tolerates
-        dead workers.
+        Quarantined data (:class:`CorruptionError`) is always a hole; the
+        process backend also tolerates dead workers.
         """
-        results: list[Any] = []
-        missing: list[dict[str, Any]] = []
-        for shard in range(self.n_shards):
-            try:
-                results.append(self.call(shard, method, *args))
-            except CorruptionError as exc:
-                results.append(None)
-                missing.append(
-                    {
-                        "shard": shard,
-                        "state": "degraded",
-                        "reason": str(exc),
-                        "last_quarter": self.counters()[shard][0],
-                    }
-                )
-        return results, missing
+        raise NotImplementedError
 
     def health(self) -> list[dict[str, Any]]:
         """Per-shard health descriptors; in-process shards cannot die."""
@@ -169,28 +152,21 @@ class ShardBackend:
 
 
 class InprocBackend(ShardBackend):
-    """The original wiring: engines in this process, a pool for fan-out.
+    """Engines in this process, every call run on the caller's thread.
 
-    Single-shard ``call``s run inline on the caller's thread (exactly as
-    the pre-seam cube invoked its owner shard), ``map`` fans out on the
-    pool.  No serialization anywhere, so results are bit-identical to the
-    engines' by construction.
+    A shard call is a few milliseconds of work that holds the GIL outside
+    numpy's kernels, so handing it to another thread costs more than it
+    overlaps: ``call`` runs inline, ``map`` and ``broadcast_partial`` are
+    loops over the shards, and ``submit`` returns an already-resolved
+    future.  A fan-out still visits every shard when one fails and then
+    raises the first failure in shard order.  No serialization anywhere,
+    so results are bit-identical to the engines' by construction.
     """
 
     name = "inproc"
 
-    def __init__(
-        self,
-        engines: list[StreamCubeEngine],
-        max_workers: int | None = None,
-    ) -> None:
+    def __init__(self, engines: list[StreamCubeEngine]) -> None:
         self.hosts = [ShardHost(engine) for engine in engines]
-        self._pool = ThreadPoolExecutor(
-            max_workers=(
-                max_workers if max_workers is not None else len(engines)
-            ),
-            thread_name_prefix="repro-shard",
-        )
 
     @property
     def engines(self) -> list[StreamCubeEngine]:
@@ -205,28 +181,34 @@ class InprocBackend(ShardBackend):
         return self.hosts[shard].invoke(method, args)
 
     def submit(self, shard: int, method: str, *args: Any) -> Future:
-        return self._pool.submit(self.hosts[shard].invoke, method, args)
+        future: Future = Future()
+        try:
+            future.set_result(self.hosts[shard].invoke(method, args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     def map(self, method: str, args_list: list[tuple]) -> list:
-        futures = [
-            self._pool.submit(host.invoke, method, args)
-            for host, args in zip(self.hosts, args_list)
-        ]
-        return [future.result() for future in futures]
+        results: list[Any] = []
+        failure: Exception | None = None
+        for host, args in zip(self.hosts, args_list):
+            try:
+                results.append(host.invoke(method, args))
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return results
 
     def broadcast_partial(
         self, method: str, *args: Any
     ) -> tuple[list, list[dict[str, Any]]]:
-        # Submit every shard first, then settle: degraded reads fan out in
-        # parallel like healthy ones, instead of serializing on the holes.
-        futures = [
-            self._pool.submit(host.invoke, method, args) for host in self.hosts
-        ]
         results: list[Any] = []
         missing: list[dict[str, Any]] = []
-        for shard, future in enumerate(futures):
+        failure: Exception | None = None
+        for shard, host in enumerate(self.hosts):
             try:
-                results.append(future.result())
+                results.append(host.invoke(method, args))
             except CorruptionError as exc:
                 results.append(None)
                 missing.append(
@@ -234,9 +216,13 @@ class InprocBackend(ShardBackend):
                         "shard": shard,
                         "state": "degraded",
                         "reason": str(exc),
-                        "last_quarter": self.hosts[shard].counters()[0],
+                        "last_quarter": host.counters()[0],
                     }
                 )
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
         return results, missing
 
     def counters(self) -> list[list[int]]:
@@ -254,7 +240,6 @@ class InprocBackend(ShardBackend):
         }
 
     def close(self) -> dict[str, Any]:
-        self._pool.shutdown(wait=True)
         return {
             "backend": self.name,
             "drained": len(self.hosts),

@@ -2,8 +2,8 @@
 
 A :class:`ShardHost` wraps one :class:`~repro.stream.engine.StreamCubeEngine`
 and exposes the allowlisted method surface both backends share —
-:class:`~repro.cluster.backends.InprocBackend` invokes it directly on a
-thread pool, :class:`~repro.cluster.process.ProcessBackend` forks
+:class:`~repro.cluster.backends.InprocBackend` invokes it directly on the
+caller's thread, :class:`~repro.cluster.process.ProcessBackend` forks
 :func:`worker_main` and drives the same surface over the wire protocol.
 Keeping one dispatch table means the in-process tests exercise exactly the
 code the worker processes run (only the socket loop itself is

@@ -123,12 +123,11 @@ def write_atomic(path: str | Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     # A failed checkpoint write (ENOSPC, EIO, torn) must leave no
     # half-written temp file behind and must never touch the previous
-    # checkpoint — clean up and try again.  Three attempts, because
-    # concurrent checkpoint writers (shard threads snapshot in parallel)
-    # can funnel two *distinct* transient faults into one victim; a
-    # device that still refuses after that is genuinely unwritable and
-    # surfaces as a typed StorageError with the old checkpoint intact
-    # under the final name.
+    # checkpoint — clean up and try again.  Three attempts, because one
+    # write can meet two *distinct* transient faults in a row (a plan may
+    # arm an ENOSPC and a torn write together); a device that still
+    # refuses after that is genuinely unwritable and surfaces as a typed
+    # StorageError with the old checkpoint intact under the final name.
     failures: list[OSError] = []
     for _ in range(3):
         try:

@@ -19,7 +19,8 @@ Endpoints
 ``GET  /stats``    router cache/batch counters + partition-balance statistics
                    + execution-backend block (backend name, worker pids,
                    restarts, RPC round trips, queue high-water marks)
-                   + durability counters (snapshots written, WAL seq)
+                   + durability counters (snapshots written, periodic
+                   snapshot failures and the last error, WAL seq)
                    + tiered-storage counters (cold pages, bytes on disk,
                    spill/fault activity; ``null`` without ``--storage-dir``)
 ``POST /ingest``   ``{"records": [{"values": [...], "t": int, "z": float}]}``
@@ -76,9 +77,11 @@ appends, snapshot triggers and WAL compaction stay totally ordered);
 queries run lock-free against the router's epoch-vector-validated cache,
 and the probes (``/health``, ``/healthz``, ``/readyz``, ``/stats``) touch
 no lock at all, so they answer promptly even while a heavy ingest batch
-is applying.  Consistency under this parallelism lives in the cube's
-per-shard reader-writer locks and the router's single-flight cache — see
-:mod:`repro.service.sharding` and :mod:`repro.service.router`.
+is applying.  In-process shard work runs on the request thread that asked
+for it (that backend has no threads of its own).  Consistency under this
+parallelism lives in the cube's per-shard reader-writer locks and the
+router's single-flight cache — see :mod:`repro.service.sharding` and
+:mod:`repro.service.router`.
 """
 
 from __future__ import annotations
@@ -280,6 +283,10 @@ class StreamCubeService:
         self.snapshot_every_quarters = snapshot_every_quarters
         self.app_config = dict(app_config) if app_config else None
         self.snapshots_written = 0
+        #: Periodic snapshots that failed, and the last such error: the
+        #: request that triggered one still answers its normal body.
+        self.snapshot_failures = 0
+        self.last_snapshot_error: str | None = None
         self._last_snapshot_quarter = cube.current_quarter
         # Serializes the *mutating* routes only (WAL appends, snapshot
         # triggers, WAL compaction happen in one total order); reads and
@@ -290,7 +297,8 @@ class StreamCubeService:
         )
 
     def close(self) -> None:
-        """Release the cube's pool and the WAL file handle."""
+        """Release the cube (its worker processes, if any) and the WAL
+        file handle."""
         self.subscriptions.close()
         self.cube.close()
         if self.cube.wal is not None:
@@ -457,6 +465,8 @@ class StreamCubeService:
                 "snapshot_every_quarters": self.snapshot_every_quarters,
                 "snapshots_written": self.snapshots_written,
                 "last_snapshot_quarter": self._last_snapshot_quarter,
+                "snapshot_failures": self.snapshot_failures,
+                "last_snapshot_error": self.last_snapshot_error,
                 "wal_seq": (
                     self.cube.wal.last_seq
                     if self.cube.wal is not None
@@ -526,12 +536,23 @@ class StreamCubeService:
 
     def _maybe_snapshot(self) -> None:
         """The periodic trigger: snapshot when K quarters sealed since the
-        last one (runs under the service lock, after ingest/advance)."""
+        last one (runs under the service lock, after ingest/advance).
+
+        The request that fires it is already applied and journaled, so a
+        failed snapshot must not turn its answer into an error: a client
+        that resent the batch would apply it twice.  The failure is
+        counted in ``/stats`` instead, and because the last snapshot
+        quarter does not move, the next mutating request tries again.
+        """
         if self.snapshot_dir is None or not self.snapshot_every_quarters:
             return
         elapsed = self.cube.current_quarter - self._last_snapshot_quarter
         if elapsed >= self.snapshot_every_quarters:
-            self.write_snapshot()
+            try:
+                self.write_snapshot()
+            except ReproError as exc:
+                self.snapshot_failures += 1
+                self.last_snapshot_error = f"{type(exc).__name__}: {exc}"
 
     def query(self, payload: dict[str, Any]) -> Reply:
         # Batch form: N specs, one merged view refresh per window/epoch,

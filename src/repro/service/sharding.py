@@ -5,8 +5,8 @@ be *partitioned by m-layer key*: each key's whole history lives on exactly one
 :class:`~repro.stream.engine.StreamCubeEngine` shard, shards never exchange
 state during ingestion, and any global view is an exact disjoint-union merge
 (see :mod:`repro.service.merge`).  Where those shards *execute* is a backend
-choice (:mod:`repro.cluster`): in this process behind a thread pool
-(``backend="inproc"``, the default) or each behind a supervised worker
+choice (:mod:`repro.cluster`): in this process, on the caller's thread
+(``backend="inproc"``, the default), or each behind a supervised worker
 process (``backend="process"``) for ingest that scales past the GIL.
 
 Equivalence guarantee (property-tested in ``tests/service``, and pinned
@@ -27,7 +27,6 @@ import itertools
 import json
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Iterator, Mapping
@@ -251,10 +250,6 @@ class ShardedStreamCube:
 
     n_shards:
         Number of engine shards keys are hash-partitioned over.
-    max_workers:
-        Thread-pool width for per-shard dispatch on the in-process backend
-        (default: ``n_shards``).  Ignored by the process backend, where
-        each shard has a whole process.
     wal:
         Optional :class:`~repro.stream.wal.QuarterWAL` journaling the
         *cube-level* ingestion stream (batches before routing, explicit
@@ -306,7 +301,6 @@ class ShardedStreamCube:
         key_fn: KeyFn | None = None,
         ticks_per_quarter: int = 15,
         frame_levels: Iterable[TiltLevelSpec] | None = None,
-        max_workers: int | None = None,
         wal: QuarterWAL | None = None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
@@ -396,7 +390,7 @@ class ShardedStreamCube:
                     )
                     for i in range(n_shards)
                 ]
-                self._backend = InprocBackend(engines, max_workers)
+                self._backend = InprocBackend(engines)
         except BaseException:
             self.close()
             raise
@@ -649,7 +643,7 @@ class ShardedStreamCube:
     def ingest_batch(
         self, records: RecordColumns | Iterable[StreamRecord]
     ) -> int:
-        """Route a quarter-ordered batch per shard and dispatch in parallel.
+        """Route a quarter-ordered batch per shard and apply it on each.
 
         The batch obeys the same validation contract as
         :meth:`StreamCubeEngine.ingest_many` — every ``z`` finite, quarters
@@ -792,7 +786,7 @@ class ShardedStreamCube:
             backend.settle(shard, "apply_segments", args, future)
 
     def advance_to(self, t: int) -> None:
-        """Seal quiet quarters on every shard in parallel (cf. the single
+        """Seal quiet quarters on every shard (cf. the single
         engine's :meth:`~repro.stream.engine.StreamCubeEngine.advance_to`)."""
         with self._write_mutex:
             quarter = t // self.ticks_per_quarter
@@ -833,7 +827,7 @@ class ShardedStreamCube:
         return dropped
 
     def _align(self, quarter: int) -> None:
-        """Bring every shard's clock to ``quarter`` (parallel no-op when
+        """Bring every shard's clock to ``quarter`` (a no-op on shards
         already there)."""
         t = quarter * self.ticks_per_quarter
         self._backend.broadcast("advance_to", t)
@@ -1067,8 +1061,8 @@ class ShardedStreamCube:
 
         Layout: one ``shard-<i>-<generation>.json`` engine-state file per
         shard plus a ``manifest.json`` naming them.  Each shard writes its
-        own file *where its state lives* — on the in-process backend that
-        is a pool thread, on the process backend the worker itself — so a
+        own file *where its state lives* — on the in-process backend the
+        caller's thread, on the process backend the worker itself — so a
         process-backed snapshot never ships cell payloads through the
         parent.  The manifest is written *last*, through a temp file +
         ``os.replace``, so a crash mid-snapshot leaves the previous
@@ -1194,7 +1188,6 @@ class ShardedStreamCube:
         policy: ExceptionPolicy,
         key_fn: KeyFn | None = None,
         n_shards: int | None = None,
-        max_workers: int | None = None,
         wal: QuarterWAL | None = None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
@@ -1243,30 +1236,23 @@ class ShardedStreamCube:
                 f"snapshot: manifest lists {len(names)} shard files for "
                 f"{manifest['n_shards']} shards"
             )
-        with ThreadPoolExecutor(
-            max_workers=max(1, len(names)), thread_name_prefix="repro-restore"
-        ) as pool:
-            states = list(pool.map(load, names))
         return cls._from_states(
-            states,
+            [load(name) for name in names],
             layers,
             policy,
             key_fn=key_fn,
             n_shards=n_shards,
-            max_workers=max_workers,
             wal=wal,
             storage=storage,
             hot_quarters=hot_quarters,
             backend=backend,
         )
 
-    def reshard(
-        self, new_n: int, max_workers: int | None = None
-    ) -> "ShardedStreamCube":
+    def reshard(self, new_n: int) -> "ShardedStreamCube":
         """A new cube with ``new_n`` shards holding this cube's exact state.
 
         Every cell's complete streaming state — tilt frame, unsealed
-        accumulators, activity marker — is extracted (in parallel) and
+        accumulators, activity marker — is extracted shard by shard and
         re-partitioned with :func:`stable_shard_index` over the new count,
         so the resharded cube's ``window_isbs`` / ``refresh`` / exception
         sets are bit-identical to this cube's and ingestion continues
@@ -1285,7 +1271,6 @@ class ShardedStreamCube:
             self.policy,
             key_fn=self.key_fn,
             n_shards=new_n,
-            max_workers=max_workers,
             wal=None,
             storage=self._storage_config,
             hot_quarters=self.hot_quarters,
@@ -1300,7 +1285,6 @@ class ShardedStreamCube:
         policy: ExceptionPolicy,
         key_fn: KeyFn | None,
         n_shards: int | None,
-        max_workers: int | None,
         wal: QuarterWAL | None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
@@ -1338,7 +1322,6 @@ class ShardedStreamCube:
             key_fn=key_fn,
             ticks_per_quarter=tpq,
             frame_levels=states[0].frame_levels,
-            max_workers=max_workers,
             wal=wal,
             storage=storage,
             hot_quarters=hot_quarters,

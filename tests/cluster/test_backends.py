@@ -7,13 +7,15 @@ already-tested dispatch code, with only the socket loop process-only.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import Future
 
 import pytest
 
 from repro.cluster import ClusterConfig, InprocBackend, ShardBackend, ShardHost
-from repro.errors import ServiceError
+from repro.errors import CorruptionError, ServiceError, StreamError
+from repro.service.sharding import ShardedStreamCube
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.records import StreamRecord
 
@@ -25,6 +27,10 @@ def make_engines(layers, policy, n=2):
         StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ)
         for _ in range(n)
     ]
+
+
+def make_cube(layers, policy):
+    return ShardedStreamCube(layers, policy, n_shards=2, ticks_per_quarter=TPQ)
 
 
 class TestClusterConfig:
@@ -101,6 +107,113 @@ class TestInprocBackend:
         assert (
             ShardBackend.settle(object(), 0, "ping", (), future) == "value"
         )
+
+
+class TestInprocRunsInline:
+    """The in-process backend starts no threads: every shard call runs on
+    the thread that made it."""
+
+    def test_cube_lifecycle_starts_no_shard_threads(
+        self, layers, policy, tmp_path
+    ):
+        before = set(threading.enumerate())
+        cubes = [make_cube(layers, policy)]
+        try:
+            cube = cubes[0]
+            cube.ingest_batch(workload(5))
+            cube.advance_to(6 * TPQ)
+            cube.refresh()
+            cube.snapshot(tmp_path)
+            cubes.append(ShardedStreamCube.restore(tmp_path, layers, policy))
+            cubes.append(cube.reshard(3))
+            assert cubes[1].m_cells() == cubes[2].m_cells() == cube.m_cells()
+            started = [
+                thread.name
+                for thread in set(threading.enumerate()) - before
+                if thread.name.startswith(("repro-shard", "repro-restore"))
+            ]
+            assert not started, started
+        finally:
+            for cube in cubes:
+                cube.close()
+
+    def test_engine_sees_the_callers_thread(
+        self, layers, policy, monkeypatch
+    ):
+        seen: set[int] = set()
+
+        def recording(method):
+            def wrapper(engine, *args):
+                seen.add(threading.get_ident())
+                return method(engine, *args)
+
+            return wrapper
+
+        for name in ("apply_segments", "advance_to", "window_columns"):
+            method = getattr(StreamCubeEngine, name)
+            monkeypatch.setattr(StreamCubeEngine, name, recording(method))
+        cube = make_cube(layers, policy)
+        try:
+            cube.ingest_batch(workload(5))
+            cube.advance_to(6 * TPQ)
+            cube.m_cells()
+        finally:
+            cube.close()
+        assert seen == {threading.get_ident()}
+
+    def test_submit_returns_a_done_future(self, layers, policy):
+        backend = InprocBackend(make_engines(layers, policy))
+        try:
+            done = backend.submit(1, "ingest", StreamRecord((1, 1), 0, 2.0))
+            assert done.done() and done.result() is None
+            assert backend.counters()[1][1] == 1
+            failed = backend.submit(0, "no_such_method")
+            assert failed.done()
+            assert isinstance(failed.exception(), ServiceError)
+            with pytest.raises(ServiceError, match="unknown shard method"):
+                failed.result()
+        finally:
+            backend.close()
+
+    def test_map_runs_every_shard_then_raises_the_first_failure(
+        self, layers, policy
+    ):
+        backend = InprocBackend(make_engines(layers, policy, n=3))
+        try:
+            backend.call(0, "advance_to", 2 * TPQ)  # quarter 0 sealed on 0
+            with pytest.raises(StreamError):
+                backend.map(
+                    "ingest",
+                    [(StreamRecord((i, i), 0, 1.0),) for i in range(3)],
+                )
+            assert [c[1] for c in backend.counters()] == [0, 1, 1]
+        finally:
+            backend.close()
+
+    def test_quarantined_shard_is_one_hole(self, layers, policy):
+        records = workload(5)
+        cube = make_cube(layers, policy)
+        survivors = StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ)
+        try:
+            cube.ingest_batch(records)
+            cube.advance_to(6 * TPQ)
+            survivors.ingest_many(
+                [r for r in records if cube.shard_index(r.values) == 0]
+            )
+            survivors.advance_to(6 * TPQ)
+
+            def quarantined(*args):
+                raise CorruptionError("cold page quarantined (injected)")
+
+            cube.shards[1].window_columns = quarantined
+            cube.degraded_reads = True
+            assert cube.m_cells() == survivors.m_cells()
+            holes = cube.consume_degraded()
+            assert [(hole["shard"], hole["state"]) for hole in holes] == [
+                (1, "degraded")
+            ]
+        finally:
+            cube.close()
 
 
 class TestShardHost:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.__main__ import build_service
 from repro.service.http import StreamCubeService
 from repro.service.router import QueryRouter
@@ -132,6 +133,87 @@ class TestAdminSnapshot:
             assert stats["last_snapshot_quarter"] == 6
         finally:
             service.close()
+
+
+class TestPeriodicSnapshotFailure:
+    def test_failed_trigger_answers_200_counts_and_retries(self, tmp_path):
+        records = workload(11)
+        by_quarter = [
+            [r for r in records if r.t // TPQ == q] for q in range(6)
+        ]
+        reference = build_service(
+            serve_args(tmp_path, snapshot_dir=str(tmp_path / "ref"))
+        )
+        service = build_service(
+            serve_args(tmp_path, snapshot_every_quarters=1)
+        )
+        try:
+            for svc in (reference, service):
+                ok(svc, "POST", "/ingest", {"records": rows(by_quarter[0])})
+            faults.install(
+                {
+                    "rules": [
+                        {"site": "snapshot.write", "kind": "enospc", "count": 0}
+                    ]
+                }
+            )
+            head, tail = by_quarter[1][:5], by_quarter[1][5:]
+            try:
+                # The batch seals quarter 0 and fires the trigger, whose
+                # snapshot fails: the batch is committed all the same.
+                body = ok(service, "POST", "/ingest", {"records": rows(head)})
+                assert body["current_quarter"] == 1
+                # The on-demand route still reports the failure itself.
+                status, error = service.handle("POST", "/admin/snapshot")
+                assert (status, error["type"]) == (400, "StorageError")
+            finally:
+                faults.clear()
+            ok(reference, "POST", "/ingest", {"records": rows(head)})
+            durability = ok(service, "GET", "/stats")["durability"]
+            assert durability["snapshot_failures"] == 1
+            assert durability["last_snapshot_error"].startswith("StorageError")
+            assert durability["snapshots_written"] == 1  # the bootstrap one
+            assert durability["last_snapshot_quarter"] == 0
+            assert durability["wal_seq"] == 2
+            assert service.cube.records_ingested == len(by_quarter[0]) + 5
+
+            # The fault is gone: the next mutating request, a mid-quarter
+            # one, writes the snapshot the failed trigger owed.
+            for svc in (reference, service):
+                ok(svc, "POST", "/ingest", {"records": rows(tail)})
+            durability = ok(service, "GET", "/stats")["durability"]
+            assert durability["snapshots_written"] == 2
+            assert durability["last_snapshot_quarter"] == 1
+            assert durability["snapshot_failures"] == 1
+            # Every later seal snapshots; half of the last quarter stays
+            # a WAL tail for the restore to replay.
+            last = by_quarter[5]
+            batches = [*by_quarter[2:5], last[:5], last[5:]]
+            for batch in batches:
+                for svc in (reference, service):
+                    ok(svc, "POST", "/ingest", {"records": rows(batch)})
+            assert ok(service, "GET", "/stats")["durability"][
+                "last_snapshot_quarter"
+            ] == 5
+        finally:
+            # Simulated crash: no final snapshot.
+            service.cube.close()
+        restored = build_service(
+            serve_args(tmp_path, restore=str(tmp_path / "snaps"), shards=None)
+        )
+        try:
+            assert (
+                restored.cube.records_ingested
+                == reference.cube.records_ingested
+                == len(records)
+            )
+            for svc in (reference, restored):
+                ok(svc, "POST", "/advance", {"t": 6 * TPQ})
+            assert restored.cube.m_cells() == reference.cube.m_cells()
+            assert query_bodies(restored) == query_bodies(reference)
+        finally:
+            restored.close()
+            reference.close()
 
 
 class TestRestoreCLI:
