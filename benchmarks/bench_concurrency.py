@@ -11,8 +11,6 @@ thread and ``_CLIENTS`` query clients, at:
 * ``inproc`` with 1 shard,
 * ``inproc`` with 4 shards — the headline point: cached p99 here is the
   number the concurrent query path exists to improve,
-* ``process`` with 4 shards — must not regress; reads that miss fan out
-  over worker RPC, cache hits never leave the parent,
 * ``inproc`` with 4 shards and ``_SUBSCRIPTIONS`` active continuous-query
   subscriptions — the seal-driven push path must not tax ingest: the
   dispatcher evaluates *off* the seal path, so with-subscriptions ingest
@@ -61,14 +59,13 @@ _CUBOID = [2, 2]
 _SUBSCRIPTIONS = 8
 
 
-def _build_service(backend: str, n_shards: int) -> StreamCubeService:
+def _build_service(n_shards: int) -> StreamCubeService:
     layers = DatasetSpec(2, 2, 3, 1).build_layers()
     cube = ShardedStreamCube(
         layers,
         GlobalSlopeThreshold(0.1),
         n_shards=n_shards,
         ticks_per_quarter=_TPQ,
-        backend=backend,
     )
     router = QueryRouter(cube, window_quarters=_WINDOW)
     return StreamCubeService(cube, router)
@@ -168,8 +165,8 @@ def _percentile(sorted_samples: list[float], q: float) -> float:
     return sorted_samples[rank]
 
 
-def measure_point(backend: str, n_shards: int, subscribers: int = 0) -> dict:
-    service = _build_service(backend, n_shards)
+def measure_point(n_shards: int, subscribers: int = 0) -> dict:
+    service = _build_service(n_shards)
     try:
         # Active continuous-query subscriptions: every seal now wakes the
         # dispatcher, which re-evaluates the shared specs and pushes into
@@ -234,7 +231,8 @@ def measure_point(backend: str, n_shards: int, subscribers: int = 0) -> dict:
             dt for (at, dt) in ingester.latencies if at >= warm_end
         )
         return {
-            "backend": backend,
+            # The baselines key every point by (backend, shards, ...).
+            "backend": "inproc",
             "shards": n_shards,
             "clients": _CLIENTS,
             "subscriptions": subscribers,
@@ -253,10 +251,9 @@ def measure_point(backend: str, n_shards: int, subscribers: int = 0) -> dict:
 
 def concurrency_series() -> list[dict]:
     return [
-        measure_point("inproc", 1),
-        measure_point("inproc", 4),
-        measure_point("process", 4),
-        measure_point("inproc", 4, subscribers=_SUBSCRIPTIONS),
+        measure_point(1),
+        measure_point(4),
+        measure_point(4, subscribers=_SUBSCRIPTIONS),
     ]
 
 
@@ -300,13 +297,12 @@ def render_concurrency_table(points: list[dict]) -> str:
 def concurrency_checks(points: list[dict]) -> list[tuple[str, bool]]:
     return [
         (
-            "coverage: inproc 1/4 shards, process 4 shards, plus "
+            "coverage: inproc 1/4 shards, plus "
             f"inproc 4 shards with {_SUBSCRIPTIONS} subscriptions",
             [(p["backend"], p["shards"], p["subscriptions"]) for p in points]
             == [
                 ("inproc", 1, 0),
                 ("inproc", 4, 0),
-                ("process", 4, 0),
                 ("inproc", 4, _SUBSCRIPTIONS),
             ],
         ),

@@ -8,12 +8,10 @@ Usage::
         [--baseline benchmarks/baselines/BENCH_service_throughput.json] \
         [--storage-current out/BENCH_storage.json] \
         [--storage-baseline benchmarks/baselines/BENCH_storage.json] \
-        [--parallel-current out/BENCH_parallel.json] \
-        [--parallel-baseline benchmarks/baselines/BENCH_parallel.json] \
         [--concurrency-current out/BENCH_concurrency.json] \
         [--concurrency-baseline benchmarks/baselines/BENCH_concurrency.json] \
         [--faults-current out/BENCH_faults.json] \
-        [--min-scaling 2.0] [--max-regression 0.25] [--min-fault-ratio 0.98] \
+        [--max-regression 0.25] [--min-fault-ratio 0.98] \
         [--concurrency-min-improvement 2.0] [--subscription-max-overhead 1.5]
 
 Compares the current run's ``ingest_batch`` records/s and merged ``refresh``
@@ -21,12 +19,7 @@ time per shard count against the committed baseline and exits non-zero if
 any point regresses by more than ``--max-regression`` (default 25%).  With ``--storage-current``,
 additionally gates the tiered-storage benchmark's cold-window query rate
 (deep ``window_isbs`` calls that fault pages back from disk, per bound)
-the same way.  With ``--parallel-current``, gates the
-process-parallel bench twice: normalized throughput per (backend,
-workers) point against the committed baseline, and — on runners with at
-least 4 usable cores — the 4-worker process ingest rate against
-``--min-scaling`` times the same run's single-process rate.  With
-``--concurrency-current``, gates concurrent-serving p99 query latency
+the same way.  With ``--concurrency-current``, gates concurrent-serving p99 query latency
 against the committed *pre-concurrency* anchor: cached inproc/4 queries
 must stay at least ``--concurrency-min-improvement`` times better than
 the anchor (the lock-free hit path is the point), every other point must
@@ -56,9 +49,6 @@ _DEFAULT_BASELINE = (
 )
 _DEFAULT_STORAGE_BASELINE = (
     Path(__file__).parent / "baselines" / "BENCH_storage.json"
-)
-_DEFAULT_PARALLEL_BASELINE = (
-    Path(__file__).parent / "baselines" / "BENCH_parallel.json"
 )
 _DEFAULT_CONCURRENCY_BASELINE = (
     Path(__file__).parent / "baselines" / "BENCH_concurrency.json"
@@ -160,93 +150,6 @@ def compare_storage(
         lines.append(
             f"{verdict} {key}: {cur_qps:,.1f} cold queries/s "
             f"(normalized {ratio:.2f}x of baseline {base_qps:,.1f}; "
-            f"floor {floor:.2f}x)"
-        )
-    return lines
-
-
-def _parallel_points(document: dict) -> dict[tuple[str, int], float]:
-    """``{(backend, workers): records_per_s}`` for the parallel bench."""
-    out: dict[tuple[str, int], float] = {}
-    for entry in document.get("entries", []):
-        if entry.get("op") == "ingest_batch" and entry.get("records_per_s"):
-            key = (str(entry.get("backend")), int(entry.get("workers", 0)))
-            out[key] = float(entry["records_per_s"])
-    return out
-
-
-def compare_parallel(
-    baseline: dict,
-    current: dict,
-    max_regression: float,
-    min_scaling: float,
-) -> list[str]:
-    """Two gates on the process-parallel bench.
-
-    1. *Scaling*: within the current run alone, 4-worker process ingest
-       must clear ``min_scaling`` times the single-process rate — but
-       only when the runner has at least 4 usable cores (the document's
-       ``cpu_count``); a 1-core container cannot parallelize anything,
-       so there the clause reports SKIP instead of lying either way.
-    2. *Regression*: every (backend, workers) point is gated against the
-       committed baseline, normalized by ``machine_score`` exactly like
-       :func:`compare`.
-    """
-    cur_points = _parallel_points(current)
-    base_points = _parallel_points(baseline)
-    if not cur_points:
-        return ["FAIL current parallel document has no ingest_batch entries"]
-    lines: list[str] = []
-    single = cur_points.get(("inproc", 1))
-    four = cur_points.get(("process", 4))
-    if single is None or four is None:
-        lines.append(
-            "FAIL scaling: need inproc/1 and process/4 points in the "
-            "current run"
-        )
-    else:
-        cores = int(current.get("cpu_count") or 0)
-        scaling = four / single
-        if cores >= 4:
-            verdict = "PASS" if scaling >= min_scaling else "FAIL"
-            lines.append(
-                f"{verdict} scaling: process/4 at {scaling:.2f}x of "
-                f"single-process (floor {min_scaling:.2f}x, "
-                f"{cores} cores)"
-            )
-        else:
-            lines.append(
-                f"SKIP scaling gate: {cores} usable core(s) < 4, "
-                f"measured {scaling:.2f}x (floor {min_scaling:.2f}x "
-                "applies on 4+ core runners)"
-            )
-        recorded = current.get("scaling_gate")
-        if recorded is not None:
-            reason = current.get("scaling_gate_reason")
-            lines.append(
-                f"info bench recorded scaling_gate={recorded!r}"
-                + (f" ({reason})" if reason else "")
-            )
-    if not base_points:
-        lines.append("FAIL parallel baseline has no ingest_batch entries")
-        return lines
-    base_score = float(baseline.get("machine_score") or 0.0)
-    cur_score = float(current.get("machine_score") or 0.0)
-    if base_score <= 0.0 or cur_score <= 0.0:
-        lines.append("FAIL machine_score missing; cannot normalize")
-        return lines
-    floor = 1.0 - max_regression
-    for key, base_rps in sorted(base_points.items()):
-        cur_rps = cur_points.get(key)
-        name = f"{key[0]}/{key[1]}"
-        if cur_rps is None:
-            lines.append(f"FAIL {name}: missing from current run")
-            continue
-        ratio = (cur_rps / cur_score) / (base_rps / base_score)
-        verdict = "PASS" if ratio >= floor else "FAIL"
-        lines.append(
-            f"{verdict} {name}: {cur_rps:,.0f} rec/s "
-            f"(normalized {ratio:.2f}x of baseline {base_rps:,.0f}; "
             f"floor {floor:.2f}x)"
         )
     return lines
@@ -458,15 +361,6 @@ def main(argv: list[str] | None = None) -> int:
         "latency gate)",
     )
     parser.add_argument(
-        "--parallel-baseline", type=Path, default=_DEFAULT_PARALLEL_BASELINE,
-        help="committed BENCH_parallel.json baseline",
-    )
-    parser.add_argument(
-        "--parallel-current", type=Path, default=None,
-        help="freshly generated BENCH_parallel.json (enables the process-"
-        "scaling gate)",
-    )
-    parser.add_argument(
         "--concurrency-baseline", type=Path,
         default=_DEFAULT_CONCURRENCY_BASELINE,
         help="committed BENCH_concurrency.json anchor (measured before the "
@@ -503,11 +397,6 @@ def main(argv: list[str] | None = None) -> int:
         "fault-injection seam (default 0.98 — a <2%% cost)",
     )
     parser.add_argument(
-        "--min-scaling", type=float, default=2.0,
-        help="required process/4 over single-process ingest ratio on "
-        "4+ core runners (default 2.0)",
-    )
-    parser.add_argument(
         "--max-regression", type=float, default=0.25,
         help="allowed fractional drop in normalized records/s and refreshes/s "
         "(default 0.25)",
@@ -529,17 +418,6 @@ def main(argv: list[str] | None = None) -> int:
         failed |= any(line.startswith("FAIL") for line in storage_lines)
         print("perf smoke: cold-window query rate vs committed baseline")
         for line in storage_lines:
-            print(" ", line)
-    if args.parallel_current is not None:
-        parallel_lines = compare_parallel(
-            json.loads(args.parallel_baseline.read_text()),
-            json.loads(args.parallel_current.read_text()),
-            args.max_regression,
-            args.min_scaling,
-        )
-        failed |= any(line.startswith("FAIL") for line in parallel_lines)
-        print("perf smoke: process-parallel ingest scaling")
-        for line in parallel_lines:
             print(" ", line)
     if args.concurrency_current is not None:
         concurrency_lines = compare_concurrency(

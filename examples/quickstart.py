@@ -13,10 +13,7 @@ Walks the paper's core ideas in order:
 6. spill sealed history past a hot horizon to an on-disk cold store and
    fault it back for a deep-history window — tiered storage, so resident
    memory is bounded by the hot set, not by the stream's age;
-7. run the same cube with each shard in its own forked worker process —
-   ingest past the GIL, with every answer bit-identical to the
-   in-process backend;
-8. serve many query clients concurrently — per-shard read locks,
+7. serve many query clients concurrently — per-shard read locks,
    seal-epoch-vector cache validation (hits are a lock-free
    comparison), and single-flight collapsing of identical misses.
 
@@ -206,44 +203,8 @@ def step6_tiered_storage() -> None:
     )
 
 
-def step7_process_parallel() -> None:
-    print("\n== 7. Process-parallel shards: same answers, many cores ==")
-    import random
-
-    from repro import StreamRecord
-    from repro.service import ShardedStreamCube
-    from repro.stream.generator import DatasetSpec
-
-    layers = DatasetSpec(2, 2, 4, 1).build_layers()
-    policy = GlobalSlopeThreshold(0.1)
-    rng = random.Random(13)
-    records = [
-        StreamRecord((rng.randrange(16), rng.randrange(16)), t, rng.uniform(0, 3))
-        for t in range(4 * 15)
-        for _ in range(4)
-    ]
-    # backend="process" forks one supervised worker per shard; every
-    # query crosses the RPC boundary and still answers bit-identically.
-    with ShardedStreamCube(
-        layers, policy, n_shards=2, ticks_per_quarter=15
-    ) as inproc, ShardedStreamCube(
-        layers, policy, n_shards=2, ticks_per_quarter=15, backend="process"
-    ) as forked:
-        inproc.ingest_batch(records)
-        inproc.advance_to(4 * 15)
-        forked.ingest_batch(records)
-        forked.advance_to(4 * 15)
-        assert forked.m_cells(4) == inproc.m_cells(4)
-        stats = forked.parallel_stats()
-        print(
-            f"{stats['workers']} worker processes (pids {stats['pids']}), "
-            f"{stats['rpc_round_trips']} RPC round trips: "
-            "m-layer bit-identical to the in-process backend"
-        )
-
-
-def step8_concurrent_serving() -> None:
-    print("\n== 8. Concurrent serving: lock-free hits, single-flight misses ==")
+def step7_concurrent_serving() -> None:
+    print("\n== 7. Concurrent serving: lock-free hits, single-flight misses ==")
     import random
     import threading
 
@@ -299,8 +260,7 @@ def main() -> None:
     step4_cube()
     step5_durability()
     step6_tiered_storage()
-    step7_process_parallel()
-    step8_concurrent_serving()
+    step7_concurrent_serving()
 
 
 if __name__ == "__main__":

@@ -105,7 +105,6 @@ def build_service(args: argparse.Namespace):
     """
     from pathlib import Path
 
-    from repro.cluster import ClusterConfig
     from repro.service import QueryRouter, ShardedStreamCube, StreamCubeService
     from repro.storage import StorageConfig
     from repro.stream.generator import DatasetSpec
@@ -116,28 +115,6 @@ def build_service(args: argparse.Namespace):
     if args.hot_quarters is not None and not args.storage_dir:
         raise ServiceError("--hot-quarters needs --storage-dir")
     snapshot_dir = Path(args.snapshot_dir) if args.snapshot_dir else None
-    backend_name = getattr(args, "backend", "inproc")
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        if backend_name != "process":
-            raise ServiceError("--workers needs --backend process")
-        if args.shards is not None and args.shards != workers:
-            raise ServiceError(
-                f"--workers {workers} and --shards {args.shards} disagree; "
-                "the process backend runs one worker per shard — pass one"
-            )
-        args.shards = workers
-    # The snapshot directory doubles as the process workers' crash-recovery
-    # anchor: a restarted worker restores its slice of the latest snapshot
-    # there, then replays the WAL tail.
-    backend_cfg: str | ClusterConfig = (
-        ClusterConfig(
-            backend="process",
-            recovery_dir=str(snapshot_dir) if snapshot_dir else None,
-        )
-        if backend_name == "process"
-        else "inproc"
-    )
     if (
         snapshot_dir is not None
         and not args.restore
@@ -220,7 +197,6 @@ def build_service(args: argparse.Namespace):
             wal=wal,
             storage=storage_cfg,
             hot_quarters=args.hot_quarters,
-            backend=backend_cfg,
         )
     else:  # fresh cube — also the base of a journal-only recovery
         cube = ShardedStreamCube(
@@ -230,7 +206,6 @@ def build_service(args: argparse.Namespace):
             ticks_per_quarter=args.ticks_per_quarter,
             wal=wal,
             storage=storage_cfg,
-            backend=backend_cfg,
         )
     if args.restore:
         replayed = 0
@@ -272,9 +247,7 @@ def serve_command(args: argparse.Namespace) -> int:
 
     try:
         if getattr(args, "fault_plan", None):
-            # Armed before the cube exists so process workers inherit the
-            # plan through their WorkerSpec (supervisor sites dropped on
-            # the worker side) and every store/WAL opens under it.
+            # Armed before the cube exists so every store/WAL opens under it.
             plan = faults.load_plan(args.fault_plan, args.fault_seed)
             faults.install(plan)
             print(
@@ -316,22 +289,6 @@ def add_serve_arguments(serve_p: argparse.ArgumentParser) -> None:
         default=None,
         help="engine shards (default 4; with --restore, defaults to the "
         "snapshot's count, and a different value reshards on load)",
-    )
-    serve_p.add_argument(
-        "--backend",
-        choices=("inproc", "process"),
-        default="inproc",
-        help="shard execution backend: in-process engines (default) or "
-        "one supervised worker process per shard (ingest scales past "
-        "the GIL; pair with --snapshot-dir for crash recovery)",
-    )
-    serve_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --backend process (one per shard; "
-        "sets the shard count)",
     )
     serve_p.add_argument(
         "--request-threads",
@@ -436,7 +393,7 @@ def add_serve_arguments(serve_p: argparse.ArgumentParser) -> None:
         metavar="PLAN",
         default=None,
         help="arm seeded fault injection on every durability path (WAL, "
-        "cold stores, snapshots, worker RPC): a preset name (wal-torn, "
+        "cold stores, snapshots): a preset name (wal-torn, "
         "page-bitflip, enospc-snapshot) or a JSON plan file — for "
         "resilience drills against a live service",
     )
@@ -517,13 +474,6 @@ def main(argv: list[str] | None = None) -> int:
         default=2,
         metavar="K",
         help="hot horizon for --storage runs (default 2)",
-    )
-    soak_p.add_argument(
-        "--backend",
-        choices=("inproc", "process"),
-        default="inproc",
-        help="shard execution backend: in-process engines (default) or "
-        "one supervised worker process per shard",
     )
     soak_p.add_argument(
         "--fault-plan",

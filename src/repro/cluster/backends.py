@@ -1,131 +1,37 @@
-"""The shard-execution seam: where a shard *runs* is a backend choice.
+"""The shard backend the sharded cube dispatches through.
 
-:class:`ShardBackend` is the contract :class:`~repro.service.sharding.
-ShardedStreamCube` dispatches through, so process-parallel shards are a
-construction-time choice, not a rewrite.  Two implementations:
-
-* :class:`InprocBackend` — N engines in this process, every shard call run
-  on the caller's thread (no serialization, no thread hand-off; a fan-out
-  is a loop over the shards).
-* :class:`~repro.cluster.process.ProcessBackend` — each shard behind a
-  forked worker process with a supervised RPC channel, for ingest that
-  scales past the GIL.
-
-Both drive the same :class:`~repro.cluster.worker.ShardHost` method
-surface, so the in-process tests cover exactly the dispatch logic the
-workers run.  :class:`ClusterConfig` is the user-facing knob bundle; the
-cube accepts either a backend name or a full config.
+:class:`InprocBackend` holds N engines in this process and runs every
+shard call on the caller's thread: no serialization, no thread hand-off,
+and a fan-out is a loop over the shards.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster.worker import ShardHost
-from repro.errors import CorruptionError, ServiceError
+from repro.errors import CorruptionError
 from repro.stream.engine import StreamCubeEngine
 
-__all__ = ["ClusterConfig", "InprocBackend", "ShardBackend"]
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """How the cube's shards execute.
-
-    backend:
-        ``"inproc"`` (the default: engines in this process) or
-        ``"process"`` (one forked worker per shard).
-    rpc_timeout:
-        Seconds the parent waits for any one shard RPC before declaring
-        the worker dead and restarting it.  Generous by default — it is a
-        liveness backstop, not a latency SLO.
-    queue_depth:
-        Bound on in-flight-plus-queued requests per worker; a full queue
-        blocks the submitter (backpressure) instead of buffering without
-        limit.
-    max_restarts:
-        Per-worker restart budget; exceeding it surfaces a
-        :class:`ServiceError` instead of crash-looping.
-    recovery_dir:
-        Snapshot directory consulted when restarting a crashed worker
-        (restore the shard's last snapshot state, then replay the WAL
-        tail).  Without it, recovery replays the whole WAL from scratch.
-    ingest_chunk:
-        Records per dispatch chunk in the process backend's
-        ``ingest_batch`` — routing of chunk *k+1* overlaps worker
-        application of chunk *k*, hiding the parent's serial routing cost.
-    """
-
-    backend: str = "inproc"
-    rpc_timeout: float = 30.0
-    queue_depth: int = 8
-    max_restarts: int = 5
-    recovery_dir: str | None = None
-    ingest_chunk: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("inproc", "process"):
-            raise ServiceError(
-                f"unknown shard backend {self.backend!r} "
-                "(expected 'inproc' or 'process')"
-            )
-        if self.queue_depth < 1:
-            raise ServiceError("queue_depth must be >= 1")
-        if self.ingest_chunk < 1:
-            raise ServiceError("ingest_chunk must be >= 1")
+__all__ = ["InprocBackend", "ShardBackend"]
 
 
 class ShardBackend:
-    """The dispatch contract the sharded cube runs on.
+    """The base of :class:`InprocBackend`, a class of its own because the
+    frozen ``benchmarks/e2e`` hook table wraps ``ShardBackend.broadcast``.
 
-    ``call`` is a synchronous single-shard invocation; ``submit`` returns
-    a future; ``map`` fans one method over every shard with per-shard
-    arguments; ``broadcast`` is ``map`` with identical arguments.
-    ``counters()`` returns every shard's ``[quarter, records, cells]``
-    triple without a mandatory round trip (live reads in-process, cached
-    piggyback values for workers).  Implementations own their shards'
-    lifecycle: ``close()`` drains and releases them.
+    ``broadcast`` is ``map`` with the same arguments for every shard;
+    ``health`` is the per-shard roster the ``/healthz`` probe serves.
+    In-process shards cannot die, so every entry is ``healthy``: a shard
+    whose cold pages are quarantined answers degraded reads with a hole
+    (``broadcast_partial``) but stays on the roster as it was.
     """
-
-    name: str
-
-    @property
-    def n_shards(self) -> int:
-        raise NotImplementedError
-
-    def call(self, shard: int, method: str, *args: Any) -> Any:
-        raise NotImplementedError
-
-    def submit(self, shard: int, method: str, *args: Any) -> Future:
-        raise NotImplementedError
-
-    def map(self, method: str, args_list: list[tuple]) -> list:
-        raise NotImplementedError
 
     def broadcast(self, method: str, *args: Any) -> list:
         return self.map(method, [args] * self.n_shards)
 
-    def settle(self, shard: int, method: str, args: tuple, future: Future) -> Any:
-        """Resolve one submitted future (crash-aware in process backends)."""
-        return future.result()
-
-    def broadcast_partial(
-        self, method: str, *args: Any
-    ) -> tuple[list, list[dict[str, Any]]]:
-        """Broadcast an idempotent read, tolerating lost shards.
-
-        Returns ``(results, missing)`` where ``results`` has a ``None``
-        hole per unreachable shard and ``missing`` describes each hole
-        (shard index, state, reason, ``last_quarter`` staleness bound).
-        Quarantined data (:class:`CorruptionError`) is always a hole; the
-        process backend also tolerates dead workers.
-        """
-        raise NotImplementedError
-
     def health(self) -> list[dict[str, Any]]:
-        """Per-shard health descriptors; in-process shards cannot die."""
         return [
             {
                 "shard": shard,
@@ -136,19 +42,6 @@ class ShardBackend:
             }
             for shard, counters in enumerate(self.counters())
         ]
-
-    def health_version(self) -> int:
-        """Bumped on health transitions; constant when shards can't die."""
-        return 0
-
-    def counters(self) -> list[list[int]]:
-        raise NotImplementedError
-
-    def stats(self) -> dict[str, Any]:
-        raise NotImplementedError
-
-    def close(self) -> dict[str, Any] | None:
-        raise NotImplementedError
 
 
 class InprocBackend(ShardBackend):
@@ -181,6 +74,10 @@ class InprocBackend(ShardBackend):
         return self.hosts[shard].invoke(method, args)
 
     def submit(self, shard: int, method: str, *args: Any) -> Future:
+        """``call`` as an already-resolved future (its exception, if the
+        call raised).  Nothing in the package calls it: it exists because
+        the frozen ``benchmarks/e2e`` hook table wraps it by name, and it
+        goes when that table drops it."""
         future: Future = Future()
         try:
             future.set_result(self.hosts[shard].invoke(method, args))
@@ -203,6 +100,13 @@ class InprocBackend(ShardBackend):
     def broadcast_partial(
         self, method: str, *args: Any
     ) -> tuple[list, list[dict[str, Any]]]:
+        """Broadcast an idempotent read, tolerating quarantined shards.
+
+        Returns ``(results, missing)``: a shard whose read raised
+        :class:`CorruptionError` leaves a ``None`` hole in ``results`` and
+        a descriptor in ``missing`` (shard index, state, reason,
+        ``last_quarter`` staleness bound).  Any other failure raises.
+        """
         results: list[Any] = []
         missing: list[dict[str, Any]] = []
         failure: Exception | None = None
@@ -229,6 +133,8 @@ class InprocBackend(ShardBackend):
         return [host.counters() for host in self.hosts]
 
     def stats(self) -> dict[str, Any]:
+        """The ``/stats`` ``parallel`` block.  Its worker fields keep their
+        shape for clients that read them: no pids, restarts or RPCs."""
         return {
             "backend": self.name,
             "workers": len(self.hosts),
@@ -237,12 +143,4 @@ class InprocBackend(ShardBackend):
             "rpc_round_trips": 0,
             "queue_high_water": [0] * len(self.hosts),
             "health": ["healthy"] * len(self.hosts),
-        }
-
-    def close(self) -> dict[str, Any]:
-        return {
-            "backend": self.name,
-            "drained": len(self.hosts),
-            "reaped": [],
-            "doomed": {},
         }

@@ -12,17 +12,14 @@ import is the package itself::
 from repro.faults.plan import (
     PRESETS,
     SITES,
-    SUPERVISOR_SITES,
     FaultInjector,
     FaultPlan,
     FaultRule,
     active,
-    active_plan,
     check,
     clear,
     corrupt,
     install,
-    install_for_worker,
     lie,
     load_plan,
     preset_plan,
@@ -33,17 +30,14 @@ from repro.faults.plan import (
 __all__ = [
     "PRESETS",
     "SITES",
-    "SUPERVISOR_SITES",
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
     "active",
-    "active_plan",
     "check",
     "clear",
     "corrupt",
     "install",
-    "install_for_worker",
     "lie",
     "load_plan",
     "preset_plan",

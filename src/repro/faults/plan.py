@@ -1,7 +1,7 @@
 """Deterministic, seeded fault plans for the durability I/O seams.
 
 Every durability path in the system — cold-store page reads/writes, WAL
-appends, snapshot/manifest writes, cluster RPC frames — consults this
+appends, snapshot/manifest writes — consults this
 module at a named *site* before (or while) touching the outside world.
 With no plan installed the consultation is a single ``None`` check, so
 production code pays nothing; with a plan armed, matching rules fire
@@ -16,12 +16,9 @@ Sites are dotted names::
     store.write      cold-store page append
     wal.append       QuarterWAL line append
     snapshot.write   write_atomic (snapshot shard files, manifests)
-    rpc.send         cluster frame send (supervisor side)
-    rpc.recv         cluster frame receive (supervisor side)
 
 A rule's ``site`` may be ``"*"`` to match every site.  Rules fire at most
-``count`` times (default 1 — one-shot, like the existing worker chaos
-hooks), skip their first ``after`` matching operations, and may fire
+``count`` times (default 1 — one-shot), skip their first ``after`` matching operations, and may fire
 probabilistically; each rule owns a :class:`random.Random` seeded from
 ``(plan.seed, rule index)`` so a plan replays identically run to run.
 
@@ -35,11 +32,6 @@ could put the EIO on the bit flip's retry read — two faults on one read,
 which no single-retry repair survives — depending on scheduling alone.
 ``count`` stays process-wide: a one-shot rule fires once, on whichever
 thread gets there first.
-
-The injector is process-global by design: forked shard workers *clear*
-any inherited injector and re-install from their ``WorkerSpec``'s plan
-with the supervisor-only sites dropped, so a plan armed in the parent
-never double-fires on both ends of the same RPC.
 """
 
 from __future__ import annotations
@@ -65,8 +57,6 @@ __all__ = [
     "install",
     "clear",
     "active",
-    "active_plan",
-    "install_for_worker",
     "check",
     "torn",
     "corrupt",
@@ -81,14 +71,7 @@ SITES = (
     "store.write",
     "wal.append",
     "snapshot.write",
-    "rpc.send",
-    "rpc.recv",
 )
-
-#: Sites that only ever fire on the supervisor side of the process
-#: backend; forked workers drop these rules on re-install so one rule
-#: cannot fire on both ends of the same frame.
-SUPERVISOR_SITES = frozenset({"rpc.send", "rpc.recv", "wal.append"})
 
 
 @dataclass(frozen=True)
@@ -202,13 +185,6 @@ class FaultPlan:
             "seed": self.seed,
             "rules": [rule.to_dict() for rule in self.rules],
         }
-
-    def drop_sites(self, sites: frozenset[str]) -> "FaultPlan":
-        """A copy without rules bound to ``sites`` (wildcards survive)."""
-        return FaultPlan(
-            seed=self.seed,
-            rules=tuple(r for r in self.rules if r.site not in sites),
-        )
 
 
 #: Named plans for the CI fault matrix and ``--fault-plan`` shorthand.
@@ -388,27 +364,6 @@ def clear() -> None:
 
 def active() -> FaultInjector | None:
     return _ACTIVE
-
-
-def active_plan() -> dict[str, Any] | None:
-    """The armed plan as a plain dict (for ``WorkerSpec`` propagation)."""
-    return None if _ACTIVE is None else _ACTIVE.plan.to_dict()
-
-
-def install_for_worker(plan_dict: Mapping[str, Any] | None) -> None:
-    """Re-arm inside a forked shard worker.
-
-    Workers inherit the parent's injector through ``fork``; that copy is
-    always discarded, then the spec's plan (if any) is installed with the
-    supervisor-only sites dropped — frame faults belong to exactly one
-    side of the socket.
-    """
-    clear()
-    if plan_dict is None:
-        return
-    plan = FaultPlan.from_dict(plan_dict).drop_sites(SUPERVISOR_SITES)
-    if plan.rules:
-        install(plan)
 
 
 def check(site: str) -> None:

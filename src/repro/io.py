@@ -113,8 +113,8 @@ def check_format(codec: str, payload: Any, fmt: str, version: int) -> None:
 def write_atomic(path: str | Path, text: str) -> None:
     """Write a file through a temp name + fsync + ``os.replace``.
 
-    Shared by every durability writer (snapshot shard files, manifests,
-    worker-side snapshot RPCs).  The fsync before the rename matters:
+    Shared by every durability writer (snapshot shard files, manifests).
+    The fsync before the rename matters:
     checkpoint flows compact the WAL against the snapshot immediately
     after, so the files must be durable — not just renamed in the page
     cache — before the journal entries they supersede disappear.

@@ -10,15 +10,13 @@ loaders the checkpoint files use.
 Endpoints
 ---------
 ``GET  /health``   liveness + shard/quarter/record counters
-``GET  /healthz``  always 200: ``status`` (``ok`` / ``degraded``) plus the
-                   per-shard health descriptors (state, restarts, reason,
-                   ``last_quarter`` staleness bound)
-``GET  /readyz``   readiness probe: 200 while every shard can answer, 503
-                   with the dead shard list once any shard is gone for
-                   good (restart budget exhausted, unrecoverable state)
+``GET  /healthz``  always 200: ``status: "ok"`` plus the per-shard health
+                   descriptors (state, restarts, reason, ``last_quarter``)
+``GET  /readyz``   readiness probe: 200 with ``ready: true`` (in-process
+                   shards cannot die; ``dead_shards`` is always empty)
 ``GET  /stats``    router cache/batch counters + partition-balance statistics
-                   + execution-backend block (backend name, worker pids,
-                   restarts, RPC round trips, queue high-water marks)
+                   + execution-backend block (``backend: "inproc"``, shard
+                   count; its pid/restart/RPC fields read zero)
                    + durability counters (snapshots written, periodic
                    snapshot failures and the last error, WAL seq)
                    + tiered-storage counters (cold pages, bytes on disk,
@@ -45,12 +43,11 @@ Endpoints
                    seconds for a fresh seal before answering empty
 
 Degraded serving: the service turns on the cube's ``degraded_reads`` mode,
-so a query that cannot reach every shard (a worker past its restart
-budget, quarantined cold pages) still answers 200 with the reachable
-shards' exact union plus a ``"degraded"`` block naming each missing shard
-and the staleness bound — never a 500.  ``/readyz`` flips to 503 on the
-same condition, so an orchestrator stops routing *new* traffic while
-in-flight clients keep getting partial answers.
+so a query that cannot read every shard (quarantined cold pages) still
+answers 200 with the readable shards' exact union plus a ``"degraded"``
+block naming each missing shard and the staleness bound — never a 500.
+The block travels with the answer: a cache hit or a single-flight joiner
+of a partial answer carries the same block, and no ``ETag``.
 
 The query path is a pure decode → execute → encode shim over
 :meth:`repro.service.router.QueryRouter.execute_versioned`; all validation
@@ -77,8 +74,8 @@ appends, snapshot triggers and WAL compaction stay totally ordered);
 queries run lock-free against the router's epoch-vector-validated cache,
 and the probes (``/health``, ``/healthz``, ``/readyz``, ``/stats``) touch
 no lock at all, so they answer promptly even while a heavy ingest batch
-is applying.  In-process shard work runs on the request thread that asked
-for it (that backend has no threads of its own).  Consistency under this
+is applying.  Shard work runs on the request thread that asked for it (the
+shard backend has no threads of its own).  Consistency under this
 parallelism lives in the cube's per-shard reader-writer locks and the
 router's single-flight cache — see :mod:`repro.service.sharding` and
 :mod:`repro.service.router`.
@@ -297,8 +294,8 @@ class StreamCubeService:
         )
 
     def close(self) -> None:
-        """Release the cube (its worker processes, if any) and the WAL
-        file handle."""
+        """Stop the subscription dispatcher, close the cube and release the
+        WAL file handle."""
         self.subscriptions.close()
         self.cube.close()
         if self.cube.wal is not None:
@@ -362,8 +359,8 @@ class StreamCubeService:
                     body = handler(payload or {})
             else:
                 body = handler(payload or {})
-            # Probes pick their own status (/readyz answers 503);
-            # everything else is a body dict wrapped in 200.
+            # A handler may pick its own status (an unknown
+            # subscription's 404); a body dict is wrapped in 200.
             if isinstance(body, tuple):
                 return body
             return 200, body
@@ -390,61 +387,31 @@ class StreamCubeService:
         }
 
     def healthz(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Always 200: the fleet's health picture, degraded or not."""
-        shards = self.cube.health()
-        sick = [entry for entry in shards if entry["state"] != "healthy"]
-        return {
-            "status": "degraded" if sick else "ok",
-            "shards": shards,
-        }
+        """Always 200 and ``ok``: every in-process shard is ``healthy``
+        (a quarantined one shows in the answers' ``degraded`` blocks)."""
+        return {"status": "ok", "shards": self.cube.health()}
 
-    def readyz(
-        self, payload: dict[str, Any]
-    ) -> dict[str, Any] | tuple[int, dict[str, Any]]:
-        """Readiness: 503 once any shard is dead for good.
-
-        ``degraded``/``recovering`` shards do *not* fail readiness — the
-        supervisor revives those on the next call that needs them; only a
-        shard past recovery (``dead``) makes answers permanently partial.
-        """
-        shards = self.cube.health()
-        dead = [
-            entry["shard"] for entry in shards if entry["state"] == "dead"
-        ]
-        body = {
-            "ready": not dead,
-            "shards": len(shards),
-            "dead_shards": dead,
-        }
-        if dead:
-            return 503, body
-        return body
+    def readyz(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """Readiness: always ready.  In-process shards cannot die, and a
+        quarantined shard makes answers partial (a ``degraded`` block)
+        without taking the service out of rotation."""
+        return {"ready": True, "shards": self.cube.n_shards, "dead_shards": []}
 
     def _degraded_block(self) -> dict[str, Any] | None:
         """The response annotation for a partially-answered query.
 
-        Combines what the just-run merged reads actually skipped
-        (:meth:`ShardedStreamCube.consume_degraded` — also drains it, so
-        holes never leak into an unrelated response) with shards the
-        health roster knows are dead (a cache-served answer runs no merged
-        read, but its holes are the same dead shards).  ``staleness_bound``
-        is the oldest ``last_quarter`` across the missing shards: data
-        owned by them is current only up to that quarter.
+        The holes this request's answers carry
+        (:meth:`ShardedStreamCube.consume_degraded` — also drains them, so
+        holes never leak into an unrelated response): those its merged
+        reads skipped, and those of the cached answers and views it was
+        served (the router re-reports them).  ``staleness_bound`` is the
+        oldest ``last_quarter`` across the missing shards: data owned by
+        them is current only up to that quarter.
         """
-        missing = {
-            entry["shard"]: entry for entry in self.cube.consume_degraded()
-        }
-        for entry in self.cube.health():
-            if entry["state"] == "dead" and entry["shard"] not in missing:
-                missing[entry["shard"]] = {
-                    "shard": entry["shard"],
-                    "state": entry["state"],
-                    "reason": entry["reason"],
-                    "last_quarter": entry["last_quarter"],
-                }
+        missing = self.cube.consume_degraded()
         if not missing:
             return None
-        rows = [missing[shard] for shard in sorted(missing)]
+        rows = sorted(missing, key=lambda row: row["shard"])
         return {
             "missing": rows,
             "staleness_bound": min(row["last_quarter"] for row in rows),

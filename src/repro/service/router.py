@@ -14,14 +14,19 @@ Concurrency: the router is safe for parallel callers and its hit path is
 completely lock-free on the cube.  Every cached entry is stored together
 with the cube's :meth:`~repro.service.sharding.ShardedStreamCube.
 epoch_vector` at computation time — the per-shard seal epochs plus the
-structure/health clocks — and is served iff a fresh lock-free vector read
-matches it, so "invalidation" is a comparison, not a big-lock clear.
-Answers derive from sealed quarters only, so the vector changes exactly
-when one could change: a quarter seals, a shard's state is reloaded, or
-fleet health transitions.  Cache *misses* compute under the cube's read
-cut, and identical concurrent misses are collapsed to one execution
-(single-flight): followers wait for the leader's entry and re-validate
-instead of stampeding the engines.
+structure clock — and is served iff a fresh lock-free vector read matches
+it, so "invalidation" is a comparison, not a big-lock clear.  Answers
+derive from sealed quarters only, so the vector changes exactly when one
+could change: a quarter seals, or a shard's cell set is pruned or
+reloaded.  Cache *misses* compute under the cube's read cut, and identical
+concurrent misses are collapsed to one execution (single-flight):
+followers wait for the leader's entry and re-validate instead of
+stampeding the engines.
+
+A partial answer carries its holes.  Views and cache lines remember the
+shards their merged reads skipped (the cube's degraded-read descriptors)
+and re-report them to the cube each time they are served, so a hit or a
+single-flight joiner is annotated exactly like the read that computed it.
 
 There is one query surface: :meth:`QueryRouter.execute` (with its
 ``_versioned`` and ``_batch`` forms) over specs.  ``exceptions`` and
@@ -193,8 +198,9 @@ class QueryRouter:
         self.window_quarters = window_quarters
         self.cache = LRUCache(cache_size)
         self._mu = threading.Lock()
+        # window -> (epoch vector, view, holes its refresh skipped)
         self._views: dict[
-            int, tuple[tuple[int, ...], RegressionCubeView]
+            int, tuple[tuple[int, ...], RegressionCubeView, list]
         ] = {}
         self._flights: dict[Any, _Flight] = {}
         self._view_flights: dict[int, _Flight] = {}
@@ -238,6 +244,7 @@ class QueryRouter:
             with self._mu:
                 entry = self._views.get(window)
                 if entry is not None and entry[0] == vector:
+                    self.cube.report_degraded(entry[2])
                     return entry[1]
                 flight = self._view_flights.get(window)
                 leader = flight is None
@@ -245,7 +252,8 @@ class QueryRouter:
                     flight = self._view_flights[window] = _Flight()
             if leader:
                 try:
-                    result = self.cube.refresh(window)
+                    with self.cube.collect_degraded() as holes:
+                        result = self.cube.refresh(window)
                     view = RegressionCubeView(result, self.cube)
                     with self._mu:
                         # A line at any other vector can never be served
@@ -257,7 +265,7 @@ class QueryRouter:
                             for w, entry in self._views.items()
                             if entry[0] == vector
                         }
-                        self._views[window] = (vector, view)
+                        self._views[window] = (vector, view, holes)
                         self.refreshes += 1
                     return view
                 finally:
@@ -278,7 +286,7 @@ class QueryRouter:
 
     def _single_flight_entry(self, key: Any, compute) -> tuple[Any, Any]:
         """Serve ``key`` from the versioned cache, computing at most once.
-        Returns the full ``(epoch_vector, value)`` entry.
+        Returns ``(epoch_vector, value)``.
 
         The hit path takes no cube locks at all: a cached entry whose
         stored epoch vector equals a fresh lock-free vector read is
@@ -289,13 +297,16 @@ class QueryRouter:
         thread in (the leader) computes under the cube's read cut and
         fills the cache; concurrent identical misses wait for the leader
         and re-validate instead of stampeding the engines.  Errors are
-        never cached: each follower retries and surfaces its own.
+        never cached: each follower retries and surfaces its own.  A line
+        is ``(epoch_vector, value, holes)``; serving it re-reports the
+        holes its computation hit.
         """
         for _ in range(16):
             vector = self.cube.epoch_vector()
             entry = self.cache.get_versioned(key, vector)
             if entry is not None:
-                return entry
+                self.cube.report_degraded(entry[2])
+                return entry[:2]
             with self._mu:
                 flight = self._flights.get(key)
                 leader = flight is None
@@ -305,11 +316,13 @@ class QueryRouter:
                     self.single_flight_joins += 1
             if leader:
                 try:
-                    with self.cube.read_lock() as cut:
+                    with (
+                        self.cube.read_lock() as cut,
+                        self.cube.collect_degraded() as holes,
+                    ):
                         value = compute()
-                    entry = (cut, value)
-                    self.cache.put(key, entry)
-                    return entry
+                    self.cache.put(key, (cut, value, holes))
+                    return cut, value
                 finally:
                     with self._mu:
                         self._flights.pop(key, None)

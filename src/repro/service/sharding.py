@@ -4,19 +4,15 @@ Theorem 3.2 makes regression cells losslessly mergeable, so a stream cube can
 be *partitioned by m-layer key*: each key's whole history lives on exactly one
 :class:`~repro.stream.engine.StreamCubeEngine` shard, shards never exchange
 state during ingestion, and any global view is an exact disjoint-union merge
-(see :mod:`repro.service.merge`).  Where those shards *execute* is a backend
-choice (:mod:`repro.cluster`): in this process, on the caller's thread
-(``backend="inproc"``, the default), or each behind a supervised worker
-process (``backend="process"``) for ingest that scales past the GIL.
+(see :mod:`repro.service.merge`).  The shards run in this process, on the
+caller's thread (:class:`~repro.cluster.backends.InprocBackend`).
 
-Equivalence guarantee (property-tested in ``tests/service``, and pinned
-across backends by the chaos catalogue): for any quarter-ordered workload, a
-:class:`ShardedStreamCube` with *any* shard count and *either* backend
-produces bit-identical m-layer ISBs and per-cell exception sets to a single
-engine fed the same records — each cell's per-tick sums, sealing boundaries
-and tilt frame evolve on its owner shard exactly as they would in the single
-engine, and the process backend's JSON wire codecs round-trip floats
-bit-exactly.
+Equivalence guarantee (property-tested in ``tests/service``, and pinned by
+the chaos catalogue): for any quarter-ordered workload, a
+:class:`ShardedStreamCube` with *any* shard count produces bit-identical
+m-layer ISBs and per-cell exception sets to a single engine fed the same
+records — each cell's per-tick sums, sealing boundaries and tilt frame
+evolve on its owner shard exactly as they would in the single engine.
 """
 
 from __future__ import annotations
@@ -33,10 +29,7 @@ from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro import faults
-from repro.cluster.backends import ClusterConfig, InprocBackend, ShardBackend
-from repro.cluster.process import ProcessBackend
-from repro.cluster.worker import WorkerSpec
+from repro.cluster.backends import InprocBackend
 from repro.cube.layers import CriticalLayers
 from repro.cubing.mo_cubing import CubePlan, PlannedCells
 from repro.cubing.policy import ExceptionPolicy
@@ -53,7 +46,6 @@ from repro.io import (
     check_format,
     decoding,
     engine_state_from_dict,
-    engine_state_to_dict,
     payload_checksum,
     write_atomic,
 )
@@ -108,10 +100,9 @@ def stable_shard_index(values: Values, n_shards: int) -> int:
     """The owning shard of one m-layer key.
 
     Python's built-in ``hash`` is salted per process for strings, which would
-    scatter the same key to different shards across restarts (and across the
-    worker processes of the process backend).  An unkeyed blake2b digest
-    over a canonical encoding is stable everywhere and cheap enough for the
-    ingest path.
+    scatter the same key to different shards across restarts.  An unkeyed
+    blake2b digest over a canonical encoding is stable everywhere and cheap
+    enough for the ingest path.
     """
     digest = hashlib.blake2b(
         b"\x1f".join(repr(value).encode("utf-8") for value in values)
@@ -143,24 +134,6 @@ def _split(
         )
         for part in kernels.split_groups(group, part_of, n_parts)
     ]
-
-
-def _chunks(segment: Segment, target: int) -> list[Segment]:
-    """``segment`` as pieces of roughly ``target`` records, cut between
-    groups (the segment itself when it is small enough)."""
-    _, keys, group, _, _ = segment
-    if len(group) <= target:
-        return [segment]
-    piece_of: list[int] = []
-    piece = filled = 0
-    for count in np.bincount(group, minlength=len(keys)).tolist():
-        piece_of.append(piece)
-        filled += count
-        if filled >= target:
-            piece, filled = piece + 1, 0
-    return list(
-        filter(None, _split(segment, kernels.int_column(piece_of), piece + 1))
-    )
 
 
 def _repartition_states(
@@ -255,9 +228,7 @@ class ShardedStreamCube:
         *cube-level* ingestion stream (batches before routing, explicit
         advances).  Shards never journal individually — replaying the cube
         journal re-routes every record to the same owner shard, so one log
-        covers the whole cube.  On the process backend the journal doubles
-        as the crash-recovery source: a restarted worker replays the
-        journal tail (after its last snapshot state) to rebuild its shard.
+        covers the whole cube.
     storage:
         Optional :class:`~repro.storage.StorageConfig`.  When given, each
         shard engine gets its own cold store under ``storage.root`` (one
@@ -265,16 +236,10 @@ class ShardedStreamCube:
         existing set written under a *different* shard count re-partitions
         the cold pages, so resharding carries deep history along), sealed
         history past ``storage.hot_quarters`` spills to disk, and deep
-        windows fault it back transparently.  Process-backed shards open
-        their own store partition inside the worker.
+        windows fault it back transparently.
     hot_quarters:
         Overrides ``storage.hot_quarters`` when given (the config default
         serves the common case).  Ignored without ``storage``.
-    backend:
-        ``"inproc"`` (default), ``"process"``, or a full
-        :class:`~repro.cluster.backends.ClusterConfig` for the supervised
-        process backend's knobs (RPC timeout, queue depth, restart budget,
-        crash-recovery snapshot directory).
 
     Concurrency discipline (the HTTP layer no longer serializes access):
     *mutators* (ingest / advance / prune / snapshot) are serialized by one
@@ -304,12 +269,8 @@ class ShardedStreamCube:
         wal: QuarterWAL | None = None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
-        backend: str | ClusterConfig = "inproc",
     ) -> None:
-        # Lifecycle flags first: close() must be safe (and idempotent)
-        # even when construction fails before any resource exists.
         self._closed = False
-        self._backend: ShardBackend | None = None
         if n_shards < 1:
             raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
         self.layers = layers
@@ -318,12 +279,6 @@ class ShardedStreamCube:
         self.key_fn = key_fn
         self.ticks_per_quarter = ticks_per_quarter
         levels = list(frame_levels) if frame_levels is not None else None
-        self._frame_levels = levels
-        self._cluster = (
-            backend
-            if isinstance(backend, ClusterConfig)
-            else ClusterConfig(backend=backend)
-        )
         self._storage_config = storage
         self._storage_generation = 0
         self.hot_quarters = (
@@ -333,11 +288,10 @@ class ShardedStreamCube:
         )
         self._validate_values = layers.schema.values_validator(layers.m_coord)
         self._route_cache: dict[Values, int] = {}
-        self._pruned_since_snapshot = False
         self._snapshots_taken = 0
-        #: When True, merged reads tolerate lost shards (quarantined data,
-        #: dead workers) and record what was missing instead of raising —
-        #: the service layer's degraded-serving mode.  Off by default so
+        #: When True, merged reads tolerate quarantined shards and record
+        #: what was missing instead of raising — the service layer's
+        #: degraded-serving mode.  Off by default so
         #: library callers keep strict all-shards-or-error semantics.
         self.degraded_reads = False
         # Degraded-read holes accumulate per *thread*: concurrent queries
@@ -366,91 +320,33 @@ class ShardedStreamCube:
         # must be cheap and non-blocking — the subscription dispatcher
         # just flips an event; the seal path never waits on delivery.
         self._seal_listeners: list[Any] = []
-        #: Filled by :meth:`close` with the backend's drain report (workers
-        #: reaped, sticky-dead shards and why).
-        self.close_summary: dict[str, Any] | None = None
-        try:
-            stores = None
-            if storage is not None:
-                self._storage_generation, stores = open_shard_stores(
-                    storage, n_shards, stable_shard_index
-                )
-            if self._cluster.backend == "process":
-                self._backend = self._build_process_backend(n_shards)
-            else:
-                engines = [
-                    StreamCubeEngine(
-                        layers,
-                        policy,
-                        key_fn=key_fn,
-                        ticks_per_quarter=ticks_per_quarter,
-                        frame_levels=levels,
-                        storage=stores[i] if stores else None,
-                        hot_quarters=self.hot_quarters,
-                    )
-                    for i in range(n_shards)
-                ]
-                self._backend = InprocBackend(engines)
-        except BaseException:
-            self.close()
-            raise
-
-    def _build_process_backend(self, n_shards: int) -> ProcessBackend:
-        """Fork one supervised worker per shard.
-
-        The parent ran the generation/repartition logic by opening the
-        stores (constructor, above); workers reopen their own partition
-        locally.
-        """
-        storage = self._storage_config
-        specs = [
-            WorkerSpec(
-                shard_index=i,
-                n_shards=n_shards,
-                layers=self.layers,
-                policy=self.policy,
-                key_fn=self.key_fn,
-                ticks_per_quarter=self.ticks_per_quarter,
-                frame_levels=self._frame_levels,
-                storage_root=(
-                    str(storage.root) if storage is not None else None
-                ),
-                storage_generation=self._storage_generation,
-                hot_quarters=self.hot_quarters,
-                fault_plan=faults.active_plan(),
+        stores = None
+        if storage is not None:
+            self._storage_generation, stores = open_shard_stores(
+                storage, n_shards, stable_shard_index
             )
-            for i in range(n_shards)
-        ]
-        return ProcessBackend(
-            specs, recover=self._recover_shard, config=self._cluster
+        self._backend = InprocBackend(
+            [
+                StreamCubeEngine(
+                    layers,
+                    policy,
+                    key_fn=key_fn,
+                    ticks_per_quarter=ticks_per_quarter,
+                    frame_levels=levels,
+                    storage=stores[i] if stores else None,
+                    hot_quarters=self.hot_quarters,
+                )
+                for i in range(n_shards)
+            ]
         )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the backend.
-
-        Idempotent, and safe on a partially constructed cube (a failed
-        ``__init__`` calls it with whatever subset of resources exists):
-        every attribute is read defensively and closed at most once.
-        Never raises for a sick fleet: dead or sticky-dead (restart budget
-        exhausted, recovery refused) workers are reaped silently and
-        reported in :attr:`close_summary` instead — teardown after a chaos
-        run must not mask the run's own outcome with a shutdown error.
-        """
-        if getattr(self, "_closed", True):
-            return
+        """Mark the cube closed (idempotent).  In-process shards hold no
+        thread or process to release; the WAL belongs to its opener."""
         self._closed = True
-        backend = getattr(self, "_backend", None)
-        if backend is not None:
-            try:
-                self.close_summary = backend.close()
-            except Exception as exc:
-                self.close_summary = {
-                    "backend": getattr(backend, "name", "?"),
-                    "error": str(exc),
-                }
 
     def __enter__(self) -> "ShardedStreamCube":
         return self
@@ -463,17 +359,8 @@ class ShardedStreamCube:
     # ------------------------------------------------------------------
     @property
     def shards(self) -> list[StreamCubeEngine]:
-        """The live shard engines (in-process backend only).
-
-        Kept for diagnostics and the test suite; process-backed shards
-        live in worker processes and have no in-process engine objects.
-        """
-        if isinstance(self._backend, InprocBackend):
-            return self._backend.engines
-        raise ServiceError(
-            "shards are worker processes under the process backend; "
-            "use parallel_stats() / shard_cells instead"
-        )
+        """The live shard engines (diagnostics and the test suite)."""
+        return self._backend.engines
 
     @property
     def n_shards(self) -> int:
@@ -516,9 +403,8 @@ class ShardedStreamCube:
         return idx
 
     def parallel_stats(self) -> dict[str, Any]:
-        """The execution backend's health block (the ``/stats`` surface):
-        backend name, worker pids, restart count, RPC round trips, and
-        per-worker queue high-water marks."""
+        """The execution backend's block of ``/stats``
+        (:meth:`~repro.cluster.backends.InprocBackend.stats`)."""
         return self._backend.stats()
 
     def storage_stats(self) -> dict[str, Any] | None:
@@ -573,31 +459,6 @@ class ShardedStreamCube:
             self._storage_config, self._storage_generation
         )
         return freed
-
-    # ------------------------------------------------------------------
-    # Chaos hooks (process backend only)
-    # ------------------------------------------------------------------
-    def kill_worker(self, shard: int) -> int:
-        """SIGKILL one shard worker (chaos testing); returns the pid."""
-        backend = self._backend
-        if not isinstance(backend, ProcessBackend):
-            raise ServiceError(
-                "kill_worker requires the process backend"
-            )
-        return backend.kill_worker(shard)
-
-    def arm_worker_fault(
-        self, shard: int, kind: str, method: str, seconds: float = 0.0
-    ) -> None:
-        """Arm a one-shot worker fault (``exit`` or ``sleep``) that fires
-        on the next invocation of ``method`` — the chaos scenarios' lever
-        for crash-mid-call and RPC-timeout coverage."""
-        backend = self._backend
-        if not isinstance(backend, ProcessBackend):
-            raise ServiceError(
-                "fault injection requires the process backend"
-            )
-        backend.call(shard, "_arm_fault", kind, method, seconds)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -686,16 +547,13 @@ class ShardedStreamCube:
                 [i for i, shard_segments in enumerate(segments) if shard_segments]
             )
         with lock_ctx:
-            if isinstance(backend, ProcessBackend):
-                self._dispatch_chunked(backend, segments)
-            else:
-                backend.map(
-                    "apply_segments",
-                    [
-                        (shard_segments, _n_records(shard_segments))
-                        for shard_segments in segments
-                    ],
-                )
+            backend.map(
+                "apply_segments",
+                [
+                    (shard_segments, _n_records(shard_segments))
+                    for shard_segments in segments
+                ],
+            )
             if sealing:
                 self._align(max(c[0] for c in backend.counters()))
         if sealing:
@@ -736,55 +594,6 @@ class ShardedStreamCube:
                     routed[shard].append(part)
         return routed
 
-    def _dispatch_chunked(
-        self, backend: ProcessBackend, segments: list[list[Segment]]
-    ) -> None:
-        """Pipelined dispatch of one routed batch to the worker fleet.
-
-        Each shard's segments are cut into chunks of roughly
-        ``ingest_chunk`` records and submitted round-robin, so workers
-        start applying the head of the batch while the parent is still
-        encoding its tail — the parent's serial routing/encoding cost
-        hides behind worker compute.  A segment larger than the target is
-        split on group-code ranges: groups stay whole, each piece keeps the
-        arrival order of its records, and the pieces' keys are consecutive
-        runs of the segment's, so the worker bears cells and folds sums as
-        one-shot dispatch would (see
-        :meth:`StreamCubeEngine.apply_segments`).
-        """
-        target = self._cluster.ingest_chunk
-        per_shard_chunks: list[list[tuple[list[Segment], int]]] = []
-        for shard_segments in segments:
-            chunks: list[tuple[list[Segment], int]] = []
-            chunk: list[Segment] = []
-            chunk_records = 0
-            for segment in shard_segments:
-                for piece in _chunks(segment, target):
-                    chunk.append(piece)
-                    chunk_records += len(piece[2])
-                    if chunk_records >= target:
-                        chunks.append((chunk, chunk_records))
-                        chunk, chunk_records = [], 0
-            if chunk:
-                chunks.append((chunk, chunk_records))
-            per_shard_chunks.append(chunks)
-        pending: list[tuple[int, tuple, Any]] = []
-        for round_ in itertools.zip_longest(*per_shard_chunks):
-            for shard, args in enumerate(round_):
-                if args is None:
-                    continue
-                pending.append(
-                    (
-                        shard,
-                        args,
-                        backend.submit(
-                            shard, "apply_segments", *args
-                        ),
-                    )
-                )
-        for shard, args, future in pending:
-            backend.settle(shard, "apply_segments", args, future)
-
     def advance_to(self, t: int) -> None:
         """Seal quiet quarters on every shard (cf. the single
         engine's :meth:`~repro.stream.engine.StreamCubeEngine.advance_to`)."""
@@ -807,19 +616,12 @@ class ShardedStreamCube:
                 self._backend.broadcast("advance_to", t)
 
     def prune_idle(self, idle_quarters: int) -> int:
-        """Drop idle cells on every shard; returns the total dropped.
-
-        Pruning is not journaled, so on the process backend it makes the
-        WAL an incomplete account of the live state until the next
-        snapshot — crash recovery refuses to guess across that gap (see
-        :meth:`_recover_shard`).
-        """
+        """Drop idle cells on every shard; returns the total dropped."""
         with self._write_mutex, self._locks.write_all():
             dropped = sum(
                 self._backend.broadcast("prune_idle", idle_quarters)
             )
             if dropped:
-                self._pruned_since_snapshot = True
                 # Pruning changes merged answers without moving the
                 # quarter clock; bump the seal epoch so cached results
                 # keyed on the old vector can never be served again.
@@ -873,23 +675,43 @@ class ShardedStreamCube:
 
         Strict mode (the default) is the original behavior: every shard
         must answer or the error propagates.  With :attr:`degraded_reads`
-        set, unreachable shards (quarantined data, dead workers) become
-        ``None`` holes and each hole's descriptor accumulates for
-        :meth:`consume_degraded` — partial results are exact for the
-        shards present, since shards own disjoint key sets.  The caller
-        holds the read cut.
+        set, quarantined shards become ``None`` holes and each hole's
+        descriptor accumulates for :meth:`consume_degraded` — partial
+        results are exact for the shards present, since shards own
+        disjoint key sets.  The caller holds the read cut.
         """
         backend = self._backend
         if not self.degraded_reads:
             return backend.broadcast(method, *args)
         results, missing = backend.broadcast_partial(method, *args)
-        if missing:
-            holes = self._degraded_holes()
-            seen = {entry["shard"] for entry in holes}
-            holes.extend(
-                entry for entry in missing if entry["shard"] not in seen
-            )
+        self.report_degraded(missing)
         return results
+
+    def report_degraded(self, missing: list[dict[str, Any]]) -> None:
+        """Add holes to this thread's accumulator, one per shard.  Merged
+        reads report what they skipped; the router re-reports the holes
+        of a cached partial answer each time it serves one."""
+        if not missing:
+            return
+        holes = self._degraded_holes()
+        seen = {entry["shard"] for entry in holes}
+        for entry in missing:
+            if entry["shard"] not in seen:
+                seen.add(entry["shard"])
+                holes.append(entry)
+
+    @contextmanager
+    def collect_degraded(self) -> Iterator[list[dict[str, Any]]]:
+        """Yield a list that ends up holding the holes of the merged reads
+        run inside the block; they are also reported to the enclosing
+        accumulator as usual."""
+        outer = self._degraded_holes()
+        inner = self._degraded_local.holes = []
+        try:
+            yield inner
+        finally:
+            self._degraded_local.holes = outer
+            self.report_degraded(inner)
 
     def _degraded_holes(self) -> list[dict[str, Any]]:
         holes = getattr(self._degraded_local, "holes", None)
@@ -900,8 +722,8 @@ class ShardedStreamCube:
     def consume_degraded(self) -> list[dict[str, Any]]:
         """Drain the holes accumulated by *this thread's* merged reads.
 
-        Each descriptor names the missing shard, its health state, why it
-        was skipped, and ``last_quarter`` — the staleness bound: data in
+        Each descriptor names the missing shard, its state, why it was
+        skipped, and ``last_quarter`` — the staleness bound: data in
         that shard's keys is current only up to that quarter.  Holes are
         tracked per thread, so under concurrent queries each response
         drains exactly the holes its own reads produced.  Empty when every
@@ -915,16 +737,13 @@ class ShardedStreamCube:
         """Per-shard health descriptors (state, restarts, staleness)."""
         return self._backend.health()
 
-    def health_version(self) -> int:
-        """Bumped on worker health transitions (router cache epoch)."""
-        return self._backend.health_version()
-
     def epoch_vector(self) -> tuple[int, ...]:
         """The cube's read-consistency version: one lock-free tuple.
 
-        ``(structure_version, health_version, q_0 .. q_{n-1})`` — the seal
-        epoch of every shard plus the two clocks the quarter counters
-        cannot see (pruning/state loads, worker health transitions).  Any
+        ``(structure_version, 0, q_0 .. q_{n-1})`` — the seal epoch of
+        every shard plus the clock the quarter counters cannot see
+        (pruning, state loads).  The constant second slot keeps the
+        vector's shape, which ``ETag`` values spell out.  Any
         merged answer is a pure function of this vector: quarter counters
         only move under every shard's write lock (sealing), so a vector
         recorded inside :meth:`read_lock` names the exact cut an answer
@@ -935,7 +754,7 @@ class ShardedStreamCube:
         """
         return (
             self._structure_version,
-            self.health_version(),
+            0,
             *(c[0] for c in self._backend.counters()),
         )
 
@@ -1060,11 +879,8 @@ class ShardedStreamCube:
         manifest.
 
         Layout: one ``shard-<i>-<generation>.json`` engine-state file per
-        shard plus a ``manifest.json`` naming them.  Each shard writes its
-        own file *where its state lives* — on the in-process backend the
-        caller's thread, on the process backend the worker itself — so a
-        process-backed snapshot never ships cell payloads through the
-        parent.  The manifest is written *last*, through a temp file +
+        shard plus a ``manifest.json`` naming them.  The manifest is
+        written *last*, through a temp file +
         ``os.replace``, so a crash mid-snapshot leaves the previous
         snapshot fully intact — the generation tag in the shard filenames
         keeps new files from overwriting the ones the old manifest still
@@ -1147,9 +963,6 @@ class ShardedStreamCube:
         for stale in target.glob("shard-*.json"):
             if stale.name not in referenced:
                 stale.unlink(missing_ok=True)
-        # A durable snapshot re-anchors crash recovery: everything the WAL
-        # cannot reproduce (e.g. pruning) is now inside the checkpoint.
-        self._pruned_since_snapshot = False
         return manifest
 
     @staticmethod
@@ -1191,7 +1004,6 @@ class ShardedStreamCube:
         wal: QuarterWAL | None = None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
-        backend: str | ClusterConfig = "inproc",
     ) -> "ShardedStreamCube":
         """Rebuild a cube from a snapshot directory.
 
@@ -1204,9 +1016,6 @@ class ShardedStreamCube:
         with tiered storage needs ``storage`` pointing at the same cold
         root (``hot_quarters`` defaults to the snapshot's setting); the
         shard-count change case re-partitions the cold pages on open.
-        ``backend`` selects the execution backend of the restored cube —
-        snapshots are backend-agnostic, so a cube snapshotted in-process
-        restores onto worker processes and vice versa.
         Follow with ``wal.replay(cube, after_seq=manifest["wal_seq"])`` to
         recover an interrupted run (the serving CLI does this for you).
         """
@@ -1245,7 +1054,6 @@ class ShardedStreamCube:
             wal=wal,
             storage=storage,
             hot_quarters=hot_quarters,
-            backend=backend,
         )
 
     def reshard(self, new_n: int) -> "ShardedStreamCube":
@@ -1274,7 +1082,6 @@ class ShardedStreamCube:
             wal=None,
             storage=self._storage_config,
             hot_quarters=self.hot_quarters,
-            backend=self._cluster,
         )
 
     @classmethod
@@ -1288,7 +1095,6 @@ class ShardedStreamCube:
         wal: QuarterWAL | None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
-        backend: str | ClusterConfig = "inproc",
     ) -> "ShardedStreamCube":
         """Build a cube from per-shard engine states, re-partitioning when
         the target shard count differs from ``len(states)``."""
@@ -1325,100 +1131,9 @@ class ShardedStreamCube:
             wal=wal,
             storage=storage,
             hot_quarters=hot_quarters,
-            backend=backend,
         )
         cube._backend.map("load_state", [(state,) for state in states])
         return cube
-
-    # ------------------------------------------------------------------
-    # Crash recovery (process backend)
-    # ------------------------------------------------------------------
-    def _recover_shard(self, shard: int) -> None:
-        """Rebuild one freshly restarted worker's shard state.
-
-        Recovery composes exactly like the cube-level recovery idiom:
-        restore the shard's slice of the last snapshot (when the
-        supervisor's ``recovery_dir`` holds one for this shard count),
-        then replay the WAL tail routed to this shard, then re-align the
-        quarter clock.  Refuses loudly whenever the journal cannot account
-        for the live state — no WAL attached, a snapshot from a different
-        shard count, or un-snapshotted pruning — rather than resurrecting
-        a subtly divergent shard.
-        """
-        if self.wal is None:
-            raise ServiceError(
-                f"shard worker {shard} crashed but no WAL is attached; "
-                "its state cannot be rebuilt — attach a WAL (and a "
-                "recovery snapshot directory) to run process shards "
-                "through crashes"
-            )
-        if self._pruned_since_snapshot:
-            raise ServiceError(
-                "prune_idle ran after the last snapshot; the WAL cannot "
-                "reproduce pruning, so the crashed shard cannot be "
-                "rebuilt bit-identically — snapshot after pruning to "
-                "re-anchor recovery"
-            )
-        submit = self._backend.submit
-        after = 0
-        recovery_dir = self._cluster.recovery_dir
-        if (
-            recovery_dir is not None
-            and (Path(recovery_dir) / _MANIFEST).exists()
-        ):
-            manifest = self.read_manifest(recovery_dir)
-            if int(manifest["n_shards"]) != self._backend.n_shards:
-                raise ServiceError(
-                    "recovery snapshot was written under "
-                    f"{manifest['n_shards']} shards but the cube runs "
-                    f"{self._backend.n_shards}; cannot restore one shard "
-                    "from it"
-                )
-            name = manifest["shards"][shard]
-            payload = decoding(
-                "snapshot",
-                lambda: json.loads(
-                    (Path(recovery_dir) / name).read_text()
-                ),
-            )
-            submit(
-                shard, "load_state", engine_state_from_dict(payload)
-            ).result()
-            after = int(manifest["wal_seq"])
-        self._replay_into_shard(shard, after)
-
-    def _replay_into_shard(self, shard: int, after_seq: int) -> None:
-        """Replay the WAL tail (``seq > after_seq``) into one shard.
-
-        Batches are re-routed through the live path's own routing
-        (``stable_shard_index`` is process-stable, so every record lands on
-        the same owner it did originally) and this shard's segments
-        applied.  Alignment advances are *derived* state and not
-        journaled, so the final explicit ``advance_to`` re-seals the shard
-        up to the cube clock — deferred sealing is bit-identical because
-        each quarter's accumulator is complete before it seals either way.
-        """
-        tpq = self.ticks_per_quarter
-        submit = self._backend.submit
-        for entry in self.wal.entries(after_seq=after_seq):
-            if entry.kind == "advance":
-                submit(shard, "advance_to", entry.t).result()
-                continue
-            batch = entry.batch
-            assert batch is not None
-            quarters, _ = kernels.quarter_order(batch.ticks, tpq, 0)
-            segments = self._route(
-                group_segments(
-                    batch.keys(self.key_fn), batch.ticks, batch.z, quarters
-                )
-            )[shard]
-            if segments:
-                submit(
-                    shard, "apply_segments", segments, _n_records(segments)
-                ).result()
-        submit(
-            shard, "advance_to", self.current_quarter * tpq
-        ).result()
 
     # ------------------------------------------------------------------
     # Change analysis

@@ -228,6 +228,14 @@ class FileColdStore:
         key = (level, t_b, t_e)
         entry = self._index.get(key)
         if entry is None:
+            if key in self._quarantined:
+                # Every later read of a quarantined page is corruption
+                # too, so a degraded read keeps answering with a hole.
+                raise CorruptionError(
+                    f"cold store {self.root} has no page for level {level} "
+                    f"[{t_b},{t_e}]: it was quarantined; rebuild it from "
+                    "snapshot + WAL replay"
+                )
             raise StorageError(
                 f"cold store {self.root} has no page for level {level} "
                 f"[{t_b},{t_e}]"

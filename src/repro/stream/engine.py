@@ -377,8 +377,8 @@ class StreamCubeEngine:
         self._records_ingested = 0
         # The cell set's version: a count of the changes to which keys are
         # tracked or to their row order (birth, prune, state load), under a
-        # token drawn per engine object — so a restarted worker's
-        # generations never collide with its predecessor's.  Readers that
+        # token drawn per engine object — so two engines' generations never
+        # collide, whatever their change counts.  Readers that
         # cache what they derived from the keys (the cubing plan) compare
         # :attr:`cell_generation` for equality, nothing else.
         self._incarnation = os.urandom(8).hex()
@@ -632,8 +632,8 @@ class StreamCubeEngine:
         quarter and new keys already validated.  Cells are born in ``keys``
         order — first-seen order, as record-at-a-time ingestion would bear
         them — and the records land in arrival order, so splitting a
-        segment into several (by record range, or by key range as the
-        process backend's chunking does) changes nothing.  The sharded cube
+        segment into several (by record range, or by key range) changes
+        nothing.  The sharded cube
         builds these per shard in its routing pass, so a batch is interned
         exactly once end to end.
         """

@@ -25,16 +25,6 @@ system spills sealed history past a small hot horizon into a cold store,
 and the :class:`DeepWindow` event queries windows that *only* the cold
 tier can answer — any catalogue entry can be re-run spilling via
 ``run_scenario(name, seed, storage=True)``.
-
-Scenarios likewise pick a shard *execution backend*
-(``Scenario.backend``): the default ``"inproc"`` runs engines in-process,
-``"process"`` puts every cube shard behind a supervised worker process —
-same events, same oracle, same bit-identity requirement, now across an RPC
-boundary.  The :class:`KillWorker` and :class:`SlowRpc` events inject
-worker crashes (SIGKILL, die-inside-a-method) and RPC timeouts, so the
-supervisor's restore + WAL-replay recovery is differentially verified too.
-Any catalogue entry can be re-run process-backed via
-``run_scenario(name, seed, backend="process")``.
 """
 
 from __future__ import annotations
@@ -48,12 +38,11 @@ from pathlib import Path
 from typing import Any, Callable, Hashable
 
 from repro import faults
-from repro.cluster import ClusterConfig
 from repro.cubing.full import full_materialization
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.cubing.popular_path import popular_path_cubing
 from repro.cubing.result import CubeResult
-from repro.errors import CorruptionError, ServiceError
+from repro.errors import CorruptionError
 from repro.io import isb_from_dict
 from repro.query.exec import RegressionCubeView, execute
 from repro.query.spec import Q
@@ -91,8 +80,6 @@ __all__ = [
     "Prune",
     "CacheChurn",
     "DeepWindow",
-    "KillWorker",
-    "SlowRpc",
     "Subscribe",
     "DrainUpdates",
     "Pulls",
@@ -206,39 +193,6 @@ class DeepWindow:
 
 
 @dataclass(frozen=True)
-class KillWorker:
-    """Crash one shard worker (process backend only).
-
-    With ``during=None`` the worker is SIGKILLed immediately — detection
-    is left to the next RPC, exactly like a real crash.  With ``during``
-    set to a method name, a one-shot exit fault is armed instead and the
-    worker dies *inside* that method on its next invocation (without
-    replying): ``"apply_segments"`` kills it mid-batch, so the journaled
-    batch must survive through WAL replay; ``"snapshot_to_file"`` kills it
-    mid-snapshot, so the idempotent retry must still produce a complete,
-    untorn snapshot.  ``shard`` picks the victim (default: seeded random).
-    """
-
-    shard: int | None = None
-    during: str | None = None
-
-
-@dataclass(frozen=True)
-class SlowRpc:
-    """Arm a one-shot stall long enough to trip the RPC timeout.
-
-    The worker sleeps inside ``method`` past the scenario's
-    ``rpc_timeout``; the supervisor must declare it dead, revive it
-    (snapshot + WAL replay), and — the method being idempotent — retry to
-    the same answer the oracle expects.  Process backend only.
-    """
-
-    seconds: float = 1.5
-    method: str = "window_columns"
-    shard: int | None = None
-
-
-@dataclass(frozen=True)
 class Subscribe:
     """Register continuous queries on the cube's seal path.
 
@@ -288,9 +242,8 @@ class Pulls:
 class LoseShard:
     """Lose one cube shard for good; later ``Pulls`` are degraded.
 
-    A process worker is SIGKILLed until its restart budget is spent; an
-    in-process shard cannot die, so its engine's window reads are made to
-    raise what a quarantined cold page raises.  The cube's degraded-read
+    The shard's engine's window reads are made to raise what a
+    quarantined cold page raises.  The cube's degraded-read
     mode is switched on (as the HTTP service runs) and the lost keys leave
     the oracle: every later pull must equal the survivors' answer.  Only
     ``Pulls`` may follow — a cube with a dead shard ingests nothing.
@@ -309,8 +262,6 @@ Event = (
     | Prune
     | CacheChurn
     | DeepWindow
-    | KillWorker
-    | SlowRpc
     | Subscribe
     | DrainUpdates
     | Pulls
@@ -344,13 +295,6 @@ class Scenario:
     cell_pool: int = 10
     storage: bool = False
     hot_quarters: int = 2
-    #: Shard execution backend ("inproc" / "process").  Process-backed
-    #: scenarios run the cube leg against supervised worker processes,
-    #: with the scenario's snapshot directory as the recovery anchor.
-    backend: str = "inproc"
-    #: RPC timeout for process-backed scenarios (tightened by the
-    #: timeout-injection scenario so SlowRpc trips it quickly).
-    rpc_timeout: float = 30.0
 
 
 @dataclass
@@ -408,14 +352,6 @@ class ScenarioRunner:
         self.snap_dir = self.workdir / "snapshots"
         self.wal_path = self.snap_dir / "wal.jsonl"
         self.snap_dir.mkdir(parents=True, exist_ok=True)
-        # The snapshot directory doubles as the process workers'
-        # crash-recovery anchor: a revived worker restores its slice of
-        # the latest snapshot there and replays the WAL tail.
-        self._cluster = ClusterConfig(
-            backend=scenario.backend,
-            rpc_timeout=scenario.rpc_timeout,
-            recovery_dir=str(self.snap_dir),
-        )
         self.cube = ShardedStreamCube(
             self.layers,
             self.policy,
@@ -424,7 +360,6 @@ class ScenarioRunner:
             wal=QuarterWAL(self.wal_path),
             storage=self._cube_storage,
             hot_quarters=scenario.hot_quarters if scenario.storage else None,
-            backend=self._cluster,
         )
         self.router = QueryRouter(self.cube, window_quarters=scenario.window)
         self.oracle = RawStreamOracle(
@@ -491,8 +426,6 @@ class ScenarioRunner:
             Prune: self._prune,
             CacheChurn: self._cache_churn,
             DeepWindow: self._deep_window,
-            KillWorker: self._kill_worker,
-            SlowRpc: self._slow_rpc,
             Subscribe: self._subscribe,
             DrainUpdates: self._drain_updates,
             Pulls: self._pulls,
@@ -961,7 +894,6 @@ class ScenarioRunner:
             self.policy,
             storage=self._cube_storage,
             hot_quarters=hot,
-            backend=self._cluster,
         )
         old = self.cube
         try:
@@ -1229,60 +1161,20 @@ class ScenarioRunner:
             else self.rng.randrange(cube.n_shards)
         )
         lost = [key for key in self.oracle.keys() if cube.shard_index(key) == shard]
-        if self.scenario.backend == "process":
-            while True:
-                cube.kill_worker(shard)
-                try:
-                    cube.change_exceptions(1)  # any strict read finds it dead
-                except ServiceError:
-                    break  # restart budget spent: the death sticks
-        else:
 
-            def quarantined(*args: Any):
-                raise CorruptionError(
-                    f"shard {shard}: cold page quarantined (injected)"
-                )
-
-            engine = cube.shards[shard]
-            engine.window_columns = quarantined  # the one window read
-            # Injected from outside, the loss moved no epoch: answers
-            # cached while the shard still read must not be served.
-            self.router = QueryRouter(
-                cube, window_quarters=self.scenario.window
+        def quarantined(*args: Any):
+            raise CorruptionError(
+                f"shard {shard}: cold page quarantined (injected)"
             )
+
+        cube.shards[shard].window_columns = quarantined  # the one window read
+        # Injected from outside, the loss moved no epoch: answers cached
+        # while the shard still read must not be served.
+        self.router = QueryRouter(cube, window_quarters=self.scenario.window)
         cube.degraded_reads = True
         self.oracle.drop_keys(lost)
         self._lost_shards.add(shard)
         self._prunes += 1  # the merged cell set lost rows
-
-    # -- chaos: worker crashes and RPC timeouts -------------------------
-    def _pick_shard(self, shard: int | None) -> int:
-        if self.scenario.backend != "process":
-            raise VerifyMismatch(
-                "scenario bug: worker-chaos event without backend='process'"
-            )
-        return (
-            shard
-            if shard is not None
-            else self.rng.randrange(self.cube.n_shards)
-        )
-
-    def _kill_worker(self, event: KillWorker) -> None:
-        shard = self._pick_shard(event.shard)
-        if event.during is not None:
-            self.cube.arm_worker_fault(shard, "exit", event.during)
-        else:
-            self.cube.kill_worker(shard)
-
-    def _slow_rpc(self, event: SlowRpc) -> None:
-        shard = self._pick_shard(event.shard)
-        if event.seconds <= self.scenario.rpc_timeout:
-            raise VerifyMismatch(
-                "scenario bug: SlowRpc stall must exceed rpc_timeout"
-            )
-        self.cube.arm_worker_fault(
-            shard, "sleep", event.method, event.seconds
-        )
 
     # -- continuous queries (subscription push) -------------------------
     def _subscribe(self, event: Subscribe) -> None:
@@ -1715,49 +1607,6 @@ SCENARIOS: dict[str, Scenario] = {
             cell_pool=8,
         ),
         _scenario(
-            "worker_crash_midquarter",
-            "Process workers killed mid-quarter — outright and from inside "
-            "a batch dispatch; WAL replay must rebuild them bit-identically.",
-            Traffic(quarters=2, rate=3),
-            KillWorker(),  # SIGKILL; detected by the next batch's RPC
-            Traffic(quarters=2, rate=3),
-            KillWorker(during="apply_segments"),  # dies mid-dispatch
-            Traffic(quarters=2, rate=3),
-            Advance(1),
-            Check(cube=True, changes=True),
-            backend="process",
-        ),
-        _scenario(
-            "worker_crash_snapshot",
-            "A worker dies inside snapshot extraction; the idempotent "
-            "retry against the revived worker must still produce a "
-            "complete snapshot the restore verifies against.",
-            Traffic(quarters=3, rate=3),
-            SnapshotRestore(),  # baseline manifest = the recovery anchor
-            Traffic(quarters=1, rate=3),
-            KillWorker(during="snapshot_to_file"),
-            SnapshotRestore(),  # crash fires mid-extract; retry completes
-            Traffic(quarters=2, rate=3),
-            Advance(1),
-            Check(cube=True),
-            backend="process",
-        ),
-        _scenario(
-            "rpc_timeout_retry",
-            "A worker stalls past the RPC timeout; the supervisor kills, "
-            "revives and retries the idempotent read to the oracle's "
-            "answer.",
-            Traffic(quarters=4, rate=3),
-            Advance(1),
-            SlowRpc(seconds=1.5, method="window_columns"),
-            Check(),  # the stalled window read trips the timeout mid-check
-            Traffic(quarters=1, rate=3),
-            Advance(1),
-            Check(changes=True),
-            backend="process",
-            rpc_timeout=0.5,
-        ),
-        _scenario(
             "refresh_plan_churn",
             "The held cubing plan under everything that moves the cell "
             "set — births, prune + revival, reshard, snapshot + restore — "
@@ -1798,7 +1647,6 @@ def run_scenario(
     workdir: str | Path | None = None,
     storage: bool | None = None,
     hot_quarters: int | None = None,
-    backend: str | None = None,
     fault_plan: str | None = None,
 ) -> ScenarioReport:
     """Run one scenario under one seed; raises :class:`VerifyMismatch` on
@@ -1806,12 +1654,9 @@ def run_scenario(
     stores) defaults to a fresh temporary directory.  ``storage`` /
     ``hot_quarters`` override the scenario's tiered-storage configuration,
     so the whole catalogue can be replayed spilling:
-    ``run_scenario("kitchen_sink", seed, storage=True)``; ``backend``
-    likewise overrides the execution backend, so the whole catalogue can
-    be replayed against process workers:
-    ``run_scenario("kitchen_sink", seed, backend="process")``.
+    ``run_scenario("kitchen_sink", seed, storage=True)``.
     ``fault_plan`` (a :mod:`repro.faults` preset name or plan-file path)
-    arms seeded storage/RPC fault injection for the whole run — the
+    arms seeded storage fault injection for the whole run — the
     scenario must still pass bit-identically, because every injected
     fault class is one the durability layer repairs in place."""
     if isinstance(scenario, str):
@@ -1821,8 +1666,6 @@ def run_scenario(
         overrides["storage"] = storage
     if hot_quarters is not None:
         overrides["hot_quarters"] = hot_quarters
-    if backend is not None:
-        overrides["backend"] = backend
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     installed = False

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults
-from repro.cluster import ClusterConfig
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.io import isb_from_dict
 from repro.query.spec import Q
@@ -96,12 +95,6 @@ class SoakConfig:
     #: against a spilling cube too.
     storage: bool = False
     hot_quarters: int = 2
-    #: Shard execution backend ("inproc" / "process").  The process leg
-    #: runs the whole soak — concurrent ingest, queries, snapshots and the
-    #: final oracle + restore audits — against live worker processes, with
-    #: the snapshot directory doubling as the workers' crash-recovery
-    #: anchor.
-    backend: str = "inproc"
     #: Fault-injection plan (a :mod:`repro.faults` preset name or plan-file
     #: path; None disarms).  Armed for the whole soak — traffic, snapshots,
     #: the final oracle and restore audits — with the run's ``seed``, so a
@@ -497,9 +490,6 @@ def run_soak(config: SoakConfig, workdir: str | Path | None = None) -> SoakRepor
         ticks_per_quarter=config.ticks_per_quarter,
         wal=wal,
         storage=storage_cfg,
-        backend=ClusterConfig(
-            backend=config.backend, recovery_dir=str(snap_dir)
-        ),
     )
     router = QueryRouter(cube, window_quarters=config.window)
     service = StreamCubeService(cube, router, snapshot_dir=snap_dir)
@@ -787,7 +777,6 @@ def main(args) -> int:
         port=args.port,
         storage=getattr(args, "storage", False),
         hot_quarters=getattr(args, "hot_quarters", None) or 2,
-        backend=getattr(args, "backend", "inproc"),
         fault_plan=getattr(args, "fault_plan", None),
     )
     try:

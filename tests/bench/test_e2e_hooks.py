@@ -67,14 +67,59 @@ def test_every_span_hook_resolves_and_uninstalls():
 #: Names the tracer wraps that nothing in ``src/`` calls: they are kept
 #: only so the frozen harness resolves.  Each is listed once, here, so the
 #: change that retires the tracer's hook table deletes them from this list
-#: together with their definitions.
+#: together with their definitions.  A dotted ``Class.method`` name is a
+#: method; see :data:`RECEIVERS` for how its callers are told apart.
 HARNESS_ONLY = [
     ("repro.service.merge", "merge_cube"),
     ("repro.regression.kernels", "merge_groups"),
     ("repro.regression.kernels", "merge_standard_cols"),
     ("repro.regression.kernels", "merge_time_cols"),
     ("repro.tilt.frame", "bulk_insert"),
+    ("repro.cluster.backends", "InprocBackend.submit"),
 ]
+
+#: A harness-only method is called only through a receiver whose source
+#: text names its owner (``self._backend.submit``, ``backend.submit``), so
+#: a same-named method of another object (a thread pool's ``submit``) is
+#: not a caller.
+RECEIVERS = {"InprocBackend": "backend"}
+
+
+def resolve(module: str, name: str) -> tuple[object, str]:
+    """The object holding a harness-only name, and the attribute."""
+    owner: object = importlib.import_module(module)
+    *classes, attr = name.split(".")
+    for part in classes:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+def current(owner: object, attr: str) -> object:
+    """What the tracer rebinds: a class's own ``__dict__`` entry (how
+    ``replay`` looks methods up) or a module attribute."""
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def harness_only_calls(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` for every call of a harness-only name in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = getattr(func, "id", getattr(func, "attr", None))
+        for _, name in HARNESS_ONLY:
+            *classes, attr = name.split(".")
+            if callee != attr:
+                continue
+            if classes:
+                hint = RECEIVERS[classes[-1]]
+                if not isinstance(func, ast.Attribute) or (
+                    hint not in ast.unparse(func.value).lower()
+                ):
+                    continue
+            found.append((node.lineno, name))
+    return found
 
 
 def test_every_harness_only_name_is_a_hook():
@@ -83,29 +128,41 @@ def test_every_harness_only_name_is_a_hook():
     import replay
     from tracer import Tracer
 
-    modules = [importlib.import_module(module) for module, _ in HARNESS_ONLY]
-    originals = [getattr(m, name) for m, (_, name) in zip(modules, HARNESS_ONLY)]
+    targets = [resolve(module, name) for module, name in HARNESS_ONLY]
+    originals = [current(owner, attr) for owner, attr in targets]
     tracer = Tracer()
     try:
         replay.install_spans(tracer)
-        for module, (_, name), original in zip(modules, HARNESS_ONLY, originals):
-            assert getattr(module, name) is not original, name
+        for (owner, attr), original in zip(targets, originals):
+            assert current(owner, attr) is not original, attr
     finally:
         tracer.uninstall()
+    for (owner, attr), original in zip(targets, originals):
+        assert current(owner, attr) is original, attr
 
 
 def test_no_src_module_calls_a_harness_only_name():
     src = Path(repro.__file__).parent
-    names = {name for _, name in HARNESS_ONLY}
     calls = [
-        f"{path.relative_to(src)}:{node.lineno} calls {callee}"
+        f"{path.relative_to(src)}:{line} calls {name}"
         for path in sorted(src.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and (callee := getattr(node.func, "id", getattr(node.func, "attr", None)))
-        in names
+        for line, name in harness_only_calls(ast.parse(path.read_text()))
     ]
     assert not calls, "a harness-only name has a caller; drop it from HARNESS_ONLY"
+
+
+def test_the_caller_check_tells_a_backend_submit_from_a_pool_submit():
+    tree = ast.parse(
+        "self._backend.submit(0, 'apply_segments')\n"
+        "backend.submit(1, 'snapshot')\n"
+        "self._pool.submit(handler, request)\n"
+        "merge_cube(cube, parts)\n"
+    )
+    assert harness_only_calls(tree) == [
+        (1, "InprocBackend.submit"),
+        (2, "InprocBackend.submit"),
+        (4, "merge_cube"),
+    ]
 
 
 @pytest.mark.parametrize(

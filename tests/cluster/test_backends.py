@@ -1,19 +1,16 @@
-"""The backend seam in-process: config validation, dispatch, the host.
+"""The shard backend: in-process dispatch and the per-engine host.
 
-:class:`InprocBackend` and :class:`ShardHost` are the halves every
-backend shares — covering them here means the process workers run
-already-tested dispatch code, with only the socket loop process-only.
+:class:`InprocBackend` runs every shard call on the caller's thread through
+one :class:`ShardHost` per engine.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import Future
 
 import pytest
 
-from repro.cluster import ClusterConfig, InprocBackend, ShardBackend, ShardHost
+from repro.cluster import InprocBackend, ShardHost
 from repro.errors import CorruptionError, ServiceError, StreamError
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.engine import StreamCubeEngine
@@ -33,80 +30,57 @@ def make_cube(layers, policy):
     return ShardedStreamCube(layers, policy, n_shards=2, ticks_per_quarter=TPQ)
 
 
-class TestClusterConfig:
-    def test_defaults_are_inproc(self):
-        config = ClusterConfig()
-        assert config.backend == "inproc"
-        assert config.queue_depth >= 1
-        assert config.ingest_chunk >= 1
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ServiceError, match="unknown shard backend"):
-            ClusterConfig(backend="threads")
-
-    def test_queue_depth_must_be_positive(self):
-        with pytest.raises(ServiceError, match="queue_depth"):
-            ClusterConfig(queue_depth=0)
-
-    def test_ingest_chunk_must_be_positive(self):
-        with pytest.raises(ServiceError, match="ingest_chunk"):
-            ClusterConfig(ingest_chunk=0)
-
-
 class TestInprocBackend:
     def test_call_and_counters(self, layers, policy):
         backend = InprocBackend(make_engines(layers, policy))
-        try:
-            backend.call(0, "ingest", StreamRecord((0, 0), 0, 1.0))
-            backend.call(1, "ingest", StreamRecord((1, 1), 0, 2.0))
-            backend.broadcast("advance_to", TPQ)
-            counters = backend.counters()
-            assert [c[0] for c in counters] == [1, 1]
-            assert [c[1] for c in counters] == [1, 1]
-        finally:
-            backend.close()
+        backend.call(0, "ingest", StreamRecord((0, 0), 0, 1.0))
+        backend.call(1, "ingest", StreamRecord((1, 1), 0, 2.0))
+        backend.broadcast("advance_to", TPQ)
+        counters = backend.counters()
+        assert [c[0] for c in counters] == [1, 1]
+        assert [c[1] for c in counters] == [1, 1]
 
     def test_map_with_per_shard_args(self, layers, policy):
         backend = InprocBackend(make_engines(layers, policy))
-        try:
-            backend.map(
-                "ingest",
-                [
-                    (StreamRecord((0, 0), 0, 1.0),),
-                    (StreamRecord((1, 1), 1, 2.0),),
-                ],
-            )
-            assert [c[1] for c in backend.counters()] == [1, 1]
-        finally:
-            backend.close()
+        backend.map(
+            "ingest",
+            [
+                (StreamRecord((0, 0), 0, 1.0),),
+                (StreamRecord((1, 1), 1, 2.0),),
+            ],
+        )
+        assert [c[1] for c in backend.counters()] == [1, 1]
 
     def test_engines_property_exposes_live_engines(self, layers, policy):
         engines = make_engines(layers, policy)
         backend = InprocBackend(engines)
-        try:
-            assert backend.engines == engines
-            assert backend.n_shards == 2
-        finally:
-            backend.close()
+        assert backend.engines == engines
+        assert backend.n_shards == 2
 
     def test_stats_shape(self, layers, policy):
         backend = InprocBackend(make_engines(layers, policy, n=3))
-        try:
-            stats = backend.stats()
-            assert stats["backend"] == "inproc"
-            assert stats["workers"] == 3
-            assert stats["pids"] == []
-            assert stats["restarts"] == 0
-            assert stats["queue_high_water"] == [0, 0, 0]
-        finally:
-            backend.close()
+        stats = backend.stats()
+        assert stats["backend"] == "inproc"
+        assert stats["workers"] == 3
+        assert stats["pids"] == []
+        assert stats["restarts"] == 0
+        assert stats["queue_high_water"] == [0, 0, 0]
 
-    def test_base_settle_is_future_result(self, layers, policy):
-        future: Future = Future()
-        future.set_result("value")
-        assert (
-            ShardBackend.settle(object(), 0, "ping", (), future) == "value"
-        )
+    def test_health_roster_is_healthy_with_the_quarter_clock(
+        self, layers, policy
+    ):
+        backend = InprocBackend(make_engines(layers, policy))
+        backend.broadcast("advance_to", 3 * TPQ)
+        assert backend.health() == [
+            {
+                "shard": shard,
+                "state": "healthy",
+                "restarts": 0,
+                "last_quarter": 3,
+                "reason": None,
+            }
+            for shard in (0, 1)
+        ]
 
 
 class TestInprocRunsInline:
@@ -163,32 +137,26 @@ class TestInprocRunsInline:
 
     def test_submit_returns_a_done_future(self, layers, policy):
         backend = InprocBackend(make_engines(layers, policy))
-        try:
-            done = backend.submit(1, "ingest", StreamRecord((1, 1), 0, 2.0))
-            assert done.done() and done.result() is None
-            assert backend.counters()[1][1] == 1
-            failed = backend.submit(0, "no_such_method")
-            assert failed.done()
-            assert isinstance(failed.exception(), ServiceError)
-            with pytest.raises(ServiceError, match="unknown shard method"):
-                failed.result()
-        finally:
-            backend.close()
+        done = backend.submit(1, "ingest", StreamRecord((1, 1), 0, 2.0))
+        assert done.done() and done.result() is None
+        assert backend.counters()[1][1] == 1
+        failed = backend.submit(0, "no_such_method")
+        assert failed.done()
+        assert isinstance(failed.exception(), ServiceError)
+        with pytest.raises(ServiceError, match="unknown shard method"):
+            failed.result()
 
     def test_map_runs_every_shard_then_raises_the_first_failure(
         self, layers, policy
     ):
         backend = InprocBackend(make_engines(layers, policy, n=3))
-        try:
-            backend.call(0, "advance_to", 2 * TPQ)  # quarter 0 sealed on 0
-            with pytest.raises(StreamError):
-                backend.map(
-                    "ingest",
-                    [(StreamRecord((i, i), 0, 1.0),) for i in range(3)],
-                )
-            assert [c[1] for c in backend.counters()] == [0, 1, 1]
-        finally:
-            backend.close()
+        backend.call(0, "advance_to", 2 * TPQ)  # quarter 0 sealed on 0
+        with pytest.raises(StreamError):
+            backend.map(
+                "ingest",
+                [(StreamRecord((i, i), 0, 1.0),) for i in range(3)],
+            )
+        assert [c[1] for c in backend.counters()] == [0, 1, 1]
 
     def test_quarantined_shard_is_one_hole(self, layers, policy):
         records = workload(5)
@@ -238,29 +206,6 @@ class TestShardHost:
         assert quarter == 2
         assert ingested == 1
         assert cells == 1
-
-    def test_arm_fault_rejects_unknown_kind(self, layers, policy):
-        with pytest.raises(ServiceError, match="unknown fault kind"):
-            self.host(layers, policy).invoke(
-                "_arm_fault", ("segfault", "ping")
-            )
-
-    def test_sleep_fault_is_one_shot(self, layers, policy):
-        host = self.host(layers, policy)
-        host.invoke("_arm_fault", ("sleep", "ping", 0.05))
-        begin = time.monotonic()
-        host.invoke("ping", ())
-        assert time.monotonic() - begin >= 0.05
-        assert host._fault is None  # disarmed
-        begin = time.monotonic()
-        host.invoke("ping", ())
-        assert time.monotonic() - begin < 0.05
-
-    def test_fault_only_fires_on_named_method(self, layers, policy):
-        host = self.host(layers, policy)
-        host.invoke("_arm_fault", ("sleep", "window_columns", 0.05))
-        host.invoke("ping", ())
-        assert host._fault is not None  # still armed
 
     def test_snapshot_to_file_round_trips(self, layers, policy, tmp_path):
         host = self.host(layers, policy)

@@ -19,7 +19,6 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
     PRESETS,
-    SUPERVISOR_SITES,
     load_plan,
     preset_plan,
 )
@@ -41,6 +40,8 @@ class TestRuleValidation:
     def test_unknown_site_rejected(self):
         with pytest.raises(ServiceError, match="unknown site"):
             FaultRule(site="disk.write", kind="eio")
+        with pytest.raises(ServiceError, match="unknown site"):
+            FaultRule(site="rpc.send", kind="eio")  # no shard RPC any more
 
     def test_wildcard_site_accepted(self):
         assert FaultRule(site="*", kind="latency").site == "*"
@@ -82,19 +83,6 @@ class TestPlanParsing:
     def test_rules_must_be_a_list(self):
         with pytest.raises(ServiceError, match="'rules' must be a list"):
             FaultPlan.from_dict({"rules": "eio"})
-
-    def test_drop_sites_keeps_wildcards(self):
-        plan = FaultPlan.from_dict(
-            {
-                "rules": [
-                    {"site": "rpc.send", "kind": "eio"},
-                    {"site": "*", "kind": "latency"},
-                    {"site": "store.read", "kind": "eio"},
-                ]
-            }
-        )
-        kept = plan.drop_sites(SUPERVISOR_SITES)
-        assert [r.site for r in kept.rules] == ["*", "store.read"]
 
     def test_every_preset_parses(self):
         for name in PRESETS:
@@ -244,30 +232,12 @@ class TestModuleGuards:
         faults.clear()
         faults.check("store.read")
         assert faults.torn("wal.append") is False
-        assert faults.corrupt("rpc.send", b"abc") == b"abc"
+        assert faults.corrupt("store.read", b"abc") == b"abc"
         assert faults.lie("snapshot.write") is False
         assert faults.stats() is None
-        assert faults.active_plan() is None
+        assert faults.active() is None
 
-    def test_install_and_active_plan_round_trip(self):
+    def test_install_arms_the_plan(self):
         plan = preset_plan("wal-torn", seed=4)
         faults.install(plan)
-        assert faults.active_plan() == plan.to_dict()
-
-    def test_install_for_worker_drops_supervisor_sites(self):
-        faults.install(preset_plan("wal-torn", seed=4))
-        # wal-torn is all supervisor-side sites: the worker disarms fully.
-        faults.install_for_worker(faults.active_plan())
-        assert faults.active() is None
-
-    def test_install_for_worker_keeps_storage_sites(self):
-        faults.install(preset_plan("page-bitflip", seed=4))
-        faults.install_for_worker(faults.active_plan())
-        assert faults.active() is not None
-        sites = {r.site for r in faults.active().plan.rules}
-        assert sites == {"store.read"}
-
-    def test_install_for_worker_none_disarms_inherited(self):
-        faults.install(preset_plan("page-bitflip", seed=4))
-        faults.install_for_worker(None)
-        assert faults.active() is None
+        assert faults.active().plan == plan

@@ -1,8 +1,7 @@
 """Cube lifecycle: ``close()`` is idempotent and failed inits leak nothing.
 
-A cube owns real resources now — worker processes, thread pools — so
-closing twice, closing a half-built cube, and the context-manager path all
-need pinning down.
+Closing twice, closing a half-built cube, and the context-manager path
+are pinned down here.
 """
 
 from __future__ import annotations
@@ -25,18 +24,6 @@ class TestCloseIdempotence:
         cube.ingest_batch(workload(1, quarters=1))
         cube.close()
         cube.close()  # second close is a no-op, not an error
-
-    def test_double_close_process(self, layers, policy):
-        cube = ShardedStreamCube(
-            layers,
-            policy,
-            n_shards=2,
-            ticks_per_quarter=TPQ,
-            backend="process",
-        )
-        cube.ingest_batch(workload(1, quarters=1))
-        cube.close()
-        cube.close()
 
     def test_context_manager_closes(self, layers, policy, tmp_path):
         storage = StorageConfig(root=tmp_path / "cold", hot_quarters=2)

@@ -1,44 +1,41 @@
 """Degraded-mode serving over HTTP: partial answers, probes, manifests.
 
-The service's availability contract: a fleet with a permanently dead
-shard keeps answering ``POST /query`` with 200 and a ``degraded`` block
-(never a 500), ``/healthz`` reports the roster, ``/readyz`` flips to 503
-so orchestrators stop routing new traffic, and a tampered snapshot
-manifest refuses restore with a typed :class:`CorruptionError`.
+The service's availability contract: a fleet with a quarantined shard
+keeps answering ``POST /query`` with 200 and a ``degraded`` block (never a
+500) — also when the answer comes from the router's cache or a
+single-flight leader, and then with no ``ETag`` — while ``/healthz`` and
+``/readyz`` stay green; and a tampered snapshot manifest refuses restore
+with a typed :class:`CorruptionError`.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
-from repro.cluster import ClusterConfig
 from repro.errors import CorruptionError
 from repro.io import payload_checksum
 from repro.service.http import StreamCubeService
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
-from repro.stream.wal import QuarterWAL
 
 from tests.service.conftest import TPQ, workload
 
+CELL = {"op": "cell", "coord": [1, 1], "values": [0, 0]}
+
+
+def quarantined(*args):
+    raise CorruptionError("shard 1: cold page quarantined (injected)")
+
 
 @pytest.fixture
-def fragile(layers, policy, tmp_path):
-    """A process-backend service with no restart budget: the first
-    worker death is final — exactly the fleet degraded mode serves."""
-    cube = ShardedStreamCube(
-        layers,
-        policy,
-        n_shards=2,
-        ticks_per_quarter=TPQ,
-        wal=QuarterWAL(tmp_path / "cube.wal"),
-        backend=ClusterConfig(backend="process", max_restarts=0),
-    )
-    service = StreamCubeService(
-        cube, QueryRouter(cube, window_quarters=4)
-    )
+def fragile(layers, policy):
+    """A 2-shard service with six sealed quarters."""
+    cube = ShardedStreamCube(layers, policy, n_shards=2, ticks_per_quarter=TPQ)
+    service = StreamCubeService(cube, QueryRouter(cube, window_quarters=4))
     rows = [
         {"values": list(r.values), "t": r.t, "z": r.z}
         for r in workload(3)
@@ -50,13 +47,24 @@ def fragile(layers, policy, tmp_path):
     service.close()
 
 
-def doom(service, shard=1):
-    """Kill a worker and trip its (zero) restart budget via one query."""
-    service.cube.kill_worker(shard)
-    status, body = service.handle(
-        "POST", "/query", {"op": "change_exceptions", "layer": "o"}
-    )
-    return status, body
+def lose(service, shard=1):
+    """Make one shard's window reads raise what a quarantined cold page
+    raises (before any query, so no healthy answer is cached)."""
+    service.cube.shards[shard].window_columns = quarantined
+
+
+def assert_missing_shard_1(block):
+    assert block == {
+        "missing": [
+            {
+                "shard": 1,
+                "state": "degraded",
+                "reason": "shard 1: cold page quarantined (injected)",
+                "last_quarter": 6,
+            }
+        ],
+        "staleness_bound": 6,
+    }
 
 
 class TestProbes:
@@ -69,111 +77,52 @@ class TestProbes:
             "healthy",
         ]
         status, body = fragile.handle("GET", "/readyz")
-        assert (status, body["ready"]) == (200, True)
-        assert body["dead_shards"] == []
+        assert (status, body) == (
+            200,
+            {"ready": True, "shards": 2, "dead_shards": []},
+        )
 
-    def test_budget_exhaustion_flips_readyz(self, fragile):
-        """Satellite contract: kill → exhausted budget → sticky-dead is
-        visible at the HTTP layer, and queries keep answering 200."""
-        status, body = doom(fragile)
-        assert status == 200  # the query itself: degraded, not failed
+    def test_quarantine_keeps_probes_green(self, fragile):
+        """A quarantined shard makes answers partial, not the service
+        unready: liveness and readiness stay 200."""
+        lose(fragile)
+        status, body = fragile.handle("POST", "/query", CELL)
+        assert status == 200 and "degraded" in body
         status, body = fragile.handle("GET", "/healthz")
-        assert status == 200  # liveness never flips
-        assert body["status"] == "degraded"
-        assert body["shards"][1]["state"] == "dead"
-        assert "restart budget" in body["shards"][1]["reason"]
+        assert (status, body["status"]) == (200, "ok")
         status, body = fragile.handle("GET", "/readyz")
-        assert status == 503
-        assert body["ready"] is False
-        assert body["dead_shards"] == [1]
-
-    def test_readyz_recovers_when_budget_allows(
-        self, layers, policy, tmp_path
-    ):
-        cube = ShardedStreamCube(
-            layers,
-            policy,
-            n_shards=2,
-            ticks_per_quarter=TPQ,
-            wal=QuarterWAL(tmp_path / "cube.wal"),
-            backend=ClusterConfig(backend="process", max_restarts=2),
-        )
-        service = StreamCubeService(
-            cube, QueryRouter(cube, window_quarters=4)
-        )
-        try:
-            rows = [
-                {"values": list(r.values), "t": r.t, "z": r.z}
-                for r in workload(3)
-            ]
-            service.handle("POST", "/ingest", {"records": rows})
-            service.handle("POST", "/advance", {"t": 6 * TPQ})
-            cube.kill_worker(1)
-            # A crashed-but-revivable shard does not fail readiness …
-            status, _ = service.handle("GET", "/readyz")
-            assert status == 200
-            # … and the next query quietly revives it.
-            status, body = service.handle(
-                "POST", "/query", {"op": "change_exceptions"}
-            )
-            assert status == 200
-            assert "degraded" not in body
-            assert cube.health()[1]["state"] == "healthy"
-        finally:
-            service.close()
+        assert (status, body["ready"]) == (200, True)
 
 
 class TestDegradedQueries:
     def test_query_returns_200_with_degraded_block(self, fragile):
-        status, body = doom(fragile)
+        lose(fragile)
+        status, body = fragile.handle(
+            "POST", "/query", {"op": "change_exceptions", "layer": "o"}
+        )
         assert status == 200
-        block = body["degraded"]
-        assert [row["shard"] for row in block["missing"]] == [1]
-        assert block["missing"][0]["state"] == "dead"
-        assert "restart budget" in block["missing"][0]["reason"]
-        assert block["staleness_bound"] == 6
+        assert_missing_shard_1(body["degraded"])
 
     def test_repeat_queries_stay_200(self, fragile):
-        doom(fragile)
+        lose(fragile)
         for _ in range(3):
-            status, body = fragile.handle(
-                "POST",
-                "/query",
-                {"op": "cell", "coord": [1, 1], "values": [0, 0]},
-            )
+            status, body = fragile.handle("POST", "/query", CELL)
             assert status == 200
             assert body["degraded"]["missing"][0]["shard"] == 1
 
-    def test_cache_served_answers_carry_the_block(self, fragile):
-        spec = {"op": "cell", "coord": [1, 1], "values": [0, 0]}
-        doom(fragile)
-        first = fragile.handle("POST", "/query", spec)
-        second = fragile.handle("POST", "/query", spec)  # cache hit
-        assert first[0] == second[0] == 200
-        assert (
-            first[1]["degraded"]["missing"]
-            == second[1]["degraded"]["missing"]
-        )
-        hits = fragile.router.stats()["cache_hits"]
-        assert hits >= 1
-
     def test_healthy_responses_have_no_block(self, fragile):
-        status, body = fragile.handle(
-            "POST",
-            "/query",
-            {"op": "cell", "coord": [1, 1], "values": [0, 0]},
-        )
+        status, body = fragile.handle("POST", "/query", CELL)
         assert status == 200
         assert "degraded" not in body
 
     def test_batch_queries_degrade_too(self, fragile):
-        doom(fragile)
+        lose(fragile)
         status, body = fragile.handle(
             "POST",
             "/query",
             {
                 "queries": [
-                    {"op": "cell", "coord": [1, 1], "values": [0, 0]},
+                    CELL,
                     {"op": "top_slopes", "coord": [1, 1], "k": 2},
                 ]
             },
@@ -181,6 +130,72 @@ class TestDegradedQueries:
         assert status == 200
         assert body["count"] == 2
         assert body["degraded"]["missing"][0]["shard"] == 1
+
+
+class TestPartialAnswersCarryTheirHoles:
+    """A partial answer the router keeps is served with its holes: a cache
+    hit, a view reused by another spec and a single-flight joiner answer
+    the same ``degraded`` block as the read that computed it, and none of
+    them carries an ``ETag``."""
+
+    def test_cache_hits_carry_the_block_and_no_etag(self, fragile):
+        lose(fragile)
+        replies = [
+            fragile.route("POST", "/query", {"op": "observation_deck"})
+            for _ in range(3)
+        ]
+        assert fragile.router.stats()["cache_hits"] == 2
+        for status, reply in replies:
+            assert status == 200
+            assert_missing_shard_1(reply.degraded)
+            assert reply.etag is None
+            assert b'"degraded"' in reply.wire
+
+    def test_a_reused_view_carries_the_block(self, fragile):
+        lose(fragile)
+        fragile.handle("POST", "/query", {"op": "observation_deck"})
+        # Another spec on the same window misses the result cache but
+        # reuses the memoized (partial) view: no merged read runs.
+        refreshes = fragile.router.stats()["refreshes"]
+        status, body = fragile.handle("POST", "/query", {"op": "watch_list"})
+        assert fragile.router.stats()["refreshes"] == refreshes
+        assert status == 200
+        assert_missing_shard_1(body["degraded"])
+
+    def test_a_single_flight_joiner_carries_the_block(self, fragile):
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_quarantined(*args):
+            entered.set()
+            assert release.wait(10)
+            quarantined()
+
+        fragile.cube.shards[1].window_columns = slow_quarantined
+        replies: dict[str, tuple] = {}
+
+        def pull(name):
+            replies[name] = fragile.route(
+                "POST", "/query", {"op": "observation_deck"}
+            )
+
+        leader = threading.Thread(target=pull, args=("leader",))
+        leader.start()
+        assert entered.wait(10)
+        joiner = threading.Thread(target=pull, args=("joiner",))
+        joiner.start()
+        deadline = time.monotonic() + 10
+        while fragile.router.stats()["single_flight_joins"] < 1:
+            assert time.monotonic() < deadline, "the joiner never joined"
+            time.sleep(0.001)
+        release.set()
+        leader.join(10)
+        joiner.join(10)
+        assert not leader.is_alive() and not joiner.is_alive()
+        for name in ("leader", "joiner"):
+            status, reply = replies[name]
+            assert status == 200, name
+            assert_missing_shard_1(reply.degraded)
+            assert reply.etag is None, name
 
 
 class TestManifestChecksum:

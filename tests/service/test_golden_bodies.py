@@ -23,14 +23,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, ContextManager, Iterator
 
-from repro.cluster import ClusterConfig
 from repro.cubing.policy import GlobalSlopeThreshold
+from repro.errors import CorruptionError
 from repro.service.http import StreamCubeService, make_server
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
-from repro.stream.wal import QuarterWAL
 
 from tests.service.conftest import TPQ, workload
 
@@ -87,13 +86,12 @@ def _load(service: StreamCubeService) -> None:
     assert service.handle("POST", "/advance", {"t": 6 * TPQ})[0] == 200
 
 
-def _cube(**kwargs: Any) -> ShardedStreamCube:
+def _cube() -> ShardedStreamCube:
     return ShardedStreamCube(
         DatasetSpec(2, 2, 3, 1).build_layers(),
         GlobalSlopeThreshold(0.1),
         n_shards=2,
         ticks_per_quarter=TPQ,
-        **kwargs,
     )
 
 
@@ -175,18 +173,18 @@ def _query_bodies(transport: Transport) -> Iterator[tuple[str, dict[str, Any]]]:
         service.close()
 
 
-def _degraded_bodies(
-    tmp_path: Path, transport: Transport
-) -> Iterator[tuple[str, dict[str, Any]]]:
-    """A dead shard: 200 with the reachable union plus a ``degraded`` block."""
-    cube = _cube(
-        wal=QuarterWAL(tmp_path / "cube.wal"),
-        backend=ClusterConfig(backend="process", max_restarts=0),
-    )
+def _quarantined(*args: Any) -> None:
+    raise CorruptionError("shard 1: cold page quarantined (injected)")
+
+
+def _degraded_bodies(transport: Transport) -> Iterator[tuple[str, dict[str, Any]]]:
+    """A quarantined shard: 200 with the readable union plus a
+    ``degraded`` block."""
+    cube = _cube()
     service = StreamCubeService(cube, QueryRouter(cube, window_quarters=4))
     try:
         _load(service)
-        cube.kill_worker(1)
+        cube.shards[1].window_columns = _quarantined
         with transport(service) as send:
             for name, payload in (
                 ("degraded-change-exceptions-o", {"op": "change_exceptions", "layer": "o"}),
@@ -198,13 +196,9 @@ def _degraded_bodies(
         service.close()
 
 
-def record_bodies(
-    tmp_path: Path, transport: Transport = in_process
-) -> dict[str, dict[str, Any]]:
+def record_bodies(transport: Transport = in_process) -> dict[str, dict[str, Any]]:
     """Every recorded name -> ``{"status", "body", "etag"}``."""
-    return dict(
-        [*_query_bodies(transport), *_degraded_bodies(tmp_path, transport)]
-    )
+    return dict([*_query_bodies(transport), *_degraded_bodies(transport)])
 
 
 def _recorded(entries: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
@@ -214,20 +208,20 @@ def _recorded(entries: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
     }
 
 
-def test_bodies_are_byte_identical_to_the_recording(tmp_path):
+def test_bodies_are_byte_identical_to_the_recording():
     golden = json.loads(GOLDEN.read_text())
-    got = _recorded(record_bodies(tmp_path))
+    got = _recorded(record_bodies())
     assert sorted(got) == sorted(golden)
     for name, entry in golden.items():
         assert got[name] == entry, name
 
 
-def test_socket_bytes_are_byte_identical_to_the_recording(tmp_path):
+def test_socket_bytes_are_byte_identical_to_the_recording():
     """What a client reads off the socket — cache-line bytes, batches
     assembled from them, a long-polled update around them, ``degraded``
     spliced onto them — is the recorded ``json.dumps`` text."""
     golden = json.loads(GOLDEN.read_text())
-    got = record_bodies(tmp_path, over_socket)
+    got = record_bodies(over_socket)
     bodies = _recorded(got)
     assert sorted(bodies) == sorted(golden)
     for name, entry in golden.items():
@@ -254,10 +248,7 @@ def test_the_recording_covers_every_registered_op():
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        recording = _recorded(record_bodies(Path(tmp)))
+    recording = _recorded(record_bodies())
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(recording, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recording)} bodies to {GOLDEN}")

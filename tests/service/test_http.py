@@ -374,48 +374,19 @@ class TestStatsEndpoint:
     def test_stats_expose_inproc_parallel_block(self, loaded):
         status, body = loaded.handle("GET", "/stats")
         assert status == 200
-        parallel = body["parallel"]
-        assert parallel["backend"] == "inproc"
-        assert parallel["workers"] == 2
-        assert parallel["pids"] == []
-        assert parallel["restarts"] == 0
-        assert parallel["rpc_round_trips"] == 0
-        assert parallel["queue_high_water"] == [0, 0]
-
-    def test_stats_expose_process_parallel_block(self, layers, policy):
-        cube = ShardedStreamCube(
-            layers,
-            policy,
-            n_shards=2,
-            ticks_per_quarter=TPQ,
-            backend="process",
+        # The whole block, key order included: clients that read the
+        # worker fields keep getting the same bytes.
+        assert json.dumps(body["parallel"]) == json.dumps(
+            {
+                "backend": "inproc",
+                "workers": 2,
+                "pids": [],
+                "restarts": 0,
+                "rpc_round_trips": 0,
+                "queue_high_water": [0, 0],
+                "health": ["healthy", "healthy"],
+            }
         )
-        try:
-            service = StreamCubeService(
-                cube, QueryRouter(cube, window_quarters=4)
-            )
-            records = workload(3, quarters=2)
-            rows = [
-                {"values": list(r.values), "t": r.t, "z": r.z}
-                for r in records
-            ]
-            status, _ = service.handle(
-                "POST", "/ingest", {"records": rows}
-            )
-            assert status == 200
-            status, body = service.handle("GET", "/stats")
-            assert status == 200
-            parallel = body["parallel"]
-            assert parallel["backend"] == "process"
-            assert parallel["workers"] == 2
-            assert len(parallel["pids"]) == 2
-            assert all(
-                isinstance(pid, int) for pid in parallel["pids"]
-            )
-            assert parallel["rpc_round_trips"] > 0
-            assert parallel["restarts"] == 0
-        finally:
-            cube.close()
 
 
 class TestSubscriptionEndpoints:

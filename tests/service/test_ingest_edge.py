@@ -88,21 +88,20 @@ BATCHES: list[tuple[str, Any]] = [
 ]
 
 
-def fresh_service(backend: str = "inproc") -> StreamCubeService:
+def fresh_service() -> StreamCubeService:
     layers = DatasetSpec(2, 2, 3, 1).build_layers()
     cube = ShardedStreamCube(
         layers,
         GlobalSlopeThreshold(0.1),
         n_shards=2,
         ticks_per_quarter=TPQ,
-        backend=backend,
     )
     return StreamCubeService(cube, QueryRouter(cube, window_quarters=4))
 
 
-def prepared(backend: str = "inproc") -> StreamCubeService:
+def prepared() -> StreamCubeService:
     """Six sealed quarters of three cells, one record into the open one."""
-    service = fresh_service(backend)
+    service = fresh_service()
     rows = [
         row(key, t, 0.25 * t + key[0])
         for t in range(NOW + 1)
@@ -153,9 +152,8 @@ class TestRejectedBatchesLeaveNoTrace:
         row((2, 2), NOW + 3),
     ]
 
-    @pytest.mark.parametrize("backend", ["inproc", "process"])
-    def test_out_of_schema_key_through_handle(self, backend):
-        service = prepared(backend)
+    def test_out_of_schema_key_through_handle(self):
+        service = prepared()
         try:
             before = shard_states(service)
             cells = service.cube.tracked_cells
@@ -169,7 +167,7 @@ class TestRejectedBatchesLeaveNoTrace:
             fixed = [*self.BAD_FOURTH[:3], row((0, 8), NOW + 2), self.BAD_FOURTH[4]]
             status, body = service.handle("POST", "/ingest", {"records": fixed})
             assert status == 200 and body["ingested"] == 5
-            reference = prepared(backend)
+            reference = prepared()
             try:
                 reference.handle("POST", "/ingest", {"records": fixed})
                 assert shard_states(service) == shard_states(reference)

@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import io as repro_io
-from repro.cluster import ClusterConfig
 from repro.cube.hierarchy import LevelCodes
 from repro.cubing.mo_cubing import CubePlan, PlannedCells, mo_cubing
 from repro.cubing.policy import GlobalSlopeThreshold
@@ -192,23 +191,19 @@ def test_held_plan_equals_scratch_through_cell_set_churn(kind, data, tmp_path_fa
         cube.close()
 
 
-def test_held_plan_equals_scratch_on_process_workers(layers, tmp_path):
-    """The same churn with every shard behind a worker process: keys cross
-    the wire only when a generation moved, a revived worker's generation is
-    never mistaken for its predecessor's, and a dead shard's hole rebuilds
-    the plan over the survivors."""
+def test_held_plan_equals_scratch_through_reload_and_loss(layers, tmp_path):
+    """A fixed churn on a journaled cube: a seal with no birth reuses the
+    plan, a shard whose state is reloaded in place gets a new generation
+    that is never mistaken for its old one (exactly one rebuild), and a
+    quarantined shard's hole rebuilds the plan over the survivors."""
     rng = random.Random(23)
     stream = Stream(layers, rng)
-    fragile = ClusterConfig(
-        backend="process", max_restarts=1, recovery_dir=str(tmp_path / "snap")
-    )
     cube = ShardedStreamCube(
         layers,
         POLICY,
         n_shards=2,
         ticks_per_quarter=TPQ,
         wal=QuarterWAL(tmp_path / "snap" / "wal.jsonl"),
-        backend=fragile,
     )
     try:
         for _ in range(5):
@@ -221,7 +216,8 @@ def test_held_plan_equals_scratch_on_process_workers(layers, tmp_path):
         assert_planned_equals_scratch(cube, layers)
         assert cube.plan_builds == builds
 
-        cube.kill_worker(0)  # revived from the WAL: a new incarnation
+        shard = cube.shards[0]
+        shard.load_state(shard.snapshot())  # same cells, a new generation
         assert_planned_equals_scratch(cube, layers)
         assert cube.plan_builds == builds + 1
 
@@ -243,12 +239,8 @@ def test_held_plan_equals_scratch_on_process_workers(layers, tmp_path):
             cube.wal, old.wal = old.wal, None
         cube.snapshot(tmp_path / "snap")
 
-        # One restart is in shard 1's budget; spend it, then the next
-        # death sticks and degraded reads answer without it.
-        cube.kill_worker(1)
         whole = set(cube.m_cells(1))
-        cube.kill_worker(1)
-        cube.degraded_reads = True
+        lose_shard(cube, 1)
         survivors = {key for key in whole if cube.shard_index(key) != 1}
         assert survivors and survivors != whole
         assert_planned_equals_scratch(cube, layers, survivors)

@@ -7,8 +7,7 @@ the path that does none of that — :meth:`StreamCubeEngine.ingest`, one
 scalar ``+=`` per record — and everything observable must agree with it
 *exactly*: ``snapshot()`` field for field (cell order, open per-tick sums,
 activity markers, every retained slot) and ``window_isbs`` bit for bit, for
-a single engine and for sharded cubes of 1, 2 and 7 shards on both shard
-backends.
+a single engine and for sharded cubes of 1, 2 and 7 shards.
 
 Values are drawn from magnitudes whose sum depends on the order of
 addition, two hot cells take most of the duplicates, batches start and stop
@@ -28,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.errors import HierarchyError, StreamError
 from repro.io import engine_state_from_dict, engine_state_to_dict
@@ -200,25 +198,6 @@ def test_inproc_cube_equals_record_at_a_time(n_shards, seed, tpq, primitive):
         assert_cube_equals_reference(cube, reference_engine(steps, tpq, key_fn))
 
 
-@pytest.mark.parametrize("n_shards", [1, 2, 7])
-@pytest.mark.parametrize("seed, primitive", [(11, False), (12, True), (13, False)])
-def test_process_cube_equals_record_at_a_time(n_shards, seed, primitive):
-    # A tiny chunk target forces every batch through the group-range
-    # splitter, so chunked dispatch is what gets compared.
-    key_fn = rolled_up if primitive else None
-    steps = workload(seed, 3, primitive)
-    with ShardedStreamCube(
-        LAYERS,
-        POLICY,
-        n_shards=n_shards,
-        key_fn=key_fn,
-        ticks_per_quarter=3,
-        backend=ClusterConfig(backend="process", ingest_chunk=5),
-    ) as cube:
-        drive(cube, steps)
-        assert_cube_equals_reference(cube, reference_engine(steps, 3, key_fn))
-
-
 def test_columns_at_the_door_equal_records_at_the_door():
     steps = workload(5, 4, False)
     by_records = StreamCubeEngine(LAYERS, POLICY, ticks_per_quarter=4)
@@ -321,12 +300,11 @@ def test_engine_rejects_an_out_of_schema_batch_whole_without_a_wal():
     assert engine_state_to_dict(engine.snapshot()) == before
 
 
-@pytest.mark.parametrize("backend", ["inproc", "process"])
 @pytest.mark.parametrize("journaled", [False, True])
-def test_cube_rejects_an_out_of_schema_batch_whole(tmp_path, backend, journaled):
+def test_cube_rejects_an_out_of_schema_batch_whole(tmp_path, journaled):
     wal = QuarterWAL(tmp_path / "wal.jsonl") if journaled else None
     with ShardedStreamCube(
-        LAYERS, POLICY, n_shards=2, ticks_per_quarter=4, wal=wal, backend=backend
+        LAYERS, POLICY, n_shards=2, ticks_per_quarter=4, wal=wal
     ) as cube:
         _seeded(cube)
 
@@ -418,11 +396,10 @@ class TestTickTypes:
         assert wal.path.read_bytes() == journal
         wal.close()
 
-    @pytest.mark.parametrize("backend", ["inproc", "process"])
-    def test_cube_refuses_before_journaling(self, tmp_path, backend):
+    def test_cube_refuses_before_journaling(self, tmp_path):
         wal = QuarterWAL(tmp_path / "wal.jsonl")
         with ShardedStreamCube(
-            LAYERS, POLICY, n_shards=2, ticks_per_quarter=4, wal=wal, backend=backend
+            LAYERS, POLICY, n_shards=2, ticks_per_quarter=4, wal=wal
         ) as cube:
             _seeded(cube)
 

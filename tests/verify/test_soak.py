@@ -21,16 +21,6 @@ def test_short_soak_zero_mismatches(seed, tmp_path):
     assert sum(report.requests.values()) > 0
 
 
-def test_short_process_soak_zero_mismatches(tmp_path):
-    """The same concurrent workload against live forked shard workers —
-    queries, snapshots and restore audits all cross the RPC boundary."""
-    config = SoakConfig(seed=3, duration=1.5, backend="process")
-    report = run_soak(config, tmp_path)
-    assert report.mismatches == 0, report.describe()
-    assert report.batches_acked > 0
-    assert report.snapshots >= 1
-
-
 def test_short_soak_with_subscribers(tmp_path):
     """Continuous-query push clients under the full concurrent workload:
     every delivered update obeys the ordering contract, and the final
@@ -71,6 +61,25 @@ def test_soak_storage_flag_refuses_a_value(monkeypatch):
     monkeypatch.setattr(cli, "soak_command", lambda args: 0)
     with pytest.raises(SystemExit):
         cli.main(["soak", "--storage", "file"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["soak", "--backend", "process"],
+        ["serve", "--backend", "process"],
+        ["serve", "--workers", "2"],
+    ],
+)
+def test_no_backend_flags_parse(argv, monkeypatch):
+    """There is one shard backend: its selectors are argparse errors."""
+    import repro.__main__ as cli
+
+    monkeypatch.setattr(cli, "soak_command", lambda args: 0)
+    monkeypatch.setattr(cli, "serve_command", lambda args: 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_report_describe_lists_problems():
