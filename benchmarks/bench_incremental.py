@@ -3,8 +3,9 @@
 "In stream data applications, it is likely that one just needs to
 incrementally compute the newly generated stream data.  In this case, the
 computation time should be substantially shorter."  This bench measures
-(a) the engine's steady-state cost of absorbing one new quarter of records
-and (b) recomputing the full analysis window from scratch.
+(a) the steady-state cost of absorbing one new quarter of records and (b)
+recomputing the full analysis window from scratch, both through a one-shard
+cube (the cube owns the refresh).
 
 Both sides ride the columnar fast path (``repro.regression.kernels``):
 quarter absorption goes through grouped ingestion + one grouped sealing fit
@@ -15,14 +16,14 @@ the grouped Theorem 3.2 kernel.
 from __future__ import annotations
 
 from repro.cubing.policy import GlobalSlopeThreshold
-from repro.stream.engine import StreamCubeEngine
+from repro.service.sharding import ShardedStreamCube
 from repro.stream.power_grid import PowerGridConfig, PowerGridSimulator
 from repro.tilt.frame import TiltLevelSpec
 
 _TPQ = 15
 
 
-def _engine_and_sim():
+def _cube_and_sim():
     cfg = PowerGridConfig(
         n_cities=3,
         blocks_per_city=4,
@@ -33,9 +34,10 @@ def _engine_and_sim():
     )
     sim = PowerGridSimulator(cfg)
     layers = sim.layers()
-    engine = StreamCubeEngine(
+    cube = ShardedStreamCube(
         layers,
         GlobalSlopeThreshold(0.02),
+        n_shards=1,
         key_fn=sim.m_key_fn(),
         ticks_per_quarter=_TPQ,
         frame_levels=[
@@ -43,20 +45,20 @@ def _engine_and_sim():
             TiltLevelSpec("hour", 4 * _TPQ, 24),
         ],
     )
-    return engine, sim
+    return cube, sim
 
 
 def bench_incremental_quarter_update(benchmark):
-    """Absorb one quarter of minute records into a warm engine."""
-    engine, sim = _engine_and_sim()
-    engine.ingest_many(sim.records(60))
-    engine.advance_to(60)
+    """Absorb one quarter of minute records into a warm cube."""
+    cube, sim = _cube_and_sim()
+    cube.ingest_batch(sim.records(60))
+    cube.advance_to(60)
     next_minute = [60]
 
     def absorb_quarter():
         start = next_minute[0]
-        engine.ingest_many(sim.records(_TPQ, start_minute=start))
-        engine.advance_to(start + _TPQ)
+        cube.ingest_batch(sim.records(_TPQ, start_minute=start))
+        cube.advance_to(start + _TPQ)
         next_minute[0] = start + _TPQ
 
     benchmark.pedantic(absorb_quarter, rounds=8, iterations=1)
@@ -65,12 +67,12 @@ def bench_incremental_quarter_update(benchmark):
 
 def bench_batch_window_recompute(benchmark):
     """Rebuild the whole 4-quarter window and recube it from scratch."""
-    engine, sim = _engine_and_sim()
-    engine.ingest_many(sim.records(60))
-    engine.advance_to(60)
+    cube, sim = _cube_and_sim()
+    cube.ingest_batch(sim.records(60))
+    cube.advance_to(60)
 
     def recompute():
-        return engine.refresh(window_quarters=4)
+        return cube.refresh(window_quarters=4)
 
     result = benchmark.pedantic(recompute, rounds=8, iterations=1)
     benchmark.extra_info["m_cells"] = len(result.m_layer)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro import GlobalSlopeThreshold, popular_path_cubing
 from repro.query.drill import ExceptionDriller
-from repro.stream.engine import StreamCubeEngine
+from repro.service.sharding import ShardedStreamCube
 from repro.stream.power_grid import PowerGridConfig, PowerGridSimulator
 from repro.tilt.frame import TiltLevelSpec
 
@@ -47,9 +47,11 @@ def main() -> None:
     print(f"anomaly: block {SURGE_BLOCK} starts surging at minute "
           f"{SURGE_START_MINUTE}\n")
 
-    engine = StreamCubeEngine(
+    # One shard: the cube owns the refresh whatever the shard count.
+    cube = ShardedStreamCube(
         layers,
         GlobalSlopeThreshold(0.02),
+        n_shards=1,
         key_fn=sim.m_key_fn(),
         ticks_per_quarter=15,
         frame_levels=[
@@ -62,18 +64,18 @@ def main() -> None:
     # Stream minute-by-minute; report at each quarter boundary.
     # ------------------------------------------------------------------
     for quarter_end in range(15, MINUTES + 1, 15):
-        engine.ingest_many(sim.records(15, start_minute=quarter_end - 15))
-        engine.advance_to(quarter_end)
-        if engine.current_quarter < 1:
+        cube.ingest_batch(sim.records(15, start_minute=quarter_end - 15))
+        cube.advance_to(quarter_end)
+        if cube.current_quarter < 1:
             continue
-        window = min(4, engine.current_quarter)
-        result = popular_path_cubing(layers, engine.m_cells(window), engine.policy)
+        window = min(4, cube.current_quarter)
+        result = popular_path_cubing(layers, cube.m_cells(window), cube.policy)
         watch = result.o_layer_exceptions()
         flagged = ", ".join(
             f"{v[1]} ({isb.slope:+.3f})" for v, isb in sorted(watch.items())
         )
         print(
-            f"quarter {engine.current_quarter:2d} "
+            f"quarter {cube.current_quarter:2d} "
             f"(minute {quarter_end:3d}): "
             f"{len(watch)} o-layer exception(s)"
             + (f" -> {flagged}" if flagged else "")
@@ -83,7 +85,7 @@ def main() -> None:
     # The analyst drills into the flagged city.
     # ------------------------------------------------------------------
     print("\n== exception-guided drill-down (observation deck) ==")
-    result = engine.refresh(window_quarters=4)
+    result = cube.refresh(window_quarters=4)
     driller = ExceptionDriller(result)
     roots = driller.drill_tree()
     if not roots:

@@ -91,6 +91,36 @@ def demo() -> int:
     return 0 if (ok2 and ok3) else 1
 
 
+#: The integer members of a manifest's recorded ``app`` config, with the
+#: least value the schema, the policy and the router accept.
+_APP_COUNTS = {"dims": 1, "levels": 2, "fanout": 2, "window": 1}
+
+
+def _recorded_app(manifest: dict) -> dict:
+    """The serving config a snapshot recorded under ``"app"``, each member
+    checked: a malformed one is a :class:`CodecError`, as is every other
+    malformed manifest field, rather than whatever the schema raises."""
+    from repro.errors import CodecError
+    from repro.service.sharding import _count
+
+    recorded = dict(manifest.get("app") or {})
+    for name, minimum in _APP_COUNTS.items():
+        if name in recorded:
+            _count(recorded, name, minimum=minimum)
+    threshold = recorded.get("threshold", 0.0)
+    if (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, (int, float))
+        or not math.isfinite(threshold)
+        or threshold < 0
+    ):
+        raise CodecError(
+            f"snapshot: manifest field 'threshold' is {threshold!r}, not a "
+            "finite number >= 0"
+        )
+    return recorded
+
+
 def build_service(args: argparse.Namespace):
     """A StreamCubeService for the CLI flags.
 
@@ -166,7 +196,7 @@ def build_service(args: argparse.Namespace):
     if args.restore:
         if (Path(args.restore) / "manifest.json").exists():
             manifest = ShardedStreamCube.read_manifest(args.restore)
-            recorded = manifest.get("app") or {}
+            recorded = _recorded_app(manifest)
             if recorded:
                 app.update(recorded)
                 print(f"restoring with recorded app config: {recorded}")
@@ -210,7 +240,7 @@ def build_service(args: argparse.Namespace):
     if args.restore:
         replayed = 0
         if restore_wal is not None and QuarterWAL.exists(restore_wal):
-            after = int(manifest.get("wal_seq", 0)) if manifest else 0
+            after = manifest["wal_seq"] if manifest else 0
             if wal is not None and wal.path.resolve() == restore_wal.resolve():
                 replayed = wal.replay(cube, after_seq=after)
             else:

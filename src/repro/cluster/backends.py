@@ -19,29 +19,12 @@ __all__ = ["InprocBackend", "ShardBackend"]
 
 class ShardBackend:
     """The base of :class:`InprocBackend`, a class of its own because the
-    frozen ``benchmarks/e2e`` hook table wraps ``ShardBackend.broadcast``.
-
-    ``broadcast`` is ``map`` with the same arguments for every shard;
-    ``health`` is the per-shard roster the ``/healthz`` probe serves.
-    In-process shards cannot die, so every entry is ``healthy``: a shard
-    whose cold pages are quarantined answers degraded reads with a hole
-    (``broadcast_partial``) but stays on the roster as it was.
+    frozen ``benchmarks/e2e`` hook table wraps ``ShardBackend.broadcast``:
+    ``map`` with the same arguments for every shard.
     """
 
     def broadcast(self, method: str, *args: Any) -> list:
         return self.map(method, [args] * self.n_shards)
-
-    def health(self) -> list[dict[str, Any]]:
-        return [
-            {
-                "shard": shard,
-                "state": "healthy",
-                "restarts": 0,
-                "last_quarter": counters[0],
-                "reason": None,
-            }
-            for shard, counters in enumerate(self.counters())
-        ]
 
 
 class InprocBackend(ShardBackend):
@@ -55,8 +38,6 @@ class InprocBackend(ShardBackend):
     raises the first failure in shard order.  No serialization anywhere,
     so results are bit-identical to the engines' by construction.
     """
-
-    name = "inproc"
 
     def __init__(self, engines: list[StreamCubeEngine]) -> None:
         self.hosts = [ShardHost(engine) for engine in engines]
@@ -131,16 +112,3 @@ class InprocBackend(ShardBackend):
 
     def counters(self) -> list[list[int]]:
         return [host.counters() for host in self.hosts]
-
-    def stats(self) -> dict[str, Any]:
-        """The ``/stats`` ``parallel`` block.  Its worker fields keep their
-        shape for clients that read them: no pids, restarts or RPCs."""
-        return {
-            "backend": self.name,
-            "workers": len(self.hosts),
-            "pids": [],
-            "restarts": 0,
-            "rpc_round_trips": 0,
-            "queue_high_water": [0] * len(self.hosts),
-            "health": ["healthy"] * len(self.hosts),
-        }

@@ -60,7 +60,6 @@ class RegressionCubeView:
     layers, schema and lattice.
 
     ``changes`` is the window-over-window change source: a
-    :class:`~repro.stream.engine.StreamCubeEngine` or
     :class:`~repro.service.sharding.ShardedStreamCube` (anything with
     ``change_exceptions(quarters_apart)`` and
     ``o_layer_change_exceptions(quarters_apart)``).  A view over a one-shot

@@ -27,7 +27,7 @@ Numeric compatibility contract
 * **Per-group independence.**  All grouped kernels compute each group from
   its own rows only, with a fixed per-group operation order, so a group's
   result does not depend on what other groups share the batch.  This is what
-  lets the sharded service stay bit-identical to a single engine: each
+  lets the sharded service stay bit-identical to one shard: each
   cell's arithmetic is the same whether it is sealed alongside 10 cells or
   10,000.
 

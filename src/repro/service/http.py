@@ -10,13 +10,10 @@ loaders the checkpoint files use.
 Endpoints
 ---------
 ``GET  /health``   liveness + shard/quarter/record counters
-``GET  /healthz``  always 200: ``status: "ok"`` plus the per-shard health
-                   descriptors (state, restarts, reason, ``last_quarter``)
-``GET  /readyz``   readiness probe: 200 with ``ready: true`` (in-process
-                   shards cannot die; ``dead_shards`` is always empty)
+``GET  /healthz``  liveness probe: always 200 ``{"status": "ok"}``
+``GET  /readyz``   readiness probe: always 200 ``{"ready": true, "shards": N}``
+                   (in-process shards cannot die)
 ``GET  /stats``    router cache/batch counters + partition-balance statistics
-                   + execution-backend block (``backend: "inproc"``, shard
-                   count; its pid/restart/RPC fields read zero)
                    + durability counters (snapshots written, periodic
                    snapshot failures and the last error, WAL seq)
                    + tiered-storage counters (cold pages, bytes on disk,
@@ -387,15 +384,15 @@ class StreamCubeService:
         }
 
     def healthz(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Always 200 and ``ok``: every in-process shard is ``healthy``
-        (a quarantined one shows in the answers' ``degraded`` blocks)."""
-        return {"status": "ok", "shards": self.cube.health()}
+        """Always 200 and ``ok``: in-process shards cannot die (a
+        quarantined one shows in the answers' ``degraded`` blocks)."""
+        return {"status": "ok"}
 
     def readyz(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Readiness: always ready.  In-process shards cannot die, and a
-        quarantined shard makes answers partial (a ``degraded`` block)
-        without taking the service out of rotation."""
-        return {"ready": True, "shards": self.cube.n_shards, "dead_shards": []}
+        """Readiness: always ready.  A quarantined shard makes answers
+        partial (a ``degraded`` block) without taking the service out of
+        rotation."""
+        return {"ready": True, "shards": self.cube.n_shards}
 
     def _degraded_block(self) -> dict[str, Any] | None:
         """The response annotation for a partially-answered query.
@@ -423,7 +420,6 @@ class StreamCubeService:
             "subscriptions": self.subscriptions.stats(),
             "shard_cells": self.cube.shard_cells,
             "ticks_per_quarter": self.cube.ticks_per_quarter,
-            "parallel": self.cube.parallel_stats(),
             "storage": self.cube.storage_stats(),
             "durability": {
                 "snapshot_dir": (

@@ -3,7 +3,7 @@
 Shards own *disjoint* m-layer key sets, so the global m-layer is a disjoint
 union — no ISB arithmetic at all at the finest level.  Coarser cuboids are
 then re-aggregated from the union with Theorem 3.2, which is lossless: the
-merged cube is exactly the cube a single engine would compute over the same
+merged cube is exactly the cube one shard would compute over the same
 records.  The union is canonically ordered
 (:func:`~repro.cube.cell.canonical_cell_order`) so every downstream float
 aggregation folds in the same order regardless of how many shards the cells

@@ -1,4 +1,4 @@
-"""Hash-partitioned stream cubing: N independent engines, one logical cube.
+"""Hash-partitioned stream cubing: N independent shard engines, one cube.
 
 Theorem 3.2 makes regression cells losslessly mergeable, so a stream cube can
 be *partitioned by m-layer key*: each key's whole history lives on exactly one
@@ -7,12 +7,16 @@ state during ingestion, and any global view is an exact disjoint-union merge
 (see :mod:`repro.service.merge`).  The shards run in this process, on the
 caller's thread (:class:`~repro.cluster.backends.InprocBackend`).
 
+The cube is the one owner of everything above the shards: the journal, the
+held cubing plan, the refresh and the change exceptions.  A cube over one
+engine is ``ShardedStreamCube(..., n_shards=1)``.
+
 Equivalence guarantee (property-tested in ``tests/service``, and pinned by
 the chaos catalogue): for any quarter-ordered workload, a
 :class:`ShardedStreamCube` with *any* shard count produces bit-identical
-m-layer ISBs and per-cell exception sets to a single engine fed the same
+m-layer ISBs, refreshes and exception sets to one shard fed the same
 records — each cell's per-tick sums, sealing boundaries and tilt frame
-evolve on its owner shard exactly as they would in the single engine.
+evolve on its owner shard exactly as they would on the one shard.
 """
 
 from __future__ import annotations
@@ -112,6 +116,23 @@ def stable_shard_index(values: Values, n_shards: int) -> int:
     return int.from_bytes(digest.digest(), "big") % n_shards
 
 
+def _count(
+    fields: Mapping[str, Any],
+    name: str,
+    minimum: int = 0,
+    default: int | None = None,
+) -> int:
+    """A manifest's integer field, at least ``minimum``; a missing field is
+    ``default`` when one is given, else a :class:`CodecError` too."""
+    value = fields.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise CodecError(
+            f"snapshot: manifest field {name!r} is {value!r}, not an "
+            f"integer >= {minimum}"
+        )
+    return value
+
+
 def _n_records(segments: list[Segment]) -> int:
     return sum(len(group) for _, _, group, _, _ in segments)
 
@@ -172,7 +193,6 @@ def _repartition_states(
                 [(state.tilt, rows[i][s]) for s, state in enumerate(states)]
             ),
             cells=cells[i],
-            wal_seq=max(state.wal_seq for state in states),
             cold_spans=template.cold_spans,
         )
         for i in range(new_n)
@@ -254,8 +274,8 @@ class ShardedStreamCube:
     under its read locks can later validate a cached answer with one
     lock-free comparison.  Shards are kept quarter-aligned: any ingestion
     or advance that moves one shard's clock moves every shard's, exactly
-    as a single engine seals every cell's quarter when any record crosses
-    a boundary.
+    as one shard seals every cell's quarter when any record crosses a
+    boundary.
     """
 
     def __init__(
@@ -402,11 +422,6 @@ class ShardedStreamCube:
         idx = cache[key] = stable_shard_index(key, self._backend.n_shards)
         return idx
 
-    def parallel_stats(self) -> dict[str, Any]:
-        """The execution backend's block of ``/stats``
-        (:meth:`~repro.cluster.backends.InprocBackend.stats`)."""
-        return self._backend.stats()
-
     def storage_stats(self) -> dict[str, Any] | None:
         """The cube's tiered-storage picture, or ``None`` without storage.
 
@@ -506,17 +521,17 @@ class ShardedStreamCube:
     ) -> int:
         """Route a quarter-ordered batch per shard and apply it on each.
 
-        The batch obeys the same validation contract as
-        :meth:`StreamCubeEngine.ingest_many` — every ``z`` finite, quarters
-        non-decreasing, none sealed, the last within the seal horizon —
-        checked against the *global* order, and every cell key this cube
-        has not routed before is schema-validated, all before the journal
-        or any shard is touched: a bad batch mutates nothing (with or
-        without a WAL), so a client can fix and resend it, and a rejected
-        batch can never poison the log.  Records are converted to columns here, at the door; a caller
-        that already holds :class:`~repro.stream.records.RecordColumns`
-        (the HTTP edge) passes them as they are.  Returns the number of
-        records ingested.
+        The batch obeys the contract of
+        :func:`~repro.stream.engine.validate_batch` — every ``z`` finite,
+        quarters non-decreasing, none sealed, the last within the seal
+        horizon — checked against the *global* order, and every cell key
+        this cube has not routed before is schema-validated, all before the
+        journal or any shard is touched: a bad batch mutates nothing (with
+        or without a WAL), so a client can fix and resend it, and a
+        rejected batch can never poison the log.  Records are converted to
+        columns here, at the door; a caller that already holds
+        :class:`~repro.stream.records.RecordColumns` (the HTTP edge) passes
+        them as they are.  Returns the number of records ingested.
         """
         batch = RecordColumns.of(records)
         if not len(batch):
@@ -569,8 +584,8 @@ class ShardedStreamCube:
         before the journal or any shard sees it.  The records follow their
         key's group code (:func:`repro.regression.kernels.split_groups`),
         keeping arrival order within every shard and first-seen key order
-        — so each shard bears its cells and folds its sums exactly as a
-        single engine fed the whole batch would.
+        — so each shard bears its cells and folds its sums exactly as one
+        shard fed the whole batch would.
         """
         n_shards = self._backend.n_shards
         cache = self._route_cache
@@ -595,8 +610,8 @@ class ShardedStreamCube:
         return routed
 
     def advance_to(self, t: int) -> None:
-        """Seal quiet quarters on every shard (cf. the single
-        engine's :meth:`~repro.stream.engine.StreamCubeEngine.advance_to`)."""
+        """Seal quiet quarters on every shard (each runs
+        :meth:`~repro.stream.engine.StreamCubeEngine.advance_to`)."""
         with self._write_mutex:
             quarter = t // self.ticks_per_quarter
             current = self.current_quarter
@@ -733,28 +748,22 @@ class ShardedStreamCube:
         self._degraded_local.holes = []
         return drained
 
-    def health(self) -> list[dict[str, Any]]:
-        """Per-shard health descriptors (state, restarts, staleness)."""
-        return self._backend.health()
-
     def epoch_vector(self) -> tuple[int, ...]:
         """The cube's read-consistency version: one lock-free tuple.
 
-        ``(structure_version, 0, q_0 .. q_{n-1})`` — the seal epoch of
-        every shard plus the clock the quarter counters cannot see
-        (pruning, state loads).  The constant second slot keeps the
-        vector's shape, which ``ETag`` values spell out.  Any
-        merged answer is a pure function of this vector: quarter counters
-        only move under every shard's write lock (sealing), so a vector
-        recorded inside :meth:`read_lock` names the exact cut an answer
-        was computed at, and a cached answer is still valid iff a later
-        lock-free read returns the same vector.  A torn read during a seal
-        can only produce a vector that matches *no* consistent cut (the
-        counters move monotonically), which safely reads as "stale".
+        ``(structure_version, q_0 .. q_{n-1})`` — the clock the quarter
+        counters cannot see (pruning, state loads), then the seal epoch of
+        every shard; ``ETag`` values spell it out.  Any merged answer is a
+        pure function of this vector: quarter counters only move under
+        every shard's write lock (sealing), so a vector recorded inside
+        :meth:`read_lock` names the exact cut an answer was computed at,
+        and a cached answer is still valid iff a later lock-free read
+        returns the same vector.  A torn read during a seal can only
+        produce a vector that matches *no* consistent cut (the counters
+        move monotonically), which safely reads as "stale".
         """
         return (
             self._structure_version,
-            0,
             *(c[0] for c in self._backend.counters()),
         )
 
@@ -794,8 +803,8 @@ class ShardedStreamCube:
 
         The merge is the only cross-shard step: once the m-layer union is
         assembled, m/o-cubing runs on it unchanged — coarser cuboids are
-        re-aggregated from the union exactly as they would be from a single
-        engine's m-layer.  The union goes in as columns under the held plan
+        re-aggregated from the union exactly as they would be from one
+        shard's m-layer.  The union goes in as columns under the held plan
         of its cell set.  Another algorithm runs on
         ``m_cells(window_quarters)``.
         """
@@ -967,7 +976,13 @@ class ShardedStreamCube:
 
     @staticmethod
     def read_manifest(directory: str | Path) -> dict[str, Any]:
-        """The validated manifest of a snapshot directory."""
+        """The validated manifest of a snapshot directory.
+
+        Every field a restore reads is checked here, so a malformed
+        manifest is a :class:`CodecError` and nothing else: ``n_shards`` a
+        positive count naming as many ``shards`` files, ``wal_seq`` a count
+        (0 when absent), ``app`` and ``storage`` objects when present.
+        """
         path = Path(directory) / _MANIFEST
         if not path.exists():
             raise CodecError(f"snapshot: no {_MANIFEST} in {directory}")
@@ -983,8 +998,30 @@ class ShardedStreamCube:
                 f"{payload_checksum(payload)}); the snapshot directory "
                 "is corrupt — do not restore from it"
             )
+        n_shards = _count(payload, "n_shards", minimum=1)
+        names = payload.get("shards")
+        if not isinstance(names, list) or not all(
+            isinstance(name, str) for name in names
+        ):
+            raise CodecError(
+                f"snapshot: manifest 'shards' is {names!r}, not a list of "
+                "file names"
+            )
+        if len(names) != n_shards:
+            raise CodecError(
+                f"snapshot: manifest lists {len(names)} shard files for "
+                f"{n_shards} shards"
+            )
+        payload["wal_seq"] = _count(payload, "wal_seq", default=0)
+        for field in ("app", "storage"):
+            if not isinstance(payload.get(field, {}), dict):
+                raise CodecError(
+                    f"snapshot: manifest {field!r} is {payload[field]!r}, "
+                    "not an object"
+                )
         recorded = payload.get("storage")
         if recorded is not None:
+            _count(recorded, "hot_quarters", minimum=1)
             backend = decoding("snapshot", lambda: recorded["backend"])
             if backend != BACKEND:
                 raise StorageError(
@@ -1024,9 +1061,7 @@ class ShardedStreamCube:
         if hot_quarters is None and storage is not None:
             recorded = manifest.get("storage")
             if recorded is not None:
-                hot_quarters = decoding(
-                    "snapshot", lambda: int(recorded["hot_quarters"])
-                )
+                hot_quarters = recorded["hot_quarters"]
 
         def load(name: str) -> EngineState:
             path = target / name
@@ -1039,14 +1074,8 @@ class ShardedStreamCube:
             )
             return engine_state_from_dict(payload)
 
-        names = decoding("snapshot", lambda: list(manifest["shards"]))
-        if len(names) != int(manifest["n_shards"]):
-            raise CodecError(
-                f"snapshot: manifest lists {len(names)} shard files for "
-                f"{manifest['n_shards']} shards"
-            )
         return cls._from_states(
-            [load(name) for name in names],
+            [load(name) for name in manifest["shards"]],
             layers,
             policy,
             key_fn=key_fn,
@@ -1150,10 +1179,9 @@ class ShardedStreamCube:
 
     def _changes(self, quarters_apart: int, layer: str) -> dict[Values, ISB]:
         """Both windows merged at the m-layer under one read cut, then
-        judged by the body the single engine runs
-        (:func:`~repro.stream.engine.window_change_exceptions`) — o-layer
-        cells aggregate m-cells that may live on different shards, so no
-        per-shard answer could do."""
+        judged by :func:`~repro.stream.engine.window_change_exceptions` —
+        o-layer cells aggregate m-cells that may live on different shards,
+        so no per-shard answer could do."""
         with self._locks.read_all():
             prev_b, cur_b, end = change_window_bounds(
                 self.current_quarter, self.ticks_per_quarter, quarters_apart

@@ -350,12 +350,7 @@ class SubscriptionRegistry:
                 # can be answered.
                 self.eval_errors += 1
                 continue
-            self._deliver(
-                sub.sub_id,
-                cut,
-                min(cut[2:]) if len(cut) > 2 else quarter,
-                result,
-            )
+            self._deliver(sub.sub_id, cut, min(cut[1:]), result)
 
     def _deliver(
         self,

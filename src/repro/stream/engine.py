@@ -7,8 +7,9 @@ cell — within the current quarter; every quarter boundary seals an exact ISB
 per cell into the tilt time frame, where promotions to coarser granularities
 happen automatically ("the aggregated data will trigger the cube computation
 once every 15 minutes"); and on demand the engine assembles the m-layer over
-an analysis window and runs a cubing algorithm to refresh the o-layer and
-the exception cells.
+an analysis window, from which the sharded cube
+(:mod:`repro.service.sharding`, one engine a shard) refreshes the o-layer
+and the exception cells.
 
 Every cell's frame advances on one global quarter grid, so the engine keeps
 the frame *once*: a :class:`~repro.tilt.frame.TiltPages` — one clock (the
@@ -57,7 +58,7 @@ import numpy as np
 from repro.cube.cell import canonical_cell_order
 from repro.cube.cuboid import CuboidColumns
 from repro.cube.layers import CriticalLayers
-from repro.cubing.mo_cubing import CubePlan, PlannedCells, mo_cubing
+from repro.cubing.mo_cubing import PlannedCells, mo_cubing
 from repro.cubing.policy import ExceptionPolicy, two_point_columns
 from repro.cubing.result import CubeResult
 from repro.errors import StreamError, TiltFrameError
@@ -74,7 +75,6 @@ from repro.stream.records import (
     require_int_ticks,
 )
 from repro.stream.state import CellSnapshot, EngineState
-from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import (
     Column,
     TiltLevelSpec,
@@ -128,7 +128,7 @@ def validate_batch(
     Quarters must be non-decreasing across the batch, none may precede
     ``current_quarter`` and the last may not lie past the seal horizon
     (:func:`check_seal_horizon`); within one quarter any tick order is fine.
-    The one body behind the single engine's
+    The one body behind the shard engine's
     :meth:`~StreamCubeEngine.ingest_many` and the sharded cube's
     ``ingest_batch``, so the contract cannot diverge.
 
@@ -206,8 +206,8 @@ def change_window_bounds(
 ) -> tuple[int, int, int]:
     """The ``(prev_b, cur_b, end)`` ticks of a current-vs-previous pair.
 
-    Raises when fewer than two windows are sealed.  One definition serves
-    the engine and the sharded cube so their change detection cannot drift.
+    Raises when fewer than two windows are sealed.  The sharded cube's
+    change exceptions read their two windows through it.
     """
     if current_quarter < 2 * quarters_apart:
         raise StreamError(
@@ -238,8 +238,8 @@ def window_change_exceptions(
     correctly rounded, so no row order inside a group can move a bit) and
     the o-cell's line is judged at the o-layer coordinate.  Answers come out
     in row order, so callers that present the rows in one canonical order
-    (:func:`~repro.cube.cell.canonical_cell_order`) give one answer —
-    the single engine and the sharded cube both do.
+    (:func:`~repro.cube.cell.canonical_cell_order`) give one answer, as
+    the sharded cube does for every shard count.
     """
     coord = layers.o_coord if layer == "o" else layers.m_coord
     if keys and layer == "o":
@@ -278,8 +278,8 @@ def run_cubing(
 ) -> CubeResult:
     """One cubing run over an assembled m-layer: m/o-cubing (Algorithm 1).
 
-    Both refreshes (the engine's and the sharded cube's) call this with
-    ``cells`` as columns under the kept plan of their cell set
+    The sharded cube's refresh calls this with ``cells`` as columns under
+    the held plan of its cell set
     (:class:`~repro.cubing.mo_cubing.PlannedCells`).  The other cubing
     algorithms are library functions over ``m_cells(window)``, not options
     of the stream path."""
@@ -303,14 +303,21 @@ def engine_frame_levels(ticks_per_quarter: int) -> list[TiltLevelSpec]:
 
 
 class StreamCubeEngine:
-    """Incremental regression-cube maintenance over an unbounded stream.
+    """One shard of a :class:`~repro.service.sharding.ShardedStreamCube`:
+    incremental m-layer maintenance over its share of an unbounded stream.
+
+    The engine ingests, seals, prunes, spills and answers window reads
+    (:meth:`window_columns`).  The cube owns everything above that: the
+    journal, the held cubing plan, the refresh and change exceptions.  A
+    single-engine cube is ``ShardedStreamCube(..., n_shards=1)``.
 
     Parameters
     ----------
     layers:
         The critical layers (m-layer / o-layer) of the cube.
     policy:
-        The exception policy used by :meth:`refresh`.
+        The cube's exception policy (read by
+        :meth:`change_exceptions_between`).
     key_fn:
         Maps a primitive record to its m-layer cell values.  Defaults to
         using ``record.values`` unchanged (records already at the m-layer).
@@ -318,12 +325,6 @@ class StreamCubeEngine:
         Primitive ticks per finest tilt-frame slot.
     frame_levels:
         Tilt-frame level specs; defaults to :func:`engine_frame_levels`.
-    wal:
-        Optional :class:`~repro.stream.wal.QuarterWAL`.  When attached,
-        every accepted batch and explicit clock advance is journaled
-        *before* it mutates engine state, so a crash loses nothing that was
-        acknowledged; when ``None`` (the default) the ingest paths pay one
-        ``is None`` check and nothing else.
     storage:
         Optional :class:`~repro.storage.files.FileColdStore`.  When attached,
         every quarter seal demotes slots older than the hot horizon into
@@ -343,7 +344,6 @@ class StreamCubeEngine:
         key_fn: KeyFn | None = None,
         ticks_per_quarter: int = 15,
         frame_levels: Iterable[TiltLevelSpec] | None = None,
-        wal: QuarterWAL | None = None,
         storage: FileColdStore | None = None,
         hot_quarters: int | None = None,
     ) -> None:
@@ -360,7 +360,6 @@ class StreamCubeEngine:
             if frame_levels is not None
             else engine_frame_levels(ticks_per_quarter)
         )
-        self.wal = wal
         # Cell key -> row, in birth order; the open quarter's columns over
         # those rows (see the module docstring for the layout).
         self._rows: dict[Values, int] = {}
@@ -379,11 +378,10 @@ class StreamCubeEngine:
         # tracked or to their row order (birth, prune, state load), under a
         # token drawn per engine object — so two engines' generations never
         # collide, whatever their change counts.  Readers that
-        # cache what they derived from the keys (the cubing plan) compare
-        # :attr:`cell_generation` for equality, nothing else.
+        # cache what they derived from the keys (the cube's cubing plan)
+        # compare :attr:`cell_generation` for equality, nothing else.
         self._incarnation = os.urandom(8).hex()
         self._cell_changes = 0
-        self._plan: tuple[str, CubePlan] | None = None
         self._validate_values = layers.schema.values_validator(layers.m_coord)
         # Every cell's sealed history: one clock (an always-idle frame, the
         # zero prototype) and a page of columns per retained slot.  A new
@@ -542,8 +540,8 @@ class StreamCubeEngine:
         quarter any order is accepted (the running sums are order-free).
         A record that fails validation — a tick that is not an ``int``, a
         non-finite ``z``, a sealed quarter, a quarter past the seal horizon,
-        or an out-of-schema key — is rejected before any state is mutated
-        or journaled.  This is the record-at-a-time reference the batch
+        or an out-of-schema key — is rejected before any state is mutated.
+        This is the record-at-a-time reference the batch
         path is pinned against: one scalar ``+=`` on the same slot the
         scatter-add would hit.
         """
@@ -560,8 +558,6 @@ class StreamCubeEngine:
         key = record.values if self.key_fn is None else self.key_fn(record)
         if key not in self._rows:
             self._validate_values(key)
-        if self.wal is not None:
-            self.wal.append_batch([record], quarter)
         if quarter > self._current_quarter:
             self._seal_through(quarter)
         if key not in self._rows:
@@ -585,9 +581,8 @@ class StreamCubeEngine:
         precedes an earlier record's quarter would force sealing that the
         stream cannot undo.  Finite ``z``, order, the seal horizon and the
         schema of every cell key the engine has not seen are checked before
-        any state is mutated or journaled, so a bad batch raises and leaves
-        the engine (and its WAL) exactly as it was — a client may fix and
-        resend it.
+        any state is mutated, so a bad batch raises and leaves the engine
+        exactly as it was — a client may fix and resend it.
 
         Records are converted to columns here, at the door
         (:class:`~repro.stream.records.RecordColumns`, taken as it is when
@@ -606,10 +601,6 @@ class StreamCubeEngine:
             batch.keys(self.key_fn), batch.ticks, batch.z, quarters
         )
         self.validate_segment_keys(segments)
-        if self.wal is not None and len(batch):
-            self.wal.append_batch(
-                batch, segments[-1][0], None if self.key_fn else segments
-            )
         self.apply_segments(segments, len(batch))
 
     def validate_segment_keys(self, segments: list[Segment]) -> None:
@@ -617,7 +608,7 @@ class StreamCubeEngine:
 
         Runs once per distinct key (not per record) and only for keys the
         engine has not seen, so the whole batch is accepted or rejected
-        before any accumulator, page, or journal is touched.
+        before any accumulator or page is touched.
         """
         known = self._rows.__contains__
         for _, keys, *_ in segments:
@@ -665,8 +656,6 @@ class StreamCubeEngine:
         quarter = t // self.ticks_per_quarter
         if quarter > self._current_quarter:
             check_seal_horizon(t, quarter, self._current_quarter)
-            if self.wal is not None:
-                self.wal.append_advance(t, quarter)
             self._seal_through(quarter)
 
     def _new_cells(self, keys: Iterable[Values]) -> None:
@@ -859,9 +848,8 @@ class StreamCubeEngine:
         entries), so the snapshot is immune to further ingestion at a cost
         independent of history depth; layers/policy/key_fn are
         configuration and deliberately not captured (see
-        :mod:`repro.stream.state`).  When a WAL is attached, the snapshot
-        records its sequence high-water mark so recovery replays only what
-        the snapshot missed.
+        :mod:`repro.stream.state`).  Its ``wal_seq`` is 0: the cube's
+        manifest carries the journal mark.
         """
         n, tpq = len(self._rows), self.ticks_per_quarter
         lo = self._current_quarter * tpq
@@ -886,7 +874,6 @@ class StreamCubeEngine:
                     ),
                 )
             ),
-            wal_seq=self.wal.last_seq if self.wal is not None else 0,
             cold_spans=(
                 tuple(
                     None if span is None else (span[0], span[1])
@@ -904,7 +891,6 @@ class StreamCubeEngine:
         layers: CriticalLayers,
         policy: ExceptionPolicy,
         key_fn: KeyFn | None = None,
-        wal: QuarterWAL | None = None,
         storage: FileColdStore | None = None,
         hot_quarters: int | None = None,
     ) -> "StreamCubeEngine":
@@ -915,8 +901,7 @@ class StreamCubeEngine:
         re-validated against the supplied schema, so loading a snapshot
         under an incompatible cube raises instead of corrupting silently.
         A snapshot with demoted history additionally needs the ``storage``
-        store holding its cold pages.  To recover an interrupted run,
-        follow with ``wal.replay(engine, after_seq=state.wal_seq)``.
+        store holding its cold pages.
         """
         engine = cls(
             layers,
@@ -924,7 +909,6 @@ class StreamCubeEngine:
             key_fn=key_fn,
             ticks_per_quarter=state.ticks_per_quarter,
             frame_levels=state.frame_levels,
-            wal=wal,
             storage=storage,
             hot_quarters=hot_quarters,
         )
@@ -1061,50 +1045,18 @@ class StreamCubeEngine:
             )
         )
 
-    def refresh(self, window_quarters: int = 4) -> CubeResult:
-        """Recompute the o-layer and exception cells over a recent window.
-
-        This is the quarter-boundary "cube computation" trigger of
-        Section 4.5, exposed as an explicit call so applications control the
-        cadence.  It runs m/o-cubing, which reads the window as columns and
-        keeps its :class:`~repro.cubing.mo_cubing.CubePlan` for as long as
-        the cell set stands, so a refresh between births re-runs only the
-        floats.  Another algorithm runs on ``m_cells(window_quarters)``.
-        """
-        generation, keys, columns = self.window_columns(
-            *recent_window_bounds(
-                self._current_quarter, self.ticks_per_quarter, window_quarters
-            )
-        )
-        held = self._plan
-        if held is None or held[0] != generation:
-            held = self._plan = (generation, CubePlan(self.layers, keys))
-        return run_cubing(self.layers, PlannedCells(held[1], columns), self.policy)
-
-    def change_exceptions(
-        self, quarters_apart: int = 1
-    ) -> dict[Values, ISB]:
-        """Cells whose current-vs-previous window regression is exceptional.
-
-        Implements the paper's second exception flavour (current quarter vs
-        the previous one) at the m-layer: the two-point regression's slope is
-        judged by the engine's policy at the m-layer coordinate.
-        """
-        prev_b, cur_b, end = change_window_bounds(
-            self._current_quarter, self.ticks_per_quarter, quarters_apart
-        )
-        return self.change_exceptions_between(prev_b, cur_b, end)
-
     def change_exceptions_between(
         self, prev_b: int, cur_b: int, end: int, layer: str = "m"
     ) -> dict[Values, ISB]:
         """Change exceptions over explicit window bounds, at the m-layer
-        (``layer="m"``) or the o-layer (``"o"``).
+        (``layer="m"``) or the o-layer (``"o"``), over this engine's cells.
 
         Both windows are read as columns and put in canonical cell order,
-        then judged by :func:`window_change_exceptions` — the body the
-        sharded cube runs over its merged windows, so the two answer the
-        same cells in the same order with the same bits.
+        then judged by :func:`window_change_exceptions`, the body the
+        sharded cube runs over its merged windows.  Nothing in the package
+        calls it: the frozen ``benchmarks/e2e`` hook table wraps it by
+        name, and it goes, with :func:`_canonical_rows`, when that table
+        drops it.
         """
         _, keys, prev = self.window_columns(prev_b, cur_b - 1)
         cur = self.window_columns(cur_b, end)[2]
@@ -1117,19 +1069,3 @@ class StreamCubeEngine:
             cur.take(rows),
             layer,
         )
-
-    def o_layer_change_exceptions(
-        self, quarters_apart: int = 1
-    ) -> dict[Values, ISB]:
-        """O-layer cells whose window-over-window regression is exceptional.
-
-        The paper's observation-deck reading of the same flavour: "the
-        current hour vs. the last" judged at the o-layer, where the analyst
-        watches.  Both windows are aggregated to the o-layer with
-        Theorem 3.2, then each cell's two-window two-point regression is
-        judged by the policy at the o-layer coordinate.
-        """
-        prev_b, cur_b, end = change_window_bounds(
-            self._current_quarter, self.ticks_per_quarter, quarters_apart
-        )
-        return self.change_exceptions_between(prev_b, cur_b, end, "o")

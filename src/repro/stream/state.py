@@ -112,11 +112,9 @@ class EngineState:
         Per-cell :class:`CellSnapshot`, keyed by m-layer values, in row
         order.
     wal_seq:
-        High-water mark of the attached write-ahead log at snapshot time
-        (0 when no WAL is attached).  Recovery replays only WAL entries
-        *after* this sequence number, so a mid-quarter snapshot composes
-        with the journal without double-counting (see
-        :mod:`repro.stream.wal`).
+        Kept in the format and always 0 from an engine: shard engines
+        never journal.  The recovery mark is the cube manifest's
+        ``wal_seq`` (see :mod:`repro.stream.wal`).
     cold_spans:
         Per-level demoted ``(lo, hi)`` tick spans (``None`` per level with
         nothing demoted; ``None`` overall when the engine has no cold

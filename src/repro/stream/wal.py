@@ -7,12 +7,12 @@ mid-quarter would lose every record since the last seal.  The
 explicit clock advance) is journaled *before* it is applied, tagged with a
 monotonically increasing sequence number and the quarter it lands in.
 
-Recovery composes with snapshots by sequence number, not by time: a
-snapshot records the WAL's high-water mark (``wal_seq``) at the moment the
-state was copied, and :meth:`QuarterWAL.replay` applies only entries
-*after* that mark.  A snapshot taken mid-quarter therefore never
+Recovery composes with snapshots by sequence number, not by time: a cube
+snapshot's manifest records the WAL's high-water mark (``wal_seq``) at the
+moment the state was copied, and :meth:`QuarterWAL.replay` applies only
+entries *after* that mark.  A snapshot taken mid-quarter therefore never
 double-counts journaled records, and ``restore + replay`` reproduces the
-uninterrupted engine bit for bit — the accumulators are rebuilt by the very
+uninterrupted cube bit for bit — the accumulators are rebuilt by the very
 same ``ingest_batch`` calls, in the original order.
 
 Retention is by segment.  Every append goes to the *active* segment, the
@@ -93,7 +93,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
-from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -107,6 +107,9 @@ from repro.errors import (
 from repro.regression import kernels
 from repro.stream.records import RecordColumns, Segment, StreamRecord
 
+if TYPE_CHECKING:
+    from repro.service.sharding import ShardedStreamCube
+
 __all__ = ["QuarterWAL", "WalEntry"]
 
 _FORMAT = "repro-wal"
@@ -118,13 +121,6 @@ _WAL_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
 Values = tuple[Hashable, ...]
-
-
-class _IngestTarget(Protocol):
-    """What replay drives: the engine and the sharded cube both satisfy it
-    (``ingest_batch`` on the cube, ``ingest_many`` on the engine)."""
-
-    def advance_to(self, t: int) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -684,40 +680,33 @@ class QuarterWAL:
                 yield from _read_segment(segment, after_seq).entries
         yield from active.entries
 
-    def replay(self, target: _IngestTarget, after_seq: int = 0) -> int:
-        """Re-apply journaled actions after ``after_seq``; returns the count.
+    def replay(self, cube: ShardedStreamCube, after_seq: int = 0) -> int:
+        """Re-apply journaled actions after ``after_seq`` to a restored
+        cube (``ingest_batch`` / ``advance_to``); returns the count.
 
-        ``target`` is a restored engine or sharded cube (anything with
-        ``ingest_batch``/``ingest_many`` and ``advance_to``).  Pass the
-        snapshot's ``wal_seq`` as ``after_seq`` so only actions newer than
-        the snapshot are replayed — together they reproduce the
-        uninterrupted run bit for bit.
+        Pass the snapshot manifest's ``wal_seq`` as ``after_seq`` so only
+        actions newer than the snapshot are replayed — together they
+        reproduce the uninterrupted run bit for bit.
 
-        If the target has a WAL attached (the usual recovery idiom:
-        restore with the journal wired in, then replay it), journaling is
+        If the cube has a WAL attached (the usual recovery idiom: restore
+        with the journal wired in, then replay it), journaling is
         suspended for the duration — replayed actions are already durable
         in the log, and re-appending them would double them on the *next*
         recovery.
         """
-        ingest = getattr(target, "ingest_batch", None) or getattr(
-            target, "ingest_many"
-        )
-        attached = getattr(target, "wal", None)
-        if attached is not None:
-            target.wal = None
+        attached, cube.wal = cube.wal, None
         applied = 0
         try:
             for entry in self.entries(after_seq):
                 if entry.kind == "batch":
                     assert entry.batch is not None
-                    ingest(entry.batch)
+                    cube.ingest_batch(entry.batch)
                 else:
                     assert entry.t is not None
-                    target.advance_to(entry.t)
+                    cube.advance_to(entry.t)
                 applied += 1
         finally:
-            if attached is not None:
-                target.wal = attached
+            cube.wal = attached
         return applied
 
     # ------------------------------------------------------------------

@@ -5,17 +5,17 @@ traffic shapes (bursts, trickles, boundary ticks, duplicates, multi-quarter
 batches), quiet gaps, mid-quarter snapshot+restore, online resharding, WAL
 crash/replay, idle-cell pruning with revival, and query/cache churn.  The
 :class:`ScenarioRunner` interprets the events against *three* systems at
-once — a single :class:`~repro.stream.engine.StreamCubeEngine`, a
-:class:`~repro.service.sharding.ShardedStreamCube` (with a live WAL), and
-the ``Q``/``execute``/:class:`~repro.service.router.QueryRouter` query
-layer — and checks every answer against the brute-force
+once — a one-shard :class:`~repro.service.sharding.ShardedStreamCube`
+(the reference), the scenario's N-shard cube (with a live WAL), and the
+``Q``/``execute``/:class:`~repro.service.router.QueryRouter` query layer —
+and checks every answer against the brute-force
 :class:`~repro.verify.oracle.RawStreamOracle`:
 
-* engine and cube answers must agree with the oracle to ulps
+* reference and cube answers must agree with the oracle to ulps
   (:data:`~repro.verify.oracle.DEFAULT_TOLERANCE`);
-* engine and cube must agree with *each other* bit for bit (the sharding
-  equivalence guarantee), as must every restored / resharded / replayed
-  successor.
+* reference and cube must agree with *each other* bit for bit (the
+  sharding equivalence guarantee), as must every restored / resharded /
+  replayed successor.
 
 Everything is derived from one integer seed, so any failure replays
 exactly: ``run_scenario("crash_replay", seed=1234)``.
@@ -49,8 +49,8 @@ from repro.query.spec import Q
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.service.subscriptions import SubscriptionRegistry
-from repro.storage import FileColdStore, StorageConfig
-from repro.stream.engine import StreamCubeEngine, engine_frame_levels
+from repro.storage import StorageConfig
+from repro.stream.engine import engine_frame_levels
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
 from repro.stream.wal import QuarterWAL
@@ -125,7 +125,7 @@ class Advance:
 class Check:
     """Differentially verify current state against the oracle.
 
-    ``windows`` — m-layer window regressions (plus engine==cube equality);
+    ``windows`` — m-layer window regressions (plus reference==cube equality);
     ``cube`` — a full cubing refresh (cells, flags, retention closure) or,
     with ``algorithm`` set, that cubing function run on both systems'
     ``m_cells`` (a refresh always runs m/o-cubing);
@@ -162,7 +162,7 @@ class CrashReplay:
 
 @dataclass(frozen=True)
 class Prune:
-    """Prune idle cells on engine and cube; verify the drop sets against
+    """Prune idle cells on reference and cube; verify the drop sets against
     the oracle's idleness rule and mirror the drop into the oracle."""
 
     idle_quarters: int = 2
@@ -183,7 +183,7 @@ class DeepWindow:
     Only legal in a scenario with ``storage`` configured.  Checks the full
     from-origin window plus seeded hour-, day-, and quarter-aligned
     prefixes that end long before the hot set begins — windows a
-    storage-free engine cannot answer at all.  Engine and cube must agree
+    storage-free cube cannot answer at all.  Reference and cube must agree
     bit for bit, and both are checked against the oracle; once enough
     quarters have sealed the event also insists the cold tier actually
     participated (pages spilled, pages faulted back).
@@ -276,7 +276,7 @@ Event = (
 class Scenario:
     """A cube configuration plus the event stream to drive through it.
 
-    ``storage`` turns on tiered storage for engine *and* cube: sealed
+    ``storage`` turns on tiered storage for reference *and* cube: sealed
     slots older than ``hot_quarters`` are demoted to a cold store under the
     run's workdir and faulted back on demand — the rest of the event
     stream runs unchanged on top.
@@ -313,7 +313,7 @@ class ScenarioReport:
 # The runner
 # ----------------------------------------------------------------------
 class ScenarioRunner:
-    """Interpret one scenario's events against engine + cube + oracle."""
+    """Interpret one scenario's events against reference + cube + oracle."""
 
     def __init__(self, scenario: Scenario, seed: int, workdir: str | Path):
         self.scenario = scenario
@@ -325,29 +325,24 @@ class ScenarioRunner:
         ).build_layers()
         self.policy = GlobalSlopeThreshold(scenario.threshold)
         self.tpq = scenario.ticks_per_quarter
-        # With storage configured, engine and cube each spill into their
-        # own cold tier under the workdir (the engine shares one store
-        # instance across restores; the cube opens per-shard sets from the
-        # config).
-        self._engine_store = (
-            FileColdStore(self.workdir / "engine-store")
-            if scenario.storage
-            else None
-        )
-        self._cube_storage = (
-            StorageConfig(
-                root=self.workdir / "cube-store",
-                hot_quarters=scenario.hot_quarters,
+        # With storage configured, reference and cube each spill into their
+        # own cold tier under the workdir.
+        self._reference_storage, self._cube_storage = (
+            (
+                StorageConfig(
+                    root=self.workdir / root, hot_quarters=scenario.hot_quarters
+                )
+                for root in ("reference-store", "cube-store")
             )
             if scenario.storage
-            else None
+            else (None, None)
         )
-        self.engine = StreamCubeEngine(
+        self.reference = ShardedStreamCube(
             self.layers,
             self.policy,
+            n_shards=1,
             ticks_per_quarter=self.tpq,
-            storage=self._engine_store,
-            hot_quarters=scenario.hot_quarters if scenario.storage else None,
+            storage=self._reference_storage,
         )
         self.snap_dir = self.workdir / "snapshots"
         self.wal_path = self.snap_dir / "wal.jsonl"
@@ -411,6 +406,7 @@ class ScenarioRunner:
         finally:
             if self.subscriptions is not None:
                 self.subscriptions.close()
+            self.reference.close()
             self.cube.close()
             if self.cube.wal is not None:
                 self.cube.wal.close()
@@ -496,17 +492,17 @@ class ScenarioRunner:
                 batch.sort(key=lambda r: r.t // self.tpq)
             if event.batching == "single":
                 for record in batch:
-                    self.engine.ingest(record)
+                    self.reference.ingest(record)
                     self.cube.ingest(record)
             else:
-                self.engine.ingest_many(batch)
+                self.reference.ingest_batch(batch)
                 self.cube.ingest_batch(batch)
             self.oracle.ingest(batch)
             self.report.records += len(batch)
 
     def _advance(self, event: Advance) -> None:
         t = (self.oracle.current_quarter + event.quarters) * self.tpq
-        self.engine.advance_to(t)
+        self.reference.advance_to(t)
         self.cube.advance_to(t)
         self.oracle.advance_to(t)
 
@@ -516,12 +512,12 @@ class ScenarioRunner:
 
     def _require_clocks_agree(self) -> None:
         if not (
-            self.engine.current_quarter
+            self.reference.current_quarter
             == self.cube.current_quarter
             == self.oracle.current_quarter
         ):
             raise VerifyMismatch(
-                f"clock drift: engine={self.engine.current_quarter} "
+                f"clock drift: reference={self.reference.current_quarter} "
                 f"cube={self.cube.current_quarter} "
                 f"oracle={self.oracle.current_quarter}"
             )
@@ -544,24 +540,24 @@ class ScenarioRunner:
         self.report.checks += 1
 
     def _check_windows(self, window: int) -> None:
-        engine_cells = self.engine.m_cells(window)
+        reference_cells = self.reference.m_cells(window)
         cube_cells = self.cube.m_cells(window)
-        if engine_cells != cube_cells:
+        if reference_cells != cube_cells:
             raise VerifyMismatch(
-                "sharding equivalence broken: engine and cube m-cells "
+                "sharding equivalence broken: reference and cube m-cells "
                 "differ (they must be bit-identical)"
             )
         oracle_cells = self.oracle.m_cells(window)
-        assert_cells_equal(engine_cells, oracle_cells, "m-cells")
+        assert_cells_equal(reference_cells, oracle_cells, "m-cells")
         self.report.cells_compared += len(oracle_cells)
         # A shorter sub-window through the raw window_isbs surface.
         sub = 1 + self.rng.randrange(min(window, 3))
         t_b, t_e = self.oracle.window_bounds(sub)
-        engine_sub = self.engine.window_isbs(t_b, t_e)
-        if engine_sub != self.cube.window_isbs(t_b, t_e):
-            raise VerifyMismatch("engine/cube window_isbs differ")
+        reference_sub = self.reference.window_isbs(t_b, t_e)
+        if reference_sub != self.cube.window_isbs(t_b, t_e):
+            raise VerifyMismatch("reference/cube window_isbs differ")
         assert_cells_equal(
-            engine_sub,
+            reference_sub,
             self.oracle.window_isbs(t_b, t_e),
             f"window [{t_b},{t_e}]",
         )
@@ -594,23 +590,23 @@ class ScenarioRunner:
         bounds.add((0, self.tpq - 1))
         bounds.add((0, (1 + self.rng.randrange(deep)) * self.tpq - 1))
         for t_b, t_e in sorted(bounds):
-            engine_cells = self.engine.window_isbs(t_b, t_e)
-            if engine_cells != self.cube.window_isbs(t_b, t_e):
+            reference_cells = self.reference.window_isbs(t_b, t_e)
+            if reference_cells != self.cube.window_isbs(t_b, t_e):
                 raise VerifyMismatch(
-                    f"engine/cube deep window [{t_b},{t_e}] differ "
+                    f"reference/cube deep window [{t_b},{t_e}] differ "
                     "(they must be bit-identical)"
                 )
             assert_cells_equal(
-                engine_cells,
+                reference_cells,
                 self.oracle.window_isbs(t_b, t_e),
                 f"deep window [{t_b},{t_e}]",
             )
-            self.report.cells_compared += len(engine_cells)
+            self.report.cells_compared += len(reference_cells)
         # Once history dwarfs the hot horizon, the cold tier must have
         # actually carried these answers — a silent all-resident pass
         # would mean the scenario never exercised spilling at all.
         if sealed >= 8 * max(1, self.scenario.hot_quarters):
-            stats = self.engine.storage_stats()
+            stats = self.reference.storage_stats()
             if not stats or not stats["pages_spilled"]:
                 raise VerifyMismatch(
                     f"no pages spilled after {sealed} quarters with "
@@ -625,7 +621,7 @@ class ScenarioRunner:
     def _check_cube(
         self, window: int, algorithm: Callable[..., CubeResult] | None
     ) -> None:
-        for system in (self.engine, self.cube):
+        for system in (self.reference, self.cube):
             if algorithm is None:
                 result = system.refresh(window)
             else:
@@ -638,12 +634,12 @@ class ScenarioRunner:
             return
         pairs = [
             (
-                self.engine.change_exceptions(1),
+                self.reference.change_exceptions(1),
                 self.oracle.change_exceptions(1),
                 "m-change",
             ),
             (
-                self.engine.o_layer_change_exceptions(1),
+                self.reference.o_layer_change_exceptions(1),
                 self.oracle.o_layer_change_exceptions(1),
                 "o-change",
             ),
@@ -651,9 +647,9 @@ class ScenarioRunner:
         cube_m = self.cube.change_exceptions(1)
         cube_o = self.cube.o_layer_change_exceptions(1)
         # Item for item: same cells, same order, same bits.
-        for (engine_side, _, _), cube_side in zip(pairs, (cube_m, cube_o)):
-            if list(engine_side.items()) != list(cube_side.items()):
-                raise VerifyMismatch("engine/cube change exceptions differ")
+        for (reference_side, _, _), cube_side in zip(pairs, (cube_m, cube_o)):
+            if list(reference_side.items()) != list(cube_side.items()):
+                raise VerifyMismatch("reference/cube change exceptions differ")
         for actual, expected, what in pairs:
             if set(actual) != set(expected):
                 raise VerifyMismatch(
@@ -668,7 +664,7 @@ class ScenarioRunner:
 
     # -- query layer ---------------------------------------------------
     def _check_queries(self, window: int) -> None:
-        view = RegressionCubeView(self.engine.refresh(window))
+        view = RegressionCubeView(self.reference.refresh(window))
         schema = self.layers.schema
         lattice = self.layers.lattice
         rng = self.rng
@@ -875,12 +871,13 @@ class ScenarioRunner:
         hot = (
             self.scenario.hot_quarters if self.scenario.storage else None
         )
-        state = self.engine.snapshot()
-        restored_engine = StreamCubeEngine.restore(
-            state,
+        reference_dir = self.workdir / "reference-snapshot"
+        self.reference.snapshot(reference_dir)
+        restored_reference = ShardedStreamCube.restore(
+            reference_dir,
             self.layers,
             self.policy,
-            storage=self._engine_store,
+            storage=self._reference_storage,
             hot_quarters=hot,
         )
         self.last_manifest = self.cube.snapshot(self.snap_dir)
@@ -901,7 +898,7 @@ class ScenarioRunner:
                 t_b, t_e = self.oracle.window_bounds(1)
                 live = old.window_isbs(t_b, t_e)
                 if (
-                    restored_engine.window_isbs(t_b, t_e) != live
+                    restored_reference.window_isbs(t_b, t_e) != live
                     or restored_cube.window_isbs(t_b, t_e) != live
                 ):
                     raise VerifyMismatch(
@@ -909,12 +906,14 @@ class ScenarioRunner:
                         "live cube"
                     )
         except BaseException:
+            restored_reference.close()
             restored_cube.close()
             raise
         # Continue the scenario on the restored instances.
         restored_cube.wal = old.wal
         old.wal = None
-        self.engine = restored_engine
+        self.reference.close()
+        self.reference = restored_reference
         self.cube = restored_cube
         old.close()
         self.router = QueryRouter(
@@ -1034,14 +1033,14 @@ class ScenarioRunner:
 
     def _prune(self, event: Prune) -> None:
         candidates = self.oracle.idle_keys(event.idle_quarters)
-        dropped_engine = self.engine.prune_idle(event.idle_quarters)
+        dropped = self.reference.prune_idle(event.idle_quarters)
         dropped_cube = self.cube.prune_idle(event.idle_quarters)
-        if dropped_engine != dropped_cube:
+        if dropped != dropped_cube:
             raise VerifyMismatch(
-                f"engine pruned {dropped_engine} cells, cube pruned "
+                f"reference pruned {dropped} cells, cube pruned "
                 f"{dropped_cube}"
             )
-        # The engine legitimately drops nothing when its tilt frames cannot
+        # A prune legitimately drops nothing when the tilt frames cannot
         # cover the idleness window; within the finest level's capacity the
         # window is certainly covered, so there a zero-drop with idle
         # candidates is a real bug, not the bail-out — no escape hatch.
@@ -1051,24 +1050,24 @@ class ScenarioRunner:
         certainly_coverable = (
             window <= engine_frame_levels(self.tpq)[0].capacity
         )
-        if dropped_engine == len(candidates):
+        if dropped == len(candidates):
             self.oracle.drop_keys(candidates)
             self._prunes += bool(candidates)
-        elif dropped_engine == 0 and candidates and certainly_coverable:
+        elif dropped == 0 and candidates and certainly_coverable:
             raise VerifyMismatch(
                 f"prune dropped nothing although the {window}-quarter "
                 f"window is covered and the oracle finds "
                 f"{len(candidates)} idle cells "
                 f"({sorted(map(repr, candidates))})"
             )
-        elif dropped_engine != 0:
+        elif dropped != 0:
             raise VerifyMismatch(
-                f"prune dropped {dropped_engine} cells; oracle finds "
+                f"prune dropped {dropped} cells; oracle finds "
                 f"{len(candidates)} idle ({sorted(map(repr, candidates))})"
             )
-        if self.engine.tracked_cells != self.oracle.tracked_cells:
+        if self.reference.tracked_cells != self.oracle.tracked_cells:
             raise VerifyMismatch(
-                f"after prune: engine tracks {self.engine.tracked_cells} "
+                f"after prune: reference tracks {self.reference.tracked_cells} "
                 f"cells, oracle {self.oracle.tracked_cells}"
             )
         self.report.checks += 1
@@ -1215,11 +1214,11 @@ class ScenarioRunner:
         """One pushed update against the oracle at *its* quarter."""
         epoch = tuple(update["epoch"])
         quarter = update["quarter"]
-        if len(epoch) < 3:
+        if len(epoch) < 2:
             raise VerifyMismatch(
                 f"{sub_id}: malformed epoch vector {epoch!r}"
             )
-        if quarter != min(epoch[2:]):
+        if quarter != min(epoch[1:]):
             raise VerifyMismatch(
                 f"{sub_id}: update quarter {quarter} disagrees with its "
                 f"epoch vector {epoch!r}"
@@ -1300,7 +1299,7 @@ class ScenarioRunner:
                         f"{self.oracle.current_quarter} quarters have "
                         "sealed"
                     )
-                delivered_q = min(prev[2:])
+                delivered_q = min(prev[1:])
                 if delivered_q != self.oracle.current_quarter:
                     raise VerifyMismatch(
                         f"{sub_id}: last delivered quarter {delivered_q} "

@@ -416,9 +416,9 @@ def _subscriber(
             epoch = tuple(update.get("epoch", ()))
             if seq <= since:
                 problem = f"seq not increasing: {seq} after {since}"
-            elif len(epoch) < 3:
+            elif len(epoch) < 2:
                 problem = f"malformed epoch vector {epoch!r}"
-            elif update.get("quarter") != min(epoch[2:]):
+            elif update.get("quarter") != min(epoch[1:]):
                 problem = (
                     f"quarter {update.get('quarter')} inconsistent with "
                     f"epoch {epoch}"

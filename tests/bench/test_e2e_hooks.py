@@ -76,13 +76,14 @@ HARNESS_ONLY = [
     ("repro.regression.kernels", "merge_time_cols"),
     ("repro.tilt.frame", "bulk_insert"),
     ("repro.cluster.backends", "InprocBackend.submit"),
+    ("repro.stream.engine", "StreamCubeEngine.change_exceptions_between"),
 ]
 
 #: A harness-only method is called only through a receiver whose source
-#: text names its owner (``self._backend.submit``, ``backend.submit``), so
-#: a same-named method of another object (a thread pool's ``submit``) is
-#: not a caller.
-RECEIVERS = {"InprocBackend": "backend"}
+#: text names its owner (``self._backend.submit``, ``backend.submit``,
+#: ``shard_engine.change_exceptions_between``), so a same-named method of
+#: another object (a thread pool's ``submit``) is not a caller.
+RECEIVERS = {"InprocBackend": "backend", "StreamCubeEngine": "engine"}
 
 
 def resolve(module: str, name: str) -> tuple[object, str]:
@@ -157,11 +158,13 @@ def test_the_caller_check_tells_a_backend_submit_from_a_pool_submit():
         "backend.submit(1, 'snapshot')\n"
         "self._pool.submit(handler, request)\n"
         "merge_cube(cube, parts)\n"
+        "engine.change_exceptions_between(0, 4, 7)\n"
     )
     assert harness_only_calls(tree) == [
         (1, "InprocBackend.submit"),
         (2, "InprocBackend.submit"),
         (4, "merge_cube"),
+        (5, "StreamCubeEngine.change_exceptions_between"),
     ]
 
 

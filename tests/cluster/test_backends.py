@@ -57,30 +57,22 @@ class TestInprocBackend:
         assert backend.engines == engines
         assert backend.n_shards == 2
 
-    def test_stats_shape(self, layers, policy):
+    def test_counters_are_one_row_per_shard(self, layers, policy):
+        """``[current_quarter, records_ingested, tracked_cells]`` a shard:
+        the rows ``/health`` and ``/stats`` sum, and no worker fields
+        (pids, restarts, RPCs, a health roster) beside them."""
         backend = InprocBackend(make_engines(layers, policy, n=3))
-        stats = backend.stats()
-        assert stats["backend"] == "inproc"
-        assert stats["workers"] == 3
-        assert stats["pids"] == []
-        assert stats["restarts"] == 0
-        assert stats["queue_high_water"] == [0, 0, 0]
+        assert backend.counters() == [[0, 0, 0]] * 3
+        for fossil in ("stats", "health", "name"):
+            assert not hasattr(backend, fossil), fossil
 
-    def test_health_roster_is_healthy_with_the_quarter_clock(
-        self, layers, policy
-    ):
+    def test_counters_carry_the_quarter_clock(self, layers, policy):
+        """The quarter column is what a degraded answer's
+        ``last_quarter`` staleness bound reads."""
         backend = InprocBackend(make_engines(layers, policy))
+        backend.call(1, "ingest", StreamRecord((1, 1), 0, 2.0))
         backend.broadcast("advance_to", 3 * TPQ)
-        assert backend.health() == [
-            {
-                "shard": shard,
-                "state": "healthy",
-                "restarts": 0,
-                "last_quarter": 3,
-                "reason": None,
-            }
-            for shard in (0, 1)
-        ]
+        assert backend.counters() == [[3, 0, 0], [3, 1, 1]]
 
 
 class TestInprocRunsInline:

@@ -29,7 +29,7 @@ from repro.io import spec_from_dict, spec_to_dict
 from repro.query import Q, RegressionCubeView, execute, execute_batch
 from repro.regression.aggregation import merge_standard
 from repro.regression.isb import ISB
-from repro.stream.engine import StreamCubeEngine
+from repro.service.sharding import ShardedStreamCube
 from repro.stream.generator import DatasetSpec, generate_dataset
 from repro.stream.records import StreamRecord
 from tests.conftest import isb_close
@@ -150,19 +150,19 @@ class TestOperationSemantics:
 
     def test_change_exceptions_reads_the_change_source_not_the_result(self):
         layers = DatasetSpec(2, 2, 3, 1).build_layers()
-        engine = StreamCubeEngine(
-            layers, GlobalSlopeThreshold(0.1), ticks_per_quarter=4
+        cube = ShardedStreamCube(
+            layers, GlobalSlopeThreshold(0.1), n_shards=1, ticks_per_quarter=4
         )
-        engine.ingest_many(
+        cube.ingest_batch(
             StreamRecord((i, i), t, float(i * t)) for t in range(16) for i in range(3)
         )
-        engine.advance_to(16)
-        view = RegressionCubeView(engine.refresh(2), engine)
+        cube.advance_to(16)
+        view = RegressionCubeView(cube.refresh(2), cube)
         assert execute(view, Q.change_exceptions()).value == (
-            engine.change_exceptions(1)
+            cube.change_exceptions(1)
         )
         assert execute(view, Q.change_exceptions(2, "o")).value == (
-            engine.o_layer_change_exceptions(2)
+            cube.o_layer_change_exceptions(2)
         )
         # A one-shot cubing result has no stream behind it.
         with pytest.raises(QueryError, match="change_exceptions"):

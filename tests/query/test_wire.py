@@ -27,7 +27,7 @@ from repro.cubing.policy import GlobalSlopeThreshold
 from repro.cubing.result import CubeResult
 from repro.query import Q, RegressionCubeView, execute
 from repro.regression.isb import ISB
-from repro.stream.engine import StreamCubeEngine
+from repro.service.sharding import ShardedStreamCube
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
 
@@ -189,11 +189,13 @@ class TestTopSlopesRanking:
 
 def test_change_exceptions_keep_their_bytes():
     layers = DatasetSpec(2, 2, 3, 1).build_layers()
-    engine = StreamCubeEngine(layers, GlobalSlopeThreshold(0.1), ticks_per_quarter=4)
-    engine.ingest_many(
+    cube = ShardedStreamCube(
+        layers, GlobalSlopeThreshold(0.1), n_shards=1, ticks_per_quarter=4
+    )
+    cube.ingest_batch(
         StreamRecord((i, i), t, float(i * t)) for t in range(16) for i in range(3)
     )
-    engine.advance_to(16)
-    view = RegressionCubeView(engine.refresh(2), engine)
+    cube.advance_to(16)
+    view = RegressionCubeView(cube.refresh(2), cube)
     for spec in (Q.change_exceptions(), Q.change_exceptions(2, "o"), Q.observation_deck()):
         assert_wire(execute(view, spec))

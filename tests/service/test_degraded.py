@@ -69,18 +69,9 @@ def assert_missing_shard_1(block):
 
 class TestProbes:
     def test_healthy_fleet_probes(self, fragile):
-        status, body = fragile.handle("GET", "/healthz")
-        assert status == 200
-        assert body["status"] == "ok"
-        assert [s["state"] for s in body["shards"]] == [
-            "healthy",
-            "healthy",
-        ]
+        assert fragile.handle("GET", "/healthz") == (200, {"status": "ok"})
         status, body = fragile.handle("GET", "/readyz")
-        assert (status, body) == (
-            200,
-            {"ready": True, "shards": 2, "dead_shards": []},
-        )
+        assert (status, body) == (200, {"ready": True, "shards": 2})
 
     def test_quarantine_keeps_probes_green(self, fragile):
         """A quarantined shard makes answers partial, not the service

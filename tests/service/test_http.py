@@ -371,22 +371,14 @@ class TestStatsEndpoint:
         assert len(body["shard_cells"]) == 2
         assert sum(body["shard_cells"]) > 0
 
-    def test_stats_expose_inproc_parallel_block(self, loaded):
+    def test_stats_carry_no_worker_block(self, loaded):
+        """In-process shards have no pids, restarts, RPCs or queues:
+        ``/stats`` reports none, and the blocks that the e2e harness and
+        clients read stay."""
         status, body = loaded.handle("GET", "/stats")
         assert status == 200
-        # The whole block, key order included: clients that read the
-        # worker fields keep getting the same bytes.
-        assert json.dumps(body["parallel"]) == json.dumps(
-            {
-                "backend": "inproc",
-                "workers": 2,
-                "pids": [],
-                "restarts": 0,
-                "rpc_round_trips": 0,
-                "queue_high_water": [0, 0],
-                "health": ["healthy", "healthy"],
-            }
-        )
+        assert "parallel" not in body
+        assert {"router", "storage", "durability", "shard_cells"} <= set(body)
 
 
 class TestSubscriptionEndpoints:

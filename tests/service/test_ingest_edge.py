@@ -33,7 +33,7 @@ from repro.service.http import StreamCubeService, make_server
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.stream import records as records_module
-from repro.stream.engine import MAX_QUARTERS_AHEAD, StreamCubeEngine
+from repro.stream.engine import MAX_QUARTERS_AHEAD
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
 from repro.stream.wal import QuarterWAL
@@ -197,30 +197,31 @@ class TestNonFiniteZ:
     BAD = [float("nan"), float("inf"), float("-inf")]
 
     @pytest.mark.parametrize("z", BAD)
-    @pytest.mark.parametrize("sharded", [False, True], ids=["engine", "cube"])
-    def test_python_paths_refuse_it_before_the_wal(self, tmp_path, sharded, z):
+    @pytest.mark.parametrize("n_shards", [1, 2], ids=["one-shard", "cube"])
+    def test_python_paths_refuse_it_before_the_wal(self, tmp_path, n_shards, z):
         layers = DatasetSpec(2, 2, 3, 1).build_layers()
         policy = GlobalSlopeThreshold(0.1)
         wal = QuarterWAL(tmp_path / "wal.jsonl")
-        if sharded:
-            target = ShardedStreamCube(
-                layers, policy, n_shards=2, ticks_per_quarter=TPQ, wal=wal
-            )
-            ingest_batch = target.ingest_batch
-        else:
-            target = StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ, wal=wal)
-            ingest_batch = target.ingest_many
+        target = ShardedStreamCube(
+            layers, policy, n_shards=n_shards, ticks_per_quarter=TPQ, wal=wal
+        )
         bad = StreamRecord((1, 2), 1, z)
+        batch = [StreamRecord((0, 0), 0, 1.0), bad]
         try:
-            with pytest.raises(StreamError, match="non-finite z"):
-                target.ingest(bad)
-            with pytest.raises(StreamError, match="non-finite z"):
-                ingest_batch([StreamRecord((0, 0), 0, 1.0), bad])
+            # The cube's two paths, and a shard engine's own two.
+            shard = target.shards[0]
+            for ingest, records in (
+                (target.ingest, bad),
+                (target.ingest_batch, batch),
+                (shard.ingest, bad),
+                (shard.ingest_many, batch),
+            ):
+                with pytest.raises(StreamError, match="non-finite z"):
+                    ingest(records)
             assert wal.last_seq == 0
             assert target.tracked_cells == 0
         finally:
-            if sharded:
-                target.close()
+            target.close()
 
     def test_wal_replay_stops_at_an_entry_journaled_before_the_check(self, tmp_path):
         """A journal written before the check can hold such an entry;
@@ -234,10 +235,12 @@ class TestNonFiniteZ:
             StreamRecord((0, 1), 1, 2.0),
         ):
             wal.append_batch([record], 0)
-        engine = StreamCubeEngine(layers, GlobalSlopeThreshold(0.1), ticks_per_quarter=TPQ)
+        cube = ShardedStreamCube(
+            layers, GlobalSlopeThreshold(0.1), n_shards=1, ticks_per_quarter=TPQ
+        )
         with pytest.raises(StreamError, match="non-finite z"):
-            wal.replay(engine)
-        assert engine.records_ingested == 1
+            wal.replay(cube)
+        assert cube.records_ingested == 1
 
 
 class TestFarFutureTicks:

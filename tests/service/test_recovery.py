@@ -26,6 +26,8 @@ import pytest
 
 from repro import faults
 from repro.__main__ import build_service
+from repro.errors import CodecError
+from repro.io import payload_checksum
 from repro.service.http import StreamCubeService
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
@@ -424,6 +426,87 @@ class TestRestoreCLI:
                 serve_args(tmp_path, restore=str(snaps), hot_quarters=2)
             )
         assert {p.name: p.read_bytes() for p in snaps.iterdir()} == before
+
+
+#: Manifest fields a restore reads, each malformed one way.  Every case is
+#: a ``CodecError`` from ``restore`` and ``build_service`` alike (a journal
+#: lies beside each manifest), and ``serve --restore`` exits 2 on it.
+MALFORMED_MANIFESTS = {
+    "no-n-shards": lambda manifest: manifest.pop("n_shards"),
+    "n-shards-two": lambda manifest: manifest.update(n_shards="two"),
+    "wal-seq-x": lambda manifest: manifest.update(wal_seq="x"),
+    "app-list": lambda manifest: manifest.update(app=[1]),
+}
+
+#: Members of the recorded ``app`` config, which only ``build_service``
+#: reads: a ``CodecError`` there, and exit 2 from ``serve --restore``.
+MALFORMED_APPS = {
+    "app-dims-str": lambda manifest: manifest["app"].update(dims="two"),
+    "app-window-float": lambda manifest: manifest["app"].update(window=4.5),
+    "app-threshold-str": lambda manifest: manifest["app"].update(
+        threshold="high"
+    ),
+}
+
+
+@pytest.fixture(params=["checksum-dropped", "checksum-recomputed"])
+def malformed_snapshot(request, tmp_path):
+    """``mangle(name)``: a served snapshot directory (manifest, shard
+    files, journal) whose manifest went through one malformation."""
+
+    def mangle(name: str) -> Path:
+        service = build_service(serve_args(tmp_path))
+        try:
+            ok(service, "POST", "/ingest", {"records": rows(workload(3))})
+            ok(service, "POST", "/admin/snapshot")
+        finally:
+            service.close()
+        snaps = tmp_path / "snaps"
+        path = snaps / "manifest.json"
+        manifest = json.loads(path.read_text())
+        {**MALFORMED_MANIFESTS, **MALFORMED_APPS}[name](manifest)
+        del manifest["checksum"]
+        if request.param == "checksum-recomputed":
+            manifest["checksum"] = payload_checksum(manifest)
+        path.write_text(json.dumps(manifest))
+        assert (snaps / "wal.jsonl").exists()
+        return snaps
+
+    return mangle
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MANIFESTS))
+def test_restore_raises_codec_error(malformed_snapshot, layers, policy, name):
+    snaps = malformed_snapshot(name)
+    with pytest.raises(CodecError, match="manifest"):
+        ShardedStreamCube.restore(snaps, layers, policy)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(MALFORMED_MANIFESTS) + sorted(MALFORMED_APPS)
+)
+class TestMalformedManifest:
+    def test_build_service_raises_codec_error(self, malformed_snapshot, tmp_path, name):
+        snaps = malformed_snapshot(name)
+        with pytest.raises(CodecError, match="manifest"):
+            build_service(
+                serve_args(tmp_path, restore=str(snaps), snapshot_dir=None)
+            )
+
+    def test_serve_restore_exits_2(self, malformed_snapshot, name):
+        snaps = malformed_snapshot(name)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--restore", str(snaps)],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: snapshot: manifest"), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(

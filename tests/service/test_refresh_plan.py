@@ -1,7 +1,7 @@
 """Refresh without rebuilding: the held plan against a from-scratch recube.
 
-``ShardedStreamCube.refresh`` (and ``StreamCubeEngine.refresh``) keep the
-:class:`~repro.cubing.mo_cubing.CubePlan` of the current cell set and re-run
+``ShardedStreamCube.refresh`` keeps the
+:class:`~repro.cubing.mo_cubing.CubePlan` of the current cell set and re-runs
 only the floats at each seal.  Two things have to hold:
 
 * **differentially** — whatever happens to the cell set (births
@@ -39,7 +39,6 @@ from repro.regression.isb import ISB
 from repro.service import merge
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
-from repro.stream.engine import StreamCubeEngine
 from repro.stream.records import StreamRecord
 from repro.stream.wal import QuarterWAL
 from tests.cubing.test_columnar_mo import (
@@ -138,7 +137,7 @@ def test_held_plan_equals_scratch_through_cell_set_churn(kind, data, tmp_path_fa
     layers = data.draw(layers_strategy(kind))
     rng = random.Random(data.draw(st.integers(0, 2**20)))
     stream = Stream(layers, rng)
-    engine = StreamCubeEngine(layers, POLICY, ticks_per_quarter=TPQ)
+    single = ShardedStreamCube(layers, POLICY, n_shards=1, ticks_per_quarter=TPQ)
     cube = ShardedStreamCube(layers, POLICY, n_shards=2, ticks_per_quarter=TPQ)
     steps = ["traffic"] * 4 + rng.sample(
         ["traffic", "quiet", "prune", "reshard", "restore", "degraded", "traffic"], 7
@@ -147,16 +146,16 @@ def test_held_plan_equals_scratch_through_cell_set_churn(kind, data, tmp_path_fa
         for step in steps:
             if step == "traffic":
                 records = stream.quarter_records(births=rng.randrange(3))
-                engine.ingest_many(records)
+                single.ingest_batch(records)
                 cube.ingest_batch(records)
             elif step == "quiet":
                 stream.quarter += 2
-                engine.advance_to(stream.quarter * TPQ)
+                single.advance_to(stream.quarter * TPQ)
                 cube.advance_to(stream.quarter * TPQ)
             elif step == "prune":
                 # Idle cells go; the next traffic step revives some of them
                 # (they are still in ``born``) under new rows.
-                assert engine.prune_idle(2) == cube.prune_idle(2)
+                assert single.prune_idle(2) == cube.prune_idle(2)
             elif step == "reshard":
                 with cube:
                     cube = cube.reshard(rng.choice([1, 2, 7]))
@@ -168,7 +167,10 @@ def test_held_plan_equals_scratch_through_cell_set_churn(kind, data, tmp_path_fa
                     cube = ShardedStreamCube.restore(
                         target, layers, POLICY, n_shards=n_shards
                     )
-                engine = StreamCubeEngine.restore(engine.snapshot(), layers, POLICY)
+                target = tmp_path_factory.mktemp("single")
+                with single:
+                    single.snapshot(target)
+                    single = ShardedStreamCube.restore(target, layers, POLICY)
             elif step == "degraded" and cube.current_quarter >= 1:
                 lost = rng.randrange(cube.n_shards)
                 survivors = {
@@ -178,16 +180,17 @@ def test_held_plan_equals_scratch_through_cell_set_churn(kind, data, tmp_path_fa
                 assert_planned_equals_scratch(cube, layers, survivors)
                 assert {h["shard"] for h in cube.consume_degraded()} == {lost}
                 heal_shard(cube, lost)
-            engine.advance_to(stream.quarter * TPQ)
+            single.advance_to(stream.quarter * TPQ)
             cube.advance_to(stream.quarter * TPQ)
             builds = cube.plan_builds
             assert_planned_equals_scratch(cube, layers)
             # Windows 1 / 4 / 8 (and the repeat) share one plan.
             assert cube.plan_builds - builds <= 1
-            assert_planned_equals_scratch(engine, layers)
+            assert_planned_equals_scratch(single, layers)
             if cube.current_quarter >= 1:
-                assert cube.m_cells(1) == engine.m_cells(1)
+                assert cube.m_cells(1) == single.m_cells(1)
     finally:
+        single.close()
         cube.close()
 
 

@@ -1,9 +1,9 @@
-"""Shard-count invariance: a partitioned cube equals a single engine exactly.
+"""Shard-count invariance: a partitioned cube equals one shard exactly.
 
 The core property of the service layer (Theorem 3.2's losslessness made
 operational): for any quarter-ordered workload and any shard count, the
-merged m-layer ISBs and the exception sets are *bit-identical* to a single
-:class:`StreamCubeEngine` fed the same records.
+merged m-layer ISBs, the refresh and the exception sets are *bit-identical*
+to a one-shard :class:`ShardedStreamCube` fed the same records.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from repro.errors import CorruptionError, ServiceError, StreamError
 from repro.service.merge import disjoint_union
 from repro.service.sharding import ShardedStreamCube, stable_shard_index
-from repro.stream.engine import StreamCubeEngine
+from repro.stream.engine import StreamCubeEngine, change_window_bounds
 from repro.stream.records import StreamRecord
 
 from tests.service.conftest import TPQ, workload
@@ -23,11 +23,8 @@ from tests.service.conftest import TPQ, workload
 SHARD_COUNTS = (1, 2, 7)
 
 
-def single_engine(layers, policy, records, end_tick):
-    engine = StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ)
-    engine.ingest_many(records)
-    engine.advance_to(end_tick)
-    return engine
+def one_shard(layers, policy, records, end_tick):
+    return sharded(layers, policy, records, end_tick, 1)
 
 
 def sharded(layers, policy, records, end_tick, k, batch_size=None):
@@ -49,23 +46,27 @@ class TestShardInvariance:
     def test_m_layer_bit_identical(self, layers, policy, k, seed):
         records = workload(seed)
         end = 6 * TPQ
-        engine = single_engine(layers, policy, records, end)
-        with sharded(layers, policy, records, end, k) as cube:
+        with one_shard(layers, policy, records, end) as single, sharded(
+            layers, policy, records, end, k
+        ) as cube:
             # dict equality on frozen dataclasses is exact float equality.
-            assert cube.m_cells(4) == engine.m_cells(4)
-            assert cube.window_isbs(0, end - 1) == engine.window_isbs(
+            assert cube.m_cells(4) == single.m_cells(4)
+            assert cube.window_isbs(0, end - 1) == single.window_isbs(
                 0, end - 1
             )
+            # ... and so is the bare shard engine's birth-ordered read.
+            assert single.m_cells(4) == single.shards[0].m_cells(4)
 
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     @pytest.mark.parametrize("seed", [3, 11])
     def test_exception_sets_bit_identical(self, layers, policy, k, seed):
         records = workload(seed)
         end = 6 * TPQ
-        engine = single_engine(layers, policy, records, end)
-        with sharded(layers, policy, records, end, k) as cube:
-            assert cube.change_exceptions() == engine.change_exceptions()
-            assert cube.change_exceptions(2) == engine.change_exceptions(2)
+        with one_shard(layers, policy, records, end) as single, sharded(
+            layers, policy, records, end, k
+        ) as cube:
+            assert cube.change_exceptions() == single.change_exceptions()
+            assert cube.change_exceptions(2) == single.change_exceptions(2)
 
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     def test_batched_ingest_equals_one_batch(self, layers, policy, k):
@@ -97,20 +98,20 @@ class TestShardInvariance:
             assert other == results[0]
 
     @pytest.mark.parametrize("k", SHARD_COUNTS)
-    def test_refresh_matches_single_engine(self, layers, policy, k):
-        """Merged cubing agrees with the single engine's cubing; coarser
-        cuboids only up to float roundoff (fold order differs), exception
-        *sets* exactly."""
+    def test_refresh_matches_one_shard(self, layers, policy, k):
+        """Merged cubing agrees with one shard's cubing bit for bit, cuboid
+        for cuboid and in the same key order (the canonical merge order
+        fixes every fold), and the exception sets are the same."""
         records = workload(23)
         end = 6 * TPQ
-        engine = single_engine(layers, policy, records, end)
-        expected = engine.refresh(4)
+        with one_shard(layers, policy, records, end) as single:
+            expected = single.refresh(4)
         with sharded(layers, policy, records, end, k) as cube:
             got = cube.refresh(4)
             assert set(got.cuboids) == set(expected.cuboids)
             for coord, cuboid in expected.cuboids.items():
                 merged = got.cuboids[coord]
-                assert set(merged.cells) == set(cuboid.cells)
+                assert list(merged.items()) == list(cuboid.items())
                 for values, isb in cuboid.items():
                     other = merged[values]
                     assert isb.interval == other.interval
@@ -127,31 +128,59 @@ class TestShardInvariance:
 
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     @pytest.mark.parametrize("quarters_apart", [1, 2])
-    def test_change_exceptions_match_single_engine_item_for_item(
+    def test_change_exceptions_match_one_shard_item_for_item(
         self, layers, policy, k, quarters_apart
     ):
         """Both layers, compared as item lists: the same cells in the same
         order with the same bits."""
         records = workload(29)
         end = 6 * TPQ
-        engine = single_engine(layers, policy, records, end)
+        with one_shard(layers, policy, records, end) as single:
+            m_single = list(single.change_exceptions(quarters_apart).items())
+            o_single = list(
+                single.o_layer_change_exceptions(quarters_apart).items()
+            )
         with sharded(layers, policy, records, end, k) as cube:
             m_layer = list(cube.change_exceptions(quarters_apart).items())
             o_layer = list(cube.o_layer_change_exceptions(quarters_apart).items())
-        assert m_layer == list(engine.change_exceptions(quarters_apart).items())
-        assert o_layer == list(
-            engine.o_layer_change_exceptions(quarters_apart).items()
-        )
+        assert m_layer == m_single
+        assert o_layer == o_single
         assert m_layer and o_layer  # the workload flags something
 
+    @pytest.mark.parametrize("k", SHARD_COUNTS)
+    @pytest.mark.parametrize("quarters_apart", [1, 2])
+    def test_change_exceptions_match_a_bare_engine(
+        self, layers, policy, k, quarters_apart
+    ):
+        """A reference outside the cube's code: a bare engine judges its
+        own two windows through ``change_exceptions_between``, with none of
+        the cube's merge or ``_changes``, and both layers' item lists match
+        it in order and bits."""
+        records = workload(29)
+        end = 6 * TPQ
+        engine = StreamCubeEngine(layers, policy, ticks_per_quarter=TPQ)
+        engine.ingest_many(records)
+        engine.advance_to(end)
+        bounds = change_window_bounds(end // TPQ, TPQ, quarters_apart)
+        m_engine = list(engine.change_exceptions_between(*bounds).items())
+        o_engine = list(
+            engine.change_exceptions_between(*bounds, layer="o").items()
+        )
+        with sharded(layers, policy, records, end, k) as cube:
+            m_layer = list(cube.change_exceptions(quarters_apart).items())
+            o_layer = list(cube.o_layer_change_exceptions(quarters_apart).items())
+        assert m_layer == m_engine
+        assert o_layer == o_engine
+        assert m_layer and o_layer
+
     def test_change_exceptions_over_surviving_shards(self, layers, policy):
-        """With one shard lost, both layers answer exactly what an engine
+        """With one shard lost, both layers answer exactly what one shard
         fed only the surviving shards' cells answers."""
         records = workload(31)
         end = 6 * TPQ
         with sharded(layers, policy, records, end, 3) as cube:
             lost = 1
-            survivors = single_engine(
+            survivors = one_shard(
                 layers,
                 policy,
                 [r for r in records if cube.shard_index(r.values) != lost],

@@ -193,6 +193,29 @@ class TestDelivery:
             cube.close()
 
 
+    def test_one_shard_update_quarter_is_its_cut(self, layers, policy):
+        """A seal that overtakes the dispatch target: the update carries
+        the quarter of the cut it was computed at, which on a one-shard
+        cube is the vector's only shard slot."""
+        cube = ShardedStreamCube(
+            layers, policy, n_shards=1, ticks_per_quarter=TPQ
+        )
+        cube.ingest_batch(workload(3))
+        cube.advance_to(7 * TPQ)
+        registry = SubscriptionRegistry(QueryRouter(cube, window_quarters=4))
+        try:
+            sub = registry.subscribe(Q.watch_list())
+            registry._dispatch(6)  # target 6, but quarter 7 has sealed
+            (update,) = registry.poll(sub)["updates"]
+            assert update["epoch"] == list(cube.epoch_vector())
+            assert len(update["epoch"]) == 2
+            assert update["quarter"] == update["epoch"][1] == 7
+            assert registry.describe_all()[0]["last_quarter"] == 7
+        finally:
+            registry.close()
+            cube.close()
+
+
 class TestValidation:
     def test_subscribe_rejects_bad_args(self, registry):
         with pytest.raises(ServiceError):

@@ -5,9 +5,10 @@ load served by 1, 3 or 7 in-process shards must answer every recorded
 query with the same status and the same ``json.dumps`` text: the ISB
 merges are lossless and the cube merges shards in a canonical order, so
 sharding is invisible to clients.  The shard count shows only where it is
-meant to — the ``/stats`` ``parallel`` block, the ``/healthz`` roster, the
-``/readyz`` count and the epoch vector an ``ETag`` spells out — and those
-shapes are pinned here for every width.
+meant to — the ``/stats`` ``shard_cells`` list, the ``/readyz`` count and
+the epoch vector an ``ETag`` spells out — and those shapes are pinned here
+for every width, together with what no longer shows it (``/healthz``, and
+no ``/stats`` ``parallel`` block).
 """
 
 from __future__ import annotations
@@ -73,44 +74,29 @@ def test_body_is_the_recording_at_any_width(
 
 
 @pytest.mark.parametrize("n_shards", WIDTHS)
-def test_parallel_block_names_every_shard(serve, n_shards):
+def test_stats_name_every_shard_once(serve, n_shards):
     status, body = serve(n_shards).handle("GET", "/stats")
     assert status == 200
-    # Key order included: the block's bytes are part of the wire.
-    assert json.dumps(body["parallel"]) == json.dumps(
-        {
-            "backend": "inproc",
-            "workers": n_shards,
-            "pids": [],
-            "restarts": 0,
-            "rpc_round_trips": 0,
-            "queue_high_water": [0] * n_shards,
-            "health": ["healthy"] * n_shards,
-        }
-    )
+    # Key order included: the top-level members are part of the wire.
+    assert list(body) == [
+        "router",
+        "subscriptions",
+        "shard_cells",
+        "ticks_per_quarter",
+        "storage",
+        "durability",
+    ]
+    assert len(body["shard_cells"]) == n_shards
+    assert sum(body["shard_cells"]) == serve(n_shards).cube.tracked_cells
 
 
 @pytest.mark.parametrize("n_shards", WIDTHS)
-def test_probes_list_every_shard(serve, n_shards):
+def test_probes_at_every_width(serve, n_shards):
     service = serve(n_shards)
-    status, body = service.handle("GET", "/healthz")
-    assert status == 200
-    assert body == {
-        "status": "ok",
-        "shards": [
-            {
-                "shard": shard,
-                "state": "healthy",
-                "restarts": 0,
-                "last_quarter": 6,
-                "reason": None,
-            }
-            for shard in range(n_shards)
-        ],
-    }
+    assert service.handle("GET", "/healthz") == (200, {"status": "ok"})
     assert service.handle("GET", "/readyz") == (
         200,
-        {"ready": True, "shards": n_shards, "dead_shards": []},
+        {"ready": True, "shards": n_shards},
     )
 
 
@@ -122,8 +108,8 @@ def test_etag_spells_one_epoch_per_shard(serve, n_shards):
     vector, _, digest = reply.etag.strip('"').partition("-")
     parts = tuple(int(part) for part in vector.split("."))
     assert parts == service.cube.epoch_vector()
-    # structure version, the constant health slot, one seal epoch a shard
-    assert len(parts) == 2 + n_shards
-    assert parts[1] == 0
-    assert set(parts[2:]) == {6}
+    # the structure version, then one seal epoch a shard
+    assert len(parts) == 1 + n_shards
+    assert parts[0] == 0
+    assert set(parts[1:]) == {6}
     assert len(digest) == 16

@@ -300,6 +300,11 @@ def test_engine_rejects_an_out_of_schema_batch_whole_without_a_wal():
     assert engine_state_to_dict(engine.snapshot()) == before
 
 
+def _states(cube: ShardedStreamCube) -> list[dict]:
+    """Every shard's engine state, encoded."""
+    return [engine_state_to_dict(shard.snapshot()) for shard in cube.shards]
+
+
 @pytest.mark.parametrize("journaled", [False, True])
 def test_cube_rejects_an_out_of_schema_batch_whole(tmp_path, journaled):
     wal = QuarterWAL(tmp_path / "wal.jsonl") if journaled else None
@@ -307,19 +312,12 @@ def test_cube_rejects_an_out_of_schema_batch_whole(tmp_path, journaled):
         LAYERS, POLICY, n_shards=2, ticks_per_quarter=4, wal=wal
     ) as cube:
         _seeded(cube)
-
-        def states() -> list[dict]:
-            return [
-                engine_state_to_dict(state)
-                for state in cube._backend.broadcast("snapshot")
-            ]
-
-        before, seq = states(), wal.last_seq if journaled else 0
+        before, seq = _states(cube), wal.last_seq if journaled else 0
         with pytest.raises(HierarchyError):
             cube.ingest_batch(BAD_FOURTH)
         with pytest.raises(HierarchyError):
             cube.ingest(StreamRecord((0, 99), 40, 1.0))
-        assert states() == before
+        assert _states(cube) == before
         assert cube.tracked_cells == 2
         if journaled:
             assert wal.last_seq == seq
@@ -332,40 +330,31 @@ class TestSealHorizon:
 
     FAR = (MAX_QUARTERS_AHEAD + 3) * 4
 
-    def test_engine_refuses_before_journaling(self, tmp_path):
-        wal = QuarterWAL(tmp_path / "wal.jsonl")
-        engine = StreamCubeEngine(LAYERS, POLICY, ticks_per_quarter=4, wal=wal)
-        _seeded(engine)
-        before, seq = engine_state_to_dict(engine.snapshot()), wal.last_seq
-        for attempt in (
-            lambda: engine.ingest(StreamRecord((0, 0), self.FAR, 1.0)),
-            lambda: engine.ingest_many([StreamRecord((0, 0), self.FAR, 1.0)]),
-            lambda: engine.advance_to(self.FAR),
-            lambda: engine.advance_to(2**70),
-        ):
-            with pytest.raises(StreamError, match="quarters ahead"):
-                attempt()
-        assert engine_state_to_dict(engine.snapshot()) == before
-        assert wal.last_seq == seq
-        engine.advance_to((2 + MAX_QUARTERS_AHEAD) * 4)  # the horizon itself
-        assert engine.current_quarter == 2 + MAX_QUARTERS_AHEAD
-        wal.close()
-
-    def test_cube_refuses_before_journaling(self, tmp_path):
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_cube_refuses_before_journaling(self, tmp_path, n_shards):
         wal = QuarterWAL(tmp_path / "wal.jsonl")
         with ShardedStreamCube(
-            LAYERS, POLICY, n_shards=2, ticks_per_quarter=4, wal=wal
+            LAYERS, POLICY, n_shards=n_shards, ticks_per_quarter=4, wal=wal
         ) as cube:
             _seeded(cube)
-            seq = wal.last_seq
+            shard = cube.shards[0]
+            before, seq = _states(cube), wal.last_seq
             for attempt in (
                 lambda: cube.ingest(StreamRecord((0, 0), self.FAR, 1.0)),
                 lambda: cube.ingest_batch([StreamRecord((0, 0), self.FAR, 1.0)]),
                 lambda: cube.advance_to(self.FAR),
+                lambda: cube.advance_to(2**70),
+                # A shard engine refuses on its own too.
+                lambda: shard.ingest(StreamRecord((0, 0), self.FAR, 1.0)),
+                lambda: shard.ingest_many([StreamRecord((0, 0), self.FAR, 1.0)]),
+                lambda: shard.advance_to(self.FAR),
             ):
                 with pytest.raises(StreamError, match="quarters ahead"):
                     attempt()
+            assert _states(cube) == before
             assert cube.current_quarter == 2 and wal.last_seq == seq
+            cube.advance_to((2 + MAX_QUARTERS_AHEAD) * 4)  # the horizon itself
+            assert cube.current_quarter == 2 + MAX_QUARTERS_AHEAD
         wal.close()
 
 
@@ -378,12 +367,10 @@ class TestTickTypes:
     BAD_TICKS = (9.7, 9.0, "9", True, None)
 
     @pytest.mark.parametrize("tick", BAD_TICKS)
-    def test_engine_refuses_before_journaling(self, tmp_path, tick):
-        wal = QuarterWAL(tmp_path / "wal.jsonl")
-        engine = StreamCubeEngine(LAYERS, POLICY, ticks_per_quarter=4, wal=wal)
+    def test_engine_refuses_before_mutating(self, tick):
+        engine = StreamCubeEngine(LAYERS, POLICY, ticks_per_quarter=4)
         _seeded(engine)
         before = engine_state_to_dict(engine.snapshot())
-        journal = wal.path.read_bytes()
         bad = StreamRecord((5, 5), tick, 1.0)  # a cell the engine has not seen
         for attempt in (
             lambda: engine.ingest(bad),
@@ -393,23 +380,15 @@ class TestTickTypes:
             with pytest.raises(StreamError, match="tick must be an int"):
                 attempt()
         assert engine_state_to_dict(engine.snapshot()) == before
-        assert wal.path.read_bytes() == journal
-        wal.close()
 
-    def test_cube_refuses_before_journaling(self, tmp_path):
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_cube_refuses_before_journaling(self, tmp_path, n_shards):
         wal = QuarterWAL(tmp_path / "wal.jsonl")
         with ShardedStreamCube(
-            LAYERS, POLICY, n_shards=2, ticks_per_quarter=4, wal=wal
+            LAYERS, POLICY, n_shards=n_shards, ticks_per_quarter=4, wal=wal
         ) as cube:
             _seeded(cube)
-
-            def states() -> list[dict]:
-                return [
-                    engine_state_to_dict(state)
-                    for state in cube._backend.broadcast("snapshot")
-                ]
-
-            before, journal = states(), wal.path.read_bytes()
+            before, journal = _states(cube), wal.path.read_bytes()
             for tick in self.BAD_TICKS:
                 bad = StreamRecord((5, 5), tick, 1.0)
                 for attempt in (
@@ -419,7 +398,7 @@ class TestTickTypes:
                 ):
                     with pytest.raises(StreamError, match="tick must be an int"):
                         attempt()
-            assert states() == before
+            assert _states(cube) == before
             assert wal.path.read_bytes() == journal
         wal.close()
 

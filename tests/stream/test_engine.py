@@ -15,6 +15,7 @@ from repro.cubing.policy import GlobalSlopeThreshold
 from repro.cubing.popular_path import popular_path_cubing
 from repro.errors import StreamError
 from repro.regression.isb import isb_of_series
+from repro.service.sharding import ShardedStreamCube
 from repro.stream.engine import StreamCubeEngine, engine_frame_levels
 from repro.stream.records import StreamRecord
 from repro.tilt.frame import TiltLevelSpec
@@ -31,18 +32,33 @@ def layers() -> CriticalLayers:
     return CriticalLayers(schema, (2, 2), (1, 1))
 
 
-def make_engine(layers, threshold=0.0, tpq=4) -> StreamCubeEngine:
-    """Small quarters (4 ticks) and a compact frame for fast tests."""
-    frame_levels = [
+def compact_levels(tpq: int) -> list[TiltLevelSpec]:
+    return [
         TiltLevelSpec("quarter", tpq, 4),
         TiltLevelSpec("hour", 4 * tpq, 6),
         TiltLevelSpec("day", 24 * tpq, 2),
     ]
+
+
+def make_engine(layers, threshold=0.0, tpq=4) -> StreamCubeEngine:
+    """Small quarters (4 ticks) and a compact frame for fast tests."""
     return StreamCubeEngine(
         layers,
         GlobalSlopeThreshold(threshold),
         ticks_per_quarter=tpq,
-        frame_levels=frame_levels,
+        frame_levels=compact_levels(tpq),
+    )
+
+
+def make_cube(layers, threshold=0.0, tpq=4) -> ShardedStreamCube:
+    """:func:`make_engine`'s geometry behind a one-shard cube, the owner of
+    the refresh and the change exceptions."""
+    return ShardedStreamCube(
+        layers,
+        GlobalSlopeThreshold(threshold),
+        n_shards=1,
+        ticks_per_quarter=tpq,
+        frame_levels=compact_levels(tpq),
     )
 
 
@@ -175,78 +191,78 @@ class TestWindows:
             engine.m_cells(window_quarters=4)
 
     def test_change_exceptions_flags_jump(self, layers):
-        engine = make_engine(layers, threshold=0.2)
+        cube = make_cube(layers, threshold=0.2)
         # Cell (0,0): flat 1.0 then flat 5.0 -> big two-point slope.
         # Cell (1,1): flat throughout.
         for t in range(4):
-            engine.ingest(StreamRecord((0, 0), t, 1.0))
-            engine.ingest(StreamRecord((1, 1), t, 1.0))
+            cube.ingest(StreamRecord((0, 0), t, 1.0))
+            cube.ingest(StreamRecord((1, 1), t, 1.0))
         for t in range(4, 8):
-            engine.ingest(StreamRecord((0, 0), t, 5.0))
-            engine.ingest(StreamRecord((1, 1), t, 1.0))
-        engine.advance_to(8)
-        changed = engine.change_exceptions()
+            cube.ingest(StreamRecord((0, 0), t, 5.0))
+            cube.ingest(StreamRecord((1, 1), t, 1.0))
+        cube.advance_to(8)
+        changed = cube.change_exceptions()
         assert (0, 0) in changed
         assert (1, 1) not in changed
         assert changed[(0, 0)].slope > 0.2
 
     def test_change_exceptions_needs_two_windows(self, layers):
-        engine = make_engine(layers)
-        feed_cell(engine, (0, 0), [1.0] * 4)
+        cube = make_cube(layers)
+        feed_cell(cube, (0, 0), [1.0] * 4)
         with pytest.raises(StreamError):
-            engine.change_exceptions()
+            cube.change_exceptions()
 
     def test_o_layer_change_detection(self, layers):
         """A jump in one m-cell surfaces at its o-layer ancestor."""
-        engine = make_engine(layers, threshold=0.2)
+        cube = make_cube(layers, threshold=0.2)
         # m-cells (0,0) and (1,1) share o-parent (0,0); only (0,0) jumps.
         for t in range(4):
-            engine.ingest(StreamRecord((0, 0), t, 1.0))
-            engine.ingest(StreamRecord((1, 1), t, 1.0))
-            engine.ingest(StreamRecord((3, 3), t, 1.0))
+            cube.ingest(StreamRecord((0, 0), t, 1.0))
+            cube.ingest(StreamRecord((1, 1), t, 1.0))
+            cube.ingest(StreamRecord((3, 3), t, 1.0))
         for t in range(4, 8):
-            engine.ingest(StreamRecord((0, 0), t, 6.0))
-            engine.ingest(StreamRecord((1, 1), t, 1.0))
-            engine.ingest(StreamRecord((3, 3), t, 1.0))
-        engine.advance_to(8)
-        changed = engine.o_layer_change_exceptions()
+            cube.ingest(StreamRecord((0, 0), t, 6.0))
+            cube.ingest(StreamRecord((1, 1), t, 1.0))
+            cube.ingest(StreamRecord((3, 3), t, 1.0))
+        cube.advance_to(8)
+        changed = cube.o_layer_change_exceptions()
         assert (0, 0) in changed  # o-layer ancestor of the jumping cell
         assert (1, 1) not in changed  # o-parent of the flat cell
 
     def test_o_layer_change_aggregates_both_windows(self, layers):
         """Two children each rising by 1 produce an o-parent rise of 2."""
-        engine = make_engine(layers, threshold=0.0)
+        cube = make_cube(layers, threshold=0.0)
         for t in range(4):
-            engine.ingest(StreamRecord((0, 0), t, 1.0))
-            engine.ingest(StreamRecord((1, 1), t, 1.0))
+            cube.ingest(StreamRecord((0, 0), t, 1.0))
+            cube.ingest(StreamRecord((1, 1), t, 1.0))
         for t in range(4, 8):
-            engine.ingest(StreamRecord((0, 0), t, 2.0))
-            engine.ingest(StreamRecord((1, 1), t, 2.0))
-        engine.advance_to(8)
-        changed = engine.o_layer_change_exceptions()
+            cube.ingest(StreamRecord((0, 0), t, 2.0))
+            cube.ingest(StreamRecord((1, 1), t, 2.0))
+        cube.advance_to(8)
+        changed = cube.o_layer_change_exceptions()
         # Parent means go 2.0 -> 4.0 over 4 ticks: slope 0.5.
         assert math.isclose(changed[(0, 0)].slope, 0.5, rel_tol=1e-9)
 
     def test_o_layer_change_needs_history(self, layers):
-        engine = make_engine(layers)
-        feed_cell(engine, (0, 0), [1.0] * 4)
+        cube = make_cube(layers)
+        feed_cell(cube, (0, 0), [1.0] * 4)
         with pytest.raises(StreamError):
-            engine.o_layer_change_exceptions()
+            cube.o_layer_change_exceptions()
 
 
 class TestRefresh:
-    def _fill(self, engine):
+    def _fill(self, cube):
         # Two steep cells under one o-parent, two flat elsewhere.
         for t in range(8):
-            engine.ingest(StreamRecord((0, 0), t, 1.0 + 2.0 * t))
-            engine.ingest(StreamRecord((0, 1), t, 0.5 + 1.0 * t))
-            engine.ingest(StreamRecord((3, 3), t, 2.0))
-        engine.advance_to(8)
+            cube.ingest(StreamRecord((0, 0), t, 1.0 + 2.0 * t))
+            cube.ingest(StreamRecord((0, 1), t, 0.5 + 1.0 * t))
+            cube.ingest(StreamRecord((3, 3), t, 2.0))
+        cube.advance_to(8)
 
     def test_refresh_runs_mo_cubing(self, layers):
-        engine = make_engine(layers, threshold=0.5)
-        self._fill(engine)
-        result = engine.refresh(window_quarters=2)
+        cube = make_cube(layers, threshold=0.5)
+        self._fill(cube)
+        result = cube.refresh(window_quarters=2)
         assert result.stats.algorithm == "m/o-cubing"
         # o-layer cell (0,0) aggregates the two steep m-cells.
         o_exc = result.o_layer_exceptions()
@@ -261,22 +277,39 @@ class TestRefresh:
         ],
     )
     def test_other_algorithms_run_on_m_cells(self, layers, walk, name):
-        engine = make_engine(layers, threshold=0.5)
-        self._fill(engine)
-        result = walk(layers, engine.m_cells(2), engine.policy)
+        cube = make_cube(layers, threshold=0.5)
+        self._fill(cube)
+        result = walk(layers, cube.m_cells(2), cube.policy)
         assert result.stats.algorithm == name
         assert (0, 0) in result.o_layer_exceptions()
 
     def test_refresh_and_popular_path_agree_on_o_layer(self, layers):
-        engine = make_engine(layers, threshold=0.5)
-        self._fill(engine)
-        mo = engine.refresh(2)
-        pp = popular_path_cubing(layers, engine.m_cells(2), engine.policy)
+        cube = make_cube(layers, threshold=0.5)
+        self._fill(cube)
+        mo = cube.refresh(2)
+        pp = popular_path_cubing(layers, cube.m_cells(2), cube.policy)
         assert set(mo.o_layer.cells) == set(pp.o_layer.cells)
         for key in mo.o_layer.cells:
             a, b = mo.o_layer[key], pp.o_layer[key]
             assert math.isclose(a.base, b.base, rel_tol=1e-9)
             assert math.isclose(a.slope, b.slope, rel_tol=1e-9)
+
+
+class TestShardOnly:
+    """The engine is a shard: the cube owns the journal, the held plan,
+    the refresh and the change exceptions."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["wal", "_plan", "refresh", "change_exceptions", "o_layer_change_exceptions"],
+    )
+    def test_the_engine_has_no_cube_surface(self, layers, name):
+        assert not hasattr(make_engine(layers), name)
+
+    def test_engine_snapshots_carry_no_journal_mark(self, layers):
+        engine = make_engine(layers)
+        feed_cell(engine, (0, 0), [1.0] * 6)
+        assert engine.snapshot().wal_seq == 0
 
 
 class TestPruning:

@@ -1,7 +1,7 @@
 """The quarter WAL: journal-before-apply, seq-gated replay, compaction.
 
-The recovery contract: a snapshot taken at WAL sequence S plus a replay of
-entries after S reproduces the uninterrupted engine bit for bit, at *any*
+The recovery contract: a cube snapshot taken at WAL sequence S plus a replay
+of entries after S reproduces the uninterrupted cube bit for bit, at *any*
 crash point — mid-quarter, between quarters, before or after an explicit
 advance.  Compaction after a snapshot must never lose unsnapshotted
 entries, and a torn final line (crash mid-append) must not poison recovery.
@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cubing.policy import GlobalSlopeThreshold
 from repro.errors import CodecError, StreamError, WalCorruptionError
-from repro.stream.engine import StreamCubeEngine
+from repro.service.sharding import ShardedStreamCube
 from repro.stream.records import StreamRecord
 from repro.stream.wal import QuarterWAL
 
@@ -26,9 +27,23 @@ from tests.stream.test_state import (
     TPQ,
     assert_engines_identical,
     build_layers,
-    make_engine,
     random_records,
 )
+
+POLICY = GlobalSlopeThreshold(0.1)
+
+
+def make_cube(layers, wal: QuarterWAL | None = None) -> ShardedStreamCube:
+    """A one-shard cube, the journal's owner (shard engines never journal)."""
+    return ShardedStreamCube(
+        layers, POLICY, n_shards=1, ticks_per_quarter=TPQ, wal=wal
+    )
+
+
+def assert_cubes_identical(a: ShardedStreamCube, b: ShardedStreamCube) -> None:
+    assert a.n_shards == b.n_shards
+    for shard_a, shard_b in zip(a.shards, b.shards):
+        assert_engines_identical(shard_a, shard_b)
 
 
 class TestJournal:
@@ -81,30 +96,28 @@ class TestJournal:
         can never hold a batch that would fail on replay."""
         layers = build_layers()
         wal = QuarterWAL(tmp_path / "wal.jsonl")
-        engine = StreamCubeEngine(
-            layers, make_engine().policy, ticks_per_quarter=TPQ, wal=wal
-        )
+        cube = make_cube(layers, wal)
         good = random_records(31, 40, 2)
-        engine.ingest_many(good)
+        cube.ingest_batch(good)
         from repro.errors import HierarchyError
 
         bad = [StreamRecord((99, 99), 2 * TPQ, 1.0)]  # out-of-schema leaf
         with pytest.raises(HierarchyError):
-            engine.ingest_many(bad)
+            cube.ingest_batch(bad)
         with pytest.raises(HierarchyError):
-            engine.ingest(bad[0])
+            cube.ingest(bad[0])
         with pytest.raises(HierarchyError):
             # Mixed batch — a fine record plus the bad one: all-or-nothing.
-            engine.ingest_many([StreamRecord((0, 0), 2 * TPQ, 1.0)] + bad)
-        # Neither the engine nor the journal saw any of it ...
-        reference = make_engine(layers)
-        reference.ingest_many(good)
-        assert_engines_identical(engine, reference)
-        # ... so replay reproduces the engine without tripping.
+            cube.ingest_batch([StreamRecord((0, 0), 2 * TPQ, 1.0)] + bad)
+        # Neither the cube nor the journal saw any of it ...
+        reference = make_cube(layers)
+        reference.ingest_batch(good)
+        assert_cubes_identical(cube, reference)
+        # ... so replay reproduces the cube without tripping.
         wal.close()
-        recovered = make_engine(layers)
+        recovered = make_cube(layers)
         QuarterWAL(tmp_path / "wal.jsonl").replay(recovered)
-        assert_engines_identical(engine, recovered)
+        assert_cubes_identical(cube, recovered)
 
     def test_records_round_trip_with_mixed_value_types(self, tmp_path):
         wal = QuarterWAL(tmp_path / "wal.jsonl")
@@ -168,17 +181,15 @@ class TestRecovery:
         records = random_records(11, 60, 3)
         path = tmp_path / "wal.jsonl"
         wal = QuarterWAL(path)
-        source = StreamCubeEngine(
-            layers, make_engine().policy, ticks_per_quarter=TPQ, wal=wal
-        )
-        source.ingest_many(records)
+        source = make_cube(layers, wal)
+        source.ingest_batch(records)
         before = wal.last_seq
-        target = make_engine(layers)
+        target = make_cube(layers)
         target.wal = wal  # recovery idiom: journal attached during replay
         wal.replay(target)
         assert wal.last_seq == before  # nothing re-appended
         assert target.wal is wal  # reattached afterwards
-        assert_engines_identical(source, target)
+        assert_cubes_identical(source, target)
 
 
 def packed_line(**fields):
@@ -435,28 +446,26 @@ class TestSegments:
         records = random_records(5, 90, 3)
         path = tmp_path / "wal.jsonl"
         wal = QuarterWAL(path)
-        live = StreamCubeEngine(
-            layers, make_engine().policy, ticks_per_quarter=TPQ, wal=wal
-        )
-        live.ingest_many(records[:40])
-        state = live.snapshot()
-        wal.truncate_through(state.wal_seq)
-        live.ingest_many(records[40:70])
-        live.ingest_many(records[70:])
+        live = make_cube(layers, wal)
+        live.ingest_batch(records[:40])
+        mark = live.snapshot(tmp_path / "snap")["wal_seq"]
+        wal.truncate_through(mark)
+        live.ingest_batch(records[40:70])
+        live.ingest_batch(records[70:])
         wal.close()
-        seal(path, state.wal_seq + 1, wal.last_seq)  # crash here
+        seal(path, mark + 1, wal.last_seq)  # crash here
         assert QuarterWAL.exists(path) and not path.exists()
 
         recovery_wal = QuarterWAL(path)
         assert recovery_wal.last_seq == wal.last_seq
-        recovered = StreamCubeEngine.restore(
-            state, layers, live.policy, wal=recovery_wal
+        recovered = ShardedStreamCube.restore(
+            tmp_path / "snap", layers, POLICY, wal=recovery_wal
         )
-        recovery_wal.replay(recovered, after_seq=state.wal_seq)
-        assert_engines_identical(live, recovered)
+        recovery_wal.replay(recovered, after_seq=mark)
+        assert_cubes_identical(live, recovered)
         assert recovery_wal.append_advance(4 * TPQ, 4) == wal.last_seq + 1
         assert recovery_wal.truncate_through(wal.last_seq + 1) == 3
-        assert journal_files(tmp_path) == ["wal.jsonl"]
+        assert journal_files(tmp_path) == ["snap", "wal.jsonl"]
 
     def test_reopen_cuts_a_torn_tail_before_appending(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -581,8 +590,8 @@ def test_crash_anywhere_recovers_bit_identical(tmp_path_factory, seed, snap_at, 
     The run is a sequence of small batches plus a final advance; the
     snapshot lands after batch ``floor(snap_at * n)``, the crash after
     batch ``floor(crash_at * n)`` at or past it.  Recovery = restore the
-    snapshot + replay WAL entries past its wal_seq; the recovered engine
-    must match the uninterrupted engine bit for bit once fed the
+    snapshot + replay WAL entries past its wal_seq; the recovered cube
+    must match the uninterrupted cube bit for bit once fed the
     post-crash tail.
     """
     tmp_path = tmp_path_factory.mktemp("wal")
@@ -598,32 +607,29 @@ def test_crash_anywhere_recovers_bit_identical(tmp_path_factory, seed, snap_at, 
     snap_idx = int(snap_at * len(batches))
     crash_idx = max(snap_idx, int(crash_at * len(batches)))
 
-    uninterrupted = make_engine(layers)
+    uninterrupted = make_cube(layers)
     for batch in batches:
-        uninterrupted.ingest_many(batch)
+        uninterrupted.ingest_batch(batch)
     uninterrupted.advance_to(4 * TPQ)
 
     wal = QuarterWAL(tmp_path / "wal.jsonl")
-    live = StreamCubeEngine(
-        layers, uninterrupted.policy, ticks_per_quarter=TPQ, wal=wal
-    )
-    state = live.snapshot() if snap_idx == 0 else None
+    live = make_cube(layers, wal)
+    snap = tmp_path / "snap"
+    manifest = live.snapshot(snap) if snap_idx == 0 else None
     for j, batch in enumerate(batches[:crash_idx]):
-        live.ingest_many(batch)
+        live.ingest_batch(batch)
         if j + 1 == snap_idx:
-            state = live.snapshot()
-    assert state is not None  # crash_idx >= snap_idx guarantees it
+            manifest = live.snapshot(snap)
+    assert manifest is not None  # crash_idx >= snap_idx guarantees it
     wal.close()  # crash
 
     recovery_wal = QuarterWAL(tmp_path / "wal.jsonl")
-    recovered = StreamCubeEngine.restore(
-        state, layers, uninterrupted.policy, wal=recovery_wal
-    )
-    recovery_wal.replay(recovered, after_seq=state.wal_seq)
+    recovered = ShardedStreamCube.restore(snap, layers, POLICY, wal=recovery_wal)
+    recovery_wal.replay(recovered, after_seq=manifest["wal_seq"])
     for batch in batches[crash_idx:]:
-        recovered.ingest_many(batch)
+        recovered.ingest_batch(batch)
     recovered.advance_to(4 * TPQ)
-    assert_engines_identical(uninterrupted, recovered)
+    assert_cubes_identical(uninterrupted, recovered)
     assert recovered.window_isbs(0, 4 * TPQ - 1) == uninterrupted.window_isbs(
         0, 4 * TPQ - 1
     )

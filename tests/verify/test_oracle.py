@@ -2,7 +2,7 @@
 
 The differential suite is only as trustworthy as its reference, so these
 tests pin the oracle's own conventions (they must mirror the documented
-engine semantics) and — crucially — that the comparators *catch* seeded
+cube semantics) and — crucially — that the comparators *catch* seeded
 corruption: an oracle that never fails is indistinguishable from no oracle.
 """
 
@@ -18,7 +18,7 @@ from repro.cubing.multiway import multiway_cubing
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.cubing.popular_path import popular_path_cubing
 from repro.regression.isb import ISB
-from repro.stream.engine import StreamCubeEngine
+from repro.service.sharding import ShardedStreamCube
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
 from repro.verify.oracle import (
@@ -34,10 +34,10 @@ from repro.verify.oracle import (
 
 
 def make_pair(seed: int = 3, quarters: int = 6, tpq: int = 4):
-    """A (engine, oracle) pair fed identical seeded traffic."""
+    """A (one-shard cube, oracle) pair fed identical seeded traffic."""
     layers = DatasetSpec(2, 2, 3, 1).build_layers()
     policy = GlobalSlopeThreshold(0.05)
-    engine = StreamCubeEngine(layers, policy, ticks_per_quarter=tpq)
+    cube = ShardedStreamCube(layers, policy, n_shards=1, ticks_per_quarter=tpq)
     oracle = RawStreamOracle(layers, policy, ticks_per_quarter=tpq)
     rng = random.Random(seed)
     pool = sorted({
@@ -52,11 +52,11 @@ def make_pair(seed: int = 3, quarters: int = 6, tpq: int = 4):
             records.append(
                 StreamRecord(key, t, base + slope * t + rng.uniform(-0.3, 0.3))
             )
-    engine.ingest_many(records)
+    cube.ingest_batch(records)
     oracle.ingest(records)
-    engine.advance_to(quarters * tpq)
+    cube.advance_to(quarters * tpq)
     oracle.advance_to(quarters * tpq)
-    return engine, oracle
+    return cube, oracle
 
 
 class TestComparators:
@@ -105,7 +105,7 @@ class TestComparators:
 
 
 class TestFitConventions:
-    """The oracle must mirror the engine's documented sealing semantics."""
+    """The oracle must mirror the cube's documented sealing semantics."""
 
     def test_empty_quarter_is_the_zero_line(self):
         _, oracle = make_pair()
@@ -149,26 +149,26 @@ class TestFitConventions:
 
 class TestDifferentialAgreement:
     def test_engine_matches_oracle_end_to_end(self):
-        engine, oracle = make_pair()
-        assert_cells_equal(engine.m_cells(4), oracle.m_cells(4), "m-cells")
-        assert_result_equal(engine.refresh(4), oracle, 4)
+        cube, oracle = make_pair()
+        assert_cells_equal(cube.m_cells(4), oracle.m_cells(4), "m-cells")
+        assert_result_equal(cube.refresh(4), oracle, 4)
         for algorithm in (popular_path_cubing, multiway_cubing, full_materialization):
-            result = algorithm(engine.layers, engine.m_cells(4), engine.policy)
+            result = algorithm(cube.layers, cube.m_cells(4), cube.policy)
             assert_result_equal(result, oracle, 4)
 
     def test_change_exceptions_match(self):
-        engine, oracle = make_pair(seed=9)
-        assert set(engine.change_exceptions(1)) == set(
+        cube, oracle = make_pair(seed=9)
+        assert set(cube.change_exceptions(1)) == set(
             oracle.change_exceptions(1)
         )
-        assert set(engine.o_layer_change_exceptions(1)) == set(
+        assert set(cube.o_layer_change_exceptions(1)) == set(
             oracle.o_layer_change_exceptions(1)
         )
 
     def test_oracle_catches_corrupted_cells(self):
         """The teeth check: a corrupted answer must not slip through."""
-        engine, oracle = make_pair()
-        cells = engine.m_cells(4)
+        cube, oracle = make_pair()
+        cells = cube.m_cells(4)
         key = sorted(cells)[0]
         good = cells[key]
         cells[key] = ISB(good.t_b, good.t_e, good.base, good.slope + 1e-3)
@@ -176,8 +176,8 @@ class TestDifferentialAgreement:
             assert_cells_equal(cells, oracle.m_cells(4), "m-cells")
 
     def test_oracle_catches_dropped_cells(self):
-        engine, oracle = make_pair()
-        cells = engine.m_cells(4)
+        cube, oracle = make_pair()
+        cells = cube.m_cells(4)
         cells.pop(sorted(cells)[0])
         with pytest.raises(VerifyMismatch, match="missing"):
             assert_cells_equal(cells, oracle.m_cells(4), "m-cells")
@@ -187,7 +187,7 @@ class TestDifferentialAgreement:
         # A threshold no aggregated |slope| reaches, so unflagged o-cells
         # certainly exist and corrupting one is always possible.
         policy = GlobalSlopeThreshold(50.0)
-        engine = StreamCubeEngine(layers, policy, ticks_per_quarter=4)
+        cube = ShardedStreamCube(layers, policy, n_shards=1, ticks_per_quarter=4)
         oracle = RawStreamOracle(layers, policy, ticks_per_quarter=4)
         rng = random.Random(5)
         records = [
@@ -197,11 +197,11 @@ class TestDifferentialAgreement:
             for t in range(6 * 4)
             for _ in range(3)
         ]
-        engine.ingest_many(records)
+        cube.ingest_batch(records)
         oracle.ingest(records)
-        engine.advance_to(6 * 4)
+        cube.advance_to(6 * 4)
         oracle.advance_to(6 * 4)
-        result = engine.refresh(4)
+        result = cube.refresh(4)
         flags = dict(result.o_layer_exceptions())  # a copy to corrupt
         deck = dict(result.o_layer.items())
         unflagged = [key for key in deck if key not in flags]

@@ -8,6 +8,8 @@ name and seed, so ``run_scenario(name, seed)`` replays it exactly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,15 @@ def test_scenario_agrees_with_oracle(name: str, seed: int):
     report = run_scenario(name, seed=seed)
     assert report.checks > 0
     assert report.records > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_shard_continuous_push(seed: int):
+    """Pushed updates on a one-shard cube, whose epoch vector is
+    ``(structure_version, q_0)``, clear every ordering and oracle check."""
+    scenario = dataclasses.replace(SCENARIOS["continuous_push"], n_shards=1)
+    report = run_scenario(scenario, seed=seed)
+    assert report.checks > 0
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))

@@ -33,6 +33,15 @@ def test_short_soak_with_subscribers(tmp_path):
     assert report.subscription_updates > 0
 
 
+def test_one_shard_soak_with_subscribers(tmp_path):
+    """The same contract on a one-shard cube, whose epoch vector is
+    ``(structure_version, q_0)``: every update's quarter is its cut's."""
+    config = SoakConfig(seed=4, duration=2.0, subscribers=2, shards=1)
+    report = run_soak(config, tmp_path)
+    assert report.mismatches == 0, report.describe()
+    assert report.subscription_updates > 0
+
+
 def test_soak_cli_entry(tmp_path, capsys, monkeypatch):
     """`python -m repro soak` wiring: flags parse and the verdict prints."""
     from repro.__main__ import main
