@@ -13,9 +13,9 @@ Walks the paper's core ideas in order:
 6. spill sealed history past a hot horizon to an on-disk cold store and
    fault it back for a deep-history window — tiered storage, so resident
    memory is bounded by the hot set, not by the stream's age;
-7. serve many query clients concurrently — per-shard read locks,
-   seal-epoch-vector cache validation (hits are a lock-free
-   comparison), and single-flight collapsing of identical misses.
+7. serve many query clients concurrently — one shared read lock,
+   epoch cache validation (hits are a lock-free comparison), and
+   single-flight collapsing of identical misses.
 
 Run: ``python examples/quickstart.py``
 """
@@ -226,9 +226,10 @@ def step7_concurrent_serving() -> None:
         )
         cube.advance_to(4 * 15)
         router = QueryRouter(cube, window_quarters=4)
-        # Queries take per-shard *read* locks, so clients run in parallel;
-        # each answer is cached with the cube's seal-epoch vector and a
-        # hit is served from a lock-free vector comparison.  Identical
+        # Queries share the cube lock's *read* side, so clients run in
+        # parallel; each answer is cached with the cube's epoch
+        # (cell_events, quarter) and a hit is served from a lock-free
+        # comparison.  Identical
         # concurrent misses collapse to one execution (single-flight).
         clients = [
             threading.Thread(

@@ -424,8 +424,8 @@ def add_serve_arguments(serve_p: argparse.ArgumentParser) -> None:
         default=None,
         help="arm seeded fault injection on every durability path (WAL, "
         "cold stores, snapshots): a preset name (wal-torn, "
-        "page-bitflip, enospc-snapshot) or a JSON plan file — for "
-        "resilience drills against a live service",
+        "page-bitflip, enospc-snapshot, store-enospc) or a JSON plan "
+        "file — for resilience drills against a live service",
     )
     serve_p.add_argument(
         "--fault-seed",
@@ -510,8 +510,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PLAN",
         default=None,
         help="arm seeded fault injection for the whole soak: a preset "
-        "name (wal-torn, page-bitflip, enospc-snapshot) or a JSON plan "
-        "file; the verdict must stay zero mismatches",
+        "name (wal-torn, page-bitflip, enospc-snapshot, store-enospc) or "
+        "a JSON plan file; the verdict must stay zero mismatches",
     )
 
     serve_help = "run the sharded stream-cube HTTP service"

@@ -32,9 +32,8 @@ class InprocBackend(ShardBackend):
 
     A shard call is a few milliseconds of work that holds the GIL outside
     numpy's kernels, so handing it to another thread costs more than it
-    overlaps: ``call`` runs inline, ``map`` and ``broadcast_partial`` are
-    loops over the shards, and ``submit`` returns an already-resolved
-    future.  A fan-out still visits every shard when one fails and then
+    overlaps: ``map`` and ``broadcast_partial`` are loops over the
+    shards.  A fan-out still visits every shard when one fails and then
     raises the first failure in shard order.  No serialization anywhere,
     so results are bit-identical to the engines' by construction.
     """
@@ -52,16 +51,18 @@ class InprocBackend(ShardBackend):
         return len(self.hosts)
 
     def call(self, shard: int, method: str, *args: Any) -> Any:
+        """One shard's method, inline.  Nothing in the package calls it
+        (the cube fans out through ``map``): the frozen ``benchmarks/e2e``
+        hook table wraps it by name, and it goes when that table drops
+        it, with :meth:`submit`."""
         return self.hosts[shard].invoke(method, args)
 
     def submit(self, shard: int, method: str, *args: Any) -> Future:
         """``call`` as an already-resolved future (its exception, if the
-        call raised).  Nothing in the package calls it: it exists because
-        the frozen ``benchmarks/e2e`` hook table wraps it by name, and it
-        goes when that table drops it."""
+        call raised); harness-only, like ``call``."""
         future: Future = Future()
         try:
-            future.set_result(self.hosts[shard].invoke(method, args))
+            future.set_result(self.call(shard, method, *args))
         except Exception as exc:
             future.set_exception(exc)
         return future

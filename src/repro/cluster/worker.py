@@ -42,12 +42,14 @@ class ShardHost:
         self.engine = engine
 
     def counters(self) -> list[int]:
-        """``[current_quarter, records_ingested, tracked_cells]``."""
+        """``[current_quarter, records_ingested, tracked_cells,
+        cell_events]``."""
         engine = self.engine
         return [
             engine.current_quarter,
             engine.records_ingested,
             engine.tracked_cells,
+            engine.cell_events,
         ]
 
     def invoke(self, method: str, args: tuple) -> Any:

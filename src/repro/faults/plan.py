@@ -189,8 +189,9 @@ class FaultPlan:
 
 #: Named plans for the CI fault matrix and ``--fault-plan`` shorthand.
 #: Each is survivable: the injected failure is one the system repairs
-#: (short-write recovery, re-read retry, temp cleanup + retry), so the
-#: whole chaos catalogue stays bit-identical to the oracle with one armed.
+#: (short-write recovery, re-read retry, temp cleanup + retry, a refused
+#: cold page kept in memory and written by the next seal), so the whole
+#: chaos catalogue stays bit-identical to the oracle with one armed.
 PRESETS: dict[str, tuple[dict[str, Any], ...]] = {
     "wal-torn": (
         {"site": "wal.append", "kind": "torn", "count": 1, "after": 2},
@@ -203,6 +204,9 @@ PRESETS: dict[str, tuple[dict[str, Any], ...]] = {
     "enospc-snapshot": (
         {"site": "snapshot.write", "kind": "enospc", "count": 1},
         {"site": "snapshot.write", "kind": "torn", "count": 1, "after": 2},
+    ),
+    "store-enospc": (
+        {"site": "store.write", "kind": "enospc", "count": 2},
     ),
 }
 

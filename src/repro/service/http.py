@@ -60,9 +60,10 @@ both senders: ``/query`` and ``/updates`` return a :class:`Reply`, which
 bytes — a batch from each item's bytes, a ``degraded`` block spliced on as
 the last member — byte-equal to ``json.dumps`` of that dict.  Every other
 route is ``json.dumps`` of its dict.  A single-spec ``/query`` 200 that is
-not degraded carries ``ETag: "<epoch vector, dot-joined>-<cache-key
-digest>"``, a strong validator naming the cut the answer was computed at;
-conditional requests are not interpreted.
+not degraded carries ``ETag: "<cell_events>.<quarter>-<cache-key
+digest>"``, a strong validator naming the cut the answer was computed at
+(the same at every shard count); conditional requests are not
+interpreted.
 
 Concurrency: requests are handled in parallel on a bounded thread pool
 (``--request-threads``).  Only the *mutators* — ingest, advance, and the
@@ -73,7 +74,7 @@ and the probes (``/health``, ``/healthz``, ``/readyz``, ``/stats``) touch
 no lock at all, so they answer promptly even while a heavy ingest batch
 is applying.  Shard work runs on the request thread that asked for it (the
 shard backend has no threads of its own).  Consistency under this
-parallelism lives in the cube's per-shard reader-writer locks and the
+parallelism lives in the cube's one reader-writer lock and the
 router's single-flight cache — see :mod:`repro.service.sharding` and
 :mod:`repro.service.router`.
 """
@@ -473,7 +474,7 @@ class StreamCubeService:
         unlinked, leaving a fresh, empty active segment.  Callers hold
         the mutator lock (the HTTP route) or own the service exclusively
         (the shutdown hook), so no ingest can land between the snapshot
-        and the truncation; the cube's own write mutex + read locks give
+        and the truncation; the cube's own write mutex + read lock give
         the snapshot its quiescent cut, with queries still flowing.
         """
         if self.snapshot_dir is None:
@@ -670,11 +671,11 @@ class _PooledHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server with a *bounded* worker pool.
 
     ``ThreadingHTTPServer`` spawns one thread per connection, which under
-    a query storm means unbounded threads all contending for the same
-    shard read locks.  This subclass routes each accepted connection to a
+    a query storm means unbounded threads all contending for the cube's
+    read lock.  This subclass routes each accepted connection to a
     fixed-size :class:`ThreadPoolExecutor` instead: up to
     ``request_threads`` requests run concurrently (cache hits in
-    parallel, reads sharing shard read locks) and the rest queue at the
+    parallel, reads sharing the read lock) and the rest queue at the
     accept backlog — backpressure instead of thread explosion.
     """
 

@@ -1,35 +1,31 @@
 """Reader-writer locking for the concurrent query path.
 
 The sharded cube's consistency discipline (see
-:class:`~repro.service.sharding.ShardedStreamCube`) is built from two
-pieces that live here:
+:class:`~repro.service.sharding.ShardedStreamCube`) is one
+:class:`RWLock`: every merged read holds its read side, every mutation
+of engine state its write side.  The lock is phase-fair: a waiting
+writer blocks *new* readers (a stream of merged reads cannot starve
+ingest), and a releasing writer admits the readers that were waiting on
+it before the next writer may enter (a hot ingest loop cannot starve
+queries — without the reader turn, a tight writer loop re-acquires
+before any waiting reader is scheduled, and reads stall for the writer
+stream's whole lifetime).
 
-* :class:`RWLock` — a phase-fair reader-writer lock.  A waiting writer
-  blocks *new* readers (a stream of merged reads cannot starve ingest),
-  and a releasing writer admits the readers that were waiting on it
-  before the next writer may enter (a hot ingest loop cannot starve
-  queries — without the reader turn, a tight writer loop re-acquires
-  before any waiting reader is scheduled, and reads stall for the
-  writer stream's whole lifetime).
-* :class:`ShardLockTable` — one :class:`RWLock` per shard plus the
-  acquisition discipline: locks are always taken in ascending shard
-  order (total order ⇒ no deadlock), and read acquisition is *reentrant
-  per thread* via a thread-local depth counter, so a merged read that
-  calls another merged read (``o_layer_change_exceptions`` builds on
-  ``window_isbs``) does not self-deadlock or release early.
-
-Writers are never reentrant — mutators are already serialized by the
-cube's write mutex, so at most one thread holds write locks at a time
-and it never nests them.
+Read acquisition through :meth:`RWLock.read` is *reentrant per thread*
+(a thread-local depth counter), so a merged read that calls another
+merged read (``m_cells`` builds on the boxed window read) does not
+self-deadlock or release early.  Writers are never reentrant — mutators
+are already serialized by the cube's write mutex, so at most one thread
+holds the write side at a time and it never nests it.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator
 
-__all__ = ["RWLock", "ShardLockTable"]
+__all__ = ["RWLock"]
 
 
 class RWLock:
@@ -50,10 +46,9 @@ class RWLock:
 
     Turns are granted from the live waiting count at each release, so
     every waiting reader is admitted after finitely many writer rounds
-    and every writer waits on at most one bounded reader batch.  Not
-    reentrant by itself — reentrancy is layered on in
-    :class:`ShardLockTable`, which tracks per-thread read depth across
-    the whole table.
+    and every writer waits on at most one bounded reader batch.  The raw
+    ``acquire_*`` / ``release_*`` calls are not reentrant; :meth:`read`
+    is, per thread, and :meth:`write` is the write side as a context.
     """
 
     __slots__ = (
@@ -63,6 +58,7 @@ class RWLock:
         "_writers_waiting",
         "_readers_waiting",
         "_reader_turns",
+        "_local",
     )
 
     def __init__(self) -> None:
@@ -72,6 +68,7 @@ class RWLock:
         self._writers_waiting = 0
         self._readers_waiting = 0
         self._reader_turns = 0
+        self._local = threading.local()
 
     def acquire_read(self) -> None:
         with self._cond:
@@ -125,56 +122,25 @@ class RWLock:
                 self._reader_turns = self._readers_waiting
             self._cond.notify_all()
 
-
-class ShardLockTable:
-    """Per-shard reader-writer locks with an ordered, reentrant protocol.
-
-    ``read_all()`` — the merged-read cut — acquires every shard's read
-    lock in ascending order; nested calls on the same thread are free
-    (depth-counted), so composite reads reuse the outermost cut.
-    ``write(indices)`` / ``write_all()`` acquire write locks in ascending
-    order; callers (cube mutators) hold the cube's write mutex, so writer
-    acquisition is single-threaded by construction.
-    """
-
-    def __init__(self, n_shards: int) -> None:
-        self._locks = [RWLock() for _ in range(n_shards)]
-        self._local = threading.local()
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._locks)
-
     @contextmanager
-    def read_all(self) -> Iterator[None]:
-        """Hold every shard's read lock (reentrant per thread)."""
+    def read(self) -> Iterator[None]:
+        """Hold the read side; nested calls on the same thread are free."""
         depth = getattr(self._local, "depth", 0)
         if depth == 0:
-            for lock in self._locks:
-                lock.acquire_read()
+            self.acquire_read()
         self._local.depth = depth + 1
         try:
             yield
         finally:
             self._local.depth = depth
             if depth == 0:
-                for lock in reversed(self._locks):
-                    lock.release_read()
+                self.release_read()
 
     @contextmanager
-    def write(self, indices: Sequence[int]) -> Iterator[None]:
-        """Hold the write locks of ``indices`` (ascending order)."""
-        ordered = sorted(set(indices))
-        for index in ordered:
-            self._locks[index].acquire_write()
+    def write(self) -> Iterator[None]:
+        """Hold the write side (mutators, which never nest it)."""
+        self.acquire_write()
         try:
             yield
         finally:
-            for index in reversed(ordered):
-                self._locks[index].release_write()
-
-    @contextmanager
-    def write_all(self) -> Iterator[None]:
-        """Hold every shard's write lock (sealing writes, snapshots)."""
-        with self.write(range(len(self._locks))):
-            yield
+            self.release_write()

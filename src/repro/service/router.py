@@ -13,15 +13,15 @@ is the single engine in :mod:`repro.query.exec`.
 Concurrency: the router is safe for parallel callers and its hit path is
 completely lock-free on the cube.  Every cached entry is stored together
 with the cube's :meth:`~repro.service.sharding.ShardedStreamCube.
-epoch_vector` at computation time — the per-shard seal epochs plus the
-structure clock — and is served iff a fresh lock-free vector read matches
-it, so "invalidation" is a comparison, not a big-lock clear.  Answers
-derive from sealed quarters only, so the vector changes exactly when one
-could change: a quarter seals, or a shard's cell set is pruned or
-reloaded.  Cache *misses* compute under the cube's read cut, and identical
-concurrent misses are collapsed to one execution (single-flight):
-followers wait for the leader's entry and re-validate instead of
-stampeding the engines.
+epoch_vector` at computation time — ``(cell_events, quarter)``, the same
+pair at every shard count — and is served iff a fresh lock-free vector
+read matches it, so "invalidation" is a comparison, not a big-lock clear.
+Answers derive from sealed quarters over the tracked cell set, so the
+vector changes exactly when one could change: a quarter seals, or a cell
+is born or pruned.  Cache *misses* compute under the cube's read cut, and
+identical concurrent misses are collapsed to one execution
+(single-flight): followers wait for the leader's entry and re-validate
+instead of stampeding the engines.
 
 A partial answer carries its holes.  Views and cache lines remember the
 shards their merged reads skipped (the cube's degraded-read descriptors)
@@ -234,8 +234,8 @@ class QueryRouter:
         """The memoized view for ``window`` at the *current* read cut.
 
         The caller holds the cube's read lock, which freezes the epoch
-        vector fleet-wide (it can only move under every shard's write
-        lock) — so every concurrent read-cut holder sees one vector, and
+        vector (it can only move under the lock's write side) — so every
+        concurrent read-cut holder sees one vector, and
         the single-flight below means one of them refreshes while the
         rest wait and reuse.
         """
@@ -290,10 +290,12 @@ class QueryRouter:
 
         The hit path takes no cube locks at all: a cached entry whose
         stored epoch vector equals a fresh lock-free vector read is
-        returned as-is.  The racy read is sound because the vector only
-        moves under every shard's write lock — a matching comparison
-        proves the entry's cut is still current (a torn mid-seal vector
-        matches no stored cut and simply misses).  On a miss, the first
+        returned as-is.  The racy read is sound because the vector's
+        counters are monotone and move only under the cube lock's write
+        side, and lines are stored only at consistent cuts: a matching
+        comparison proves the entry's cut was current during the read (a
+        torn mid-write vector matches no stored cut and simply misses).
+        On a miss, the first
         thread in (the leader) computes under the cube's read cut and
         fills the cache; concurrent identical misses wait for the leader
         and re-validate instead of stampeding the engines.  Errors are

@@ -8,8 +8,10 @@ state during ingestion, and any global view is an exact disjoint-union merge
 caller's thread (:class:`~repro.cluster.backends.InprocBackend`).
 
 The cube is the one owner of everything above the shards: the journal, the
-held cubing plan, the refresh and the change exceptions.  A cube over one
-engine is ``ShardedStreamCube(..., n_shards=1)``.
+held cubing plan, the refresh, the change exceptions and read consistency —
+one phase-fair reader-writer lock and one epoch, ``(cell_events,
+quarter)``, that is the same at every shard count.  A cube over one engine
+is ``ShardedStreamCube(..., n_shards=1)``.
 
 Equivalence guarantee (property-tested in ``tests/service``, and pinned by
 the chaos catalogue): for any quarter-ordered workload, a
@@ -38,13 +40,7 @@ from repro.cube.layers import CriticalLayers
 from repro.cubing.mo_cubing import CubePlan, PlannedCells
 from repro.cubing.policy import ExceptionPolicy
 from repro.cubing.result import CubeResult
-from repro.errors import (
-    CodecError,
-    CorruptionError,
-    ServiceError,
-    StorageError,
-    StreamError,
-)
+from repro.errors import CodecError, CorruptionError, ServiceError, StorageError
 from repro.io import (
     STATE_VERSION,
     check_format,
@@ -55,7 +51,7 @@ from repro.io import (
 )
 from repro.regression import kernels
 from repro.regression.isb import ISB
-from repro.service.locks import ShardLockTable
+from repro.service.locks import RWLock
 from repro.service.merge import disjoint_union
 from repro.storage import (
     BACKEND,
@@ -75,12 +71,7 @@ from repro.stream.engine import (
     validate_batch,
     window_change_exceptions,
 )
-from repro.stream.records import (
-    RecordColumns,
-    StreamRecord,
-    require_finite_z,
-    require_int_ticks,
-)
+from repro.stream.records import RecordColumns, StreamRecord
 from repro.stream.state import EngineState
 from repro.stream.wal import QuarterWAL
 from repro.tilt.frame import TiltLevelSpec, TiltPages
@@ -202,11 +193,10 @@ def _repartition_states(
 class _HeldCells:
     """One merged cell set, in canonical order, and what is built from it.
 
-    ``version`` is ``(structure_version, per-shard cell generation)`` with
-    ``None`` for a shard a degraded read lost; ``shard_keys`` the keys each
-    answering shard reported at that generation (re-sent only when it
-    moves); ``keys`` the merged keys in canonical order and ``order`` the
-    permutation taking the concatenated shard rows there —
+    ``version`` is the per-shard cell generation, ``None`` for a shard a
+    degraded read lost; ``keys`` the merged keys in canonical order and
+    ``order`` the permutation taking the concatenated rows of the
+    answering shards (``present``, one key list each) there —
     :func:`~repro.service.merge.disjoint_union`'s order and its
     disjointness check.  ``plan``, the cubing plan of the set, is built by
     the first refresh that asks for it.  Never patched: a moved version
@@ -216,10 +206,9 @@ class _HeldCells:
     def __init__(
         self,
         layers: CriticalLayers,
-        version: tuple[int, tuple[str | None, ...]],
-        shard_keys: list[list[Values] | None],
+        version: tuple[str | None, ...],
+        present: list[list[Values]],
     ) -> None:
-        present = [keys for keys in shard_keys if keys is not None]
         offsets = itertools.accumulate(map(len, present), initial=0)
         row_of = disjoint_union(
             dict(zip(keys, itertools.count(offset)))
@@ -227,7 +216,6 @@ class _HeldCells:
         )
         self.layers = layers
         self.version = version
-        self.shard_keys = shard_keys
         self.keys = list(row_of)
         self.order = np.fromiter(row_of.values(), dtype=np.int64, count=len(row_of))
 
@@ -261,21 +249,20 @@ class ShardedStreamCube:
         Overrides ``storage.hot_quarters`` when given (the config default
         serves the common case).  Ignored without ``storage``.
 
-    Concurrency discipline (the HTTP layer no longer serializes access):
+    Concurrency discipline (the HTTP layer does not serialize access):
     *mutators* (ingest / advance / prune / snapshot) are serialized by one
     write mutex — WAL appends and the quarter clock stay totally ordered —
-    and additionally hold per-shard write locks while engine state actually
-    changes: the touched shards for a mid-quarter batch, *every* shard when
-    a quarter seals (so no reader ever observes shards with misaligned
-    clocks).  *Merged reads* hold every shard's read lock for the duration
-    of the fan-out — a consistent cut — and may run concurrently with each
-    other and with the mutator's lock-free prelude (routing, journaling).
-    :meth:`epoch_vector` names the cut: a reader that records the vector
-    under its read locks can later validate a cached answer with one
-    lock-free comparison.  Shards are kept quarter-aligned: any ingestion
-    or advance that moves one shard's clock moves every shard's, exactly
-    as one shard seals every cell's quarter when any record crosses a
-    boundary.
+    and additionally hold the write side of one phase-fair
+    :class:`~repro.service.locks.RWLock` while engine state actually
+    changes.  *Merged reads* hold its read side for the duration of the
+    fan-out — a consistent cut — and may run concurrently with each other
+    and with the mutator's lock-free prelude (validation, routing,
+    journaling).  :meth:`epoch_vector` names the cut: a reader that
+    records the vector under the read side can later validate a cached
+    answer with one lock-free comparison.  Shards are kept
+    quarter-aligned: any ingestion or advance that moves one shard's clock
+    moves every shard's, exactly as one shard seals every cell's quarter
+    when any record crosses a boundary.
     """
 
     def __init__(
@@ -290,7 +277,6 @@ class ShardedStreamCube:
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
     ) -> None:
-        self._closed = False
         if n_shards < 1:
             raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
         self.layers = layers
@@ -319,12 +305,13 @@ class ShardedStreamCube:
         # response can never report (or steal) another's.
         self._degraded_local = threading.local()
         # One write mutex serializes mutators end to end (WAL order, the
-        # quarter clock); per-shard RW locks fence readers from the engine
-        # mutation window only.  The seal epoch below versions structural
-        # changes the quarter clock cannot see (pruning, state loads).
+        # quarter clock); the RW lock fences readers from the engine
+        # mutation window only.
         self._write_mutex = threading.RLock()
-        self._locks = ShardLockTable(n_shards)
-        self._structure_version = 0
+        self._lock = RWLock()
+        # Cell events before this cube's shards took over (a restore or a
+        # reshard carries the count on); see epoch_vector.
+        self._cell_events_base = 0
         # The current merged cell set and its cubing plan (see
         # _merged_columns): replaced whole, never patched, so concurrent
         # reads may share it; the lock only keeps the two counters exact.
@@ -334,8 +321,8 @@ class ShardedStreamCube:
         #: plan) / ran on the held one.
         self.plan_builds = 0
         self.plan_reuses = 0
-        # Seal listeners fire after a sealing mutator has released every
-        # shard write lock (still under the write mutex, so notifications
+        # Seal listeners fire after a sealing mutator has released the
+        # write side (still under the write mutex, so notifications
         # are totally ordered with the seals they announce).  Listeners
         # must be cheap and non-blocking — the subscription dispatcher
         # just flips an event; the seal path never waits on delivery.
@@ -364,9 +351,8 @@ class ShardedStreamCube:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Mark the cube closed (idempotent).  In-process shards hold no
-        thread or process to release; the WAL belongs to its opener."""
-        self._closed = True
+        """Nothing to release: in-process shards hold no thread or
+        process, and the WAL belongs to its opener."""
 
     def __enter__(self) -> "ShardedStreamCube":
         return self
@@ -444,6 +430,7 @@ class ShardedStreamCube:
                 "hot_cells",
                 "cold_slots",
                 "pages_spilled",
+                "spill_failures",
                 "cold_faults",
                 "read_retries",
                 "write_repairs",
@@ -479,42 +466,8 @@ class ShardedStreamCube:
     # Ingestion
     # ------------------------------------------------------------------
     def ingest(self, record: StreamRecord) -> None:
-        """Ingest one record on its owner shard, keeping shards aligned."""
-        require_int_ticks((record.t,))
-        require_finite_z((record.z,))
-        with self._write_mutex:
-            key = (
-                record.values if self.key_fn is None else self.key_fn(record)
-            )
-            idx = self.shard_index(key)
-            backend = self._backend
-            current = self.current_quarter
-            quarter = record.t // self.ticks_per_quarter
-            # Validate before journaling or touching a shard: a rejected
-            # record leaves no trace, and a journaled one never fails on
-            # replay (the owner shard re-checks all three conditions).
-            if quarter < current:
-                raise StreamError(
-                    f"record at t={record.t} belongs to sealed quarter "
-                    f"{quarter} (current quarter is {current})"
-                )
-            check_seal_horizon(record.t, quarter, current)
-            self._validate_values(tuple(key))
-            if self.wal is not None:
-                self.wal.append_batch([record], quarter)
-            if quarter > current:
-                # Sealing: every shard's clock moves, so every shard is
-                # write-locked — no reader can observe a misaligned fleet.
-                with self._locks.write_all():
-                    backend.call(idx, "ingest", record)
-                    self._align(
-                        max(c[0] for c in backend.counters())
-                    )
-                self._notify_seal()
-            else:
-                # Mid-quarter: only the owner shard's state changes.
-                with self._locks.write([idx]):
-                    backend.call(idx, "ingest", record)
+        """Ingest one record: :meth:`ingest_batch` of a batch of one."""
+        self.ingest_batch([record])
 
     def ingest_batch(
         self, records: RecordColumns | Iterable[StreamRecord]
@@ -550,18 +503,13 @@ class ShardedStreamCube:
         segments = self._route(grouped)
         if self.wal is not None:
             self.wal.append_batch(batch, top, None if self.key_fn else grouped)
-        # Readers are fenced out only while engine state actually changes:
-        # a sealing batch (its top quarter passes the cube clock) moves
-        # every shard's clock, so it holds every write lock across apply +
-        # align; a mid-quarter batch locks just the shards it touches.
+        # Readers are fenced out only while engine state actually changes.
+        # A sealing batch (its top quarter passes the cube clock) moves
+        # every shard's clock: shards the batch missed are aligned under
+        # the same write hold.  Past validation, nothing here can fail: a
+        # journaled batch is never answered with an error.
         sealing = top > current
-        if sealing:
-            lock_ctx = self._locks.write_all()
-        else:
-            lock_ctx = self._locks.write(
-                [i for i, shard_segments in enumerate(segments) if shard_segments]
-            )
-        with lock_ctx:
+        with self._lock.write():
             backend.map(
                 "apply_segments",
                 [
@@ -570,7 +518,7 @@ class ShardedStreamCube:
                 ],
             )
             if sealing:
-                self._align(max(c[0] for c in backend.counters()))
+                self._align(top)
         if sealing:
             self._notify_seal()
         return len(batch)
@@ -621,27 +569,21 @@ class ShardedStreamCube:
             if self.wal is not None and sealing:
                 self.wal.append_advance(t, quarter)
             if sealing:
-                with self._locks.write_all():
+                with self._lock.write():
                     self._backend.broadcast("advance_to", t)
                 self._notify_seal()
             else:
                 # Nothing can move (engines ignore a non-advancing t);
-                # broadcast outside the shard locks so the no-op — and any
+                # broadcast outside the lock so the no-op — and any
                 # validation error it raises — stays off the read path.
                 self._backend.broadcast("advance_to", t)
 
     def prune_idle(self, idle_quarters: int) -> int:
-        """Drop idle cells on every shard; returns the total dropped."""
-        with self._write_mutex, self._locks.write_all():
-            dropped = sum(
-                self._backend.broadcast("prune_idle", idle_quarters)
-            )
-            if dropped:
-                # Pruning changes merged answers without moving the
-                # quarter clock; bump the seal epoch so cached results
-                # keyed on the old vector can never be served again.
-                self._structure_version += 1
-        return dropped
+        """Drop idle cells on every shard; returns the total dropped.
+
+        Each dropped cell is a cell event, so the epoch moves with it."""
+        with self._write_mutex, self._lock.write():
+            return sum(self._backend.broadcast("prune_idle", idle_quarters))
 
     def _align(self, quarter: int) -> None:
         """Bring every shard's clock to ``quarter`` (a no-op on shards
@@ -655,8 +597,8 @@ class ShardedStreamCube:
     def add_seal_listener(self, listener) -> None:
         """Register ``listener(quarter)`` to fire after each seal commits.
 
-        The callback runs on the sealing thread *outside* the shard write
-        locks (the fleet is already aligned and readable) but inside the
+        The callback runs on the sealing thread *outside* the write side of
+        the lock (the fleet is already aligned and readable) but inside the
         write mutex, so calls arrive in seal order with monotone quarters.
         It must not block: signal a worker thread and return.  A raising
         listener is detached rather than allowed to poison ingest.
@@ -748,33 +690,40 @@ class ShardedStreamCube:
         self._degraded_local.holes = []
         return drained
 
-    def epoch_vector(self) -> tuple[int, ...]:
-        """The cube's read-consistency version: one lock-free tuple.
+    def epoch_vector(self) -> tuple[int, int]:
+        """The cube's read-consistency version: one lock-free pair.
 
-        ``(structure_version, q_0 .. q_{n-1})`` — the clock the quarter
-        counters cannot see (pruning, state loads), then the seal epoch of
-        every shard; ``ETag`` values spell it out.  Any merged answer is a
-        pure function of this vector: quarter counters only move under
-        every shard's write lock (sealing), so a vector recorded inside
-        :meth:`read_lock` names the exact cut an answer was computed at,
-        and a cached answer is still valid iff a later lock-free read
-        returns the same vector.  A torn read during a seal can only
-        produce a vector that matches *no* consistent cut (the counters
-        move monotonically), which safely reads as "stale".
+        ``(cell_events, quarter)`` — the cells born plus the cells pruned
+        so far, summed over the shards (each cell lives on one shard, so
+        the sum is the same at every width), then the cube's quarter
+        clock; ``ETag`` values spell it out.  Any merged answer is a pure
+        function of the pair: answers read sealed quarters over the
+        tracked cell set, and the set moves only by births and prunes.
+        Both counters only move under the write side, so a pair recorded
+        inside :meth:`read_lock` names the exact cut an answer was
+        computed at, and a cached answer is still valid iff a later
+        lock-free read returns the same pair.
+
+        A torn read (counters read one by one while a write moves them)
+        can only miss: the counters are monotone and cache lines are
+        stored only at consistent cuts, so a torn pair that equals a
+        stored one names a cut that was current at some instant during
+        the read itself; any other torn pair matches nothing.
         """
+        counters = self._backend.counters()
         return (
-            self._structure_version,
-            *(c[0] for c in self._backend.counters()),
+            self._cell_events_base + sum(c[3] for c in counters),
+            max(c[0] for c in counters),
         )
 
     @contextmanager
-    def read_lock(self) -> Iterator[tuple[int, ...]]:
+    def read_lock(self) -> Iterator[tuple[int, int]]:
         """Hold the merged-read cut; yields its :meth:`epoch_vector`.
 
         Reentrant per thread, so composite reads (a refresh plus change
         windows, say) share one consistent cut.
         """
-        with self._locks.read_all():
+        with self._lock.read():
             yield self.epoch_vector()
 
     def window_isbs(self, t_b: int, t_e: int) -> dict[Values, ISB]:
@@ -785,11 +734,11 @@ class ShardedStreamCube:
         """The merged m-layer over the last ``window_quarters`` quarters,
         boxed: ``{values: isb}`` in canonical order, identical for every
         shard count."""
-        with self._locks.read_all():
+        with self._lock.read():
             return self._boxed(self._recent_window(window_quarters))
 
     def _boxed(self, window: tuple[int, int]) -> dict[Values, ISB]:
-        with self._locks.read_all():
+        with self._lock.read():
             held, (isbs,) = self._merged_columns(window)
         return dict(zip(held.keys, isbs.to_isbs()))
 
@@ -808,7 +757,7 @@ class ShardedStreamCube:
         of its cell set.  Another algorithm runs on
         ``m_cells(window_quarters)``.
         """
-        with self._locks.read_all():
+        with self._lock.read():
             window = self._recent_window(window_quarters)
             held, (isbs,) = self._merged_columns(window)
         return run_cubing(self.layers, PlannedCells(held.plan, isbs), self.policy)
@@ -825,41 +774,27 @@ class ShardedStreamCube:
         mid-recovery with a lagging clock (it raises for an uncovered
         window instead of answering for an older one).  Each shard answers
         ``(generation, keys, columns)`` per window — rows in its birth
-        order, keys only when its generation is not one the held cell set
-        was built from.  The set stands while ``(structure_version,
-        per-shard generation)`` stands: then the shard columns are
-        concatenated, gathered through its canonical permutation and that
-        is all.  When it moved — a birth, a prune, a state load, a shard
-        lost to or back from a degraded read — it is rebuilt from the
-        shards' keys, never patched.
+        order.  The held set stands while the per-shard generations stand:
+        then the shard columns are concatenated, gathered through its
+        canonical permutation and that is all.  When one moved — a birth,
+        a prune, a state load, a shard lost to or back from a degraded
+        read — it is rebuilt from the shards' keys, never patched.
         """
         held = self._held
-        known = [g for g in held.version[1] if g] if held is not None else []
         answers = [
-            self._fanout("window_columns", t_b, t_e, known)
-            for t_b, t_e in windows
+            self._fanout("window_columns", t_b, t_e) for t_b, t_e in windows
         ]
         # A shard lost between two fan-outs is a hole in all of them.
         parts = [None if None in shard else shard for shard in zip(*answers)]
         if any(part and len({answer[0] for answer in part}) > 1 for part in parts):
             raise ServiceError("a shard's cell set moved within one read; retry")
-        version = (
-            self._structure_version,
-            tuple(None if part is None else part[0][0] for part in parts),
-        )
+        version = tuple(None if part is None else part[0][0] for part in parts)
         stale = held is None or held.version != version
         if stale:
             held = _HeldCells(
                 self.layers,
                 version,
-                [
-                    None
-                    if part is None
-                    else held.shard_keys[i]
-                    if part[0][1] is None
-                    else part[0][1]
-                    for i, part in enumerate(parts)
-                ],
+                [part[0][1] for part in parts if part is not None],
             )
         with self._plan_mu:
             if stale:
@@ -901,10 +836,10 @@ class ShardedStreamCube:
         can rebuild an identical service without re-specifying them.
 
         Holds the write mutex (no mutator can move state mid-snapshot)
-        but only *read* locks on the shards — state extraction is a pure
+        but only the *read* side of the lock — state extraction is a pure
         read, so queries keep flowing while a snapshot is written.
         """
-        with self._write_mutex, self._locks.read_all():
+        with self._write_mutex, self._lock.read():
             return self._snapshot_locked(directory, extra)
 
     def _snapshot_locked(
@@ -949,6 +884,7 @@ class ShardedStreamCube:
             "current_quarter": self.current_quarter,
             "records_ingested": self.records_ingested,
             "tracked_cells": self.tracked_cells,
+            "cell_events": self.epoch_vector()[0],
             "wal_seq": wal_seq,
             "shards": names,
         }
@@ -980,8 +916,9 @@ class ShardedStreamCube:
 
         Every field a restore reads is checked here, so a malformed
         manifest is a :class:`CodecError` and nothing else: ``n_shards`` a
-        positive count naming as many ``shards`` files, ``wal_seq`` a count
-        (0 when absent), ``app`` and ``storage`` objects when present.
+        positive count naming as many ``shards`` files, ``wal_seq`` and
+        ``cell_events`` counts (0 when absent), ``app`` and ``storage``
+        objects when present.
         """
         path = Path(directory) / _MANIFEST
         if not path.exists():
@@ -1013,6 +950,7 @@ class ShardedStreamCube:
                 f"{n_shards} shards"
             )
         payload["wal_seq"] = _count(payload, "wal_seq", default=0)
+        payload["cell_events"] = _count(payload, "cell_events", default=0)
         for field in ("app", "storage"):
             if not isinstance(payload.get(field, {}), dict):
                 raise CodecError(
@@ -1083,6 +1021,7 @@ class ShardedStreamCube:
             wal=wal,
             storage=storage,
             hot_quarters=hot_quarters,
+            cell_events=manifest["cell_events"],
         )
 
     def reshard(self, new_n: int) -> "ShardedStreamCube":
@@ -1100,8 +1039,9 @@ class ShardedStreamCube:
         it when the cut-over is done); the returned cube shares no mutable
         state with it.
         """
-        with self._write_mutex, self._locks.read_all():
+        with self._write_mutex, self._lock.read():
             states = self._backend.broadcast("snapshot")
+            cell_events = self.epoch_vector()[0]
         return type(self)._from_states(
             states,
             self.layers,
@@ -1111,6 +1051,7 @@ class ShardedStreamCube:
             wal=None,
             storage=self._storage_config,
             hot_quarters=self.hot_quarters,
+            cell_events=cell_events,
         )
 
     @classmethod
@@ -1124,9 +1065,11 @@ class ShardedStreamCube:
         wal: QuarterWAL | None,
         storage: StorageConfig | None = None,
         hot_quarters: int | None = None,
+        cell_events: int = 0,
     ) -> "ShardedStreamCube":
         """Build a cube from per-shard engine states, re-partitioning when
-        the target shard count differs from ``len(states)``."""
+        the target shard count differs from ``len(states)``; its epoch
+        resumes at ``cell_events``."""
         if not states:
             raise ServiceError("cannot build a cube from zero shard states")
         tpq = states[0].ticks_per_quarter
@@ -1162,6 +1105,7 @@ class ShardedStreamCube:
             hot_quarters=hot_quarters,
         )
         cube._backend.map("load_state", [(state,) for state in states])
+        cube._cell_events_base = cell_events
         return cube
 
     # ------------------------------------------------------------------
@@ -1182,7 +1126,7 @@ class ShardedStreamCube:
         judged by :func:`~repro.stream.engine.window_change_exceptions` —
         o-layer cells aggregate m-cells that may live on different shards,
         so no per-shard answer could do."""
-        with self._locks.read_all():
+        with self._lock.read():
             prev_b, cur_b, end = change_window_bounds(
                 self.current_quarter, self.ticks_per_quarter, quarters_apart
             )

@@ -10,9 +10,9 @@ This module is that surface:
   shorthand ``{"watch": true}`` (o-layer exception alerts) is rewritten to
   a ``watch_list`` spec in :meth:`SubscriptionRegistry.subscribe_payload`.
 - The sealed cube signals the registry via a listener the cube invokes
-  right after a seal commits (outside the shard write locks).  The listener
-  is deliberately trivial — record the quarter, set an event — so the seal
-  path can never stall on subscribers.
+  right after a seal commits (outside the cube lock's write side).  The
+  listener is deliberately trivial — record the quarter, set an event — so
+  the seal path can never stall on subscribers.
 - A single dispatcher thread wakes on that event and evaluates *due*
   subscriptions through :meth:`QueryRouter.execute_versioned` — the
   versioned cache plus single-flight, so N subscribers to one spec cost
@@ -350,7 +350,7 @@ class SubscriptionRegistry:
                 # can be answered.
                 self.eval_errors += 1
                 continue
-            self._deliver(sub.sub_id, cut, min(cut[1:]), result)
+            self._deliver(sub.sub_id, cut, cut[1], result)
 
     def _deliver(
         self,

@@ -112,6 +112,13 @@ class StoreStats:
         }
 
 
+def _truncate(path: Path, size: int) -> None:
+    """Roll ``path`` back to ``size`` bytes (a no-op if it is absent)."""
+    if path.exists():
+        with open(path, "r+b") as fh:
+            fh.truncate(size)
+
+
 class FileColdStore:
     """See the module docstring; ``root`` is created if absent."""
 
@@ -187,13 +194,13 @@ class FileColdStore:
             # page is re-derivable (spill re-puts are idempotent), so
             # roll the file back to the pre-append size and try once
             # more; a second failure means the device is refusing
-            # writes and surfaces as a typed StorageError.
-            if path.exists():
-                with open(path, "r+b") as fh:
-                    fh.truncate(offset)
+            # writes and surfaces as a typed StorageError, with the
+            # file rolled back again so no partial page stays behind.
+            _truncate(path, offset)
             try:
                 self._append_blob(path, blob)
             except OSError as exc:
+                _truncate(path, offset)
                 raise StorageError(
                     f"cold store append to {path} failed even after "
                     f"rollback (first: {first}; retry: {exc})"

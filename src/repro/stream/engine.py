@@ -61,7 +61,7 @@ from repro.cube.layers import CriticalLayers
 from repro.cubing.mo_cubing import PlannedCells, mo_cubing
 from repro.cubing.policy import ExceptionPolicy, two_point_columns
 from repro.cubing.result import CubeResult
-from repro.errors import StreamError, TiltFrameError
+from repro.errors import StorageError, StreamError, TiltFrameError
 from repro.regression import kernels
 from repro.regression.isb import ISB
 from repro.storage.files import FileColdStore
@@ -382,6 +382,9 @@ class StreamCubeEngine:
         # compare :attr:`cell_generation` for equality, nothing else.
         self._incarnation = os.urandom(8).hex()
         self._cell_changes = 0
+        # Cells born plus cells pruned so far: a cell lives on one shard,
+        # so the cube's sum of these is the same at every width.
+        self._cell_events = 0
         self._validate_values = layers.schema.values_validator(layers.m_coord)
         # Every cell's sealed history: one clock (an always-idle frame, the
         # zero prototype) and a page of columns per retained slot.  A new
@@ -392,14 +395,19 @@ class StreamCubeEngine:
         self.hot_quarters = 4 if hot_quarters is None else hot_quarters
         self._pages_spilled = 0
         self._cold_faults = 0
+        self._spill_failures = 0
+        # Demoted pages the cold store refused to write: recorded cold,
+        # answered from here, written again by every later seal until the
+        # store takes them (oldest first).
+        self._unwritten: dict[tuple[int, int, int], ColdPage] = {}
         self._page_cache: OrderedDict[tuple[int, int, int], ColdPage]
         self._page_cache = OrderedDict()
         # The cell set's keys as its spilled pages carry them (one block a
         # cell generation, made at the first spill of the generation).
         self._key_block: tuple[str, KeyBlock] | None = None
         # The one piece of engine state that *reads* mutate (LRU ordering,
-        # fault fills): its own lock, so concurrent deep-window queries
-        # sharing the cube's shard read lock stay safe.
+        # fault fills, unwritten pages): its own lock, so concurrent
+        # deep-window queries sharing the cube's read lock stay safe.
         self._page_lock = threading.Lock()
         self._cold: ColdIndex | None = None
         if storage is not None:
@@ -433,6 +441,12 @@ class StreamCubeEngine:
         """Names the tracked cell set and its row order; moves when a cell
         is born, pruned or the state is reloaded, and only then."""
         return f"{self._incarnation}:{self._cell_changes}"
+
+    @property
+    def cell_events(self) -> int:
+        """Cells born plus cells pruned by this engine (a state load
+        counts neither: the cube carries the count across restores)."""
+        return self._cell_events
 
     def frame_of(self, values: Values) -> TiltTimeFrame:
         """The tilt frame of one m-layer cell, materialized from the pages.
@@ -506,6 +520,7 @@ class StreamCubeEngine:
         dropped = n - len(keep)
         if dropped:
             self._cell_changes += 1
+            self._cell_events += dropped
             self._tilt = TiltPages.gather([(self._tilt, keep)])
             keys = list(self._rows)
             self._rows = {keys[row]: i for i, row in enumerate(keep)}
@@ -668,6 +683,7 @@ class StreamCubeEngine:
             rows[key] = len(rows)
         self._cell_changes += 1
         n, tpq = len(rows), self.ticks_per_quarter
+        self._cell_events += n - first
         self._sums = kernels.grown(self._sums, n * tpq)
         self._present = kernels.grown(self._present, n * tpq)
         self._last_active = kernels.grown(self._last_active, n)
@@ -712,11 +728,19 @@ class StreamCubeEngine:
         a cell born later still needs the zero row when it faults the
         interval in.
 
+        A seal never fails here: a page the store refuses (a
+        :class:`~repro.errors.StorageError`, the append and its rollback
+        retry both failed) is counted in ``spill_failures`` and stays in
+        memory, answering reads, and every later seal writes it again
+        before demoting anything new.
+
         The arithmetic is deterministic in the sealed history, so a crash
         after a spill but before the next snapshot loses nothing: WAL
         replay re-seals the same quarters and re-derives pages that read
         bit-identically (``put_segment`` is idempotent by interval).
         """
+        for page in list(self._unwritten.values()):
+            self._put_page(page)
         clock = self._tilt.clock
         cutoffs = demotion_cutoffs(
             [lv.unit_ticks for lv in clock.levels],
@@ -733,7 +757,7 @@ class StreamCubeEngine:
                 if oldest is None or oldest[0].t_e >= cutoff:
                     break
                 zero, (base, slope) = oldest
-                self._storage.put_segment(
+                self._put_page(
                     ColdPage(
                         li,
                         zero.t_b,
@@ -750,6 +774,20 @@ class StreamCubeEngine:
                 with self._page_lock:
                     self._page_cache.pop((li, zero.t_b, zero.t_e), None)
                 self._pages_spilled += 1
+
+    def _put_page(self, page: ColdPage) -> None:
+        """Write one demoted page, or keep it among the unwritten ones."""
+        key = (page.level, page.t_b, page.t_e)
+        try:
+            self._storage.put_segment(page)
+        except StorageError:
+            self._spill_failures += 1
+            with self._page_lock:
+                self._unwritten[key] = page
+            return
+        if key in self._unwritten:
+            with self._page_lock:
+                del self._unwritten[key]
 
     def _spill_keys(self) -> KeyBlock:
         """The key block of the current cell generation: every page spilled
@@ -768,6 +806,9 @@ class StreamCubeEngine:
     def _load_page(self, level: int, t_b: int, t_e: int) -> ColdPage:
         cache_key = (level, t_b, t_e)
         with self._page_lock:
+            page = self._unwritten.get(cache_key)
+            if page is not None:
+                return page
             page = self._page_cache.get(cache_key)
             if page is not None:
                 self._page_cache.move_to_end(cache_key)
@@ -815,6 +856,7 @@ class StreamCubeEngine:
             hot_quarters=self.hot_quarters,
             cold_slots=self._cold.total_slots,
             pages_spilled=self._pages_spilled,
+            spill_failures=self._spill_failures,
             cold_faults=self._cold_faults,
             page_cache_entries=len(self._page_cache),
         )
@@ -849,8 +891,19 @@ class StreamCubeEngine:
         independent of history depth; layers/policy/key_fn are
         configuration and deliberately not captured (see
         :mod:`repro.stream.state`).  Its ``wal_seq`` is 0: the cube's
-        manifest carries the journal mark.
+        manifest carries the journal mark.  Demoted pages the cold store
+        has not taken yet are written first; while the store still refuses
+        one, there is no snapshot (a :class:`~repro.errors.StorageError`),
+        since its cold spans would name a page the store lacks.
         """
+        for page in list(self._unwritten.values()):
+            self._put_page(page)
+        if self._unwritten:
+            raise StorageError(
+                f"{len(self._unwritten)} demoted page(s) are not in the "
+                "cold store yet (it refused the write); no snapshot until "
+                "a retry lands them"
+            )
         n, tpq = len(self._rows), self.ticks_per_quarter
         lo = self._current_quarter * tpq
         tick_sums: list[dict[int, float]] = [{} for _ in range(n)]
@@ -980,6 +1033,7 @@ class StreamCubeEngine:
         self._records_ingested = state.records_ingested
         with self._page_lock:
             self._page_cache.clear()
+            self._unwritten.clear()
         if self._storage is not None:
             units = [lv.unit_ticks for lv in self._frame_levels]
             self._cold = (
@@ -999,8 +1053,8 @@ class StreamCubeEngine:
         return dict(zip(keys, isbs.to_isbs()))
 
     def window_columns(
-        self, t_b: int, t_e: int, known: Iterable[str] = ()
-    ) -> tuple[str, list[Values] | None, kernels.ISBColumns]:
+        self, t_b: int, t_e: int
+    ) -> tuple[str, list[Values], kernels.ISBColumns]:
         """Every tracked cell's exact ISB over the sealed window [t_b, t_e],
         as ``(generation, keys, isbs)``.
 
@@ -1011,9 +1065,8 @@ class StreamCubeEngine:
         call: one row per tracked cell in birth order, nothing boxed.  This
         is the one window read — every analysis view here and every merged
         read of the sharded cube is built from it.  ``keys`` are the cells'
-        keys in row order — or ``None`` when the caller already holds them,
-        i.e. when :attr:`cell_generation` is among the ``known`` generations
-        it passed: between changes of the cell set only the floats travel.
+        keys in row order, and ``generation`` the :attr:`cell_generation`
+        they were read at.
         """
         generation, keys = self.cell_generation, list(self._rows)
         isbs = kernels.ISBColumns.over(t_b, t_e, np.zeros(0), np.zeros(0))
@@ -1030,7 +1083,7 @@ class StreamCubeEngine:
                     for p in plan
                 ]
             )
-        return generation, None if generation in known else keys, isbs
+        return generation, keys, isbs
 
     def m_cells(self, window_quarters: int = 4) -> dict[Values, ISB]:
         """The m-layer over the last ``window_quarters`` sealed quarters.

@@ -1214,20 +1214,18 @@ class ScenarioRunner:
         """One pushed update against the oracle at *its* quarter."""
         epoch = tuple(update["epoch"])
         quarter = update["quarter"]
-        if len(epoch) < 2:
+        if len(epoch) != 2:
             raise VerifyMismatch(
                 f"{sub_id}: malformed epoch vector {epoch!r}"
             )
-        if quarter != min(epoch[1:]):
+        if quarter != epoch[1]:
             raise VerifyMismatch(
                 f"{sub_id}: update quarter {quarter} disagrees with its "
                 f"epoch vector {epoch!r}"
             )
         prev = self._sub_prev_epoch.get(sub_id)
         if prev:
-            if len(prev) != len(epoch) or any(
-                c < p for p, c in zip(prev, epoch)
-            ):
+            if any(c < p for p, c in zip(prev, epoch)):
                 raise VerifyMismatch(
                     f"{sub_id}: update epoch {epoch!r} is older than its "
                     f"predecessor's {prev!r} — delivery reordered"

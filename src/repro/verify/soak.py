@@ -379,7 +379,7 @@ def _subscriber(
     Every pushed update is checked for the delivery guarantees the
     subscription layer documents — per-subscription ``seq`` strictly
     increasing, epoch vectors componentwise non-decreasing, the update's
-    quarter equal to the epoch vector's slowest shard clock — and for
+    quarter equal to the epoch's quarter clock — and for
     wire consistency (one window interval per cell map).  The last
     update each subscriber receives is stashed for the final audit,
     which recomputes it from the oracle at that update's own quarter.
@@ -416,16 +416,15 @@ def _subscriber(
             epoch = tuple(update.get("epoch", ()))
             if seq <= since:
                 problem = f"seq not increasing: {seq} after {since}"
-            elif len(epoch) < 2:
+            elif len(epoch) != 2:
                 problem = f"malformed epoch vector {epoch!r}"
-            elif update.get("quarter") != min(epoch[1:]):
+            elif update.get("quarter") != epoch[1]:
                 problem = (
                     f"quarter {update.get('quarter')} inconsistent with "
                     f"epoch {epoch}"
                 )
-            elif prev_epoch is not None and (
-                len(epoch) != len(prev_epoch)
-                or any(c < p for c, p in zip(epoch, prev_epoch))
+            elif prev_epoch is not None and any(
+                c < p for c, p in zip(epoch, prev_epoch)
             ):
                 problem = f"epoch regressed: {prev_epoch} -> {epoch}"
             elif not _consistent_cells(update.get("result", {})):

@@ -75,6 +75,7 @@ HARNESS_ONLY = [
     ("repro.regression.kernels", "merge_standard_cols"),
     ("repro.regression.kernels", "merge_time_cols"),
     ("repro.tilt.frame", "bulk_insert"),
+    ("repro.cluster.backends", "InprocBackend.call"),
     ("repro.cluster.backends", "InprocBackend.submit"),
     ("repro.stream.engine", "StreamCubeEngine.change_exceptions_between"),
 ]

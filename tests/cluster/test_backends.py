@@ -58,11 +58,12 @@ class TestInprocBackend:
         assert backend.n_shards == 2
 
     def test_counters_are_one_row_per_shard(self, layers, policy):
-        """``[current_quarter, records_ingested, tracked_cells]`` a shard:
-        the rows ``/health`` and ``/stats`` sum, and no worker fields
+        """``[current_quarter, records_ingested, tracked_cells,
+        cell_events]`` a shard: the rows ``/health``, ``/stats`` and the
+        epoch vector sum, and no worker fields
         (pids, restarts, RPCs, a health roster) beside them."""
         backend = InprocBackend(make_engines(layers, policy, n=3))
-        assert backend.counters() == [[0, 0, 0]] * 3
+        assert backend.counters() == [[0, 0, 0, 0]] * 3
         for fossil in ("stats", "health", "name"):
             assert not hasattr(backend, fossil), fossil
 
@@ -72,7 +73,7 @@ class TestInprocBackend:
         backend = InprocBackend(make_engines(layers, policy))
         backend.call(1, "ingest", StreamRecord((1, 1), 0, 2.0))
         backend.broadcast("advance_to", 3 * TPQ)
-        assert backend.counters() == [[3, 0, 0], [3, 1, 1]]
+        assert backend.counters() == [[3, 0, 0, 0], [3, 1, 1, 1]]
 
 
 class TestInprocRunsInline:
@@ -194,10 +195,11 @@ class TestShardHost:
         records = workload(3, quarters=2)
         host.invoke("ingest", (records[0],))
         host.invoke("advance_to", (2 * TPQ,))
-        quarter, ingested, cells = host.counters()
+        quarter, ingested, cells, events = host.counters()
         assert quarter == 2
         assert ingested == 1
         assert cells == 1
+        assert events == 1  # one birth
 
     def test_snapshot_to_file_round_trips(self, layers, policy, tmp_path):
         host = self.host(layers, policy)

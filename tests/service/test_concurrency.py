@@ -2,7 +2,7 @@
 
 The service serializes *mutators* (ingest / advance / snapshot) on one
 lock while queries and probes run concurrently against the cube's
-per-shard read locks and the router's epoch-vector-validated cache.
+shared read lock and the router's epoch-validated cache.
 Everything observable must therefore be a consistent point-in-time view
 even while ingest is sealing quarters, ``/admin/snapshot`` is compacting
 the WAL, and queries are refreshing the merged view.  These tests hammer

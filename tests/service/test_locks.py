@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.service.locks import RWLock, ShardLockTable
+from repro.service.locks import RWLock
 
 
 def _wait_until(predicate, timeout: float = 5.0) -> bool:
@@ -161,19 +161,32 @@ class TestBoundedReaderTurns:
         reader_thread.join(5.0)
 
 
-class TestShardLockTable:
-    def test_read_all_is_reentrant_per_thread(self):
-        table = ShardLockTable(3)
-        with table.read_all():
-            with table.read_all():
-                assert all(lock._readers == 1 for lock in table._locks)
-            assert all(lock._readers == 1 for lock in table._locks)
-        assert all(lock._readers == 0 for lock in table._locks)
+class TestReentrantRead:
+    def test_read_is_reentrant_per_thread(self):
+        lock = RWLock()
+        with lock.read():
+            with lock.read():
+                assert lock._readers == 1
+            assert lock._readers == 1
+        assert lock._readers == 0
 
-    def test_write_deduplicates_and_orders_indices(self):
-        table = ShardLockTable(3)
-        with table.write([2, 0, 2]):
-            assert table._locks[0]._writer
-            assert not table._locks[1]._writer
-            assert table._locks[2]._writer
-        assert not any(lock._writer for lock in table._locks)
+    def test_nested_read_does_not_queue_behind_a_waiting_writer(self):
+        # A waiting writer blocks *new* readers; a nested read on a thread
+        # that already holds the read side must not count as one, or the
+        # thread would wait on a writer that waits on it.
+        lock = RWLock()
+        writer_in = threading.Event()
+
+        def writer():
+            with lock.write():
+                writer_in.set()
+
+        with lock.read():
+            thread = threading.Thread(target=writer, daemon=True)
+            thread.start()
+            assert _wait_until(lambda: lock._writers_waiting == 1)
+            with lock.read():
+                assert lock._readers == 1
+            assert not writer_in.is_set()
+        assert writer_in.wait(5.0)
+        thread.join(5.0)

@@ -274,6 +274,49 @@ class TestRestoreCLI:
             restored.close()
             reference.close()
 
+    @pytest.mark.parametrize("shards", [None, 1, 7])
+    def test_restore_and_replay_answer_with_the_live_etag(
+        self, tmp_path, shards
+    ):
+        """The manifest carries the cell-event count and the journal
+        replays the births after it, so the restored epoch — and every
+        ETag — is the live cube's at the same stream position, at any
+        width."""
+        records = workload(7)
+        cut = next(
+            i for i, r in enumerate(records) if r.t // TPQ == 4 and r.t % TPQ == 2
+        )
+        live = build_service(
+            serve_args(tmp_path, snapshot_dir=str(tmp_path / "live"))
+        )
+        crashed = build_service(serve_args(tmp_path))
+        try:
+            ok(live, "POST", "/ingest", {"records": rows(records)})
+            ok(live, "POST", "/advance", {"t": 6 * TPQ})
+            ok(crashed, "POST", "/ingest", {"records": rows(records[:cut])})
+            ok(crashed, "POST", "/admin/snapshot")
+            ok(crashed, "POST", "/ingest", {"records": rows(records[cut:])})
+            ok(crashed, "POST", "/advance", {"t": 6 * TPQ})
+        finally:
+            crashed.cube.close()
+        manifest = json.loads((tmp_path / "snaps" / "manifest.json").read_text())
+        restored = build_service(
+            serve_args(tmp_path, restore=str(tmp_path / "snaps"), shards=shards)
+        )
+        try:
+            assert 0 < manifest["cell_events"] < live.cube.epoch_vector()[0]
+            assert restored.cube.epoch_vector() == live.cube.epoch_vector()
+            for query in QUERIES:
+                tags = [
+                    service.route("POST", "/query", query)[1].etag
+                    for service in (live, restored)
+                ]
+                assert tags[0] is not None
+                assert tags[0] == tags[1], query
+        finally:
+            restored.close()
+            live.close()
+
     def test_restore_with_reshard_serves_identical_queries(self, tmp_path):
         records = workload(9)
         reference = build_service(
@@ -435,6 +478,7 @@ MALFORMED_MANIFESTS = {
     "no-n-shards": lambda manifest: manifest.pop("n_shards"),
     "n-shards-two": lambda manifest: manifest.update(n_shards="two"),
     "wal-seq-x": lambda manifest: manifest.update(wal_seq="x"),
+    "cell-events-x": lambda manifest: manifest.update(cell_events="x"),
     "app-list": lambda manifest: manifest.update(app=[1]),
 }
 

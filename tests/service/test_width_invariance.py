@@ -5,10 +5,10 @@ load served by 1, 3 or 7 in-process shards must answer every recorded
 query with the same status and the same ``json.dumps`` text: the ISB
 merges are lossless and the cube merges shards in a canonical order, so
 sharding is invisible to clients.  The shard count shows only where it is
-meant to — the ``/stats`` ``shard_cells`` list, the ``/readyz`` count and
-the epoch vector an ``ETag`` spells out — and those shapes are pinned here
-for every width, together with what no longer shows it (``/healthz``, and
-no ``/stats`` ``parallel`` block).
+meant to — the ``/stats`` ``shard_cells`` list and the ``/readyz`` count —
+and those shapes are pinned here for every width, together with what does
+not show it: ``/healthz``, no ``/stats`` ``parallel`` block, every
+``ETag`` and every pushed ``epoch``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.service.http import StreamCubeService
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.generator import DatasetSpec
+from repro.stream.records import StreamRecord
 
 from tests.service.test_golden_bodies import GOLDEN, QUERIES, TPQ, _load
 
@@ -100,16 +101,58 @@ def test_probes_at_every_width(serve, n_shards):
     )
 
 
+#: The recorded single-spec queries: each complete answer carries an ETag.
+SINGLE_SPECS = [(name, payload) for name, payload in QUERIES if "op" in payload]
+
+
+def etags(service: StreamCubeService) -> dict[str, str]:
+    tags = {}
+    for name, payload in SINGLE_SPECS:
+        status, reply = service.route("POST", "/query", payload)
+        if status == 200:
+            tags[name] = reply.etag
+    return tags
+
+
 @pytest.mark.parametrize("n_shards", WIDTHS)
-def test_etag_spells_one_epoch_per_shard(serve, n_shards):
-    service = serve(n_shards)
-    status, reply = service.route("POST", "/query", {"op": "watch_list"})
-    assert status == 200
-    vector, _, digest = reply.etag.strip('"').partition("-")
-    parts = tuple(int(part) for part in vector.split("."))
-    assert parts == service.cube.epoch_vector()
-    # the structure version, then one seal epoch a shard
-    assert len(parts) == 1 + n_shards
-    assert parts[0] == 0
-    assert set(parts[1:]) == {6}
-    assert len(digest) == 16
+def test_etags_are_the_same_at_every_width(serve, n_shards):
+    """The epoch is ``(cell_events, quarter)``: a birth or a prune lives
+    on one shard, so the sum is width-free, and so is every ETag."""
+    recorded = etags(serve(2))
+    assert len(recorded) == 19
+    assert etags(serve(n_shards)) == recorded
+    cube = serve(n_shards).cube
+    # Nothing was pruned: every cell event so far is a birth.
+    assert cube.epoch_vector() == (cube.tracked_cells, 6) == (74, 6)
+    vectors = {tag.strip('"').partition("-")[0] for tag in recorded.values()}
+    assert vectors == {"74.6"}
+
+
+def pushed_epochs(n_shards: int) -> list[list[int]]:
+    """The golden ``updates-watch`` push, replayed at ``n_shards``."""
+    service = loaded_service(n_shards)
+    try:
+        assert service.subscriptions.flush(10.0)
+        status, body = service.handle("POST", "/subscribe", {"watch": True})
+        assert status == 200
+        service.cube.ingest_batch(
+            [StreamRecord((0, 0), t, 5.0 + t) for t in range(6 * TPQ, 7 * TPQ)]
+        )
+        service.cube.advance_to(7 * TPQ)
+        assert service.subscriptions.flush(10.0)
+        status, body = service.handle(
+            "GET",
+            f"/updates?subscription={body['subscription']}&since=0&timeout=5",
+        )
+        assert status == 200
+        return [update["epoch"] for update in body["updates"]]
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("n_shards", WIDTHS)
+def test_pushed_epoch_is_the_same_at_every_width(golden, n_shards):
+    recorded = json.loads(golden["updates-watch"]["body"])
+    expected = [update["epoch"] for update in recorded["updates"]]
+    assert expected == [[74, 7]]
+    assert pushed_epochs(n_shards) == expected

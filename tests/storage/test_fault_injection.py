@@ -105,6 +105,17 @@ class TestWriteFaults:
         with pytest.raises(StorageError, match="even after"):
             store.put_segment(page())
 
+    def test_double_torn_write_leaves_no_partial_bytes(self, store):
+        store.put_segment(page(0, 0, 3))
+        (path,) = store.root.glob("L*.seg")
+        size = path.stat().st_size
+        arm("store.write", "torn", count=2)
+        with pytest.raises(StorageError, match="even after"):
+            store.put_segment(page(0, 4, 7))
+        faults.clear()
+        assert path.stat().st_size == size
+        assert FileColdStore(store.root).scan() == [(0, 0, 3)]
+
 
 class TestLatency:
     def test_latency_rule_neither_raises_nor_corrupts(self, store):

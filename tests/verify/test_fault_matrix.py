@@ -1,14 +1,15 @@
 """The fault matrix: chaos scenarios replayed with injection armed.
 
 Every preset fault class (torn WAL appends, cold-page bit flips,
-ENOSPC mid-snapshot) is one the durability layer repairs in place, so a
-scenario run with a plan armed must still pass **bit-identically** —
-same oracle agreement, same engine==cube equivalence — not merely
-survive.  Every run spills to the cold store.  The default leg keeps CI
-fast: three recovery-heavy scenarios x three presets.
-``FAULT_MATRIX=full`` (the nightly leg) widens to the whole catalogue,
-and runs ``refresh_plan_churn`` in its long form (four rounds of
-cell-set churn before the shard is lost).
+ENOSPC mid-snapshot, a cold page the store refuses twice) is one the
+durability layer repairs in place, so a scenario run with a plan armed
+must still pass **bit-identically** — same oracle agreement, same
+engine==cube equivalence — not merely survive.  Every run spills to the
+cold store.  The default leg keeps CI fast: three recovery-heavy
+scenarios x three presets, plus the refused cold page under spilled
+crash recovery.  ``FAULT_MATRIX=full`` (the nightly leg) widens to the
+whole catalogue x every preset, and runs ``refresh_plan_churn`` in its
+long form (four rounds of cell-set churn before the shard is lost).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import pytest
 
 from repro.verify.scenarios import REFRESH_PLAN_CHURN, SCENARIOS, run_scenario
 
-PRESETS = ("wal-torn", "page-bitflip", "enospc-snapshot")
+PRESETS = ("wal-torn", "page-bitflip", "enospc-snapshot", "store-enospc")
+QUICK_PRESETS = PRESETS[:3]
 
 #: The quick leg leans on the scenarios that exercise the most
 #: durability machinery: full-WAL crash recovery, crash recovery under
@@ -31,10 +33,15 @@ FULL = os.environ.get("FAULT_MATRIX") == "full"
 
 
 def combos():
-    names = tuple(SCENARIOS) if FULL else QUICK_SCENARIOS
-    for name in names:
-        for preset in PRESETS:
+    if FULL:
+        for name in SCENARIOS:
+            for preset in PRESETS:
+                yield name, preset
+        return
+    for name in QUICK_SCENARIOS:
+        for preset in QUICK_PRESETS:
             yield name, preset
+    yield "spill_crash_replay", "store-enospc"
 
 
 @pytest.mark.parametrize("name,preset", list(combos()), ids=lambda v: str(v))

@@ -71,8 +71,9 @@ def test_scenario_agrees_with_oracle(name: str, seed: int):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_one_shard_continuous_push(seed: int):
-    """Pushed updates on a one-shard cube, whose epoch vector is
-    ``(structure_version, q_0)``, clear every ordering and oracle check."""
+    """Pushed updates on a one-shard cube (the epoch is
+    ``(cell_events, quarter)`` at every width) clear every ordering and
+    oracle check."""
     scenario = dataclasses.replace(SCENARIOS["continuous_push"], n_shards=1)
     report = run_scenario(scenario, seed=seed)
     assert report.checks > 0

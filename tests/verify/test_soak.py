@@ -34,8 +34,9 @@ def test_short_soak_with_subscribers(tmp_path):
 
 
 def test_one_shard_soak_with_subscribers(tmp_path):
-    """The same contract on a one-shard cube, whose epoch vector is
-    ``(structure_version, q_0)``: every update's quarter is its cut's."""
+    """The same contract on a one-shard cube (the epoch is
+    ``(cell_events, quarter)`` at every width): every update's quarter
+    is its cut's."""
     config = SoakConfig(seed=4, duration=2.0, subscribers=2, shards=1)
     report = run_soak(config, tmp_path)
     assert report.mismatches == 0, report.describe()
