@@ -30,7 +30,9 @@ Adding an operation is a one-file change: subclass :class:`QuerySpec` here
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Any, Callable, ClassVar, Hashable, Iterator, Mapping
 
 from repro.cube.schema import CubeSchema
@@ -221,8 +223,10 @@ class QuerySpec:
         return replace(self, **kwargs)
 
     def window(self, quarters: int) -> "QuerySpec":
-        """The analysis window, in quarters."""
-        return self._with(window_quarters=quarters)
+        """The analysis window, in quarters (this spec if it already is)."""
+        if quarters == self.window_quarters:
+            return self
+        return replace(self, window_quarters=quarters)
 
     def at(self, coord: Any) -> "QuerySpec":
         """The cuboid coordinate (level indices, or level names to resolve)."""
@@ -292,9 +296,19 @@ class QuerySpec:
     # ------------------------------------------------------------------
     def cache_key(self) -> tuple:
         """A canonical hashable identity: equal plans produce equal keys."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
         return (self.op,) + tuple(
             (f.name, getattr(self, f.name)) for f in fields(self)
         )
+
+    @cached_property
+    def key_digest(self) -> str:
+        """A 64-bit hex digest of :meth:`cache_key`: an ``ETag``'s spec half."""
+        key = repr(self.cache_key()).encode("utf-8")
+        return hashlib.blake2b(key, digest_size=8).hexdigest()
 
     def to_dict(self) -> dict[str, Any]:
         """The JSON-ready wire form (inverse of :func:`spec_from_dict`)."""

@@ -2,7 +2,7 @@
 
 ``python -m repro soak --seed S --duration N`` boots a real
 :class:`~repro.service.http.StreamCubeService` behind
-``ThreadingHTTPServer`` (WAL + snapshot directory attached), then hammers
+``make_server`` (WAL + snapshot directory attached), then hammers
 it from multiple threads at once:
 
 * **ingesters** POST ``/ingest`` batches drawn from seeded per-thread

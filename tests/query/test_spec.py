@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import HierarchyError, QueryError, SchemaError
@@ -114,6 +116,25 @@ class TestBuilder:
         assert Q.cell((1, 1), (0, 0)).cache_key() != (
             Q.cell((1, 1), (0, 0), window=2).cache_key()
         )
+
+    def test_the_key_and_its_digest_are_computed_once_per_spec(self):
+        spec = Q.cell((1, 1), (0, 0), window=2)
+        key = spec.cache_key()
+        assert spec.cache_key() is key
+        assert key == ("cell", ("window_quarters", 2), ("coord", (1, 1)),
+                       ("values", (0, 0)))
+        digest = hashlib.blake2b(repr(key).encode(), digest_size=8).hexdigest()
+        assert spec.key_digest == digest
+        # Memoized identity stays out of equality and hashing.
+        assert spec == Q.cell((1, 1), (0, 0), window=2)
+        assert hash(spec) == hash(Q.cell((1, 1), (0, 0), window=2))
+
+    def test_window_keeps_the_spec_when_it_already_has_that_window(self):
+        spec = Q.cell((1, 1), (0, 0), window=4)
+        assert spec.window(4) is spec
+        assert spec.window(5) == Q.cell((1, 1), (0, 0), window=5)
+        with pytest.raises(QueryError):
+            spec.window(0)
 
 
 class TestResolve:

@@ -581,20 +581,24 @@ def live(loaded):
         assert not thread.is_alive()
 
 
-def _raw_exchange(sock, request: bytes) -> tuple[int, dict]:
-    """Send raw bytes, read exactly one JSON response off the socket."""
-    sock.sendall(request)
-    reader = sock.makefile("rb")
+def _read_response(reader) -> tuple[int, dict[str, str], bytes]:
+    """One response off a socket's reader: status, headers, body."""
     status = int(reader.readline().split()[1])
-    length = 0
+    headers: dict[str, str] = {}
     while True:
         line = reader.readline().strip()
         if not line:
             break
         name, _, value = line.partition(b":")
-        if name.lower() == b"content-length":
-            length = int(value)
-    return status, json.loads(reader.read(length))
+        headers[name.decode().lower()] = value.strip().decode()
+    return status, headers, reader.read(int(headers.get("content-length", 0)))
+
+
+def _raw_exchange(sock, request: bytes) -> tuple[int, dict]:
+    """Send raw bytes, read exactly one JSON response off the socket."""
+    sock.sendall(request)
+    status, _, body = _read_response(sock.makefile("rb"))
+    return status, json.loads(body)
 
 
 class TestTransport:
@@ -804,3 +808,234 @@ class TestHttpEdges:
             # The unread body makes the stream unusable: the server closes.
             assert sock.recv(1) == b""
         assert service.cube.records_ingested == before
+
+
+def _post(path: str, body: bytes, *headers: str, version: str = "1.1") -> bytes:
+    lines = [f"POST {path} HTTP/{version}", "Host: x", *headers]
+    if not any(h.lower().startswith(("content-length", "transfer-encoding"))
+               for h in headers):
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+class TestRequestBodies:
+    """Bodies that are not JSON objects get a typed answer, not a dead
+    socket; a chunked body, which has no length, is refused."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"records": "\xff"}', b"[" * 100_000],
+        ids=["invalid-utf8", "deep-nesting"],
+    )
+    def test_an_undecodable_body_is_a_typed_400_and_the_connection_lives(
+        self, live, body
+    ):
+        service, port = live
+        before = service.cube.records_ingested
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            status, answer = _raw_exchange(sock, _post("/ingest", body))
+            assert status == 400
+            assert answer["type"] == "BadRequest"
+            assert answer["error"].startswith("invalid JSON body: ")
+            status, answer = _raw_exchange(
+                sock, b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            assert status == 200 and answer["status"] == "ok"
+        assert service.cube.records_ingested == before
+
+    def test_a_chunked_body_is_a_typed_411_and_the_connection_closes(self, live):
+        service, port = live
+        before = service.cube.records_ingested
+        chunk = b'{"records": []}'
+        request = _post(
+            "/ingest",
+            b"%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk),
+            "Transfer-Encoding: chunked",
+        )
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            status, answer = _raw_exchange(sock, request)
+            assert status == 411
+            assert answer["type"] == "LengthRequired"
+            assert "Content-Length" in answer["error"]
+            # The chunk lines are never parsed as a next request.
+            assert sock.recv(1) == b""
+        assert service.cube.records_ingested == before
+
+
+class TestEdgeErrors:
+    """Every error the transport answers is the service's JSON body."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, kind",
+        [
+            (b"PUT /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+             501, "NotImplemented"),
+            (b"\x16\x03\x01 garbage\r\n\r\n", 400, "BadRequest"),
+            (b"GET /health\r\n\r\n", 400, "BadRequest"),
+            (b"GET /health HTTP/1.1\r\nno colon here\r\n\r\n",
+             400, "BadRequest"),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+             414, "URITooLong"),
+            (b"GET /health HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+             431, "RequestHeaderFieldsTooLarge"),
+            (b"GET /health HTTP/1.1\r\n" + b"X-A: 1\r\n" * 101 + b"\r\n",
+             431, "RequestHeaderFieldsTooLarge"),
+        ],
+        ids=["put", "garbage", "no-version", "header-no-colon",
+             "long-request-line", "long-header-line", "101-headers"],
+    )
+    def test_a_refused_request_is_a_json_error_and_a_close(
+        self, live, request_bytes, status, kind
+    ):
+        _, port = live
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(request_bytes)
+            reader = sock.makefile("rb")
+            got, headers, body = _read_response(reader)
+            assert (got, json.loads(body)["type"]) == (status, kind)
+            assert headers["content-type"] == "application/json"
+            assert headers["connection"] == "close"
+            assert reader.read() == b""
+
+    def test_one_hundred_headers_are_accepted(self, live):
+        _, port = live
+        request = b"GET /healthz HTTP/1.1\r\n" + b"X-A: 1\r\n" * 100 + b"\r\n"
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            assert _raw_exchange(sock, request) == (200, {"status": "ok"})
+
+    def test_an_exception_escaping_a_route_is_a_typed_500_logged_once(
+        self, live, capsys
+    ):
+        service, port = live
+
+        def broken(payload):
+            raise RuntimeError("route blew up")
+
+        service.healthz = broken
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                reader = sock.makefile("rb")
+                status, headers, body = _read_response(reader)
+                assert status == 500
+                assert json.loads(body) == {
+                    "error": "RuntimeError: route blew up",
+                    "type": "InternalServerError",
+                }
+                assert headers["connection"] == "close"
+                assert reader.read() == b""
+        finally:
+            del service.healthz
+        err = capsys.readouterr().err
+        assert err.count("Traceback") == 1 and "route blew up" in err
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            assert _raw_exchange(
+                sock, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            ) == (200, {"status": "ok"})
+
+
+class TestFraming:
+    """The keep-alive loop's framing, over raw sockets."""
+
+    HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "request_bytes, keeps",
+        [
+            (b"GET /healthz HTTP/1.0\r\n\r\n", False),
+            (b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", True),
+            (b"GET /healthz HTTP/1.1\r\n\r\n", True),
+            (b"GET /healthz HTTP/1.1\r\nconnection: Close\r\n\r\n", False),
+        ],
+        ids=["1.0", "1.0-keep-alive", "1.1", "1.1-close"],
+    )
+    def test_the_connection_lives_by_version_and_connection_header(
+        self, live, request_bytes, keeps
+    ):
+        _, port = live
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(request_bytes)
+            reader = sock.makefile("rb")
+            status, headers, body = _read_response(reader)
+            assert (status, json.loads(body)) == (200, {"status": "ok"})
+            assert ("connection" in headers) is not keeps
+            if keeps:
+                sock.sendall(self.HEALTHZ)
+                assert _read_response(reader)[0] == 200
+            else:
+                assert reader.read() == b""
+
+    def test_the_interim_100_continue_arrives_before_the_body_is_sent(self, live):
+        _, port = live
+        body = json.dumps(
+            {"records": [{"values": [0, 0], "t": 6 * TPQ, "z": 1.0}]}
+        ).encode()
+        head, _, payload = _post(
+            "/ingest", body, "Expect: 100-continue"
+        ).partition(b"\r\n\r\n")
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(head + b"\r\n\r\n")
+            reader = sock.makefile("rb")
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(payload)
+            status, _, answer = _read_response(reader)
+            assert status == 200 and json.loads(answer)["ingested"] == 1
+
+    def test_pipelined_requests_are_answered_in_order(self, live):
+        _, port = live
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"GET /readyz HTTP/1.1\r\nHost: x\r\n\r\n"
+                + _post("/query", b'{"op": "magic"}')
+                + self.HEALTHZ
+            )
+            reader = sock.makefile("rb")
+            answers = [_read_response(reader) for _ in range(3)]
+        assert [(s, json.loads(b)) for s, _, b in answers][::2] == [
+            (200, {"ready": True, "shards": 2}),
+            (200, {"status": "ok"}),
+        ]
+        assert answers[1][0] == 400
+
+    def test_a_body_cut_short_closes_unanswered_and_leaks_no_worker(
+        self, loaded
+    ):
+        server = make_server(loaded, port=0, request_threads=1)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(b"POST /ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n{")
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1) == b""
+            # The one pool thread is free again.
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                assert _raw_exchange(sock, self.HEALTHZ) == (200, {"status": "ok"})
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_each_response_leaves_in_one_send(self, live, monkeypatch):
+        service, port = live
+        sends: list[int] = []
+        for name in ("send", "sendall", "sendmsg"):
+            original = getattr(socket.socket, name)
+
+            def counting(sock, *args, _original=original, **kwargs):
+                if sock.getsockname()[1] == port:
+                    sends.append(1)
+                return _original(sock, *args, **kwargs)
+
+            monkeypatch.setattr(socket.socket, name, counting)
+        deck = json.dumps({"op": "observation_deck"}).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            for request in (self.HEALTHZ, _post("/query", deck), _post("/query", deck)):
+                sock.sendall(request)
+                status, headers, _ = _read_response(reader)
+                assert status == 200 and "date" in headers
+        assert len(sends) == 3
