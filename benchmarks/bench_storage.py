@@ -109,7 +109,7 @@ def _resident_slots(engine: StreamCubeEngine) -> int:
     # Every cell retains the clock's slots; one frame_of() reads the count.
     if not engine.tracked_cells:
         return 0
-    first = next(iter(engine._rows))
+    first = engine._table.keys[engine._ids[0]]  # row 0's cell key
     return engine.frame_of(first).total_retained * engine.tracked_cells
 
 

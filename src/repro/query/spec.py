@@ -463,8 +463,12 @@ class ChangeExceptionsSpec(QuerySpec):
     layer: str = "m"
 
 
-def spec_from_dict(payload: Mapping[str, Any]) -> QuerySpec:
-    """Decode any spec from its wire form, dispatching on ``op``."""
+def spec_from_dict(
+    payload: Mapping[str, Any], window: int | None = None
+) -> QuerySpec:
+    """Decode any spec from its wire form, dispatching on ``op``; a payload
+    without a ``window`` takes ``window`` (the reader's default) when one is
+    given, so no default has to be filled in later by a copy."""
     if not isinstance(payload, Mapping):
         raise QueryError(f"a query must be a JSON object, got {type(payload).__name__}")
     op = payload.get("op")
@@ -473,6 +477,8 @@ def spec_from_dict(payload: Mapping[str, Any]) -> QuerySpec:
         raise QueryError(
             f"unknown query op {op!r}; known ops: {sorted(_REGISTRY)}"
         )
+    if window is not None and payload.get("window") is None:
+        payload = {**payload, "window": window}
     return cls.from_dict(payload)
 
 

@@ -85,7 +85,6 @@ __all__ = [
     "float_column",
     "grown",
     "quarter_order",
-    "split_groups",
     "open_slots",
     "open_add",
     "open_seal",
@@ -621,13 +620,13 @@ def float_column(items: Iterable[float]) -> Column:
     return np.fromiter(items, dtype=np.float64)
 
 
-def grown(column: Column, n: int) -> Column:
-    """``column`` zero-extended to at least ``n`` entries (capacity doubles,
-    so appending rows one at a time stays amortized)."""
+def grown(column: Column, n: int, fill: int = 0) -> Column:
+    """``column`` extended by ``fill`` to at least ``n`` entries (capacity
+    doubles, so appending rows one at a time stays amortized)."""
     have = len(column)
     if n <= have:
         return column
-    out = np.zeros(max(n, 2 * have), dtype=column.dtype)
+    out = np.full(max(n, 2 * have), fill, dtype=column.dtype)
     out[:have] = column
     return out
 
@@ -647,38 +646,15 @@ def quarter_order(
     return quarters, int(bad.argmax()) if bad.any() else -1
 
 
-def split_groups(
-    group: Column, part_of: Column, n_parts: int
-) -> list[tuple[list[int], Column, Column] | None]:
-    """Split coded records by a per-*group* part assignment.
-
-    ``group`` holds one group code per record, ``part_of[g]`` the part group
-    ``g`` goes to.  Per part: ``(groups, records, codes)`` — the group codes
-    it takes (ascending), the indices of its records (ascending, so arrival
-    order survives) and those records' codes renumbered into ``groups`` —
-    or ``None`` for a part that takes nothing.  Groups stay whole.
-    """
-    parts: list[tuple[list[int], Column, Column] | None] = [None] * n_parts
-    of_record = part_of[group]
-    local = np.empty(len(part_of), dtype=np.int64)
-    for part in range(n_parts):
-        groups = np.flatnonzero(part_of == part)
-        if len(groups):
-            local[groups] = np.arange(len(groups))
-            records = np.flatnonzero(of_record == part)
-            parts[part] = (groups.tolist(), records, local[group[records]])
-    return parts
-
-
 def open_slots(
-    rows: Column, group: Column, ticks: Column, lo: int, ticks_per_quarter: int
+    rows: Column, ticks: Column, lo: int, ticks_per_quarter: int
 ) -> Column:
     """Every record's slot in the open-quarter layout.
 
     The open quarter is flat and row-major: the sum of cell row ``r`` at
     tick ``t`` of the quarter starting at ``lo`` lives at slot
-    ``r * ticks_per_quarter + (t - lo)``.  ``rows[group[i]]`` is record
-    ``i``'s cell row.
+    ``r * ticks_per_quarter + (t - lo)``.  ``rows[i]`` is record ``i``'s
+    cell row.
     """
     offsets = ticks - lo
     if len(offsets) and (
@@ -688,7 +664,7 @@ def open_slots(
             "recorded ticks fall outside the window "
             f"[{lo}, {lo + ticks_per_quarter - 1}]"
         )
-    return rows[group] * ticks_per_quarter + offsets
+    return rows * ticks_per_quarter + offsets
 
 
 def open_add(sums: Column, present: Column, slots: Column, z: Column) -> None:

@@ -106,6 +106,7 @@ from __future__ import annotations
 import gc
 import json
 import signal
+import socket
 import socketserver
 import sys
 import threading
@@ -120,7 +121,6 @@ from typing import Any, Mapping
 from urllib.parse import parse_qsl
 
 from repro.errors import ReproError, ServiceError
-from repro.io import spec_from_dict
 from repro.query.exec import BatchItem
 from repro.regression import kernels
 from repro.service.router import QueryRouter
@@ -574,7 +574,7 @@ class StreamCubeService:
 
         # Everything else is one spec: decode -> execute; the sender
         # encodes (or reuses the cache line's bytes).
-        cut, result = self.router.execute_versioned(spec_from_dict(payload))
+        cut, result = self.router.execute_versioned(payload)
         return Reply(result, self._degraded_block(), cut)
 
     # ------------------------------------------------------------------
@@ -804,6 +804,9 @@ class _PooledHTTPServer(socketserver.ThreadingTCPServer):
     ``request_threads`` connections are served concurrently (cache hits
     in parallel, reads sharing the read lock) and the rest queue at the
     accept backlog — backpressure instead of thread explosion.
+
+    The server keeps its open connections, so that closing it ends the
+    keep-alive ones a client leaves idle (see :meth:`server_close`).
     """
 
     allow_reuse_address = True
@@ -819,6 +822,8 @@ class _PooledHTTPServer(socketserver.ThreadingTCPServer):
             thread_name_prefix="repro-http",
         )
         self._date = (0, b"")
+        self._open: set[socket.socket] = set()
+        self._open_mu = threading.Lock()
         super().__init__(server_address, handler_class)
 
     def date_line(self) -> bytes:
@@ -832,11 +837,32 @@ class _PooledHTTPServer(socketserver.ThreadingTCPServer):
 
     def process_request(self, request: Any, client_address: Any) -> None:
         # ThreadingMixIn would start a fresh thread here; reuse the pool.
-        self._pool.submit(self.process_request_thread, request, client_address)
+        with self._open_mu:
+            self._open.add(request)
+        self._pool.submit(self._connection, request, client_address)
+
+    def _connection(self, request: Any, client_address: Any) -> None:
+        try:
+            self.process_request_thread(request, client_address)
+        finally:
+            with self._open_mu:
+                self._open.discard(request)
 
     def server_close(self) -> None:
+        """Stop listening, end idle connections, then drain.
+
+        Every open connection's read side is shut, so a handler waiting
+        for a keep-alive client's next request reads EOF and ends; a
+        request whose body has been read still gets its answer.  Then every
+        submitted connection finishes before close returns.
+        """
         super().server_close()
-        # The drain: every submitted request finishes before close returns.
+        with self._open_mu:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # already gone
         self._pool.shutdown(wait=True)
 
 
@@ -861,10 +887,10 @@ def serve(
 
     The serving loop runs on a background thread while the main thread
     waits for a stop signal; on SIGTERM/SIGINT the listener stops
-    accepting, in-flight requests drain (``server_close`` joins the
-    request threads), and — when the service has a ``snapshot_dir`` — a
-    final snapshot is written so a clean shutdown is always restorable
-    from disk, WAL already compacted.
+    accepting, idle keep-alive connections end, in-flight requests drain
+    (``server_close`` joins the request threads), and — when the service
+    has a ``snapshot_dir`` — a final snapshot is written so a clean
+    shutdown is always restorable from disk, WAL already compacted.
     """
     server = make_server(service, host, port, request_threads)
     address = f"http://{server.server_address[0]}:{server.server_address[1]}"

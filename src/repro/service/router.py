@@ -363,7 +363,7 @@ class QueryRouter:
         if isinstance(spec, BatchQuery):
             raise ServiceError("a BatchQuery must go through execute_batch")
         if isinstance(spec, Mapping):
-            spec = spec_from_dict(spec)
+            spec = spec_from_dict(spec, self.window_quarters)
         window = self._window(spec.window_quarters)
         resolved = spec.window(window).resolve(self.schema)
         key = resolved.cache_key()

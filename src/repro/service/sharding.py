@@ -8,6 +8,8 @@ state during ingestion, and any global view is an exact disjoint-union merge
 caller's thread (:class:`~repro.cluster.backends.InprocBackend`).
 
 The cube is the one owner of everything above the shards: the journal, the
+cell table (:class:`~repro.stream.cells.CellTable`: a key is hashed once,
+at the door, and is an integer id from the route to the merged read), the
 held cubing plan, the refresh, the change exceptions and read consistency —
 one phase-fair reader-writer lock and one epoch, ``(cell_events,
 quarter)``, that is the same at every shard count.  A cube over one engine
@@ -24,8 +26,6 @@ evolve on its owner shard exactly as they would on the one shard.
 from __future__ import annotations
 
 import functools
-import hashlib
-import itertools
 import json
 import re
 import threading
@@ -52,20 +52,21 @@ from repro.io import (
 from repro.regression import kernels
 from repro.regression.isb import ISB
 from repro.service.locks import RWLock
-from repro.service.merge import disjoint_union
+from repro.service.merge import canonical_rows
 from repro.storage import (
     BACKEND,
     StorageConfig,
     open_shard_stores,
     prune_stale_generations,
 )
+from repro.stream.cells import CellTable, stable_shard_index
 from repro.stream.engine import (
     KeyFn,
     Segment,
     StreamCubeEngine,
     change_window_bounds,
     check_seal_horizon,
-    group_segments,
+    quarter_segments,
     recent_window_bounds,
     run_cubing,
     validate_batch,
@@ -83,29 +84,6 @@ Values = tuple[Hashable, ...]
 _MANIFEST = "manifest.json"
 _SNAPSHOT_FORMAT = "repro-snapshot"
 
-#: Bound on the parent-side key -> shard routing cache (cleared wholesale
-#: when exceeded).  An entry memoizes validate-then-route, a pure function
-#: of the schema and the shard count: a key is in it only after it passed
-#: schema validation, so the batch path validates each key once, not once
-#: per batch — dropping entries only costs a re-validation and a blake2b.
-_ROUTE_CACHE_LIMIT = 1 << 20
-
-
-def stable_shard_index(values: Values, n_shards: int) -> int:
-    """The owning shard of one m-layer key.
-
-    Python's built-in ``hash`` is salted per process for strings, which would
-    scatter the same key to different shards across restarts.  An unkeyed
-    blake2b digest over a canonical encoding is stable everywhere and cheap
-    enough for the ingest path.
-    """
-    digest = hashlib.blake2b(
-        b"\x1f".join(repr(value).encode("utf-8") for value in values)
-        + b"\x1f",
-        digest_size=8,
-    )
-    return int.from_bytes(digest.digest(), "big") % n_shards
-
 
 def _count(
     fields: Mapping[str, Any],
@@ -122,30 +100,6 @@ def _count(
             f"integer >= {minimum}"
         )
     return value
-
-
-def _n_records(segments: list[Segment]) -> int:
-    return sum(len(group) for _, _, group, _, _ in segments)
-
-
-def _split(
-    segment: Segment, part_of: kernels.Column, n_parts: int
-) -> list[Segment | None]:
-    """``segment`` split by a per-*key* part assignment: one segment a part
-    (``None`` for a part no key goes to), groups whole, key order and record
-    order kept (:func:`repro.regression.kernels.split_groups`)."""
-    quarter, keys, group, ticks, z = segment
-    return [
-        part
-        and (
-            quarter,
-            [keys[g] for g in part[0]],
-            part[2],
-            ticks[part[1]],
-            z[part[1]],
-        )
-        for part in kernels.split_groups(group, part_of, n_parts)
-    ]
 
 
 def _repartition_states(
@@ -196,28 +150,23 @@ class _HeldCells:
     ``version`` is the per-shard cell generation, ``None`` for a shard a
     degraded read lost; ``keys`` the merged keys in canonical order and
     ``order`` the permutation taking the concatenated rows of the
-    answering shards (``present``, one key list each) there —
-    :func:`~repro.service.merge.disjoint_union`'s order and its
-    disjointness check.  ``plan``, the cubing plan of the set, is built by
-    the first refresh that asks for it.  Never patched: a moved version
-    gets a new one.
+    answering shards (``ids``, one id column each) there
+    (:func:`~repro.service.merge.canonical_rows`, with its disjointness
+    check).  ``plan``, the cubing plan of the set, is built by the first
+    refresh that asks for it.  Never patched: a moved version gets a new
+    one.
     """
 
     def __init__(
         self,
         layers: CriticalLayers,
         version: tuple[str | None, ...],
-        present: list[list[Values]],
+        ids: list[kernels.Column],
+        key_of: list[Values],
     ) -> None:
-        offsets = itertools.accumulate(map(len, present), initial=0)
-        row_of = disjoint_union(
-            dict(zip(keys, itertools.count(offset)))
-            for keys, offset in zip(present, offsets)
-        )
         self.layers = layers
         self.version = version
-        self.keys = list(row_of)
-        self.order = np.fromiter(row_of.values(), dtype=np.int64, count=len(row_of))
+        self.keys, self.order = canonical_rows(ids, key_of)
 
     @functools.cached_property
     def plan(self) -> CubePlan:
@@ -248,6 +197,9 @@ class ShardedStreamCube:
     hot_quarters:
         Overrides ``storage.hot_quarters`` when given (the config default
         serves the common case).  Ignored without ``storage``.
+
+    The shards share one :class:`~repro.stream.cells.CellTable`: a batch's
+    keys are interned once, at the door, and from there a cell is an id.
 
     Concurrency discipline (the HTTP layer does not serialize access):
     *mutators* (ingest / advance / prune / snapshot) are serialized by one
@@ -292,8 +244,9 @@ class ShardedStreamCube:
             if hot_quarters is not None
             else (storage.hot_quarters if storage is not None else None)
         )
-        self._validate_values = layers.schema.values_validator(layers.m_coord)
-        self._route_cache: dict[Values, int] = {}
+        self._table = CellTable(
+            layers.schema.values_validator(layers.m_coord), n_shards
+        )
         self._snapshots_taken = 0
         #: When True, merged reads tolerate quarantined shards and record
         #: what was missing instead of raising — the service layer's
@@ -342,6 +295,7 @@ class ShardedStreamCube:
                     frame_levels=levels,
                     storage=stores[i] if stores else None,
                     hot_quarters=self.hot_quarters,
+                    table=self._table,
                 )
                 for i in range(n_shards)
             ]
@@ -392,21 +346,7 @@ class ShardedStreamCube:
 
     def shard_index(self, values: Values) -> int:
         """The shard owning an m-layer key (routing is pure)."""
-        key = tuple(values)
-        idx = self._route_cache.get(key)
-        if idx is None:
-            idx = stable_shard_index(key, self._backend.n_shards)
-        return idx
-
-    def _admit(self, key: Values) -> int:
-        """Schema-validate a key the batch path has not routed before, then
-        route it and remember both (see :data:`_ROUTE_CACHE_LIMIT`)."""
-        self._validate_values(key)
-        cache = self._route_cache
-        if len(cache) >= _ROUTE_CACHE_LIMIT:
-            cache.clear()
-        idx = cache[key] = stable_shard_index(key, self._backend.n_shards)
-        return idx
+        return stable_shard_index(tuple(values), self._backend.n_shards)
 
     def storage_stats(self) -> dict[str, Any] | None:
         """The cube's tiered-storage picture, or ``None`` without storage.
@@ -478,9 +418,9 @@ class ShardedStreamCube:
         :func:`~repro.stream.engine.validate_batch` — every ``z`` finite,
         quarters non-decreasing, none sealed, the last within the seal
         horizon — checked against the *global* order, and every cell key
-        this cube has not routed before is schema-validated, all before the
-        journal or any shard is touched: a bad batch mutates nothing (with
-        or without a WAL), so a client can fix and resend it, and a
+        new to the cell table is schema-validated, all before the journal,
+        the table or any shard is touched: a bad batch mutates nothing
+        (with or without a WAL), so a client can fix and resend it, and a
         rejected batch can never poison the log.  Records are converted to
         columns here, at the door; a caller that already holds
         :class:`~repro.stream.records.RecordColumns` (the HTTP edge) passes
@@ -493,28 +433,25 @@ class ShardedStreamCube:
             return self._ingest_batch_locked(batch)
 
     def _ingest_batch_locked(self, batch: RecordColumns) -> int:
-        backend = self._backend
         current = self.current_quarter
         quarters = validate_batch(batch, current, self.ticks_per_quarter)
         top = int(quarters[-1])
-        grouped = group_segments(
-            batch.keys(self.key_fn), batch.ticks, batch.z, quarters
-        )
-        segments = self._route(grouped)
+        ids, born = self._table.admit(batch.keys(self.key_fn))
         if self.wal is not None:
-            self.wal.append_batch(batch, top, None if self.key_fn else grouped)
-        # Readers are fenced out only while engine state actually changes.
-        # A sealing batch (its top quarter passes the cube clock) moves
-        # every shard's clock: shards the batch missed are aligned under
-        # the same write hold.  Past validation, nothing here can fail: a
-        # journaled batch is never answered with an error.
+            self.wal.append_batch(batch, top, None if self.key_fn else ids)
+        # Readers are fenced out only while the table and engine state
+        # change.  A sealing batch (its top quarter passes the cube clock)
+        # moves every shard's clock: shards the batch missed are aligned
+        # under the same write hold.  Past validation, nothing here can
+        # fail: a journaled batch is never answered with an error.
         sealing = top > current
         with self._lock.write():
-            backend.map(
+            self._table.commit(born)
+            self._backend.map(
                 "apply_segments",
                 [
-                    (shard_segments, _n_records(shard_segments))
-                    for shard_segments in segments
+                    (segments, sum(len(s[1]) for s in segments))
+                    for segments in self._route(ids, batch, quarters)
                 ],
             )
             if sealing:
@@ -523,39 +460,17 @@ class ShardedStreamCube:
             self._notify_seal()
         return len(batch)
 
-    def _route(self, batch_segments: list[Segment]) -> list[list[Segment]]:
-        """Split a batch's coded segments into one segment list per shard.
-
-        Routing runs once per *distinct* key, through the route cache; a
-        key the cache has not seen is schema-validated first
-        (:meth:`_admit`), so a batch with an out-of-schema key raises here,
-        before the journal or any shard sees it.  The records follow their
-        key's group code (:func:`repro.regression.kernels.split_groups`),
-        keeping arrival order within every shard and first-seen key order
-        — so each shard bears its cells and folds its sums exactly as one
-        shard fed the whole batch would.
-        """
-        n_shards = self._backend.n_shards
-        cache = self._route_cache
-        routed: list[list[Segment]] = [[] for _ in range(n_shards)]
-        for segment in batch_segments:
-            keys = segment[1]
-            try:
-                owners = kernels.int_column(map(cache.get, keys))
-            except TypeError:  # a None: some of the keys are new to the cube
-                owners = kernels.int_column(
-                    [
-                        cache[key] if key in cache else self._admit(key)
-                        for key in keys
-                    ]
-                )
-            if n_shards == 1:
-                routed[0].append(segment)
-                continue
-            for shard, part in enumerate(_split(segment, owners, n_shards)):
-                if part is not None:
-                    routed[shard].append(part)
-        return routed
+    def _route(
+        self, ids: kernels.Column, batch: RecordColumns, quarters: kernels.Column
+    ) -> list[list[Segment]]:
+        """A batch's records cut into quarter segments per owner shard: one
+        take of the table's owner column, arrival order kept within every
+        shard — so each shard bears its cells and folds its sums exactly as
+        one shard fed the whole batch would."""
+        owners = self._table.owner[ids]
+        columns = (ids, batch.ticks, batch.z, quarters)
+        masks = [owners == shard for shard in range(self._backend.n_shards)]
+        return [quarter_segments(*(c[mask] for c in columns)) for mask in masks]
 
     def advance_to(self, t: int) -> None:
         """Seal quiet quarters on every shard (each runs
@@ -773,12 +688,12 @@ class ShardedStreamCube:
         shard answers for the *same* windows by construction — even one
         mid-recovery with a lagging clock (it raises for an uncovered
         window instead of answering for an older one).  Each shard answers
-        ``(generation, keys, columns)`` per window — rows in its birth
+        ``(generation, ids, columns)`` per window — rows in its birth
         order.  The held set stands while the per-shard generations stand:
         then the shard columns are concatenated, gathered through its
         canonical permutation and that is all.  When one moved — a birth,
         a prune, a state load, a shard lost to or back from a degraded
-        read — it is rebuilt from the shards' keys, never patched.
+        read — it is rebuilt from the shards' ids, never patched.
         """
         held = self._held
         answers = [
@@ -795,6 +710,7 @@ class ShardedStreamCube:
                 self.layers,
                 version,
                 [part[0][1] for part in parts if part is not None],
+                self._table.keys,
             )
         with self._plan_mu:
             if stale:

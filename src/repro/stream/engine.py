@@ -27,17 +27,18 @@ The *open* quarter is columnar too.  Within it, readings are accumulated
 per tick — several records of one cell at the same tick are *summed* (the
 point-wise standard-dimension semantics of Section 3.3: a cell's series is
 the sum of its contributing streams) — and the quarter's ISB is fitted over
-the per-tick sums at sealing time.  The engine maps each cell key to its
-row and keeps four flat columns over the rows: ``sums`` and a ``present``
-mask, row-major with ``ticks_per_quarter`` slots a row — tick ``t`` of the
+the per-tick sums at sealing time.  A cell is an integer id of the cube's
+:class:`~repro.stream.cells.CellTable` (a standalone engine owns a
+one-shard table); the engine keeps each row's id and each id's row, and
+four flat columns over the rows: ``sums`` and a ``present`` mask,
+row-major with ``ticks_per_quarter`` slots a row — tick ``t`` of the
 quarter starting at ``lo`` is slot ``row * ticks_per_quarter + (t - lo)`` —
 plus ``last_active_quarter`` and ``cold_since``, one entry a row (9 bytes a
-tick and 16 a cell; no per-cell object).  Batches arrive as *coded
-segments*, ``(quarter, keys, group, ticks, z)``: the segment's distinct cell
-keys in first-seen order and three aligned columns, ``group[i]`` indexing
-record ``i``'s key.  Applying one is a row lookup per distinct key and one
-ordered scatter-add (:func:`repro.regression.kernels.open_add`); sealing is
-the ``present`` mask handed to the grouped fit as it stands.
+tick and 16 a cell; no per-cell object).  Batches arrive as *segments*,
+``(quarter, ids, ticks, z)``, one record a position.  Applying one is a
+take of the id -> row column and one ordered scatter-add
+(:func:`repro.regression.kernels.open_add`); sealing is the ``present``
+mask handed to the grouped fit as it stands.
 
 Time units: records carry *primitive* ticks (e.g. minutes);
 ``ticks_per_quarter`` primitive ticks form one finest tilt-frame slot.
@@ -48,9 +49,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from bisect import bisect_right
-from collections import OrderedDict, defaultdict
-from itertools import count, filterfalse
+from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -67,6 +66,7 @@ from repro.regression.isb import ISB
 from repro.storage.files import FileColdStore
 from repro.storage.pages import ColdPage, KeyBlock
 from repro.storage.spill import ColdIndex, demotion_cutoffs
+from repro.stream.cells import CellTable
 from repro.stream.records import (
     RecordColumns,
     Segment,
@@ -89,7 +89,7 @@ __all__ = [
     "StreamCubeEngine",
     "check_seal_horizon",
     "engine_frame_levels",
-    "group_segments",
+    "quarter_segments",
     "recent_window_bounds",
     "run_cubing",
     "validate_batch",
@@ -158,32 +158,20 @@ def validate_batch(
     return quarters
 
 
-def group_segments(
-    keys: list[Values],
+def quarter_segments(
+    ids: kernels.Column,
     ticks: kernels.Column,
     z: kernels.Column,
     quarters: kernels.Column,
 ) -> list[Segment]:
-    """Intern a quarter-ordered batch into one coded :data:`Segment` a quarter.
-
-    One ``map`` over a ``defaultdict`` that numbers keys as they first
-    appear codes the records and leaves the quarter's distinct keys in
-    first-seen order — one hash per record, no Python statement per record.
-    Pure: callers group, validate, journal, and only then apply.
-    """
-    segments: list[Segment] = []
-    start, n = 0, len(keys)
-    while start < n:
-        quarter = int(quarters[start])
-        stop = bisect_right(quarters, quarter, start)
-        part = keys if stop - start == n else keys[start:stop]
-        code: dict[Values, int] = defaultdict(count().__next__)
-        group = kernels.int_column(map(code.__getitem__, part))
-        segments.append(
-            (quarter, list(code), group, ticks[start:stop], z[start:stop])
-        )
-        start = stop
-    return segments
+    """A quarter-ordered batch's columns cut into one :data:`Segment` a
+    quarter (views: nothing is copied or hashed)."""
+    cuts = [0, *(np.flatnonzero(np.diff(quarters)) + 1).tolist(), len(ids)]
+    return [
+        (int(quarters[a]), ids[a:b], ticks[a:b], z[a:b])
+        for a, b in zip(cuts, cuts[1:])
+        if b > a
+    ]
 
 
 def recent_window_bounds(
@@ -335,6 +323,9 @@ class StreamCubeEngine:
         The hot horizon, in quarters, kept resident before demotion
         (default 4 — one full hour of finest slots).  Ignored without
         ``storage``.
+    table:
+        The cube's :class:`~repro.stream.cells.CellTable`; a standalone
+        engine makes a one-shard table of its own.
     """
 
     def __init__(
@@ -346,6 +337,7 @@ class StreamCubeEngine:
         frame_levels: Iterable[TiltLevelSpec] | None = None,
         storage: FileColdStore | None = None,
         hot_quarters: int | None = None,
+        table: CellTable | None = None,
     ) -> None:
         if ticks_per_quarter < 1:
             raise StreamError("ticks_per_quarter must be >= 1")
@@ -360,9 +352,15 @@ class StreamCubeEngine:
             if frame_levels is not None
             else engine_frame_levels(ticks_per_quarter)
         )
-        # Cell key -> row, in birth order; the open quarter's columns over
-        # those rows (see the module docstring for the layout).
-        self._rows: dict[Values, int] = {}
+        # Each row's cell id (rows in birth order, ``_n`` of them) and each
+        # id's row (-1: not on this engine); the open quarter's columns
+        # over the rows (see the module docstring for the layout).
+        self._table = table if table is not None else CellTable(
+            layers.schema.values_validator(layers.m_coord)
+        )
+        self._n = 0
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._row_of = np.zeros(0, dtype=np.int64)
         self._sums = np.zeros(0)
         self._present = np.zeros(0, dtype=np.uint8)
         self._last_active = np.zeros(0, dtype=np.int64)
@@ -385,7 +383,6 @@ class StreamCubeEngine:
         # Cells born plus cells pruned so far: a cell lives on one shard,
         # so the cube's sum of these is the same at every width.
         self._cell_events = 0
-        self._validate_values = layers.schema.values_validator(layers.m_coord)
         # Every cell's sealed history: one clock (an always-idle frame, the
         # zero prototype) and a page of columns per retained slot.  A new
         # cell takes the next row and nothing is backfilled — pages sealed
@@ -430,7 +427,7 @@ class StreamCubeEngine:
 
     @property
     def tracked_cells(self) -> int:
-        return len(self._rows)
+        return self._n
 
     @property
     def records_ingested(self) -> int:
@@ -459,9 +456,10 @@ class StreamCubeEngine:
         in like the engine's own windows do.
         """
         key = tuple(values)
-        row = self._rows.get(key)
-        if row is None:
+        cell = self._table.id_of(key)
+        if cell is None or cell >= len(self._row_of) or self._row_of[cell] < 0:
             raise StreamError(f"no data seen for cell {key}")
+        row = int(self._row_of[cell])
         frame = self._tilt.frame_of(row)
         if self._cold is not None:
             cold_since = int(self._cold_since[row])
@@ -508,7 +506,7 @@ class StreamCubeEngine:
         except TiltFrameError:
             return 0  # window not fully covered: cannot prove idleness
         cutoff = self._current_quarter - window
-        n = len(self._rows)
+        n = self._n
         recorded = np.flatnonzero(self._present[: n * q])
         slots, sums = recorded.tolist(), self._sums[recorded].tolist()
         keep = sorted(
@@ -522,8 +520,8 @@ class StreamCubeEngine:
             self._cell_changes += 1
             self._cell_events += dropped
             self._tilt = TiltPages.gather([(self._tilt, keep)])
-            keys = list(self._rows)
-            self._rows = {keys[row]: i for i, row in enumerate(keep)}
+            self._table.retire(np.delete(self._ids[:n], keep))
+            self._place(self._ids[keep])
             self._last_active = self._last_active[keep]
             self._cold_since = self._cold_since[keep]
             moved = {row: i for i, row in enumerate(keep)}
@@ -535,7 +533,7 @@ class StreamCubeEngine:
     def _load_open(self, slots: list[int], sums: list[float]) -> None:
         """Fresh open-quarter columns holding ``sums`` at ``slots``
         (adding to ``0.0`` is exact: an accumulated sum is never ``-0.0``)."""
-        size = len(self._rows) * self.ticks_per_quarter
+        size = self._n * self.ticks_per_quarter
         self._sums = np.zeros(size)
         self._present = np.zeros(size, dtype=np.uint8)
         kernels.open_add(
@@ -571,13 +569,11 @@ class StreamCubeEngine:
             )
         check_seal_horizon(record.t, quarter, self._current_quarter)
         key = record.values if self.key_fn is None else self.key_fn(record)
-        if key not in self._rows:
-            self._validate_values(key)
+        ids, born = self._table.admit([key])
         if quarter > self._current_quarter:
             self._seal_through(quarter)
-        if key not in self._rows:
-            self._new_cells([key])
-        row = self._rows[key]
+        self._table.commit(born)
+        row = int(self._rows_of(ids)[0])
         slot = row * tpq + record.t - quarter * tpq
         self._sums[slot] += record.z
         self._present[slot] = 1
@@ -595,72 +591,72 @@ class StreamCubeEngine:
         per-tick accumulation is order-free — but a record whose quarter
         precedes an earlier record's quarter would force sealing that the
         stream cannot undo.  Finite ``z``, order, the seal horizon and the
-        schema of every cell key the engine has not seen are checked before
-        any state is mutated, so a bad batch raises and leaves the engine
+        schema of every cell key new to the table are checked before any
+        state is mutated, so a bad batch raises and leaves the engine
         exactly as it was — a client may fix and resend it.
 
         Records are converted to columns here, at the door
         (:class:`~repro.stream.records.RecordColumns`, taken as it is when
-        the caller already holds one); from there the batch is interned
-        into coded segments (:func:`group_segments`), sealing runs once per
-        quarter boundary and each segment is one ordered scatter-add.  The
-        resulting engine state is bit-identical to record-at-a-time
-        :meth:`ingest` (property-pinned in
+        the caller already holds one); from there each key is interned
+        once (:meth:`~repro.stream.cells.CellTable.admit`), sealing runs
+        once per quarter boundary and each quarter is one ordered
+        scatter-add.  The resulting engine state is bit-identical to
+        record-at-a-time :meth:`ingest` (property-pinned in
         ``tests/stream/test_columnar_ingest.py``).
         """
         batch = RecordColumns.of(records)
         quarters = validate_batch(
             batch, self._current_quarter, self.ticks_per_quarter
         )
-        segments = group_segments(
-            batch.keys(self.key_fn), batch.ticks, batch.z, quarters
+        ids, born = self._table.admit(batch.keys(self.key_fn))
+        self._table.commit(born)
+        self.apply_segments(
+            quarter_segments(ids, batch.ticks, batch.z, quarters), len(batch)
         )
-        self.validate_segment_keys(segments)
-        self.apply_segments(segments, len(batch))
-
-    def validate_segment_keys(self, segments: list[Segment]) -> None:
-        """Schema-validate every *new* cell key in coded segments.
-
-        Runs once per distinct key (not per record) and only for keys the
-        engine has not seen, so the whole batch is accepted or rejected
-        before any accumulator or page is touched.
-        """
-        known = self._rows.__contains__
-        for _, keys, *_ in segments:
-            for key in filterfalse(known, keys):
-                self._validate_values(key)
 
     def apply_segments(self, segments: list[Segment], n_records: int) -> None:
-        """Apply coded quarter segments (the one batch write path).
+        """Apply quarter segments (the one batch write path).
 
-        Each :data:`Segment` is ``(quarter, keys, group, ticks, z)`` with
-        quarters strictly increasing, none sealed, every tick inside its
-        quarter and new keys already validated.  Cells are born in ``keys``
-        order — first-seen order, as record-at-a-time ingestion would bear
-        them — and the records land in arrival order, so splitting a
-        segment into several (by record range, or by key range) changes
-        nothing.  The sharded cube
-        builds these per shard in its routing pass, so a batch is interned
-        exactly once end to end.
+        Each :data:`Segment` is ``(quarter, ids, ticks, z)`` with quarters
+        strictly increasing, none sealed, every tick inside its quarter and
+        every id committed to the table.  Cells new to this engine are born
+        in first-seen order, as record-at-a-time ingestion would bear them,
+        and the records land in arrival order, so splitting a segment into
+        several (by record range, or by cell) changes nothing.  The sharded
+        cube builds these per shard in its routing pass.
         """
         tpq = self.ticks_per_quarter
-        lookup = self._rows.get
-        for quarter, keys, group, ticks, z in segments:
+        for quarter, ids, ticks, z in segments:
             if quarter > self._current_quarter:
                 self._seal_through(quarter)
-            try:
-                rows = kernels.int_column(map(lookup, keys))
-            except TypeError:  # a None: some of the keys are new cells
-                self._new_cells(filterfalse(self._rows.__contains__, keys))
-                rows = kernels.int_column(map(lookup, keys))
+            rows = self._rows_of(ids)
             self._last_active[rows] = quarter
             kernels.open_add(
                 self._sums,
                 self._present,
-                kernels.open_slots(rows, group, ticks, quarter * tpq, tpq),
+                kernels.open_slots(rows, ticks, quarter * tpq, tpq),
                 z,
             )
         self._records_ingested += n_records
+
+    def _rows_of(self, ids: kernels.Column) -> kernels.Column:
+        """Each id's row; ids new to this engine are born first, in
+        first-seen order."""
+        self._row_of = kernels.grown(self._row_of, len(self._table.keys), fill=-1)
+        rows = self._row_of[ids]
+        new = rows < 0
+        if new.any():
+            fresh = ids[new]
+            self._new_cells(fresh[kernels.first_seen_groups(fresh)[1]])
+            rows = self._row_of[ids]
+        return rows
+
+    def _place(self, ids: kernels.Column) -> None:
+        """Make ``ids`` this engine's rows, in order."""
+        self._row_of[self._ids[: self._n]] = -1
+        self._row_of = kernels.grown(self._row_of, len(self._table.keys), fill=-1)
+        self._ids, self._n = ids, len(ids)
+        self._row_of[ids] = np.arange(len(ids))
 
     def advance_to(self, t: int) -> None:
         """Seal every quarter ending at or before primitive tick ``t - 1``.
@@ -673,16 +669,17 @@ class StreamCubeEngine:
             check_seal_horizon(t, quarter, self._current_quarter)
             self._seal_through(quarter)
 
-    def _new_cells(self, keys: Iterable[Values]) -> None:
-        """Give each of ``keys`` (validated, not yet tracked) the next row."""
+    def _new_cells(self, ids: kernels.Column) -> None:
+        """Give each of ``ids`` (not yet tracked here) the next row."""
         # Every page sealed so far is too short to hold the rows and answers
         # its zero row — the zero backfill at no spawn cost at all.
-        rows = self._rows
-        first = len(rows)
-        for key in keys:
-            rows[key] = len(rows)
+        first, n = self._n, self._n + len(ids)
+        self._ids = kernels.grown(self._ids, n)
+        self._ids[first:n] = ids
+        self._row_of[ids] = np.arange(first, n)
+        self._n = n
         self._cell_changes += 1
-        n, tpq = len(rows), self.ticks_per_quarter
+        tpq = self.ticks_per_quarter
         self._cell_events += n - first
         self._sums = kernels.grown(self._sums, n * tpq)
         self._present = kernels.grown(self._present, n * tpq)
@@ -705,9 +702,7 @@ class StreamCubeEngine:
         tpq = self.ticks_per_quarter
         for q in range(self._current_quarter, quarter):
             self._tilt.seal(
-                *kernels.open_seal(
-                    self._sums, self._present, len(self._rows), tpq, q * tpq
-                )
+                *kernels.open_seal(self._sums, self._present, self._n, tpq, q * tpq)
             )
             if self._storage is not None:
                 self._spill_cold()
@@ -762,7 +757,7 @@ class StreamCubeEngine:
                         li,
                         zero.t_b,
                         zero.t_e,
-                        self._spill_keys(),
+                        self._cell_keys(),
                         base,
                         slope,
                         zero_base=zero.base,
@@ -789,13 +784,15 @@ class StreamCubeEngine:
             with self._page_lock:
                 del self._unwritten[key]
 
-    def _spill_keys(self) -> KeyBlock:
-        """The key block of the current cell generation: every page spilled
-        before the cell set moves shares its tuple and its key text."""
+    def _cell_keys(self) -> KeyBlock:
+        """The key block of the current cell generation, the rows' keys in
+        row order: every page spilled before the cell set moves shares its
+        tuple and its key text."""
         generation = self.cell_generation
         held = self._key_block
         if held is None or held[0] != generation:
-            held = self._key_block = (generation, KeyBlock(tuple(self._rows)))
+            keys = map(self._table.keys.__getitem__, self._ids[: self._n].tolist())
+            held = self._key_block = (generation, KeyBlock(tuple(keys)))
         return held[1]
 
     #: Decoded cold pages kept hot; a deep window touches each page once
@@ -825,12 +822,10 @@ class StreamCubeEngine:
         return page
 
     def _piece_columns(
-        self,
-        piece: tuple[int, int, int, int],
-        generation: str,
-        keys: list[Values],
+        self, piece: tuple[int, int, int, int], generation: str, n: int
     ) -> tuple[Column, Column]:
-        """One window piece as ``(base, slope)`` columns over ``keys``' rows.
+        """One window piece as ``(base, slope)`` columns over the first
+        ``n`` rows.
 
         The zero-row rule in both its forms: a hot page is positional and
         answers its zero row past its own length; a cold page is keyed and
@@ -840,10 +835,10 @@ class StreamCubeEngine:
         """
         level, pos, t_b, t_e = piece
         if pos >= 0:
-            return self._tilt.column(level, pos, len(keys))
+            return self._tilt.column(level, pos, n)
         page = self._load_page(level, t_b, t_e)
         return page.gather(
-            page.rows_over(generation, keys, self._cold_since[: len(keys)])
+            page.rows_over(generation, self._cell_keys().keys, self._cold_since[:n])
         )
 
     def storage_stats(self) -> dict[str, Any] | None:
@@ -852,7 +847,7 @@ class StreamCubeEngine:
             return None
         stats = self._storage.stats().to_dict()
         stats.update(
-            hot_cells=len(self._rows),
+            hot_cells=self._n,
             hot_quarters=self.hot_quarters,
             cold_slots=self._cold.total_slots,
             pages_spilled=self._pages_spilled,
@@ -904,7 +899,7 @@ class StreamCubeEngine:
                 "cold store yet (it refused the write); no snapshot until "
                 "a retry lands them"
             )
-        n, tpq = len(self._rows), self.ticks_per_quarter
+        n, tpq = self._n, self.ticks_per_quarter
         lo = self._current_quarter * tpq
         tick_sums: list[dict[int, float]] = [{} for _ in range(n)]
         slots = np.flatnonzero(self._present[: n * tpq])
@@ -918,7 +913,7 @@ class StreamCubeEngine:
             tilt=self._tilt.copy(),
             cells=dict(
                 zip(
-                    self._rows,
+                    self._cell_keys().keys,
                     map(
                         CellSnapshot,
                         tick_sums,
@@ -1004,11 +999,9 @@ class StreamCubeEngine:
             )
         tpq = self.ticks_per_quarter
         lo = state.current_quarter * tpq
-        rows: dict[Values, int] = {}
         slots: list[int] = []
         sums: list[float] = []
         for row, (key, cell) in enumerate(state.cells.items()):
-            rows[self._validate_values(key)] = row
             for t, total in cell.tick_sums.items():
                 if not lo <= t < lo + tpq:
                     raise StreamError(
@@ -1018,9 +1011,12 @@ class StreamCubeEngine:
                     )
                 slots.append(row * tpq + t - lo)
                 sums.append(total)
+        ids, born = self._table.admit(list(state.cells))
+        self._table.retire(np.setdiff1d(self._ids[: self._n], ids))
+        self._table.commit(born)
+        self._place(ids)
         self._frame_levels = list(state.frame_levels)
         self._tilt = tilt
-        self._rows = rows
         self._cell_changes += 1
         self._last_active = kernels.int_column(
             [cell.last_active_quarter for cell in state.cells.values()]
@@ -1049,14 +1045,14 @@ class StreamCubeEngine:
     # ------------------------------------------------------------------
     def window_isbs(self, t_b: int, t_e: int) -> dict[Values, ISB]:
         """:meth:`window_columns` boxed: ``{values: isb}`` in birth order."""
-        _, keys, isbs = self.window_columns(t_b, t_e)
-        return dict(zip(keys, isbs.to_isbs()))
+        isbs = self.window_columns(t_b, t_e)[2]
+        return dict(zip(self._cell_keys().keys, isbs.to_isbs()))
 
     def window_columns(
         self, t_b: int, t_e: int
-    ) -> tuple[str, list[Values], kernels.ISBColumns]:
+    ) -> tuple[str, kernels.Column, kernels.ISBColumns]:
         """Every tracked cell's exact ISB over the sealed window [t_b, t_e],
-        as ``(generation, keys, isbs)``.
+        as ``(generation, ids, isbs)``.
 
         The window must be covered by the tilt frame (i.e. lie within the
         sealed history); Theorem 3.3 assembles the exact regression from
@@ -1064,26 +1060,24 @@ class StreamCubeEngine:
         cell and the planned pages merge down their rows in one grid kernel
         call: one row per tracked cell in birth order, nothing boxed.  This
         is the one window read — every analysis view here and every merged
-        read of the sharded cube is built from it.  ``keys`` are the cells'
-        keys in row order, and ``generation`` the :attr:`cell_generation`
-        they were read at.
+        read of the sharded cube is built from it.  ``ids`` are the cells'
+        table ids in row order, and ``generation`` the
+        :attr:`cell_generation` they were read at.
         """
-        generation, keys = self.cell_generation, list(self._rows)
+        generation, n = self.cell_generation, self._n
         isbs = kernels.ISBColumns.over(t_b, t_e, np.zeros(0), np.zeros(0))
-        if keys:
+        if n:
             try:
                 plan = self._tilt.clock.window_plan(t_b, t_e)
             except TiltFrameError as exc:
                 raise StreamError(
-                    f"cell {keys[0]}: window [{t_b},{t_e}] not covered: {exc}"
+                    f"cell {self._table.keys[self._ids[0]]}: window "
+                    f"[{t_b},{t_e}] not covered: {exc}"
                 ) from exc
             isbs = merge_grid(
-                [
-                    (p[2], p[3], *self._piece_columns(p, generation, keys))
-                    for p in plan
-                ]
+                [(p[2], p[3], *self._piece_columns(p, generation, n)) for p in plan]
             )
-        return generation, keys, isbs
+        return generation, self._ids[:n], isbs
 
     def m_cells(self, window_quarters: int = 4) -> dict[Values, ISB]:
         """The m-layer over the last ``window_quarters`` sealed quarters.
@@ -1111,8 +1105,9 @@ class StreamCubeEngine:
         name, and it goes, with :func:`_canonical_rows`, when that table
         drops it.
         """
-        _, keys, prev = self.window_columns(prev_b, cur_b - 1)
+        prev = self.window_columns(prev_b, cur_b - 1)[2]
         cur = self.window_columns(cur_b, end)[2]
+        keys = self._cell_keys().keys
         rows = _canonical_rows(keys)
         return window_change_exceptions(
             self.layers,

@@ -53,16 +53,9 @@ class StreamRecord:
     z: float
 
 
-#: One quarter of a batch, interned: ``(quarter, keys, group, ticks, z)`` —
-#: the distinct cell keys in first-seen order, and per record (arrival
-#: order) its key's index in ``keys``, its tick and its value.
-Segment = tuple[
-    int,
-    list[tuple[Hashable, ...]],
-    kernels.Column,
-    kernels.Column,
-    kernels.Column,
-]
+#: One quarter of a batch: ``(quarter, ids, ticks, z)`` — per record
+#: (arrival order) its cell's table id, its tick and its value.
+Segment = tuple[int, kernels.Column, kernels.Column, kernels.Column]
 
 
 def require_finite_z(z: Any) -> None:

@@ -105,7 +105,7 @@ from repro.errors import (
     WalCorruptionError,
 )
 from repro.regression import kernels
-from repro.stream.records import RecordColumns, Segment, StreamRecord
+from repro.stream.records import RecordColumns, StreamRecord
 
 if TYPE_CHECKING:
     from repro.service.sharding import ShardedStreamCube
@@ -163,36 +163,29 @@ def _b64(column: Any, dtype: str) -> str:
 
 
 def _batch_codes(
-    batch: RecordColumns, segments: list[Segment] | None
+    batch: RecordColumns, ids: kernels.Column | None
 ) -> tuple[list[Values], kernels.Column]:
     """The batch's distinct keys (first-seen order) and each record's code.
 
-    ``segments`` are the batch's coded segments when their keys are its
-    values; their codes are reused, and only the distinct keys of a batch
-    spanning several quarters are hashed again.  Without them the values
-    are interned here, one hash per record.
+    ``ids`` are the records' cell ids when their keys are the batch's
+    values: codes are then numbered from them, nothing hashed.  Without
+    them the values are interned here, one hash per record.
     """
-    code: dict[Values, int] = defaultdict(count().__next__)
-    if segments is None:
+    if ids is None:
+        code: dict[Values, int] = defaultdict(count().__next__)
         group = kernels.int_column(map(code.__getitem__, batch.values))
         return list(code), group
-    if len(segments) == 1:
-        _, keys, group, _, _ = segments[0]
-        return keys, group
-    parts = [
-        kernels.int_column(map(code.__getitem__, keys))[group]
-        for _, keys, group, _, _ in segments
-    ]
-    return list(code), np.concatenate(parts)
+    group, first = kernels.first_seen_groups(ids)
+    return [batch.values[i] for i in first.tolist()], group
 
 
 def _encode_batch(
     seq: int,
     quarter: int,
     batch: RecordColumns,
-    segments: list[Segment] | None = None,
+    ids: kernels.Column | None = None,
 ) -> dict[str, Any]:
-    keys, codes = _batch_codes(batch, segments)
+    keys, codes = _batch_codes(batch, ids)
     ticks = batch.ticks
     starts = np.concatenate(([0], np.flatnonzero(np.diff(ticks)) + 1))
     t0 = int(ticks.min())
@@ -514,15 +507,14 @@ class QuarterWAL:
         self,
         records: RecordColumns | Iterable[StreamRecord],
         quarter: int,
-        segments: list[Segment] | None = None,
+        ids: kernels.Column | None = None,
     ) -> int:
         """Journal one validated, quarter-ordered batch; returns its seq.
 
         The ingest paths hand over the batch's columns as they are, and
-        ``segments`` — the coded segments their interning pass built
-        (:func:`~repro.stream.engine.group_segments`), when those are keyed
-        by the batch's values — so the packed line reuses their codes;
-        records are converted at the door.  ``quarter`` is the batch's
+        ``ids`` — each record's cell id, when the cells are keyed by the
+        batch's values — so the packed line's codes are numbered from
+        them; records are converted at the door.  ``quarter`` is the batch's
         *ending* quarter (the last record's — batches are quarter-ordered).
         Callers journal after validation and before mutation, so the log
         only ever holds batches the engine accepted — replay cannot trip
@@ -532,7 +524,7 @@ class QuarterWAL:
         if not len(batch):
             return self._seq
         return self._append_entry(
-            _encode_batch(self._seq + 1, quarter, batch, segments)
+            _encode_batch(self._seq + 1, quarter, batch, ids)
         )
 
     def append_advance(self, t: int, quarter: int) -> int:

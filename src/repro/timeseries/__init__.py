@@ -1,24 +1,10 @@
-"""Time-series substrate: typed series, synthetic generators, folding."""
+"""Time-series substrate: typed series and folding."""
 
 from repro.timeseries.folding import FoldAggregate, fold_isbs, fold_series
-from repro.timeseries.generators import (
-    bundle_of_trends,
-    changepoint_series,
-    random_walk_series,
-    rng_of,
-    seasonal_series,
-    trend_series,
-)
 from repro.timeseries.series import TimeSeries
 
 __all__ = [
     "TimeSeries",
-    "trend_series",
-    "seasonal_series",
-    "random_walk_series",
-    "changepoint_series",
-    "bundle_of_trends",
-    "rng_of",
     "fold_series",
     "fold_isbs",
     "FoldAggregate",

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -25,6 +29,7 @@ from repro.stream.records import StreamRecord
 from repro.verify.oracle import RawStreamOracle, assert_cells_equal
 
 from tests.service.conftest import TPQ, workload
+from tests.service.test_recovery import REPO_ROOT, _free_port, _wait_for_port
 
 
 def cells_from_payload(rows):
@@ -52,6 +57,32 @@ def loaded(service):
     assert status == 200
     service.handle("POST", "/advance", {"t": 6 * TPQ})
     return service
+
+
+def test_a_warm_window_less_query_copies_no_spec(loaded, monkeypatch):
+    """A ``/query`` payload without ``window`` takes the router's default
+    when it is parsed: a warm hit runs no ``dataclasses.replace`` (every
+    field normalizer again), and answers the bytes and ``ETag`` that the
+    explicit default window answers."""
+    from repro.query import spec as query_spec
+
+    calls = []
+    real = query_spec.replace
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(query_spec, "replace", counting)
+    payload = {"op": "observation_deck"}
+    first = loaded.route("POST", "/query", payload)[1]
+    calls.clear()
+    status, hit = loaded.route("POST", "/query", payload)
+    assert status == 200 and calls == []
+    window = loaded.router.window_quarters
+    explicit = loaded.route("POST", "/query", {**payload, "window": window})[1]
+    assert hit.wire == first.wire == explicit.wire
+    assert hit.etag == explicit.etag is not None
 
 
 class TestDispatch:
@@ -1039,3 +1070,117 @@ class TestFraming:
                 status, headers, _ = _read_response(reader)
                 assert status == 200 and "date" in headers
         assert len(sends) == 3
+
+
+class TestDrain:
+    """Closing the server ends idle keep-alive connections: a client that
+    keeps its connection open cannot hold the drain (or a SIGTERM) up."""
+
+    HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    def test_close_with_idle_keep_alive_clients_returns_at_once(self, loaded):
+        server = make_server(loaded, port=0)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        clients = [
+            socket.create_connection(("127.0.0.1", port), timeout=10)
+            for _ in range(3)
+        ]
+        try:
+            for sock in clients:
+                assert _raw_exchange(sock, self.HEALTHZ) == (200, {"status": "ok"})
+            started = time.perf_counter()
+            server.shutdown()
+            server.server_close()
+            assert time.perf_counter() - started < 1.0
+            thread.join(timeout=5)
+            for sock in clients:
+                assert sock.recv(1) == b""  # the server closed its end
+        finally:
+            for sock in clients:
+                sock.close()
+
+    def test_a_connection_queued_behind_a_busy_pool_ends_too(self, loaded):
+        """With the one pool thread held by an idle keep-alive client, a
+        second connection waits in the pool's queue; close ends both."""
+        server = make_server(loaded, port=0, request_threads=1)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as idle, \
+                socket.create_connection(("127.0.0.1", port), timeout=10) as queued:
+            assert _raw_exchange(idle, self.HEALTHZ) == (200, {"status": "ok"})
+            deadline = time.monotonic() + 5
+            while len(server._open) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            started = time.perf_counter()
+            server.shutdown()
+            server.server_close()
+            assert time.perf_counter() - started < 1.0
+            thread.join(timeout=5)
+            assert idle.recv(1) == b"" and queued.recv(1) == b""
+
+    def test_a_request_in_flight_at_close_gets_its_whole_answer(self, loaded):
+        server = make_server(loaded, port=0)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        entered = threading.Event()
+        route = loaded.route
+
+        def slow_route(*args):
+            entered.set()
+            time.sleep(0.3)
+            return route(*args)
+
+        loaded.route = slow_route
+        deck = json.dumps({"op": "observation_deck"}).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(_post("/query", deck))
+            assert entered.wait(5)
+            server.shutdown()
+            server.server_close()  # returns once the answer is out
+            thread.join(timeout=5)
+            status, headers, body = _read_response(sock.makefile("rb"))
+            assert status == 200
+            assert len(body) == int(headers["content-length"])
+            assert json.loads(body)["cells"]
+            assert sock.recv(1) == b""
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGTERM") or sys.platform == "win32",
+        reason="POSIX signals required",
+    )
+    def test_sigterm_with_an_idle_client_exits_and_snapshots(self, tmp_path):
+        port = _free_port()
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", str(port),
+                "--shards", "2", "--dims", "2", "--levels", "2",
+                "--fanout", "3", "--ticks-per-quarter", str(TPQ),
+                "--snapshot-dir", str(tmp_path / "snaps"),
+            ],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            _wait_for_port(port, proc)
+            idle = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                idle.request("GET", "/healthz")
+                assert idle.getresponse().read() == b'{"status": "ok"}'
+                started = time.perf_counter()
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=10)
+                assert time.perf_counter() - started < 2.0
+            finally:
+                idle.close()
+            assert proc.returncode == 0, out
+            assert "final snapshot: " in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
