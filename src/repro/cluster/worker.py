@@ -26,6 +26,7 @@ _ENGINE_METHODS = frozenset(
         "advance_to",
         "ingest",
         "prune_idle",
+        "renumber",
         "window_columns",
         "snapshot",
         "load_state",

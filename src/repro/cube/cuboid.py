@@ -18,6 +18,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.cube.cell import canonical_cell_order
 from repro.cube.hierarchy import LevelCodes
 from repro.cube.schema import CubeSchema
 from repro.errors import QueryError, SchemaError
@@ -58,7 +59,6 @@ class CuboidColumns:
         tables: Sequence[LevelCodes],
         codes: Sequence,
         isbs: ISBColumns | None,
-        keys: list[Values] | None = None,
         memo: dict | None = None,
     ) -> None:
         self.coord = coord
@@ -66,8 +66,6 @@ class CuboidColumns:
         self.codes = codes
         self.isbs = isbs
         self._memo = {} if memo is None else memo
-        if keys is not None:
-            self._memo["keys"] = keys
 
     def __len__(self) -> int:
         return len(self.codes[0])  # a schema has at least one dimension
@@ -128,6 +126,21 @@ class CuboidColumns:
             [codes for _, codes in encoded],
             isbs,
         )
+
+    def canonical_order(self):
+        """The (stable) permutation putting the rows in canonical cell
+        order: each dimension's distinct values are ranked once by
+        :func:`~repro.cube.cell.canonical_cell_order`, then one ``lexsort``
+        orders the rows by their ranks."""
+        ranks = []
+        for table, level, column in zip(self.tables, self.coord, self.codes):
+            values = list(table.index(level))
+            by_key = sorted(
+                range(len(values)),
+                key=lambda code: canonical_cell_order((values[code],)),
+            )
+            ranks.append(np.argsort(by_key)[column])
+        return np.lexsort(ranks[::-1])
 
     def codes_at(self, to_coord: Coord) -> list:
         """Every row's ancestor codes at the coarser-or-equal ``to_coord``."""

@@ -17,14 +17,15 @@ the Python-side working dictionary, which is an implementation convenience.
 Retained memory is the o-layer plus the exception cells — the paper's "only
 the exception cells take additional space".
 
-Plan and run.  The walk is split in two.  What it derives
-from the m-layer's *cell set* alone is a :class:`CubePlan`: the keys encoded
-once into integer code columns, duplicate cells grouped, the H-tree's leaf
-order, per cuboid its source cuboid and the ``(group id, first row)`` of the
-roll-up, and every counter of the memory model that does not depend on a
-float.  What is left for the measures is :meth:`CubePlan.run`: one grouped
-Theorem 3.2 kernel call per cuboid over the plan's recorded grouping and one
-exception mask — the same rows in the same order through the same
+Plan and run.  The walk is split in two.  What it derives from the
+m-layer's *cell set* alone — its keys as code columns, encoded once by the
+caller (``mo_cubing`` encodes its mapping; the sharded cube hands over the
+rows its merged cell set is held in) — is a :class:`CubePlan`: duplicate
+cells grouped, the H-tree's leaf order, per cuboid its source cuboid and
+the ``(group id, first row)`` of the roll-up, and every counter of the
+memory model that does not depend on a float.  What is left for the
+measures is :meth:`CubePlan.run`: one grouped Theorem 3.2 kernel call per
+cuboid over the plan's recorded grouping and one exception mask — the same rows in the same order through the same
 ``bincount`` passes as grouping them afresh, so the same bits.
 ``mo_cubing`` plans and runs in one call; a caller whose cell set outlives
 its measures (a stream cube between seals) keeps the plan and hands
@@ -77,34 +78,33 @@ def mo_cubing(
         return m_cells.plan.run(m_cells.columns, policy)
     items = m_cells.items() if isinstance(m_cells, Mapping) else m_cells
     pairs = list(items)
-    plan = CubePlan(layers, [values for values, _ in pairs])
+    keys = [values for values, _ in pairs]
+    rows = CuboidColumns.from_cells(layers.schema, layers.m_coord, keys, None)
+    plan = CubePlan(layers, rows)
     return plan.run(ISBColumns.from_isbs(isb for _, isb in pairs), policy)
 
 
 class CubePlan:
     """Everything Algorithm 1 derives from the m-layer's cell set alone.
 
-    Built from the cell keys: the keys validated against the
-    hierarchies and encoded into code columns
-    (:class:`~repro.cube.hierarchy.LevelCodes` per dimension), duplicate
+    Built from the cell keys encoded at the m-layer (``rows``, a key-only
+    :class:`~repro.cube.cuboid.CuboidColumns`, one row per cell): duplicate
     cells grouped, the H-tree's leaf order, and per cuboid of the bottom-up
     walk its source cuboid, the ``(group id, first row)`` of the roll-up and
     its key columns — plus the structure-derived counters (``htree_nodes``,
     ``header_entries``, ``rows_scanned``, ``cells_computed``,
     ``transient_peak_cells``, ``cuboids_computed``).  Nothing in it depends
-    on a measure, so it holds for as long as the cell set does; any change
-    of keys or of their order needs a new plan.  Immutable once built:
-    concurrent :meth:`run` calls may share one.
+    on how the codes were numbered or on a measure, so it holds for as long
+    as the cell set does; any change of keys or of their order needs a new
+    plan.  Immutable once built: concurrent :meth:`run` calls may share one.
     """
 
-    def __init__(self, layers: CriticalLayers, keys: Iterable[Values]) -> None:
+    def __init__(self, layers: CriticalLayers, rows: CuboidColumns) -> None:
         self.layers = layers
         schema, m_coord, lattice = layers.schema, layers.m_coord, layers.lattice
-        keys = [tuple(values) for values in keys]
-        rows = CuboidColumns.from_cells(schema, m_coord, keys, None)
         # Duplicate cells merge (Theorem 3.2) before anything else.
         gid, first = rows.grouping()
-        self._duplicates = None if len(first) == len(keys) else (gid, first)
+        self._duplicates = None if len(first) == len(rows) else (gid, first)
 
         # Leaf order: the last header table's values in first-seen order,
         # each value's side-link chain in insertion order.
@@ -114,17 +114,11 @@ class CubePlan:
             last_level if d == last_dim else level
             for d, level in enumerate(m_coord)
         )
+        last = rows.codes_at(at_last)[last_dim][first]
         self._leaf_order = np.argsort(
-            rows.codes_at(at_last)[last_dim][first], kind="stable"
+            kernels.first_seen_groups(last)[0], kind="stable"
         )
-        source = first[self._leaf_order]
-        m_layer = CuboidColumns(
-            m_coord,
-            rows.tables,
-            [column[source] for column in rows.codes],
-            None,
-            keys=[keys[row] for row in source.tolist()],
-        )
+        m_layer = rows.take(first[self._leaf_order])
 
         stats = CubingStats("m/o-cubing", n_dims=schema.n_dims)
         # One tree node per distinct attribute prefix, one header entry per

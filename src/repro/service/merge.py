@@ -1,4 +1,4 @@
-"""Exact cross-shard merge of partitioned regression cubes.
+"""Exact cross-shard merge of partitioned regression cubes, over boxed cells.
 
 Shards own *disjoint* m-layer key sets, so the global m-layer is a disjoint
 union — no ISB arithmetic at all at the finest level.  Coarser cuboids are
@@ -7,51 +7,31 @@ merged cube is exactly the cube one shard would compute over the same
 records.  The union is canonically ordered
 (:func:`~repro.cube.cell.canonical_cell_order`) so every downstream float
 aggregation folds in the same order regardless of how many shards the cells
-came from — the property tests in ``tests/service`` pin shard-count
-invariance down to bit equality.  The sharded cube runs
-:func:`canonical_rows` over the shards' cell ids once per cell set and
-keeps the resulting permutation for the columns of every merged read;
-:func:`disjoint_union` is the same merge over boxed cell mappings.
+came from.
+
+:func:`disjoint_union` and :func:`merge_cube` do this over boxed
+``{values: isb}`` mappings, for the end-to-end tracer.  The sharded cube
+does not box: it checks the shards' cell ids for overlap, encodes the keys
+once and orders them by their codes' ranks
+(:meth:`~repro.cube.cuboid.CuboidColumns.canonical_order`, the same total
+order) — see :class:`repro.service.sharding.ShardedStreamCube`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Hashable, Iterable, Mapping
 
 from repro.cube.cell import canonical_cell_order
 from repro.cube.layers import CriticalLayers
 from repro.cubing.policy import ExceptionPolicy
 from repro.cubing.result import CubeResult
 from repro.errors import ServiceError
-from repro.regression import kernels
 from repro.regression.isb import ISB
 from repro.stream.engine import run_cubing
 
-__all__ = ["canonical_cell_order", "canonical_rows", "disjoint_union", "merge_cube"]
+__all__ = ["canonical_cell_order", "disjoint_union", "merge_cube"]
 
 Values = tuple[Hashable, ...]
-
-
-def canonical_rows(
-    parts: list[kernels.Column], key_of: Sequence[Values]
-) -> tuple[list[Values], kernels.Column]:
-    """The shards' cell ids (``parts``, one column a shard) in canonical
-    order: their keys (``key_of[id]``) and the permutation taking the
-    concatenated rows there.  An id on two shards is refused, as
-    :func:`disjoint_union` refuses a key on two."""
-    ids = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
-    seen = np.sort(ids)
-    twice = np.flatnonzero(seen[1:] == seen[:-1])
-    if len(twice):
-        raise ServiceError(
-            f"cell {key_of[seen[twice[0]]]} present on more than one shard; "
-            "partitions must be disjoint"
-        )
-    keys = [key_of[cell] for cell in ids.tolist()]
-    order = sorted(range(len(keys)), key=[*map(canonical_cell_order, keys)].__getitem__)
-    return [keys[row] for row in order], kernels.int_column(order)
 
 
 def disjoint_union(

@@ -166,7 +166,7 @@ class _CutView:
 
     @functools.cached_property
     def result(self) -> CubeResult:
-        return self._router._view_locked(self._window).result
+        return self._router._view(self._window).result
 
 
 class QueryRouter:
@@ -197,13 +197,11 @@ class QueryRouter:
         self.cube = cube
         self.window_quarters = window_quarters
         self.cache = LRUCache(cache_size)
+        # Merged views, one line per window; versioned like the results.
+        self._views = LRUCache(cache_size)
         self._mu = threading.Lock()
-        # window -> (epoch vector, view, holes its refresh skipped)
-        self._views: dict[
-            int, tuple[tuple[int, ...], RegressionCubeView, list]
-        ] = {}
-        self._flights: dict[Any, _Flight] = {}
-        self._view_flights: dict[int, _Flight] = {}
+        # (id of the cache, key) -> the computation in flight.
+        self._flights: dict[tuple[int, Any], _Flight] = {}
         self.refreshes = 0
         self.batches = 0
         self.specs_executed = 0
@@ -226,56 +224,21 @@ class QueryRouter:
     def view(self, window_quarters: int | None = None) -> RegressionCubeView:
         """The merged cube view for one window, refreshed at most once per
         (window, epoch vector)."""
-        window = self._window(window_quarters)
-        with self.cube.read_lock():
-            return self._view_locked(window)
+        return self._view(self._window(window_quarters))
 
-    def _view_locked(self, window: int) -> RegressionCubeView:
-        """The memoized view for ``window`` at the *current* read cut.
+    def _view(self, window: int) -> RegressionCubeView:
+        """The memoized view for ``window``: a line of the view cache, so
+        concurrent readers of one cut share one refresh.  A caller already
+        holding the read cut (a result computation) keeps it: the cut is
+        reentrant."""
 
-        The caller holds the cube's read lock, which freezes the epoch
-        vector (it can only move under the lock's write side) — so every
-        concurrent read-cut holder sees one vector, and
-        the single-flight below means one of them refreshes while the
-        rest wait and reuse.
-        """
-        vector = self.cube.epoch_vector()
-        while True:
+        def refresh() -> RegressionCubeView:
+            view = RegressionCubeView(self.cube.refresh(window), self.cube)
             with self._mu:
-                entry = self._views.get(window)
-                if entry is not None and entry[0] == vector:
-                    self.cube.report_degraded(entry[2])
-                    return entry[1]
-                flight = self._view_flights.get(window)
-                leader = flight is None
-                if leader:
-                    flight = self._view_flights[window] = _Flight()
-            if leader:
-                try:
-                    with self.cube.collect_degraded() as holes:
-                        result = self.cube.refresh(window)
-                    view = RegressionCubeView(result, self.cube)
-                    with self._mu:
-                        # A line at any other vector can never be served
-                        # again (the vector only moves forward): drop them
-                        # all, or a client sweeping windows pins one stale
-                        # cube per window for the life of the process.
-                        self._views = {
-                            w: entry
-                            for w, entry in self._views.items()
-                            if entry[0] == vector
-                        }
-                        self._views[window] = (vector, view, holes)
-                        self.refreshes += 1
-                    return view
-                finally:
-                    with self._mu:
-                        self._view_flights.pop(window, None)
-                    flight.done.set()
-            else:
-                # Waiting while holding the read cut is safe: the leader
-                # holds the same (shared) cut and needs no further locks.
-                flight.done.wait()
+                self.refreshes += 1
+            return view
+
+        return self._single_flight_entry(self._views, window, refresh)[1]
 
     def _window(self, window_quarters: int | None) -> int:
         return (
@@ -284,9 +247,11 @@ class QueryRouter:
             else window_quarters
         )
 
-    def _single_flight_entry(self, key: Any, compute) -> tuple[Any, Any]:
-        """Serve ``key`` from the versioned cache, computing at most once.
-        Returns ``(epoch_vector, value)``.
+    def _single_flight_entry(
+        self, cache: LRUCache, key: Any, compute
+    ) -> tuple[Any, Any]:
+        """Serve ``key`` from the versioned ``cache``, computing at most
+        once.  Returns ``(epoch_vector, value)``.
 
         The hit path takes no cube locks at all: a cached entry whose
         stored epoch vector equals a fresh lock-free vector read is
@@ -303,17 +268,18 @@ class QueryRouter:
         is ``(epoch_vector, value, holes)``; serving it re-reports the
         holes its computation hit.
         """
+        slot = (id(cache), key)
         for _ in range(16):
             vector = self.cube.epoch_vector()
-            entry = self.cache.get_versioned(key, vector)
+            entry = cache.get_versioned(key, vector)
             if entry is not None:
                 self.cube.report_degraded(entry[2])
                 return entry[:2]
             with self._mu:
-                flight = self._flights.get(key)
+                flight = self._flights.get(slot)
                 leader = flight is None
                 if leader:
-                    flight = self._flights[key] = _Flight()
+                    flight = self._flights[slot] = _Flight()
                 else:
                     self.single_flight_joins += 1
             if leader:
@@ -323,11 +289,11 @@ class QueryRouter:
                         self.cube.collect_degraded() as holes,
                     ):
                         value = compute()
-                    self.cache.put(key, (cut, value, holes))
+                    cache.put(key, (cut, value, holes))
                     return cut, value
                 finally:
                     with self._mu:
-                        self._flights.pop(key, None)
+                        self._flights.pop(slot, None)
                     flight.done.set()
             else:
                 flight.done.wait()
@@ -378,7 +344,7 @@ class QueryRouter:
                 _CutView(self, window), resolved, pre_resolved=True
             )
 
-        return self._single_flight_entry(key, compute)
+        return self._single_flight_entry(self.cache, key, compute)
 
     def execute_batch(
         self,

@@ -36,6 +36,7 @@ from typing import Any, Hashable, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.cluster.backends import InprocBackend
+from repro.cube.cuboid import CuboidColumns
 from repro.cube.layers import CriticalLayers
 from repro.cubing.mo_cubing import CubePlan, PlannedCells
 from repro.cubing.policy import ExceptionPolicy
@@ -52,7 +53,6 @@ from repro.io import (
 from repro.regression import kernels
 from repro.regression.isb import ISB
 from repro.service.locks import RWLock
-from repro.service.merge import canonical_rows
 from repro.storage import (
     BACKEND,
     StorageConfig,
@@ -145,16 +145,18 @@ def _repartition_states(
 
 
 class _HeldCells:
-    """One merged cell set, in canonical order, and what is built from it.
+    """One merged cell set, encoded once in canonical order, and what is
+    built from it.
 
     ``version`` is the per-shard cell generation, ``None`` for a shard a
-    degraded read lost; ``keys`` the merged keys in canonical order and
-    ``order`` the permutation taking the concatenated rows of the
-    answering shards (``ids``, one id column each) there
-    (:func:`~repro.service.merge.canonical_rows`, with its disjointness
-    check).  ``plan``, the cubing plan of the set, is built by the first
-    refresh that asks for it.  Never patched: a moved version gets a new
-    one.
+    degraded read lost.  The answering shards' ids (``ids``, one column
+    each) must be disjoint; their keys are encoded at the m-layer
+    (:meth:`~repro.cube.cuboid.CuboidColumns.from_cells`, validated) and
+    ``order`` is the permutation taking the concatenated rows to canonical
+    order (:meth:`~repro.cube.cuboid.CuboidColumns.canonical_order`), where
+    ``rows`` holds them.  ``plan``, built from ``rows`` by the first refresh
+    that asks for it, and the change exceptions read the same rows.  Never
+    patched: a moved version gets a new one.
     """
 
     def __init__(
@@ -166,11 +168,22 @@ class _HeldCells:
     ) -> None:
         self.layers = layers
         self.version = version
-        self.keys, self.order = canonical_rows(ids, key_of)
+        ids = np.concatenate([np.zeros(0, dtype=np.int64), *ids])
+        seen = np.sort(ids)
+        twice = np.flatnonzero(seen[1:] == seen[:-1])
+        if len(twice):
+            raise ServiceError(
+                f"cell {key_of[seen[twice[0]]]} present on more than one shard; "
+                "partitions must be disjoint"
+            )
+        keys = [key_of[cell] for cell in ids.tolist()]
+        rows = CuboidColumns.from_cells(layers.schema, layers.m_coord, keys, None)
+        self.order = rows.canonical_order()
+        self.rows = rows.take(self.order)
 
     @functools.cached_property
     def plan(self) -> CubePlan:
-        return CubePlan(self.layers, self.keys)
+        return CubePlan(self.layers, self.rows)
 
 
 class ShardedStreamCube:
@@ -496,9 +509,15 @@ class ShardedStreamCube:
     def prune_idle(self, idle_quarters: int) -> int:
         """Drop idle cells on every shard; returns the total dropped.
 
-        Each dropped cell is a cell event, so the epoch moves with it."""
+        Each dropped cell is a cell event, so the epoch moves with it.  The
+        dropped cells' ids go too: the cell table is compacted and every
+        shard renumbers its ids under the same write hold, so the table and
+        the shards' id columns stay as long as the live cell set."""
         with self._write_mutex, self._lock.write():
-            return sum(self._backend.broadcast("prune_idle", idle_quarters))
+            dropped = sum(self._backend.broadcast("prune_idle", idle_quarters))
+            if dropped:
+                self._backend.broadcast("renumber", self._table.compact())
+            return dropped
 
     def _align(self, quarter: int) -> None:
         """Bring every shard's clock to ``quarter`` (a no-op on shards
@@ -655,7 +674,7 @@ class ShardedStreamCube:
     def _boxed(self, window: tuple[int, int]) -> dict[Values, ISB]:
         with self._lock.read():
             held, (isbs,) = self._merged_columns(window)
-        return dict(zip(held.keys, isbs.to_isbs()))
+        return dict(zip(held.rows.keys(), isbs.to_isbs()))
 
     def _recent_window(self, window_quarters: int) -> tuple[int, int]:
         return recent_window_bounds(
@@ -1050,5 +1069,5 @@ class ShardedStreamCube:
                 (prev_b, cur_b - 1), (cur_b, end)
             )
         return window_change_exceptions(
-            self.layers, self.policy, held.keys, prev, cur, layer
+            self.layers, self.policy, held.rows, prev, cur, layer
         )

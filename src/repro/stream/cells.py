@@ -40,17 +40,19 @@ def stable_shard_index(values: Values, n_shards: int) -> int:
 class CellTable:
     """The live cells' ids, and each id's key and owner shard.
 
-    ``keys`` is append-only: id ``i`` names ``keys[i]`` for the table's
-    life, and ``owner[i]`` is its shard (:func:`stable_shard_index` over
-    ``n_shards``).  The key -> id dict holds live cells only: a prune
-    retires its keys, and a key that speaks again is born with a new id.
-    A restore builds a fresh table, which compacts the ids.
+    Id ``i`` names ``keys[i]``, and ``owner[i]`` is its shard
+    (:func:`stable_shard_index` over ``n_shards``); births append.  The
+    key -> id dict holds live cells only: a prune retires its keys, and a
+    key that speaks again is born with a new id.  :meth:`compact` drops the
+    retired ids and renumbers the live ones (the sharded cube does after
+    every prune that drops a cell), so the table is as long as the live
+    cell set plus the births since.
 
     Concurrency: only mutators change a table, under the cube's write
-    mutex — :meth:`commit` (births) and :meth:`retire` (prunes, state
-    loads) under the write side of its lock as well.  :meth:`admit` reads
-    the dict and changes nothing, so a batch refused after it (by the
-    journal) leaves the table as it was.  Readers only index ``keys``, with
+    mutex — :meth:`commit` (births), :meth:`retire` (prunes, state loads)
+    and :meth:`compact` under the write side of its lock as well.
+    :meth:`admit` reads the dict and changes nothing, so a batch refused
+    after it (by the journal) leaves the table as it was.  Readers only index ``keys``, with
     ids a shard gave them under the read side.
     """
 
@@ -101,3 +103,17 @@ class CellTable:
             key = self.keys[cell]
             if self._ids.get(key) == cell:
                 del self._ids[key]
+
+    def compact(self) -> kernels.Column:
+        """Drop the retired ids and renumber the live ones ``0..n-1`` in id
+        order; returns each old id's new id (-1: retired).  Every holder of
+        ids must take the renumbering before the next read."""
+        live = np.sort(
+            np.fromiter(self._ids.values(), dtype=np.int64, count=len(self._ids))
+        )
+        remap = np.full(len(self.keys), -1, dtype=np.int64)
+        remap[live] = np.arange(len(live))
+        self.keys = [self.keys[cell] for cell in live.tolist()]
+        self.owner = self.owner[live]
+        self._ids = dict(zip(self.keys, range(len(live))))
+        return remap

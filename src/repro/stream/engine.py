@@ -54,7 +54,6 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
-from repro.cube.cell import canonical_cell_order
 from repro.cube.cuboid import CuboidColumns
 from repro.cube.layers import CriticalLayers
 from repro.cubing.mo_cubing import PlannedCells, mo_cubing
@@ -210,7 +209,7 @@ def change_window_bounds(
 def window_change_exceptions(
     layers: CriticalLayers,
     policy: ExceptionPolicy,
-    keys: list[Values],
+    rows: CuboidColumns,
     prev: kernels.ISBColumns,
     cur: kernels.ISBColumns,
     layer: str = "m",
@@ -218,25 +217,29 @@ def window_change_exceptions(
     """Window-over-window change exceptions from two adjacent m-layer windows.
 
     The paper's second exception flavour: ``prev`` and ``cur`` hold, row for
-    row, the ISBs of the cells ``keys`` over the previous and the current
-    window.  At the m-layer (``layer="m"``) each row's two-point line is
-    judged at the m-layer coordinate.  At the o-layer (``layer="o"``) rows
-    are grouped by their o-layer ancestor, groups in first-seen row order;
-    each group's two windows are summed with ``math.fsum`` (Theorem 3.2,
-    correctly rounded, so no row order inside a group can move a bit) and
-    the o-cell's line is judged at the o-layer coordinate.  Answers come out
-    in row order, so callers that present the rows in one canonical order
-    (:func:`~repro.cube.cell.canonical_cell_order`) give one answer, as
-    the sharded cube does for every shard count.
+    row, the ISBs of the cells encoded in ``rows`` (key-only m-layer
+    :class:`CuboidColumns`) over the previous and the current window.  At
+    the m-layer (``layer="m"``) each row's two-point line is judged at the
+    m-layer coordinate.  At the o-layer (``layer="o"``) rows are grouped by
+    their o-layer ancestor, groups in first-seen row order (kept on
+    ``rows``); each group's two windows are summed with ``math.fsum``
+    (Theorem 3.2, correctly rounded, so no row order inside a group can
+    move a bit) and the o-cell's line is judged at the o-layer coordinate.
+    Answers come out in row order, so callers that present the rows in
+    canonical order (:meth:`CuboidColumns.canonical_order`) give one
+    answer, as the sharded cube does for every shard count.
     """
     coord = layers.o_coord if layer == "o" else layers.m_coord
-    if keys and layer == "o":
-        rows = CuboidColumns.from_cells(
-            layers.schema, layers.m_coord, keys, None
-        ).lifted(coord)
-        gid, first = rows.grouping()
-        keys = rows.take(first).keys()
-        groups = np.split(np.argsort(gid), np.cumsum(np.bincount(gid))[:-1])
+    cells = rows
+    if len(rows) and layer == "o":
+
+        def o_groups(rows: CuboidColumns):
+            lifted = rows.lifted(coord)
+            gid, first = lifted.grouping()
+            groups = np.split(np.argsort(gid), np.cumsum(np.bincount(gid))[:-1])
+            return lifted.take(first), first, groups
+
+        cells, first, groups = rows.memo("o_groups", o_groups)
 
         def fsums(column: kernels.Column) -> kernels.Column:
             return kernels.float_column(math.fsum(column[g].tolist()) for g in groups)
@@ -249,14 +252,8 @@ def window_change_exceptions(
         )
     line = two_point_columns(prev, cur)
     hits = np.flatnonzero(policy.exception_mask(line.slope, coord))
+    keys = cells.keys()
     return dict(zip([keys[i] for i in hits.tolist()], line.take(hits).to_isbs()))
-
-
-def _canonical_rows(keys: list[Values]) -> kernels.Column:
-    """The permutation putting ``keys`` in canonical cell order."""
-    return kernels.int_column(
-        sorted(range(len(keys)), key=lambda row: canonical_cell_order(keys[row]))
-    )
 
 
 def run_cubing(
@@ -650,6 +647,13 @@ class StreamCubeEngine:
             self._new_cells(fresh[kernels.first_seen_groups(fresh)[1]])
             rows = self._row_of[ids]
         return rows
+
+    def renumber(self, remap: kernels.Column) -> None:
+        """Take the cell table's compaction: ``remap[id]`` is each old id's
+        new one (rows, and so :attr:`cell_generation`, do not move)."""
+        self._ids = remap[self._ids[: self._n]]
+        self._row_of = np.full(len(self._table.keys), -1, dtype=np.int64)
+        self._row_of[self._ids] = np.arange(self._n)
 
     def _place(self, ids: kernels.Column) -> None:
         """Make ``ids`` this engine's rows, in order."""
@@ -1098,22 +1102,23 @@ class StreamCubeEngine:
         """Change exceptions over explicit window bounds, at the m-layer
         (``layer="m"``) or the o-layer (``"o"``), over this engine's cells.
 
-        Both windows are read as columns and put in canonical cell order,
-        then judged by :func:`window_change_exceptions`, the body the
-        sharded cube runs over its merged windows.  Nothing in the package
-        calls it: the frozen ``benchmarks/e2e`` hook table wraps it by
-        name, and it goes, with :func:`_canonical_rows`, when that table
-        drops it.
+        Both windows are read as columns and the keys encoded in canonical
+        order, then judged by :func:`window_change_exceptions`, the body
+        the sharded cube runs over its merged windows.  Nothing in the
+        package calls it: the frozen ``benchmarks/e2e`` hook table wraps it
+        by name, and it goes when that table drops it.
         """
         prev = self.window_columns(prev_b, cur_b - 1)[2]
         cur = self.window_columns(cur_b, end)[2]
-        keys = self._cell_keys().keys
-        rows = _canonical_rows(keys)
+        rows = CuboidColumns.from_cells(
+            self.layers.schema, self.layers.m_coord, self._cell_keys().keys, None
+        )
+        order = rows.canonical_order()
         return window_change_exceptions(
             self.layers,
             self.policy,
-            [keys[row] for row in rows.tolist()],
-            prev.take(rows),
-            cur.take(rows),
+            rows.take(order),
+            prev.take(order),
+            cur.take(order),
             layer,
         )

@@ -21,6 +21,7 @@ from repro.errors import HierarchyError, StorageError, StreamError
 from repro.service.http import StreamCubeService
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
+from repro.stream.generator import DatasetSpec
 from repro.stream.records import StreamRecord
 from repro.stream.wal import QuarterWAL
 
@@ -151,6 +152,33 @@ def test_prune_and_revive_through_restore_and_reshard(layers, policy, tmp_path):
         assert len(cube._table.keys) == cube.tracked_cells
         assert_live_cells_only(cube)
         assert_same_answers(cube, reference, 2)
+
+
+def test_steady_churn_keeps_the_table_as_long_as_the_live_cells(policy):
+    """Four shards, 60 quarters of 500 random cells out of 64 x 64, and
+    ``prune_idle(1)`` each quarter: the retired ids go with every prune, so
+    the table and every shard's id -> row column stay within the live cells
+    plus one quarter's births, and every answer is the one-shard cube's."""
+    layers = DatasetSpec(2, 2, 8, 1).build_layers()
+    space = list(itertools.product(range(64), repeat=2))
+    rng = random.Random(60)
+    cube = ShardedStreamCube(layers, policy, n_shards=4, ticks_per_quarter=TPQ)
+    reference = ShardedStreamCube(layers, policy, n_shards=1, ticks_per_quarter=TPQ)
+    table = cube._table
+    for quarter in range(60):
+        records = quarter_records(rng, quarter, rng.sample(space, 500), per_key=1)
+        before = len(table.keys)
+        for target in (cube, reference):
+            target.ingest_batch(records)
+            target.advance_to((quarter + 1) * TPQ)
+        births = len(table.keys) - before
+        assert cube.prune_idle(1) == reference.prune_idle(1)
+        bound = cube.tracked_cells + births
+        assert len(table.keys) <= bound, quarter
+        assert all(len(engine._row_of) <= bound for engine in cube.shards)
+        assert_live_cells_only(cube)
+        if quarter >= 2:
+            assert_same_answers(cube, reference, 1)
 
 
 class TestRefusedBatches:

@@ -29,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import io as repro_io
+from repro.cube import cuboid
+from repro.cube.cell import canonical_cell_order
 from repro.cube.hierarchy import LevelCodes
 from repro.cubing.mo_cubing import CubePlan, PlannedCells, mo_cubing
 from repro.cubing.policy import GlobalSlopeThreshold
@@ -36,7 +38,6 @@ from repro.errors import AggregationError, CorruptionError, ServiceError
 from repro.query.spec import Q
 from repro.regression import kernels
 from repro.regression.isb import ISB
-from repro.service import merge
 from repro.service.router import QueryRouter
 from repro.service.sharding import ShardedStreamCube
 from repro.stream.records import StreamRecord
@@ -296,9 +297,9 @@ def counted(monkeypatch):
     for name in ("first_seen_groups", "pack_keys"):
         monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
     monkeypatch.setattr(
-        merge,
+        cuboid,
         "canonical_cell_order",
-        counting("canonical_cell_order", merge.canonical_cell_order),
+        counting("canonical_cell_order", cuboid.canonical_cell_order),
     )
     monkeypatch.setattr(ISB, "__post_init__", counting("isb", ISB.__post_init__))
     monkeypatch.setattr(
@@ -351,8 +352,8 @@ def test_seals_on_an_unchanged_cell_set_rebuild_and_box_nothing(layers, counted)
         # The deck's per-row key text is rendered once for the held plan.
         assert counted["json_heads"] == 1
 
-        # One birth: exactly one rebuild (one encode per dimension, one
-        # canonical sort), then the plan holds again.
+        # One birth: exactly one rebuild (one encode per dimension, each
+        # distinct value ranked at most once), then the plan holds again.
         newborn = next(
             key
             for key in itertools.product(range(9), repeat=2)
@@ -364,11 +365,58 @@ def test_seals_on_an_unchanged_cell_set_rebuild_and_box_nothing(layers, counted)
         assert router.stats()["plan_builds"] == 2
         assert counted["json_heads"] == 2
         assert counted["encode"] == layers.schema.n_dims
-        assert counted["canonical_cell_order"] == len(keys) + 1
+        distinct = sum(
+            len({key[d] for key in [*keys, newborn]})
+            for d in range(layers.schema.n_dims)
+        )
+        assert 0 < counted["canonical_cell_order"] <= distinct
         seal(25, [StreamRecord(newborn, 25 * TPQ, 2.0)])
         router.execute(Q.observation_deck())
         assert router.stats()["plan_builds"] == 2
         assert counted["encode"] == layers.schema.n_dims
+
+        # O-layer change pulls group the held rows: the first encodes
+        # nothing, and from the second on nothing is grouped either.
+        ranked = counted["canonical_cell_order"]
+        pulls = []
+        for pull in range(3):
+            grouped = counted["pack_keys"], counted["first_seen_groups"]
+            pulls.append(cube.o_layer_change_exceptions(1))
+            assert pulls[-1] == pulls[0]
+            assert counted["encode"] == layers.schema.n_dims
+            assert counted["canonical_cell_order"] == ranked
+            if pull:
+                assert (counted["pack_keys"], counted["first_seen_groups"]) == grouped
+        assert router.stats()["plan_builds"] == 2
+
+
+@pytest.mark.parametrize("kind", ["fanout", "explicit", "mixed"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_rank_lexsort_is_the_canonical_cell_order(kind, data):
+    """The held set's order — one lexsort over each dimension's value ranks
+    — equals sorting the keys by ``canonical_cell_order``, whatever order
+    the cells were born in and however many shards hold them."""
+    layers = data.draw(layers_strategy(kind))
+    pools = [
+        level_values(dim, level)
+        for dim, level in zip(layers.schema.dimensions, layers.m_coord)
+    ]
+    every = list(itertools.product(*pools))
+    keys = data.draw(
+        st.lists(st.sampled_from(every), min_size=1, max_size=60, unique=True)
+    )
+    expected = sorted(keys, key=canonical_cell_order)
+    rows = cuboid.CuboidColumns.from_cells(layers.schema, layers.m_coord, keys, None)
+    assert [keys[i] for i in rows.canonical_order().tolist()] == expected
+    births = data.draw(st.permutations(keys))
+    for n_shards in (1, 2, 7):
+        with ShardedStreamCube(
+            layers, POLICY, n_shards=n_shards, ticks_per_quarter=TPQ
+        ) as cube:
+            cube.ingest_batch([StreamRecord(key, 0, 1.0) for key in births])
+            cube.advance_to(TPQ)
+            assert list(cube.m_cells(1)) == expected
 
 
 def test_a_key_on_two_shards_is_still_refused(layers):
@@ -394,7 +442,9 @@ def test_mismatched_intervals_are_refused_at_every_run(layers):
     plan or no plan."""
     np = kernels.np
     keys = [(0, 0), (0, 1), (1, 2)]  # siblings: they merge one level up
-    plan = CubePlan(layers, keys)
+    plan = CubePlan(
+        layers, cuboid.CuboidColumns.from_cells(layers.schema, layers.m_coord, keys, None)
+    )
     good = kernels.ISBColumns.over(0, 7, np.ones(3), np.ones(3))
     assert len(mo_cubing(layers, PlannedCells(plan, good), POLICY).m_layer) == 3
     bad = kernels.ISBColumns(

@@ -332,10 +332,10 @@ class TestSpecExecution:
         flight = _Flight()
         flight.done.set()
         key = ("storm-test",)
-        router._flights[key] = flight
+        router._flights[(id(router.cache), key)] = flight
         calls = []
         cut, value = router._single_flight_entry(
-            key, lambda: calls.append(1) or 42
+            router.cache, key, lambda: calls.append(1) or 42
         )
         assert value == 42 and calls == [1]
         assert cut == router.cube.epoch_vector()
