@@ -127,20 +127,26 @@ class CuboidColumns:
             isbs,
         )
 
-    def canonical_order(self):
-        """The (stable) permutation putting the rows in canonical cell
-        order: each dimension's distinct values are ranked once by
-        :func:`~repro.cube.cell.canonical_cell_order`, then one ``lexsort``
-        orders the rows by their ranks."""
+    @classmethod
+    def canonical(
+        cls, schema: CubeSchema, coord: Coord, keys: Sequence[Values]
+    ) -> tuple["CuboidColumns", Any]:
+        """``keys`` encoded (as :meth:`from_cells`) in canonical cell order,
+        and the permutation taking ``keys`` there: each dimension's values
+        ranked once by :func:`~repro.cube.cell.canonical_cell_order`, then
+        one stable ``lexsort`` over the ranks (a hierarchy admits no two
+        equal values that print apart, so a code is one value)."""
+        rows = cls.from_cells(schema, coord, keys, None)
         ranks = []
-        for table, level, column in zip(self.tables, self.coord, self.codes):
+        for table, level, column in zip(rows.tables, coord, rows.codes):
             values = list(table.index(level))
             by_key = sorted(
                 range(len(values)),
                 key=lambda code: canonical_cell_order((values[code],)),
             )
             ranks.append(np.argsort(by_key)[column])
-        return np.lexsort(ranks[::-1])
+        order = np.lexsort(ranks[::-1])
+        return rows.take(order), order
 
     def codes_at(self, to_coord: Coord) -> list:
         """Every row's ancestor codes at the coarser-or-equal ``to_coord``."""

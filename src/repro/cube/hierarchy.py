@@ -154,6 +154,19 @@ class ConceptHierarchy(ABC):
         return f"{type(self).__name__}({self.name!r}, levels={self.level_names})"
 
 
+def _is_member(members: Mapping[Hashable, Hashable], value: Hashable) -> bool:
+    """``value`` is one of ``members`` (each mapped to itself), as written:
+    equal values that print apart (``True``, ``1.0`` and ``1``; ``-0.0``
+    and ``0.0``) would share a cell and a code (:class:`LevelCodes`) but
+    print and order apart."""
+    if value not in members:
+        return False
+    member = members[value]
+    return member is value or (
+        type(member) is type(value) and repr(member) == repr(value)
+    )
+
+
 class ExplicitHierarchy(ConceptHierarchy):
     """Hierarchy defined by explicit child → parent maps.
 
@@ -184,7 +197,10 @@ class ExplicitHierarchy(ConceptHierarchy):
                 f"hierarchy {name!r}: need {self.depth - 1} parent maps for "
                 f"{self.depth} levels, got {len(parent_maps)}"
             )
-        self._values: list[set[Hashable]] = [set(level1_values)]
+        # Each level's members mapped to themselves, for :func:`_is_member`.
+        self._values: list[dict[Hashable, Hashable]] = [
+            {v: v for v in dict.fromkeys(level1_values)}
+        ]
         if not self._values[0]:
             raise HierarchyError(f"hierarchy {name!r}: level 1 has no values")
         self._parents: list[dict[Hashable, Hashable]] = []
@@ -197,13 +213,13 @@ class ExplicitHierarchy(ConceptHierarchy):
                 )
             upper = self._values[i]
             for child, parent in parents.items():
-                if parent not in upper:
+                if not _is_member(upper, parent):
                     raise HierarchyError(
                         f"hierarchy {name!r}: level-{level} value {child!r} "
                         f"has unknown parent {parent!r}"
                     )
             self._parents.append(parents)
-            self._values.append(set(parents))
+            self._values.append({child: child for child in parents})
 
     def parent(self, value: Hashable, level: int) -> Hashable:
         self._check_level(level)
@@ -230,7 +246,7 @@ class ExplicitHierarchy(ConceptHierarchy):
         if level == 0:
             return value == ALL
         self._check_level(level)
-        return value in self._values[level - 1]
+        return _is_member(self._values[level - 1], value)
 
     def values(self, level: int) -> frozenset[Hashable]:
         """All values of a named level."""
@@ -257,11 +273,11 @@ class ExplicitHierarchy(ConceptHierarchy):
 class FanoutHierarchy(ConceptHierarchy):
     """Integer-encoded hierarchy with uniform fanout.
 
-    Level ``l`` holds the integers ``0 .. fanout**l - 1``; the parent of
-    value ``v`` at level ``l`` is ``v // fanout`` at level ``l - 1``.  This is
-    the encoding behind the paper's ``DxLyCz`` synthetic datasets: ``C10``
-    means every node has 10 children, so level ``l`` has cardinality
-    ``10**l``.
+    Level ``l`` holds the integers ``0 .. fanout**l - 1`` (``True`` is not
+    ``1`` here); the parent of value ``v`` at level ``l`` is ``v // fanout``
+    at level ``l - 1``.  This is the encoding behind the paper's ``DxLyCz``
+    synthetic datasets: ``C10`` means every node has 10 children, so level
+    ``l`` has cardinality ``10**l``.
     """
 
     def __init__(self, name: str, depth: int, fanout: int,
@@ -296,7 +312,12 @@ class FanoutHierarchy(ConceptHierarchy):
         if level == 0:
             return value == ALL
         self._check_level(level)
-        return isinstance(value, int) and 0 <= value < self.fanout**level
+        # A bool is an int equal to 0 or 1: see _is_member.
+        return (
+            isinstance(value, int)
+            and type(value) is not bool
+            and 0 <= value < self.fanout**level
+        )
 
     def ancestor(self, value: Hashable, from_level: int, to_level: int) -> Hashable:
         # Closed form instead of the generic level-by-level walk.
@@ -328,7 +349,11 @@ class FanoutHierarchy(ConceptHierarchy):
         return index % self.cardinality(self.depth)
 
     def _as_member(self, value: Hashable, level: int) -> int:
-        if not isinstance(value, int) or not 0 <= value < self.fanout**level:
+        if (
+            not isinstance(value, int)
+            or type(value) is bool
+            or not 0 <= value < self.fanout**level
+        ):
             raise HierarchyError(
                 f"{value!r} is not a level-{level} value of {self.name!r}"
             )

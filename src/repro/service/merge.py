@@ -13,7 +13,7 @@ came from.
 ``{values: isb}`` mappings, for the end-to-end tracer.  The sharded cube
 does not box: it checks the shards' cell ids for overlap, encodes the keys
 once and orders them by their codes' ranks
-(:meth:`~repro.cube.cuboid.CuboidColumns.canonical_order`, the same total
+(:meth:`~repro.cube.cuboid.CuboidColumns.canonical`, the same total
 order) — see :class:`repro.service.sharding.ShardedStreamCube`.
 """
 

@@ -224,13 +224,14 @@ class QueryRouter:
     def view(self, window_quarters: int | None = None) -> RegressionCubeView:
         """The merged cube view for one window, refreshed at most once per
         (window, epoch vector)."""
-        return self._view(self._window(window_quarters))
+        with self.cube.read_lock():
+            return self._view(self._window(window_quarters))
 
     def _view(self, window: int) -> RegressionCubeView:
         """The memoized view for ``window``: a line of the view cache, so
-        concurrent readers of one cut share one refresh.  A caller already
-        holding the read cut (a result computation) keeps it: the cut is
-        reentrant."""
+        concurrent readers of one cut share one refresh.  The caller holds
+        the cut: a leader waiting for it behind a writer would deadlock a
+        result leader that holds it and joins this flight."""
 
         def refresh() -> RegressionCubeView:
             view = RegressionCubeView(self.cube.refresh(window), self.cube)

@@ -150,13 +150,12 @@ class _HeldCells:
 
     ``version`` is the per-shard cell generation, ``None`` for a shard a
     degraded read lost.  The answering shards' ids (``ids``, one column
-    each) must be disjoint; their keys are encoded at the m-layer
-    (:meth:`~repro.cube.cuboid.CuboidColumns.from_cells`, validated) and
-    ``order`` is the permutation taking the concatenated rows to canonical
-    order (:meth:`~repro.cube.cuboid.CuboidColumns.canonical_order`), where
-    ``rows`` holds them.  ``plan``, built from ``rows`` by the first refresh
-    that asks for it, and the change exceptions read the same rows.  Never
-    patched: a moved version gets a new one.
+    each) must be disjoint; their keys are encoded once at the m-layer, in
+    canonical order (:meth:`~repro.cube.cuboid.CuboidColumns.canonical`,
+    validated), as ``rows``, and ``order`` is the permutation taking the
+    concatenated rows there.  ``plan``, built from ``rows`` by the first
+    refresh that asks for it, and the change exceptions read the same
+    rows.  Never patched: a moved version gets a new one.
     """
 
     def __init__(
@@ -177,9 +176,9 @@ class _HeldCells:
                 "partitions must be disjoint"
             )
         keys = [key_of[cell] for cell in ids.tolist()]
-        rows = CuboidColumns.from_cells(layers.schema, layers.m_coord, keys, None)
-        self.order = rows.canonical_order()
-        self.rows = rows.take(self.order)
+        self.rows, self.order = CuboidColumns.canonical(
+            layers.schema, layers.m_coord, keys
+        )
 
     @functools.cached_property
     def plan(self) -> CubePlan:

@@ -52,8 +52,8 @@ class CellTable:
     mutex — :meth:`commit` (births), :meth:`retire` (prunes, state loads)
     and :meth:`compact` under the write side of its lock as well.
     :meth:`admit` reads the dict and changes nothing, so a batch refused
-    after it (by the journal) leaves the table as it was.  Readers only index ``keys``, with
-    ids a shard gave them under the read side.
+    after it (by the journal) leaves the table as it was.  Readers only
+    index ``keys``, with ids a shard gave them under the read side.
     """
 
     def __init__(

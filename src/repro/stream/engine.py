@@ -226,7 +226,7 @@ def window_change_exceptions(
     (Theorem 3.2, correctly rounded, so no row order inside a group can
     move a bit) and the o-cell's line is judged at the o-layer coordinate.
     Answers come out in row order, so callers that present the rows in
-    canonical order (:meth:`CuboidColumns.canonical_order`) give one
+    canonical order (:meth:`CuboidColumns.canonical`) give one
     answer, as the sharded cube does for every shard count.
     """
     coord = layers.o_coord if layer == "o" else layers.m_coord
@@ -1110,14 +1110,13 @@ class StreamCubeEngine:
         """
         prev = self.window_columns(prev_b, cur_b - 1)[2]
         cur = self.window_columns(cur_b, end)[2]
-        rows = CuboidColumns.from_cells(
-            self.layers.schema, self.layers.m_coord, self._cell_keys().keys, None
+        rows, order = CuboidColumns.canonical(
+            self.layers.schema, self.layers.m_coord, self._cell_keys().keys
         )
-        order = rows.canonical_order()
         return window_change_exceptions(
             self.layers,
             self.policy,
-            rows.take(order),
+            rows,
             prev.take(order),
             cur.take(order),
             layer,

@@ -72,6 +72,19 @@ class TestExplicitHierarchy:
     def test_values(self, location):
         assert location.values(1) == frozenset({"city0", "city1"})
 
+    def test_equal_values_of_another_type_are_not_members(self):
+        # True == 1 == 1.0 hash alike, but print and order apart: a cell
+        # keyed with one must not pass as (or merge into) the other.
+        numbers = ExplicitHierarchy("n", ["l1", "l2"], [1, 2], [{10: 1, 2.5: 2}])
+        assert numbers.contains(1, 1) and numbers.contains(2.5, 2)
+        assert not numbers.contains(True, 1)
+        assert not numbers.contains(1.0, 1)
+        assert not numbers.contains(10.0, 2)
+        zero = ExplicitHierarchy("z", ["l1"], [0.0])
+        assert zero.contains(0.0, 1) and not zero.contains(-0.0, 1)
+        with pytest.raises(HierarchyError):
+            ExplicitHierarchy("n", ["l1", "l2"], [1], [{"c": True}])
+
     def test_validate_value(self, location):
         location.validate_value("a0", 3)
         with pytest.raises(HierarchyError):
@@ -123,6 +136,7 @@ class TestFanoutHierarchy:
         assert not h.contains(16, 2)
         assert not h.contains(-1, 2)
         assert not h.contains("x", 1)
+        assert not h.contains(True, 1) and not h.contains(1.0, 1)
 
     def test_leaf_for_wraps(self):
         h = FanoutHierarchy("d", depth=2, fanout=4)

@@ -407,8 +407,8 @@ def test_the_rank_lexsort_is_the_canonical_cell_order(kind, data):
         st.lists(st.sampled_from(every), min_size=1, max_size=60, unique=True)
     )
     expected = sorted(keys, key=canonical_cell_order)
-    rows = cuboid.CuboidColumns.from_cells(layers.schema, layers.m_coord, keys, None)
-    assert [keys[i] for i in rows.canonical_order().tolist()] == expected
+    rows, order = cuboid.CuboidColumns.canonical(layers.schema, layers.m_coord, keys)
+    assert [keys[i] for i in order.tolist()] == expected == rows.keys()
     births = data.draw(st.permutations(keys))
     for n_shards in (1, 2, 7):
         with ShardedStreamCube(

@@ -343,6 +343,45 @@ class TestSpecExecution:
         assert router.stats()["single_flight_fallbacks"] == 1
         assert router.cache.get_versioned(key, cut) is None
 
+    def test_view_racing_a_result_while_a_writer_waits(self, cube, router):
+        # A result leader holds the read cut and then needs the window's
+        # view; meanwhile a writer waits on that cut, and a view() caller
+        # waits behind the writer.  The view() caller must not own the
+        # view's flight while it waits, or the result leader joins it and
+        # the three wait on each other.
+        lock = cube._lock
+
+        def until(condition):
+            deadline = time.monotonic() + 5
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+        done, holding, go = [], threading.Event(), threading.Event()
+
+        def result_leader():
+            with cube.read_lock():
+                holding.set()
+                go.wait()
+                done.append(router.execute(Q.exceptions()))
+
+        def start(target, *args):
+            thread = threading.Thread(target=target, args=args, daemon=True)
+            thread.start()
+            return thread
+
+        threads = [start(result_leader)]
+        holding.wait()
+        threads.append(start(cube.prune_idle, 100))
+        until(lambda: lock._writers_waiting == 1)
+        threads.append(start(lambda: done.append(router.view())))
+        until(lambda: lock._readers_waiting == 1)
+        go.set()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert len(done) == 2 and router.refreshes >= 1
+
 
 class TestValidation:
     def test_window_quarters_validated(self, cube):

@@ -12,7 +12,12 @@ import math
 
 import pytest
 
-from repro.errors import CorruptionError, ServiceError, StreamError
+from repro.errors import (
+    CorruptionError,
+    HierarchyError,
+    ServiceError,
+    StreamError,
+)
 from repro.service.merge import disjoint_union
 from repro.service.sharding import ShardedStreamCube, stable_shard_index
 from repro.stream.engine import StreamCubeEngine, change_window_bounds
@@ -67,6 +72,27 @@ class TestShardInvariance:
         ) as cube:
             assert cube.change_exceptions() == single.change_exceptions()
             assert cube.change_exceptions(2) == single.change_exceptions(2)
+
+    def test_a_bool_value_is_refused_at_every_width(self, layers, policy):
+        # True == 1 and hashes alike: admitted, (True, 0) would share its
+        # first dimension's code with (1, 5) and print as whichever of the
+        # two a shard listed first.  The door refuses it, whatever the
+        # width, and the cube is as if the batch never came.
+        batch = [
+            StreamRecord(values, 0, 1.0)
+            for values in [(1, 5), (True, 0), (0, 0)]
+        ]
+        answers = []
+        for k in SHARD_COUNTS:
+            with ShardedStreamCube(
+                layers, policy, n_shards=k, ticks_per_quarter=TPQ
+            ) as cube:
+                with pytest.raises(HierarchyError, match="True"):
+                    cube.ingest_batch(batch)
+                cube.ingest_batch([batch[0], batch[2]])
+                cube.advance_to(4 * TPQ)
+                answers.append(list(cube.m_cells(4)))
+        assert answers == [[(0, 0), (1, 5)]] * len(SHARD_COUNTS)
 
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     def test_batched_ingest_equals_one_batch(self, layers, policy, k):
