@@ -173,17 +173,6 @@ def build_service(args: argparse.Namespace):
             "point --snapshot-dir somewhere else"
         )
 
-    storage_cfg = (
-        StorageConfig(
-            root=Path(args.storage_dir),
-            hot_quarters=(
-                args.hot_quarters if args.hot_quarters is not None else 4
-            ),
-        )
-        if args.storage_dir
-        else None
-    )
-
     app = {
         "dims": args.dims,
         "levels": args.levels,
@@ -205,6 +194,14 @@ def build_service(args: argparse.Namespace):
             # usual "no manifest" CodecError
         # else: journal-only directory — the run crashed before its first
         # snapshot; rebuild an empty cube below and replay the whole WAL.
+    storage_cfg = None
+    if args.storage_dir:
+        # Without --hot-quarters a restore keeps the snapshot's horizon.
+        hot = args.hot_quarters
+        if hot is None:
+            stored = manifest.get("storage") if manifest else None
+            hot = stored["hot_quarters"] if stored else 4
+        storage_cfg = StorageConfig(root=Path(args.storage_dir), hot_quarters=hot)
     layers = DatasetSpec(
         n_dims=app["dims"],
         n_levels=app["levels"],
@@ -226,7 +223,6 @@ def build_service(args: argparse.Namespace):
             n_shards=args.shards,  # None keeps the snapshot's count
             wal=wal,
             storage=storage_cfg,
-            hot_quarters=args.hot_quarters,
         )
     else:  # fresh cube — also the base of a journal-only recovery
         cube = ShardedStreamCube(

@@ -30,6 +30,7 @@ import json
 import re
 import threading
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
@@ -75,7 +76,7 @@ from repro.stream.engine import (
 from repro.stream.records import RecordColumns, StreamRecord
 from repro.stream.state import EngineState
 from repro.stream.wal import QuarterWAL
-from repro.tilt.frame import TiltLevelSpec, TiltPages
+from repro.tilt.frame import TiltLevelSpec
 
 __all__ = ["ShardedStreamCube", "stable_shard_index"]
 
@@ -107,38 +108,34 @@ def _repartition_states(
 ) -> list[EngineState]:
     """Re-partition aligned per-shard states over a new shard count.
 
-    Each cell's :class:`~repro.stream.state.CellSnapshot` and its row of
-    every page move wholesale to the new owner (``stable_shard_index``
-    over the new count), so no ISB arithmetic happens at all — the
-    re-partitioned cube is bit-identical by construction.  The lifetime
-    record counter is a cube-level statistic whose per-shard split is
-    meaningless after moving cells between shards; the aggregate is
-    preserved by assigning it to shard 0.  Demoted spans (``cold_spans``)
-    are level-granular and identical on every aligned shard, so they
-    transfer to every new shard verbatim — the cold *pages* are
-    re-partitioned separately by :func:`repro.storage.open_shard_stores`.
+    Each row — its page rows, open-quarter row and activity entries — moves
+    wholesale to its key's new owner (``stable_shard_index`` over the new
+    count) with :meth:`~repro.stream.state.EngineState.gather`, so no ISB
+    arithmetic happens at all and the re-partitioned cube is bit-identical
+    by construction.  The lifetime record counter is a cube-level
+    statistic whose per-shard split is meaningless after moving cells
+    between shards; the aggregate is preserved by assigning it to shard 0.
+    Demoted spans (``cold_spans``) are level-granular and identical on
+    every aligned shard, so they transfer to every new shard verbatim — the
+    cold *pages* are re-partitioned separately by
+    :func:`repro.storage.open_shard_stores`.
     """
-    template = states[0]
     total_records = sum(state.records_ingested for state in states)
-    cells: list[dict[Values, Any]] = [{} for _ in range(new_n)]
-    # rows[i][s]: the rows of source state s that new shard i takes.
-    rows: list[list[list[int]]] = [[[] for _ in states] for _ in range(new_n)]
-    for s, state in enumerate(states):
-        for row, (key, cell) in enumerate(state.cells.items()):
-            owner = stable_shard_index(key, new_n)
-            cells[owner][key] = cell
-            rows[owner][s].append(row)
+    owners = [
+        np.fromiter(
+            map(stable_shard_index, state.keys, repeat(new_n)),
+            dtype=np.int64,
+            count=len(state.keys),
+        )
+        for state in states
+    ]
     return [
-        EngineState(
-            ticks_per_quarter=template.ticks_per_quarter,
-            frame_levels=template.frame_levels,
-            current_quarter=template.current_quarter,
-            records_ingested=total_records if i == 0 else 0,
-            tilt=TiltPages.gather(
-                [(state.tilt, rows[i][s]) for s, state in enumerate(states)]
-            ),
-            cells=cells[i],
-            cold_spans=template.cold_spans,
+        EngineState.gather(
+            [
+                (state, np.flatnonzero(owner == i))
+                for state, owner in zip(states, owners)
+            ],
+            total_records if i == 0 else 0,
         )
         for i in range(new_n)
     ]
@@ -205,10 +202,8 @@ class ShardedStreamCube:
         existing set written under a *different* shard count re-partitions
         the cold pages, so resharding carries deep history along), sealed
         history past ``storage.hot_quarters`` spills to disk, and deep
-        windows fault it back transparently.
-    hot_quarters:
-        Overrides ``storage.hot_quarters`` when given (the config default
-        serves the common case).  Ignored without ``storage``.
+        windows fault it back transparently.  The config is the one home
+        of the hot horizon.
 
     The shards share one :class:`~repro.stream.cells.CellTable`: a batch's
     keys are interned once, at the door, and from there a cell is an id.
@@ -239,7 +234,6 @@ class ShardedStreamCube:
         frame_levels: Iterable[TiltLevelSpec] | None = None,
         wal: QuarterWAL | None = None,
         storage: StorageConfig | None = None,
-        hot_quarters: int | None = None,
     ) -> None:
         if n_shards < 1:
             raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
@@ -251,11 +245,6 @@ class ShardedStreamCube:
         levels = list(frame_levels) if frame_levels is not None else None
         self._storage_config = storage
         self._storage_generation = 0
-        self.hot_quarters = (
-            hot_quarters
-            if hot_quarters is not None
-            else (storage.hot_quarters if storage is not None else None)
-        )
         self._table = CellTable(
             layers.schema.values_validator(layers.m_coord), n_shards
         )
@@ -306,7 +295,7 @@ class ShardedStreamCube:
                     ticks_per_quarter=ticks_per_quarter,
                     frame_levels=levels,
                     storage=stores[i] if stores else None,
-                    hot_quarters=self.hot_quarters,
+                    hot_quarters=storage.hot_quarters if storage is not None else None,
                     table=self._table,
                 )
                 for i in range(n_shards)
@@ -392,7 +381,7 @@ class ShardedStreamCube:
         totals.update(
             backend=BACKEND,
             generation=self._storage_generation,
-            hot_quarters=self.hot_quarters,
+            hot_quarters=self._storage_config.hot_quarters,
             shards=per_shard,
         )
         return totals
@@ -827,7 +816,7 @@ class ShardedStreamCube:
             # snapshot directory; the manifest records how to reopen them.
             manifest["storage"] = {
                 "backend": BACKEND,
-                "hot_quarters": self.hot_quarters,
+                "hot_quarters": self._storage_config.hot_quarters,
                 "generation": self._storage_generation,
                 "n_shards": n_shards,
             }
@@ -912,7 +901,6 @@ class ShardedStreamCube:
         n_shards: int | None = None,
         wal: QuarterWAL | None = None,
         storage: StorageConfig | None = None,
-        hot_quarters: int | None = None,
     ) -> "ShardedStreamCube":
         """Rebuild a cube from a snapshot directory.
 
@@ -923,17 +911,13 @@ class ShardedStreamCube:
         every cell with :func:`stable_shard_index` during the load — online
         resharding is just a restore with a new count.  A snapshot taken
         with tiered storage needs ``storage`` pointing at the same cold
-        root (``hot_quarters`` defaults to the snapshot's setting); the
+        root (its ``hot_quarters`` is the restored cube's hot horizon); the
         shard-count change case re-partitions the cold pages on open.
         Follow with ``wal.replay(cube, after_seq=manifest["wal_seq"])`` to
         recover an interrupted run (the serving CLI does this for you).
         """
         target = Path(directory)
         manifest = cls.read_manifest(target)
-        if hot_quarters is None and storage is not None:
-            recorded = manifest.get("storage")
-            if recorded is not None:
-                hot_quarters = recorded["hot_quarters"]
 
         def load(name: str) -> EngineState:
             path = target / name
@@ -954,7 +938,6 @@ class ShardedStreamCube:
             n_shards=n_shards,
             wal=wal,
             storage=storage,
-            hot_quarters=hot_quarters,
             cell_events=manifest["cell_events"],
         )
 
@@ -984,7 +967,6 @@ class ShardedStreamCube:
             n_shards=new_n,
             wal=None,
             storage=self._storage_config,
-            hot_quarters=self.hot_quarters,
             cell_events=cell_events,
         )
 
@@ -998,7 +980,6 @@ class ShardedStreamCube:
         n_shards: int | None,
         wal: QuarterWAL | None,
         storage: StorageConfig | None = None,
-        hot_quarters: int | None = None,
         cell_events: int = 0,
     ) -> "ShardedStreamCube":
         """Build a cube from per-shard engine states, re-partitioning when
@@ -1036,7 +1017,6 @@ class ShardedStreamCube:
             frame_levels=states[0].frame_levels,
             wal=wal,
             storage=storage,
-            hot_quarters=hot_quarters,
         )
         cube._backend.map("load_state", [(state,) for state in states])
         cube._cell_events_base = cell_events

@@ -43,6 +43,9 @@ from repro.query.spec import Q, QuerySpec, spec_from_dict
 
 __all__ = ["Subscription", "SubscriptionRegistry", "Update", "Updates"]
 
+#: Upper bound on any single long-poll wait, seconds.
+POLL_CAP = 30.0
+
 
 @dataclass(frozen=True)
 class Update:
@@ -173,23 +176,15 @@ class SubscriptionRegistry:
         Default per-subscription queue bound.  When a queue is full the
         *oldest* update is dropped (and counted) — a slow consumer loses
         history, never blocks the stream.
-    poll_cap:
-        Upper bound on any single long-poll wait, seconds.
     """
 
-    def __init__(
-        self,
-        router: Any,
-        queue_limit: int = 16,
-        poll_cap: float = 30.0,
-    ) -> None:
+    def __init__(self, router: Any, queue_limit: int = 16) -> None:
         if queue_limit < 1:
             raise ServiceError(
                 f"queue_limit must be >= 1, got {queue_limit}"
             )
         self.router = router
         self.queue_limit = queue_limit
-        self.poll_cap = poll_cap
         self._subs: dict[str, Subscription] = {}
         self._ids = itertools.count(1)
         self._cond = threading.Condition()
@@ -395,7 +390,7 @@ class SubscriptionRegistry:
         self, sub_id: str, since_seq: int = 0, timeout: float = 0.0
     ) -> dict[str, Any]:
         """Updates with ``seq > since_seq``, long-polling up to ``timeout``
-        seconds (capped at ``poll_cap``).
+        seconds (capped at :data:`POLL_CAP`).
 
         Acknowledged entries (``seq <= since_seq``) are pruned from the
         queue.  Returns ``{"subscription", "updates", "last_seq",
@@ -408,7 +403,7 @@ class SubscriptionRegistry:
     ) -> Updates:
         """:meth:`poll` before rendering: the queued :class:`Update`
         objects themselves, which ``GET /updates`` writes as bytes."""
-        deadline = time.monotonic() + max(0.0, min(timeout, self.poll_cap))
+        deadline = time.monotonic() + max(0.0, min(timeout, POLL_CAP))
         with self._cond:
             while True:
                 sub = self._subs.get(sub_id)

@@ -10,11 +10,10 @@ from repro.stream.records import (
     validate_monotonic,
 )
 from repro.stream.sliding import SlidingWindowRegression
-from repro.stream.state import CellSnapshot, EngineState
+from repro.stream.state import EngineState
 from repro.stream.wal import QuarterWAL, WalEntry
 
 __all__ = [
-    "CellSnapshot",
     "EngineState",
     "QuarterWAL",
     "WalEntry",

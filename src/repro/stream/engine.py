@@ -33,8 +33,10 @@ one-shard table); the engine keeps each row's id and each id's row, and
 four flat columns over the rows: ``sums`` and a ``present`` mask,
 row-major with ``ticks_per_quarter`` slots a row — tick ``t`` of the
 quarter starting at ``lo`` is slot ``row * ticks_per_quarter + (t - lo)`` —
-plus ``last_active_quarter`` and ``cold_since``, one entry a row (9 bytes a
-tick and 16 a cell; no per-cell object).  Batches arrive as *segments*,
+plus ``last_active`` and ``cold_since``, one entry a row (9 bytes a tick
+and 16 a cell; no per-cell object).  A snapshot
+(:class:`~repro.stream.state.EngineState`) has the same layout, so snapshot,
+restore, prune and reshard all move rows.  Batches arrive as *segments*,
 ``(quarter, ids, ticks, z)``, one record a position.  Applying one is a
 take of the id -> row column and one ordered scatter-add
 (:func:`repro.regression.kernels.open_add`); sealing is the ``present``
@@ -73,7 +75,7 @@ from repro.stream.records import (
     require_finite_z,
     require_int_ticks,
 )
-from repro.stream.state import CellSnapshot, EngineState
+from repro.stream.state import ROW_COLUMNS, EngineState
 from repro.tilt.frame import (
     Column,
     TiltLevelSpec,
@@ -475,7 +477,7 @@ class StreamCubeEngine:
 
         Long-running deployments see churn — users move away, sensors are
         decommissioned — and per-cell rows are the engine's only unbounded
-        state.  The ``last_active_quarter`` column holds the quarter of each
+        state.  The ``last_active`` column holds the quarter of each
         cell's newest record, so idleness is one vectorized comparison: a
         cell whose last record predates the window was sealed from
         empty accumulators throughout it, i.e. its recent slots are exactly
@@ -483,7 +485,8 @@ class StreamCubeEngine:
         consulted only once per call — through the clock every cell shares
         — to check that the window is actually covered by retained history
         (an uncoverable window proves nothing, exactly as before).  The
-        dead cells' rows are then dropped from every page in one pass.
+        kept rows — recently active, or still accumulating in the open
+        quarter — are taken from every page and column in one pass.
 
         A cell that keeps reporting *zeros* counts as active here (it has
         records); the previous implementation pruned it.  Returns the number
@@ -502,43 +505,32 @@ class StreamCubeEngine:
             self._tilt.clock.window_plan(start, end)
         except TiltFrameError:
             return 0  # window not fully covered: cannot prove idleness
-        cutoff = self._current_quarter - window
-        n = self._n
-        recorded = np.flatnonzero(self._present[: n * q])
-        slots, sums = recorded.tolist(), self._sums[recorded].tolist()
-        keep = sorted(
-            {
-                *np.flatnonzero(self._last_active[:n] >= cutoff).tolist(),
-                *(slot // q for slot in slots),  # still accumulating
-            }
+        columns = self._rows()
+        _, present, last_active, _ = columns
+        keep = np.flatnonzero(
+            (last_active >= self._current_quarter - window) | present.any(axis=1)
         )
-        dropped = n - len(keep)
+        dropped = self._n - len(keep)
         if dropped:
-            self._cell_changes += 1
             self._cell_events += dropped
-            self._tilt = TiltPages.gather([(self._tilt, keep)])
-            self._table.retire(np.delete(self._ids[:n], keep))
-            self._place(self._ids[keep])
-            self._last_active = self._last_active[keep]
-            self._cold_since = self._cold_since[keep]
-            moved = {row: i for i, row in enumerate(keep)}
-            self._load_open(
-                [moved[slot // q] * q + slot % q for slot in slots], sums
+            self._table.retire(np.delete(self._ids[: self._n], keep))
+            self._place(
+                self._ids[keep],
+                TiltPages.gather([(self._tilt, keep)]),
+                *(column[keep] for column in columns),
             )
         return dropped
 
-    def _load_open(self, slots: list[int], sums: list[float]) -> None:
-        """Fresh open-quarter columns holding ``sums`` at ``slots``
-        (adding to ``0.0`` is exact: an accumulated sum is never ``-0.0``)."""
-        size = self._n * self.ticks_per_quarter
-        self._sums = np.zeros(size)
-        self._present = np.zeros(size, dtype=np.uint8)
-        kernels.open_add(
-            self._sums,
-            self._present,
-            kernels.int_column(slots),
-            kernels.float_column(sums),
-        )
+    def _rows(self) -> list[kernels.Column]:
+        """Views of the :data:`~repro.stream.state.ROW_COLUMNS` over the
+        live rows (``sums`` / ``present`` as rows x ``ticks_per_quarter``)."""
+        n, tpq = self._n, self.ticks_per_quarter
+        return [
+            self._sums[: n * tpq].reshape(n, tpq),
+            self._present[: n * tpq].reshape(n, tpq),
+            self._last_active[:n],
+            self._cold_since[:n],
+        ]
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -655,12 +647,21 @@ class StreamCubeEngine:
         self._row_of = np.full(len(self._table.keys), -1, dtype=np.int64)
         self._row_of[self._ids] = np.arange(self._n)
 
-    def _place(self, ids: kernels.Column) -> None:
-        """Make ``ids`` this engine's rows, in order."""
+    def _place(
+        self, ids: kernels.Column, tilt: TiltPages, *columns: kernels.Column
+    ) -> None:
+        """A new cell set: ``ids`` become this engine's rows, in order,
+        holding ``tilt`` and the :data:`~repro.stream.state.ROW_COLUMNS`
+        (``sums`` / ``present`` rows x ``ticks_per_quarter``), which the
+        engine owns from here on."""
         self._row_of[self._ids[: self._n]] = -1
         self._row_of = kernels.grown(self._row_of, len(self._table.keys), fill=-1)
         self._ids, self._n = ids, len(ids)
         self._row_of[ids] = np.arange(len(ids))
+        self._tilt = tilt
+        sums, present, self._last_active, self._cold_since = columns
+        self._sums, self._present = sums.reshape(-1), present.reshape(-1)
+        self._cell_changes += 1
 
     def advance_to(self, t: int) -> None:
         """Seal every quarter ending at or before primitive tick ``t - 1``.
@@ -884,15 +885,13 @@ class StreamCubeEngine:
         """A complete, independent extract of the engine's stream state.
 
         The clock and the page lists are copied, the page columns shared
-        (sealed pages are never written again) and the open quarter read
-        out into per-cell ``tick_sums`` (only rows with open ticks get
-        entries), so the snapshot is immune to further ingestion at a cost
+        (sealed pages are never written again) and the per-row columns
+        copied, so the snapshot is immune to further ingestion at a cost
         independent of history depth; layers/policy/key_fn are
         configuration and deliberately not captured (see
-        :mod:`repro.stream.state`).  Its ``wal_seq`` is 0: the cube's
-        manifest carries the journal mark.  Demoted pages the cold store
-        has not taken yet are written first; while the store still refuses
-        one, there is no snapshot (a :class:`~repro.errors.StorageError`),
+        :mod:`repro.stream.state`).  Demoted pages the cold store has not
+        taken yet are written first; while the store still refuses one,
+        there is no snapshot (a :class:`~repro.errors.StorageError`),
         since its cold spans would name a page the store lacks.
         """
         for page in list(self._unwritten.values()):
@@ -903,29 +902,17 @@ class StreamCubeEngine:
                 "cold store yet (it refused the write); no snapshot until "
                 "a retry lands them"
             )
-        n, tpq = self._n, self.ticks_per_quarter
-        lo = self._current_quarter * tpq
-        tick_sums: list[dict[int, float]] = [{} for _ in range(n)]
-        slots = np.flatnonzero(self._present[: n * tpq])
-        for slot, total in zip(slots.tolist(), self._sums[slots].tolist()):
-            tick_sums[slot // tpq][lo + slot % tpq] = total
         return EngineState(
             ticks_per_quarter=self.ticks_per_quarter,
             frame_levels=tuple(self._frame_levels),
             current_quarter=self._current_quarter,
             records_ingested=self._records_ingested,
             tilt=self._tilt.copy(),
-            cells=dict(
-                zip(
-                    self._cell_keys().keys,
-                    map(
-                        CellSnapshot,
-                        tick_sums,
-                        self._last_active[:n].tolist(),
-                        self._cold_since[:n].tolist(),
-                    ),
-                )
-            ),
+            keys=self._cell_keys().keys,
+            **{
+                name: column.copy()
+                for name, column in zip(ROW_COLUMNS, self._rows())
+            },
             cold_spans=(
                 tuple(
                     None if span is None else (span[0], span[1])
@@ -971,28 +958,37 @@ class StreamCubeEngine:
         """Replace this engine's stream state with a snapshot's.
 
         The cells, pages, accumulators, quarter clock, and record counter
-        all come from the snapshot; the engine's configuration (layers,
-        policy, key_fn) stays.  The snapshot's clock must agree with its
-        quarter, no page may hold more rows than there are cells and every
-        open tick must lie in the current quarter — a snapshot that
-        violates that (corruption, or hand-edited state) raises
-        :class:`StreamError` before any state is replaced.
+        all come from the snapshot (its columns are copied); the engine's
+        configuration (layers, policy, key_fn) stays.  The snapshot's clock
+        must agree with its quarter, its columns must have a row per key
+        (``ticks_per_quarter`` wide for the open quarter) and no page may
+        hold more rows than that — a snapshot that violates this
+        (corruption, or hand-edited state) raises :class:`StreamError`
+        before any state is replaced.
         """
-        if state.ticks_per_quarter != self.ticks_per_quarter:
+        tpq = self.ticks_per_quarter
+        if state.ticks_per_quarter != tpq:
             raise StreamError(
                 f"snapshot has ticks_per_quarter={state.ticks_per_quarter}, "
-                f"engine is configured with {self.ticks_per_quarter}"
+                f"engine is configured with {tpq}"
             )
         tilt = state.tilt.copy()
-        if tilt.clock.now != state.current_quarter * self.ticks_per_quarter:
+        if tilt.clock.now != state.current_quarter * tpq:
             raise StreamError(
                 f"snapshot zero frame clock ({tilt.clock.now}) disagrees "
                 f"with its current quarter ({state.current_quarter})"
             )
-        if tilt.max_rows > len(state.cells):
+        n = len(state.keys)
+        shapes = [np.shape(getattr(state, name)) for name in ROW_COLUMNS]
+        if shapes != [(n, tpq), (n, tpq), (n,), (n,)]:
+            raise StreamError(
+                f"snapshot columns {ROW_COLUMNS} have shapes {shapes}, not "
+                f"{n} rows of {tpq} ticks (corrupt or inconsistent snapshot)"
+            )
+        if tilt.max_rows > n:
             raise StreamError(
                 f"snapshot pages hold {tilt.max_rows} rows for "
-                f"{len(state.cells)} cells (corrupt or inconsistent snapshot)"
+                f"{n} cells (corrupt or inconsistent snapshot)"
             )
         spans = state.cold_spans
         has_cold = spans is not None and any(s is not None for s in spans)
@@ -1001,34 +997,16 @@ class StreamCubeEngine:
                 "snapshot has demoted (cold) history but this engine has no "
                 "cold store configured; restore with the snapshot's storage"
             )
-        tpq = self.ticks_per_quarter
-        lo = state.current_quarter * tpq
-        slots: list[int] = []
-        sums: list[float] = []
-        for row, (key, cell) in enumerate(state.cells.items()):
-            for t, total in cell.tick_sums.items():
-                if not lo <= t < lo + tpq:
-                    raise StreamError(
-                        f"snapshot cell {key} holds an open tick {t} outside "
-                        f"the current quarter [{lo}, {lo + tpq - 1}] "
-                        "(corrupt or inconsistent snapshot)"
-                    )
-                slots.append(row * tpq + t - lo)
-                sums.append(total)
-        ids, born = self._table.admit(list(state.cells))
+        ids, born = self._table.admit(state.keys)
+        if len(np.unique(ids)) != n:
+            raise StreamError(
+                "snapshot lists a cell twice (corrupt or inconsistent snapshot)"
+            )
         self._table.retire(np.setdiff1d(self._ids[: self._n], ids))
         self._table.commit(born)
-        self._place(ids)
         self._frame_levels = list(state.frame_levels)
-        self._tilt = tilt
-        self._cell_changes += 1
-        self._last_active = kernels.int_column(
-            [cell.last_active_quarter for cell in state.cells.values()]
-        )
-        self._cold_since = kernels.int_column(
-            [cell.cold_since for cell in state.cells.values()]
-        )
-        self._load_open(slots, sums)
+        columns = (np.array(getattr(state, name)) for name in ROW_COLUMNS)
+        self._place(ids, tilt, *columns)
         self._current_quarter = state.current_quarter
         self._records_ingested = state.records_ingested
         with self._page_lock:

@@ -9,18 +9,15 @@ it (``StreamCubeEngine.restore``) yields an engine bit-identical to the
 original, shallow enough that a snapshot never blocks ingestion for longer
 than a state copy — and the copy is small: sealed pages are immutable, so
 the snapshot *shares* the engine's page columns and copies only the clock,
-the page lists and the open quarter.
+the page lists and the per-row columns.
 
-``tilt`` mirrors the engine: the whole sealed history (one clock — the
-zero prototype — plus per level one ``(base, slope)`` column pair per
-retained slot, row ``i`` belonging to the ``i``-th cell of ``cells``).
-``cells`` does not: in the engine the open quarter is four flat columns
-over the cell rows (``sums`` and ``present``, ``ticks_per_quarter`` slots a
-row, plus ``last_active_quarter`` and ``cold_since``); a snapshot reads
-them out into one :class:`CellSnapshot` per cell — a ``tick_sums`` dict
-holding entries only where the row has open ticks — and ``load_state``
-scatters them back.  That keeps this type, its codec and every file
-written by earlier builds exactly as they were.
+The state has the engine's own layout: row ``i`` is the cell ``keys[i]``
+in every page of ``tilt`` (one clock — the zero prototype — plus per level
+one ``(base, slope)`` column pair per retained slot), in the open quarter's
+``sums`` and ``present`` (``ticks_per_quarter`` slots a row) and in
+``last_active`` and ``cold_since``.  Snapshot, load, prune and re-partition
+all move rows of these columns (:meth:`EngineState.gather`); there is no
+per-cell object.
 
 What is *not* captured: the critical layers, the exception policy, and the
 key function.  Those are code/configuration, not stream state — the caller
@@ -34,22 +31,22 @@ the caller reattaches on restore.
 
 Serialization goes through :mod:`repro.io` (``engine_state_to_dict`` /
 ``engine_state_from_dict``); floats survive the JSON round trip bit for
-bit.  On the wire the history is *row-major*: each cell's row carries its
-``(base, slope)`` pair for every retained slot as one packed base64
-float64 blob (the cold-page float codec,
-:func:`repro.storage.pages.pack_f64`), zero rows written out — slot
-*intervals* ride once, with the clock.  The codec transposes between that
-and the in-memory pages, so the format (and ``STATE_VERSION``) is the one
-earlier builds wrote.  There is one format version; a payload of any other
-version is refused (re-snapshot with this build to migrate).
+bit.  The codec below is the one place that knows the file's per-cell
+form: one JSON row a cell, whose history is its ``(base, slope)`` pair for
+every retained slot as one packed base64 float64 blob (the cold-page float
+codec, :func:`repro.storage.pages.pack_f64`), zero rows written out — slot
+*intervals* ride once, with the clock — and whose open ticks are packed
+``(tick, sum)`` pairs in ascending tick order.  The format (and
+``STATE_VERSION``) is the one earlier builds wrote.  There is one format
+version; a payload of any other version is refused (re-snapshot with this
+build to migrate).
 """
 
 from __future__ import annotations
 
 import base64
-import struct
-from dataclasses import dataclass
-from typing import Any, Hashable, Mapping
+from dataclasses import dataclass, replace
+from typing import Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,35 +60,20 @@ from repro.io import (
     tilt_level_from_dict,
     tilt_level_to_dict,
 )
-from repro.tilt.frame import Page, TiltLevelSpec, TiltPages
+from repro.tilt.frame import Column, Page, TiltLevelSpec, TiltPages
 
-__all__ = ["CellSnapshot", "EngineState"]
+__all__ = ["ROW_COLUMNS", "EngineState"]
 
 Values = tuple[Hashable, ...]
 
-_PAIR = struct.Struct("<qd")
+#: The per-row columns beside the keys and the pages.
+ROW_COLUMNS = ("sums", "present", "last_active", "cold_since")
+
+#: One packed open tick: ``(tick, sum)`` as little-endian int64 + float64.
+_PAIR = np.dtype([("t", "<i8"), ("z", "<f8")])
 
 
-@dataclass(frozen=True)
-class CellSnapshot:
-    """What one m-layer cell holds beyond its rows in the page store.
-
-    ``tick_sums`` is the cell's row of the open quarter — its per-tick sums
-    where a record has landed, in ascending tick order, empty for a cell
-    with nothing open — ``last_active_quarter`` the activity marker
-    ``prune_idle`` reads, and ``cold_since`` the clock tick of the cell's
-    birth (0 when tiered storage is off) — cold pages older than it answer
-    the zero row for this cell, see
-    :class:`repro.stream.engine.StreamCubeEngine`.  The dict is built for
-    the snapshot — mutating the live engine afterwards does not disturb it.
-    """
-
-    tick_sums: dict[int, float]
-    last_active_quarter: int
-    cold_since: int = 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EngineState:
     """A complete extract of one stream engine, ready to serialize.
 
@@ -105,16 +87,18 @@ class EngineState:
         The engine's lifetime record counter.
     tilt:
         The sealed history of every cell: the engine's clock (its zero
-        prototype) and the pages behind it.  Row ``i`` of every page is
-        the ``i``-th cell of ``cells``; a page shorter than that answers
-        its zero row (:class:`~repro.tilt.frame.TiltPages`).
-    cells:
-        Per-cell :class:`CellSnapshot`, keyed by m-layer values, in row
-        order.
-    wal_seq:
-        Kept in the format and always 0 from an engine: shard engines
-        never journal.  The recovery mark is the cube manifest's
-        ``wal_seq`` (see :mod:`repro.stream.wal`).
+        prototype) and the pages behind it.  A page shorter than ``keys``
+        answers its zero row (:class:`~repro.tilt.frame.TiltPages`).
+    keys:
+        The m-layer values of each row, in row (birth) order.
+    sums, present:
+        The open quarter, rows x ``ticks_per_quarter``: column ``j`` is tick
+        ``current_quarter * ticks_per_quarter + j``, its running sum and
+        whether a record has landed there (uint8).
+    last_active, cold_since:
+        Per row, the quarter of its newest record (what ``prune_idle``
+        reads) and the clock tick of its birth (0 without tiered storage:
+        cold pages older than it answer the zero row for the cell).
     cold_spans:
         Per-level demoted ``(lo, hi)`` tick spans (``None`` per level with
         nothing demoted; ``None`` overall when the engine has no cold
@@ -128,9 +112,36 @@ class EngineState:
     current_quarter: int
     records_ingested: int
     tilt: TiltPages
-    cells: dict[Values, CellSnapshot]
-    wal_seq: int = 0
+    keys: tuple[Values, ...]
+    sums: Column
+    present: Column
+    last_active: Column
+    cold_since: Column
     cold_spans: tuple[tuple[int, int] | None, ...] | None = None
+
+    @classmethod
+    def gather(
+        cls, parts: Sequence[tuple["EngineState", Sequence[int]]], records: int
+    ) -> "EngineState":
+        """A state whose rows are the listed rows of each part, in order
+        (:meth:`~repro.tilt.frame.TiltPages.gather` for the whole state),
+        counting ``records`` ingested.  The parts must be aligned; the
+        first part's clock and geometry are kept."""
+        parts = [(state, np.asarray(rows, dtype=np.intp)) for state, rows in parts]
+        return replace(
+            parts[0][0],
+            records_ingested=records,
+            tilt=TiltPages.gather([(state.tilt, rows) for state, rows in parts]),
+            keys=tuple(
+                state.keys[row] for state, rows in parts for row in rows.tolist()
+            ),
+            **{
+                name: np.concatenate(
+                    [getattr(state, name)[rows] for state, rows in parts]
+                )
+                for name in ROW_COLUMNS
+            },
+        )
 
     # ------------------------------------------------------------------
     # Codec
@@ -138,17 +149,14 @@ class EngineState:
     def to_dict(self) -> dict[str, Any]:
         """Versioned JSON-ready form (see :mod:`repro.io`).
 
-        Tick accumulators are emitted as packed ``(tick, sum)`` pairs in
-        dict order (ascending ticks for an engine's snapshot; the restore
-        path scatters them into the open-quarter columns, where order does
-        not exist).  A page longer than the cell
-        list has rows nothing owns; such a state is refused.
+        A page longer than the key list has rows nothing owns; such a state
+        is refused.
         """
         clock = self.tilt.clock
-        if self.tilt.max_rows > len(self.cells):
+        if self.tilt.max_rows > len(self.keys):
             raise CodecError(
                 f"engine_state: a page holds {self.tilt.max_rows} rows for "
-                f"{len(self.cells)} cells"
+                f"{len(self.keys)} cells"
             )
         payload: dict[str, Any] = {
             "format": "repro-engine-state",
@@ -159,14 +167,11 @@ class EngineState:
             ],
             "current_quarter": self.current_quarter,
             "records_ingested": self.records_ingested,
-            "wal_seq": self.wal_seq,
+            # Kept in the format: shard engines never journal, the cube
+            # manifest's ``wal_seq`` is the recovery mark.
+            "wal_seq": 0,
             "zero_frame": frame_to_dict(clock),
-            "cells": [
-                self._cell_row(values, cell, blob, self.current_quarter)
-                for (values, cell), blob in zip(
-                    self.cells.items(), self._slot_blobs()
-                )
-            ],
+            "cells": self._cell_rows(),
         }
         if self.cold_spans is not None:
             payload["cold_spans"] = [
@@ -175,10 +180,42 @@ class EngineState:
             ]
         return payload
 
+    def _cell_rows(self) -> list[dict[str, Any]]:
+        """One JSON row a cell: its values and slot blob, then its activity
+        marker, open ticks (packed ``(tick, sum)`` pairs, ascending) and
+        birth tick where they are not the defaults."""
+        rows, offsets = np.nonzero(self.present)
+        pairs = np.empty(len(rows), dtype=_PAIR)
+        pairs["t"] = self.current_quarter * self.ticks_per_quarter + offsets
+        pairs["z"] = self.sums[rows, offsets]
+        packed = pairs.tobytes()
+        cuts = np.searchsorted(rows, np.arange(len(self.keys) + 1)) * _PAIR.itemsize
+        out: list[dict[str, Any]] = []
+        for values, slots, last, cold, a, b in zip(
+            self.keys,
+            self._slot_blobs(),
+            self.last_active.tolist(),
+            self.cold_since.tolist(),
+            cuts.tolist(),
+            cuts[1:].tolist(),
+        ):
+            row: dict[str, Any] = {
+                "v": list(values),
+                "s": base64.b64encode(slots).decode("ascii"),
+            }
+            if last != self.current_quarter:
+                row["q"] = last
+            if b > a:
+                row["t"] = base64.b64encode(packed[a:b]).decode("ascii")
+            if cold:
+                row["c"] = cold
+            out.append(row)
+        return out
+
     def _slot_blobs(self) -> list[bytes]:
         """Per cell, its interleaved ``(base, slope)`` float64 pairs, one
         per retained slot, finest level first — the pages transposed."""
-        n = len(self.cells)
+        n = len(self.keys)
         columns = [
             column
             for level in range(len(self.tilt.clock.levels))
@@ -189,30 +226,6 @@ class EngineState:
         for j, column in enumerate(columns):
             rows[:, j] = column
         return [row.tobytes() for row in rows]
-
-    @staticmethod
-    def _cell_row(
-        values: Values,
-        cell: CellSnapshot,
-        slots: bytes,
-        current_quarter: int,
-    ) -> dict[str, Any]:
-        row: dict[str, Any] = {
-            "v": list(values),
-            "s": base64.b64encode(slots).decode("ascii"),
-        }
-        if cell.last_active_quarter != current_quarter:
-            row["q"] = cell.last_active_quarter
-        if cell.tick_sums:
-            row["t"] = base64.b64encode(
-                b"".join(
-                    _PAIR.pack(int(t), float(z))
-                    for t, z in cell.tick_sums.items()
-                )
-            ).decode("ascii")
-        if cell.cold_since:
-            row["c"] = cell.cold_since
-        return row
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EngineState":
@@ -230,23 +243,27 @@ class EngineState:
             decoding("engine_state", lambda: payload["zero_frame"]),
             levels=levels,
         )
-        n_slots = clock.total_retained
-        current = decoding(
-            "engine_state", lambda: int(payload["current_quarter"])
-        )
-        cells: dict[Values, CellSnapshot] = {}
-        blobs: list[bytes] = []
-        for row in decoding("engine_state", lambda: list(payload["cells"])):
-            values, cell, blob = decoding(
+        tpq = decoding("engine_state", lambda: int(payload["ticks_per_quarter"]))
+        current = decoding("engine_state", lambda: int(payload["current_quarter"]))
+        rows = decoding("engine_state", lambda: list(payload["cells"]))
+        sums = decoding("engine_state", lambda: np.zeros((len(rows), tpq)))
+        present = np.zeros(sums.shape, dtype=np.uint8)
+        cells: dict[Values, tuple[bytes, int, int]] = {}
+        for row, open_sums, open_present in zip(rows, sums, present):
+            values, *cell = decoding(
                 "engine_state",
-                lambda: cls._packed_cell(row, n_slots, current),
+                lambda: cls._packed_cell(
+                    row, clock.total_retained, current, open_sums, open_present
+                ),
             )
             if values in cells:
                 raise CodecError(
                     f"engine_state: duplicate cell {values} in payload"
                 )
             cells[values] = cell
-            blobs.append(blob)
+        blobs, last_active, cold_since = (
+            [cell[i] for cell in cells.values()] for i in range(3)
+        )
 
         def spans() -> tuple[tuple[int, int] | None, ...] | None:
             raw = payload.get("cold_spans")
@@ -259,13 +276,16 @@ class EngineState:
 
         def finish() -> EngineState:
             return cls(
-                ticks_per_quarter=int(payload["ticks_per_quarter"]),
+                ticks_per_quarter=tpq,
                 frame_levels=levels,
-                current_quarter=int(payload["current_quarter"]),
+                current_quarter=current,
                 records_ingested=int(payload["records_ingested"]),
                 tilt=TiltPages(clock, cls._pages_of(blobs, clock)),
-                cells=cells,
-                wal_seq=int(payload.get("wal_seq", 0)),
+                keys=tuple(cells),
+                sums=sums,
+                present=present,
+                last_active=np.array(last_active, dtype=np.int64),
+                cold_since=np.array(cold_since, dtype=np.int64),
                 cold_spans=decoding("engine_state", spans),
             )
 
@@ -294,42 +314,42 @@ class EngineState:
 
     @staticmethod
     def _packed_cell(
-        row: Mapping[str, Any], n_slots: int, current_quarter: int
-    ) -> tuple[Values, CellSnapshot, bytes]:
+        row: Mapping[str, Any],
+        n_slots: int,
+        current_quarter: int,
+        sums: Column,
+        present: Column,
+    ) -> tuple[Values, bytes, int, int]:
+        """One JSON row: its values, slot blob, activity marker and birth
+        tick; its open ticks go into its ``sums`` / ``present`` row as
+        ``0.0 + sum`` (what accumulating into an empty slot leaves), the
+        later of two pairs on one tick winning."""
         values = tuple(row["v"])
-        try:
-            slots = base64.b64decode(
-                str(row["s"]).encode("ascii"), validate=True
-            )
-            if len(slots) != 16 * n_slots:
-                raise CodecError(
-                    f"engine_state: cell {values} slot blob holds "
-                    f"{len(slots)} bytes, expected {16 * n_slots} "
-                    "(snapshot disagrees with its zero frame)"
-                )
-            tick_sums: dict[int, float] = {}
-            if "t" in row:
-                raw = base64.b64decode(
-                    str(row["t"]).encode("ascii"), validate=True
-                )
-                if len(raw) % _PAIR.size != 0:
-                    raise CodecError(
-                        f"engine_state: cell {values} has a torn "
-                        "accumulator column"
-                    )
-                for t, z in _PAIR.iter_unpack(raw):
-                    tick_sums[t] = z
-        except struct.error as exc:  # pragma: no cover - defensive
+        slots = base64.b64decode(str(row["s"]).encode("ascii"), validate=True)
+        if len(slots) != 16 * n_slots:
             raise CodecError(
-                f"engine_state: cell {values} packed column is invalid "
-                f"({exc})"
-            ) from None
+                f"engine_state: cell {values} slot blob holds "
+                f"{len(slots)} bytes, expected {16 * n_slots} "
+                "(snapshot disagrees with its zero frame)"
+            )
+        if "t" in row:
+            raw = base64.b64decode(str(row["t"]).encode("ascii"), validate=True)
+            if len(raw) % _PAIR.itemsize != 0:
+                raise CodecError(
+                    f"engine_state: cell {values} has a torn accumulator column"
+                )
+            lo = current_quarter * len(sums)
+            for t, z in np.frombuffer(raw, dtype=_PAIR).tolist():
+                if not lo <= t < lo + len(sums):
+                    raise CodecError(
+                        f"engine_state: cell {values} holds an open tick {t} "
+                        f"outside the current quarter [{lo}, {lo + len(sums) - 1}]"
+                    )
+                sums[t - lo] = 0.0 + z
+                present[t - lo] = 1
         return (
             values,
-            CellSnapshot(
-                tick_sums=tick_sums,
-                last_active_quarter=int(row.get("q", current_quarter)),
-                cold_since=int(row.get("c", 0)),
-            ),
             slots,
+            int(row.get("q", current_quarter)),
+            int(row.get("c", 0)),
         )

@@ -354,7 +354,6 @@ class ScenarioRunner:
             ticks_per_quarter=self.tpq,
             wal=QuarterWAL(self.wal_path),
             storage=self._cube_storage,
-            hot_quarters=scenario.hot_quarters if scenario.storage else None,
         )
         self.router = QueryRouter(self.cube, window_quarters=scenario.window)
         self.oracle = RawStreamOracle(
@@ -868,9 +867,6 @@ class ScenarioRunner:
     # -- durability / elasticity / retirement ---------------------------
     def _snapshot_restore(self, event: SnapshotRestore) -> None:
         self._require_no_subscriptions("SnapshotRestore")
-        hot = (
-            self.scenario.hot_quarters if self.scenario.storage else None
-        )
         reference_dir = self.workdir / "reference-snapshot"
         self.reference.snapshot(reference_dir)
         restored_reference = ShardedStreamCube.restore(
@@ -878,7 +874,6 @@ class ScenarioRunner:
             self.layers,
             self.policy,
             storage=self._reference_storage,
-            hot_quarters=hot,
         )
         self.last_manifest = self.cube.snapshot(self.snap_dir)
         self.cube.wal.truncate_through(self.last_manifest["wal_seq"])
@@ -890,7 +885,6 @@ class ScenarioRunner:
             self.layers,
             self.policy,
             storage=self._cube_storage,
-            hot_quarters=hot,
         )
         old = self.cube
         try:
@@ -989,9 +983,6 @@ class ScenarioRunner:
             self.layers,
             self.policy,
             storage=crash_storage,
-            hot_quarters=(
-                self.scenario.hot_quarters if crash_storage else None
-            ),
         )
         with QuarterWAL(crash_dir / "wal.jsonl") as journal:
             journal.replay(

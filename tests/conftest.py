@@ -51,6 +51,20 @@ def isb_close(a: ISB, b: ISB, tol: float = 1e-9) -> bool:
     )
 
 
+def state_rows(state) -> list:
+    """An engine state's keys and per-row columns as plain lists: equal
+    exactly when two states hold the same cells in the same row order,
+    with the same open per-tick sums (float ``==``), open ticks and
+    activity entries."""
+    return [
+        list(state.keys),
+        state.sums.tolist(),
+        state.present.tolist(),
+        state.last_active.tolist(),
+        state.cold_since.tolist(),
+    ]
+
+
 def _mo_cubing_from_tree(layers, cells, policy):
     items = cells.items() if isinstance(cells, dict) else cells
     return mo_cubing_from_tree(layers, build_mo_htree(layers, items), policy)

@@ -65,7 +65,7 @@ def expected_slice(oracle, values, dim):
 
 def untracked(cube):
     """A key of the schema's m-layer the cube does not track."""
-    tracked = {key for shard in cube.shards for key in shard.snapshot().cells}
+    tracked = {key for shard in cube.shards for key in shard.snapshot().keys}
     return next((a, b) for a in range(9) for b in range(9) if (a, b) not in tracked)
 
 

@@ -470,6 +470,24 @@ class TestRestoreCLI:
             )
         assert {p.name: p.read_bytes() for p in snaps.iterdir()} == before
 
+    def test_restore_keeps_the_recorded_hot_horizon_unless_told(self, tmp_path):
+        """``StorageConfig`` is the one home of the hot horizon: ``serve
+        --restore`` without ``--hot-quarters`` builds it from the manifest's
+        ``storage.hot_quarters``, and ``--hot-quarters`` replaces it."""
+        cold = str(tmp_path / "cold")
+        build_service(serve_args(tmp_path, storage_dir=cold, hot_quarters=1)).close()
+        snaps = str(tmp_path / "snaps")
+        for flag, expected in ((None, 1), (3, 3)):
+            restored = build_service(
+                serve_args(
+                    tmp_path, restore=snaps, storage_dir=cold, hot_quarters=flag
+                )
+            )
+            try:
+                assert restored.cube.storage_stats()["hot_quarters"] == expected
+            finally:
+                restored.close()
+
 
 #: Manifest fields a restore reads, each malformed one way.  Every case is
 #: a ``CodecError`` from ``restore`` and ``build_service`` alike (a journal

@@ -142,7 +142,7 @@ def test_no_cell_set_change_serves_a_stale_generation(tmp_path, setup):
     # A restore from a snapshot directory, decoding every page afresh.
     cube.snapshot(tmp_path / "snap")
     restored = ShardedStreamCube.restore(
-        tmp_path / "snap", layers, policy, storage=storage, hot_quarters=HOT
+        tmp_path / "snap", layers, policy, storage=storage
     )
     with restored:
         assert_deep_reads_match(restored, resident)

@@ -113,7 +113,7 @@ class TestSpillAndFault:
     def test_resident_state_is_bounded_by_the_hot_set(self, tmp_path):
         def resident(engine):
             return sum(
-                engine.frame_of(key).total_retained for key in engine.snapshot().cells
+                engine.frame_of(key).total_retained for key in engine.snapshot().keys
             )
 
         eng_mid, ref_mid, _, _ = make_trio(tmp_path / "mid", quarters=120)

@@ -56,7 +56,6 @@ def make_pair(tmp_path, n_shards=3):
         n_shards=n_shards,
         ticks_per_quarter=TPQ,
         storage=config,
-        hot_quarters=HOT,
     )
     engine = StreamCubeEngine(
         layers,
@@ -151,6 +150,23 @@ class TestDurabilityAndElasticity:
         finally:
             if restored is not None:
                 restored.close()
+            cube.close()
+
+    def test_restore_takes_the_hot_horizon_from_its_config(self, tmp_path):
+        """The config a restore is given is the one home of the hot
+        horizon; the manifest's recorded value is not a fallback."""
+        cube, _, config, layers, policy, _ = make_pair(tmp_path)
+        try:
+            cube.snapshot(tmp_path / "snap")
+            wider = StorageConfig(root=config.root, hot_quarters=HOT + 3)
+            with ShardedStreamCube.restore(
+                tmp_path / "snap", layers, policy, storage=wider
+            ) as restored:
+                assert restored.storage_stats()["hot_quarters"] == HOT + 3
+                assert all(
+                    shard.hot_quarters == HOT + 3 for shard in restored.shards
+                )
+        finally:
             cube.close()
 
     @pytest.mark.parametrize("backend", ["shoebox", "", "FILE"])

@@ -72,7 +72,6 @@ def restored_service(root: Path) -> StreamCubeService:
         policy,
         wal=wal,
         storage=StorageConfig(root=root / "storage", hot_quarters=HOT),
-        hot_quarters=HOT,
     )
     wal.replay(cube, after_seq=int(manifest["wal_seq"]))
     return StreamCubeService(cube, QueryRouter(cube, window_quarters=4))

@@ -34,8 +34,9 @@ from repro.service.sharding import ShardedStreamCube, stable_shard_index
 from repro.stream.engine import MAX_QUARTERS_AHEAD, StreamCubeEngine
 from repro.stream.generator import DatasetSpec
 from repro.stream.records import RecordColumns, StreamRecord
-from repro.stream.state import CellSnapshot, EngineState
+from repro.stream.state import EngineState
 from repro.stream.wal import QuarterWAL
+from tests.conftest import state_rows
 
 LAYERS = DatasetSpec(2, 2, 3, 1).build_layers()
 POLICY = GlobalSlopeThreshold(0.05)
@@ -116,12 +117,13 @@ def slots_of(state: EngineState, row: int) -> list:
 
 def assert_states_equal(actual: EngineState, expected: EngineState) -> None:
     """Field for field; the page store row by row, through ``frame_of``."""
+    rows = ("tilt", "keys", "sums", "present", "last_active", "cold_since")
     for field in dataclasses.fields(EngineState):
-        if field.name not in ("tilt", "cells"):
+        if field.name not in rows:
             assert getattr(actual, field.name) == getattr(expected, field.name), field.name
     # Same cells, born in the same order, same open sums bit for bit.
-    assert list(actual.cells.items()) == list(expected.cells.items())
-    for row in range(len(expected.cells)):
+    assert state_rows(actual) == state_rows(expected)
+    for row in range(len(expected.keys)):
         assert slots_of(actual, row) == slots_of(expected, row)
 
 
@@ -167,12 +169,17 @@ def assert_cube_equals_reference(
         assert state.current_quarter == expected.current_quarter
         owned = [
             (row, key)
-            for row, key in enumerate(expected.cells)
+            for row, key in enumerate(expected.keys)
             if stable_shard_index(key, n) == shard
         ]
         # The shard bore its cells in the order the single engine did.
-        assert list(state.cells.items()) == [
-            (key, expected.cells[key]) for _, key in owned
+        mine = [row for row, _ in owned]
+        assert state_rows(state) == [
+            [key for _, key in owned],
+            *(
+                getattr(expected, column)[mine].tolist()
+                for column in ("sums", "present", "last_active", "cold_since")
+            ),
         ]
         for shard_row, (row, _) in enumerate(owned):
             assert slots_of(state, shard_row) == slots_of(expected, row)
@@ -223,7 +230,7 @@ def test_a_mid_quarter_snapshot_decodes_to_the_state_the_parent_wrote():
     engine fed the same stream must encode to a payload that decodes to the
     same ``EngineState`` (the format and ``STATE_VERSION`` are unchanged;
     only the order of a cell's packed open ticks — arrival order there,
-    ascending here — may differ, which decoding into a dict erases)."""
+    ascending here — may differ, which decoding into the columns erases)."""
     fixture = Path(__file__).parent / "fixtures" / "parent_open_quarter"
     spec = importlib.util.spec_from_file_location(
         "make_open_quarter_fixture", fixture / "make_fixture.py"
@@ -233,7 +240,7 @@ def test_a_mid_quarter_snapshot_decodes_to_the_state_the_parent_wrote():
 
     recorded = json.loads((fixture / "state.json").read_text())
     parent = engine_state_from_dict(recorded)
-    assert any(cell.tick_sums for cell in parent.cells.values())  # mid-quarter
+    assert parent.present.any()  # mid-quarter
 
     engine = maker.build_engine()
     for batch in maker.batches():
@@ -241,19 +248,9 @@ def test_a_mid_quarter_snapshot_decodes_to_the_state_the_parent_wrote():
     payload = json.loads(json.dumps(engine_state_to_dict(engine.snapshot())))
     assert_states_equal(engine_state_from_dict(payload), parent)
 
-    def canonical(payload_state: EngineState) -> dict:
-        cells = {
-            key: CellSnapshot(
-                dict(sorted(cell.tick_sums.items())),
-                cell.last_active_quarter,
-                cell.cold_since,
-            )
-            for key, cell in payload_state.cells.items()
-        }
-        return dataclasses.replace(payload_state, cells=cells).to_dict()
-
-    # ... and with the open ticks put in one order, the same bytes.
-    assert canonical(engine_state_from_dict(payload)) == canonical(parent)
+    # ... and, re-encoded with the open ticks in ascending order, the same
+    # bytes.
+    assert engine_state_from_dict(payload).to_dict() == parent.to_dict()
 
     # The parent's state loads, and carries on exactly like the engine
     # that never stopped.

@@ -22,6 +22,7 @@ from repro.cube.schema import CubeSchema, Dimension
 from repro.cubing.policy import GlobalSlopeThreshold
 from repro.stream.engine import StreamCubeEngine
 from repro.stream.records import StreamRecord
+from tests.conftest import state_rows
 
 TPQ = 4
 
@@ -66,9 +67,9 @@ def assert_engines_identical(a: StreamCubeEngine, b: StreamCubeEngine):
     assert a.current_quarter == b.current_quarter
     # Same cells in the same row order, same pending per-tick sums (bit
     # for bit) and activity markers.
-    cells_a, cells_b = a.snapshot().cells, b.snapshot().cells
-    assert list(cells_a.items()) == list(cells_b.items())
-    for key in cells_a:
+    state_a = a.snapshot()
+    assert state_rows(state_a) == state_rows(b.snapshot())
+    for key in state_a.keys:
         # Same retained slots at every granularity, bit for bit.
         fa, fb = a.frame_of(key), b.frame_of(key)
         assert list(fa.all_slots()) == list(fb.all_slots())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from repro.io import (
 from repro.stream.engine import StreamCubeEngine, run_cubing
 from repro.stream.records import StreamRecord
 from repro.tilt.frame import TiltLevelSpec, TiltPages, TiltTimeFrame
+from tests.conftest import state_rows
 
 TPQ = 4
 
@@ -66,12 +68,24 @@ def random_records(seed: int, n: int, quarters: int) -> list[StreamRecord]:
     return out
 
 
+def first_row(state):
+    """``state`` cut down to its first cell (its pages stay whole)."""
+    return dataclasses.replace(
+        state,
+        keys=state.keys[:1],
+        sums=state.sums[:1],
+        present=state.present[:1],
+        last_active=state.last_active[:1],
+        cold_since=state.cold_since[:1],
+    )
+
+
 def assert_engines_identical(a: StreamCubeEngine, b: StreamCubeEngine) -> None:
     assert a.current_quarter == b.current_quarter
     assert a.records_ingested == b.records_ingested
-    cells_a, cells_b = a.snapshot().cells, b.snapshot().cells
-    assert cells_a == cells_b
-    for key in cells_a:
+    state_a = a.snapshot()
+    assert state_rows(state_a) == state_rows(b.snapshot())
+    for key in state_a.keys:
         fa, fb = a.frame_of(key), b.frame_of(key)
         assert list(fa.all_slots()) == list(fb.all_slots())
         assert fa.now == fb.now
@@ -191,13 +205,39 @@ class TestEngineSnapshot:
                 engine.layers,
                 engine.policy,
             )
-        orphaned = dict(list(state.cells.items())[:1])
         with pytest.raises(StreamError, match="rows for"):
             StreamCubeEngine.restore(
-                dataclasses.replace(state, cells=orphaned),
-                engine.layers,
-                engine.policy,
+                first_row(state), engine.layers, engine.policy
             )
+
+    @pytest.mark.parametrize("column", ["sums", "present", "last_active"])
+    def test_columns_out_of_shape_with_the_keys_are_refused(self, column):
+        """A hand-built state whose columns disagree with ``keys`` (or
+        with ``ticks_per_quarter``) never loads, and the engine it was
+        offered to stays exactly as it was."""
+        engine = make_engine()
+        engine.ingest_many(random_records(12, 80, 4))
+        state = engine.snapshot()
+        target = make_engine()
+        target.ingest_many(random_records(13, 40, 4))
+        before = engine_state_to_dict(target.snapshot())
+        generation = target.cell_generation
+        full = getattr(state, column)
+        for bad in (full[:-1], full[:, :-1] if full.ndim == 2 else full[:, None]):
+            with pytest.raises(StreamError, match="shapes"):
+                target.load_state(dataclasses.replace(state, **{column: bad}))
+        assert engine_state_to_dict(target.snapshot()) == before
+        assert target.cell_generation == generation
+
+    def test_a_key_listed_twice_is_refused(self):
+        engine = make_engine()
+        engine.ingest_many(random_records(14, 80, 4))
+        state = engine.snapshot()
+        before = engine_state_to_dict(state)
+        twice = dataclasses.replace(state, keys=(state.keys[0],) * len(state.keys))
+        with pytest.raises(StreamError, match="twice"):
+            engine.load_state(twice)
+        assert engine_state_to_dict(engine.snapshot()) == before
 
     def test_a_snapshot_shares_page_columns_instead_of_copying_them(self):
         engine = make_engine()
@@ -228,11 +268,12 @@ class TestEngineSnapshot:
             engine.layers,
             engine.policy,
         )
-        assert idle not in restored.snapshot().cells
-        assert (
-            restored.snapshot().cells[active].last_active_quarter
-            == engine.snapshot().cells[active].last_active_quarter
-        )
+        assert idle not in restored.snapshot().keys
+
+        def last_active(state):
+            return state.last_active[state.keys.index(active)]
+
+        assert last_active(restored.snapshot()) == last_active(engine.snapshot())
         # Pruning again on the restored engine drops nothing new.
         assert restored.prune_idle(4) == 0
 
@@ -242,14 +283,19 @@ def v1_payload(engine: StreamCubeEngine) -> dict:
     state = engine.snapshot()
     payload = engine_state_to_dict(state)
     payload["version"] = 1
+    lo = state.current_quarter * state.ticks_per_quarter
     payload["cells"] = [
         {
             "values": list(values),
             "frame": frame_to_dict(engine.frame_of(values)),
-            "tick_sums": [[t, z] for t, z in cell.tick_sums.items()],
-            "last_active_quarter": cell.last_active_quarter,
+            "tick_sums": [
+                [lo + j, z]
+                for j, z in enumerate(state.sums[row].tolist())
+                if state.present[row, j]
+            ],
+            "last_active_quarter": int(state.last_active[row]),
         }
-        for values, cell in state.cells.items()
+        for row, values in enumerate(state.keys)
     ]
     return payload
 
@@ -284,9 +330,8 @@ class TestPackedStateCodec:
 
     def test_rows_no_cell_owns_are_refused_by_the_encoder(self):
         state = self.loaded_engine().snapshot()
-        orphaned = dict(list(state.cells.items())[:1])
         with pytest.raises(CodecError, match="rows for"):
-            engine_state_to_dict(dataclasses.replace(state, cells=orphaned))
+            engine_state_to_dict(first_row(state))
 
     def test_pages_out_of_step_with_the_clock_are_refused(self):
         state = self.loaded_engine().snapshot()
@@ -335,6 +380,52 @@ class TestPackedStateCodec:
         payload["cells"].append(dict(payload["cells"][0]))
         with pytest.raises(CodecError, match="duplicate"):
             engine_state_from_dict(payload)
+
+    @pytest.mark.parametrize("offset", [-1, TPQ])
+    def test_open_tick_outside_the_current_quarter_rejected(self, offset):
+        import base64
+        import struct
+
+        engine = make_engine()
+        engine.ingest_many(random_records(10, 60, 3))
+        engine.ingest(StreamRecord((0, 0), 3 * TPQ + 1, 1.5))  # mid-quarter
+        payload = engine_state_to_dict(engine.snapshot())
+        row = next(r for r in payload["cells"] if "t" in r)
+        tick = payload["current_quarter"] * TPQ + offset
+        row["t"] = base64.b64encode(
+            base64.b64decode(row["t"]) + struct.pack("<qd", tick, 1.0)
+        ).decode("ascii")
+        with pytest.raises(CodecError, match="outside the current quarter"):
+            engine_state_from_dict(payload)
+
+    def test_a_tick_listed_twice_keeps_its_last_sum(self):
+        import base64
+        import struct
+
+        engine = make_engine()
+        engine.ingest_many(random_records(10, 60, 3))
+        engine.ingest(StreamRecord((0, 0), 3 * TPQ + 1, 1.5))
+        payload = engine_state_to_dict(engine.snapshot())
+        row = next(r for r in payload["cells"] if "t" in r)
+        t, _ = struct.unpack("<qd", base64.b64decode(row["t"])[:16])
+        row["t"] = base64.b64encode(
+            base64.b64decode(row["t"]) + struct.pack("<qd", t, -0.0)
+        ).decode("ascii")
+        state = engine_state_from_dict(payload)
+        r = state.keys.index(tuple(row["v"]))
+        value = state.sums[r, t - 3 * TPQ]
+        assert value == 0.0 and str(value) == "0.0"  # 0.0 + -0.0, last wins
+
+    def test_parent_snapshot_files_re_encode_byte_for_byte(self):
+        """Every shard file of ``fixtures/parent_snapshot``, decoded and
+        encoded again the way a shard writes it, is the committed bytes."""
+        snapshot = Path(__file__).parent / "fixtures" / "parent_snapshot" / "snapshot"
+        files = sorted(snapshot.glob("shard-*.json"))
+        assert files
+        for path in files:
+            text = path.read_text()
+            again = json.dumps(engine_state_to_dict(engine_state_from_dict(json.loads(text))))
+            assert again.encode() == path.read_bytes(), path.name
 
 
 @given(
